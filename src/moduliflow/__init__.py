@@ -7,8 +7,27 @@ energy and its dissipation, reduces map values into the standard
 fundamental domain, bins the pushforward of Lebesgue measure against the
 hyperbolic area measure, and reports relative entropy and weak-*
 equidistribution diagnostics.
+
+MODFLOW_THREADS=<n> caps the BLAS/OpenMP thread pools.  The pools read their
+variables when numpy loads, so the cap is exported here, before any
+submodule imports numpy; variables already set are left alone.
 """
 
+import os
+
+
+def _apply_thread_cap():
+    cap = os.environ.get("MODFLOW_THREADS")
+    if not cap:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, cap)
+
+
+_apply_thread_cap()
+
+# Submodules import numpy, so they come after the thread cap.
 from .flow import (
     AbortedRunError,
     FlowParams,
@@ -51,7 +70,6 @@ from .measures import (
     PushforwardMeasure,
     ReferenceMeasure,
     entropy_report,
-    ergodic_error,
     pushforward,
     radon_nikodym,
     read_measure,
@@ -97,7 +115,6 @@ __all__ = [
     "dissipation_rate",
     "energy",
     "entropy_report",
-    "ergodic_error",
     "hyperbolic_cell_mass",
     "hyperbolic_distance",
     "hyperbolic_laplacian_fd",

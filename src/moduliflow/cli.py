@@ -12,11 +12,11 @@ Configs are strict JSON: unknown keys anywhere are rejected, every value is
 type-checked, and the resolved config (defaults filled in) is echoed into
 the run directory so analyze can rebuild the exact measurement setup.  Runs
 are deterministic: the same config and seed produce bit-identical output
-files.  MODFLOW_THREADS caps kernel threads (exported to the BLAS thread
-pools and to sweep subprocesses).
+files.  MODFLOW_THREADS caps kernel threads; the package applies it on
+import, before numpy loads, and sweep subprocesses inherit it.
 
-Only the standard library is imported at module scope so the thread cap can
-be applied before numpy comes in.
+Exit codes: 0 success, 1 aborted run, 2 input error (config, initial state,
+run directory) or failed audit.
 """
 
 from __future__ import annotations
@@ -24,15 +24,26 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+# flow, initial and measures are called through their modules, so that a
+# wrapper installed on a module attribute also sees the calls made here.
+from . import flow, initial, measures as ms
+from .hyperbolic import (
+    FundamentalDomainBinning,
+    UpperHalfPoint,
+    reduce_to_fundamental_domain,
+)
+from .mesh import DomainGrid
+from .testfunctions import BumpFunction
+
 SERIES_SCHEMA = "moduliflow-series-v1"
 STEPS_SCHEMA = "moduliflow-steps-v1"
 SUMMARY_SCHEMA = "moduliflow-summary-v1"
-SWEEP_SCHEMA = "moduliflow-sweep-v1"
 
 SERIES_BASE_COLUMNS = [
     "t", "E", "D", "cumulative_D", "dt",
@@ -141,17 +152,15 @@ def _integer(raw, path, *, minimum=None) -> int:
 
 
 def _validate_initial(raw: dict, path: str) -> dict:
-    from .initial import KIND_DEFAULTS
-
     if not isinstance(raw, dict):
         raise ConfigError("must be an object", path)
     kind = raw.get("kind")
-    if kind not in KIND_DEFAULTS:
+    if kind not in initial.KIND_DEFAULTS:
         raise ConfigError(
-            f"unknown kind {kind!r}; expected one of {sorted(KIND_DEFAULTS)}",
+            f"unknown kind {kind!r}; expected one of {sorted(initial.KIND_DEFAULTS)}",
             f"{path}.kind",
         )
-    _expect(raw, set(KIND_DEFAULTS[kind]) | {"kind"}, path)
+    _expect(raw, set(initial.KIND_DEFAULTS[kind]) | {"kind"}, path)
     return dict(raw)
 
 
@@ -283,22 +292,23 @@ def compute_snapshot_diagnostics(snapshots, binning, reference, observables,
                                  density_threshold, jacobian_threshold):
     """Per-snapshot measure diagnostics; shared by run and analyze.
 
-    Returns (reports, ergodic_matrix, measures) where ergodic_matrix[k][j]
-    is the time-average equidistribution error of observable j at snapshot k.
+    Returns (reports, ergodic, measures, energies, dissipations) where
+    ergodic[j][k] is the time-average equidistribution error of observable j
+    at snapshot k.  Each snapshot gets one pushforward and one edge pass.
     """
-    from . import measures as ms
-    from .flow import dissipation_rate, energy as flow_energy
-
-    mus = [ms.pushforward(s, binning) for s in snapshots]
-    reports = [
-        ms.entropy_report(s, binning, reference, density_threshold, jacobian_threshold)
-        for s in snapshots
-    ]
+    mus, reports, energies, dissipations = [], [], [], []
+    for s in snapshots:
+        mu = ms.pushforward(s, binning)
+        e, _, d = flow._edge_pass(s)
+        mus.append(mu)
+        reports.append(ms.entropy_report(
+            s, mu, reference, density_threshold, jacobian_threshold
+        ))
+        energies.append(e)
+        dissipations.append(d)
     ergodic = [
         ms.ergodic_error_from_measures(mus, f, reference) for f in observables
     ]
-    energies = [flow_energy(s) for s in snapshots]
-    dissipations = [dissipation_rate(s) for s in snapshots]
     return reports, ergodic, mus, energies, dissipations
 
 
@@ -310,23 +320,22 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     snapshots/, measures/ (per-snapshot pushforwards plus the run's
     trapezoid time average), entropy.jsonl, summary.json.  An aborted run
     (dt underflow) still writes everything computed so far and is marked in
-    summary.json.
+    summary.json.  An initial state that cannot be built raises ConfigError
+    before the run directory is created.
     """
-    import numpy as np
-
-    from . import measures as ms
-    from .flow import AbortedRunError, FlowParams, run_flow
-    from .hyperbolic import FundamentalDomainBinning
-    from .initial import build_initial_state
-    from .mesh import DomainGrid
-    from .testfunctions import BumpFunction
+    grid = DomainGrid(config.grid.n1, config.grid.n2)
+    try:
+        state0 = initial.build_initial_state(
+            grid, config.initial, np.random.default_rng(config.seed)
+        )
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), "initial") from exc
 
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir or "run")
     out.mkdir(parents=True, exist_ok=True)
     (out / "snapshots").mkdir(exist_ok=True)
     (out / "measures").mkdir(exist_ok=True)
 
-    grid = DomainGrid(config.grid.n1, config.grid.n2)
     binning = FundamentalDomainBinning(
         config.binning.n_x, config.binning.n_y, config.binning.y_max
     )
@@ -335,9 +344,7 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
         BumpFunction(tf["center"], tf["radii"], tf.get("amplitude", 1.0))
         for tf in config.test_functions
     ]
-    rng = np.random.default_rng(config.seed)
-    state0 = build_initial_state(grid, config.initial, rng)
-    params = FlowParams(
+    params = flow.FlowParams(
         t_final=config.t_final,
         snapshot_interval=config.snapshot_interval,
         cfl_safety=config.cfl_safety,
@@ -346,8 +353,8 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     )
     aborted = False
     try:
-        traj = run_flow(state0, params)
-    except AbortedRunError as exc:
+        traj = flow.run_flow(state0, params)
+    except flow.AbortedRunError as exc:
         traj = exc.trajectory
         aborted = True
 
@@ -381,10 +388,8 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
         )))
     (out / "steps.csv").write_text("\n".join(step_lines) + "\n")
 
-    from .flow import write_snapshot
-
     for k, snap in enumerate(traj.snapshots):
-        write_snapshot(snap, out / "snapshots" / f"snapshot_{k:04d}.csv")
+        flow.write_snapshot(snap, out / "snapshots" / f"snapshot_{k:04d}.csv")
         ms.write_measure(mus[k], out / "measures" / f"measure_{k:04d}.csv")
     if len(mus) >= 2:
         ms.write_measure(ms.time_average(mus), out / "measures" / "time_average.csv")
@@ -435,11 +440,6 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     stepping-history columns (dt, cumulative_D) are echoed.  Returns the
     audit report dictionary (also written to analysis.json).
     """
-    from . import measures as ms
-    from .flow import read_snapshot
-    from .hyperbolic import FundamentalDomainBinning
-    from .testfunctions import BumpFunction
-
     run = Path(run_dir)
     config = parse_config((run / "config.json").read_text())
     stored_columns, stored_rows = _read_series(run / "series.csv")
@@ -448,7 +448,7 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
         raise ValueError(
             f"{len(snap_paths)} snapshots vs {len(stored_rows)} series rows"
         )
-    snapshots = [read_snapshot(p) for p in snap_paths]
+    snapshots = [flow.read_snapshot(p) for p in snap_paths]
     binning = FundamentalDomainBinning(
         config.binning.n_x, config.binning.n_y, config.binning.y_max
     )
@@ -534,20 +534,12 @@ def run_sweep(sweep_path, out_root, jobs: int = 1) -> list:
         config_from_dict(merged)  # validate up front so failures are early
         payloads.append((name, merged, str(Path(out_root) / name)))
     if jobs > 1:
+        # Only parallel sweeps load the process pool machinery.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_sweep_worker, payloads))
     return [_sweep_worker(p) for p in payloads]
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("MODFLOW_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -579,7 +571,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         try:
@@ -600,8 +591,6 @@ def main(argv=None) -> int:
               f"steps: {result.summary['accepted_steps']})")
         return 1 if result.aborted else 0
     if args.command == "reduce":
-        from .hyperbolic import UpperHalfPoint, reduce_to_fundamental_domain
-
         point = UpperHalfPoint(args.x, args.y)
         reduced, gamma = reduce_to_fundamental_domain(point)
         print(f"z   = {point.x!r} + {point.y!r}i")
@@ -609,7 +598,11 @@ def main(argv=None) -> int:
         print(f"gamma = [[{gamma.a}, {gamma.b}], [{gamma.c}, {gamma.d}]]")
         return 0
     if args.command == "analyze":
-        report = analyze_run(args.run, args.tolerance)
+        try:
+            report = analyze_run(args.run, args.tolerance)
+        except (OSError, ValueError) as exc:
+            print(f"analyze: cannot audit {args.run}: {exc}", file=sys.stderr)
+            return 2
         for name, info in report["columns"].items():
             status = ("ok" if info["within_tolerance"]
                       else "MISMATCH") if info["audited"] else "echoed"

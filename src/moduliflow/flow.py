@@ -7,11 +7,15 @@ the coordinates of a map from the flat torus into the hyperbolic plane
     E = 1/2 * integral of (|Du|^2 + |Dv|^2) / v^2,
 
 discretised with the staggered forward differences of the grid and the
-metric weight 1/v^2 averaged onto cell edges.  tension_field() returns the
-exact negative gradient of that discrete energy in the hyperbolic L^2 inner
-product <a, b> = integral of (a_u b_u + a_v b_v)/v^2, so forward-Euler
-stepping dissipates the discrete energy structurally (up to O(dt) per step),
-and the energy identity E(0) - E(T) = integral of D holds at first order.
+metric weight 1/v^2 averaged onto cell edges.  One pass over those edges
+yields the energy, the tension field tau and the dissipation rate D together;
+energy(), tension_field() and dissipation_rate() each return one of the
+three, and run_flow() makes one pass per candidate state.  tau is the exact
+negative gradient of the discrete energy in the hyperbolic L^2 inner product
+<a, b> = integral of (a_u b_u + a_v b_v)/v^2, and D = ||tau||^2, so
+forward-Euler stepping dissipates the discrete energy structurally (up to
+O(dt) per step), and the energy identity E(0) - E(T) = integral of D holds at
+first order.
 
 The continuum limit of the two components is
 
@@ -101,12 +105,13 @@ def _check_above_floor(state: MapState):
         )
 
 
-def tension_field(state: MapState) -> TangentField:
-    """Exact negative discrete-energy gradient in the hyperbolic inner product.
+def _edge_pass(state: MapState) -> tuple[float, TangentField, float]:
+    """Energy E, tension field tau and dissipation rate D of one state.
 
     For each axis the metric weight sigma = 1/v^2 is averaged onto the
-    staggered edge where the forward difference lives; differentiating the
-    discrete energy exactly gives
+    staggered edge where the forward difference lives, and E sums the
+    weighted squared differences over the edges.  Differentiating E exactly
+    gives
 
         tau_u = v^2 * div(rho * Du)
         tau_v = v^2 * div(rho * Dv) + S / (2 v)
@@ -114,17 +119,16 @@ def tension_field(state: MapState) -> TangentField:
     where rho is the edge weight, div the matching backward divergence, and
     S collects the squared forward differences on the four edges touching
     the node (the derivative of rho with respect to v).  Constant maps give
-    exactly zero.
+    exactly zero.  D = ||tau||^2 in the hyperbolic inner product.
     """
-    _check_above_floor(state)
     grid = state.grid
     u, v = state.u, state.v
     sigma = 1.0 / (v * v)
     div_u = np.zeros(grid.shape)
     div_v = np.zeros(grid.shape)
     edge_sq = np.zeros(grid.shape)
-    for axis in (0, 1):
-        h = grid.h1 if axis == 0 else grid.h2
+    total = 0.0
+    for axis, h in ((0, grid.h1), (1, grid.h2)):
         du = (np.roll(u, -1, axis=axis) - u) / h
         dv = (np.roll(v, -1, axis=axis) - v) / h
         rho = 0.5 * (sigma + np.roll(sigma, -1, axis=axis))
@@ -134,36 +138,28 @@ def tension_field(state: MapState) -> TangentField:
         div_v += (flux_v - np.roll(flux_v, 1, axis=axis)) / h
         sq = du * du + dv * dv
         edge_sq += sq + np.roll(sq, 1, axis=axis)
+        total += float(np.sum(sq * rho))
     v2 = v * v
-    tau_u = v2 * div_u
-    tau_v = v2 * div_v + edge_sq / (2.0 * v)
-    return TangentField(tau_u, tau_v)
+    tau = TangentField(v2 * div_u, v2 * div_v + edge_sq / (2.0 * v))
+    dissipation = float(grid.w * np.sum(sigma * (tau.tau_u**2 + tau.tau_v**2)))
+    return 0.5 * grid.w * total, tau, dissipation
+
+
+def tension_field(state: MapState) -> TangentField:
+    """Exact negative discrete-energy gradient in the hyperbolic inner product;
+    raises TargetEscapeError at or below the v floor."""
+    _check_above_floor(state)
+    return _edge_pass(state)[1]
 
 
 def energy(state: MapState) -> float:
     """Harmonic-map energy of the state (staggered discretisation)."""
-    grid = state.grid
-    u, v = state.u, state.v
-    sigma = 1.0 / (v * v)
-    total = 0.0
-    for axis in (0, 1):
-        h = grid.h1 if axis == 0 else grid.h2
-        du = (np.roll(u, -1, axis=axis) - u) / h
-        dv = (np.roll(v, -1, axis=axis) - v) / h
-        rho = 0.5 * (sigma + np.roll(sigma, -1, axis=axis))
-        total += float(np.sum((du * du + dv * dv) * rho))
-    return 0.5 * grid.w * total
+    return _edge_pass(state)[0]
 
 
-def dissipation_rate(state: MapState, tangent: TangentField | None = None) -> float:
+def dissipation_rate(state: MapState) -> float:
     """Squared hyperbolic L^2 norm of the tension field: D = ||tau||^2."""
-    if tangent is None:
-        tangent = tension_field(state)
-    sigma = 1.0 / (state.v * state.v)
-    return float(
-        state.grid.w
-        * np.sum(sigma * (tangent.tau_u**2 + tangent.tau_v**2))
-    )
+    return _edge_pass(state)[2]
 
 
 def cfl_dt_max(state: MapState, safety: float = 0.5) -> float:
@@ -289,9 +285,8 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
     times are the absolute multiples of snapshot_interval.
     """
     state = initial.copy()
-    e_cur = energy(state)
-    tangent = tension_field(state)
-    d_cur = dissipation_rate(state, tangent)
+    _check_above_floor(state)
+    e_cur, tangent, d_cur = _edge_pass(state)
 
     rows = [(state.t, e_cur, d_cur, 0.0, 0.0)]
     snapshots = [state.copy()]
@@ -327,7 +322,7 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
             )
         try:
             new_state = step(state, dt_try, tangent)
-            e_new = energy(new_state)
+            e_new, tangent_new, d_new = _edge_pass(new_state)
             if e_new - e_cur > params.energy_step_tol:
                 raise StepRejectedError(
                     f"energy increased by {e_new - e_cur} at t = {state.t}"
@@ -340,9 +335,7 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
         # Accepted: advance bookkeeping.  The dissipation integral uses the
         # pre-step rate, matching the explicit quadrature of dE/dt = -D.
         cumulative += dt_try * d_cur
-        state = new_state
-        tangent = tension_field(state)
-        d_cur = dissipation_rate(state, tangent)
+        state, tangent, d_cur = new_state, tangent_new, d_new
         if e_new > e_cur + params.energy_step_tol:
             violations += 1  # unreachable under the rejection rule; audited anyway
         e_cur = e_new
@@ -439,7 +432,8 @@ def write_snapshot(state: MapState, path) -> None:
 
 
 def read_snapshot(path) -> MapState:
-    """Read a state written by write_snapshot."""
+    """Read a state written by write_snapshot.  Row k must carry node
+    (i, j) = divmod(k, n2), so every node is read exactly once."""
     with open(path) as fh:
         schema = fh.readline().strip()
         if schema != f"# schema: {SNAPSHOT_SCHEMA}":
@@ -458,8 +452,11 @@ def read_snapshot(path) -> MapState:
             if not line:
                 continue
             i_s, j_s, u_s, v_s = line.split(",")
-            u[int(i_s), int(j_s)] = float(u_s)
-            v[int(i_s), int(j_s)] = float(v_s)
+            node = (int(i_s), int(j_s))
+            if seen >= grid.n1 * grid.n2 or node != divmod(seen, grid.n2):
+                raise ValueError(f"unexpected node {node} in row {seen}")
+            u[node] = float(u_s)
+            v[node] = float(v_s)
             seen += 1
         if seen != grid.n1 * grid.n2:
             raise ValueError(f"snapshot has {seen} rows, expected {grid.n1 * grid.n2}")

@@ -149,10 +149,8 @@ def weak_star_pairing_exact(state: MapState, f) -> float:
     return float(state.grid.w * np.sum(f.value(xf, yf)))
 
 
-def time_average(measures, t_end: float | None = None) -> PushforwardMeasure:
-    """Trapezoid-in-time average of a sorted list of measures, renormalised
-    to total mass exactly 1.  At least two measures are required; identical
-    timestamps degrade gracefully to the plain mean."""
+def _series_times(measures, t_end: float | None = None) -> np.ndarray:
+    """Times of two or more measures, checked sorted, by t_end, one binning."""
     if len(measures) < 2:
         raise ValueError("time averaging needs at least two measures")
     times = np.array([m.t for m in measures], dtype=float)
@@ -162,40 +160,51 @@ def time_average(measures, t_end: float | None = None) -> PushforwardMeasure:
         raise ValueError(f"measure at t = {times[-1]} lies beyond t_end = {t_end}")
     for m in measures[1:]:
         _check_match(measures[0], m)
+    return times
+
+
+def _trapezoid_average(binning, times, stacked) -> PushforwardMeasure:
+    """Trapezoid average of the rows of stacked at the times, unit mass."""
     span = times[-1] - times[0]
     if span <= 0.0:
-        weights = np.full(len(measures), 1.0 / len(measures))
+        weights = np.full(len(times), 1.0 / len(times))
     else:
-        weights = np.empty(len(measures))
+        weights = np.empty(len(times))
         weights[0] = 0.5 * (times[1] - times[0])
         weights[-1] = 0.5 * (times[-1] - times[-2])
-        if len(measures) > 2:
-            weights[1:-1] = 0.5 * (times[2:] - times[:-2])
+        weights[1:-1] = 0.5 * (times[2:] - times[:-2])  # empty for two
         weights /= span
-    stacked = np.stack([m.masses for m in measures])
     masses = weights @ stacked
     masses /= masses.sum()  # exact unit mass, absorbing quadrature rounding
-    return PushforwardMeasure(measures[0].binning, masses, float(times[-1]))
+    return PushforwardMeasure(binning, masses, float(times[-1]))
 
 
-def ergodic_error(trajectory, f, binning, reference: ReferenceMeasure | None = None):
-    """|time-average pairing - reference pairing| per snapshot prefix.
-
-    Entry k compares the trapezoid average of the pushforwards of snapshots
-    0..k (entry 0 is the bare initial pushforward) against the hyperbolic
-    reference.  Reported as a diagnostic series; no decay is asserted.
-    """
-    if reference is None:
-        reference = reference_measure(binning)
-    mus = [pushforward(s, binning) for s in trajectory.snapshots]
-    return ergodic_error_from_measures(mus, f, reference)
+def time_average(measures, t_end: float | None = None) -> PushforwardMeasure:
+    """Trapezoid-in-time average of a sorted list of measures, renormalised
+    to total mass exactly 1.  At least two measures are required; identical
+    timestamps degrade gracefully to the plain mean."""
+    times = _series_times(measures, t_end)
+    stacked = np.stack([m.masses for m in measures])
+    return _trapezoid_average(measures[0].binning, times, stacked)
 
 
 def ergodic_error_from_measures(mus, f, reference: ReferenceMeasure) -> np.ndarray:
+    """|time-average pairing - reference pairing| per snapshot prefix.
+
+    Entry k compares the trapezoid average of the measures 0..k (entry 0 is
+    the bare first measure) against the hyperbolic reference.  Reported as
+    a diagnostic series; no decay is asserted.  Each prefix average reads the
+    leading rows of one stack, bit-identical to time_average of the prefix.
+    """
     target = weak_star_pairing(reference, f)
     errs = np.empty(len(mus))
+    if len(mus) >= 2:
+        times = _series_times(mus)
+        stacked = np.stack([m.masses for m in mus])
     for k in range(len(mus)):
-        mu_bar = mus[0] if k == 0 else time_average(mus[: k + 1])
+        mu_bar = mus[0] if k == 0 else _trapezoid_average(
+            mus[0].binning, times[: k + 1], stacked[: k + 1]
+        )
         errs[k] = abs(weak_star_pairing(mu_bar, f) - target)
     return errs
 
@@ -252,15 +261,15 @@ class EntropyReport:
 
 def entropy_report(
     state: MapState,
-    binning: FundamentalDomainBinning,
+    mu: PushforwardMeasure,
     nu: ReferenceMeasure,
     density_threshold: float = 10.0,
     jacobian_threshold: float = 1e-6,
 ) -> EntropyReport:
-    """Assemble the entropy/degeneracy diagnostics for one state."""
+    """Assemble the entropy/degeneracy diagnostics for one state, given its
+    pushforward mu."""
     if not density_threshold > 1.0:
         raise ValueError(f"density threshold must exceed 1, got {density_threshold}")
-    mu = pushforward(state, binning)
     rho = radon_nikodym(mu, nu)
     tail = float(mu.masses[rho > density_threshold].sum())
     jac = jacobian_det(state)

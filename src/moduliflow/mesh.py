@@ -2,15 +2,12 @@
 
 Fields are plain numpy arrays of shape (n1, n2); index i runs along x1 and
 index j along x2, with spacings h1 = 1/n1, h2 = 1/n2 and node weight
-w = h1 * h2.  Two gradients are exposed:
-
-* gradient()      -- central differences, O(h^2), used for pointwise
-                     derivative quantities (Jacobians, chain-rule terms);
-* forward_diff()  -- the compact staggered differences matched to the
-                     5-point laplacian(): with periodic wraparound,
-                     integrate(f * laplacian(g)) == -integrate(<Df, Dg>)
-                     holds to rounding, which is what makes discrete energy
-                     decay structural rather than approximate.
+w = h1 * h2.  gradient() takes central differences, O(h^2), for pointwise
+derivative quantities (Jacobians, chain-rule terms).  laplacian() is the
+periodic 5-point stencil; it pairs with the staggered forward differences
+(f[i+1] - f[i]) / h that the flow builds its energy from:
+integrate(f * laplacian(g)) == -integrate(<Df, Dg>) holds to rounding, which
+is what makes discrete energy decay structural rather than approximate.
 """
 
 from __future__ import annotations
@@ -72,21 +69,6 @@ class DomainGrid:
         if not np.all(np.isfinite(f)):
             raise ValueError(f"{name} contains non-finite values")
         return f
-
-    def _h(self, axis: int) -> float:
-        if axis == 0:
-            return self.h1
-        if axis == 1:
-            return self.h2
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
-
-    def forward_diff(self, f: np.ndarray, axis: int) -> np.ndarray:
-        """(f[i+1] - f[i]) / h along the given axis, periodic."""
-        return (np.roll(f, -1, axis=axis) - f) / self._h(axis)
-
-    def backward_diff(self, f: np.ndarray, axis: int) -> np.ndarray:
-        """(f[i] - f[i-1]) / h along the given axis, periodic."""
-        return (f - np.roll(f, 1, axis=axis)) / self._h(axis)
 
     def gradient(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Central-difference gradient (df/dx1, df/dx2), O(h^2)."""

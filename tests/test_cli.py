@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +290,26 @@ class TestMain:
                      "--out", str(tmp_path / "run")]) == 2
         assert "binning.y_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("initial", [
+        {"kind": "sinusoidal", "amp_v": 2.0},
+        {"kind": "sinusoidal", "amp_v": "0.1"},
+        {"kind": "file"},
+        {"kind": "file", "path": "no/such/snapshot.csv"},
+    ])
+    def test_bad_initial_state_exits_2_before_any_output(self, tmp_path, capsys,
+                                                         initial):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(FAST_OVERRIDES, initial=initial)))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "initial" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_analyze_of_a_missing_run_exits_2(self, tmp_path, capsys):
+        assert main(["analyze", "--run", str(tmp_path / "missing")]) == 2
+        assert "missing" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
     def test_aborted_run_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         raw = dict(FAST_OVERRIDES)
@@ -306,3 +331,34 @@ class TestMain:
                      "--out", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         assert "small:" in out and "seeded:" in out
+
+
+def test_thread_cap_is_exported_before_numpy_loads():
+    # Record OPENBLAS_NUM_THREADS at the moment numpy is first imported, the
+    # moment its BLAS pool reads it.
+    probe = textwrap.dedent("""
+        import os, sys
+
+        class Probe:
+            seen = None
+
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and Probe.seen is None:
+                    Probe.seen = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+                return None
+
+        sys.meta_path.insert(0, Probe())
+        import moduliflow.cli
+        print(Probe.seen)
+    """)
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env["MODFLOW_THREADS"] = "3"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "3"

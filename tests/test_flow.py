@@ -63,6 +63,43 @@ def _tension_oracle(state):
     return tau_u, tau_v
 
 
+def _roll_oracle(state):
+    """E, tau and D, each from its own roll-based sweep over the edges.
+
+    These are the three separate formulas the fused edge pass replaced; the
+    pass must reproduce them bit for bit.
+    """
+    grid = state.grid
+    u, v = state.u, state.v
+    sigma = 1.0 / (v * v)
+    total = 0.0
+    div_u = np.zeros(grid.shape)
+    div_v = np.zeros(grid.shape)
+    edge_sq = np.zeros(grid.shape)
+    for axis in (0, 1):
+        h = grid.h1 if axis == 0 else grid.h2
+        du = (np.roll(u, -1, axis=axis) - u) / h
+        dv = (np.roll(v, -1, axis=axis) - v) / h
+        rho = 0.5 * (sigma + np.roll(sigma, -1, axis=axis))
+        total += float(np.sum((du * du + dv * dv) * rho))
+    e = 0.5 * grid.w * total
+    for axis in (0, 1):
+        h = grid.h1 if axis == 0 else grid.h2
+        du = (np.roll(u, -1, axis=axis) - u) / h
+        dv = (np.roll(v, -1, axis=axis) - v) / h
+        rho = 0.5 * (sigma + np.roll(sigma, -1, axis=axis))
+        flux_u = rho * du
+        flux_v = rho * dv
+        div_u += (flux_u - np.roll(flux_u, 1, axis=axis)) / h
+        div_v += (flux_v - np.roll(flux_v, 1, axis=axis)) / h
+        sq = du * du + dv * dv
+        edge_sq += sq + np.roll(sq, 1, axis=axis)
+    tau_u = v * v * div_u
+    tau_v = v * v * div_v + edge_sq / (2.0 * v)
+    d = float(grid.w * np.sum(sigma * (tau_u**2 + tau_v**2)))
+    return e, tau_u, tau_v, d
+
+
 class TestMapState:
     def test_positivity_and_shape(self, grid64):
         with pytest.raises(ValueError):
@@ -130,6 +167,20 @@ class TestTensionField:
                             float(np.abs(tau.tau_v - tv).max())))
         assert 3.4 <= errs[0] / errs[1] <= 4.6
         assert 3.4 <= errs[1] / errs[2] <= 4.6
+
+
+class TestEdgePass:
+    @pytest.mark.parametrize("shape", [(16, 16), (8, 12), (64, 64)])
+    def test_bit_identical_to_separate_roll_formulas(self, rng, shape):
+        grid = DomainGrid(*shape)
+        state = MapState(grid, 0.3 * rng.standard_normal(grid.shape),
+                         np.exp(0.3 * rng.standard_normal(grid.shape)))
+        e, tau_u, tau_v, d = _roll_oracle(state)
+        tau = tension_field(state)
+        assert energy(state) == e
+        assert np.array_equal(tau.tau_u, tau_u)
+        assert np.array_equal(tau.tau_v, tau_v)
+        assert dissipation_rate(state) == d
 
 
 class TestEnergy:
@@ -375,6 +426,26 @@ class TestSnapshotIO:
     def test_schema_line_is_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("not a snapshot\n")
+        with pytest.raises(ValueError):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("edit", ["negative_index", "duplicate", "swap"])
+    def test_every_node_must_appear_once_in_order(self, edit, rng, tmp_path):
+        grid = DomainGrid(4, 6)
+        state = MapState(grid, rng.standard_normal(grid.shape),
+                         np.exp(rng.standard_normal(grid.shape)))
+        path = tmp_path / "snap.csv"
+        write_snapshot(state, path)
+        lines = path.read_text().splitlines()
+        first = 4  # schema, two header lines, column header
+        if edit == "negative_index":
+            # -4 wraps to node 0 along axis 0 when used as an index.
+            lines[first] = "-4," + lines[first].split(",", 1)[1]
+        elif edit == "duplicate":
+            lines[first + 1] = lines[first]
+        else:
+            lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             read_snapshot(path)
 

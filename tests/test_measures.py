@@ -18,7 +18,6 @@ from moduliflow.measures import (
     PushforwardMeasure,
     entropy_from_masses,
     entropy_report,
-    ergodic_error,
     ergodic_error_from_measures,
     laplacian_invariance_diagnostic,
     pushforward,
@@ -314,15 +313,18 @@ class TestErgodicError:
     def test_constant_observable_has_no_error(self, grid64, binning60):
         traj = run_flow(_constant_state(grid64, 0.1, 1.3),
                         FlowParams(t_final=0.2))
-        errs = ergodic_error(traj, ConstantOne(), binning60)
+        mus = [pushforward(s, binning60) for s in traj.snapshots]
+        errs = ergodic_error_from_measures(mus, ConstantOne(),
+                                           reference_measure(binning60))
         assert float(np.abs(errs).max()) <= 1e-12
 
     def test_stationary_trajectory_has_constant_error(self, grid64, binning60):
         traj = run_flow(_constant_state(grid64, 0.1, 1.3),
                         FlowParams(t_final=0.2))
         f = BumpFunction([0.0, 1.5], [0.45, 0.6])
-        errs = ergodic_error(traj, f, binning60)
         nu = reference_measure(binning60)
+        mus = [pushforward(s, binning60) for s in traj.snapshots]
+        errs = ergodic_error_from_measures(mus, f, nu)
         mu0 = pushforward(traj.snapshots[0], binning60)
         expected = abs(weak_star_pairing(mu0, f) - weak_star_pairing(nu, f))
         assert np.all(np.abs(errs - expected) <= 1e-12)
@@ -351,6 +353,32 @@ class TestErgodicError:
         # averaging pairings must agree to rounding (the measure-side
         # renormalisation is exact for these unit-mass inputs).
         assert float(np.abs(errs - np.array(manual)).max()) <= 1e-12
+
+    def test_equals_time_average_of_each_prefix_bit_for_bit(self, binning60, rng):
+        grid = DomainGrid(16, 16)
+        state = build_initial_state(
+            grid, {"kind": "random", "v0": 1.4, "amp_u": 0.3, "amp_v": 0.3},
+            rng=rng,
+        )
+        traj = run_flow(state, FlowParams(t_final=0.15, snapshot_interval=0.01))
+        f = BumpFunction([0.0, 1.4], [0.4, 0.5])
+        nu = reference_measure(binning60)
+        mus = [pushforward(s, binning60) for s in traj.snapshots]
+        target = weak_star_pairing(nu, f)
+        oracle = [abs(weak_star_pairing(mus[0], f) - target)] + [
+            abs(weak_star_pairing(time_average(mus[: k + 1]), f) - target)
+            for k in range(1, len(mus))
+        ]
+        errs = ergodic_error_from_measures(mus, f, nu)
+        assert len(mus) > 10
+        assert errs.tolist() == oracle
+
+    def test_unsorted_measures_are_rejected(self, grid64, binning60):
+        mu0 = pushforward(_constant_state(grid64, 0.1, 1.3, 0.0), binning60)
+        mu1 = pushforward(_constant_state(grid64, -0.2, 2.4, 1.0), binning60)
+        with pytest.raises(ValueError):
+            ergodic_error_from_measures([mu1, mu0], ConstantOne(),
+                                        reference_measure(binning60))
 
 
 class TestLaplacianInvarianceDiagnostic:
@@ -412,7 +440,7 @@ class TestEntropyReport:
     def test_constant_map_report(self, grid64, binning60):
         nu = reference_measure(binning60)
         state = _constant_state(grid64, 0.1, 1.3, t=0.75)
-        rep = entropy_report(state, binning60, nu)
+        rep = entropy_report(state, pushforward(state, binning60), nu)
         b = binning60.bin_index(0.1, 1.3)
         assert rep.t == 0.75
         assert rep.rho_max == 1.0 / nu.masses[b]
@@ -429,9 +457,9 @@ class TestEntropyReport:
             rng=rng,
         )
         nu = reference_measure(binning60)
-        rep = entropy_report(state, binning60, nu, density_threshold=10.0,
-                             jacobian_threshold=1e-6)
         mu = pushforward(state, binning60)
+        rep = entropy_report(state, mu, nu, density_threshold=10.0,
+                             jacobian_threshold=1e-6)
         h = rho_max = tail = 0.0
         for m, n in zip(mu.masses.tolist(), nu.masses.tolist()):
             if m > 0.0:
@@ -448,8 +476,9 @@ class TestEntropyReport:
 
     def test_threshold_validation(self, grid64, binning60):
         nu = reference_measure(binning60)
+        state = _constant_state(grid64, 0.1, 1.3)
         with pytest.raises(ValueError):
-            entropy_report(_constant_state(grid64, 0.1, 1.3), binning60, nu,
+            entropy_report(state, pushforward(state, binning60), nu,
                            density_threshold=1.0)
 
 
