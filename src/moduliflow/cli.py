@@ -25,14 +25,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 # flow, initial and measures are called through their modules, so that a
 # wrapper installed on a module attribute also sees the calls made here.
-from . import flow, initial, measures as ms
+from . import flow, initial, measures as ms, table
 from .hyperbolic import (
     FundamentalDomainBinning,
     UpperHalfPoint,
@@ -101,25 +101,7 @@ class FlowConfig:
     output_dir: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "grid": {"n1": self.grid.n1, "n2": self.grid.n2},
-            "initial": dict(self.initial),
-            "t_final": self.t_final,
-            "snapshot_interval": self.snapshot_interval,
-            "cfl_safety": self.cfl_safety,
-            "dt_floor": self.dt_floor,
-            "stall_threshold": self.stall_threshold,
-            "binning": {
-                "n_x": self.binning.n_x,
-                "n_y": self.binning.n_y,
-                "y_max": self.binning.y_max,
-            },
-            "test_functions": [dict(tf) for tf in self.test_functions],
-            "density_threshold": self.density_threshold,
-            "jacobian_threshold": self.jacobian_threshold,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
 
 def _expect(raw: dict, allowed: set, path: str):
@@ -250,15 +232,26 @@ def config_from_dict(raw: dict) -> FlowConfig:
     )
 
 
-def parse_config(text: str) -> FlowConfig:
-    """Parse strict-JSON config text; malformed JSON reports line/column."""
+def _read_text(path) -> str:
+    """The text of an input file; a file that cannot be read is a ConfigError."""
     try:
-        raw = json.loads(text)
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return config_from_dict(raw)
+
+
+def parse_config(text: str) -> FlowConfig:
+    """Parse strict-JSON config text; malformed JSON reports line/column."""
+    return config_from_dict(_parse_json(text))
 
 
 def emit_config(config: FlowConfig) -> str:
@@ -266,8 +259,15 @@ def emit_config(config: FlowConfig) -> str:
     return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def _initial_state(config: FlowConfig) -> flow.MapState:
+    """The config's initial state; one that cannot be built is a ConfigError."""
+    grid = DomainGrid(config.grid.n1, config.grid.n2)
+    try:
+        return initial.build_initial_state(
+            grid, config.initial, np.random.default_rng(config.seed)
+        )
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), "initial") from exc
 
 
 @dataclass
@@ -276,40 +276,52 @@ class ExperimentResult:
     out_dir: Path
     trajectory: object
     series_columns: list
-    series_rows: list
+    series_rows: np.ndarray
     summary: dict
     aborted: bool
 
 
-def _series_lines(columns, rows):
-    lines = [f"# schema: {SERIES_SCHEMA}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _series_columns(config: FlowConfig) -> list:
+    return SERIES_BASE_COLUMNS + [
+        f"ergodic_err_{j}" for j in range(len(config.test_functions))
+    ]
 
 
-def compute_snapshot_diagnostics(snapshots, binning, reference, observables,
-                                 density_threshold, jacobian_threshold):
-    """Per-snapshot measure diagnostics; shared by run and analyze.
+def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt):
+    """Measure the snapshots as the config directs; shared by run and analyze.
 
-    Returns (reports, ergodic, measures, energies, dissipations) where
-    ergodic[j][k] is the time-average equidistribution error of observable j
-    at snapshot k.  Each snapshot gets one pushforward and one edge pass.
+    Returns (rows, reports, measures): rows is the series table, one row per
+    snapshot in _series_columns order, with the stepping history cumulative_d
+    and dt echoed.  Each snapshot gets one pushforward and one edge pass.
     """
+    binning = FundamentalDomainBinning(
+        config.binning.n_x, config.binning.n_y, config.binning.y_max
+    )
+    reference = ms.reference_measure(binning)
     mus, reports, energies, dissipations = [], [], [], []
     for s in snapshots:
         mu = ms.pushforward(s, binning)
         e, _, d = flow._edge_pass(s)
         mus.append(mu)
         reports.append(ms.entropy_report(
-            s, mu, reference, density_threshold, jacobian_threshold
+            s, mu, reference, config.density_threshold, config.jacobian_threshold
         ))
         energies.append(e)
         dissipations.append(d)
     ergodic = [
-        ms.ergodic_error_from_measures(mus, f, reference) for f in observables
+        ms.ergodic_error_from_measures(
+            mus, BumpFunction(tf["center"], tf["radii"], tf.get("amplitude", 1.0)),
+            reference,
+        )
+        for tf in config.test_functions
     ]
-    return reports, ergodic, mus, energies, dissipations
+    rows = np.column_stack([
+        [s.t for s in snapshots], energies, dissipations, cumulative_d, dt,
+        [r.entropy for r in reports], [r.rho_max for r in reports],
+        [r.tail_mass for r in reports], [r.degenerate_fraction for r in reports],
+        *ergodic,
+    ])
+    return rows, reports, mus
 
 
 def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
@@ -323,27 +335,13 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     summary.json.  An initial state that cannot be built raises ConfigError
     before the run directory is created.
     """
-    grid = DomainGrid(config.grid.n1, config.grid.n2)
-    try:
-        state0 = initial.build_initial_state(
-            grid, config.initial, np.random.default_rng(config.seed)
-        )
-    except (OSError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), "initial") from exc
+    state0 = _initial_state(config)
 
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir or "run")
     out.mkdir(parents=True, exist_ok=True)
     (out / "snapshots").mkdir(exist_ok=True)
     (out / "measures").mkdir(exist_ok=True)
 
-    binning = FundamentalDomainBinning(
-        config.binning.n_x, config.binning.n_y, config.binning.y_max
-    )
-    reference = ms.reference_measure(binning)
-    observables = [
-        BumpFunction(tf["center"], tf["radii"], tf.get("amplitude", 1.0))
-        for tf in config.test_functions
-    ]
     params = flow.FlowParams(
         t_final=config.t_final,
         snapshot_interval=config.snapshot_interval,
@@ -360,33 +358,17 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
 
     (out / "config.json").write_text(emit_config(config))
 
-    reports, ergodic, mus, energies, dissipations = compute_snapshot_diagnostics(
-        traj.snapshots, binning, reference, observables,
-        config.density_threshold, config.jacobian_threshold,
+    snap_rows = traj.snapshot_rows
+    series, reports, mus = compute_snapshot_diagnostics(
+        config, traj.snapshots,
+        traj.cumulative_dissipation[snap_rows], traj.dt_used[snap_rows],
     )
-
-    columns = SERIES_BASE_COLUMNS + [
-        f"ergodic_err_{j}" for j in range(len(observables))
-    ]
-    rows = []
-    for k, snap in enumerate(traj.snapshots):
-        r = traj.snapshot_rows[k]
-        rep = reports[k]
-        row = [
-            snap.t, energies[k], dissipations[k],
-            traj.cumulative_dissipation[r], traj.dt_used[r],
-            rep.entropy, rep.rho_max, rep.tail_mass, rep.degenerate_fraction,
-        ] + [ergodic[j][k] for j in range(len(observables))]
-        rows.append(row)
-    (out / "series.csv").write_text(_series_lines(columns, rows))
-
-    step_lines = [f"# schema: {STEPS_SCHEMA}", "t,E,D,cumulative_D,dt"]
-    for i in range(len(traj.times)):
-        step_lines.append(",".join(_fmt(v) for v in (
-            traj.times[i], traj.energy[i], traj.dissipation[i],
-            traj.cumulative_dissipation[i], traj.dt_used[i],
-        )))
-    (out / "steps.csv").write_text("\n".join(step_lines) + "\n")
+    columns = _series_columns(config)
+    table.write_table(out / "series.csv", SERIES_SCHEMA, dict(zip(columns, series.T)))
+    table.write_table(out / "steps.csv", STEPS_SCHEMA, {
+        "t": traj.times, "E": traj.energy, "D": traj.dissipation,
+        "cumulative_D": traj.cumulative_dissipation, "dt": traj.dt_used,
+    })
 
     for k, snap in enumerate(traj.snapshots):
         flow.write_snapshot(snap, out / "snapshots" / f"snapshot_{k:04d}.csv")
@@ -417,78 +399,49 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
         "final_rho_max": reports[-1].rho_max,
         "final_tail_mass": reports[-1].tail_mass,
         "final_degenerate_fraction": reports[-1].degenerate_fraction,
-        "final_ergodic_errors": [float(e[-1]) for e in ergodic],
+        "final_ergodic_errors": series[-1, len(SERIES_BASE_COLUMNS):].tolist(),
         "snapshot_count": len(traj.snapshots),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return ExperimentResult(config, out, traj, columns, rows, summary, aborted)
-
-
-def _read_series(path: Path):
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("# schema: "):
-        raise ValueError(f"{path} lacks a schema header")
-    columns = lines[1].split(",")
-    rows = [[float(v) for v in line.split(",")] for line in lines[2:] if line]
-    return columns, rows
+    return ExperimentResult(config, out, traj, columns, series, summary, aborted)
 
 
 def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     """Recompute snapshot diagnostics of a stored run and audit the series.
 
-    Recomputable columns must match the stored series within the tolerance;
-    stepping-history columns (dt, cumulative_D) are echoed.  Returns the
-    audit report dictionary (also written to analysis.json).
+    The stored series must carry the columns its config implies.
+    Recomputable columns must match it within the tolerance; stepping-history
+    columns (dt, cumulative_D) are echoed.  Returns the audit report
+    dictionary (also written to analysis.json).
     """
     run = Path(run_dir)
     config = parse_config((run / "config.json").read_text())
-    stored_columns, stored_rows = _read_series(run / "series.csv")
+    columns = _series_columns(config)
+    _, stored = table.read_table(run / "series.csv", SERIES_SCHEMA, columns)
     snap_paths = sorted((run / "snapshots").glob("snapshot_*.csv"))
-    if len(snap_paths) != len(stored_rows):
+    if len(snap_paths) != len(stored):
         raise ValueError(
-            f"{len(snap_paths)} snapshots vs {len(stored_rows)} series rows"
+            f"{len(snap_paths)} snapshots vs {len(stored)} series rows"
         )
     snapshots = [flow.read_snapshot(p) for p in snap_paths]
-    binning = FundamentalDomainBinning(
-        config.binning.n_x, config.binning.n_y, config.binning.y_max
+    recomputed, _, _ = compute_snapshot_diagnostics(
+        config, snapshots,
+        stored[:, columns.index("cumulative_D")], stored[:, columns.index("dt")],
     )
-    reference = ms.reference_measure(binning)
-    observables = [
-        BumpFunction(tf["center"], tf["radii"], tf.get("amplitude", 1.0))
-        for tf in config.test_functions
-    ]
-    reports, ergodic, _, energies, dissipations = compute_snapshot_diagnostics(
-        snapshots, binning, reference, observables,
-        config.density_threshold, config.jacobian_threshold,
-    )
-    col_idx = {name: i for i, name in enumerate(stored_columns)}
-    recomputed_rows = []
-    for k, snap in enumerate(snapshots):
-        rep = reports[k]
-        row = [
-            snap.t, energies[k], dissipations[k],
-            stored_rows[k][col_idx["cumulative_D"]],  # echoed history
-            stored_rows[k][col_idx["dt"]],
-            rep.entropy, rep.rho_max, rep.tail_mass, rep.degenerate_fraction,
-        ] + [ergodic[j][k] for j in range(len(observables))]
-        recomputed_rows.append(row)
-    (run / "series_recomputed.csv").write_text(
-        _series_lines(stored_columns, recomputed_rows)
-    )
+    table.write_table(run / "series_recomputed.csv", SERIES_SCHEMA,
+                      dict(zip(columns, recomputed.T)))
+    worst = np.abs(stored - recomputed).max(axis=0)
+    audited = np.array([n in RECOMPUTABLE or n.startswith("ergodic_err_")
+                        for n in columns])
     report = {"schema": "moduliflow-analysis-v1", "tolerance": tolerance,
-              "columns": {}, "max_abs_diff": 0.0}
-    for name, i in col_idx.items():
-        diffs = [abs(stored_rows[k][i] - float(recomputed_rows[k][i]))
-                 for k in range(len(stored_rows))]
-        worst = float(max(diffs)) if diffs else 0.0
-        audited = name in RECOMPUTABLE or name.startswith("ergodic_err_")
+              # max propagates NaN, so a NaN in an audited column fails.
+              "max_abs_diff": float(worst[audited].max()), "columns": {}}
+    for name, diff, aud in zip(columns, worst.tolist(), audited.tolist()):
         report["columns"][name] = {
-            "max_abs_diff": worst,
-            "audited": audited,
-            "within_tolerance": (worst <= tolerance) if audited else None,
+            "max_abs_diff": diff,
+            "audited": aud,
+            "within_tolerance": (diff <= tolerance) if aud else None,
         }
-        if audited:
-            report["max_abs_diff"] = max(report["max_abs_diff"], worst)
     report["pass"] = report["max_abs_diff"] <= tolerance
     (run / "analysis.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
@@ -511,8 +464,12 @@ def _sweep_worker(payload):
 
 
 def run_sweep(sweep_path, out_root, jobs: int = 1) -> list:
-    """Run every variant of a sweep config under out_root/<variant name>."""
-    raw = json.loads(Path(sweep_path).read_text())
+    """Run every variant of a sweep config under out_root/<variant name>.
+
+    Every variant's config and initial state are checked before any variant
+    runs, so a bad variant raises ConfigError before any output is written.
+    """
+    raw = _parse_json(_read_text(sweep_path))
     if not isinstance(raw, dict):
         raise ConfigError("sweep config must be a JSON object")
     _expect(raw, {"base", "variants"}, "")
@@ -531,7 +488,10 @@ def run_sweep(sweep_path, out_root, jobs: int = 1) -> list:
         seen.add(name)
         overrides = {k: v for k, v in var.items() if k != "name"}
         merged = _deep_merge(base, overrides)
-        config_from_dict(merged)  # validate up front so failures are early
+        try:
+            _initial_state(config_from_dict(merged))
+        except ConfigError as exc:
+            raise ConfigError(str(exc), f"variants[{i}] ({name})") from exc
         payloads.append((name, merged, str(Path(out_root) / name)))
     if jobs > 1:
         # Only parallel sweeps load the process pool machinery.
@@ -574,7 +534,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         try:
-            config = (parse_config(args.config.read_text())
+            config = (parse_config(_read_text(args.config))
                       if args.config else FlowConfig())
             if args.seed is not None:
                 config.seed = args.seed

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import table
 from .mesh import DomainGrid
 
 # Hard positivity floor for the second coordinate; states at or below the
@@ -418,46 +419,31 @@ def chain_rule_residual(state: MapState, f) -> float:
 
 
 def write_snapshot(state: MapState, path) -> None:
-    """Write a state as CSV: schema line, grid header, then row-major i,j,u,v
+    """Write a state as a table: metadata n1,n2,t, then row-major i,j,u,v
     rows with round-trip float formatting."""
-    lines = [f"# schema: {SNAPSHOT_SCHEMA}", "n1,n2,t",
-             f"{state.grid.n1},{state.grid.n2},{float(state.t)!r}", "i,j,u,v"]
-    u, v = state.u.tolist(), state.v.tolist()  # exact Python floats
-    for i in range(state.grid.n1):
-        u_i, v_i = u[i], v[i]
-        for j in range(state.grid.n2):
-            lines.append(f"{i},{j},{u_i[j]!r},{v_i[j]!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    n1, n2 = state.grid.n1, state.grid.n2
+    i, j = np.divmod(np.arange(n1 * n2), n2)
+    table.write_table(
+        path, SNAPSHOT_SCHEMA,
+        {"i": i, "j": j, "u": state.u.ravel(), "v": state.v.ravel()},
+        meta={"n1": n1, "n2": n2, "t": float(state.t)},
+    )
 
 
 def read_snapshot(path) -> MapState:
     """Read a state written by write_snapshot.  Row k must carry node
     (i, j) = divmod(k, n2), so every node is read exactly once."""
-    with open(path) as fh:
-        schema = fh.readline().strip()
-        if schema != f"# schema: {SNAPSHOT_SCHEMA}":
-            raise ValueError(f"unrecognised snapshot schema line: {schema!r}")
-        if fh.readline().strip() != "n1,n2,t":
-            raise ValueError("malformed snapshot header")
-        n1_s, n2_s, t_s = fh.readline().strip().split(",")
-        grid = DomainGrid(int(n1_s), int(n2_s))
-        if fh.readline().strip() != "i,j,u,v":
-            raise ValueError("malformed snapshot column header")
-        u = np.empty(grid.shape)
-        v = np.empty(grid.shape)
-        seen = 0
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i_s, j_s, u_s, v_s = line.split(",")
-            node = (int(i_s), int(j_s))
-            if seen >= grid.n1 * grid.n2 or node != divmod(seen, grid.n2):
-                raise ValueError(f"unexpected node {node} in row {seen}")
-            u[node] = float(u_s)
-            v[node] = float(v_s)
-            seen += 1
-        if seen != grid.n1 * grid.n2:
-            raise ValueError(f"snapshot has {seen} rows, expected {grid.n1 * grid.n2}")
-    return MapState(grid, u, v, float(t_s))
+    meta, body = table.read_table(
+        path, SNAPSHOT_SCHEMA, ("i", "j", "u", "v"), ("n1", "n2", "t")
+    )
+    grid = DomainGrid(int(meta["n1"]), int(meta["n2"]))
+    i, j = np.divmod(np.arange(grid.n1 * grid.n2), grid.n2)
+    if body.shape[0] != i.size or not (
+        np.array_equal(body[:, 0], i) and np.array_equal(body[:, 1], j)
+    ):
+        raise ValueError(
+            f"{path}: expected {i.size} rows listing the nodes "
+            f"(i, j) = divmod(k, {grid.n2}) in order"
+        )
+    u, v = (np.ascontiguousarray(body[:, c]).reshape(grid.shape) for c in (2, 3))
+    return MapState(grid, u, v, float(meta["t"]))

@@ -18,6 +18,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import table
 from .flow import MapState, jacobian_det
 from .hyperbolic import (
     FundamentalDomainBinning,
@@ -284,56 +285,39 @@ def entropy_report(
 
 
 def write_measure(mu, path) -> None:
-    """CSV serialisation: schema line, binning header, then bin_ix,bin_iy,mass
-    rows in lexicographic bin order with the overflow bin last as (-1,-1)."""
+    """Write a measure as a table: metadata n_x,n_y,y_max,t, then
+    bin_ix,bin_iy,mass rows in the binning's bin order with the overflow bin
+    last as (-1,-1)."""
     b = mu.binning
-    t = getattr(mu, "t", 0.0)
-    lines = [f"# schema: {MEASURE_SCHEMA}", "n_x,n_y,y_max,t",
-             f"{b.n_x},{b.n_y},{float(b.y_max)!r},{float(t)!r}", "bin_ix,bin_iy,mass"]
-    for ix, iy, mass in zip(b.bin_ix.tolist(), b.bin_iy.tolist(),
-                            mu.masses[:-1].tolist()):
-        lines.append(f"{ix},{iy},{mass!r}")
-    lines.append(f"-1,-1,{float(mu.masses[-1])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table.write_table(
+        path, MEASURE_SCHEMA,
+        {"bin_ix": np.append(b.bin_ix, -1), "bin_iy": np.append(b.bin_iy, -1),
+         "mass": mu.masses},
+        meta={"n_x": b.n_x, "n_y": b.n_y, "y_max": float(b.y_max),
+              "t": float(getattr(mu, "t", 0.0))},
+    )
 
 
 def read_measure(path, binning: FundamentalDomainBinning | None = None) -> PushforwardMeasure:
     """Read a measure written by write_measure.  Rebuilds the binning from
-    the header unless a matching one is supplied."""
-    with open(path) as fh:
-        schema = fh.readline().strip()
-        if schema != f"# schema: {MEASURE_SCHEMA}":
-            raise ValueError(f"unrecognised measure schema line: {schema!r}")
-        if fh.readline().strip() != "n_x,n_y,y_max,t":
-            raise ValueError("malformed measure header")
-        n_x_s, n_y_s, y_max_s, t_s = fh.readline().strip().split(",")
-        header_binning = (int(n_x_s), int(n_y_s), float(y_max_s))
-        if binning is None:
-            binning = FundamentalDomainBinning(*header_binning)
-        elif (binning.n_x, binning.n_y, binning.y_max) != header_binning:
-            raise BinningMismatchError(
-                f"file binning {header_binning} does not match supplied binning"
-            )
-        if fh.readline().strip() != "bin_ix,bin_iy,mass":
-            raise ValueError("malformed measure column header")
-        masses = np.zeros(binning.n_bins + 1)
-        row = 0
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            ix_s, iy_s, m_s = line.split(",")
-            ix, iy = int(ix_s), int(iy_s)
-            if (ix, iy) == (-1, -1):
-                masses[-1] = float(m_s)
-                continue
-            if row >= binning.n_bins or (
-                binning.bin_ix[row] != ix or binning.bin_iy[row] != iy
-            ):
-                raise ValueError(f"unexpected bin ({ix}, {iy}) in row {row}")
-            masses[row] = float(m_s)
-            row += 1
-        if row != binning.n_bins:
-            raise ValueError(f"measure file has {row} live bins, expected {binning.n_bins}")
-    return PushforwardMeasure(binning, masses, float(t_s))
+    the header unless a matching one is supplied.  The rows must list the
+    binning's bins in order, then exactly one (-1, -1) overflow row."""
+    meta, body = table.read_table(
+        path, MEASURE_SCHEMA, ("bin_ix", "bin_iy", "mass"), ("n_x", "n_y", "y_max", "t")
+    )
+    header_binning = (int(meta["n_x"]), int(meta["n_y"]), float(meta["y_max"]))
+    if binning is None:
+        binning = FundamentalDomainBinning(*header_binning)
+    elif (binning.n_x, binning.n_y, binning.y_max) != header_binning:
+        raise BinningMismatchError(
+            f"file binning {header_binning} does not match supplied binning"
+        )
+    ix, iy = np.append(binning.bin_ix, -1), np.append(binning.bin_iy, -1)
+    if body.shape[0] != ix.size or not (
+        np.array_equal(body[:, 0], ix) and np.array_equal(body[:, 1], iy)
+    ):
+        raise ValueError(
+            f"{path}: expected the {binning.n_bins} bins in order, "
+            "then one (-1, -1) overflow row"
+        )
+    return PushforwardMeasure(binning, np.ascontiguousarray(body[:, 2]), float(meta["t"]))

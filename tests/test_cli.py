@@ -183,6 +183,19 @@ class TestAnalyzeRun:
         assert (tmp_path / "run" / "series_recomputed.csv").is_file()
         assert (tmp_path / "run" / "analysis.json").is_file()
 
+    def test_nan_in_an_audited_column_fails(self, tmp_path):
+        run_experiment(_fast_config(), tmp_path / "run")
+        series = tmp_path / "run" / "series.csv"
+        lines = series.read_text().splitlines()
+        h_col = lines[1].split(",").index("H")
+        last = lines[-1].split(",")
+        last[h_col] = "nan"
+        lines[-1] = ",".join(last)
+        series.write_text("\n".join(lines) + "\n")
+        report = analyze_run(tmp_path / "run")
+        assert report["pass"] is False
+        assert report["columns"]["H"]["within_tolerance"] is False
+
     def test_tampered_series_fails(self, tmp_path):
         run_experiment(_fast_config(), tmp_path / "run")
         series = tmp_path / "run" / "series.csv"
@@ -231,6 +244,34 @@ class TestSweep:
         self._write_sweep(sweep_path, names=("a", "a", "c"))
         with pytest.raises(ConfigError):
             run_sweep(sweep_path, tmp_path / "out")
+
+    def test_bad_variant_stops_the_sweep_before_any_output(self, tmp_path,
+                                                            capsys):
+        sweep = {
+            "base": dict(FAST_OVERRIDES),
+            "variants": [
+                {"name": "a"},
+                {"name": "b", "initial": {"kind": "sinusoidal", "amp_v": 2.0}},
+                {"name": "c"},
+            ],
+        }
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps(sweep))
+        assert main(["sweep", "--config", str(sweep_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "variants[1] (b): initial" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [None, '{"base": {}, "variants": ['],
+                             ids=["missing", "malformed_json"])
+    def test_unreadable_sweep_config_exits_2(self, tmp_path, capsys, text):
+        sweep_path = tmp_path / "sweep.json"
+        if text is not None:
+            sweep_path.write_text(text)
+        assert main(["sweep", "--config", str(sweep_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "sweep config error" in capsys.readouterr().err
 
     def test_parallel_jobs_agree_with_serial(self, tmp_path):
         sweep_path = tmp_path / "sweep.json"
@@ -304,6 +345,35 @@ class TestMain:
                      "--out", str(tmp_path / "run")]) == 2
         assert "initial" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path / "nope.json"),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "nope.json" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edit", [
+        "short_row", "dt_renamed", "header_only", "steps_schema",
+    ])
+    def test_corrupt_series_exits_2(self, tmp_path, capsys, edit):
+        run_experiment(_fast_config(), tmp_path / "run")
+        series = tmp_path / "run" / "series.csv"
+        lines = series.read_text().splitlines()
+        if edit == "short_row":
+            lines[3] = lines[3].rsplit(",", 1)[0]
+        elif edit == "dt_renamed":
+            lines[1] = lines[1].replace(",dt,", ",step,")
+        elif edit == "header_only":
+            del lines[2:]
+        else:
+            lines[0] = "# schema: moduliflow-steps-v1"
+        series.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert "series.csv" in err and len(err.splitlines()) == 1
 
     def test_analyze_of_a_missing_run_exits_2(self, tmp_path, capsys):
         assert main(["analyze", "--run", str(tmp_path / "missing")]) == 2

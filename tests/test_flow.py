@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from moduliflow.flow import (
     AbortedRunError,
@@ -411,7 +413,62 @@ class TestChainRule:
         assert 3.5 <= res[0] / res[1] <= 4.5
 
 
+SNAPSHOT_GOLDEN = """\
+# schema: moduliflow-snapshot-v1
+n1,n2,t
+4,4,0.375
+i,j,u,v
+0,0,-1.0,1.0
+0,1,-0.0,1.1
+0,2,5e-324,1.2
+0,3,-0.625,1.3
+1,0,-0.5,1.4
+1,1,-0.375,1.5
+1,2,-0.25,1.6
+1,3,-0.125,1.7
+2,0,0.0,1.8
+2,1,0.125,1.9
+2,2,0.25,2.0
+2,3,0.375,2.1
+3,0,0.5,2.2
+3,1,0.625,2.3
+3,2,0.75,2.4
+3,3,0.875,2.5
+"""
+
+
+@st.composite
+def _states(draw):
+    grid = DomainGrid(draw(st.integers(4, 12)), draw(st.integers(4, 12)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    u = draw(arrays(float, grid.shape, elements=finite))
+    v = draw(arrays(float, grid.shape, elements=st.floats(
+        min_value=5e-324, allow_infinity=False)))
+    return MapState(grid, u, v, t=draw(finite))
+
+
 class TestSnapshotIO:
+    def test_golden_text(self, tmp_path):
+        u = np.arange(16.0).reshape(4, 4) / 8 - 1
+        u[0, 1], u[0, 2] = -0.0, 5e-324
+        v = 1.0 + np.arange(16.0).reshape(4, 4) / 10
+        path = tmp_path / "snap.csv"
+        write_snapshot(MapState(DomainGrid(4, 4), u, v, t=0.375), path)
+        assert path.read_text() == SNAPSHOT_GOLDEN
+        back = read_snapshot(path)
+        assert back.u.tobytes() == u.tobytes() and back.v.tobytes() == v.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=_states())
+    def test_round_trip_property(self, state, tmp_path_factory):
+        path = tmp_path_factory.mktemp("snap") / "snap.csv"
+        write_snapshot(state, path)
+        back = read_snapshot(path)
+        assert back.grid == state.grid
+        assert np.array(back.t).tobytes() == np.array(state.t).tobytes()
+        assert back.u.tobytes() == state.u.tobytes()
+        assert back.v.tobytes() == state.v.tobytes()
+
     def test_round_trip_is_bit_exact(self, rng, tmp_path):
         grid = DomainGrid(8, 12)
         state = MapState(grid, rng.standard_normal(grid.shape),
@@ -445,6 +502,17 @@ class TestSnapshotIO:
             lines[first + 1] = lines[first]
         else:
             lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            read_snapshot(path)
+
+    def test_a_row_starting_with_hash_is_not_skipped(self, rng, tmp_path):
+        grid = DomainGrid(4, 4)
+        state = MapState(grid, rng.standard_normal(grid.shape), grid.full(1.5))
+        path = tmp_path / "snap.csv"
+        write_snapshot(state, path)
+        lines = path.read_text().splitlines()
+        lines.insert(6, "# a note")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             read_snapshot(path)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import dblquad
 
 from moduliflow.flow import FlowParams, MapState, run_flow
@@ -482,7 +484,70 @@ class TestEntropyReport:
                            density_threshold=1.0)
 
 
+MEASURE_GOLDEN = """\
+# schema: moduliflow-measure-v1
+n_x,n_y,y_max,t
+2,2,2.0,0.25
+bin_ix,bin_iy,mass
+0,0,0.5
+0,1,0.0
+1,0,0.1
+1,1,0.30000000000000004
+-1,-1,0.1
+"""
+
+
+@st.composite
+def _measures(draw):
+    binning = FundamentalDomainBinning(
+        draw(st.integers(4, 12)), draw(st.integers(4, 12)), 4.0
+    )
+    weights = draw(arrays(float, binning.n_bins + 1,
+                          elements=st.floats(min_value=-0.0, max_value=1.0)))
+    weights[draw(st.integers(0, binning.n_bins))] = 1.0
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return PushforwardMeasure(binning, weights / weights.sum(), t=draw(finite))
+
+
 class TestMeasureIO:
+    def test_golden_text(self, tmp_path):
+        binning = FundamentalDomainBinning(2, 2, 2.0)
+        mu = PushforwardMeasure(binning, [0.5, 0.0, 0.1, 0.30000000000000004, 0.1],
+                                t=0.25)
+        path = tmp_path / "measure.csv"
+        write_measure(mu, path)
+        assert path.read_text() == MEASURE_GOLDEN
+        assert read_measure(path).masses.tobytes() == mu.masses.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu=_measures())
+    def test_round_trip_property(self, mu, tmp_path_factory):
+        path = tmp_path_factory.mktemp("measure") / "measure.csv"
+        write_measure(mu, path)
+        back = read_measure(path, mu.binning)
+        assert np.array(back.t).tobytes() == np.array(mu.t).tobytes()
+        assert back.masses.tobytes() == mu.masses.tobytes()
+
+    @pytest.mark.parametrize("edit", ["missing", "duplicated", "not_last", "hash_row"])
+    def test_rows_are_the_bins_then_one_overflow_row(self, edit, small_binning, tmp_path):
+        n = small_binning.n_bins
+        mu = PushforwardMeasure(small_binning, np.full(n + 1, 1.0 / (n + 1)))
+        path = tmp_path / "m.csv"
+        write_measure(mu, path)
+        lines = path.read_text().splitlines()
+        overflow = lines[-1]
+        if edit == "missing":
+            del lines[-1]
+        elif edit == "duplicated":
+            lines.append(overflow)
+        elif edit == "not_last":
+            lines.insert(4, lines.pop())
+        else:
+            lines.insert(5, "# a note")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            read_measure(path, small_binning)
+
     def test_round_trip_is_bit_exact(self, grid64, binning60, tmp_path):
         state = build_initial_state(grid64, {"kind": "sinusoidal"})
         state.t = 0.375
