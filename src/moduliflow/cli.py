@@ -290,27 +290,31 @@ def _series_columns(config: FlowConfig) -> list:
 def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt):
     """Measure the snapshots as the config directs; shared by run and analyze.
 
-    Returns (rows, reports, measures): rows is the series table, one row per
+    Returns (rows, reports, series): rows is the series table, one row per
     snapshot in _series_columns order, with the stepping history cumulative_d
-    and dt echoed.  Each snapshot gets one pushforward and one edge pass.
+    and dt echoed; series is the MeasureSeries of the snapshots'
+    pushforwards.  Each snapshot gets one pushforward and one edge pass, and
+    every observable's ergodic series reads the one stack of masses.
     """
     binning = FundamentalDomainBinning(
         config.binning.n_x, config.binning.n_y, config.binning.y_max
     )
     reference = ms.reference_measure(binning)
+    ws = flow._EdgeWorkspace((config.grid.n1, config.grid.n2))
     mus, reports, energies, dissipations = [], [], [], []
     for s in snapshots:
         mu = ms.pushforward(s, binning)
-        e, _, d = flow._edge_pass(s)
+        e, _, d = flow._edge_pass(s, ws)
         mus.append(mu)
         reports.append(ms.entropy_report(
             s, mu, reference, config.density_threshold, config.jacobian_threshold
         ))
         energies.append(e)
         dissipations.append(d)
+    series = ms.MeasureSeries(mus)
     ergodic = [
         ms.ergodic_error_from_measures(
-            mus, BumpFunction(tf["center"], tf["radii"], tf.get("amplitude", 1.0)),
+            series, BumpFunction(tf["center"], tf["radii"], tf.get("amplitude", 1.0)),
             reference,
         )
         for tf in config.test_functions
@@ -321,7 +325,7 @@ def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt
         [r.tail_mass for r in reports], [r.degenerate_fraction for r in reports],
         *ergodic,
     ])
-    return rows, reports, mus
+    return rows, reports, series
 
 
 def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
@@ -359,7 +363,7 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     (out / "config.json").write_text(emit_config(config))
 
     snap_rows = traj.snapshot_rows
-    series, reports, mus = compute_snapshot_diagnostics(
+    series, reports, mu_series = compute_snapshot_diagnostics(
         config, traj.snapshots,
         traj.cumulative_dissipation[snap_rows], traj.dt_used[snap_rows],
     )
@@ -372,9 +376,9 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
 
     for k, snap in enumerate(traj.snapshots):
         flow.write_snapshot(snap, out / "snapshots" / f"snapshot_{k:04d}.csv")
-        ms.write_measure(mus[k], out / "measures" / f"measure_{k:04d}.csv")
-    if len(mus) >= 2:
-        ms.write_measure(ms.time_average(mus), out / "measures" / "time_average.csv")
+        ms.write_measure(mu_series.measures[k], out / "measures" / f"measure_{k:04d}.csv")
+    if len(mu_series) >= 2:
+        ms.write_measure(mu_series.average(), out / "measures" / "time_average.csv")
 
     entropy_lines = [json.dumps({"schema": ms.ENTROPY_SCHEMA})]
     entropy_lines += [rep.to_json_line() for rep in reports]
@@ -411,8 +415,9 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
 
     The stored series must carry the columns its config implies.
     Recomputable columns must match it within the tolerance; stepping-history
-    columns (dt, cumulative_D) are echoed.  Returns the audit report
-    dictionary (also written to analysis.json).
+    columns (dt, cumulative_D) are echoed.  summary.json and entropy.jsonl
+    must agree with the recomputed series, or ValueError names the file.
+    Returns the audit report dictionary (also written to analysis.json).
     """
     run = Path(run_dir)
     config = parse_config((run / "config.json").read_text())
@@ -424,10 +429,15 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
             f"{len(snap_paths)} snapshots vs {len(stored)} series rows"
         )
     snapshots = [flow.read_snapshot(p) for p in snap_paths]
+    grid = (config.grid.n1, config.grid.n2)
+    for path, snap in zip(snap_paths, snapshots):
+        if snap.grid.shape != grid:
+            raise ValueError(f"{path}: grid {snap.grid.shape}, the config has {grid}")
     recomputed, _, _ = compute_snapshot_diagnostics(
         config, snapshots,
         stored[:, columns.index("cumulative_D")], stored[:, columns.index("dt")],
     )
+    _audit_records(run, columns, recomputed, tolerance)
     table.write_table(run / "series_recomputed.csv", SERIES_SCHEMA,
                       dict(zip(columns, recomputed.T)))
     worst = np.abs(stored - recomputed).max(axis=0)
@@ -445,6 +455,70 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     report["pass"] = report["max_abs_diff"] <= tolerance
     (run / "analysis.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
+
+
+def _parse_record(path, text):
+    # Integers are read as floats, so that one too large for a float reads
+    # as inf and fails its check instead of overflowing in it.
+    try:
+        return json.loads(text, parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _check_value(path, name, stored, value, tolerance, line=None):
+    if (isinstance(stored, bool) or not isinstance(stored, (int, float))
+            or not abs(stored - value) <= tolerance):
+        where = name if line is None else f"line {line} {name}"
+        raise ValueError(f"{path}: {where} is {stored!r}, the snapshots give {value!r}")
+
+
+def _audit_records(run: Path, columns: list, rows: np.ndarray, tolerance: float):
+    """Check summary.json and entropy.jsonl against the recomputed series.
+
+    steps.csv and measures/ are not read: they cost more to read than the
+    rest of the audit on long or finely sampled runs.
+    """
+    col = {name: rows[:, j].tolist() for j, name in enumerate(columns)}
+    path = run / "summary.json"
+    summary = _parse_record(path, path.read_text())
+    if not isinstance(summary, dict) or summary.get("schema") != SUMMARY_SCHEMA:
+        raise ValueError(f"{path}: not a {SUMMARY_SCHEMA} object")
+    ergodic = summary.get("final_ergodic_errors")
+    ergodic_columns = columns[len(SERIES_BASE_COLUMNS):]
+    if not (isinstance(ergodic, list) and len(ergodic) == len(ergodic_columns)):
+        raise ValueError(f"{path}: final_ergodic_errors needs {len(ergodic_columns)} entries")
+    checks = [
+        ("snapshot_count", len(rows), 0.0),
+        ("energy_initial", col["E"][0], tolerance),
+        ("final_entropy", col["H"][-1], tolerance),
+        ("final_rho_max", col["rho_max"][-1], tolerance),
+        ("final_tail_mass", col["tail_mass"][-1], tolerance),
+        ("final_degenerate_fraction", col["degenerate_fraction"][-1], tolerance),
+    ]
+    # An aborted run's last step need not be a snapshot.
+    if summary.get("termination") != "aborted":
+        checks.append(("energy_final", col["E"][-1], tolerance))
+    for name, value, tol in checks:
+        _check_value(path, name, summary.get(name), value, tol)
+    for j, name in enumerate(ergodic_columns):
+        _check_value(path, f"final_ergodic_errors[{j}]", ergodic[j], col[name][-1], tolerance)
+
+    path = run / "entropy.jsonl"
+    lines = path.read_text().splitlines()
+    if not lines or _parse_record(path, lines[0]) != {"schema": ms.ENTROPY_SCHEMA}:
+        raise ValueError(f"{path}: the first line must be the {ms.ENTROPY_SCHEMA} header")
+    if len(lines) - 1 != len(rows):
+        raise ValueError(f"{path}: {len(lines) - 1} reports for {len(rows)} snapshots")
+    fields = {"t": col["t"], "entropy": col["H"], "rho_max": col["rho_max"],
+              "tail_mass": col["tail_mass"],
+              "degenerate_fraction": col["degenerate_fraction"]}
+    for k, line in enumerate(lines[1:]):
+        report = _parse_record(path, line)
+        if not isinstance(report, dict) or report.keys() != fields.keys():
+            raise ValueError(f"{path}: line {k + 2} must hold exactly {sorted(fields)}")
+        for name, values in fields.items():
+            _check_value(path, name, report[name], values[k], tolerance, line=k + 2)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

@@ -29,12 +29,12 @@ rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import table
-from .mesh import DomainGrid
+from .mesh import DomainGrid, periodic_op
 
 # Hard positivity floor for the second coordinate; states at or below the
 # floor are treated as having escaped the target.
@@ -69,20 +69,34 @@ class AbortedRunError(RuntimeError):
 
 @dataclass
 class MapState:
-    """Map into the upper half-plane: fields u, v on a grid at time t."""
+    """Map into the upper half-plane: fields u, v on a grid at time t.
+
+    The fields are checked on construction and are not to be changed in
+    place afterwards: v_min, the minimum of v, is recorded then.
+    """
 
     grid: DomainGrid
     u: np.ndarray
     v: np.ndarray
     t: float = 0.0
+    v_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.u = self.grid.check_field(self.u, "u")
         self.v = self.grid.check_field(self.v, "v")
-        if float(self.v.min()) <= 0.0:
+        self.v_min = float(self.v.min())
+        if self.v_min <= 0.0:
             node = np.unravel_index(int(self.v.argmin()), self.v.shape)
             raise ValueError(f"v must be positive everywhere; v{tuple(node)} = {self.v[node]}")
         self.t = float(self.t)
+
+    @classmethod
+    def _checked(cls, grid, u, v, t, v_min) -> "MapState":
+        """A state from fields the caller has already checked: finite float
+        arrays of the grid's shape, with v_min = min(v) > 0."""
+        state = object.__new__(cls)
+        state.grid, state.u, state.v, state.t, state.v_min = grid, u, v, float(t), v_min
+        return state
 
     def copy(self) -> "MapState":
         return MapState(self.grid, self.u.copy(), self.v.copy(), self.t)
@@ -97,7 +111,7 @@ class TangentField:
 
 
 def _check_above_floor(state: MapState):
-    vmin = float(state.v.min())
+    vmin = state.v_min
     if vmin <= V_FLOOR:
         node = np.unravel_index(int(state.v.argmin()), state.v.shape)
         raise TargetEscapeError(
@@ -106,7 +120,21 @@ def _check_above_floor(state: MapState):
         )
 
 
-def _edge_pass(state: MapState) -> tuple[float, TangentField, float]:
+class _EdgeWorkspace:
+    """Scratch arrays of _edge_pass for one grid shape.
+
+    The caller that makes many passes on one grid owns one workspace and
+    hands it to every pass, so the passes allocate nothing but the tau they
+    return.  The arrays hold no result between passes.
+    """
+
+    def __init__(self, shape: tuple[int, int]):
+        self.shape = tuple(shape)
+        (self.sigma, self.v2, self.div_u, self.div_v, self.edge_sq, self.du,
+         self.dv, self.rho, self.flux, self.sq, self.tmp) = np.empty((11, *shape))
+
+
+def _edge_pass(state: MapState, ws: _EdgeWorkspace) -> tuple[float, TangentField, float]:
     """Energy E, tension field tau and dissipation rate D of one state.
 
     For each axis the metric weight sigma = 1/v^2 is averaged onto the
@@ -121,46 +149,72 @@ def _edge_pass(state: MapState) -> tuple[float, TangentField, float]:
     S collects the squared forward differences on the four edges touching
     the node (the derivative of rho with respect to v).  Constant maps give
     exactly zero.  D = ||tau||^2 in the hyperbolic inner product.
+
+    Every intermediate lives in ws, which must be for the state's grid
+    shape; the returned tau arrays are fresh.  Each value is formed by the
+    same floating-point operations in the same order as when every
+    neighbour is first copied into a shifted array (u[k+1] - u[k],
+    sigma[k] + sigma[k+1], flux[k] - flux[k-1], sq[k] + sq[k-1], ...), so
+    the results agree with that formulation bit for bit.
     """
     grid = state.grid
+    if ws.shape != grid.shape:
+        raise ValueError(f"workspace is for shape {ws.shape}, the state has {grid.shape}")
     u, v = state.u, state.v
-    sigma = 1.0 / (v * v)
-    div_u = np.zeros(grid.shape)
-    div_v = np.zeros(grid.shape)
-    edge_sq = np.zeros(grid.shape)
+    sigma, v2, tmp, flux, sq = ws.sigma, ws.v2, ws.tmp, ws.flux, ws.sq
+    du, dv, rho = ws.du, ws.dv, ws.rho
+    np.multiply(v, v, out=v2)
+    np.divide(1.0, v2, out=sigma)
+    for acc in (ws.div_u, ws.div_v, ws.edge_sq):
+        acc.fill(0.0)
     total = 0.0
     for axis, h in ((0, grid.h1), (1, grid.h2)):
-        du = (np.roll(u, -1, axis=axis) - u) / h
-        dv = (np.roll(v, -1, axis=axis) - v) / h
-        rho = 0.5 * (sigma + np.roll(sigma, -1, axis=axis))
-        flux_u = rho * du
-        flux_v = rho * dv
-        div_u += (flux_u - np.roll(flux_u, 1, axis=axis)) / h
-        div_v += (flux_v - np.roll(flux_v, 1, axis=axis)) / h
-        sq = du * du + dv * dv
-        edge_sq += sq + np.roll(sq, 1, axis=axis)
-        total += float(np.sum(sq * rho))
-    v2 = v * v
-    tau = TangentField(v2 * div_u, v2 * div_v + edge_sq / (2.0 * v))
-    dissipation = float(grid.w * np.sum(sigma * (tau.tau_u**2 + tau.tau_v**2)))
-    return 0.5 * grid.w * total, tau, dissipation
+        periodic_op(np.subtract, u, u, du, axis, a_shift=1)
+        du /= h
+        periodic_op(np.subtract, v, v, dv, axis, a_shift=1)
+        dv /= h
+        periodic_op(np.add, sigma, sigma, rho, axis, b_shift=1)
+        rho *= 0.5
+        for diff, div in ((du, ws.div_u), (dv, ws.div_v)):
+            np.multiply(rho, diff, out=flux)
+            periodic_op(np.subtract, flux, flux, tmp, axis, b_shift=-1)
+            tmp /= h
+            div += tmp
+        np.multiply(du, du, out=sq)
+        np.multiply(dv, dv, out=tmp)
+        sq += tmp
+        periodic_op(np.add, sq, sq, tmp, axis, b_shift=-1)
+        ws.edge_sq += tmp
+        np.multiply(sq, rho, out=tmp)
+        total += float(tmp.sum())
+    tau_u = v2 * ws.div_u
+    tau_v = v2 * ws.div_v
+    np.multiply(2.0, v, out=tmp)
+    np.divide(ws.edge_sq, tmp, out=tmp)
+    tau_v += tmp
+    np.square(tau_u, out=tmp)
+    np.square(tau_v, out=flux)
+    tmp += flux
+    tmp *= sigma
+    dissipation = float(grid.w * tmp.sum())
+    return 0.5 * grid.w * total, TangentField(tau_u, tau_v), dissipation
 
 
 def tension_field(state: MapState) -> TangentField:
     """Exact negative discrete-energy gradient in the hyperbolic inner product;
     raises TargetEscapeError at or below the v floor."""
     _check_above_floor(state)
-    return _edge_pass(state)[1]
+    return _edge_pass(state, _EdgeWorkspace(state.grid.shape))[1]
 
 
 def energy(state: MapState) -> float:
     """Harmonic-map energy of the state (staggered discretisation)."""
-    return _edge_pass(state)[0]
+    return _edge_pass(state, _EdgeWorkspace(state.grid.shape))[0]
 
 
 def dissipation_rate(state: MapState) -> float:
     """Squared hyperbolic L^2 norm of the tension field: D = ||tau||^2."""
-    return _edge_pass(state)[2]
+    return _edge_pass(state, _EdgeWorkspace(state.grid.shape))[2]
 
 
 def cfl_dt_max(state: MapState, safety: float = 0.5) -> float:
@@ -175,13 +229,16 @@ def cfl_dt_max(state: MapState, safety: float = 0.5) -> float:
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety factor must be in (0, 1], got {safety}")
     h = min(state.grid.h1, state.grid.h2)
-    vmin = float(state.v.min())
+    vmin = state.v_min
     return safety * h * h * min(1.0, vmin * vmin) / 4.0
 
 
 def step(state: MapState, dt: float, tangent: TangentField | None = None) -> MapState:
     """One forward-Euler step.  Raises StepRejectedError when the step lands
-    at or below the v floor or produces non-finite values."""
+    at or below the v floor or produces non-finite values.
+
+    Those checks cover everything MapState checks, so the new state is built
+    without checking its fields a second time."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     cap = cfl_dt_max(state, safety=1.0)
@@ -189,16 +246,18 @@ def step(state: MapState, dt: float, tangent: TangentField | None = None) -> Map
         raise ValueError(f"dt = {dt} exceeds the stability cap {cap}")
     if tangent is None:
         tangent = tension_field(state)
-    u_new = state.u + dt * tangent.tau_u
-    v_new = state.v + dt * tangent.tau_v
+    u_new = dt * tangent.tau_u
+    u_new += state.u
+    v_new = dt * tangent.tau_v
+    v_new += state.v
     v_min = float(v_new.min())
-    if not np.isfinite(v_min) or v_min <= V_FLOOR or not np.all(np.isfinite(u_new)):
+    if not (v_min > V_FLOOR and np.isfinite(v_new).all() and np.isfinite(u_new).all()):
         bad = int(np.argmin(np.where(np.isfinite(v_new), v_new, -np.inf)))
         node = tuple(int(k) for k in np.unravel_index(bad, v_new.shape))
         raise StepRejectedError(
             f"step of dt = {dt} leaves the target at node {node}", node
         )
-    return MapState(state.grid, u_new, v_new, state.t + dt)
+    return MapState._checked(state.grid, u_new, v_new, state.t + dt, v_min)
 
 
 @dataclass
@@ -287,7 +346,8 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
     """
     state = initial.copy()
     _check_above_floor(state)
-    e_cur, tangent, d_cur = _edge_pass(state)
+    ws = _EdgeWorkspace(state.grid.shape)
+    e_cur, tangent, d_cur = _edge_pass(state, ws)
 
     rows = [(state.t, e_cur, d_cur, 0.0, 0.0)]
     snapshots = [state.copy()]
@@ -323,7 +383,7 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
             )
         try:
             new_state = step(state, dt_try, tangent)
-            e_new, tangent_new, d_new = _edge_pass(new_state)
+            e_new, tangent_new, d_new = _edge_pass(new_state, ws)
             if e_new - e_cur > params.energy_step_tol:
                 raise StepRejectedError(
                     f"energy increased by {e_new - e_cur} at t = {state.t}"

@@ -150,64 +150,79 @@ def weak_star_pairing_exact(state: MapState, f) -> float:
     return float(state.grid.w * np.sum(f.value(xf, yf)))
 
 
-def _series_times(measures, t_end: float | None = None) -> np.ndarray:
-    """Times of two or more measures, checked sorted, by t_end, one binning."""
-    if len(measures) < 2:
-        raise ValueError("time averaging needs at least two measures")
-    times = np.array([m.t for m in measures], dtype=float)
-    if np.any(np.diff(times) < 0.0):
-        raise ValueError("measures must be sorted by time")
-    if t_end is not None and times[-1] > t_end + 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError(f"measure at t = {times[-1]} lies beyond t_end = {t_end}")
-    for m in measures[1:]:
-        _check_match(measures[0], m)
-    return times
+class MeasureSeries:
+    """Measures of one binning at nondecreasing times, with their masses
+    stacked once into a (K, n_bins + 1) array that every average reads.
 
+    measures keeps the measures themselves, in order.  A t_end, when given,
+    bounds the last time.
+    """
 
-def _trapezoid_average(binning, times, stacked) -> PushforwardMeasure:
-    """Trapezoid average of the rows of stacked at the times, unit mass."""
-    span = times[-1] - times[0]
-    if span <= 0.0:
-        weights = np.full(len(times), 1.0 / len(times))
-    else:
-        weights = np.empty(len(times))
-        weights[0] = 0.5 * (times[1] - times[0])
-        weights[-1] = 0.5 * (times[-1] - times[-2])
-        weights[1:-1] = 0.5 * (times[2:] - times[:-2])  # empty for two
-        weights /= span
-    masses = weights @ stacked
-    masses /= masses.sum()  # exact unit mass, absorbing quadrature rounding
-    return PushforwardMeasure(binning, masses, float(times[-1]))
+    def __init__(self, measures, t_end: float | None = None):
+        if not measures:
+            raise ValueError("a measure series needs at least one measure")
+        times = np.array([m.t for m in measures], dtype=float)
+        if np.any(np.diff(times) < 0.0):
+            raise ValueError("measures must be sorted by time")
+        if t_end is not None and times[-1] > t_end + 1e-9 * max(1.0, abs(t_end)):
+            raise ValueError(f"measure at t = {times[-1]} lies beyond t_end = {t_end}")
+        for m in measures[1:]:
+            _check_match(measures[0], m)
+        self.measures = list(measures)
+        self.binning = measures[0].binning
+        self.times = times
+        self.masses = np.stack([m.masses for m in measures])
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def average(self, count: int | None = None) -> PushforwardMeasure:
+        """Trapezoid-in-time average of the first count measures (all by
+        default), renormalised to total mass exactly 1; the average of one
+        measure is that measure.  Identical timestamps degrade gracefully to
+        the plain mean."""
+        count = len(self) if count is None else count
+        if count == 1:
+            return self.measures[0]
+        times, stacked = self.times[:count], self.masses[:count]
+        span = times[-1] - times[0]
+        if span <= 0.0:
+            weights = np.full(count, 1.0 / count)
+        else:
+            weights = np.empty(count)
+            weights[0] = 0.5 * (times[1] - times[0])
+            weights[-1] = 0.5 * (times[-1] - times[-2])
+            weights[1:-1] = 0.5 * (times[2:] - times[:-2])  # empty for two
+            weights /= span
+        masses = weights @ stacked
+        masses /= masses.sum()  # exact unit mass, absorbing quadrature rounding
+        return PushforwardMeasure(self.binning, masses, float(times[-1]))
 
 
 def time_average(measures, t_end: float | None = None) -> PushforwardMeasure:
     """Trapezoid-in-time average of a sorted list of measures, renormalised
     to total mass exactly 1.  At least two measures are required; identical
     timestamps degrade gracefully to the plain mean."""
-    times = _series_times(measures, t_end)
-    stacked = np.stack([m.masses for m in measures])
-    return _trapezoid_average(measures[0].binning, times, stacked)
+    if len(measures) < 2:
+        raise ValueError("time averaging needs at least two measures")
+    return MeasureSeries(measures, t_end).average()
 
 
-def ergodic_error_from_measures(mus, f, reference: ReferenceMeasure) -> np.ndarray:
-    """|time-average pairing - reference pairing| per snapshot prefix.
+def ergodic_error_from_measures(series: MeasureSeries, f,
+                                reference: ReferenceMeasure) -> np.ndarray:
+    """|time-average pairing - reference pairing| per prefix of the series.
 
     Entry k compares the trapezoid average of the measures 0..k (entry 0 is
     the bare first measure) against the hyperbolic reference.  Reported as
     a diagnostic series; no decay is asserted.  Each prefix average reads the
-    leading rows of one stack, bit-identical to time_average of the prefix.
+    leading rows of the series' one stack, bit-identical to time_average of
+    the prefix.
     """
     target = weak_star_pairing(reference, f)
-    errs = np.empty(len(mus))
-    if len(mus) >= 2:
-        times = _series_times(mus)
-        stacked = np.stack([m.masses for m in mus])
-    for k in range(len(mus)):
-        mu_bar = mus[0] if k == 0 else _trapezoid_average(
-            mus[0].binning, times[: k + 1], stacked[: k + 1]
-        )
-        errs[k] = abs(weak_star_pairing(mu_bar, f) - target)
-    return errs
+    return np.array([
+        abs(weak_star_pairing(series.average(k + 1), f) - target)
+        for k in range(len(series))
+    ])
 
 
 def laplacian_invariance_diagnostic(mu, f, fd_step: float = 1e-4) -> float:

@@ -8,6 +8,8 @@ periodic 5-point stencil; it pairs with the staggered forward differences
 (f[i+1] - f[i]) / h that the flow builds its energy from:
 integrate(f * laplacian(g)) == -integrate(<Df, Dg>) holds to rounding, which
 is what makes discrete energy decay structural rather than approximate.
+Both stencils, and the flow's edge pass, combine periodic neighbours with
+periodic_op, which shifts by slicing the flat buffers instead of copying.
 """
 
 from __future__ import annotations
@@ -72,18 +74,58 @@ class DomainGrid:
 
     def gradient(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Central-difference gradient (df/dx1, df/dx2), O(h^2)."""
-        g1 = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * self.h1)
-        g2 = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * self.h2)
-        return g1, g2
+        grads = []
+        for axis, h in ((0, self.h1), (1, self.h2)):
+            g = np.empty(f.shape)
+            periodic_op(np.subtract, f, f, g, axis, a_shift=1, b_shift=-1)
+            g /= 2.0 * h
+            grads.append(g)
+        return tuple(grads)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        """Periodic 5-point Laplacian."""
-        return (
-            np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)
-        ) / self.h1**2 + (
-            np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)
-        ) / self.h2**2
+        """Periodic 5-point Laplacian, summed per axis as
+        ((f[k+1] - 2 f[k]) + f[k-1]) / h^2."""
+        lap = None
+        for axis, h in ((0, self.h1), (1, self.h2)):
+            ahead = np.empty(f.shape)
+            periodic_op(np.subtract, f, 2.0 * f, ahead, axis, a_shift=1)
+            term = np.empty(f.shape)
+            periodic_op(np.add, ahead, f, term, axis, b_shift=-1)
+            term /= h**2
+            lap = term if lap is None else lap + term
+        return lap
 
     def integrate(self, f: np.ndarray) -> float:
         """Node-weight quadrature w * sum(f); exact for the flat volume form."""
         return float(self.w * np.sum(f))
+
+
+def periodic_op(op, a, b, out, axis, a_shift=0, b_shift=0):
+    """out[k] = op(a[k + a_shift], b[k + b_shift]) at every node k, the index
+    along axis taken periodically; shifts are -1, 0 or 1.
+
+    a, b and out are arrays of one 2-D shape, out C-contiguous.  In the
+    flattened (row-major) buffers a shift by one node along axis 0 is an
+    offset of one row and along axis 1 an offset of one element, so one
+    ufunc call covers every node whose neighbours are not across the
+    periodic seam, without copying a C-contiguous operand.  One more call per
+    seam row (axis 0) or seam column (axis 1) then overwrites those nodes;
+    along axis 1 the flat call read the neighbouring row there, which is why
+    out must not overlap a or b.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("periodic_op writes into a C-contiguous array only")
+    n = out.shape[axis]
+    stride = out.shape[1] if axis == 0 else 1
+    lo = a_shift < 0 or b_shift < 0  # the first row/column crosses the seam
+    hi = a_shift > 0 or b_shift > 0  # the last one does
+    start, stop = lo * stride, out.size - hi * stride
+    op(a.ravel()[start + a_shift * stride:stop + a_shift * stride],
+       b.ravel()[start + b_shift * stride:stop + b_shift * stride],
+       out=out.ravel()[start:stop])
+    for k in (0,) * lo + (n - 1,) * hi:
+        ka, kb = (k + a_shift) % n, (k + b_shift) % n
+        if axis == 0:
+            op(a[ka], b[kb], out=out[k])
+        else:
+            op(a[:, ka], b[:, kb], out=out[:, k])

@@ -20,6 +20,17 @@ from moduliflow.cli import (
     run_experiment,
     run_sweep,
 )
+from moduliflow.flow import MapState, write_snapshot
+from moduliflow.hyperbolic import FundamentalDomainBinning
+from moduliflow.measures import (
+    pushforward,
+    read_measure,
+    reference_measure,
+    time_average,
+    weak_star_pairing,
+)
+from moduliflow.mesh import DomainGrid
+from moduliflow.testfunctions import BumpFunction
 
 FAST_OVERRIDES = {
     "grid": {"n1": 16, "n2": 16},
@@ -159,6 +170,29 @@ class TestRunExperiment:
         result = run_experiment(cfg, tmp_path / "run")
         assert result.summary["energy_identity_rel_gap"] <= 0.02
 
+    def test_measures_and_ergodic_columns_follow_the_snapshots(self, tmp_path):
+        cfg = _fast_config(snapshot_interval=0.02)
+        result = run_experiment(cfg, tmp_path / "run")
+        binning = FundamentalDomainBinning(12, 12, 4.0)
+        mus = [pushforward(s, binning) for s in result.trajectory.snapshots]
+        assert len(mus) >= 3
+        measures = tmp_path / "run" / "measures"
+        for k, mu in enumerate(mus):
+            stored = read_measure(measures / f"measure_{k:04d}.csv")
+            assert stored.masses.tobytes() == mu.masses.tobytes()
+        average = read_measure(measures / "time_average.csv")
+        assert average.masses.tobytes() == time_average(mus).masses.tobytes()
+        nu = reference_measure(mus[0].binning)
+        for j, tf in enumerate(cfg.test_functions):
+            f = BumpFunction(tf["center"], tf["radii"], tf["amplitude"])
+            target = weak_star_pairing(nu, f)
+            want = [abs(weak_star_pairing(mus[0], f) - target)] + [
+                abs(weak_star_pairing(time_average(mus[: k + 1]), f) - target)
+                for k in range(1, len(mus))
+            ]
+            assert result.series_rows[:, result.series_columns.index(
+                f"ergodic_err_{j}")].tolist() == want
+
     def test_aborted_run_keeps_partial_output(self, tmp_path):
         cfg = _fast_config(dt_floor=1.0)
         result = run_experiment(cfg, tmp_path / "run")
@@ -195,6 +229,14 @@ class TestAnalyzeRun:
         report = analyze_run(tmp_path / "run")
         assert report["pass"] is False
         assert report["columns"]["H"]["within_tolerance"] is False
+
+    def test_aborted_run_whose_last_step_is_no_snapshot_passes(self, tmp_path):
+        # energy_final belongs to the last step, which no snapshot records.
+        result = run_experiment(_fast_config(dt_floor=1e-4), tmp_path / "run")
+        assert result.aborted and result.trajectory.accepted_steps > 0
+        assert result.summary["snapshot_count"] == 1
+        assert result.summary["energy_final"] != result.summary["energy_initial"]
+        assert analyze_run(tmp_path / "run")["pass"] is True
 
     def test_tampered_series_fails(self, tmp_path):
         run_experiment(_fast_config(), tmp_path / "run")
@@ -374,6 +416,68 @@ class TestMain:
         out, err = capsys.readouterr()
         assert "PASS" not in out
         assert "series.csv" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name, edit", [
+        ("summary.json", "missing"),
+        ("summary.json", "empty_object"),
+        ("summary.json", "garbage"),
+        ("summary.json", "energy_final"),
+        ("summary.json", "snapshot_count"),
+        ("summary.json", "huge_integer"),
+        ("summary.json", "final_entropy"),
+        ("summary.json", "final_ergodic_errors"),
+        ("entropy.jsonl", "missing"),
+        ("entropy.jsonl", "garbage"),
+        ("entropy.jsonl", "line_dropped"),
+        ("entropy.jsonl", "rho_max"),
+        ("entropy.jsonl", "extra_key"),
+    ])
+    def test_records_that_disagree_with_the_snapshots_exit_2(
+            self, tmp_path, capsys, name, edit):
+        run_experiment(_fast_config(), tmp_path / "run")
+        path = tmp_path / "run" / name
+        if edit == "missing":
+            path.unlink()
+        elif edit == "garbage":
+            path.write_text("garbage\n")
+        elif name == "summary.json":
+            summary = json.loads(path.read_text())
+            if edit == "empty_object":
+                summary = {}
+            elif edit == "snapshot_count":
+                summary["snapshot_count"] += 1
+            elif edit == "huge_integer":
+                summary["energy_initial"] = 10**400
+            elif edit == "final_ergodic_errors":
+                summary["final_ergodic_errors"][-1] += 1e-9
+            else:
+                summary[edit] += 1e-9
+            path.write_text(json.dumps(summary))
+        else:
+            lines = path.read_text().splitlines()
+            if edit == "line_dropped":
+                del lines[2]
+            else:
+                report = json.loads(lines[-1])
+                if edit == "rho_max":
+                    report["rho_max"] += 1e-9
+                else:
+                    report["note"] = 0.0
+                lines[-1] = json.dumps(report)
+            path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert name in err and len(err.splitlines()) == 1
+
+    def test_snapshot_on_another_grid_exits_2(self, tmp_path, capsys):
+        run_experiment(_fast_config(), tmp_path / "run")
+        grid = DomainGrid(8, 8)
+        write_snapshot(MapState(grid, grid.zeros(), grid.full(1.0)),
+                       tmp_path / "run" / "snapshots" / "snapshot_0001.csv")
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "snapshot_0001.csv" in err and len(err.splitlines()) == 1
 
     def test_analyze_of_a_missing_run_exits_2(self, tmp_path, capsys):
         assert main(["analyze", "--run", str(tmp_path / "missing")]) == 2

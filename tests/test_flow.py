@@ -21,6 +21,8 @@ from moduliflow.flow import (
     step,
     tension_field,
     write_snapshot,
+    _EdgeWorkspace,
+    _edge_pass,
 )
 from moduliflow.initial import build_initial_state
 from moduliflow.mesh import DomainGrid
@@ -171,18 +173,62 @@ class TestTensionField:
         assert 3.4 <= errs[1] / errs[2] <= 4.6
 
 
+def _random_state(rng, shape):
+    grid = DomainGrid(*shape)
+    return MapState(grid, 0.3 * rng.standard_normal(grid.shape),
+                    np.exp(0.3 * rng.standard_normal(grid.shape)))
+
+
 class TestEdgePass:
-    @pytest.mark.parametrize("shape", [(16, 16), (8, 12), (64, 64)])
+    @pytest.mark.parametrize("shape", [
+        (16, 16), (8, 12), (64, 64), (4, 4), (5, 7), (9, 4), (128, 128),
+    ])
     def test_bit_identical_to_separate_roll_formulas(self, rng, shape):
-        grid = DomainGrid(*shape)
-        state = MapState(grid, 0.3 * rng.standard_normal(grid.shape),
-                         np.exp(0.3 * rng.standard_normal(grid.shape)))
+        state = _random_state(rng, shape)
         e, tau_u, tau_v, d = _roll_oracle(state)
         tau = tension_field(state)
         assert energy(state) == e
         assert np.array_equal(tau.tau_u, tau_u)
         assert np.array_equal(tau.tau_v, tau_v)
         assert dissipation_rate(state) == d
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided_view"])
+    def test_non_contiguous_fields_give_the_contiguous_result(self, rng, layout):
+        # The oracle runs on the C-ordered fields: on Fortran-ordered ones its
+        # np.sum visits the nodes in another order and can round differently.
+        state = _random_state(rng, (16, 12))
+        if layout == "fortran":
+            u, v = np.asfortranarray(state.u), np.asfortranarray(state.v)
+        else:
+            u, v = np.ones((32, 24)), np.ones((32, 24))
+            u[::2, ::2], v[::2, ::2] = state.u, state.v
+            u, v = u[::2, ::2], v[::2, ::2]
+        assert not u.flags.c_contiguous and not v.flags.c_contiguous
+        odd = MapState(state.grid, u, v)
+        e, tau_u, tau_v, d = _roll_oracle(state)
+        got_e, tau, got_d = _edge_pass(odd, _EdgeWorkspace(state.grid.shape))
+        assert got_e == e and got_d == d
+        assert np.array_equal(tau.tau_u, tau_u) and np.array_equal(tau.tau_v, tau_v)
+
+    def test_passes_share_no_arrays(self, rng):
+        # tau survives later passes, on the same workspace or on another
+        # grid, and never aliases the workspace.
+        first, second = _random_state(rng, (16, 16)), _random_state(rng, (16, 16))
+        ws = _EdgeWorkspace(first.grid.shape)
+        tau = _edge_pass(first, ws)[1]
+        other = tension_field(_random_state(rng, (8, 12)))
+        taus = (tau.tau_u, tau.tau_v, other.tau_u, other.tau_v)
+        kept = [a.copy() for a in taus]
+        _edge_pass(second, ws)
+        tension_field(first)
+        for a, b in zip(taus, kept):
+            assert np.array_equal(a, b)
+        scratch = [w for w in vars(ws).values() if isinstance(w, np.ndarray)]
+        assert not any(np.shares_memory(a, w) for a in taus[:2] for w in scratch)
+
+    def test_workspace_of_another_shape_is_refused(self, rng):
+        with pytest.raises(ValueError):
+            _edge_pass(_random_state(rng, (16, 16)), _EdgeWorkspace((16, 12)))
 
 
 class TestEnergy:
@@ -243,6 +289,27 @@ class TestStep:
         sink = TangentField(grid64.zeros(), grid64.full(-2.0 / dt))
         with pytest.raises(StepRejectedError):
             step(s, dt, sink)
+
+    @pytest.mark.parametrize("component, value", [
+        ("v", np.inf), ("v", np.nan), ("u", np.inf),
+    ])
+    def test_rejects_non_finite_values(self, component, value):
+        # A +inf in v_new leaves min(v_new) finite; it must still be a
+        # rejection (so run_flow halves dt), not a ValueError from MapState.
+        grid = DomainGrid(16, 16)
+        s = _constant_state(grid)
+        bad = grid.zeros()
+        bad[3, 5] = value
+        tangent = (TangentField(bad, grid.zeros()) if component == "u"
+                   else TangentField(grid.zeros(), bad))
+        with pytest.raises(StepRejectedError):
+            step(s, 1e-4, tangent)
+
+    def test_new_state_records_its_v_min(self, rng):
+        s = _random_state(rng, (16, 16))
+        s2 = step(s, cfl_dt_max(s, 0.5))
+        assert s2.v_min == float(s2.v.min())
+        assert cfl_dt_max(s2, 0.5) == cfl_dt_max(MapState(s2.grid, s2.u, s2.v), 0.5)
 
 
 class TestCfl:
@@ -355,6 +422,18 @@ class TestRunFlow:
         assert traj.termination == "aborted"
         assert len(traj.snapshots) >= 1
         assert traj.times[-1] == 0.0
+
+    def test_pinned_16x16_run(self):
+        # accepted_steps, termination and the final energy's bits as the
+        # np.roll edge pass produced them.
+        state = build_initial_state(
+            DomainGrid(16, 16), {"kind": "random", "amp_u": 0.6, "amp_v": 0.6},
+            np.random.default_rng(0),
+        )
+        traj = run_flow(state, FlowParams(t_final=1.0))
+        assert traj.accepted_steps == 1013
+        assert traj.termination == "stalled"
+        assert traj.energy[-1].hex() == "0x1.1efe5a6fe02ebp-53"
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from moduliflow.initial import build_initial_state
 from moduliflow.measures import (
     BinningMismatchError,
     EntropyReport,
+    MeasureSeries,
     PushforwardMeasure,
     entropy_from_masses,
     entropy_report,
@@ -316,7 +317,7 @@ class TestErgodicError:
         traj = run_flow(_constant_state(grid64, 0.1, 1.3),
                         FlowParams(t_final=0.2))
         mus = [pushforward(s, binning60) for s in traj.snapshots]
-        errs = ergodic_error_from_measures(mus, ConstantOne(),
+        errs = ergodic_error_from_measures(MeasureSeries(mus), ConstantOne(),
                                            reference_measure(binning60))
         assert float(np.abs(errs).max()) <= 1e-12
 
@@ -326,7 +327,7 @@ class TestErgodicError:
         f = BumpFunction([0.0, 1.5], [0.45, 0.6])
         nu = reference_measure(binning60)
         mus = [pushforward(s, binning60) for s in traj.snapshots]
-        errs = ergodic_error_from_measures(mus, f, nu)
+        errs = ergodic_error_from_measures(MeasureSeries(mus), f, nu)
         mu0 = pushforward(traj.snapshots[0], binning60)
         expected = abs(weak_star_pairing(mu0, f) - weak_star_pairing(nu, f))
         assert np.all(np.abs(errs - expected) <= 1e-12)
@@ -341,7 +342,7 @@ class TestErgodicError:
         f = BumpFunction([0.0, 1.4], [0.4, 0.5])
         nu = reference_measure(binning60)
         mus = [pushforward(s, binning60) for s in traj.snapshots]
-        errs = ergodic_error_from_measures(mus, f, nu)
+        errs = ergodic_error_from_measures(MeasureSeries(mus), f, nu)
         target = weak_star_pairing(nu, f)
         pairings = np.array([weak_star_pairing(m, f) for m in mus])
         times = np.array([m.t for m in mus])
@@ -371,7 +372,7 @@ class TestErgodicError:
             abs(weak_star_pairing(time_average(mus[: k + 1]), f) - target)
             for k in range(1, len(mus))
         ]
-        errs = ergodic_error_from_measures(mus, f, nu)
+        errs = ergodic_error_from_measures(MeasureSeries(mus), f, nu)
         assert len(mus) > 10
         assert errs.tolist() == oracle
 
@@ -379,7 +380,7 @@ class TestErgodicError:
         mu0 = pushforward(_constant_state(grid64, 0.1, 1.3, 0.0), binning60)
         mu1 = pushforward(_constant_state(grid64, -0.2, 2.4, 1.0), binning60)
         with pytest.raises(ValueError):
-            ergodic_error_from_measures([mu1, mu0], ConstantOne(),
+            ergodic_error_from_measures(MeasureSeries([mu1, mu0]), ConstantOne(),
                                         reference_measure(binning60))
 
 

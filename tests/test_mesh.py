@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moduliflow.mesh import DomainGrid
+from moduliflow.mesh import DomainGrid, periodic_op
 
 TWO_PI = 2.0 * np.pi
 
@@ -49,6 +49,26 @@ class TestDifferences:
             for ax, h in ((0, g.h1), (1, g.h2))
         )
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+class TestPeriodicShifts:
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (9, 4), (16, 16)])
+    def test_bit_identical_to_roll_formulas(self, rng, shape):
+        g = DomainGrid(*shape)
+        f = rng.standard_normal(shape)
+        ahead = [np.roll(f, -1, axis) for axis in (0, 1)]
+        behind = [np.roll(f, 1, axis) for axis in (0, 1)]
+        g1, g2 = g.gradient(np.asfortranarray(f))
+        assert np.array_equal(g1, (ahead[0] - behind[0]) / (2.0 * g.h1))
+        assert np.array_equal(g2, (ahead[1] - behind[1]) / (2.0 * g.h2))
+        lap = ((ahead[0] - 2.0 * f + behind[0]) / g.h1**2
+               + (ahead[1] - 2.0 * f + behind[1]) / g.h2**2)
+        assert np.array_equal(g.laplacian(f), lap)
+
+    def test_output_must_be_c_contiguous(self):
+        a = np.zeros((4, 4))
+        with pytest.raises(ValueError):
+            periodic_op(np.add, a, a, np.zeros((4, 4), order="F"), 0, a_shift=1)
 
 
 class TestGradient:
