@@ -56,7 +56,6 @@ from .hyperbolic import (
     ReductionError,
     UpperHalfPoint,
     hyperbolic_cell_mass,
-    hyperbolic_distance,
     hyperbolic_laplacian_fd,
     mobius_apply,
     mobius_apply_xy,
@@ -77,20 +76,17 @@ from .measures import (
     relative_entropy,
     time_average,
     weak_star_pairing,
-    weak_star_pairing_exact,
     write_measure,
 )
 from .mesh import DomainGrid
-from .testfunctions import AffineFunction, BumpFunction, ConstantOne, WindowedHarmonic
+from .testfunctions import BumpFunction
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbortedRunError",
-    "AffineFunction",
     "BinningMismatchError",
     "BumpFunction",
-    "ConstantOne",
     "DegenerateInputError",
     "DomainGrid",
     "EntropyReport",
@@ -108,7 +104,6 @@ __all__ = [
     "TangentField",
     "TargetEscapeError",
     "UpperHalfPoint",
-    "WindowedHarmonic",
     "build_initial_state",
     "cfl_dt_max",
     "chain_rule_residual",
@@ -116,7 +111,6 @@ __all__ = [
     "energy",
     "entropy_report",
     "hyperbolic_cell_mass",
-    "hyperbolic_distance",
     "hyperbolic_laplacian_fd",
     "jacobian_det",
     "mobius_apply",
@@ -135,7 +129,6 @@ __all__ = [
     "tension_field",
     "time_average",
     "weak_star_pairing",
-    "weak_star_pairing_exact",
     "write_measure",
     "write_snapshot",
 ]

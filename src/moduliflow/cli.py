@@ -16,7 +16,7 @@ files.  MODFLOW_THREADS caps kernel threads; the package applies it on
 import, before numpy loads, and sweep subprocesses inherit it.
 
 Exit codes: 0 success, 1 aborted run, 2 input error (config, initial state,
-run directory) or failed audit.
+run directory, a point to reduce) or failed audit.
 """
 
 from __future__ import annotations
@@ -611,7 +611,7 @@ def main(argv=None) -> int:
             config = (parse_config(_read_text(args.config))
                       if args.config else FlowConfig())
             if args.seed is not None:
-                config.seed = args.seed
+                config.seed = _integer(args.seed, "seed", minimum=0)
             if args.out is None and config.output_dir is None:
                 print("run: no output directory (--out or config output_dir)",
                       file=sys.stderr)
@@ -625,7 +625,11 @@ def main(argv=None) -> int:
               f"steps: {result.summary['accepted_steps']})")
         return 1 if result.aborted else 0
     if args.command == "reduce":
-        point = UpperHalfPoint(args.x, args.y)
+        try:
+            point = UpperHalfPoint(args.x, args.y)
+        except ValueError as exc:
+            print(f"reduce: {exc}", file=sys.stderr)
+            return 2
         reduced, gamma = reduce_to_fundamental_domain(point)
         print(f"z   = {point.x!r} + {point.y!r}i")
         print(f"z_F = {reduced.x!r} + {reduced.y!r}i")

@@ -40,6 +40,9 @@ from .mesh import DomainGrid, periodic_op
 # floor are treated as having escaped the target.
 V_FLOOR = 1e-8
 
+# run_flow rejects a step that raises the energy by more than this.
+ENERGY_STEP_TOL = 1e-10
+
 SNAPSHOT_SCHEMA = "moduliflow-snapshot-v1"
 
 
@@ -269,7 +272,6 @@ class FlowParams:
     cfl_safety: float = 0.5
     dt_floor: float = 1e-12
     stall_threshold: float = 1e-14
-    energy_step_tol: float = 1e-10
 
     def __post_init__(self):
         if not self.t_final > 0.0:
@@ -331,106 +333,93 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
     """Integrate the flow to t_final with adaptive explicit stepping.
 
     dt starts at the stability cap, is halved whenever a step is rejected
-    (target escape or an energy increase beyond the per-step tolerance), and
+    (target escape or an energy increase beyond ENERGY_STEP_TOL), and
     regrows by 1.2x per step once 10 consecutive steps have been accepted,
     never exceeding the cap.  Steps are clipped so the run lands exactly on
-    snapshot times and on the final time.  When the dissipation drops below
-    the stall threshold the state is declared numerically harmonic: stepping
-    stops and the record is extended to t_final with the frozen state (a
-    stationary point does not change, so this continuation is exact rather
-    than a giant unstable step).  If dt falls under dt_floor the partial
-    trajectory is attached to the raised AbortedRunError.
+    snapshot times and on the final time.  Once the dissipation is below the
+    stall threshold the state is declared numerically harmonic: every later
+    step is a frozen step, which keeps the fields and moves on to the next
+    snapshot time or t_final (a stationary point does not change, so this
+    continuation is exact rather than a giant unstable step).  If dt falls
+    under dt_floor the partial trajectory is attached to the raised
+    AbortedRunError.
 
-    t_final is a duration measured from the initial state's time; snapshot
-    times are the absolute multiples of snapshot_interval.
+    t_final is a duration measured from the initial state's time, which may
+    be any time, a snapshot time included; snapshot times are the absolute
+    multiples of snapshot_interval.  States are immutable, so the snapshots
+    are the states of the run themselves: only the initial state is copied,
+    and frozen snapshots share the stalled state's arrays.
     """
     state = initial.copy()
     _check_above_floor(state)
     ws = _EdgeWorkspace(state.grid.shape)
     e_cur, tangent, d_cur = _edge_pass(state, ws)
+    interval = params.snapshot_interval
 
     rows = [(state.t, e_cur, d_cur, 0.0, 0.0)]
-    snapshots = [state.copy()]
-    snapshot_rows = [0]
-    violations = 0
-    rejected = 0
-    accepted = 0
+    snapshots, snapshot_rows = [state], [0]
+    violations = rejected = accepted = streak = 0
     cumulative = 0.0
-    streak = 0
-    snap_k = int(math.floor(state.t / params.snapshot_interval)) + 1
+    snap_k = int(math.floor(state.t / interval)) + 1
 
     t_final = state.t + params.t_final
+    end = t_final - 1e-14 * max(1.0, t_final)
     dt = cfl_dt_max(state, params.cfl_safety)
     reason = "t_final"
-    while True:
-        if state.t >= t_final - 1e-14 * max(1.0, t_final):
-            break
+    while state.t < end:
+        # Record the last row's state for each snapshot time it has reached
+        # (once); on the first pass this only moves snap_k past a start that
+        # is itself a snapshot time.
+        while snap_k * interval <= state.t + 1e-14 * max(1.0, state.t):
+            if snapshot_rows[-1] != len(rows) - 1:
+                snapshots.append(state)
+                snapshot_rows.append(len(rows) - 1)
+            snap_k += 1
+        next_snap = snap_k * interval
         if d_cur < params.stall_threshold:
+            # Frozen step; it is not an accepted step and leaves dt alone.
             reason = "stalled"
-            break
-        cap = cfl_dt_max(state, params.cfl_safety)
-        next_snap = snap_k * params.snapshot_interval
-        dt_try = min(dt, cap, t_final - state.t)
-        if next_snap > state.t:
-            dt_try = min(dt_try, next_snap - state.t)
-        if dt_try < params.dt_floor:
-            raise AbortedRunError(
-                f"dt = {dt_try} fell below the floor {params.dt_floor} at t = {state.t}",
-                _trajectory_from_lists(
-                    rows, snapshots, snapshot_rows, violations, rejected,
-                    "aborted", accepted,
-                ),
-            )
-        try:
-            new_state = step(state, dt_try, tangent)
-            e_new, tangent_new, d_new = _edge_pass(new_state, ws)
-            if e_new - e_cur > params.energy_step_tol:
-                raise StepRejectedError(
-                    f"energy increased by {e_new - e_cur} at t = {state.t}"
-                )
-        except StepRejectedError:
-            dt = 0.5 * dt_try
-            rejected += 1
-            streak = 0
-            continue
-        # Accepted: advance bookkeeping.  The dissipation integral uses the
-        # pre-step rate, matching the explicit quadrature of dE/dt = -D.
-        cumulative += dt_try * d_cur
-        state, tangent, d_cur = new_state, tangent_new, d_new
-        if e_new > e_cur + params.energy_step_tol:
-            violations += 1  # unreachable under the rejection rule; audited anyway
-        e_cur = e_new
-        rows.append((state.t, e_cur, d_cur, cumulative, dt_try))
-        accepted += 1
-        streak += 1
-        dt = dt_try
-        if streak >= 10:
-            dt = min(dt * 1.2, cap)
-        while snap_k * params.snapshot_interval <= state.t + 1e-14 * max(1.0, state.t):
-            snapshots.append(state.copy())
-            snapshot_rows.append(len(rows) - 1)
-            snap_k += 1
-    if reason == "stalled" and state.t < t_final - 1e-14 * max(1.0, t_final):
-        # Numerically harmonic: extend the record to t_final with the frozen
-        # state at the snapshot cadence.  The dissipation integral continues
-        # with the (sub-threshold) stalled rate, so the energy identity is
-        # untouched to well below its tolerance.
-        t_prev = state.t
-        while snap_k * params.snapshot_interval <= t_prev + 1e-14 * max(1.0, t_prev):
-            snap_k += 1
-        while True:
-            next_snap = snap_k * params.snapshot_interval
             t_here = min(next_snap, t_final)
-            cumulative += (t_here - t_prev) * d_cur
-            rows.append((t_here, e_cur, d_cur, cumulative, t_here - t_prev))
-            snapshots.append(MapState(state.grid, state.u.copy(), state.v.copy(), t_here))
-            snapshot_rows.append(len(rows) - 1)
-            t_prev = t_here
-            if next_snap >= t_final - 1e-14 * max(1.0, t_final):
-                break
-            snap_k += 1
+            dt_used, d_new = t_here - state.t, d_cur
+            state = MapState._checked(state.grid, state.u, state.v, t_here, state.v_min)
+        else:
+            cap = cfl_dt_max(state, params.cfl_safety)
+            dt_used = min(dt, cap, t_final - state.t, next_snap - state.t)
+            if dt_used < params.dt_floor:
+                raise AbortedRunError(
+                    f"dt = {dt_used} fell below the floor {params.dt_floor} at t = {state.t}",
+                    _trajectory_from_lists(
+                        rows, snapshots, snapshot_rows, violations, rejected,
+                        "aborted", accepted,
+                    ),
+                )
+            try:
+                new_state = step(state, dt_used, tangent)
+                e_new, tangent_new, d_new = _edge_pass(new_state, ws)
+                if e_new - e_cur > ENERGY_STEP_TOL:
+                    raise StepRejectedError(
+                        f"energy increased by {e_new - e_cur} at t = {state.t}"
+                    )
+            except StepRejectedError:
+                dt = 0.5 * dt_used
+                rejected += 1
+                streak = 0
+                continue
+            if e_new > e_cur + ENERGY_STEP_TOL:
+                violations += 1  # unreachable under the rejection rule; audited anyway
+            state, tangent, e_cur = new_state, tangent_new, e_new
+            accepted += 1
+            streak += 1
+            dt = dt_used
+            if streak >= 10:
+                dt = min(dt * 1.2, cap)
+        # The dissipation integral uses the pre-step rate, matching the
+        # explicit quadrature of dE/dt = -D (and, frozen, the stalled rate).
+        cumulative += dt_used * d_cur
+        d_cur = d_new
+        rows.append((state.t, e_cur, d_cur, cumulative, dt_used))
     if snapshot_rows[-1] != len(rows) - 1:
-        snapshots.append(state.copy())
+        snapshots.append(state)
         snapshot_rows.append(len(rows) - 1)
     return _trajectory_from_lists(
         rows, snapshots, snapshot_rows, violations, rejected, reason, accepted

@@ -132,15 +132,21 @@ def relative_entropy(mu: PushforwardMeasure, nu: ReferenceMeasure) -> float:
     return entropy_from_masses(mu.masses, nu.masses)
 
 
+def _on_bins(binning, f):
+    """f at the bin mass centroids, and f's declared value on the overflow
+    bin (0 for the compactly supported observables)."""
+    live = np.asarray(f.value(binning.center_x, binning.center_y), dtype=float)
+    return live, getattr(f, "overflow_value", 0.0)
+
+
+def _pairing(masses, live, overflow_value) -> float:
+    return float(np.dot(masses[:-1], live)) + float(masses[-1]) * overflow_value
+
+
 def weak_star_pairing(mu, f) -> float:
     """Binned pairing: sum of bin masses times f at the bin mass centroids,
-    plus the overflow mass times f's declared overflow value (0 for the
-    compactly supported observables)."""
-    binning = mu.binning
-    live = np.asarray(f.value(binning.center_x, binning.center_y), dtype=float)
-    total = float(np.dot(mu.masses[:-1], live))
-    overflow_value = getattr(f, "overflow_value", 0.0)
-    return total + float(mu.masses[-1]) * overflow_value
+    plus the overflow mass times f's declared overflow value."""
+    return _pairing(mu.masses, *_on_bins(mu.binning, f))
 
 
 def weak_star_pairing_exact(state: MapState, f) -> float:
@@ -213,14 +219,17 @@ def ergodic_error_from_measures(series: MeasureSeries, f,
     """|time-average pairing - reference pairing| per prefix of the series.
 
     Entry k compares the trapezoid average of the measures 0..k (entry 0 is
-    the bare first measure) against the hyperbolic reference.  Reported as
-    a diagnostic series; no decay is asserted.  Each prefix average reads the
-    leading rows of the series' one stack, bit-identical to time_average of
-    the prefix.
+    the bare first measure) against the hyperbolic reference, which must be
+    on the series' binning.  Reported as a diagnostic series; no decay is
+    asserted.  f is evaluated on the bins once; each prefix average reads
+    the leading rows of the series' one stack, and each pairing is
+    bit-identical to weak_star_pairing of time_average of the prefix.
     """
-    target = weak_star_pairing(reference, f)
+    _check_match(series, reference)
+    live, overflow_value = _on_bins(series.binning, f)
+    target = _pairing(reference.masses, live, overflow_value)
     return np.array([
-        abs(weak_star_pairing(series.average(k + 1), f) - target)
+        abs(_pairing(series.average(k + 1).masses, live, overflow_value) - target)
         for k in range(len(series))
     ])
 

@@ -338,6 +338,13 @@ class TestMain:
         assert -0.5 <= x < 0.5 and x * x + y * y >= 1.0 - 1e-12
         assert "gamma" in lines
 
+    @pytest.mark.parametrize("x, y", [("0.3", "0"), ("nan", "1"), ("inf", "1")])
+    def test_reduce_of_a_bad_point_exits_2(self, capsys, x, y):
+        assert main(["reduce", x, y]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("reduce:") and len(err.splitlines()) == 1
+
     def test_run_requires_an_output_dir(self, capsys):
         assert main(["run"]) == 2
         assert "output directory" in capsys.readouterr().err
@@ -365,6 +372,12 @@ class TestMain:
         a = json.loads((tmp_path / "s0" / "summary.json").read_text())
         b = json.loads((tmp_path / "s1" / "summary.json").read_text())
         assert a["energy_initial"] != b["energy_initial"]
+
+    def test_negative_seed_override_exits_2_before_any_output(self, tmp_path, capsys):
+        assert main(["run", "--seed", "-1", "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"

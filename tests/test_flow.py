@@ -385,7 +385,8 @@ class TestRichardson:
 
 class TestRunFlow:
     def test_constant_map_runs_to_final_time(self, grid64):
-        traj = run_flow(_constant_state(grid64), FlowParams(t_final=1.0))
+        initial = _constant_state(grid64)
+        traj = run_flow(initial, FlowParams(t_final=1.0))
         assert traj.times[-1] == 1.0
         assert np.all(traj.energy == 0.0) and np.all(traj.dissipation == 0.0)
         assert traj.termination == "stalled"
@@ -394,6 +395,13 @@ class TestRunFlow:
         assert [round(s.t, 10) for s in traj.snapshots] == [
             round(0.05 * k, 10) for k in range(21)
         ]
+        # Stalled from the start: one frozen row per snapshot time.
+        assert traj.snapshot_rows == list(range(21))
+        assert traj.dt_used[1:] == pytest.approx(np.full(20, 0.05), abs=1e-14)
+        # The initial state is copied once; the frozen snapshots share it.
+        first = traj.snapshots[0]
+        assert first.u is not initial.u and first.v is not initial.v
+        assert all(s.u is first.u and s.v is first.v for s in traj.snapshots)
 
     def test_duration_semantics_with_offset_start(self, grid64):
         s = _constant_state(grid64)
@@ -434,6 +442,22 @@ class TestRunFlow:
         assert traj.accepted_steps == 1013
         assert traj.termination == "stalled"
         assert traj.energy[-1].hex() == "0x1.1efe5a6fe02ebp-53"
+
+    @pytest.mark.parametrize("t0", [0.15, 0.3, 0.7])
+    def test_start_at_a_snapshot_time(self, t0):
+        # A run continued from one of its own snapshots starts at a
+        # snapshot time; the next snapshot is the following multiple.
+        grid = DomainGrid(16, 16)
+        s = build_initial_state(
+            grid, {"kind": "random", "amp_u": 0.6, "amp_v": 0.6},
+            np.random.default_rng(0),
+        )
+        traj = run_flow(MapState(grid, s.u, s.v, t0),
+                        FlowParams(t_final=0.1, snapshot_interval=0.05))
+        assert traj.termination == "t_final"
+        assert traj.accepted_steps > 0
+        assert traj.times[-1] == pytest.approx(t0 + 0.1, abs=1e-14)
+        assert traj.snapshot_times == pytest.approx([t0, t0 + 0.05, t0 + 0.1], abs=1e-14)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

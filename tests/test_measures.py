@@ -376,6 +376,29 @@ class TestErgodicError:
         assert len(mus) > 10
         assert errs.tolist() == oracle
 
+    def test_observable_is_evaluated_once_per_series(self, grid64, binning60):
+        traj = run_flow(_constant_state(grid64, 0.1, 1.3), FlowParams(t_final=0.2))
+        series = MeasureSeries([pushforward(s, binning60) for s in traj.snapshots])
+        f = BumpFunction([0.0, 1.5], [0.45, 0.6])
+        calls = []
+
+        class Counted:
+            def value(self, x, y):
+                calls.append(np.shape(x))
+                return f.value(x, y)
+
+        errs = ergodic_error_from_measures(series, Counted(), reference_measure(binning60))
+        assert errs.tolist() == ergodic_error_from_measures(
+            series, f, reference_measure(binning60)).tolist()
+        assert calls == [(binning60.n_bins,)]
+
+    def test_reference_on_another_binning_is_rejected(self, grid64, binning60,
+                                                      small_binning):
+        mu = pushforward(_constant_state(grid64, 0.1, 1.3), binning60)
+        with pytest.raises(BinningMismatchError):
+            ergodic_error_from_measures(MeasureSeries([mu]), ConstantOne(),
+                                        reference_measure(small_binning))
+
     def test_unsorted_measures_are_rejected(self, grid64, binning60):
         mu0 = pushforward(_constant_state(grid64, 0.1, 1.3, 0.0), binning60)
         mu1 = pushforward(_constant_state(grid64, -0.2, 2.4, 1.0), binning60)
