@@ -35,6 +35,7 @@ import numpy as np
 from . import flow, initial, measures as ms, table
 from .hyperbolic import (
     FundamentalDomainBinning,
+    ReductionError,
     UpperHalfPoint,
     reduce_to_fundamental_domain,
 )
@@ -136,13 +137,10 @@ def _integer(raw, path, *, minimum=None) -> int:
 def _validate_initial(raw: dict, path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("must be an object", path)
-    kind = raw.get("kind")
-    if kind not in initial.KIND_DEFAULTS:
-        raise ConfigError(
-            f"unknown kind {kind!r}; expected one of {sorted(initial.KIND_DEFAULTS)}",
-            f"{path}.kind",
-        )
-    _expect(raw, set(initial.KIND_DEFAULTS[kind]) | {"kind"}, path)
+    try:
+        initial.resolve_spec(raw)
+    except initial.SpecError as exc:
+        raise ConfigError(str(exc), f"{path}.{exc.key}") from exc
     return dict(raw)
 
 
@@ -260,12 +258,15 @@ def emit_config(config: FlowConfig) -> str:
 
 
 def _initial_state(config: FlowConfig) -> flow.MapState:
-    """The config's initial state; one that cannot be built is a ConfigError."""
+    """The config's initial state; one that cannot be built, or that the flow
+    would refuse at its v floor, is a ConfigError."""
     grid = DomainGrid(config.grid.n1, config.grid.n2)
     try:
-        return initial.build_initial_state(
+        state = initial.build_initial_state(
             grid, config.initial, np.random.default_rng(config.seed)
         )
+        flow._check_above_floor(state)
+        return state
     except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc), "initial") from exc
 
@@ -433,6 +434,9 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     for path, snap in zip(snap_paths, snapshots):
         if snap.grid.shape != grid:
             raise ValueError(f"{path}: grid {snap.grid.shape}, the config has {grid}")
+        # run_flow records no state at or below the floor; reduction fails on one.
+        if snap.v_min <= flow.V_FLOOR:
+            raise ValueError(f"{path}: v_min {snap.v_min} is at or below {flow.V_FLOOR}")
     recomputed, _, _ = compute_snapshot_diagnostics(
         config, snapshots,
         stored[:, columns.index("cumulative_D")], stored[:, columns.index("dt")],
@@ -627,10 +631,10 @@ def main(argv=None) -> int:
     if args.command == "reduce":
         try:
             point = UpperHalfPoint(args.x, args.y)
-        except ValueError as exc:
+            reduced, gamma = reduce_to_fundamental_domain(point)
+        except (ValueError, ReductionError) as exc:
             print(f"reduce: {exc}", file=sys.stderr)
             return 2
-        reduced, gamma = reduce_to_fundamental_domain(point)
         print(f"z   = {point.x!r} + {point.y!r}i")
         print(f"z_F = {reduced.x!r} + {reduced.y!r}i")
         print(f"gamma = [[{gamma.a}, {gamma.b}], [{gamma.c}, {gamma.d}]]")

@@ -116,10 +116,9 @@ class TangentField:
 def _check_above_floor(state: MapState):
     vmin = state.v_min
     if vmin <= V_FLOOR:
-        node = np.unravel_index(int(state.v.argmin()), state.v.shape)
+        node = tuple(int(k) for k in np.unravel_index(int(state.v.argmin()), state.v.shape))
         raise TargetEscapeError(
-            f"v at node {tuple(node)} is {vmin}, at or below the floor {V_FLOOR}",
-            tuple(int(k) for k in node),
+            f"v at node {node} is {vmin}, at or below the floor {V_FLOOR}", node
         )
 
 

@@ -7,8 +7,8 @@ z -> (a z + b)/(c z + d); the standard fundamental domain is
 F = { |Re z| <= 1/2, |z| >= 1 }, with hyperbolic area pi/3.
 
 This module provides the Moebius action, reduction into F with an exact
-integer witness matrix, pointwise hyperbolic distance and Laplacian, and a
-rectangular histogram binning of the truncated domain
+integer witness matrix, a pointwise finite-difference hyperbolic Laplacian,
+and a rectangular histogram binning of the truncated domain
 F_trunc = F intersect { y <= y_max } plus a single cusp overflow bin.
 """
 
@@ -172,6 +172,10 @@ def _reduce_scalar(x: float, y: float):
             b -= n * d
         r2 = x * x + y * y
         if r2 < 1.0:
+            if r2 < _DENOM_TINY:
+                raise DegenerateInputError(
+                    f"|z|^2 = {r2} underflowed at {x} + {y}i; -1/z is not representable"
+                )
             # z -> -1/z, i.e. left-multiply the witness by [[0,-1],[1,0]].
             x = -x / r2
             y = y / r2
@@ -201,7 +205,8 @@ def reduce_to_fundamental_domain(
     Returns (z_F, gamma) with gamma • z = z_F exactly in the group sense and
     within float reconstruction error numerically.  Points already in
     canonical form are returned unchanged (bit-identical) with the identity
-    witness, so the reduction is exactly idempotent.
+    witness, so the reduction is exactly idempotent.  Raises
+    DegenerateInputError when |z|^2 underflows on the way.
     """
     if _is_canonical(z.x, z.y):
         return z, ModularMatrix.identity()
@@ -248,13 +253,6 @@ def reduce_points(x, y, max_iter: int = _REDUCTION_MAX_ITER):
     if tie.any():
         flat_x[tie] = -flat_x[tie]
     return flat_x.reshape(x.shape), flat_y.reshape(y.shape)
-
-
-def hyperbolic_distance(p: UpperHalfPoint, q: UpperHalfPoint) -> float:
-    """Geodesic distance arccosh(1 + |p - q|^2 / (2 y_p y_q))."""
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * p.y * q.y))
 
 
 def hyperbolic_laplacian_fd(f, z: UpperHalfPoint, h: float) -> float:

@@ -20,8 +20,9 @@ from .mesh import DomainGrid
 
 TWO_PI = 2.0 * np.pi
 
-# Allowed fields and defaults per initial-condition kind; shared with the
-# config parser so unknown fields are rejected before a run starts.
+# Allowed fields and defaults per initial-condition kind.  resolve_spec checks
+# specs against it, for the config parser too, so unknown fields are rejected
+# before a run starts.
 KIND_DEFAULTS: dict[str, dict] = {
     "constant": {"u0": 0.0, "v0": 1.0},
     "sinusoidal": {"u0": 0.0, "v0": 1.0, "amp_u": 0.15, "amp_v": 0.1,
@@ -55,33 +56,40 @@ def smooth_random_field(
     return f * (amplitude / peak)
 
 
-def _require(spec: dict, allowed: dict, kind: str) -> dict:
-    out = {}
-    for key, value in spec.items():
-        if key == "kind":
-            continue
-        if key not in allowed:
-            raise ValueError(f"unknown field {key!r} for initial kind {kind!r}")
-        out[key] = value
-    for key, default in allowed.items():
-        out.setdefault(key, default)
-    return out
+class SpecError(ValueError):
+    """An initial spec names an unknown kind or field; .key is that key."""
+
+    def __init__(self, message: str, key: str):
+        super().__init__(message)
+        self.key = key
+
+
+def resolve_spec(spec: dict) -> tuple[str, dict]:
+    """The kind of an initial spec, and the spec with the kind's defaults
+    filled in.  The one check of a spec's keys against KIND_DEFAULTS."""
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in KIND_DEFAULTS:
+        raise SpecError(
+            f"unknown kind {kind!r}; expected one of {sorted(KIND_DEFAULTS)}", "kind"
+        )
+    for key in spec:
+        if key != "kind" and key not in KIND_DEFAULTS[kind]:
+            raise SpecError(f"unknown field {key!r} for initial kind {kind!r}", key)
+    return kind, {**KIND_DEFAULTS[kind], **spec}
 
 
 def build_initial_state(
     grid: DomainGrid, spec: dict, rng: np.random.Generator | None = None
 ) -> MapState:
     """Build the t = 0 state described by a config dictionary."""
-    kind = spec.get("kind")
+    kind, p = resolve_spec(spec)
     x1, x2 = grid.x1, grid.x2
     ones = np.ones(grid.shape)
     if kind == "constant":
-        p = _require(spec, KIND_DEFAULTS[kind], kind)
         if not p["v0"] > 0.0:
             raise ValueError(f"constant map needs v0 > 0, got {p['v0']}")
         return MapState(grid, p["u0"] * ones, p["v0"] * ones)
     if kind == "sinusoidal":
-        p = _require(spec, KIND_DEFAULTS[kind], kind)
         ku, lu = (int(m) for m in p["mode_u"])
         kv, lv = (int(m) for m in p["mode_v"])
         if abs(p["amp_v"]) >= p["v0"]:
@@ -92,27 +100,23 @@ def build_initial_state(
         v = p["v0"] + p["amp_v"] * np.cos(TWO_PI * kv * x1) * np.sin(TWO_PI * lv * x2)
         return MapState(grid, u * ones, v * ones)
     if kind == "winding":
-        p = _require(spec, KIND_DEFAULTS[kind], kind)
         u = p["amp"] * np.sin(TWO_PI * int(p["k"]) * x1) * ones
         v = np.exp(p["b"] * np.cos(TWO_PI * int(p["m"]) * x2)) * ones
         return MapState(grid, u, v)
     if kind == "random":
-        p = _require(spec, KIND_DEFAULTS[kind], kind)
         if rng is None:
             raise ValueError("random initial data needs a seeded generator")
         u = p["u0"] + smooth_random_field(grid, rng, int(p["max_mode"]), p["amp_u"])
         # Multiplicative exponential keeps v positive for any draw.
         v = p["v0"] * np.exp(smooth_random_field(grid, rng, int(p["max_mode"]), p["amp_v"]))
         return MapState(grid, u, v)
-    if kind == "file":
-        p = _require(spec, KIND_DEFAULTS[kind], kind)
-        if not p["path"]:
-            raise ValueError("file initial data needs a 'path'")
-        state = read_snapshot(p["path"])
-        if state.grid != grid:
-            raise ValueError(
-                f"snapshot grid {state.grid.shape} does not match configured "
-                f"grid {grid.shape}"
-            )
-        return MapState(grid, state.u, state.v, 0.0)
-    raise ValueError(f"unknown initial kind {kind!r}")
+    # kind == "file"
+    if not p["path"]:
+        raise ValueError("file initial data needs a 'path'")
+    state = read_snapshot(p["path"])
+    if state.grid != grid:
+        raise ValueError(
+            f"snapshot grid {state.grid.shape} does not match configured "
+            f"grid {grid.shape}"
+        )
+    return MapState(grid, state.u, state.v, 0.0)

@@ -12,20 +12,13 @@ series, and the degenerate-set / tail diagnostics bundled in EntropyReport.
 from __future__ import annotations
 
 import json
-import math
-import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import table
 from .flow import MapState, jacobian_det
-from .hyperbolic import (
-    FundamentalDomainBinning,
-    UpperHalfPoint,
-    hyperbolic_laplacian_fd,
-    reduce_points,
-)
+from .hyperbolic import FundamentalDomainBinning, reduce_points
 
 MEASURE_SCHEMA = "moduliflow-measure-v1"
 ENTROPY_SCHEMA = "moduliflow-entropy-v1"
@@ -149,13 +142,6 @@ def weak_star_pairing(mu, f) -> float:
     return _pairing(mu.masses, *_on_bins(mu.binning, f))
 
 
-def weak_star_pairing_exact(state: MapState, f) -> float:
-    """Node-exact pairing of the pushforward with f: w * sum f(reduced image).
-    Preferred over the binned pairing when the state is available."""
-    xf, yf = reduce_points(state.u, state.v)
-    return float(state.grid.w * np.sum(f.value(xf, yf)))
-
-
 class MeasureSeries:
     """Measures of one binning at nondecreasing times, with their masses
     stacked once into a (K, n_bins + 1) array that every average reads.
@@ -232,36 +218,6 @@ def ergodic_error_from_measures(series: MeasureSeries, f,
         abs(_pairing(series.average(k + 1).masses, live, overflow_value) - target)
         for k in range(len(series))
     ])
-
-
-def laplacian_invariance_diagnostic(mu, f, fd_step: float = 1e-4) -> float:
-    """Pairing of mu with the hyperbolic Laplacian of f, the Laplacian taken
-    by the pointwise finite-difference stencil at each bin centroid.
-
-    For an exactly invariant measure this vanishes for every smooth f; the
-    value is reported, never asserted.  A support box reaching outside the
-    truncated fundamental domain triggers a warning since mass near the
-    boundary is then attributed incorrectly.
-    """
-    binning = mu.binning
-    box = getattr(f, "support_box", None)
-    if box is not None:
-        x_lo, x_hi, y_lo, y_hi = box
-        inner = min(1.0, binning.y_min + binning.dy)
-        if (x_lo <= -0.5 or x_hi >= 0.5 or y_lo <= inner or y_hi >= binning.y_max):
-            warnings.warn(
-                "observable support touches the fundamental-domain boundary; "
-                "the invariance pairing is unreliable there",
-                stacklevel=2,
-            )
-    total = 0.0
-    for mass, cx, cy in zip(mu.masses[:-1], binning.center_x, binning.center_y):
-        if mass > 0.0:
-            point = UpperHalfPoint(float(cx), float(cy))
-            total += float(mass) * hyperbolic_laplacian_fd(
-                lambda x, y: float(f.value(x, y)), point, fd_step
-            )
-    return total
 
 
 @dataclass

@@ -1,7 +1,7 @@
-"""Smooth observables on the target used for weak-* diagnostics.
+"""The smooth observable on the target used for weak-* diagnostics.
 
-The workhorse is a tensor-product polynomial bump: compactly supported, C^4
-across the support boundary, with analytic gradient and Hessian so that
+It is a tensor-product polynomial bump: compactly supported, C^4 across the
+support boundary, with analytic gradient and Hessian so that
 finite-difference convergence studies are not polluted by the observable's
 own differentiation error.  All evaluators accept scalars or numpy arrays.
 """
@@ -86,80 +86,3 @@ class BumpFunction:
     def __repr__(self):
         return (f"BumpFunction(center=({self.cx}, {self.cy}), "
                 f"radii=({self.rx}, {self.ry}), amplitude={self.amplitude})")
-
-
-class ConstantOne:
-    """f = 1 everywhere, including the overflow bin.  Not compactly
-    supported; used to audit total mass through the pairing machinery."""
-
-    overflow_value = 1.0
-
-    def value(self, x, y):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def gradient(self, x, y):
-        z = np.zeros_like(np.asarray(x, dtype=float))
-        return z, z.copy()
-
-    def hessian(self, x, y):
-        z = np.zeros_like(np.asarray(x, dtype=float))
-        return z, z.copy(), z.copy()
-
-
-class AffineFunction:
-    """f = a + bx + cy; zero Euclidean Hessian (the hyperbolic one is not)."""
-
-    overflow_value = 0.0  # only meaningful for pairings that never see it
-
-    def __init__(self, a: float, b: float, c: float):
-        self.a, self.b, self.c = float(a), float(b), float(c)
-
-    def value(self, x, y):
-        return self.a + self.b * np.asarray(x, float) + self.c * np.asarray(y, float)
-
-    def gradient(self, x, y):
-        shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
-        return np.full(shape, self.b), np.full(shape, self.c)
-
-    def hessian(self, x, y):
-        shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
-        z = np.zeros(shape)
-        return z, z.copy(), z.copy()
-
-
-def _plateau(s, flat: float):
-    """1 on |s| <= flat, smoothstep taper to 0 at |s| = 1, C^2 throughout."""
-    s = np.abs(np.asarray(s, dtype=float))
-    p = np.clip((s - flat) / (1.0 - flat), 0.0, 1.0)
-    return 1.0 - p**3 * (10.0 - 15.0 * p + 6.0 * p * p)
-
-
-class WindowedHarmonic:
-    """f(x, y) = y * W(x, y) with W a plateau window that is exactly 1 on an
-    inner box.  y is harmonic for the hyperbolic Laplacian, so the Laplacian
-    of f vanishes identically on the plateau; any measure supported there
-    pairs to zero with it up to stencil rounding."""
-
-    overflow_value = 0.0
-
-    def __init__(self, center, radii, flat: float = 0.5):
-        cx, cy = (float(c) for c in center)
-        rx, ry = (float(r) for r in radii)
-        if not (rx > 0.0 and ry > 0.0 and 0.0 < flat < 1.0):
-            raise ValueError("need positive radii and flat fraction in (0, 1)")
-        self.cx, self.cy, self.rx, self.ry, self.flat = cx, cy, rx, ry, flat
-
-    @property
-    def plateau_box(self) -> tuple[float, float, float, float]:
-        return (self.cx - self.flat * self.rx, self.cx + self.flat * self.rx,
-                self.cy - self.flat * self.ry, self.cy + self.flat * self.ry)
-
-    @property
-    def support_box(self) -> tuple[float, float, float, float]:
-        return (self.cx - self.rx, self.cx + self.rx,
-                self.cy - self.ry, self.cy + self.ry)
-
-    def value(self, x, y):
-        sx = (np.asarray(x, float) - self.cx) / self.rx
-        sy = (np.asarray(y, float) - self.cy) / self.ry
-        return np.asarray(y, float) * _plateau(sx, self.flat) * _plateau(sy, self.flat)

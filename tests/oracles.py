@@ -1,0 +1,143 @@
+"""Test oracles: reference computations and observables that only the tests use.
+
+They check the product code in src/ from outside it:
+
+* ConstantOne, AffineFunction, WindowedHarmonic -- observables with known
+  gradients, Hessians or hyperbolic Laplacians;
+* weak_star_pairing_exact -- the node-exact pairing the binned
+  weak_star_pairing approximates;
+* laplacian_invariance_diagnostic -- the pairing of a measure with the
+  finite-difference hyperbolic Laplacian of an observable;
+* hyperbolic_distance -- the geodesic distance of the upper half-plane.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+
+import numpy as np
+
+from moduliflow.flow import MapState
+from moduliflow.hyperbolic import UpperHalfPoint, hyperbolic_laplacian_fd, reduce_points
+
+
+class ConstantOne:
+    """f = 1 everywhere, including the overflow bin.  Not compactly
+    supported; used to audit total mass through the pairing machinery."""
+
+    overflow_value = 1.0
+
+    def value(self, x, y):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    def gradient(self, x, y):
+        z = np.zeros_like(np.asarray(x, dtype=float))
+        return z, z.copy()
+
+    def hessian(self, x, y):
+        z = np.zeros_like(np.asarray(x, dtype=float))
+        return z, z.copy(), z.copy()
+
+
+class AffineFunction:
+    """f = a + bx + cy; zero Euclidean Hessian (the hyperbolic one is not)."""
+
+    overflow_value = 0.0  # only meaningful for pairings that never see it
+
+    def __init__(self, a: float, b: float, c: float):
+        self.a, self.b, self.c = float(a), float(b), float(c)
+
+    def value(self, x, y):
+        return self.a + self.b * np.asarray(x, float) + self.c * np.asarray(y, float)
+
+    def gradient(self, x, y):
+        shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
+        return np.full(shape, self.b), np.full(shape, self.c)
+
+    def hessian(self, x, y):
+        shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
+        z = np.zeros(shape)
+        return z, z.copy(), z.copy()
+
+
+def _plateau(s, flat: float):
+    """1 on |s| <= flat, smoothstep taper to 0 at |s| = 1, C^2 throughout."""
+    s = np.abs(np.asarray(s, dtype=float))
+    p = np.clip((s - flat) / (1.0 - flat), 0.0, 1.0)
+    return 1.0 - p**3 * (10.0 - 15.0 * p + 6.0 * p * p)
+
+
+class WindowedHarmonic:
+    """f(x, y) = y * W(x, y) with W a plateau window that is exactly 1 on an
+    inner box.  y is harmonic for the hyperbolic Laplacian, so the Laplacian
+    of f vanishes identically on the plateau; any measure supported there
+    pairs to zero with it up to stencil rounding."""
+
+    overflow_value = 0.0
+
+    def __init__(self, center, radii, flat: float = 0.5):
+        cx, cy = (float(c) for c in center)
+        rx, ry = (float(r) for r in radii)
+        if not (rx > 0.0 and ry > 0.0 and 0.0 < flat < 1.0):
+            raise ValueError("need positive radii and flat fraction in (0, 1)")
+        self.cx, self.cy, self.rx, self.ry, self.flat = cx, cy, rx, ry, flat
+
+    @property
+    def plateau_box(self) -> tuple[float, float, float, float]:
+        return (self.cx - self.flat * self.rx, self.cx + self.flat * self.rx,
+                self.cy - self.flat * self.ry, self.cy + self.flat * self.ry)
+
+    @property
+    def support_box(self) -> tuple[float, float, float, float]:
+        return (self.cx - self.rx, self.cx + self.rx,
+                self.cy - self.ry, self.cy + self.ry)
+
+    def value(self, x, y):
+        sx = (np.asarray(x, float) - self.cx) / self.rx
+        sy = (np.asarray(y, float) - self.cy) / self.ry
+        return np.asarray(y, float) * _plateau(sx, self.flat) * _plateau(sy, self.flat)
+
+
+def weak_star_pairing_exact(state: MapState, f) -> float:
+    """Node-exact pairing of the pushforward with f: w * sum f(reduced image).
+    Preferred over the binned pairing when the state is available."""
+    xf, yf = reduce_points(state.u, state.v)
+    return float(state.grid.w * np.sum(f.value(xf, yf)))
+
+
+def laplacian_invariance_diagnostic(mu, f, fd_step: float = 1e-4) -> float:
+    """Pairing of mu with the hyperbolic Laplacian of f, the Laplacian taken
+    by the pointwise finite-difference stencil at each bin centroid.
+
+    For an exactly invariant measure this vanishes for every smooth f; the
+    value is reported, never asserted.  A support box reaching outside the
+    truncated fundamental domain triggers a warning since mass near the
+    boundary is then attributed incorrectly.
+    """
+    binning = mu.binning
+    box = getattr(f, "support_box", None)
+    if box is not None:
+        x_lo, x_hi, y_lo, y_hi = box
+        inner = min(1.0, binning.y_min + binning.dy)
+        if (x_lo <= -0.5 or x_hi >= 0.5 or y_lo <= inner or y_hi >= binning.y_max):
+            warnings.warn(
+                "observable support touches the fundamental-domain boundary; "
+                "the invariance pairing is unreliable there",
+                stacklevel=2,
+            )
+    total = 0.0
+    for mass, cx, cy in zip(mu.masses[:-1], binning.center_x, binning.center_y):
+        if mass > 0.0:
+            point = UpperHalfPoint(float(cx), float(cy))
+            total += float(mass) * hyperbolic_laplacian_fd(
+                lambda x, y: float(f.value(x, y)), point, fd_step
+            )
+    return total
+
+
+def hyperbolic_distance(p: UpperHalfPoint, q: UpperHalfPoint) -> float:
+    """Geodesic distance arccosh(1 + |p - q|^2 / (2 y_p y_q))."""
+    dx = p.x - q.x
+    dy = p.y - q.y
+    return math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * p.y * q.y))

@@ -87,6 +87,11 @@ class TestConfigParsing:
             config_from_dict({"initial": {"kind": "constant", "amp_u": 1.0}})
         assert "initial" in str(info.value)
 
+    def test_unhashable_initial_kind_is_rejected_by_name(self):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"initial": {"kind": ["constant"]}})
+        assert "initial.kind" in str(info.value)
+
     def test_test_function_validation(self):
         with pytest.raises(ConfigError) as info:
             config_from_dict({"test_functions": [{"center": [0, 1.5]}]})
@@ -305,6 +310,26 @@ class TestSweep:
         assert "variants[1] (b): initial" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_variant_at_the_v_floor_stops_the_sweep_before_any_output(self, tmp_path,
+                                                                      capsys):
+        grid = DomainGrid(16, 16)
+        snap = tmp_path / "low.csv"
+        write_snapshot(MapState(grid, grid.zeros(), grid.full(1e-9)), snap)
+        sweep = {
+            "base": dict(FAST_OVERRIDES),
+            "variants": [
+                {"name": "a"},
+                {"name": "low", "initial": {"kind": "file", "path": str(snap)}},
+            ],
+        }
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps(sweep))
+        assert main(["sweep", "--config", str(sweep_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "variants[1] (low): initial" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", [None, '{"base": {}, "variants": ['],
                              ids=["missing", "malformed_json"])
     def test_unreadable_sweep_config_exits_2(self, tmp_path, capsys, text):
@@ -338,7 +363,8 @@ class TestMain:
         assert -0.5 <= x < 0.5 and x * x + y * y >= 1.0 - 1e-12
         assert "gamma" in lines
 
-    @pytest.mark.parametrize("x, y", [("0.3", "0"), ("nan", "1"), ("inf", "1")])
+    @pytest.mark.parametrize("x, y", [("0.3", "0"), ("nan", "1"), ("inf", "1"),
+                                      ("0.1", "1e-300")])
     def test_reduce_of_a_bad_point_exits_2(self, capsys, x, y):
         assert main(["reduce", x, y]) == 2
         out, err = capsys.readouterr()
@@ -399,6 +425,21 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "run")]) == 2
         assert "initial" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_initial_state_at_the_v_floor_exits_2_before_any_output(self, tmp_path,
+                                                                    capsys):
+        grid = DomainGrid(16, 16)
+        snap = tmp_path / "low.csv"
+        write_snapshot(MapState(grid, grid.zeros(), grid.full(1e-9)), snap)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            dict(FAST_OVERRIDES, initial={"kind": "file", "path": str(snap)})
+        ))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial:") and len(err.splitlines()) == 1
         assert not (tmp_path / "run").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
@@ -487,6 +528,15 @@ class TestMain:
         run_experiment(_fast_config(), tmp_path / "run")
         grid = DomainGrid(8, 8)
         write_snapshot(MapState(grid, grid.zeros(), grid.full(1.0)),
+                       tmp_path / "run" / "snapshots" / "snapshot_0001.csv")
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "snapshot_0001.csv" in err and len(err.splitlines()) == 1
+
+    def test_snapshot_below_the_v_floor_exits_2(self, tmp_path, capsys):
+        run_experiment(_fast_config(), tmp_path / "run")
+        grid = DomainGrid(16, 16)
+        write_snapshot(MapState(grid, grid.zeros(), grid.full(1e-300)),
                        tmp_path / "run" / "snapshots" / "snapshot_0001.csv")
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err

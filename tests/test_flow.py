@@ -26,7 +26,8 @@ from moduliflow.flow import (
 )
 from moduliflow.initial import build_initial_state
 from moduliflow.mesh import DomainGrid
-from moduliflow.testfunctions import AffineFunction, BumpFunction
+from moduliflow.testfunctions import BumpFunction
+from oracles import AffineFunction
 
 TWO_PI = 2.0 * np.pi
 

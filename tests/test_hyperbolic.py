@@ -2,22 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moduliflow.hyperbolic import (
     FUNDAMENTAL_DOMAIN_AREA,
     FUNDAMENTAL_DOMAIN_Y_MIN,
+    DegenerateInputError,
     FundamentalDomainBinning,
     ModularMatrix,
     ReductionError,
     UpperHalfPoint,
     hyperbolic_cell_mass,
-    hyperbolic_distance,
     hyperbolic_laplacian_fd,
     mobius_apply,
     mobius_apply_xy,
     reduce_points,
     reduce_to_fundamental_domain,
 )
+from oracles import hyperbolic_distance
 
 
 class TestUpperHalfPoint:
@@ -185,6 +187,42 @@ class TestReduction:
         with pytest.raises(ReductionError) as info:
             reduce_points(np.array([3.7]), np.array([0.2]), max_iter=1)
         assert info.value.iterations == 1
+
+    def test_underflowing_modulus_is_degenerate(self):
+        # The iterates of 0.1 + 1e-300i reach x = 0 with y near 1e-269, where
+        # |z|^2 underflows to 0 and -1/z cannot be formed.
+        with pytest.raises(DegenerateInputError):
+            reduce_to_fundamental_domain(UpperHalfPoint(0.1, 1e-300))
+
+
+_points = st.tuples(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(1e-6, 1e6, allow_nan=False),
+)
+
+
+class TestReductionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(point=_points)
+    def test_batch_equals_scalar_bit_for_bit(self, point):
+        red, _ = reduce_to_fundamental_domain(UpperHalfPoint(*point))
+        bx, by = reduce_points([point[0]], [point[1]])
+        assert bx[0] == red.x and by[0] == red.y
+
+    @settings(max_examples=200, deadline=None)
+    @given(point=_points)
+    def test_result_is_canonical(self, point):
+        red, _ = reduce_to_fundamental_domain(UpperHalfPoint(*point))
+        assert -0.5 <= red.x < 0.5
+        assert red.x * red.x + red.y * red.y >= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(point=_points)
+    def test_reduction_is_idempotent_bit_for_bit(self, point):
+        red, _ = reduce_to_fundamental_domain(UpperHalfPoint(*point))
+        again, g = reduce_to_fundamental_domain(red)
+        assert again.x == red.x and again.y == red.y
+        assert g.is_identity()
 
 
 class TestDistance:

@@ -22,7 +22,6 @@ from moduliflow.measures import (
     entropy_from_masses,
     entropy_report,
     ergodic_error_from_measures,
-    laplacian_invariance_diagnostic,
     pushforward,
     radon_nikodym,
     read_measure,
@@ -30,11 +29,16 @@ from moduliflow.measures import (
     relative_entropy,
     time_average,
     weak_star_pairing,
-    weak_star_pairing_exact,
     write_measure,
 )
 from moduliflow.mesh import DomainGrid
-from moduliflow.testfunctions import BumpFunction, ConstantOne, WindowedHarmonic
+from moduliflow.testfunctions import BumpFunction
+from oracles import (
+    ConstantOne,
+    WindowedHarmonic,
+    laplacian_invariance_diagnostic,
+    weak_star_pairing_exact,
+)
 
 
 def _constant_state(grid, x0, y0, t=0.0):

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from moduliflow.testfunctions import (
-    AffineFunction,
-    BumpFunction,
-    ConstantOne,
-    WindowedHarmonic,
-)
+from moduliflow.testfunctions import BumpFunction
+from oracles import AffineFunction, ConstantOne, WindowedHarmonic
 
 
 def _fd_gradient(f, x, y, h=1e-5):
