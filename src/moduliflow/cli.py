@@ -25,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -288,30 +288,37 @@ def _series_columns(config: FlowConfig) -> list:
     ]
 
 
+def _same_fields(a: flow.MapState, b: flow.MapState) -> bool:
+    """Whether two states share their arrays, as run_flow's frozen snapshots do."""
+    return a.u is b.u and a.v is b.v
+
+
 def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt):
     """Measure the snapshots as the config directs; shared by run and analyze.
 
     Returns (rows, reports, series): rows is the series table, one row per
     snapshot in _series_columns order, with the stepping history cumulative_d
     and dt echoed; series is the MeasureSeries of the snapshots'
-    pushforwards.  Each snapshot gets one pushforward and one edge pass, and
-    every observable's ergodic series reads the one stack of masses.
+    pushforwards.  A snapshot with its predecessor's fields reuses its
+    measurements; every observable's ergodic series reads one mass stack.
     """
     binning = FundamentalDomainBinning(
         config.binning.n_x, config.binning.n_y, config.binning.y_max
     )
     reference = ms.reference_measure(binning)
     ws = flow._EdgeWorkspace((config.grid.n1, config.grid.n2))
-    mus, reports, energies, dissipations = [], [], [], []
-    for s in snapshots:
-        mu = ms.pushforward(s, binning)
-        e, _, d = flow._edge_pass(s, ws)
-        mus.append(mu)
-        reports.append(ms.entropy_report(
-            s, mu, reference, config.density_threshold, config.jacobian_threshold
-        ))
-        energies.append(e)
-        dissipations.append(d)
+    measured = []
+    for k, s in enumerate(snapshots):
+        if k and _same_fields(s, snapshots[k - 1]):
+            mu, report = replace(mu, t=s.t), replace(report, t=s.t)
+        else:
+            mu = ms.pushforward(s, binning)
+            e, _, d = flow._edge_pass(s, ws)
+            report = ms.entropy_report(
+                s, mu, reference, config.density_threshold, config.jacobian_threshold
+            )
+        measured.append((mu, report, e, d))
+    mus, reports, energies, dissipations = zip(*measured)
     series = ms.MeasureSeries(mus)
     ergodic = [
         ms.ergodic_error_from_measures(
@@ -375,9 +382,11 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
         "cumulative_D": traj.cumulative_dissipation, "dt": traj.dt_used,
     })
 
-    for k, snap in enumerate(traj.snapshots):
-        flow.write_snapshot(snap, out / "snapshots" / f"snapshot_{k:04d}.csv")
-        ms.write_measure(mu_series.measures[k], out / "measures" / f"measure_{k:04d}.csv")
+    for k, (snap, mu) in enumerate(zip(traj.snapshots, mu_series.measures)):
+        if not (k and _same_fields(snap, traj.snapshots[k - 1])):
+            snap_rows, mu_rows = [], []  # otherwise only t differs from the last files
+        flow.write_snapshot(snap, out / "snapshots" / f"snapshot_{k:04d}.csv", snap_rows)
+        ms.write_measure(mu, out / "measures" / f"measure_{k:04d}.csv", mu_rows)
     if len(mu_series) >= 2:
         ms.write_measure(mu_series.average(), out / "measures" / "time_average.csv")
 
@@ -429,7 +438,8 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
         raise ValueError(
             f"{len(snap_paths)} snapshots vs {len(stored)} series rows"
         )
-    snapshots = [flow.read_snapshot(p) for p in snap_paths]
+    last = {}  # a file that repeats the last one's rows gets that state's arrays
+    snapshots = [flow.read_snapshot(p, last) for p in snap_paths]
     grid = (config.grid.n1, config.grid.n2)
     for path, snap in zip(snap_paths, snapshots):
         if snap.grid.shape != grid:

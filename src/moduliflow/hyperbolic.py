@@ -217,8 +217,8 @@ def reduce_to_fundamental_domain(
 def reduce_points(x, y, max_iter: int = _REDUCTION_MAX_ITER):
     """Vectorised reduction of arrays of points (no witnesses).
 
-    Performs the same float operations as the scalar loop, so results agree
-    bitwise with reduce_to_fundamental_domain applied pointwise.
+    Performs the float operations and raises the errors of the scalar loop,
+    so results agree bitwise with reduce_to_fundamental_domain pointwise.
     """
     x = np.array(x, dtype=float, copy=True)
     y = np.array(y, dtype=float, copy=True)
@@ -240,6 +240,9 @@ def reduce_points(x, y, max_iter: int = _REDUCTION_MAX_ITER):
         r2 = flat_x * flat_x + flat_y * flat_y
         inv = active & (r2 < 1.0)
         if inv.any():
+            if (tiny := inv & (r2 < _DENOM_TINY)).any():
+                raise DegenerateInputError(f"|z|^2 = {r2[tiny][0]} underflowed at "
+                                           f"{flat_x[tiny][0]} + {flat_y[tiny][0]}i")
             np.divide(-flat_x, r2, out=flat_x, where=inv)
             np.divide(flat_y, r2, out=flat_y, where=inv)
         done = active & ~inv & (-0.5 <= flat_x) & (flat_x < 0.5)

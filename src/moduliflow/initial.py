@@ -21,8 +21,8 @@ from .mesh import DomainGrid
 TWO_PI = 2.0 * np.pi
 
 # Allowed fields and defaults per initial-condition kind.  resolve_spec checks
-# specs against it, for the config parser too, so unknown fields are rejected
-# before a run starts.
+# specs against it, for the config parser too, so unknown fields and values
+# of the wrong type (see _check_value) are rejected before a run starts.
 KIND_DEFAULTS: dict[str, dict] = {
     "constant": {"u0": 0.0, "v0": 1.0},
     "sinusoidal": {"u0": 0.0, "v0": 1.0, "amp_u": 0.15, "amp_v": 0.1,
@@ -31,6 +31,23 @@ KIND_DEFAULTS: dict[str, dict] = {
     "random": {"u0": 0.0, "v0": 1.0, "amp_u": 0.2, "amp_v": 0.2, "max_mode": 3},
     "file": {"path": None},
 }
+
+
+def _check_value(key: str, value, default) -> None:
+    """A value has its default's type: an integer, a pair of integers, a
+    string (the file path) or else any number; a bool is none of these."""
+    if isinstance(default, list):
+        ok, want = (isinstance(value, list) and len(value) == len(default)
+                    and all(type(m) is int for m in value)), "a pair of integers"
+    elif default is None:
+        ok, want = isinstance(value, str), "a string"
+    elif type(default) is int:
+        ok, want = type(value) is int, "an integer"
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        want = "a number"
+    if not ok:
+        raise SpecError(f"expected {want}, got {value!r}", key)
 
 
 def smooth_random_field(
@@ -57,7 +74,7 @@ def smooth_random_field(
 
 
 class SpecError(ValueError):
-    """An initial spec names an unknown kind or field; .key is that key."""
+    """An initial spec has an unknown kind or field or a bad value; .key names it."""
 
     def __init__(self, message: str, key: str):
         super().__init__(message)
@@ -66,15 +83,16 @@ class SpecError(ValueError):
 
 def resolve_spec(spec: dict) -> tuple[str, dict]:
     """The kind of an initial spec, and the spec with the kind's defaults
-    filled in.  The one check of a spec's keys against KIND_DEFAULTS."""
+    filled in.  The one check of a spec against KIND_DEFAULTS."""
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in KIND_DEFAULTS:
         raise SpecError(
             f"unknown kind {kind!r}; expected one of {sorted(KIND_DEFAULTS)}", "kind"
         )
-    for key in spec:
-        if key != "kind" and key not in KIND_DEFAULTS[kind]:
+    for key in (k for k in spec if k != "kind"):
+        if key not in KIND_DEFAULTS[kind]:
             raise SpecError(f"unknown field {key!r} for initial kind {kind!r}", key)
+        _check_value(key, spec[key], KIND_DEFAULTS[kind][key])
     return kind, {**KIND_DEFAULTS[kind], **spec}
 
 
@@ -90,8 +108,8 @@ def build_initial_state(
             raise ValueError(f"constant map needs v0 > 0, got {p['v0']}")
         return MapState(grid, p["u0"] * ones, p["v0"] * ones)
     if kind == "sinusoidal":
-        ku, lu = (int(m) for m in p["mode_u"])
-        kv, lv = (int(m) for m in p["mode_v"])
+        ku, lu = p["mode_u"]
+        kv, lv = p["mode_v"]
         if abs(p["amp_v"]) >= p["v0"]:
             raise ValueError(
                 f"|amp_v| = {abs(p['amp_v'])} must stay below v0 = {p['v0']}"
@@ -100,15 +118,15 @@ def build_initial_state(
         v = p["v0"] + p["amp_v"] * np.cos(TWO_PI * kv * x1) * np.sin(TWO_PI * lv * x2)
         return MapState(grid, u * ones, v * ones)
     if kind == "winding":
-        u = p["amp"] * np.sin(TWO_PI * int(p["k"]) * x1) * ones
-        v = np.exp(p["b"] * np.cos(TWO_PI * int(p["m"]) * x2)) * ones
+        u = p["amp"] * np.sin(TWO_PI * p["k"] * x1) * ones
+        v = np.exp(p["b"] * np.cos(TWO_PI * p["m"] * x2)) * ones
         return MapState(grid, u, v)
     if kind == "random":
         if rng is None:
             raise ValueError("random initial data needs a seeded generator")
-        u = p["u0"] + smooth_random_field(grid, rng, int(p["max_mode"]), p["amp_u"])
+        u = p["u0"] + smooth_random_field(grid, rng, p["max_mode"], p["amp_u"])
         # Multiplicative exponential keeps v positive for any draw.
-        v = p["v0"] * np.exp(smooth_random_field(grid, rng, int(p["max_mode"]), p["amp_v"]))
+        v = p["v0"] * np.exp(smooth_random_field(grid, rng, p["max_mode"], p["amp_v"]))
         return MapState(grid, u, v)
     # kind == "file"
     if not p["path"]:

@@ -264,17 +264,17 @@ def entropy_report(
     )
 
 
-def write_measure(mu, path) -> None:
+def write_measure(mu, path, rows: list | None = None) -> None:
     """Write a measure as a table: metadata n_x,n_y,y_max,t, then
     bin_ix,bin_iy,mass rows in the binning's bin order with the overflow bin
-    last as (-1,-1)."""
+    last as (-1,-1).  rows is table.write_table's, for measures of the same masses."""
     b = mu.binning
     table.write_table(
         path, MEASURE_SCHEMA,
         {"bin_ix": np.append(b.bin_ix, -1), "bin_iy": np.append(b.bin_iy, -1),
          "mass": mu.masses},
         meta={"n_x": b.n_x, "n_y": b.n_y, "y_max": float(b.y_max),
-              "t": float(getattr(mu, "t", 0.0))},
+              "t": float(getattr(mu, "t", 0.0))}, rows=rows,
     )
 
 

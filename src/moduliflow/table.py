@@ -14,10 +14,11 @@ import io
 import numpy as np
 
 
-def write_table(path, schema: str, columns: dict, meta: dict | None = None) -> None:
+def write_table(path, schema: str, columns: dict, meta: dict | None = None, rows=None) -> None:
     """Write columns (name -> 1-D array, all the same length) as a table;
     meta maps names to single numbers.  Values go through numpy's tolist or
-    item, so numpy scalars print as plain numbers."""
+    item, so numpy scalars print as plain numbers.  An empty list as rows is
+    filled with the data lines, and a filled one is written in their place."""
     head = [f"# schema: {schema}"]
     if meta is not None:
         head.append(",".join(meta))
@@ -26,10 +27,15 @@ def write_table(path, schema: str, columns: dict, meta: dict | None = None) -> N
     data = [np.asarray(c) for c in columns.values()]
     with open(path, "w") as fh:
         fh.write("\n".join(head) + "\n")
+        if rows:
+            fh.writelines(rows)
+            return
         # 1024 rows at a time, so that long tables need little memory.
         for start in range(0, len(data[0]), 1024):
             cells = [map(repr, c[start:start + 1024].tolist()) for c in data]
-            fh.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
+            fh.write(chunk := "\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
+            if rows is not None:
+                rows.append(chunk)
 
 
 def _expect_line(fh, want: str) -> None:
@@ -38,7 +44,7 @@ def _expect_line(fh, want: str) -> None:
         raise ValueError(f"expected {want!r}, found {got!r}")
 
 
-def read_table(path, schema: str, columns, meta_names=None):
+def read_table(path, schema: str, columns, meta_names=None, last=None):
     """Read a table written by write_table with these names.
 
     Returns (meta, body): meta maps each of meta_names to its field as text
@@ -46,6 +52,9 @@ def read_table(path, schema: str, columns, meta_names=None):
     line and one column per name.  Raises ValueError unless the schema line
     and headers match exactly and every row holds one number per column; no
     row is skipped as a comment, and a table without rows is rejected.
+    last, a dict handed to each read of a sequence of tables, keeps the
+    latest data text and body: a table with that text gets that body
+    unparsed, and one with other text clears the dict.
     """
     try:
         with open(path) as fh:
@@ -59,6 +68,8 @@ def read_table(path, schema: str, columns, meta_names=None):
                 meta = dict(zip(meta_names, values))
             _expect_line(fh, ",".join(columns))
             text = fh.read()
+        if last is not None and text == last.get("text"):
+            return meta, last["body"]
         if not text.strip():
             raise ValueError("no data rows")
         body = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
@@ -66,4 +77,7 @@ def read_table(path, schema: str, columns, meta_names=None):
             raise ValueError(f"rows have {body.shape[1]} fields, expected {len(columns)}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if last is not None:
+        last.clear()
+        last.update(text=text, body=body)
     return meta, body

@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from moduliflow import flow as flow_module, measures as measures_module
 from moduliflow.cli import (
     ConfigError,
     FlowConfig,
     analyze_run,
+    compute_snapshot_diagnostics,
     config_from_dict,
     emit_config,
     main,
@@ -28,6 +30,7 @@ from moduliflow.measures import (
     reference_measure,
     time_average,
     weak_star_pairing,
+    write_measure,
 )
 from moduliflow.mesh import DomainGrid
 from moduliflow.testfunctions import BumpFunction
@@ -256,6 +259,86 @@ class TestAnalyzeRun:
         assert report["columns"]["H"]["within_tolerance"] is False
 
 
+class TestFrozenSnapshots:
+    """A stalled run: its frozen snapshots share the stalled state's arrays,
+    so run and analyze measure, format and parse each distinct state once."""
+
+    @staticmethod
+    def _stalled_run(tmp_path):
+        result = run_experiment(_fast_config(t_final=0.4), tmp_path / "run")
+        snaps = result.trajectory.snapshots
+        firsts = [k for k, s in enumerate(snaps)
+                  if k == 0 or not (s.u is snaps[k - 1].u and s.v is snaps[k - 1].v)]
+        assert result.summary["termination"] == "stalled"
+        assert 1 < len(firsts) < len(snaps) - 1  # at least two frozen repeats
+        return result, firsts
+
+    @staticmethod
+    def _count_calls(monkeypatch, module, name, calls):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def test_each_distinct_state_is_measured_once(self, tmp_path, monkeypatch):
+        calls = {}
+        self._count_calls(monkeypatch, measures_module, "pushforward", calls)
+        result, firsts = self._stalled_run(tmp_path)
+        # run_flow makes edge passes of its own, so edge passes are counted on
+        # one more diagnostic pass alone; pushforwards on the run and that pass.
+        self._count_calls(monkeypatch, flow_module, "_edge_pass", calls)
+        traj = result.trajectory
+        rows = traj.snapshot_rows
+        compute_snapshot_diagnostics(result.config, traj.snapshots,
+                                     traj.cumulative_dissipation[rows], traj.dt_used[rows])
+        assert calls == {"pushforward": 2 * len(firsts), "_edge_pass": len(firsts)}
+        calls.clear()
+        assert analyze_run(tmp_path / "run")["pass"] is True
+        assert calls == {"pushforward": len(firsts), "_edge_pass": len(firsts)}
+
+    def test_files_equal_those_written_one_by_one(self, tmp_path):
+        result, _ = self._stalled_run(tmp_path)
+        out, alone = tmp_path / "run", tmp_path / "alone.csv"
+        binning = FundamentalDomainBinning(12, 12, 4.0)
+        for k, snap in enumerate(result.trajectory.snapshots):
+            write_snapshot(snap, alone)
+            assert (out / "snapshots" / f"snapshot_{k:04d}.csv").read_bytes() \
+                == alone.read_bytes()
+            write_measure(pushforward(snap, binning), alone)
+            assert (out / "measures" / f"measure_{k:04d}.csv").read_bytes() \
+                == alone.read_bytes()
+
+    @pytest.mark.parametrize("edit", ["u", "t"])
+    def test_an_edited_frozen_snapshot_fails_the_audit(self, tmp_path, capsys, edit):
+        _, firsts = self._stalled_run(tmp_path)
+        # A frozen snapshot followed by another copy of the same state.
+        k = firsts[-1] + 1
+        path = tmp_path / "run" / "snapshots" / f"snapshot_{k:04d}.csv"
+        lines = path.read_text().splitlines()
+        if edit == "u":
+            row = lines[5].split(",")
+            row[2] = repr(float(row[2]) + 1e-3)
+            lines[5] = ",".join(row)
+        else:
+            meta = lines[2].split(",")
+            meta[2] = repr(float(meta[2]) + 1e-9)
+            lines[2] = ",".join(meta)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        if edit == "u":
+            assert any(line.startswith("E: ") and line.endswith("[MISMATCH]")
+                       for line in out.splitlines())
+            assert "analysis FAIL" in out
+        else:
+            # entropy.jsonl line k + 2 holds snapshot k's report.
+            assert f"entropy.jsonl: line {k + 2} t is " in err
+            assert "PASS" not in out and len(err.splitlines()) == 1
+
+
 class TestSweep:
     def _write_sweep(self, path, names=("a", "b", "c")):
         sizes = {"a": 8, "b": 12, "c": 16}
@@ -425,6 +508,25 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "run")]) == 2
         assert "initial" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("initial, field", [
+        ({"kind": "winding", "k": 1.5}, "k"),
+        ({"kind": "random", "max_mode": 2.9}, "max_mode"),
+        ({"kind": "constant", "v0": True}, "v0"),
+        ({"kind": "sinusoidal", "mode_u": [1.5, 1]}, "mode_u"),
+        ({"kind": "sinusoidal", "mode_v": [1, 1, 1]}, "mode_v"),
+        ({"kind": "file", "path": ["snapshot.csv"]}, "path"),
+    ])
+    def test_initial_value_of_the_wrong_type_exits_2_before_any_output(
+            self, tmp_path, capsys, initial, field):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(FAST_OVERRIDES, initial=initial)))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: initial.{field}: ")
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "run").exists()
 
     def test_initial_state_at_the_v_floor_exits_2_before_any_output(self, tmp_path,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,13 @@ class TestReduction:
         # |z|^2 underflows to 0 and -1/z cannot be formed.
         with pytest.raises(DegenerateInputError):
             reduce_to_fundamental_domain(UpperHalfPoint(0.1, 1e-300))
+
+    def test_underflowing_modulus_is_degenerate_in_the_batch_path_too(self):
+        # Raised before the inversion, so no division by zero warns on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError):
+                reduce_points(np.array([0.1, 0.3]), np.array([1e-300, 2.0]))
 
 
 _points = st.tuples(
