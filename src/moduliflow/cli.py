@@ -300,7 +300,8 @@ def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt
     snapshot in _series_columns order, with the stepping history cumulative_d
     and dt echoed; series is the MeasureSeries of the snapshots'
     pushforwards.  A snapshot with its predecessor's fields reuses its
-    measurements; every observable's ergodic series reads one mass stack.
+    measurements; each prefix average of the ergodic series serves every
+    observable.
     """
     binning = FundamentalDomainBinning(
         config.binning.n_x, config.binning.n_y, config.binning.y_max
@@ -320,18 +321,15 @@ def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt
         measured.append((mu, report, e, d))
     mus, reports, energies, dissipations = zip(*measured)
     series = ms.MeasureSeries(mus)
-    ergodic = [
-        ms.ergodic_error_from_measures(
-            series, BumpFunction(tf["center"], tf["radii"], tf.get("amplitude", 1.0)),
-            reference,
-        )
+    ergodic = ms.ergodic_error_from_measures(series, [
+        BumpFunction(tf["center"], tf["radii"], tf.get("amplitude", 1.0))
         for tf in config.test_functions
-    ]
+    ], reference)
     rows = np.column_stack([
         [s.t for s in snapshots], energies, dissipations, cumulative_d, dt,
         [r.entropy for r in reports], [r.rho_max for r in reports],
         [r.tail_mass for r in reports], [r.degenerate_fraction for r in reports],
-        *ergodic,
+        ergodic,
     ])
     return rows, reports, series
 
@@ -426,7 +424,8 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     The stored series must carry the columns its config implies.
     Recomputable columns must match it within the tolerance; stepping-history
     columns (dt, cumulative_D) are echoed.  summary.json and entropy.jsonl
-    must agree with the recomputed series, or ValueError names the file.
+    must agree with the recomputed series, and every file of measures/ with
+    the recomputed pushforwards, or ValueError names the file.
     Returns the audit report dictionary (also written to analysis.json).
     """
     run = Path(run_dir)
@@ -447,11 +446,11 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
         # run_flow records no state at or below the floor; reduction fails on one.
         if snap.v_min <= flow.V_FLOOR:
             raise ValueError(f"{path}: v_min {snap.v_min} is at or below {flow.V_FLOOR}")
-    recomputed, _, _ = compute_snapshot_diagnostics(
+    recomputed, _, series = compute_snapshot_diagnostics(
         config, snapshots,
         stored[:, columns.index("cumulative_D")], stored[:, columns.index("dt")],
     )
-    _audit_records(run, columns, recomputed, tolerance)
+    _audit_records(run, columns, recomputed, series, tolerance)
     table.write_table(run / "series_recomputed.csv", SERIES_SCHEMA,
                       dict(zip(columns, recomputed.T)))
     worst = np.abs(stored - recomputed).max(axis=0)
@@ -487,11 +486,14 @@ def _check_value(path, name, stored, value, tolerance, line=None):
         raise ValueError(f"{path}: {where} is {stored!r}, the snapshots give {value!r}")
 
 
-def _audit_records(run: Path, columns: list, rows: np.ndarray, tolerance: float):
-    """Check summary.json and entropy.jsonl against the recomputed series.
+def _audit_records(run: Path, columns: list, rows: np.ndarray, series, tolerance: float):
+    """Check summary.json and entropy.jsonl against the recomputed series rows,
+    and measures/ against the recomputed MeasureSeries.
 
-    steps.csv and measures/ are not read: they cost more to read than the
-    rest of the audit on long or finely sampled runs.
+    Every measure file must hold its snapshot's pushforward, and
+    time_average.csv the series' average, bit for bit; measures/ holds no
+    other file.  steps.csv is not read: it costs more to read than the rest
+    of the audit on long or finely sampled runs.
     """
     col = {name: rows[:, j].tolist() for j, name in enumerate(columns)}
     path = run / "summary.json"
@@ -533,6 +535,21 @@ def _audit_records(run: Path, columns: list, rows: np.ndarray, tolerance: float)
             raise ValueError(f"{path}: line {k + 2} must hold exactly {sorted(fields)}")
         for name, values in fields.items():
             _check_value(path, name, report[name], values[k], tolerance, line=k + 2)
+
+    expected = {f"measure_{k:04d}.csv": mu for k, mu in enumerate(series.measures)}
+    if len(series) >= 2:
+        expected["time_average.csv"] = series.average()
+    found = {p.name for p in (run / "measures").iterdir()}
+    odd = sorted(found ^ expected.keys())
+    if odd:
+        raise ValueError(f"{run / 'measures' / odd[0]}: "
+                         + ("not a measure of this run" if odd[0] in found else "missing"))
+    last = {}  # a frozen snapshot's measure repeats the last file's rows
+    for name, mu in expected.items():
+        path = run / "measures" / name
+        stored = ms.read_measure(path, series.binning, last)
+        if stored.t != mu.t or stored.masses.tobytes() != mu.masses.tobytes():
+            raise ValueError(f"{path}: differs from the recomputed measure")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

@@ -384,7 +384,6 @@ class FundamentalDomainBinning:
         self.dy = (self.y_max - self.y_min) / self.n_y
 
         lookup = np.full((self.n_x, self.n_y), -1, dtype=np.int64)
-        ix_list, iy_list = [], []
         x_lo_list, y_lo_list = [], []
         mass_list, cx_list, cy_list = [], [], []
         for ix in range(self.n_x):
@@ -400,8 +399,6 @@ class FundamentalDomainBinning:
                     lookup[ix, iy] = idx
                     if first_live is None:
                         first_live = idx
-                    ix_list.append(ix)
-                    iy_list.append(iy)
                     x_lo_list.append(x_lo)
                     y_lo_list.append(y_lo)
                     mass_list.append(mass)
@@ -414,8 +411,6 @@ class FundamentalDomainBinning:
                 if lookup[ix, iy] < 0:
                     lookup[ix, iy] = first_live
         self._lookup = lookup
-        self.bin_ix = np.array(ix_list, dtype=np.int64)
-        self.bin_iy = np.array(iy_list, dtype=np.int64)
         self.x_lo = np.array(x_lo_list)
         self.y_lo = np.array(y_lo_list)
         self.raw_mass = np.array(mass_list)

@@ -124,6 +124,10 @@ def build_initial_state(
     if kind == "random":
         if rng is None:
             raise ValueError("random initial data needs a seeded generator")
+        # Higher modes alias on the grid, and every mode costs a pass over it.
+        if p["max_mode"] > min(grid.shape) // 2:
+            raise ValueError(f"max_mode {p['max_mode']} exceeds half the grid's "
+                             f"smaller side, {min(grid.shape) // 2}")
         u = p["u0"] + smooth_random_field(grid, rng, p["max_mode"], p["amp_u"])
         # Multiplicative exponential keeps v positive for any draw.
         v = p["v0"] * np.exp(smooth_random_field(grid, rng, p["max_mode"], p["amp_v"]))

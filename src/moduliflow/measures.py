@@ -20,7 +20,7 @@ from . import table
 from .flow import MapState, jacobian_det
 from .hyperbolic import FundamentalDomainBinning, reduce_points
 
-MEASURE_SCHEMA = "moduliflow-measure-v1"
+MEASURE_SCHEMA = "moduliflow-measure-v2"
 ENTROPY_SCHEMA = "moduliflow-entropy-v1"
 
 MASS_TOL = 1e-12
@@ -32,14 +32,18 @@ class BinningMismatchError(ValueError):
 
 @dataclass
 class PushforwardMeasure:
-    """Probability histogram over a binning; masses[-1] is the overflow bin."""
+    """Probability histogram over a binning; masses[-1] is the overflow bin.
+    Masses are stored with signed zeros made +0.0, as a measure file reads
+    them back."""
 
     binning: FundamentalDomainBinning
     masses: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        self.masses = np.asarray(self.masses, dtype=float)
+        masses = np.asarray(self.masses, dtype=float)
+        # Copied only to drop a sign: measures of one state share their masses.
+        self.masses = masses + 0.0 if np.signbit(masses).any() else masses
         if self.masses.shape != (self.binning.n_bins + 1,):
             raise ValueError(
                 f"mass vector has shape {self.masses.shape}, expected "
@@ -200,24 +204,28 @@ def time_average(measures, t_end: float | None = None) -> PushforwardMeasure:
     return MeasureSeries(measures, t_end).average()
 
 
-def ergodic_error_from_measures(series: MeasureSeries, f,
+def ergodic_error_from_measures(series: MeasureSeries, fs,
                                 reference: ReferenceMeasure) -> np.ndarray:
-    """|time-average pairing - reference pairing| per prefix of the series.
+    """|time-average pairing - reference pairing| per prefix of the series,
+    as a (len(series), len(fs)) array with one column per observable.
 
-    Entry k compares the trapezoid average of the measures 0..k (entry 0 is
-    the bare first measure) against the hyperbolic reference, which must be
-    on the series' binning.  Reported as a diagnostic series; no decay is
-    asserted.  f is evaluated on the bins once; each prefix average reads
-    the leading rows of the series' one stack, and each pairing is
-    bit-identical to weak_star_pairing of time_average of the prefix.
+    Entry [k, j] compares the trapezoid average of the measures 0..k (row 0
+    is the bare first measure) against the hyperbolic reference, which must
+    be on the series' binning, through observable fs[j].  Reported as a
+    diagnostic series; no decay is asserted.  Each observable is evaluated on
+    the bins once and each prefix average is formed once for all of them;
+    every pairing is bit-identical to weak_star_pairing of time_average of
+    the prefix.
     """
     _check_match(series, reference)
-    live, overflow_value = _on_bins(series.binning, f)
-    target = _pairing(reference.masses, live, overflow_value)
-    return np.array([
-        abs(_pairing(series.average(k + 1).masses, live, overflow_value) - target)
-        for k in range(len(series))
-    ])
+    on_bins = [_on_bins(series.binning, f) for f in fs]
+    targets = [_pairing(reference.masses, *f_bins) for f_bins in on_bins]
+    errors = np.empty((len(series), len(on_bins)))
+    for k in range(len(series)):
+        masses = series.average(k + 1).masses
+        errors[k] = [abs(_pairing(masses, *f_bins) - target)
+                     for f_bins, target in zip(on_bins, targets)]
+    return errors
 
 
 @dataclass
@@ -265,39 +273,44 @@ def entropy_report(
 
 
 def write_measure(mu, path, rows: list | None = None) -> None:
-    """Write a measure as a table: metadata n_x,n_y,y_max,t, then
-    bin_ix,bin_iy,mass rows in the binning's bin order with the overflow bin
-    last as (-1,-1).  rows is table.write_table's, for measures of the same masses."""
+    """Write a measure as a table: metadata n_x,n_y,y_max,t, then one bin,mass
+    row per nonzero bin in increasing bin order, the overflow bin being
+    n_bins.  rows is table.write_table's, for measures of the same masses."""
     b = mu.binning
+    bins = np.flatnonzero(mu.masses)
     table.write_table(
-        path, MEASURE_SCHEMA,
-        {"bin_ix": np.append(b.bin_ix, -1), "bin_iy": np.append(b.bin_iy, -1),
-         "mass": mu.masses},
+        path, MEASURE_SCHEMA, {"bin": bins, "mass": mu.masses[bins]},
         meta={"n_x": b.n_x, "n_y": b.n_y, "y_max": float(b.y_max),
               "t": float(getattr(mu, "t", 0.0))}, rows=rows,
     )
 
 
-def read_measure(path, binning: FundamentalDomainBinning | None = None) -> PushforwardMeasure:
+def read_measure(path, binning: FundamentalDomainBinning | None = None,
+                 last=None) -> PushforwardMeasure:
     """Read a measure written by write_measure.  Rebuilds the binning from
-    the header unless a matching one is supplied.  The rows must list the
-    binning's bins in order, then exactly one (-1, -1) overflow row."""
+    the header unless a matching one is supplied.  The bins must be integers
+    in [0, n_bins], strictly increasing, with positive finite masses of total
+    1; every bin not listed has mass 0.  Every error names the file.  last
+    is table.read_table's."""
     meta, body = table.read_table(
-        path, MEASURE_SCHEMA, ("bin_ix", "bin_iy", "mass"), ("n_x", "n_y", "y_max", "t")
+        path, MEASURE_SCHEMA, ("bin", "mass"), ("n_x", "n_y", "y_max", "t"), last
     )
-    header_binning = (int(meta["n_x"]), int(meta["n_y"]), float(meta["y_max"]))
-    if binning is None:
-        binning = FundamentalDomainBinning(*header_binning)
-    elif (binning.n_x, binning.n_y, binning.y_max) != header_binning:
-        raise BinningMismatchError(
-            f"file binning {header_binning} does not match supplied binning"
-        )
-    ix, iy = np.append(binning.bin_ix, -1), np.append(binning.bin_iy, -1)
-    if body.shape[0] != ix.size or not (
-        np.array_equal(body[:, 0], ix) and np.array_equal(body[:, 1], iy)
-    ):
-        raise ValueError(
-            f"{path}: expected the {binning.n_bins} bins in order, "
-            "then one (-1, -1) overflow row"
-        )
-    return PushforwardMeasure(binning, np.ascontiguousarray(body[:, 2]), float(meta["t"]))
+    try:
+        header_binning = (int(meta["n_x"]), int(meta["n_y"]), float(meta["y_max"]))
+        if binning is None:
+            binning = FundamentalDomainBinning(*header_binning)
+        elif (binning.n_x, binning.n_y, binning.y_max) != header_binning:
+            raise BinningMismatchError(
+                f"file binning {header_binning} does not match supplied binning"
+            )
+        bins, masses, n = body[:, 0], body[:, 1], binning.n_bins
+        if not (np.all(bins == np.trunc(bins)) and 0 <= bins[0] and bins[-1] <= n
+                and np.all(np.diff(bins) > 0)):
+            raise ValueError(f"bins must be strictly increasing integers in [0, {n}]")
+        if not np.all((masses > 0.0) & (masses < np.inf)):
+            raise ValueError("masses must be positive and finite")
+        dense = np.zeros(n + 1)
+        dense[bins.astype(np.intp)] = masses
+        return PushforwardMeasure(binning, dense, float(meta["t"]))
+    except ValueError as exc:  # BinningMismatchError keeps its type
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moduliflow import flow as flow_module, measures as measures_module
+from moduliflow import cli as cli_module, flow as flow_module, measures as measures_module
 from moduliflow.cli import (
     ConfigError,
     FlowConfig,
@@ -259,6 +259,59 @@ class TestAnalyzeRun:
         assert report["columns"]["H"]["within_tolerance"] is False
 
 
+class TestMeasureAudit:
+    """analyze reads every file of measures/ and compares it bit for bit with
+    the pushforwards it recomputes from the snapshots."""
+
+    @staticmethod
+    def _scale_one_mass(path, factor):
+        lines = path.read_text().splitlines()
+        k = max(range(4, len(lines)), key=lambda i: float(lines[i].split(",")[1]))
+        bin_, mass = lines[k].split(",")
+        changed = float(mass) * factor
+        assert changed != float(mass)
+        lines[k] = f"{bin_},{changed!r}"
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("edit", ["mass", "time_average", "deleted", "added",
+                                      "metadata", "binning"])
+    def test_a_measure_file_that_is_not_the_recomputed_one_exits_2(
+            self, tmp_path, capsys, edit):
+        result = run_experiment(_fast_config(snapshot_interval=0.02), tmp_path / "run")
+        measures = tmp_path / "run" / "measures"
+        count = len(result.trajectory.snapshots)
+        name = {"mass": "measure_0001.csv", "time_average": "time_average.csv",
+                "deleted": "measure_0002.csv", "added": f"measure_{count:04d}.csv",
+                "metadata": "measure_0003.csv", "binning": "measure_0000.csv"}[edit]
+        if edit in ("metadata", "binning"):
+            text = (measures / name).read_text()
+            meta = "x12,12,4.0," if edit == "metadata" else "12,12,5.0,"
+            (measures / name).write_text(text.replace("\n12,12,4.0,", "\n" + meta, 1))
+        elif edit == "deleted":
+            (measures / name).unlink()
+        elif edit == "added":
+            (measures / name).write_bytes((measures / "measure_0000.csv").read_bytes())
+        else:
+            self._scale_one_mass(measures / name, 1.0 + 1e-15)
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert str(measures / name) in err and len(err.splitlines()) == 1
+
+    def test_the_audit_reads_every_measure_file_on_one_binning(self, tmp_path, monkeypatch):
+        run_experiment(_fast_config(snapshot_interval=0.02), tmp_path / "run")
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return FundamentalDomainBinning(*args)
+
+        for module in (cli_module, measures_module):
+            monkeypatch.setattr(module, "FundamentalDomainBinning", counted)
+        assert analyze_run(tmp_path / "run")["pass"] is True
+        assert built == [(12, 12, 4.0)]
+
+
 class TestFrozenSnapshots:
     """A stalled run: its frozen snapshots share the stalled state's arrays,
     so run and analyze measure, format and parse each distinct state once."""
@@ -413,6 +466,22 @@ class TestSweep:
         assert "variants[1] (low): initial" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_variant_with_too_high_a_mode_stops_the_sweep_before_any_output(
+            self, tmp_path, capsys):
+        sweep = {
+            "base": dict(FAST_OVERRIDES, initial={"kind": "random"}),
+            "variants": [{"name": "a"},
+                         {"name": "fine", "initial": {"kind": "random", "max_mode": 9}}],
+        }
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps(sweep))
+        assert main(["sweep", "--config", str(sweep_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "variants[1] (fine): initial: max_mode 9" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", [None, '{"base": {}, "variants": ['],
                              ids=["missing", "malformed_json"])
     def test_unreadable_sweep_config_exits_2(self, tmp_path, capsys, text):
@@ -526,6 +595,23 @@ class TestMain:
                      "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: initial.{field}: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("grid, max_mode", [
+        ({"n1": 16, "n2": 16}, 9), ({"n1": 16, "n2": 8}, 5), ({"n1": 4, "n2": 4}, None),
+        ({"n1": 5, "n2": 5}, None), ({"n1": 64, "n2": 64}, 1000),
+    ])
+    def test_random_max_mode_above_half_the_grid_exits_2_before_any_output(
+            self, tmp_path, capsys, grid, max_mode):
+        initial = {"kind": "random"} if max_mode is None else {
+            "kind": "random", "max_mode": max_mode}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(FAST_OVERRIDES, grid=grid, initial=initial)))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial: max_mode ")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "run").exists()
 

@@ -359,7 +359,7 @@ class TestBinning:
         idx = b.bin_index(0.0, 0.9)  # under the arc at x = 0
         assert 0 <= idx < b.n_bins
         assert b.raw_mass[idx] > 0.0
-        assert b.bin_ix[idx] == 30  # same column as the query
+        assert b.x_lo[idx] == -0.5 + 30 * b.dx  # same column as the query
 
     def test_centers_are_inside_their_cells(self, binning60):
         b = binning60

@@ -78,6 +78,20 @@ class TestRandom:
         high = (np.abs(k1[:, None]) > 2.5) | (np.abs(k2[None, :]) > 2.5)
         assert float(np.abs(spec[high]).max()) <= 1e-10 * float(np.abs(spec).max())
 
+    @pytest.mark.parametrize("shape, max_mode, ok", [
+        ((8, 8), 4, True), ((8, 8), 5, False), ((16, 6), 3, True),
+        ((16, 6), 4, False), ((6, 16), 4, False), ((4, 4), 3, False),
+        ((5, 5), 3, False), ((64, 64), 1000, False),
+    ])
+    def test_max_mode_is_at_most_half_the_smaller_side(self, shape, max_mode, ok):
+        spec = {"kind": "random", "max_mode": max_mode}
+        grid, rng = DomainGrid(*shape), np.random.default_rng(0)
+        if ok:
+            assert build_initial_state(grid, spec, rng).u.shape == shape
+        else:
+            with pytest.raises(ValueError, match=f"max_mode {max_mode} exceeds"):
+                build_initial_state(grid, spec, rng)
+
     def test_v_stays_positive_for_large_draws(self, grid64):
         state = build_initial_state(
             grid64, {"kind": "random", "amp_v": 3.0},

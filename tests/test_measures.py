@@ -321,8 +321,8 @@ class TestErgodicError:
         traj = run_flow(_constant_state(grid64, 0.1, 1.3),
                         FlowParams(t_final=0.2))
         mus = [pushforward(s, binning60) for s in traj.snapshots]
-        errs = ergodic_error_from_measures(MeasureSeries(mus), ConstantOne(),
-                                           reference_measure(binning60))
+        errs = ergodic_error_from_measures(MeasureSeries(mus), [ConstantOne()],
+                                           reference_measure(binning60))[:, 0]
         assert float(np.abs(errs).max()) <= 1e-12
 
     def test_stationary_trajectory_has_constant_error(self, grid64, binning60):
@@ -331,7 +331,7 @@ class TestErgodicError:
         f = BumpFunction([0.0, 1.5], [0.45, 0.6])
         nu = reference_measure(binning60)
         mus = [pushforward(s, binning60) for s in traj.snapshots]
-        errs = ergodic_error_from_measures(MeasureSeries(mus), f, nu)
+        errs = ergodic_error_from_measures(MeasureSeries(mus), [f], nu)[:, 0]
         mu0 = pushforward(traj.snapshots[0], binning60)
         expected = abs(weak_star_pairing(mu0, f) - weak_star_pairing(nu, f))
         assert np.all(np.abs(errs - expected) <= 1e-12)
@@ -346,7 +346,7 @@ class TestErgodicError:
         f = BumpFunction([0.0, 1.4], [0.4, 0.5])
         nu = reference_measure(binning60)
         mus = [pushforward(s, binning60) for s in traj.snapshots]
-        errs = ergodic_error_from_measures(MeasureSeries(mus), f, nu)
+        errs = ergodic_error_from_measures(MeasureSeries(mus), [f], nu)[:, 0]
         target = weak_star_pairing(nu, f)
         pairings = np.array([weak_star_pairing(m, f) for m in mus])
         times = np.array([m.t for m in mus])
@@ -376,7 +376,7 @@ class TestErgodicError:
             abs(weak_star_pairing(time_average(mus[: k + 1]), f) - target)
             for k in range(1, len(mus))
         ]
-        errs = ergodic_error_from_measures(MeasureSeries(mus), f, nu)
+        errs = ergodic_error_from_measures(MeasureSeries(mus), [f], nu)[:, 0]
         assert len(mus) > 10
         assert errs.tolist() == oracle
 
@@ -391,23 +391,24 @@ class TestErgodicError:
                 calls.append(np.shape(x))
                 return f.value(x, y)
 
-        errs = ergodic_error_from_measures(series, Counted(), reference_measure(binning60))
+        errs = ergodic_error_from_measures(series, [Counted()],
+                                           reference_measure(binning60))[:, 0]
         assert errs.tolist() == ergodic_error_from_measures(
-            series, f, reference_measure(binning60)).tolist()
+            series, [f], reference_measure(binning60))[:, 0].tolist()
         assert calls == [(binning60.n_bins,)]
 
     def test_reference_on_another_binning_is_rejected(self, grid64, binning60,
                                                       small_binning):
         mu = pushforward(_constant_state(grid64, 0.1, 1.3), binning60)
         with pytest.raises(BinningMismatchError):
-            ergodic_error_from_measures(MeasureSeries([mu]), ConstantOne(),
+            ergodic_error_from_measures(MeasureSeries([mu]), [ConstantOne()],
                                         reference_measure(small_binning))
 
     def test_unsorted_measures_are_rejected(self, grid64, binning60):
         mu0 = pushforward(_constant_state(grid64, 0.1, 1.3, 0.0), binning60)
         mu1 = pushforward(_constant_state(grid64, -0.2, 2.4, 1.0), binning60)
         with pytest.raises(ValueError):
-            ergodic_error_from_measures(MeasureSeries([mu1, mu0]), ConstantOne(),
+            ergodic_error_from_measures(MeasureSeries([mu1, mu0]), [ConstantOne()],
                                         reference_measure(binning60))
 
 
@@ -513,15 +514,14 @@ class TestEntropyReport:
 
 
 MEASURE_GOLDEN = """\
-# schema: moduliflow-measure-v1
+# schema: moduliflow-measure-v2
 n_x,n_y,y_max,t
 2,2,2.0,0.25
-bin_ix,bin_iy,mass
-0,0,0.5
-0,1,0.0
-1,0,0.1
-1,1,0.30000000000000004
--1,-1,0.1
+bin,mass
+0,0.5
+2,0.1
+3,0.30000000000000004
+4,0.1
 """
 
 
@@ -535,6 +535,24 @@ def _measures(draw):
     weights[draw(st.integers(0, binning.n_bins))] = 1.0
     finite = st.floats(allow_nan=False, allow_infinity=False)
     return PushforwardMeasure(binning, weights / weights.sum(), t=draw(finite))
+
+
+@st.composite
+def _count_measures(draw):
+    """Measures whose masses are node counts over their total, as pushforward
+    makes them, so that every nonzero mass is far above MASS_TOL."""
+    binning = FundamentalDomainBinning(draw(st.integers(2, 6)), draw(st.integers(2, 6)), 4.0)
+    counts = draw(arrays(np.int64, binning.n_bins + 1, elements=st.integers(0, 5)))
+    counts[draw(st.integers(0, binning.n_bins))] += 1
+    return PushforwardMeasure(binning, counts / counts.sum(), t=0.5)
+
+
+def _rejected(path, binning=None):
+    """The ValueError message read_measure raises on path; it names the file."""
+    with pytest.raises(ValueError) as exc:
+        read_measure(path, binning)
+    assert str(path) in str(exc.value)
+    return str(exc.value)
 
 
 class TestMeasureIO:
@@ -575,6 +593,61 @@ class TestMeasureIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             read_measure(path, small_binning)
+
+    @pytest.mark.parametrize("edit, rows, message", [
+        ("dropped_row", ["0,0.5", "3,0.30000000000000004", "4,0.1"], "total mass"),
+        ("duplicated_bin", ["0,0.5", "2,0.1", "2,0.1", "3,0.30000000000000004",
+                            "4,0.1"], "bins"),
+        ("bins_out_of_order", ["2,0.1", "0,0.5", "3,0.30000000000000004", "4,0.1"],
+         "bins"),
+        ("bin_past_overflow", ["0,0.5", "2,0.1", "3,0.30000000000000004", "5,0.1"],
+         "bins"),
+        ("negative_bin", ["-1,0.5", "2,0.1", "3,0.30000000000000004", "4,0.1"], "bins"),
+        ("fractional_bin", ["0,0.5", "2,0.1", "3.5,0.30000000000000004", "4,0.1"],
+         "bins"),
+        ("zero_mass", ["0,0.5", "1,0.0", "2,0.1", "3,0.30000000000000004", "4,0.1"],
+         "masses"),
+        ("negative_mass", ["0,0.501", "1,-1e-3", "2,0.1", "3,0.30000000000000004",
+                           "4,0.1"], "masses"),
+        ("nan_mass", ["0,0.5", "2,nan", "3,0.30000000000000004", "4,0.1"], "masses"),
+        ("flipped_digit", ["0,0.5", "2,0.1", "3,0.40000000000000004", "4,0.1"],
+         "total mass"),
+    ])
+    def test_rows_that_are_not_a_sparse_measure_are_rejected(self, edit, rows,
+                                                             message, tmp_path):
+        head = MEASURE_GOLDEN.splitlines()[:4]
+        path = tmp_path / f"{edit}.csv"
+        path.write_text("\n".join(head + rows) + "\n")
+        assert message in _rejected(path)
+        assert message in _rejected(path, FundamentalDomainBinning(2, 2, 2.0))
+
+    @pytest.mark.parametrize("meta, error", [
+        ("x2,2,2.0,0.25", ValueError), ("2,2,2.0,soon", ValueError),
+        ("1,2,2.0,0.25", ValueError), ("2,2,3.0,0.25", BinningMismatchError),
+    ])
+    def test_bad_metadata_is_rejected_naming_the_file(self, meta, error, tmp_path):
+        lines = MEASURE_GOLDEN.splitlines()
+        lines[2] = meta
+        path = tmp_path / "measure.csv"
+        path.write_text("\n".join(lines) + "\n")
+        binning = FundamentalDomainBinning(2, 2, 2.0) if error is BinningMismatchError else None
+        with pytest.raises(error) as exc:
+            read_measure(path, binning)
+        assert str(path) in str(exc.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu=_count_measures(), data=st.data())
+    def test_a_dropped_or_repeated_row_is_rejected(self, mu, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("measure") / "measure.csv"
+        write_measure(mu, path)
+        lines = path.read_text().splitlines()
+        row = data.draw(st.integers(4, len(lines) - 1))
+        if data.draw(st.booleans()):
+            del lines[row]
+        else:
+            lines.insert(row, lines[row])
+        path.write_text("\n".join(lines) + "\n")
+        _rejected(path, mu.binning)
 
     def test_round_trip_is_bit_exact(self, grid64, binning60, tmp_path):
         state = build_initial_state(grid64, {"kind": "sinusoidal"})
