@@ -481,22 +481,27 @@ def write_snapshot(state: MapState, path, rows: list | None = None) -> None:
 
 def read_snapshot(path, last=None) -> MapState:
     """Read a state written by write_snapshot.  Row k must carry node
-    (i, j) = divmod(k, n2), so every node is read exactly once.  last is
-    table.read_table's dict: a file whose data rows are byte-identical to
-    the latest one read with it gets that state's arrays."""
+    (i, j) = divmod(k, n2), so every node is read exactly once, and t must
+    be finite; every error names the file.  last is table.read_table's
+    dict: a file whose data rows are byte-identical to the latest one read
+    with it gets that state's arrays."""
     last = {} if last is None else last
     meta, body = table.read_table(
         path, SNAPSHOT_SCHEMA, ("i", "j", "u", "v"), ("n1", "n2", "t"), last
     )
-    grid = DomainGrid(int(meta["n1"]), int(meta["n2"]))
-    i, j = np.divmod(np.arange(grid.n1 * grid.n2), grid.n2)
-    if body.shape[0] != i.size or not (
-        np.array_equal(body[:, 0], i) and np.array_equal(body[:, 1], j)
-    ):
-        raise ValueError(
-            f"{path}: expected {i.size} rows listing the nodes "
-            f"(i, j) = divmod(k, {grid.n2}) in order"
-        )
-    if "fields" not in last:
-        last["fields"] = [np.ascontiguousarray(body[:, c]).reshape(grid.shape) for c in (2, 3)]
-    return MapState(grid, *last["fields"], float(meta["t"]))
+    try:
+        grid, t = DomainGrid(int(meta["n1"]), int(meta["n2"])), float(meta["t"])
+        if not math.isfinite(t):
+            raise ValueError(f"t = {t} is not finite")
+        i, j = np.divmod(np.arange(grid.n1 * grid.n2), grid.n2)
+        if body.shape[0] != i.size or not (
+            np.array_equal(body[:, 0], i) and np.array_equal(body[:, 1], j)
+        ):
+            raise ValueError(f"expected {i.size} rows listing the nodes "
+                             f"(i, j) = divmod(k, {grid.n2}) in order")
+        if "fields" not in last:
+            last["fields"] = [np.ascontiguousarray(body[:, c]).reshape(grid.shape)
+                              for c in (2, 3)]
+        return MapState(grid, *last["fields"], t)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -147,8 +147,10 @@ def weak_star_pairing(mu, f) -> float:
 
 
 class MeasureSeries:
-    """Measures of one binning at nondecreasing times, with their masses
-    stacked once into a (K, n_bins + 1) array that every average reads.
+    """Measures of one binning at finite, nondecreasing times.  Every
+    average is read from one running trapezoid integral over the series,
+    so the averages of all its prefixes cost O(len * bins) time and
+    O(bins) memory together.
 
     measures keeps the measures themselves, in order.  A t_end, when given,
     bounds the last time.
@@ -158,6 +160,8 @@ class MeasureSeries:
         if not measures:
             raise ValueError("a measure series needs at least one measure")
         times = np.array([m.t for m in measures], dtype=float)
+        if not np.all(np.isfinite(times)):
+            raise ValueError("measure times must be finite")
         if np.any(np.diff(times) < 0.0):
             raise ValueError("measures must be sorted by time")
         if t_end is not None and times[-1] > t_end + 1e-9 * max(1.0, abs(t_end)):
@@ -167,32 +171,35 @@ class MeasureSeries:
         self.measures = list(measures)
         self.binning = measures[0].binning
         self.times = times
-        self.masses = np.stack([m.masses for m in measures])
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def average(self, count: int | None = None) -> PushforwardMeasure:
-        """Trapezoid-in-time average of the first count measures (all by
-        default), renormalised to total mass exactly 1; the average of one
-        measure is that measure.  Identical timestamps degrade gracefully to
-        the plain mean."""
-        count = len(self) if count is None else count
-        if count == 1:
+    def prefix_averages(self):
+        """Yield the masses of the trapezoid-in-time average of the first k
+        measures, for k = 1 .. len: the first measure's own masses, then the
+        running integral renormalised to total mass exactly 1.  A prefix
+        spanning no time yields the plain mean."""
+        masses, times = self.measures[0].masses, self.times
+        yield masses
+        integral, plain = np.zeros_like(masses), masses.copy()
+        for k in range(1, len(self)):
+            prev, masses = masses, self.measures[k].masses
+            integral += 0.5 * (times[k] - times[k - 1]) * (prev + masses)
+            if times[k] > times[0]:
+                yield integral / integral.sum()
+            else:
+                plain += masses
+                yield plain / plain.sum()
+
+    def average(self) -> PushforwardMeasure:
+        """Trapezoid-in-time average of the whole series, the last of
+        prefix_averages; the average of one measure is that measure."""
+        if len(self) == 1:
             return self.measures[0]
-        times, stacked = self.times[:count], self.masses[:count]
-        span = times[-1] - times[0]
-        if span <= 0.0:
-            weights = np.full(count, 1.0 / count)
-        else:
-            weights = np.empty(count)
-            weights[0] = 0.5 * (times[1] - times[0])
-            weights[-1] = 0.5 * (times[-1] - times[-2])
-            weights[1:-1] = 0.5 * (times[2:] - times[:-2])  # empty for two
-            weights /= span
-        masses = weights @ stacked
-        masses /= masses.sum()  # exact unit mass, absorbing quadrature rounding
-        return PushforwardMeasure(self.binning, masses, float(times[-1]))
+        for masses in self.prefix_averages():
+            pass
+        return PushforwardMeasure(self.binning, masses, float(self.times[-1]))
 
 
 def time_average(measures, t_end: float | None = None) -> PushforwardMeasure:
@@ -213,16 +220,15 @@ def ergodic_error_from_measures(series: MeasureSeries, fs,
     is the bare first measure) against the hyperbolic reference, which must
     be on the series' binning, through observable fs[j].  Reported as a
     diagnostic series; no decay is asserted.  Each observable is evaluated on
-    the bins once and each prefix average is formed once for all of them;
-    every pairing is bit-identical to weak_star_pairing of time_average of
-    the prefix.
+    the bins once, and the prefix averages come from the series' one running
+    integral, O(len * bins) in all; every pairing is bit-identical to
+    weak_star_pairing of time_average of the prefix.
     """
     _check_match(series, reference)
     on_bins = [_on_bins(series.binning, f) for f in fs]
     targets = [_pairing(reference.masses, *f_bins) for f_bins in on_bins]
     errors = np.empty((len(series), len(on_bins)))
-    for k in range(len(series)):
-        masses = series.average(k + 1).masses
+    for k, masses in enumerate(series.prefix_averages()):
         errors[k] = [abs(_pairing(masses, *f_bins) - target)
                      for f_bins, target in zip(on_bins, targets)]
     return errors

@@ -730,6 +730,43 @@ class TestMain:
         err = capsys.readouterr().err
         assert "snapshot_0001.csv" in err and len(err.splitlines()) == 1
 
+    @staticmethod
+    def _edit_metadata(path, field, value):
+        lines = path.read_text().splitlines()
+        values = dict(zip(lines[1].split(","), lines[2].split(",")))
+        values[field] = value
+        lines[2] = ",".join(values.values())
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("field, value", [("n1", "x16"), ("t", "nan"), ("t", "inf")])
+    def test_snapshot_with_bad_metadata_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                                field, value):
+        run_experiment(_fast_config(), tmp_path / "run")
+        path = tmp_path / "run" / "snapshots" / "snapshot_0001.csv"
+        self._edit_metadata(path, field, value)
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert "snapshot_0001.csv" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("field, value", [("n1", "x16"), ("t", "nan"), ("t", "inf")])
+    def test_initial_file_with_bad_metadata_exits_2_before_any_output(
+            self, tmp_path, capsys, field, value):
+        grid = DomainGrid(16, 16)
+        snap = tmp_path / "snapshot_0001.csv"
+        write_snapshot(MapState(grid, grid.zeros(), grid.full(1.5)), snap)
+        self._edit_metadata(snap, field, value)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            dict(FAST_OVERRIDES, initial={"kind": "file", "path": str(snap)})
+        ))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial:")
+        assert "snapshot_0001.csv" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
     def test_analyze_of_a_missing_run_exits_2(self, tmp_path, capsys):
         assert main(["analyze", "--run", str(tmp_path / "missing")]) == 2
         assert "missing" in capsys.readouterr().err

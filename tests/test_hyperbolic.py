@@ -1,9 +1,11 @@
+import functools
 import math
+import operator
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moduliflow.hyperbolic import (
     FUNDAMENTAL_DOMAIN_AREA,
@@ -231,6 +233,51 @@ class TestReductionProperties:
         again, g = reduce_to_fundamental_domain(red)
         assert again.x == red.x and again.y == red.y
         assert g.is_identity()
+
+
+_MARGIN = 1e-6
+
+
+@st.composite
+def _inside_points(draw):
+    """Points at least _MARGIN inside the fundamental domain, with y up to
+    2e3, spread evenly in log y."""
+    x = draw(st.floats(-0.5 + _MARGIN, 0.5 - _MARGIN))
+    y_min = math.sqrt((1.0 + _MARGIN) ** 2 - x * x)
+    return x, max(y_min, draw(st.floats(math.log(y_min), math.log(2e3)).map(math.exp)))
+
+
+_words = st.lists(
+    st.one_of(st.integers(-3, 3).map(ModularMatrix.translation),
+              st.just(ModularMatrix.inversion())),
+    max_size=6,
+).map(lambda word: functools.reduce(operator.matmul, word, ModularMatrix.identity()))
+
+
+def _assert_reduces_to(image, point):
+    rx, ry = reduce_points([image.x], [image.y])
+    scale = 1e-9 * math.hypot(*point)
+    assert abs(rx[0] - point[0]) <= scale and abs(ry[0] - point[1]) <= scale
+
+
+class TestModularInvariance:
+    @settings(max_examples=300, deadline=None)
+    @given(point=_inside_points(), g=_words)
+    # Images within 1e-3 of the real axis: -1/z and 3 - 1/z of a tall z.
+    @example(point=(0.1, 1.5e3), g=ModularMatrix.inversion())
+    @example(point=(-0.499999, 1.9e3),
+             g=ModularMatrix.translation(3) @ ModularMatrix.inversion())
+    def test_image_under_a_word_reduces_to_the_point(self, point, g):
+        _assert_reduces_to(mobius_apply(g, UpperHalfPoint(*point)), point)
+
+    # Words of six factors with |n| <= 3 keep |x| below 20 on the domain, so
+    # far images are drawn as translates.
+    @settings(max_examples=100, deadline=None)
+    @given(point=_inside_points(),
+           n=st.integers(1000, 10**6).flatmap(lambda n: st.sampled_from([n, -n])))
+    def test_far_translate_reduces_to_the_point(self, point, n):
+        _assert_reduces_to(mobius_apply(ModularMatrix.translation(n),
+                                        UpperHalfPoint(*point)), point)
 
 
 class TestDistance:

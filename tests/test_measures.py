@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,54 @@ class TestTimeAverage:
         other = self._dirac(grid64, small_binning, 0.1, 1.3, 2.0)
         with pytest.raises(BinningMismatchError):
             time_average([mu0, other])
+
+
+class TestPrefixAverages:
+    @staticmethod
+    def _measures(binning, rng, times):
+        mus = []
+        for t in times:
+            masses = rng.random(binning.n_bins + 1) * (rng.random(binning.n_bins + 1) < 0.3)
+            mus.append(PushforwardMeasure(binning, masses / masses.sum(), t))
+        return mus
+
+    def test_each_prefix_is_time_average_of_that_prefix_bit_for_bit(self, binning60, rng):
+        # The first two measures share a time, so the two-measure prefix
+        # spans none; the later ones advance unevenly.
+        mus = self._measures(binning60, rng, [0.25, 0.25, 0.5, 0.625, 1.1, 1.1, 2.0])
+        averages = list(MeasureSeries(mus).prefix_averages())
+        assert len(averages) == len(mus)
+        assert averages[0] is mus[0].masses
+        plain = mus[0].masses + mus[1].masses
+        assert averages[1].tobytes() == (plain / plain.sum()).tobytes()
+        for k in range(1, len(mus)):
+            assert averages[k].tobytes() == time_average(mus[: k + 1]).masses.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_rejected(self, binning60, rng, bad):
+        mus = self._measures(binning60, rng, [0.0, 1.0])
+        mus[1].t = bad
+        with pytest.raises(ValueError, match="finite"):
+            MeasureSeries(mus)
+        with pytest.raises(ValueError, match="finite"):
+            MeasureSeries(mus[1:])
+
+    def test_ergodic_series_needs_memory_of_a_few_measures(self, binning60, rng):
+        # 1000 measures share four mass vectors, so the inputs cost little;
+        # a (K, bins) stack alone would be 1000 vectors.
+        shared = self._measures(binning60, rng, [0.0] * 4)
+        mus = [PushforwardMeasure(binning60, shared[k % 4].masses, 0.01 * k)
+               for k in range(1000)]
+        f = BumpFunction([0.0, 1.5], [0.45, 0.6])
+        nu = reference_measure(binning60)
+        tracemalloc.start()
+        try:
+            errs = ergodic_error_from_measures(MeasureSeries(mus), [f], nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert errs.shape == (1000, 1)
+        assert peak < 20 * (binning60.n_bins + 1) * 8
 
 
 class TestErgodicError:
