@@ -50,9 +50,9 @@ SERIES_BASE_COLUMNS = [
     "t", "E", "D", "cumulative_D", "dt",
     "H", "rho_max", "tail_mass", "degenerate_fraction",
 ]
-# Columns analyze can recompute from snapshots alone; dt and cumulative_D
-# are stepping history and are echoed, not recomputed.
-RECOMPUTABLE = {"t", "E", "D", "H", "rho_max", "tail_mass", "degenerate_fraction"}
+# Stepping history, which analyze echoes; it recomputes every other column
+# from the snapshots alone.
+ECHOED = {"cumulative_D", "dt"}
 
 DEFAULT_TEST_FUNCTIONS = [
     {"center": [0.0, 1.5], "radii": [0.35, 0.45], "amplitude": 1.0},
@@ -296,11 +296,11 @@ def _same_fields(a: flow.MapState, b: flow.MapState) -> bool:
 def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt):
     """Measure the snapshots as the config directs; shared by run and analyze.
 
-    Returns (rows, reports, series): rows is the series table, one row per
-    snapshot in _series_columns order, with the stepping history cumulative_d
-    and dt echoed; series is the MeasureSeries of the snapshots'
-    pushforwards.  A snapshot with its predecessor's fields reuses its
-    measurements; each prefix average of the ergodic series serves every
+    Returns (rows, series): rows is the series table, one row per snapshot in
+    _series_columns order, with the stepping history cumulative_d and dt
+    echoed; series is the MeasureSeries of the snapshots' pushforwards.  A
+    snapshot with its predecessor's fields reuses its measure and row
+    values; each prefix average of the ergodic series serves every
     observable.
     """
     binning = FundamentalDomainBinning(
@@ -308,30 +308,51 @@ def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt
     )
     reference = ms.reference_measure(binning)
     ws = flow._EdgeWorkspace((config.grid.n1, config.grid.n2))
-    measured = []
+    mus, values = [], []  # values: each snapshot's E, D and entropy report
     for k, s in enumerate(snapshots):
         if k and _same_fields(s, snapshots[k - 1]):
-            mu, report = replace(mu, t=s.t), replace(report, t=s.t)
+            mus.append(replace(mus[-1], t=s.t))
         else:
-            mu = ms.pushforward(s, binning)
+            mus.append(ms.pushforward(s, binning))
             e, _, d = flow._edge_pass(s, ws)
-            report = ms.entropy_report(
-                s, mu, reference, config.density_threshold, config.jacobian_threshold
-            )
-        measured.append((mu, report, e, d))
-    mus, reports, energies, dissipations = zip(*measured)
+            r = ms.entropy_report(s, mus[-1], reference, config.density_threshold,
+                                  config.jacobian_threshold)
+            row = (e, d, r.entropy, r.rho_max, r.tail_mass, r.degenerate_fraction)
+        values.append(row)
     series = ms.MeasureSeries(mus)
     ergodic = ms.ergodic_error_from_measures(series, [
         BumpFunction(tf["center"], tf["radii"], tf.get("amplitude", 1.0))
         for tf in config.test_functions
     ], reference)
-    rows = np.column_stack([
-        [s.t for s in snapshots], energies, dissipations, cumulative_d, dt,
-        [r.entropy for r in reports], [r.rho_max for r in reports],
-        [r.tail_mass for r in reports], [r.degenerate_fraction for r in reports],
-        ergodic,
-    ])
-    return rows, reports, series
+    e, d, *report = np.array(values).T
+    rows = np.column_stack(
+        [[s.t for s in snapshots], e, d, cumulative_d, dt, *report, ergodic]
+    )
+    return rows, series
+
+
+def _run_files(run: Path, count: int) -> dict:
+    """Each per-snapshot directory of a run of count snapshots, mapped to its
+    file names in snapshot order: snapshot_{k:04d}.csv or measure_{k:04d}.csv
+    for k < count, then time_average.csv in measures/ when count >= 2.  run
+    writes exactly these files, and analyze requires exactly these."""
+    return {run / "snapshots": [f"snapshot_{k:04d}.csv" for k in range(count)],
+            run / "measures": [f"measure_{k:04d}.csv" for k in range(count)]
+            + ["time_average.csv"] * (count >= 2)}
+
+
+def _records(columns: list, rows: np.ndarray) -> tuple[list, dict]:
+    """The entropy.jsonl reports, one per row, and the summary.json fields
+    that the series rows determine, as run writes them and analyze checks
+    them.  mirrors maps each report field to its series column."""
+    col = dict(zip(columns, rows.T.tolist()))
+    mirrors = {"t": "t", "entropy": "H", "rho_max": "rho_max",
+               "tail_mass": "tail_mass", "degenerate_fraction": "degenerate_fraction"}
+    reports = [dict(zip(mirrors, v)) for v in zip(*map(col.get, mirrors.values()))]
+    fields = {f"final_{name}": reports[-1][name] for name in mirrors if name != "t"}
+    fields.update(snapshot_count=len(rows), energy_initial=col["E"][0],
+                  final_ergodic_errors=rows[-1, len(SERIES_BASE_COLUMNS):].tolist())
+    return reports, fields
 
 
 def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
@@ -349,8 +370,6 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
 
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir or "run")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "snapshots").mkdir(exist_ok=True)
-    (out / "measures").mkdir(exist_ok=True)
 
     params = flow.FlowParams(
         t_final=config.t_final,
@@ -368,10 +387,10 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
 
     (out / "config.json").write_text(emit_config(config))
 
-    snap_rows = traj.snapshot_rows
-    series, reports, mu_series = compute_snapshot_diagnostics(
-        config, traj.snapshots,
-        traj.cumulative_dissipation[snap_rows], traj.dt_used[snap_rows],
+    snaps = traj.snapshots
+    series, mu_series = compute_snapshot_diagnostics(
+        config, snaps, traj.cumulative_dissipation[traj.snapshot_rows],
+        traj.dt_used[traj.snapshot_rows],
     )
     columns = _series_columns(config)
     table.write_table(out / "series.csv", SERIES_SCHEMA, dict(zip(columns, series.T)))
@@ -380,20 +399,24 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
         "cumulative_D": traj.cumulative_dissipation, "dt": traj.dt_used,
     })
 
-    for k, (snap, mu) in enumerate(zip(traj.snapshots, mu_series.measures)):
-        if not (k and _same_fields(snap, traj.snapshots[k - 1])):
-            snap_rows, mu_rows = [], []  # otherwise only t differs from the last files
-        flow.write_snapshot(snap, out / "snapshots" / f"snapshot_{k:04d}.csv", snap_rows)
-        ms.write_measure(mu, out / "measures" / f"measure_{k:04d}.csv", mu_rows)
-    if len(mu_series) >= 2:
-        ms.write_measure(mu_series.average(), out / "measures" / "time_average.csv")
+    files = _run_files(out, len(snaps))
+    for directory in files:
+        directory.mkdir(exist_ok=True)
+    (snap_dir, snap_names), (measure_dir, measure_names) = files.items()
+    for k, (snap, name) in enumerate(zip(snaps, snap_names)):
+        if not (k and _same_fields(snap, snaps[k - 1])):
+            rows = []  # otherwise only t differs from the last file
+        flow.write_snapshot(snap, snap_dir / name, rows)
+    # zip drops the average when the file list has no time_average.csv.
+    for mu, name in zip([*mu_series.measures, mu_series.average()], measure_names):
+        ms.write_measure(mu, measure_dir / name)
 
+    reports, fields = _records(columns, series)
     entropy_lines = [json.dumps({"schema": ms.ENTROPY_SCHEMA})]
-    entropy_lines += [rep.to_json_line() for rep in reports]
+    entropy_lines += [json.dumps(report, sort_keys=True) for report in reports]
     (out / "entropy.jsonl").write_text("\n".join(entropy_lines) + "\n")
 
-    e0 = float(traj.energy[0])
-    e_end = float(traj.energy[-1])
+    e0, e_end = float(traj.energy[0]), float(traj.energy[-1])
     cum = float(traj.cumulative_dissipation[-1])
     summary = {
         "schema": SUMMARY_SCHEMA,
@@ -403,16 +426,10 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
         "accepted_steps": int(traj.accepted_steps),
         "rejected_steps": int(traj.rejected_steps),
         "monotonicity_violations": int(traj.monotonicity_violations),
-        "energy_initial": e0,
         "energy_final": e_end,
         "dissipation_integral": cum,
         "energy_identity_rel_gap": abs(e0 - e_end - cum) / e0 if e0 > 0 else 0.0,
-        "final_entropy": reports[-1].entropy,
-        "final_rho_max": reports[-1].rho_max,
-        "final_tail_mass": reports[-1].tail_mass,
-        "final_degenerate_fraction": reports[-1].degenerate_fraction,
-        "final_ergodic_errors": series[-1, len(SERIES_BASE_COLUMNS):].tolist(),
-        "snapshot_count": len(traj.snapshots),
+        **fields,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return ExperimentResult(config, out, traj, columns, series, summary, aborted)
@@ -421,22 +438,27 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
 def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     """Recompute snapshot diagnostics of a stored run and audit the series.
 
-    The stored series must carry the columns its config implies.
-    Recomputable columns must match it within the tolerance; stepping-history
-    columns (dt, cumulative_D) are echoed.  summary.json and entropy.jsonl
-    must agree with the recomputed series, and every file of measures/ with
-    the recomputed pushforwards, or ValueError names the file.
+    The series must carry its config's columns, and the tolerance must be
+    finite and at least 0.  Recomputed columns must match the series within
+    it; dt and cumulative_D are echoed.  snapshots/ and measures/ must hold
+    exactly _run_files, and summary.json, entropy.jsonl and each measure file
+    agree with the recomputation, or ValueError names the file.
     Returns the audit report dictionary (also written to analysis.json).
     """
+    tolerance = _number(tolerance, "tolerance", nonnegative=True)
     run = Path(run_dir)
     config = parse_config((run / "config.json").read_text())
     columns = _series_columns(config)
     _, stored = table.read_table(run / "series.csv", SERIES_SCHEMA, columns)
-    snap_paths = sorted((run / "snapshots").glob("snapshot_*.csv"))
-    if len(snap_paths) != len(stored):
-        raise ValueError(
-            f"{len(snap_paths)} snapshots vs {len(stored)} series rows"
-        )
+    files = _run_files(run, len(stored))
+    for directory, names in files.items():
+        found = {p.name for p in directory.iterdir()}
+        odd = sorted(found.symmetric_difference(names))
+        if odd:
+            where = "not a file of" if odd[0] in found else "missing from"
+            raise ValueError(f"{directory / odd[0]}: {where} a run of {len(stored)} snapshots")
+    (snap_dir, snap_names), (measure_dir, measure_names) = files.items()
+    snap_paths = [snap_dir / name for name in snap_names]
     last = {}  # a file that repeats the last one's rows gets that state's arrays
     snapshots = [flow.read_snapshot(p, last) for p in snap_paths]
     grid = (config.grid.n1, config.grid.n2)
@@ -446,16 +468,20 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
         # run_flow records no state at or below the floor; reduction fails on one.
         if snap.v_min <= flow.V_FLOOR:
             raise ValueError(f"{path}: v_min {snap.v_min} is at or below {flow.V_FLOOR}")
-    recomputed, _, series = compute_snapshot_diagnostics(
+    recomputed, series = compute_snapshot_diagnostics(
         config, snapshots,
         stored[:, columns.index("cumulative_D")], stored[:, columns.index("dt")],
     )
-    _audit_records(run, columns, recomputed, series, tolerance)
+    _audit_records(run, columns, recomputed, tolerance)
+    # zip drops the average when the file list has no time_average.csv.
+    for mu, name in zip([*series.measures, series.average()], measure_names):
+        stored_mu = ms.read_measure(path := measure_dir / name, series.binning)
+        if stored_mu.t != mu.t or stored_mu.masses.tobytes() != mu.masses.tobytes():
+            raise ValueError(f"{path}: differs from the recomputed measure")
     table.write_table(run / "series_recomputed.csv", SERIES_SCHEMA,
                       dict(zip(columns, recomputed.T)))
     worst = np.abs(stored - recomputed).max(axis=0)
-    audited = np.array([n in RECOMPUTABLE or n.startswith("ergodic_err_")
-                        for n in columns])
+    audited = np.array([name not in ECHOED for name in columns])
     report = {"schema": "moduliflow-analysis-v1", "tolerance": tolerance,
               # max propagates NaN, so a NaN in an audited column fails.
               "max_abs_diff": float(worst[audited].max()), "columns": {}}
@@ -486,70 +512,43 @@ def _check_value(path, name, stored, value, tolerance, line=None):
         raise ValueError(f"{path}: {where} is {stored!r}, the snapshots give {value!r}")
 
 
-def _audit_records(run: Path, columns: list, rows: np.ndarray, series, tolerance: float):
-    """Check summary.json and entropy.jsonl against the recomputed series rows,
-    and measures/ against the recomputed MeasureSeries.
+def _audit_records(run: Path, columns: list, rows: np.ndarray, tolerance: float):
+    """Check summary.json and entropy.jsonl against _records of the
+    recomputed series rows, field by field; a count is checked exactly.
 
-    Every measure file must hold its snapshot's pushforward, and
-    time_average.csv the series' average, bit for bit; measures/ holds no
-    other file.  steps.csv is not read: it costs more to read than the rest
-    of the audit on long or finely sampled runs.
+    steps.csv is not read: it costs more to read than the rest of the audit
+    on long or finely sampled runs.
     """
-    col = {name: rows[:, j].tolist() for j, name in enumerate(columns)}
+    reports, fields = _records(columns, rows)
     path = run / "summary.json"
     summary = _parse_record(path, path.read_text())
     if not isinstance(summary, dict) or summary.get("schema") != SUMMARY_SCHEMA:
         raise ValueError(f"{path}: not a {SUMMARY_SCHEMA} object")
-    ergodic = summary.get("final_ergodic_errors")
-    ergodic_columns = columns[len(SERIES_BASE_COLUMNS):]
-    if not (isinstance(ergodic, list) and len(ergodic) == len(ergodic_columns)):
-        raise ValueError(f"{path}: final_ergodic_errors needs {len(ergodic_columns)} entries")
-    checks = [
-        ("snapshot_count", len(rows), 0.0),
-        ("energy_initial", col["E"][0], tolerance),
-        ("final_entropy", col["H"][-1], tolerance),
-        ("final_rho_max", col["rho_max"][-1], tolerance),
-        ("final_tail_mass", col["tail_mass"][-1], tolerance),
-        ("final_degenerate_fraction", col["degenerate_fraction"][-1], tolerance),
-    ]
     # An aborted run's last step need not be a snapshot.
     if summary.get("termination") != "aborted":
-        checks.append(("energy_final", col["E"][-1], tolerance))
-    for name, value, tol in checks:
-        _check_value(path, name, summary.get(name), value, tol)
-    for j, name in enumerate(ergodic_columns):
-        _check_value(path, f"final_ergodic_errors[{j}]", ergodic[j], col[name][-1], tolerance)
+        fields["energy_final"] = rows[-1, columns.index("E")].item()
+    for name, value in fields.items():
+        stored, tol = summary.get(name), 0.0 if isinstance(value, int) else tolerance
+        if not isinstance(value, list):
+            _check_value(path, name, stored, value, tol)
+        elif not (isinstance(stored, list) and len(stored) == len(value)):
+            raise ValueError(f"{path}: {name} needs {len(value)} entries")
+        else:
+            for j, (s, v) in enumerate(zip(stored, value)):
+                _check_value(path, f"{name}[{j}]", s, v, tolerance)
 
     path = run / "entropy.jsonl"
     lines = path.read_text().splitlines()
     if not lines or _parse_record(path, lines[0]) != {"schema": ms.ENTROPY_SCHEMA}:
         raise ValueError(f"{path}: the first line must be the {ms.ENTROPY_SCHEMA} header")
-    if len(lines) - 1 != len(rows):
+    if len(lines) - 1 != len(reports):
         raise ValueError(f"{path}: {len(lines) - 1} reports for {len(rows)} snapshots")
-    fields = {"t": col["t"], "entropy": col["H"], "rho_max": col["rho_max"],
-              "tail_mass": col["tail_mass"],
-              "degenerate_fraction": col["degenerate_fraction"]}
-    for k, line in enumerate(lines[1:]):
+    for k, (line, want) in enumerate(zip(lines[1:], reports)):
         report = _parse_record(path, line)
-        if not isinstance(report, dict) or report.keys() != fields.keys():
-            raise ValueError(f"{path}: line {k + 2} must hold exactly {sorted(fields)}")
-        for name, values in fields.items():
-            _check_value(path, name, report[name], values[k], tolerance, line=k + 2)
-
-    expected = {f"measure_{k:04d}.csv": mu for k, mu in enumerate(series.measures)}
-    if len(series) >= 2:
-        expected["time_average.csv"] = series.average()
-    found = {p.name for p in (run / "measures").iterdir()}
-    odd = sorted(found ^ expected.keys())
-    if odd:
-        raise ValueError(f"{run / 'measures' / odd[0]}: "
-                         + ("not a measure of this run" if odd[0] in found else "missing"))
-    last = {}  # a frozen snapshot's measure repeats the last file's rows
-    for name, mu in expected.items():
-        path = run / "measures" / name
-        stored = ms.read_measure(path, series.binning, last)
-        if stored.t != mu.t or stored.masses.tobytes() != mu.masses.tobytes():
-            raise ValueError(f"{path}: differs from the recomputed measure")
+        if not isinstance(report, dict) or report.keys() != want.keys():
+            raise ValueError(f"{path}: line {k + 2} must hold exactly {sorted(want)}")
+        for name, value in want.items():
+            _check_value(path, name, report[name], value, tolerance, line=k + 2)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -574,6 +573,7 @@ def run_sweep(sweep_path, out_root, jobs: int = 1) -> list:
     Every variant's config and initial state are checked before any variant
     runs, so a bad variant raises ConfigError before any output is written.
     """
+    jobs = _integer(jobs, "jobs", minimum=1)
     raw = _parse_json(_read_text(sweep_path))
     if not isinstance(raw, dict):
         raise ConfigError("sweep config must be a JSON object")

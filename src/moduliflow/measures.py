@@ -278,28 +278,26 @@ def entropy_report(
     )
 
 
-def write_measure(mu, path, rows: list | None = None) -> None:
+def write_measure(mu, path) -> None:
     """Write a measure as a table: metadata n_x,n_y,y_max,t, then one bin,mass
     row per nonzero bin in increasing bin order, the overflow bin being
-    n_bins.  rows is table.write_table's, for measures of the same masses."""
+    n_bins."""
     b = mu.binning
     bins = np.flatnonzero(mu.masses)
     table.write_table(
         path, MEASURE_SCHEMA, {"bin": bins, "mass": mu.masses[bins]},
         meta={"n_x": b.n_x, "n_y": b.n_y, "y_max": float(b.y_max),
-              "t": float(getattr(mu, "t", 0.0))}, rows=rows,
+              "t": float(getattr(mu, "t", 0.0))},
     )
 
 
-def read_measure(path, binning: FundamentalDomainBinning | None = None,
-                 last=None) -> PushforwardMeasure:
+def read_measure(path, binning: FundamentalDomainBinning | None = None) -> PushforwardMeasure:
     """Read a measure written by write_measure.  Rebuilds the binning from
     the header unless a matching one is supplied.  The bins must be integers
     in [0, n_bins], strictly increasing, with positive finite masses of total
-    1; every bin not listed has mass 0.  Every error names the file.  last
-    is table.read_table's."""
+    1; every bin not listed has mass 0.  Every error names the file."""
     meta, body = table.read_table(
-        path, MEASURE_SCHEMA, ("bin", "mass"), ("n_x", "n_y", "y_max", "t"), last
+        path, MEASURE_SCHEMA, ("bin", "mass"), ("n_x", "n_y", "y_max", "t")
     )
     try:
         header_binning = (int(meta["n_x"]), int(meta["n_y"]), float(meta["y_max"]))

@@ -392,6 +392,121 @@ class TestFrozenSnapshots:
             assert "PASS" not in out and len(err.splitlines()) == 1
 
 
+class TestRunFiles:
+    """run writes exactly the files of its run directory's file list, and
+    analyze requires exactly those, read in snapshot order."""
+
+    def test_a_run_of_more_than_9999_snapshots_passes_analyze(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(
+            FAST_OVERRIDES, grid={"n1": 4, "n2": 4}, t_final=1.0,
+            snapshot_interval=1e-4, initial={"kind": "constant"},
+        )))
+        run = tmp_path / "run"
+        assert main(["run", "--config", str(cfg_path), "--out", str(run)]) == 0
+        assert (run / "snapshots" / "snapshot_10000.csv").is_file()
+        assert (run / "measures" / "measure_10000.csv").is_file()
+        assert main(["analyze", "--run", str(run)]) == 0
+        assert "analysis PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit", ["extra", "deleted"])
+    def test_a_file_off_the_list_exits_2_naming_it(self, tmp_path, capsys, edit):
+        run_experiment(_fast_config(), tmp_path / "run")
+        snapshots = tmp_path / "run" / "snapshots"
+        if edit == "extra":
+            path = snapshots / "notes.txt"
+            path.write_text("kept by hand\n")
+        else:
+            path = snapshots / "snapshot_0001.csv"
+            path.unlink()
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert str(path) in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "run" / "analysis.json").exists()
+
+
+class TestRecordsMirrorTheSeries:
+    """entropy.jsonl and the series-determined summary.json fields hold the
+    series.csv values themselves, bit for bit."""
+
+    REPORT_COLUMNS = {"t": "t", "entropy": "H", "rho_max": "rho_max",
+                      "tail_mass": "tail_mass",
+                      "degenerate_fraction": "degenerate_fraction"}
+
+    @pytest.mark.parametrize("extra, termination", [
+        ({"t_final": 0.4}, "stalled"), ({"dt_floor": 1e-4}, "aborted"),
+    ])
+    def test_every_record_equals_its_series_value(self, tmp_path, extra, termination):
+        from moduliflow import table
+
+        cfg = _fast_config(**extra)
+        run_experiment(cfg, tmp_path / "run")
+        run = tmp_path / "run"
+        columns = cli_module._series_columns(cfg)
+        _, body = table.read_table(run / "series.csv", cli_module.SERIES_SCHEMA, columns)
+        col = {name: [float.hex(v) for v in body[:, j].tolist()]
+               for j, name in enumerate(columns)}
+        summary = json.loads((run / "summary.json").read_text())
+        assert summary["termination"] == termination
+
+        lines = (run / "entropy.jsonl").read_text().splitlines()[1:]
+        assert len(lines) == len(body)
+        for k, line in enumerate(lines):
+            report = json.loads(line)
+            assert report.keys() == self.REPORT_COLUMNS.keys()
+            for name, column in self.REPORT_COLUMNS.items():
+                assert float.hex(report[name]) == col[column][k]
+
+        assert summary["snapshot_count"] == len(body)
+        assert float.hex(summary["energy_initial"]) == col["E"][0]
+        for name, column in self.REPORT_COLUMNS.items():
+            if name != "t":
+                assert float.hex(summary[f"final_{name}"]) == col[column][-1]
+        ergodic = [n for n in columns if n.startswith("ergodic_err_")]
+        assert [float.hex(v) for v in summary["final_ergodic_errors"]] \
+            == [col[n][-1] for n in ergodic]
+
+
+class TestNumericFlags:
+    """Numeric flags are checked before anything is read or written."""
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+    def test_a_bad_tolerance_exits_2(self, tmp_path, capsys, value):
+        run_experiment(_fast_config(), tmp_path / "run")
+        assert main(["analyze", "--run", str(tmp_path / "run"),
+                     f"--tolerance={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert "tolerance: must be " in err
+        assert not (tmp_path / "run" / "analysis.json").exists()
+        assert not (tmp_path / "run" / "series_recomputed.csv").exists()
+        # Checked before the run directory is read.
+        assert main(["analyze", "--run", str(tmp_path / "missing"),
+                     f"--tolerance={value}"]) == 2
+        assert "tolerance: must be " in capsys.readouterr().err
+
+    def test_a_zero_tolerance_is_accepted(self, tmp_path):
+        run_experiment(_fast_config(), tmp_path / "run")
+        assert main(["analyze", "--run", str(tmp_path / "run"), "--tolerance", "0"]) == 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_fewer_than_one_job_exits_2(self, tmp_path, capsys, jobs):
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps(
+            {"base": dict(FAST_OVERRIDES), "variants": [{"name": "a"}]}))
+        assert main(["sweep", "--config", str(sweep_path),
+                     "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert f"jobs: must be at least 1, got {jobs}" in err
+        assert not (tmp_path / "out").exists()
+        # Checked before the sweep config is read.
+        assert main(["sweep", "--config", str(tmp_path / "nope.json"),
+                     "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+        assert "jobs: must be at least 1" in capsys.readouterr().err
+
+
 class TestSweep:
     def _write_sweep(self, path, names=("a", "b", "c")):
         sizes = {"a": 8, "b": 12, "c": 16}
