@@ -15,8 +15,8 @@ are deterministic: the same config and seed produce bit-identical output
 files.  MODFLOW_THREADS caps kernel threads; the package applies it on
 import, before numpy loads, and sweep subprocesses inherit it.
 
-Exit codes: 0 success, 1 aborted run, 2 input error (config, initial state,
-run directory, a point to reduce) or failed audit.
+Exit codes: 0 success, 1 aborted run or failed sweep variant, 2 input error
+(config, initial state, run directory, a point to reduce) or failed audit.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .testfunctions import BumpFunction
 SERIES_SCHEMA = "moduliflow-series-v1"
 STEPS_SCHEMA = "moduliflow-steps-v1"
 SUMMARY_SCHEMA = "moduliflow-summary-v1"
+INDEX_SCHEMA = "moduliflow-snapshot-index-v1"
 
 SERIES_BASE_COLUMNS = [
     "t", "E", "D", "cumulative_D", "dt",
@@ -331,14 +332,40 @@ def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt
     return rows, series
 
 
-def _run_files(run: Path, count: int) -> dict:
-    """Each per-snapshot directory of a run of count snapshots, mapped to its
-    file names in snapshot order: snapshot_{k:04d}.csv or measure_{k:04d}.csv
-    for k < count, then time_average.csv in measures/ when count >= 2.  run
-    writes exactly these files, and analyze requires exactly these."""
-    return {run / "snapshots": [f"snapshot_{k:04d}.csv" for k in range(count)],
+def _run_files(run: Path, state) -> dict:
+    """Each per-snapshot directory of a run, mapped to its file names in
+    order, given each snapshot's state number (the index's state column):
+    index.csv and state_{j:04d}.npy for each state j in snapshots/, and
+    measure_{k:04d}.csv for each snapshot k, then time_average.csv for two
+    or more, in measures/.  run writes exactly these files; analyze requires them."""
+    count, states = len(state), int(state[-1]) + 1
+    return {run / "snapshots": ["index.csv"] + [f"state_{j:04d}.npy" for j in range(states)],
             run / "measures": [f"measure_{k:04d}.csv" for k in range(count)]
             + ["time_average.csv"] * (count >= 2)}
+
+
+def _read_index(path: Path, count: int, grid: DomainGrid):
+    """The t and state columns of a run's snapshot index, for a series of
+    count snapshots on grid.  Its rows must be k = 0..count-1 in order, t
+    finite and non-decreasing, and state 0 first, then each the last one or
+    one more; its metadata must name the grid.  Errors name the file."""
+    if not path.exists() and (path.parent / "snapshot_0000.csv").exists():
+        raise ValueError(f"{path.parent}: the run uses the text snapshot format "
+                         "moduliflow-snapshot-v1, which this version does not read")
+    meta, body = table.read_table(path, INDEX_SCHEMA, ("k", "t", "state"), ("n1", "n2"))
+    k, t, state = body.T
+    try:
+        if (int(meta["n1"]), int(meta["n2"])) != grid.shape:
+            raise ValueError(f"grid {meta['n1']} x {meta['n2']}, the config has {grid.shape}")
+        if not np.array_equal(k, np.arange(count)):
+            raise ValueError(f"expected rows k = 0..{count - 1} in order, one per snapshot")
+        if state[0] != 0 or not np.isin(np.diff(state), (0, 1)).all():
+            raise ValueError("state must start at 0 and grow by 0 or 1 per row")
+        if not (np.isfinite(t).all() and (np.diff(t) >= 0).all()):
+            raise ValueError("t must be finite and non-decreasing")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return t.tolist(), state.astype(int).tolist()
 
 
 def _records(columns: list, rows: np.ndarray) -> tuple[list, dict]:
@@ -360,11 +387,12 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
 
     Layout of the run directory: config.json (resolved echo), series.csv
     (snapshot-aligned diagnostics), steps.csv (per-step scalars),
-    snapshots/, measures/ (per-snapshot pushforwards plus the run's
-    trapezoid time average), entropy.jsonl, summary.json.  An aborted run
-    (dt underflow) still writes everything computed so far and is marked in
-    summary.json.  An initial state that cannot be built raises ConfigError
-    before the run directory is created.
+    snapshots/ (the index and one .npy per distinct state), measures/
+    (per-snapshot pushforwards plus the run's trapezoid time average),
+    entropy.jsonl, summary.json.  An aborted run (dt underflow) still writes
+    everything computed so far and is marked in summary.json.  An initial
+    state that cannot be built raises ConfigError before the run directory
+    is created.
     """
     state0 = _initial_state(config)
 
@@ -399,14 +427,18 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
         "cumulative_D": traj.cumulative_dissipation, "dt": traj.dt_used,
     })
 
-    files = _run_files(out, len(snaps))
+    # One state file per run of consecutive snapshots that share their arrays.
+    new = [not (k and _same_fields(s, snaps[k - 1])) for k, s in enumerate(snaps)]
+    state = np.cumsum(new) - 1
+    files = _run_files(out, state)
     for directory in files:
         directory.mkdir(exist_ok=True)
     (snap_dir, snap_names), (measure_dir, measure_names) = files.items()
-    for k, (snap, name) in enumerate(zip(snaps, snap_names)):
-        if not (k and _same_fields(snap, snaps[k - 1])):
-            rows = []  # otherwise only t differs from the last file
-        flow.write_snapshot(snap, snap_dir / name, rows)
+    table.write_table(snap_dir / snap_names[0], INDEX_SCHEMA,
+                      {"k": np.arange(len(snaps)), "t": [s.t for s in snaps], "state": state},
+                      meta={"n1": config.grid.n1, "n2": config.grid.n2})
+    for snap, name in zip([s for s, n in zip(snaps, new) if n], snap_names[1:]):
+        flow.write_snapshot(snap, snap_dir / name)
     # zip drops the average when the file list has no time_average.csv.
     for mu, name in zip([*mu_series.measures, mu_series.average()], measure_names):
         ms.write_measure(mu, measure_dir / name)
@@ -441,8 +473,9 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     The series must carry its config's columns, and the tolerance must be
     finite and at least 0.  Recomputed columns must match the series within
     it; dt and cumulative_D are echoed.  snapshots/ and measures/ must hold
-    exactly _run_files, and summary.json, entropy.jsonl and each measure file
-    agree with the recomputation, or ValueError names the file.
+    exactly _run_files of the index, each state must lie on the config's
+    grid above the v floor, and summary.json, entropy.jsonl and each measure
+    file agree with the recomputation, or ValueError names the file.
     Returns the audit report dictionary (also written to analysis.json).
     """
     tolerance = _number(tolerance, "tolerance", nonnegative=True)
@@ -450,7 +483,9 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     config = parse_config((run / "config.json").read_text())
     columns = _series_columns(config)
     _, stored = table.read_table(run / "series.csv", SERIES_SCHEMA, columns)
-    files = _run_files(run, len(stored))
+    grid = DomainGrid(config.grid.n1, config.grid.n2)
+    times, state = _read_index(run / "snapshots" / "index.csv", len(stored), grid)
+    files = _run_files(run, state)
     for directory, names in files.items():
         found = {p.name for p in directory.iterdir()}
         odd = sorted(found.symmetric_difference(names))
@@ -458,16 +493,15 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
             where = "not a file of" if odd[0] in found else "missing from"
             raise ValueError(f"{directory / odd[0]}: {where} a run of {len(stored)} snapshots")
     (snap_dir, snap_names), (measure_dir, measure_names) = files.items()
-    snap_paths = [snap_dir / name for name in snap_names]
-    last = {}  # a file that repeats the last one's rows gets that state's arrays
-    snapshots = [flow.read_snapshot(p, last) for p in snap_paths]
-    grid = (config.grid.n1, config.grid.n2)
-    for path, snap in zip(snap_paths, snapshots):
-        if snap.grid.shape != grid:
-            raise ValueError(f"{path}: grid {snap.grid.shape}, the config has {grid}")
+    states = []
+    for path in [snap_dir / name for name in snap_names[1:]]:
+        states.append(flow.read_snapshot(path, grid))
         # run_flow records no state at or below the floor; reduction fails on one.
-        if snap.v_min <= flow.V_FLOOR:
-            raise ValueError(f"{path}: v_min {snap.v_min} is at or below {flow.V_FLOOR}")
+        if states[-1].v_min <= flow.V_FLOOR:
+            raise ValueError(f"{path}: v_min {states[-1].v_min} is at or below {flow.V_FLOOR}")
+    # The snapshots of one state share its arrays, so it is measured once.
+    snapshots = [flow.MapState._checked(grid, s.u, s.v, t, s.v_min)
+                 for t, s in zip(times, [states[j] for j in state])]
     recomputed, series = compute_snapshot_diagnostics(
         config, snapshots,
         stored[:, columns.index("cumulative_D")], stored[:, columns.index("dt")],
@@ -562,8 +596,13 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def _sweep_worker(payload):
+    """Run one variant: (name, failed, status), status being the run's
+    termination, or "failed: <reason>" when it raised OSError or ValueError."""
     name, config_dict, out_dir = payload
-    result = run_experiment(config_from_dict(config_dict), out_dir)
+    try:
+        result = run_experiment(config_from_dict(config_dict), out_dir)
+    except (OSError, ValueError) as exc:
+        return name, True, f"failed: {exc}"
     return name, result.aborted, result.summary["termination"]
 
 
@@ -572,6 +611,8 @@ def run_sweep(sweep_path, out_root, jobs: int = 1) -> list:
 
     Every variant's config and initial state are checked before any variant
     runs, so a bad variant raises ConfigError before any output is written.
+    A variant that fails later, as when its directory cannot be made, is
+    reported as failed by _sweep_worker, and the other variants still run.
     """
     jobs = _integer(jobs, "jobs", minimum=1)
     raw = _parse_json(_read_text(sweep_path))
@@ -685,11 +726,9 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"sweep config error: {exc}", file=sys.stderr)
             return 2
-        failed = 0
-        for name, aborted, termination in results:
-            print(f"{name}: {termination}")
-            failed += bool(aborted)
-        return 1 if failed else 0
+        for name, _, status in results:
+            print(f"{name}: {status}")
+        return 1 if any(failed for _, failed, _ in results) else 0
     raise AssertionError(f"unhandled command {args.command}")
 
 

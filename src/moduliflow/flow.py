@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import table
 from .mesh import DomainGrid, periodic_op
 
 # Hard positivity floor for the second coordinate; states at or below the
@@ -42,8 +41,6 @@ V_FLOOR = 1e-8
 
 # run_flow rejects a step that raises the energy by more than this.
 ENERGY_STEP_TOL = 1e-10
-
-SNAPSHOT_SCHEMA = "moduliflow-snapshot-v1"
 
 
 class TargetEscapeError(ValueError):
@@ -466,42 +463,32 @@ def chain_rule_residual(state: MapState, f) -> float:
     return float(np.sqrt(grid.integrate(residual * residual)))
 
 
-def write_snapshot(state: MapState, path, rows: list | None = None) -> None:
-    """Write a state as a table: metadata n1,n2,t, then row-major i,j,u,v
-    rows with round-trip float formatting.  rows is table.write_table's:
-    states with the same fields share their data lines."""
-    n1, n2 = state.grid.n1, state.grid.n2
-    i, j = np.divmod(np.arange(n1 * n2), n2)
-    table.write_table(
-        path, SNAPSHOT_SCHEMA,
-        {"i": i, "j": j, "u": state.u.ravel(), "v": state.v.ravel()},
-        meta={"n1": n1, "n2": n2, "t": float(state.t)}, rows=rows,
-    )
+def write_snapshot(state: MapState, path) -> None:
+    """Write a state's fields as one .npy array of shape (2, n1, n2), u then
+    v, native float64 in C order; its time is not stored."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.stack((state.u, state.v)))
 
 
-def read_snapshot(path, last=None) -> MapState:
-    """Read a state written by write_snapshot.  Row k must carry node
-    (i, j) = divmod(k, n2), so every node is read exactly once, and t must
-    be finite; every error names the file.  last is table.read_table's
-    dict: a file whose data rows are byte-identical to the latest one read
-    with it gets that state's arrays."""
-    last = {} if last is None else last
-    meta, body = table.read_table(
-        path, SNAPSHOT_SCHEMA, ("i", "j", "u", "v"), ("n1", "n2", "t"), last
-    )
+def read_snapshot(path, grid: DomainGrid) -> MapState:
+    """Read the fields written by write_snapshot as a state on grid at t = 0;
+    u and v are views of the one array read.  The file must hold a native
+    float64 C-order array of shape (2, n1, n2), read without unpickling, and
+    the fields must pass MapState's checks.  Any failure but an OSError
+    raises ValueError naming the file: on a damaged header np.load also
+    raises EOFError, SyntaxError, TypeError and tokenize's errors."""
     try:
-        grid, t = DomainGrid(int(meta["n1"]), int(meta["n2"])), float(meta["t"])
-        if not math.isfinite(t):
-            raise ValueError(f"t = {t} is not finite")
-        i, j = np.divmod(np.arange(grid.n1 * grid.n2), grid.n2)
-        if body.shape[0] != i.size or not (
-            np.array_equal(body[:, 0], i) and np.array_equal(body[:, 1], j)
-        ):
-            raise ValueError(f"expected {i.size} rows listing the nodes "
-                             f"(i, j) = divmod(k, {grid.n2}) in order")
-        if "fields" not in last:
-            last["fields"] = [np.ascontiguousarray(body[:, c]).reshape(grid.shape)
-                              for c in (2, 3)]
-        return MapState(grid, *last["fields"], t)
-    except ValueError as exc:
+        with open(path, "rb") as fh:
+            fields = np.load(fh, allow_pickle=False)
+        if not isinstance(fields, np.ndarray) or fields.dtype != np.dtype(float):
+            raise ValueError(f"expected a native float64 array, found "
+                             f"{getattr(fields, 'dtype', type(fields).__name__)}")
+        if fields.shape != (2, *grid.shape):
+            raise ValueError(f"shape {fields.shape}, expected {(2, *grid.shape)}")
+        if not fields.flags.c_contiguous:
+            raise ValueError("the array is not in C order")
+        return MapState(grid, fields[0], fields[1])
+    except OSError:
+        raise
+    except Exception as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -8,7 +8,8 @@ studies.  Kinds:
 * sinusoidal  -- single-mode trigonometric perturbation of a constant
 * winding     -- u = amp * sin(2 pi k x1), v = exp(b * cos(2 pi m x2))
 * random      -- band-limited random trigonometric fields (seeded)
-* file        -- a stored snapshot
+* file        -- a stored state: a .npy file written by write_snapshot, such
+                 as a run's snapshots/state_0003.npy; t starts at 0
 """
 
 from __future__ import annotations
@@ -135,10 +136,4 @@ def build_initial_state(
     # kind == "file"
     if not p["path"]:
         raise ValueError("file initial data needs a 'path'")
-    state = read_snapshot(p["path"])
-    if state.grid != grid:
-        raise ValueError(
-            f"snapshot grid {state.grid.shape} does not match configured "
-            f"grid {grid.shape}"
-        )
-    return MapState(grid, state.u, state.v, 0.0)
+    return read_snapshot(p["path"], grid)

@@ -11,8 +11,7 @@ series, and the degenerate-set / tail diagnostics bundled in EntropyReport.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,13 +244,6 @@ class EntropyReport:
     rho_max: float
     tail_mass: float
     degenerate_fraction: float
-
-    def to_json_line(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "EntropyReport":
-        return cls(**json.loads(line))
 
 
 def entropy_report(

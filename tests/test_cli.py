@@ -22,7 +22,7 @@ from moduliflow.cli import (
     run_experiment,
     run_sweep,
 )
-from moduliflow.flow import MapState, write_snapshot
+from moduliflow.flow import V_FLOOR, MapState, write_snapshot
 from moduliflow.hyperbolic import FundamentalDomainBinning
 from moduliflow.measures import (
     pushforward,
@@ -47,6 +47,49 @@ def _fast_config(**extra) -> FlowConfig:
     raw = dict(FAST_OVERRIDES)
     raw.update(extra)
     return config_from_dict(raw)
+
+
+def _save(path, fields, **kwargs):
+    with open(path, "wb") as fh:
+        np.save(fh, fields, **kwargs)
+
+
+def _resaved(edit):
+    """Rewrite a state file with its (2, n1, n2) fields array edited."""
+    def apply(path):
+        fields = np.load(path)
+        _save(path, edit(fields.copy()))
+    return apply
+
+
+def _cut(stop):
+    def apply(path):
+        path.write_bytes(path.read_bytes()[:stop])
+    return apply
+
+
+def _set(index, value):
+    def edit(fields):
+        fields[index] = value
+        return fields
+    return _resaved(edit)
+
+
+# Ways to damage a state file that its reader must reject, naming the file.
+DAMAGED_STATES = {
+    "empty": _cut(0),
+    "truncated_header": _cut(64),
+    "truncated_data": _cut(-8),
+    "pickled": lambda path: _save(path, np.array([np.load(path), "x"], dtype=object),
+                                  allow_pickle=True),
+    "float32": _resaved(lambda f: f.astype(np.float32)),
+    "big_endian": _resaved(lambda f: f.astype(">f8")),
+    "fortran_order": _resaved(np.asfortranarray),
+    "wrong_shape": _resaved(lambda f: f[:, :, :-1]),
+    "nan": _set((0, 1, 2), np.nan),
+    "inf": _set((1, 2, 3), np.inf),
+    "v_at_floor": _set((1, 0, 0), V_FLOOR),
+}
 
 
 class TestConfigParsing:
@@ -133,7 +176,10 @@ class TestRunExperiment:
                      "entropy.jsonl", "summary.json"):
             assert (out / name).is_file()
         n_snap = result.summary["snapshot_count"]
-        assert len(list((out / "snapshots").glob("snapshot_*.csv"))) == n_snap
+        index = (out / "snapshots" / "index.csv").read_text().splitlines()
+        assert index[4:] and index[-1].startswith(f"{n_snap - 1},")
+        states = int(index[-1].rsplit(",", 1)[1]) + 1
+        assert len(list((out / "snapshots").glob("state_*.npy"))) == states
         assert len(list((out / "measures").glob("measure_*.csv"))) == n_snap
         assert (out / "measures" / "time_average.csv").is_file()
         assert result.summary["termination"] in ("t_final", "stalled")
@@ -246,6 +292,20 @@ class TestAnalyzeRun:
         assert result.summary["energy_final"] != result.summary["energy_initial"]
         assert analyze_run(tmp_path / "run")["pass"] is True
 
+    def test_an_edited_state_is_a_mismatch_of_its_snapshots(self, tmp_path, capsys):
+        # State 1 is snapshot 1's alone; the records name no row but the first
+        # and the last, so the series audit is what catches the edit.
+        run_experiment(_fast_config(), tmp_path / "run")
+        path = tmp_path / "run" / "snapshots" / "state_0001.npy"
+        fields = np.load(path)
+        fields[0, 0, 1] += 1e-3  # too little to move the node to another bin
+        _save(path, fields)
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert err == "" and "analysis FAIL" in out
+        assert any(line.startswith("E: ") and line.endswith("[MISMATCH]")
+                   for line in out.splitlines())
+
     def test_tampered_series_fails(self, tmp_path):
         run_experiment(_fast_config(), tmp_path / "run")
         series = tmp_path / "run" / "series.csv"
@@ -314,7 +374,7 @@ class TestMeasureAudit:
 
 class TestFrozenSnapshots:
     """A stalled run: its frozen snapshots share the stalled state's arrays,
-    so run and analyze measure, format and parse each distinct state once."""
+    so run and analyze measure, write and read each distinct state once."""
 
     @staticmethod
     def _stalled_run(tmp_path):
@@ -353,13 +413,18 @@ class TestFrozenSnapshots:
         assert calls == {"pushforward": len(firsts), "_edge_pass": len(firsts)}
 
     def test_files_equal_those_written_one_by_one(self, tmp_path):
-        result, _ = self._stalled_run(tmp_path)
-        out, alone = tmp_path / "run", tmp_path / "alone.csv"
-        binning = FundamentalDomainBinning(12, 12, 4.0)
-        for k, snap in enumerate(result.trajectory.snapshots):
-            write_snapshot(snap, alone)
-            assert (out / "snapshots" / f"snapshot_{k:04d}.csv").read_bytes() \
+        result, firsts = self._stalled_run(tmp_path)
+        out, alone = tmp_path / "run", tmp_path / "alone"
+        snaps = result.trajectory.snapshots
+        for j, k in enumerate(firsts):
+            write_snapshot(snaps[k], alone)
+            assert (out / "snapshots" / f"state_{j:04d}.npy").read_bytes() \
                 == alone.read_bytes()
+        index = (out / "snapshots" / "index.csv").read_text().splitlines()[4:]
+        assert index == [f"{k},{s.t!r},{sum(f <= k for f in firsts) - 1}"
+                         for k, s in enumerate(snaps)]
+        binning = FundamentalDomainBinning(12, 12, 4.0)
+        for k, snap in enumerate(snaps):
             write_measure(pushforward(snap, binning), alone)
             assert (out / "measures" / f"measure_{k:04d}.csv").read_bytes() \
                 == alone.read_bytes()
@@ -369,27 +434,28 @@ class TestFrozenSnapshots:
         _, firsts = self._stalled_run(tmp_path)
         # A frozen snapshot followed by another copy of the same state.
         k = firsts[-1] + 1
-        path = tmp_path / "run" / "snapshots" / f"snapshot_{k:04d}.csv"
-        lines = path.read_text().splitlines()
+        snapshots = tmp_path / "run" / "snapshots"
         if edit == "u":
-            row = lines[5].split(",")
-            row[2] = repr(float(row[2]) + 1e-3)
-            lines[5] = ",".join(row)
+            # The stalled state, which this snapshot and the ones after it share.
+            path = snapshots / f"state_{len(firsts) - 1:04d}.npy"
+            fields = np.load(path)
+            fields[0, 0, 1] += 1e-3
+            _save(path, fields)
         else:
-            meta = lines[2].split(",")
-            meta[2] = repr(float(meta[2]) + 1e-9)
-            lines[2] = ",".join(meta)
-        path.write_text("\n".join(lines) + "\n")
+            lines = (snapshots / "index.csv").read_text().splitlines()
+            row = lines[4 + k].split(",")
+            row[1] = repr(float(row[1]) + 1e-9)
+            lines[4 + k] = ",".join(row)
+            (snapshots / "index.csv").write_text("\n".join(lines) + "\n")
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
         if edit == "u":
-            assert any(line.startswith("E: ") and line.endswith("[MISMATCH]")
-                       for line in out.splitlines())
-            assert "analysis FAIL" in out
+            # The last snapshot holds the stalled state, so its energy is off.
+            assert "summary.json: energy_final is " in err
         else:
             # entropy.jsonl line k + 2 holds snapshot k's report.
             assert f"entropy.jsonl: line {k + 2} t is " in err
-            assert "PASS" not in out and len(err.splitlines()) == 1
+        assert "PASS" not in out and len(err.splitlines()) == 1
 
 
 class TestRunFiles:
@@ -404,10 +470,17 @@ class TestRunFiles:
         )))
         run = tmp_path / "run"
         assert main(["run", "--config", str(cfg_path), "--out", str(run)]) == 0
-        assert (run / "snapshots" / "snapshot_10000.csv").is_file()
+        # A constant map is one state, frozen for all 10 001 snapshots.
+        assert (run / "snapshots" / "index.csv").read_text().endswith("\n10000,1.0,0\n")
         assert (run / "measures" / "measure_10000.csv").is_file()
         assert main(["analyze", "--run", str(run)]) == 0
         assert "analysis PASS" in capsys.readouterr().out
+
+    def test_state_names_have_four_digits_and_more_when_needed(self, tmp_path):
+        snapshots, measures = cli_module._run_files(tmp_path, range(10001)).values()
+        assert snapshots[:3] == ["index.csv", "state_0000.npy", "state_0001.npy"]
+        assert snapshots[-1] == "state_10000.npy" and len(snapshots) == 10002
+        assert measures[-2:] == ["measure_10000.csv", "time_average.csv"]
 
     @pytest.mark.parametrize("edit", ["extra", "deleted"])
     def test_a_file_off_the_list_exits_2_naming_it(self, tmp_path, capsys, edit):
@@ -417,7 +490,7 @@ class TestRunFiles:
             path = snapshots / "notes.txt"
             path.write_text("kept by hand\n")
         else:
-            path = snapshots / "snapshot_0001.csv"
+            path = snapshots / "state_0001.npy"
             path.unlink()
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
@@ -537,6 +610,23 @@ class TestSweep:
             # Base fields survive the merge untouched.
             assert cfg.binning.y_max == 4.0
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_failed_variant_does_not_stop_the_others(self, tmp_path, capsys, jobs):
+        sweep_path = tmp_path / "sweep.json"
+        self._write_sweep(sweep_path)
+        out_root = tmp_path / "out"
+        out_root.mkdir()
+        (out_root / "b").write_text("in the way of variant b's directory\n")
+        assert main(["sweep", "--config", str(sweep_path), "--out", str(out_root),
+                     "--jobs", jobs]) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert [line.split(":", 1)[0] for line in lines] == ["a", "b", "c"]
+        assert lines[1].startswith("b: failed: ") and str(out_root / "b") in lines[1]
+        assert err == ""
+        for name in ("a", "c"):
+            assert (out_root / name / "summary.json").is_file()
+
     def test_duplicate_names_rejected(self, tmp_path):
         sweep_path = tmp_path / "sweep.json"
         self._write_sweep(sweep_path, names=("a", "a", "c"))
@@ -564,7 +654,7 @@ class TestSweep:
     def test_variant_at_the_v_floor_stops_the_sweep_before_any_output(self, tmp_path,
                                                                       capsys):
         grid = DomainGrid(16, 16)
-        snap = tmp_path / "low.csv"
+        snap = tmp_path / "low.npy"
         write_snapshot(MapState(grid, grid.zeros(), grid.full(1e-9)), snap)
         sweep = {
             "base": dict(FAST_OVERRIDES),
@@ -683,7 +773,7 @@ class TestMain:
         {"kind": "sinusoidal", "amp_v": 2.0},
         {"kind": "sinusoidal", "amp_v": "0.1"},
         {"kind": "file"},
-        {"kind": "file", "path": "no/such/snapshot.csv"},
+        {"kind": "file", "path": "no/such/state.npy"},
     ])
     def test_bad_initial_state_exits_2_before_any_output(self, tmp_path, capsys,
                                                          initial):
@@ -700,7 +790,7 @@ class TestMain:
         ({"kind": "constant", "v0": True}, "v0"),
         ({"kind": "sinusoidal", "mode_u": [1.5, 1]}, "mode_u"),
         ({"kind": "sinusoidal", "mode_v": [1, 1, 1]}, "mode_v"),
-        ({"kind": "file", "path": ["snapshot.csv"]}, "path"),
+        ({"kind": "file", "path": ["state.npy"]}, "path"),
     ])
     def test_initial_value_of_the_wrong_type_exits_2_before_any_output(
             self, tmp_path, capsys, initial, field):
@@ -733,7 +823,7 @@ class TestMain:
     def test_initial_state_at_the_v_floor_exits_2_before_any_output(self, tmp_path,
                                                                     capsys):
         grid = DomainGrid(16, 16)
-        snap = tmp_path / "low.csv"
+        snap = tmp_path / "low.npy"
         write_snapshot(MapState(grid, grid.zeros(), grid.full(1e-9)), snap)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(
@@ -831,46 +921,106 @@ class TestMain:
         run_experiment(_fast_config(), tmp_path / "run")
         grid = DomainGrid(8, 8)
         write_snapshot(MapState(grid, grid.zeros(), grid.full(1.0)),
-                       tmp_path / "run" / "snapshots" / "snapshot_0001.csv")
+                       tmp_path / "run" / "snapshots" / "state_0001.npy")
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
-        assert "snapshot_0001.csv" in err and len(err.splitlines()) == 1
+        assert "state_0001.npy: shape (2, 8, 8)" in err and len(err.splitlines()) == 1
 
     def test_snapshot_below_the_v_floor_exits_2(self, tmp_path, capsys):
         run_experiment(_fast_config(), tmp_path / "run")
         grid = DomainGrid(16, 16)
         write_snapshot(MapState(grid, grid.zeros(), grid.full(1e-300)),
-                       tmp_path / "run" / "snapshots" / "snapshot_0001.csv")
+                       tmp_path / "run" / "snapshots" / "state_0001.npy")
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
-        assert "snapshot_0001.csv" in err and len(err.splitlines()) == 1
+        assert "state_0001.npy" in err and len(err.splitlines()) == 1
 
-    @staticmethod
-    def _edit_metadata(path, field, value):
-        lines = path.read_text().splitlines()
-        values = dict(zip(lines[1].split(","), lines[2].split(",")))
-        values[field] = value
-        lines[2] = ",".join(values.values())
-        path.write_text("\n".join(lines) + "\n")
+    @pytest.mark.parametrize("damage", DAMAGED_STATES)
+    def test_a_damaged_state_file_exits_2_naming_it(self, tmp_path, capsys, damage):
+        run_experiment(_fast_config(), tmp_path / "run")
+        path = tmp_path / "run" / "snapshots" / "state_0001.npy"
+        DAMAGED_STATES[damage](path)
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out and not (tmp_path / "run" / "analysis.json").exists()
+        assert f"{path}: " in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("field, value", [("n1", "x16"), ("t", "nan"), ("t", "inf")])
     def test_snapshot_with_bad_metadata_exits_2_naming_the_file(self, tmp_path, capsys,
                                                                 field, value):
         run_experiment(_fast_config(), tmp_path / "run")
-        path = tmp_path / "run" / "snapshots" / "snapshot_0001.csv"
-        self._edit_metadata(path, field, value)
+        path = tmp_path / "run" / "snapshots" / "index.csv"
+        lines = path.read_text().splitlines()
+        if field == "n1":
+            lines[2] = value + lines[2][2:]
+        else:  # snapshot 1's time
+            k, _, state = lines[5].split(",")
+            lines[5] = ",".join((k, value, state))
+        path.write_text("\n".join(lines) + "\n")
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
         assert "PASS" not in out
-        assert "snapshot_0001.csv" in err and len(err.splitlines()) == 1
+        assert "index.csv" in err and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("field, value", [("n1", "x16"), ("t", "nan"), ("t", "inf")])
-    def test_initial_file_with_bad_metadata_exits_2_before_any_output(
-            self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("edit", [
+        "k_skips", "k_short", "state_starts_at_1", "state_skips", "state_falls",
+        "t_falls", "last_snapshot_on_another_state"])
+    def test_an_index_that_does_not_fit_exits_2_naming_it(self, tmp_path, capsys, edit):
+        run_experiment(_fast_config(t_final=0.4), tmp_path / "run")
+        snapshots = tmp_path / "run" / "snapshots"
+        path = snapshots / "index.csv"
+        lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines[4:]]
+        if edit == "k_skips":
+            rows[2][0] = "3"
+        elif edit == "k_short":
+            del rows[-1]
+        elif edit == "state_starts_at_1":
+            rows[0][2] = "1"
+        elif edit == "state_skips":
+            rows[-1][2] = str(int(rows[-1][2]) + 2)
+        elif edit == "state_falls":
+            rows[-1][2] = str(int(rows[-1][2]) - 1)
+        elif edit == "t_falls":
+            rows[2][1] = rows[1][1]
+            rows[1][1] = rows[3][1]
+        else:  # a state file of its own, holding the initial state
+            rows[-1][2] = str(int(rows[-1][2]) + 1)
+            _save(snapshots / f"state_{int(rows[-1][2]):04d}.npy",
+                  np.load(snapshots / "state_0000.npy"))
+        path.write_text("\n".join(lines[:4] + [",".join(r) for r in rows]) + "\n")
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert len(err.splitlines()) == 1
+        if edit == "last_snapshot_on_another_state":
+            # A consistent index is trusted; the records then disagree.
+            assert "summary.json: final_entropy is " in err
+        else:
+            assert f"{path}: " in err
+
+    def test_a_run_in_the_text_snapshot_format_exits_2_naming_it(self, tmp_path, capsys):
+        run_experiment(_fast_config(), tmp_path / "run")
+        snapshots = tmp_path / "run" / "snapshots"
+        for path in snapshots.iterdir():
+            path.unlink()
+        (snapshots / "snapshot_0000.csv").write_text(
+            "# schema: moduliflow-snapshot-v1\nn1,n2,t\n16,16,0.0\ni,j,u,v\n")
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert (f"{snapshots}: the run uses the text snapshot format "
+                "moduliflow-snapshot-v1, which this version does not read") in err
+
+    # A state at the v floor is refused without naming the file (see
+    # test_initial_state_at_the_v_floor_exits_2_before_any_output).
+    @pytest.mark.parametrize("damage", [d for d in DAMAGED_STATES if d != "v_at_floor"])
+    def test_initial_file_that_is_no_state_exits_2_before_any_output(
+            self, tmp_path, capsys, damage):
         grid = DomainGrid(16, 16)
-        snap = tmp_path / "snapshot_0001.csv"
+        snap = tmp_path / "state_0001.npy"
         write_snapshot(MapState(grid, grid.zeros(), grid.full(1.5)), snap)
-        self._edit_metadata(snap, field, value)
+        DAMAGED_STATES[damage](snap)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(
             dict(FAST_OVERRIDES, initial={"kind": "file", "path": str(snap)})
@@ -879,7 +1029,7 @@ class TestMain:
                      "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: initial:")
-        assert "snapshot_0001.csv" in err and len(err.splitlines()) == 1
+        assert "state_0001.npy" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "run").exists()
 
     def test_analyze_of_a_missing_run_exits_2(self, tmp_path, capsys):

@@ -104,7 +104,7 @@ class TestFile:
     def test_round_trip_resets_time(self, grid64, rng, tmp_path):
         state = build_initial_state(grid64, {"kind": "random"}, rng=rng)
         state.t = 0.7
-        path = tmp_path / "state.csv"
+        path = tmp_path / "state.npy"
         write_snapshot(state, path)
         back = build_initial_state(grid64, {"kind": "file", "path": str(path)})
         assert back.t == 0.0
@@ -114,7 +114,7 @@ class TestFile:
     def test_grid_mismatch(self, grid64, tmp_path):
         small = DomainGrid(8, 8)
         state = build_initial_state(small, {"kind": "constant"})
-        path = tmp_path / "state.csv"
+        path = tmp_path / "state.npy"
         write_snapshot(state, path)
         with pytest.raises(ValueError):
             build_initial_state(grid64, {"kind": "file", "path": str(path)})

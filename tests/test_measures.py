@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -17,7 +16,6 @@ from moduliflow.hyperbolic import (
 from moduliflow.initial import build_initial_state
 from moduliflow.measures import (
     BinningMismatchError,
-    EntropyReport,
     MeasureSeries,
     PushforwardMeasure,
     entropy_from_masses,
@@ -510,13 +508,6 @@ class TestLaplacianInvarianceDiagnostic:
 
 
 class TestEntropyReport:
-    def test_json_round_trip(self):
-        rep = EntropyReport(t=0.25, entropy=1.5, rho_max=12.0,
-                            tail_mass=0.01, degenerate_fraction=0.125)
-        back = EntropyReport.from_json_line(rep.to_json_line())
-        assert back == rep
-        assert json.loads(rep.to_json_line())["t"] == 0.25
-
     def test_constant_map_report(self, grid64, binning60):
         nu = reference_measure(binning60)
         state = _constant_state(grid64, 0.1, 1.3, t=0.75)
