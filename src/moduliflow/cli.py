@@ -10,7 +10,10 @@ Subcommands:
 
 Configs are strict JSON: unknown keys anywhere are rejected, every value is
 type-checked, and the resolved config (defaults filled in) is echoed into
-the run directory so analyze can rebuild the exact measurement setup.  Runs
+the run directory so analyze can rebuild the exact measurement setup.  The
+schema lives on the fields of FlowConfig, GridSpec and BinningSpec: each
+field gives one key, its default and its bounds, and config_from_dict reads
+the fields instead of restating them.  Runs
 are deterministic: the same config and seed produce bit-identical output
 files.  MODFLOW_THREADS caps kernel threads; the package applies it on
 import, before numpy loads, and sweep subprocesses inherit it.
@@ -25,7 +28,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,12 +59,6 @@ SERIES_BASE_COLUMNS = [
 # from the snapshots alone.
 ECHOED = {"cumulative_D", "dt"}
 
-DEFAULT_TEST_FUNCTIONS = [
-    {"center": [0.0, 1.5], "radii": [0.35, 0.45], "amplitude": 1.0},
-    {"center": [-0.2, 2.5], "radii": [0.25, 1.0], "amplitude": 1.0},
-]
-
-
 class ConfigError(ValueError):
     """A config failed validation; .path names the offending key."""
 
@@ -69,50 +67,18 @@ class ConfigError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    n1: int = 64
-    n2: int = 64
+def _key(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-@dataclass(frozen=True)
-class BinningSpec:
-    n_x: int = 60
-    n_y: int = 60
-    y_max: float = 10.0
-
-
-@dataclass
-class FlowConfig:
-    """Fully resolved experiment configuration."""
-
-    grid: GridSpec = GridSpec()
-    initial: dict = field(default_factory=lambda: {"kind": "sinusoidal"})
-    t_final: float = 1.0
-    snapshot_interval: float = 0.05
-    cfl_safety: float = 0.5
-    dt_floor: float = 1e-12
-    stall_threshold: float = 1e-14
-    binning: BinningSpec = BinningSpec()
-    test_functions: list = field(
-        default_factory=lambda: [dict(tf) for tf in DEFAULT_TEST_FUNCTIONS]
-    )
-    density_threshold: float = 10.0
-    jacobian_threshold: float = 1e-6
-    seed: int = 0
-    output_dir: str | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def _expect(raw: dict, allowed: set, path: str):
+def _expect(raw: dict, allowed, path: str):
     for key in raw:
         if key not in allowed:
-            raise ConfigError(f"unknown key {key!r}", f"{path}.{key}" if path else key)
+            raise ConfigError(f"unknown key {key!r}", _key(path, key))
 
 
-def _number(raw, path, *, positive=False, nonnegative=False, at_most=None) -> float:
+def _number(raw, path, *, positive=False, nonnegative=False, at_most=None,
+            above=None) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"expected a number, got {raw!r}", path)
     val = float(raw)
@@ -124,6 +90,8 @@ def _number(raw, path, *, positive=False, nonnegative=False, at_most=None) -> fl
         raise ConfigError(f"must be nonnegative, got {val}", path)
     if at_most is not None and val > at_most:
         raise ConfigError(f"must be at most {at_most}, got {val}", path)
+    if above is not None and not val > above:
+        raise ConfigError(f"must exceed {above}, got {val}", path)
     return val
 
 
@@ -154,81 +122,91 @@ def _validate_test_function(raw, path) -> dict:
         pair = raw.get(key)
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ConfigError("expected a pair [x, y]", f"{path}.{key}")
-        out[key] = [
-            _number(pair[0], f"{path}.{key}[0]"),
-            _number(pair[1], f"{path}.{key}[1]", positive=(key == "radii")),
-        ]
-        if key == "radii" and not out[key][0] > 0:
-            raise ConfigError("radii must be positive", f"{path}.{key}")
+        out[key] = [_number(x, f"{path}.{key}[{i}]", positive=(key == "radii"))
+                    for i, x in enumerate(pair)]
     out["amplitude"] = _number(raw.get("amplitude", 1.0), f"{path}.amplitude")
     return out
 
 
+def _validate_test_functions(raw, path) -> list:
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError("must be a non-empty list", path)
+    return [_validate_test_function(tf, f"{path}[{i}]") for i, tf in enumerate(raw)]
+
+
+def _validate_output_dir(raw, path):
+    if raw is not None and not isinstance(raw, str):
+        raise ConfigError("must be a string or null", path)
+    return raw
+
+
+def _read_fields(cls, raw, path: str = ""):
+    """An instance of the config dataclass cls read from the JSON object raw.
+    Each key must name a field and goes through the field's reader; a
+    missing key keeps the field's default.  path is raw's key in the config."""
+    if not isinstance(raw, dict):
+        raise (ConfigError("must be an object", path) if path
+               else ConfigError("config must be a JSON object"))
+    readers = {f.name: f.metadata["read"] for f in fields(cls)}
+    _expect(raw, readers, path)
+    return cls(**{key: readers[key](value, _key(path, key)) for key, value in raw.items()})
+
+
+def _field(read, **default):
+    """A config field: its default (default= or default_factory=), and
+    read(value, key), which checks a given value and returns what is stored."""
+    return field(**default, metadata={"read": read})
+
+
+def _bound(default, **bounds):
+    """A numeric config field: its default, and the bounds a given value is
+    checked against, by _integer for an int default and _number otherwise."""
+    check = _integer if isinstance(default, int) else _number
+    return _field(partial(check, **bounds), default=default)
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    n1: int = _bound(64, minimum=4)
+    n2: int = _bound(64, minimum=4)
+
+
+@dataclass(frozen=True)
+class BinningSpec:
+    n_x: int = _bound(60, minimum=2)
+    n_y: int = _bound(60, minimum=2)
+    y_max: float = _bound(10.0, positive=True, above=1)
+
+
+@dataclass
+class FlowConfig:
+    """Fully resolved experiment configuration; its fields are the config
+    schema, each giving its key, default and bounds."""
+
+    grid: GridSpec = _field(partial(_read_fields, GridSpec), default=GridSpec())
+    initial: dict = _field(_validate_initial, default_factory=lambda: {"kind": "sinusoidal"})
+    t_final: float = _bound(1.0, positive=True)
+    snapshot_interval: float = _bound(flow.FlowParams.snapshot_interval, positive=True)
+    cfl_safety: float = _bound(flow.FlowParams.cfl_safety, positive=True, at_most=1.0)
+    dt_floor: float = _bound(flow.FlowParams.dt_floor, positive=True)
+    stall_threshold: float = _bound(flow.FlowParams.stall_threshold, nonnegative=True)
+    binning: BinningSpec = _field(partial(_read_fields, BinningSpec), default=BinningSpec())
+    test_functions: list = _field(_validate_test_functions, default_factory=lambda: [
+        {"center": [0.0, 1.5], "radii": [0.35, 0.45], "amplitude": 1.0},
+        {"center": [-0.2, 2.5], "radii": [0.25, 1.0], "amplitude": 1.0},
+    ])
+    density_threshold: float = _bound(10.0, above=1)
+    jacobian_threshold: float = _bound(1e-6, positive=True)
+    seed: int = _bound(0, minimum=0)
+    output_dir: str | None = _field(_validate_output_dir, default=None)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 def config_from_dict(raw: dict) -> FlowConfig:
     """Validate a JSON-compatible dictionary into a FlowConfig (fail-closed)."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _expect(raw, {
-        "grid", "initial", "t_final", "snapshot_interval", "cfl_safety",
-        "dt_floor", "stall_threshold", "binning", "test_functions",
-        "density_threshold", "jacobian_threshold", "seed", "output_dir",
-    }, "")
-    grid_raw = raw.get("grid", {})
-    if not isinstance(grid_raw, dict):
-        raise ConfigError("must be an object", "grid")
-    _expect(grid_raw, {"n1", "n2"}, "grid")
-    grid = GridSpec(
-        _integer(grid_raw.get("n1", 64), "grid.n1", minimum=4),
-        _integer(grid_raw.get("n2", 64), "grid.n2", minimum=4),
-    )
-    bin_raw = raw.get("binning", {})
-    if not isinstance(bin_raw, dict):
-        raise ConfigError("must be an object", "binning")
-    _expect(bin_raw, {"n_x", "n_y", "y_max"}, "binning")
-    y_max = _number(bin_raw.get("y_max", 10.0), "binning.y_max", positive=True)
-    if y_max <= 1.0:
-        raise ConfigError(f"must exceed 1, got {y_max}", "binning.y_max")
-    binning = BinningSpec(
-        _integer(bin_raw.get("n_x", 60), "binning.n_x", minimum=2),
-        _integer(bin_raw.get("n_y", 60), "binning.n_y", minimum=2),
-        y_max,
-    )
-    tf_raw = raw.get("test_functions", DEFAULT_TEST_FUNCTIONS)
-    if not isinstance(tf_raw, list) or not tf_raw:
-        raise ConfigError("must be a non-empty list", "test_functions")
-    test_functions = [
-        _validate_test_function(tf, f"test_functions[{i}]")
-        for i, tf in enumerate(tf_raw)
-    ]
-    density = _number(raw.get("density_threshold", 10.0), "density_threshold")
-    if density <= 1.0:
-        raise ConfigError(f"must exceed 1, got {density}", "density_threshold")
-    out_dir = raw.get("output_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("must be a string or null", "output_dir")
-    return FlowConfig(
-        grid=grid,
-        initial=_validate_initial(raw.get("initial", {"kind": "sinusoidal"}), "initial"),
-        t_final=_number(raw.get("t_final", 1.0), "t_final", positive=True),
-        snapshot_interval=_number(
-            raw.get("snapshot_interval", 0.05), "snapshot_interval", positive=True
-        ),
-        cfl_safety=_number(
-            raw.get("cfl_safety", 0.5), "cfl_safety", positive=True, at_most=1.0
-        ),
-        dt_floor=_number(raw.get("dt_floor", 1e-12), "dt_floor", positive=True),
-        stall_threshold=_number(
-            raw.get("stall_threshold", 1e-14), "stall_threshold", nonnegative=True
-        ),
-        binning=binning,
-        test_functions=test_functions,
-        density_threshold=density,
-        jacobian_threshold=_number(
-            raw.get("jacobian_threshold", 1e-6), "jacobian_threshold", positive=True
-        ),
-        seed=_integer(raw.get("seed", 0), "seed", minimum=0),
-        output_dir=out_dir,
-    )
+    return _read_fields(FlowConfig, raw)
 
 
 def _read_text(path) -> str:
@@ -321,10 +299,8 @@ def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt
             row = (e, d, r.entropy, r.rho_max, r.tail_mass, r.degenerate_fraction)
         values.append(row)
     series = ms.MeasureSeries(mus)
-    ergodic = ms.ergodic_error_from_measures(series, [
-        BumpFunction(tf["center"], tf["radii"], tf.get("amplitude", 1.0))
-        for tf in config.test_functions
-    ], reference)
+    bumps = [BumpFunction(**tf) for tf in config.test_functions]
+    ergodic = ms.ergodic_error_from_measures(series, bumps, reference)
     e, d, *report = np.array(values).T
     rows = np.column_stack(
         [[s.t for s in snapshots], e, d, cumulative_d, dt, *report, ergodic]
@@ -392,20 +368,18 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     entropy.jsonl, summary.json.  An aborted run (dt underflow) still writes
     everything computed so far and is marked in summary.json.  An initial
     state that cannot be built raises ConfigError before the run directory
-    is created.
+    is created, and a run directory that holds any file raises
+    FileExistsError before anything is written.
     """
     state0 = _initial_state(config)
 
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir or "run")
     out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        raise FileExistsError(f"{out}: not empty; run writes only into a new or empty directory")
 
-    params = flow.FlowParams(
-        t_final=config.t_final,
-        snapshot_interval=config.snapshot_interval,
-        cfl_safety=config.cfl_safety,
-        dt_floor=config.dt_floor,
-        stall_threshold=config.stall_threshold,
-    )
+    params = flow.FlowParams(**{f.name: getattr(config, f.name)
+                                for f in fields(flow.FlowParams)})
     aborted = False
     try:
         traj = flow.run_flow(state0, params)
@@ -443,7 +417,7 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     for mu, name in zip([*mu_series.measures, mu_series.average()], measure_names):
         ms.write_measure(mu, measure_dir / name)
 
-    reports, fields = _records(columns, series)
+    reports, series_fields = _records(columns, series)
     entropy_lines = [json.dumps({"schema": ms.ENTROPY_SCHEMA})]
     entropy_lines += [json.dumps(report, sort_keys=True) for report in reports]
     (out / "entropy.jsonl").write_text("\n".join(entropy_lines) + "\n")
@@ -461,7 +435,7 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
         "energy_final": e_end,
         "dissipation_integral": cum,
         "energy_identity_rel_gap": abs(e0 - e_end - cum) / e0 if e0 > 0 else 0.0,
-        **fields,
+        **series_fields,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return ExperimentResult(config, out, traj, columns, series, summary, aborted)
@@ -683,7 +657,7 @@ def main(argv=None) -> int:
             config = (parse_config(_read_text(args.config))
                       if args.config else FlowConfig())
             if args.seed is not None:
-                config.seed = _integer(args.seed, "seed", minimum=0)
+                config = config_from_dict({**config.to_dict(), "seed": args.seed})
             if args.out is None and config.output_dir is None:
                 print("run: no output directory (--out or config output_dir)",
                       file=sys.stderr)
@@ -691,6 +665,9 @@ def main(argv=None) -> int:
             result = run_experiment(config, args.out)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except FileExistsError as exc:
+            print(f"run: {exc}", file=sys.stderr)
             return 2
         print(f"run written to {result.out_dir} "
               f"(termination: {result.summary['termination']}, "

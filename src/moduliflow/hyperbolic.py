@@ -371,7 +371,7 @@ class FundamentalDomainBinning:
     of the clipped cells.
     """
 
-    def __init__(self, n_x: int = 60, n_y: int = 60, y_max: float = 10.0):
+    def __init__(self, n_x: int, n_y: int, y_max: float):
         if n_x < 2 or n_y < 2:
             raise ValueError(f"need at least 2 bins per axis, got {n_x} x {n_y}")
         if not (math.isfinite(y_max) and y_max > 1.0):

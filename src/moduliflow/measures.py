@@ -250,8 +250,8 @@ def entropy_report(
     state: MapState,
     mu: PushforwardMeasure,
     nu: ReferenceMeasure,
-    density_threshold: float = 10.0,
-    jacobian_threshold: float = 1e-6,
+    density_threshold: float,
+    jacobian_threshold: float,
 ) -> EntropyReport:
     """Assemble the entropy/degeneracy diagnostics for one state, given its
     pushforward mu."""

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from moduliflow import cli as cli_module, flow as flow_module, measures as measures_module
+from moduliflow import cli as cli_module, flow as flow_module, measures as measures_module, table
 from moduliflow.cli import (
     ConfigError,
     FlowConfig,
@@ -25,6 +26,8 @@ from moduliflow.cli import (
 from moduliflow.flow import V_FLOOR, MapState, write_snapshot
 from moduliflow.hyperbolic import FundamentalDomainBinning
 from moduliflow.measures import (
+    MASS_TOL,
+    PushforwardMeasure,
     pushforward,
     read_measure,
     reference_measure,
@@ -90,6 +93,78 @@ DAMAGED_STATES = {
     "inf": _set((1, 2, 3), np.inf),
     "v_at_floor": _set((1, 0, 0), V_FLOOR),
 }
+
+
+GOOD_TF = {"center": [0.0, 1.5], "radii": [0.3, 0.3]}
+
+
+def _tf(**fields):
+    return {"test_functions": [dict(GOOD_TF, **fields)]}
+
+
+# Each bad config, one fault apiece, and the exact ConfigError line it gives.
+CONFIG_ERRORS = [
+    ([], 'config must be a JSON object'),
+    ({"viscosity": 1.0}, "viscosity: unknown key 'viscosity'"),
+    ({"grid": 8}, 'grid: must be an object'),
+    ({"grid": {"n1": 8, "n3": 8}}, "grid.n3: unknown key 'n3'"),
+    ({"grid": {"n1": 3}}, 'grid.n1: must be at least 4, got 3'),
+    ({"grid": {"n2": 3}}, 'grid.n2: must be at least 4, got 3'),
+    ({"grid": {"n1": 8.0}}, 'grid.n1: expected an integer, got 8.0'),
+    ({"grid": {"n2": True}}, 'grid.n2: expected an integer, got True'),
+    ({"binning": []}, 'binning: must be an object'),
+    ({"binning": {"bins": 3}}, "binning.bins: unknown key 'bins'"),
+    ({"binning": {"n_x": 1}}, 'binning.n_x: must be at least 2, got 1'),
+    ({"binning": {"n_y": 1}}, 'binning.n_y: must be at least 2, got 1'),
+    ({"binning": {"n_x": False}}, 'binning.n_x: expected an integer, got False'),
+    ({"binning": {"y_max": 1.0}}, 'binning.y_max: must exceed 1, got 1.0'),
+    ({"binning": {"y_max": 0.0}}, 'binning.y_max: must be positive, got 0.0'),
+    ({"binning": {"y_max": "10"}}, "binning.y_max: expected a number, got '10'"),
+    ({"binning": {"y_max": math.inf}}, 'binning.y_max: must be finite'),
+    ({"t_final": 0.0}, 't_final: must be positive, got 0.0'),
+    ({"t_final": True}, 't_final: expected a number, got True'),
+    ({"t_final": math.nan}, 't_final: must be finite'),
+    ({"snapshot_interval": 0}, 'snapshot_interval: must be positive, got 0.0'),
+    ({"cfl_safety": 0.0}, 'cfl_safety: must be positive, got 0.0'),
+    ({"cfl_safety": 1.0000000000000002},
+     'cfl_safety: must be at most 1.0, got 1.0000000000000002'),
+    ({"cfl_safety": [0.5]}, 'cfl_safety: expected a number, got [0.5]'),
+    ({"dt_floor": 0.0}, 'dt_floor: must be positive, got 0.0'),
+    ({"stall_threshold": -5e-324}, 'stall_threshold: must be nonnegative, got -5e-324'),
+    ({"stall_threshold": "0"}, "stall_threshold: expected a number, got '0'"),
+    ({"density_threshold": 1.0}, 'density_threshold: must exceed 1, got 1.0'),
+    ({"density_threshold": -3}, 'density_threshold: must exceed 1, got -3.0'),
+    ({"density_threshold": None}, 'density_threshold: expected a number, got None'),
+    ({"jacobian_threshold": 0.0}, 'jacobian_threshold: must be positive, got 0.0'),
+    ({"seed": -1}, 'seed: must be at least 0, got -1'),
+    ({"seed": 1.5}, 'seed: expected an integer, got 1.5'),
+    ({"seed": True}, 'seed: expected an integer, got True'),
+    ({"output_dir": 3}, 'output_dir: must be a string or null'),
+    ({"initial": "sinusoidal"}, 'initial: must be an object'),
+    ({"initial": {"kind": "mystery"}},
+     "initial.kind: unknown kind 'mystery'; expected one of "
+     "['constant', 'file', 'random', 'sinusoidal', 'winding']"),
+    ({"initial": {"kind": "constant", "amp_u": 1.0}},
+     "initial.amp_u: unknown field 'amp_u' for initial kind 'constant'"),
+    ({"initial": {"kind": "winding", "k": 1.5}}, 'initial.k: expected an integer, got 1.5'),
+    ({"test_functions": []}, 'test_functions: must be a non-empty list'),
+    ({"test_functions": GOOD_TF}, 'test_functions: must be a non-empty list'),
+    ({"test_functions": [3]}, 'test_functions[0]: must be an object'),
+    (_tf(width=1.0), "test_functions[0].width: unknown key 'width'"),
+    ({"test_functions": [{"radii": [0.3, 0.3]}]},
+     'test_functions[0].center: expected a pair [x, y]'),
+    (_tf(center=[0.0, 1.5, 2.0]), 'test_functions[0].center: expected a pair [x, y]'),
+    (_tf(center=["0", 1.5]), "test_functions[0].center[0]: expected a number, got '0'"),
+    (_tf(center=[0.0, True]), 'test_functions[0].center[1]: expected a number, got True'),
+    (_tf(radii=0.3), 'test_functions[0].radii: expected a pair [x, y]'),
+    (_tf(radii=[0.0, 0.3]), 'test_functions[0].radii[0]: must be positive, got 0.0'),
+    (_tf(radii=[0.3, -0.1]), 'test_functions[0].radii[1]: must be positive, got -0.1'),
+    (_tf(radii=[0.3, math.nan]), 'test_functions[0].radii[1]: must be finite'),
+    (_tf(amplitude="1"), "test_functions[0].amplitude: expected a number, got '1'"),
+    (_tf(amplitude=-math.inf), 'test_functions[0].amplitude: must be finite'),
+    ({"test_functions": [GOOD_TF, dict(GOOD_TF, radii=[0.3])]},
+     'test_functions[1].radii: expected a pair [x, y]'),
+]
 
 
 class TestConfigParsing:
@@ -160,6 +235,14 @@ class TestConfigParsing:
     def test_malformed_json_reports_position(self):
         with pytest.raises(ConfigError, match=r"line 2"):
             parse_config('{\n  "t_final": ,\n}')
+
+    @pytest.mark.parametrize("raw, line", CONFIG_ERRORS)
+    def test_each_bad_config_gives_its_error_line(self, raw, line):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert str(info.value) == line
+        # The line is "<path>: <message>", or the message alone at the top.
+        assert info.value.path == (line.split(": ", 1)[0] if ": " in line else "")
 
     def test_emit_parse_round_trip(self):
         cfg = _fast_config(seed=11, initial={"kind": "winding", "k": 2})
@@ -499,6 +582,74 @@ class TestRunFiles:
         assert not (tmp_path / "run" / "analysis.json").exists()
 
 
+def _damaged(data, raw: bytes, edit: str) -> bytes:
+    """raw truncated at a drawn byte, with a drawn byte XOR-ed, or with a
+    drawn data row (line 5 on) dropped."""
+    if edit == "drop":
+        lines = raw.splitlines(keepends=True)
+        del lines[data.draw(st.integers(4, len(lines) - 1))]
+        return b"".join(lines)
+    at = data.draw(st.integers(0, len(raw) - 1))
+    if edit == "truncate":
+        return raw[:at]
+    return raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+
+
+class TestDamagedTables:
+    """A damaged measure file or snapshot index fails closed: its reader
+    raises a ValueError that starts with the path, or returns a value that
+    passes the reader's checks, as when a flip lands in a digit of t.  A
+    dropped row always raises: the masses no longer total 1, or the rows no
+    longer count the snapshots."""
+
+    EDITS = st.sampled_from(["truncate", "flip", "drop"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_damaged_measure_file(self, data, tmp_path_factory):
+        binning = FundamentalDomainBinning(2, 3, 4.0)
+        # Node counts over their total, as pushforward makes them, so that
+        # every listed mass is far above MASS_TOL.
+        counts = np.array(data.draw(st.lists(st.integers(0, 5), min_size=binning.n_bins + 1,
+                                             max_size=binning.n_bins + 1)))
+        counts[data.draw(st.integers(0, binning.n_bins))] += 1
+        path = tmp_path_factory.mktemp("measure") / "measure.csv"
+        write_measure(PushforwardMeasure(binning, counts / counts.sum(), t=0.5), path)
+        edit = data.draw(self.EDITS)
+        path.write_bytes(_damaged(data, path.read_bytes(), edit))
+        try:
+            back = read_measure(path, binning)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert edit != "drop" and back.binning is binning
+            assert (back.masses >= 0.0).all() and abs(back.masses.sum() - 1.0) <= MASS_TOL
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_damaged_snapshot_index(self, data, tmp_path_factory):
+        grid = DomainGrid(4, 5)
+        count = data.draw(st.integers(1, 6))
+        t = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count)))
+        state = np.cumsum([0] + data.draw(st.lists(st.integers(0, 1), min_size=count - 1,
+                                                   max_size=count - 1))).tolist()
+        path = tmp_path_factory.mktemp("index") / "index.csv"
+        table.write_table(path, cli_module.INDEX_SCHEMA,
+                          {"k": np.arange(count), "t": t, "state": state},
+                          meta={"n1": 4, "n2": 5})
+        assert cli_module._read_index(path, count, grid) == (t, state)
+        edit = data.draw(self.EDITS)
+        path.write_bytes(_damaged(data, path.read_bytes(), edit))
+        try:
+            times, states = cli_module._read_index(path, count, grid)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert edit != "drop" and len(times) == len(states) == count
+            assert all(map(math.isfinite, times)) and times == sorted(times)
+            assert states[0] == 0 and all(b - a in (0, 1) for a, b in zip(states, states[1:]))
+
+
 class TestRecordsMirrorTheSeries:
     """entropy.jsonl and the series-determined summary.json fields hold the
     series.csv values themselves, bit for bit."""
@@ -511,8 +662,6 @@ class TestRecordsMirrorTheSeries:
         ({"t_final": 0.4}, "stalled"), ({"dt_floor": 1e-4}, "aborted"),
     ])
     def test_every_record_equals_its_series_value(self, tmp_path, extra, termination):
-        from moduliflow import table
-
         cfg = _fast_config(**extra)
         run_experiment(cfg, tmp_path / "run")
         run = tmp_path / "run"
@@ -624,6 +773,20 @@ class TestSweep:
         assert [line.split(":", 1)[0] for line in lines] == ["a", "b", "c"]
         assert lines[1].startswith("b: failed: ") and str(out_root / "b") in lines[1]
         assert err == ""
+        for name in ("a", "c"):
+            assert (out_root / name / "summary.json").is_file()
+
+    def test_a_variant_whose_directory_is_not_empty_fails_alone(self, tmp_path, capsys):
+        sweep_path = tmp_path / "sweep.json"
+        self._write_sweep(sweep_path)
+        out_root = tmp_path / "out"
+        (out_root / "b").mkdir(parents=True)
+        (out_root / "b" / "notes.txt").write_text("kept by hand\n")
+        assert main(["sweep", "--config", str(sweep_path), "--out", str(out_root)]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1] == (f"b: failed: {out_root / 'b'}: not empty; "
+                                       "run writes only into a new or empty directory")
+        assert err == "" and [p.name for p in (out_root / "b").iterdir()] == ["notes.txt"]
         for name in ("a", "c"):
             assert (out_root / name / "summary.json").is_file()
 
@@ -742,6 +905,25 @@ class TestMain:
         out = capsys.readouterr().out
         assert "analysis PASS" in out
         assert "E: max |diff|" in out
+
+    def test_a_used_output_directory_is_refused_and_left_as_it_was(self, tmp_path, capsys):
+        # A shorter run written over a longer one would keep the longer run's
+        # extra state and measure files and fail its own audit.
+        cfg_path, run = tmp_path / "config.json", tmp_path / "run"
+        cfg_path.write_text(json.dumps(dict(FAST_OVERRIDES, t_final=0.4)))
+        assert main(["run", "--config", str(cfg_path), "--out", str(run)]) == 0
+        first = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        cfg_path.write_text(json.dumps(dict(FAST_OVERRIDES, t_final=0.2)))
+        assert main(["run", "--config", str(cfg_path), "--out", str(run)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"run: {run}: not empty; run writes only into a new or empty directory\n"
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == first
+        assert main(["analyze", "--run", str(run)]) == 0
+        # An empty directory is as good as a new one.
+        (tmp_path / "empty").mkdir()
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "empty")]) == 0
 
     def test_seed_override_changes_the_run(self, tmp_path):
         cfg_path = tmp_path / "config.json"

@@ -511,7 +511,7 @@ class TestEntropyReport:
     def test_constant_map_report(self, grid64, binning60):
         nu = reference_measure(binning60)
         state = _constant_state(grid64, 0.1, 1.3, t=0.75)
-        rep = entropy_report(state, pushforward(state, binning60), nu)
+        rep = entropy_report(state, pushforward(state, binning60), nu, 10.0, 1e-6)
         b = binning60.bin_index(0.1, 1.3)
         assert rep.t == 0.75
         assert rep.rho_max == 1.0 / nu.masses[b]
@@ -550,7 +550,7 @@ class TestEntropyReport:
         state = _constant_state(grid64, 0.1, 1.3)
         with pytest.raises(ValueError):
             entropy_report(state, pushforward(state, binning60), nu,
-                           density_threshold=1.0)
+                           density_threshold=1.0, jacobian_threshold=1e-6)
 
 
 MEASURE_GOLDEN = """\

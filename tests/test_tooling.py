@@ -1,11 +1,18 @@
-"""The per-layer trace of perfbench/traced.py wraps functions by name, so a
-renamed or removed function must fail here rather than break a traced run."""
+"""Tooling and docs that name the code must follow it: the per-layer trace
+of perfbench/traced.py wraps functions by name, so a renamed or removed
+function must fail here rather than break a traced run, and the README's
+config defaults must be FlowConfig's."""
 
 import ast
 import importlib
+import json
+import re
 from pathlib import Path
 
-TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+from moduliflow.cli import FlowConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACED = ROOT / "perfbench" / "traced.py"
 
 
 def _targets():
@@ -30,3 +37,9 @@ def test_every_traced_target_resolves():
         if not callable(getattr(owner, attribute, None)):
             missing.append(f"{owner_path}.{attribute}")
     assert missing == []
+
+
+def test_the_readme_config_defaults_are_flowconfigs():
+    section = (ROOT / "README.md").read_text().split("\n## Configuration\n", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert json.loads(block) == FlowConfig().to_dict()
