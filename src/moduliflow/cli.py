@@ -594,6 +594,8 @@ def run_sweep(sweep_path, out_root, jobs: int = 1) -> list:
         raise ConfigError("sweep config must be a JSON object")
     _expect(raw, {"base", "variants"}, "")
     base = raw.get("base", {})
+    if not isinstance(base, dict):
+        raise ConfigError("must be a JSON object", "base")
     variants = raw.get("variants")
     if not isinstance(variants, list) or not variants:
         raise ConfigError("must be a non-empty list", "variants")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import DomainGrid, periodic_op
+from .mesh import DomainGrid, periodic_calls, run_calls
 
 # Hard positivity floor for the second coordinate; states at or below the
 # floor are treated as having escaped the target.
@@ -119,18 +119,58 @@ def _check_above_floor(state: MapState):
         )
 
 
+def _stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a and b as one C-contiguous (2, n1, n2) array: the array whose two
+    halves they are, in order, as step and read_snapshot make them, or else
+    a new one."""
+    whole = a.base
+    if (whole is not None and whole is b.base and whole.shape == (2, *a.shape)
+            and whole.dtype == a.dtype == b.dtype and whole.flags.c_contiguous
+            and a.flags.c_contiguous and b.flags.c_contiguous
+            # each of a and b spans one half, so missing the other one
+            # makes it that half
+            and not np.may_share_memory(a, whole[1])
+            and not np.may_share_memory(b, whole[0])):
+        return whole
+    return np.array((a, b))
+
+
+def _divide_by(h: float) -> tuple:
+    """(op, c) with op(x, c) == x / h bit for bit for every float x: the
+    product x * (1/h) when h is a power of two, so that 1/h is exact and
+    both are the rounding of one real number, and else the quotient, which
+    costs several times as much."""
+    return (np.multiply, 1.0 / h) if math.frexp(h)[0] == 0.5 else (np.divide, h)
+
+
 class _EdgeWorkspace:
-    """Scratch arrays of _edge_pass for one grid shape.
+    """Scratch arrays of _edge_pass for one grid shape, and the periodic
+    calls on them, bound once.
 
     The caller that makes many passes on one grid owns one workspace and
     hands it to every pass, so the passes allocate nothing but the tau they
-    return.  The arrays hold no result between passes.
+    return and build no views but those of the state's fields.  The arrays
+    hold no result between passes: 11 fields of the grid shape in one
+    buffer, sigma, rho and edge_sq, and the (2, n1, n2) stacks diff, flux,
+    back and div, u's part first.  flux holds the edge fluxes and then the
+    squared differences; back holds the backward differences of the fluxes
+    and then, as sq and scratch, du*du + dv*dv and one scratch field.
     """
 
     def __init__(self, shape: tuple[int, int]):
         self.shape = tuple(shape)
-        (self.sigma, self.v2, self.div_u, self.div_v, self.edge_sq, self.du,
-         self.dv, self.rho, self.flux, self.sq, self.tmp) = np.empty((11, *shape))
+        buffer = np.empty((11, *shape))
+        self.sigma, self.rho, self.edge_sq = buffer[:3]
+        self.diff, self.flux, self.back, self.div = (
+            buffer[3:5], buffer[5:7], buffer[7:9], buffer[9:11])
+        self.flux_u, self.flux_v = self.flux
+        self.sq, self.scratch = self.back
+        self.axis_calls = [
+            (periodic_calls(np.add, self.sigma, self.sigma, self.rho, axis, b_shift=1),
+             periodic_calls(np.subtract, self.flux, self.flux, self.back, axis, b_shift=-1),
+             periodic_calls(np.add, self.sq, self.sq, self.scratch, axis, b_shift=-1))
+            for axis in (0, 1)
+        ]
 
 
 def _edge_pass(state: MapState, ws: _EdgeWorkspace) -> tuple[float, TangentField, float]:
@@ -149,54 +189,57 @@ def _edge_pass(state: MapState, ws: _EdgeWorkspace) -> tuple[float, TangentField
     the node (the derivative of rho with respect to v).  Constant maps give
     exactly zero.  D = ||tau||^2 in the hyperbolic inner product.
 
-    Every intermediate lives in ws, which must be for the state's grid
-    shape; the returned tau arrays are fresh.  Each value is formed by the
-    same floating-point operations in the same order as when every
+    u and v are held as one (2, n1, n2) stack (the state's own when its
+    fields are the halves of one, else a stacked copy), so each step on both
+    is one ufunc call.  Every intermediate lives in ws, which must be for
+    the state's grid shape, and its periodic calls are bound there; only
+    the calls that difference the fields are bound on each pass.  tau is
+    returned as the two halves of a fresh stack.  Each value is formed by
+    the same floating-point operations in the same order as when every
     neighbour is first copied into a shifted array (u[k+1] - u[k],
-    sigma[k] + sigma[k+1], flux[k] - flux[k-1], sq[k] + sq[k-1], ...), so
-    the results agree with that formulation bit for bit.
+    sigma[k] + sigma[k+1], flux[k] - flux[k-1], du*du + dv*dv,
+    sq[k] + sq[k-1], ...), the division by h being a multiplication by 1/h
+    only where that gives the same value (_divide_by), so the results agree
+    with that formulation bit for bit.
     """
     grid = state.grid
     if ws.shape != grid.shape:
         raise ValueError(f"workspace is for shape {ws.shape}, the state has {grid.shape}")
-    u, v = state.u, state.v
-    sigma, v2, tmp, flux, sq = ws.sigma, ws.v2, ws.tmp, ws.flux, ws.sq
-    du, dv, rho = ws.du, ws.dv, ws.rho
-    np.multiply(v, v, out=v2)
-    np.divide(1.0, v2, out=sigma)
-    for acc in (ws.div_u, ws.div_v, ws.edge_sq):
-        acc.fill(0.0)
+    fields, v = _stack(state.u, state.v), state.v
+    sigma, rho, edge_sq, sq, scratch = ws.sigma, ws.rho, ws.edge_sq, ws.sq, ws.scratch
+    diff, flux, back, div = ws.diff, ws.flux, ws.back, ws.div
+    np.multiply(v, v, out=rho)
+    np.divide(1.0, rho, out=sigma)
+    div.fill(0.0)
+    edge_sq.fill(0.0)
     total = 0.0
     for axis, h in ((0, grid.h1), (1, grid.h2)):
-        periodic_op(np.subtract, u, u, du, axis, a_shift=1)
-        du /= h
-        periodic_op(np.subtract, v, v, dv, axis, a_shift=1)
-        dv /= h
-        periodic_op(np.add, sigma, sigma, rho, axis, b_shift=1)
+        rho_calls, div_calls, sq_calls = ws.axis_calls[axis]
+        divide, by = _divide_by(h)
+        run_calls(periodic_calls(np.subtract, fields, fields, diff, axis, a_shift=1))
+        divide(diff, by, out=diff)
+        run_calls(rho_calls)
         rho *= 0.5
-        for diff, div in ((du, ws.div_u), (dv, ws.div_v)):
-            np.multiply(rho, diff, out=flux)
-            periodic_op(np.subtract, flux, flux, tmp, axis, b_shift=-1)
-            tmp /= h
-            div += tmp
-        np.multiply(du, du, out=sq)
-        np.multiply(dv, dv, out=tmp)
-        sq += tmp
-        periodic_op(np.add, sq, sq, tmp, axis, b_shift=-1)
-        ws.edge_sq += tmp
-        np.multiply(sq, rho, out=tmp)
-        total += float(tmp.sum())
-    tau_u = v2 * ws.div_u
-    tau_v = v2 * ws.div_v
-    np.multiply(2.0, v, out=tmp)
-    np.divide(ws.edge_sq, tmp, out=tmp)
-    tau_v += tmp
-    np.square(tau_u, out=tmp)
-    np.square(tau_v, out=flux)
-    tmp += flux
-    tmp *= sigma
-    dissipation = float(grid.w * tmp.sum())
-    return 0.5 * grid.w * total, TangentField(tau_u, tau_v), dissipation
+        np.multiply(rho, diff, out=flux)
+        run_calls(div_calls)
+        divide(back, by, out=back)
+        div += back
+        np.multiply(diff, diff, out=flux)
+        np.add(ws.flux_u, ws.flux_v, out=sq)
+        run_calls(sq_calls)
+        edge_sq += scratch
+        np.multiply(sq, rho, out=scratch)
+        total += float(scratch.sum())
+    np.multiply(v, v, out=rho)
+    tau = rho * div
+    np.multiply(2.0, v, out=scratch)
+    np.divide(edge_sq, scratch, out=scratch)
+    tau[1] += scratch
+    np.square(tau, out=flux)
+    np.add(ws.flux_u, ws.flux_v, out=scratch)
+    scratch *= sigma
+    dissipation = float(grid.w * scratch.sum())
+    return 0.5 * grid.w * total, TangentField(tau[0], tau[1]), dissipation
 
 
 def tension_field(state: MapState) -> TangentField:
@@ -236,8 +279,9 @@ def step(state: MapState, dt: float, tangent: TangentField | None = None) -> Map
     """One forward-Euler step.  Raises StepRejectedError when the step lands
     at or below the v floor or produces non-finite values.
 
-    Those checks cover everything MapState checks, so the new state is built
-    without checking its fields a second time."""
+    The new u and v are the two halves of one (2, n1, n2) array.  The checks
+    cover everything MapState checks, so the new state is built without
+    checking its fields a second time."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     cap = cfl_dt_max(state, safety=1.0)
@@ -245,13 +289,19 @@ def step(state: MapState, dt: float, tangent: TangentField | None = None) -> Map
         raise ValueError(f"dt = {dt} exceeds the stability cap {cap}")
     if tangent is None:
         tangent = tension_field(state)
-    u_new = dt * tangent.tau_u
+    fields = np.empty((2, *state.grid.shape))
+    u_new, v_new = fields
+    np.multiply(dt, tangent.tau_u, out=u_new)
     u_new += state.u
-    v_new = dt * tangent.tau_v
+    np.multiply(dt, tangent.tau_v, out=v_new)
     v_new += state.v
     v_min = float(v_new.min())
-    if not (v_min > V_FLOOR and np.isfinite(v_new).all() and np.isfinite(u_new).all()):
-        bad = int(np.argmin(np.where(np.isfinite(v_new), v_new, -np.inf)))
+    if not (v_min > V_FLOOR and np.isfinite(fields).all()):
+        key = np.where(np.isfinite(v_new), v_new, -np.inf)
+        if key.min() > V_FLOOR:  # v is fine, so u is not finite
+            bad = int(np.argmin(np.isfinite(u_new)))
+        else:
+            bad = int(np.argmin(key))
         node = tuple(int(k) for k in np.unravel_index(bad, v_new.shape))
         raise StepRejectedError(
             f"step of dt = {dt} leaves the target at node {node}", node

@@ -287,7 +287,8 @@ def read_measure(path, binning: FundamentalDomainBinning | None = None) -> Pushf
     """Read a measure written by write_measure.  Rebuilds the binning from
     the header unless a matching one is supplied.  The bins must be integers
     in [0, n_bins], strictly increasing, with positive finite masses of total
-    1; every bin not listed has mass 0.  Every error names the file."""
+    1; every bin not listed has mass 0.  t must be finite.  Every error
+    names the file."""
     meta, body = table.read_table(
         path, MEASURE_SCHEMA, ("bin", "mass"), ("n_x", "n_y", "y_max", "t")
     )
@@ -299,6 +300,9 @@ def read_measure(path, binning: FundamentalDomainBinning | None = None) -> Pushf
             raise BinningMismatchError(
                 f"file binning {header_binning} does not match supplied binning"
             )
+        t = float(meta["t"])
+        if not np.isfinite(t):
+            raise ValueError(f"t must be finite, got {meta['t']}")
         bins, masses, n = body[:, 0], body[:, 1], binning.n_bins
         if not (np.all(bins == np.trunc(bins)) and 0 <= bins[0] and bins[-1] <= n
                 and np.all(np.diff(bins) > 0)):
@@ -307,6 +311,6 @@ def read_measure(path, binning: FundamentalDomainBinning | None = None) -> Pushf
             raise ValueError("masses must be positive and finite")
         dense = np.zeros(n + 1)
         dense[bins.astype(np.intp)] = masses
-        return PushforwardMeasure(binning, dense, float(meta["t"]))
+        return PushforwardMeasure(binning, dense, t)
     except ValueError as exc:  # BinningMismatchError keeps its type
         raise type(exc)(f"{path}: {exc}") from exc

@@ -9,7 +9,11 @@ periodic 5-point stencil; it pairs with the staggered forward differences
 integrate(f * laplacian(g)) == -integrate(<Df, Dg>) holds to rounding, which
 is what makes discrete energy decay structural rather than approximate.
 Both stencils, and the flow's edge pass, combine periodic neighbours with
-periodic_op, which shifts by slicing the flat buffers instead of copying.
+the ufunc calls periodic_calls binds: views that shift by slicing the flat
+buffers instead of copying, over fields of one grid shape or stacks of them
+(leading batch axes, such as the flow's (2, n1, n2) stack of u and v).
+run_calls runs them; the edge pass binds the calls on its scratch buffers
+once and runs them on every pass.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ class DomainGrid:
         grads = []
         for axis, h in ((0, self.h1), (1, self.h2)):
             g = np.empty(f.shape)
-            periodic_op(np.subtract, f, f, g, axis, a_shift=1, b_shift=-1)
+            run_calls(periodic_calls(np.subtract, f, f, g, axis, a_shift=1, b_shift=-1))
             g /= 2.0 * h
             grads.append(g)
         return tuple(grads)
@@ -88,9 +92,9 @@ class DomainGrid:
         lap = None
         for axis, h in ((0, self.h1), (1, self.h2)):
             ahead = np.empty(f.shape)
-            periodic_op(np.subtract, f, 2.0 * f, ahead, axis, a_shift=1)
+            run_calls(periodic_calls(np.subtract, f, 2.0 * f, ahead, axis, a_shift=1))
             term = np.empty(f.shape)
-            periodic_op(np.add, ahead, f, term, axis, b_shift=-1)
+            run_calls(periodic_calls(np.add, ahead, f, term, axis, b_shift=-1))
             term /= h**2
             lap = term if lap is None else lap + term
         return lap
@@ -100,32 +104,45 @@ class DomainGrid:
         return float(self.w * np.sum(f))
 
 
-def periodic_op(op, a, b, out, axis, a_shift=0, b_shift=0):
-    """out[k] = op(a[k + a_shift], b[k + b_shift]) at every node k, the index
-    along axis taken periodically; shifts are -1, 0 or 1.
+def periodic_calls(op, a, b, out, axis, a_shift=0, b_shift=0) -> list[tuple]:
+    """The ufunc calls (op, a, b, out), bound to views, that together set
+    out[..., k] = op(a[..., k + a_shift], b[..., k + b_shift]) at every node
+    k, the index along grid axis axis (0 or 1 of the last two axes) taken
+    periodically; shifts are -1, 0 or 1.  Any leading axes are batch axes.
 
-    a, b and out are arrays of one 2-D shape, out C-contiguous.  In the
+    a, b and out are arrays of one shape, out C-contiguous.  In the
     flattened (row-major) buffers a shift by one node along axis 0 is an
-    offset of one row and along axis 1 an offset of one element, so one
-    ufunc call covers every node whose neighbours are not across the
-    periodic seam, without copying a C-contiguous operand.  One more call per
-    seam row (axis 0) or seam column (axis 1) then overwrites those nodes;
-    along axis 1 the flat call read the neighbouring row there, which is why
-    out must not overlap a or b.
+    offset of one row and along axis 1 an offset of one element, so the
+    first call covers every node whose neighbours are not across the
+    periodic seam.  One more call per seam row (axis 0) or seam column
+    (axis 1), across every batch entry at once, then overwrites those nodes;
+    the first call read a neighbouring row or batch entry there, which is
+    why out must not overlap a or b.  The calls view a C-contiguous operand
+    in place, so calls bound once see every later write to it; a
+    non-contiguous a or b is copied by the flat view, and such calls are for
+    running at once.
     """
     if not out.flags.c_contiguous:
-        raise ValueError("periodic_op writes into a C-contiguous array only")
-    n = out.shape[axis]
-    stride = out.shape[1] if axis == 0 else 1
+        raise ValueError("periodic_calls writes into a C-contiguous array only")
+    n = out.shape[axis - 2]
+    stride = out.shape[-1] if axis == 0 else 1
     lo = a_shift < 0 or b_shift < 0  # the first row/column crosses the seam
     hi = a_shift > 0 or b_shift > 0  # the last one does
     start, stop = lo * stride, out.size - hi * stride
-    op(a.ravel()[start + a_shift * stride:stop + a_shift * stride],
-       b.ravel()[start + b_shift * stride:stop + b_shift * stride],
-       out=out.ravel()[start:stop])
+    calls = [(op,
+              a.ravel()[start + a_shift * stride:stop + a_shift * stride],
+              b.ravel()[start + b_shift * stride:stop + b_shift * stride],
+              out.ravel()[start:stop])]
     for k in (0,) * lo + (n - 1,) * hi:
         ka, kb = (k + a_shift) % n, (k + b_shift) % n
         if axis == 0:
-            op(a[ka], b[kb], out=out[k])
+            calls.append((op, a[..., ka, :], b[..., kb, :], out[..., k, :]))
         else:
-            op(a[:, ka], b[:, kb], out=out[:, k])
+            calls.append((op, a[..., ka], b[..., kb], out[..., k]))
+    return calls
+
+
+def run_calls(calls) -> None:
+    """Run ufunc calls (op, a, b, out) in order."""
+    for op, a, b, out in calls:
+        op(a, b, out)

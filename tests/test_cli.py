@@ -850,6 +850,15 @@ class TestSweep:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_a_base_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps({"base": 3, "variants": [{"name": "a"}]}))
+        assert main(["sweep", "--config", str(sweep_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "base: must be a JSON object" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", [None, '{"base": {}, "variants": ['],
                              ids=["missing", "malformed_json"])
     def test_unreadable_sweep_config_exits_2(self, tmp_path, capsys, text):

@@ -23,6 +23,7 @@ from moduliflow.flow import (
     tension_field,
     write_snapshot,
     _EdgeWorkspace,
+    _divide_by,
     _edge_pass,
 )
 from moduliflow.initial import build_initial_state
@@ -194,6 +195,49 @@ class TestEdgePass:
         assert np.array_equal(tau.tau_v, tau_v)
         assert dissipation_rate(state) == d
 
+    @pytest.mark.parametrize("shape", [(5, 7), (12, 20), (48, 32)])
+    @pytest.mark.parametrize("layout", ["stacked", "separate", "swapped_halves"])
+    def test_stacked_and_separate_fields_match_the_roll_formulas(self, rng, shape, layout):
+        # The pass works on the state's own (2, n1, n2) stack when u and v
+        # are its halves in order, and on a stacked copy otherwise.
+        state = _random_state(rng, shape)
+        if layout == "stacked":
+            fields = np.stack((state.u, state.v))
+            u, v = fields
+        elif layout == "swapped_halves":
+            fields = np.stack((state.v, state.u))
+            v, u = fields
+        else:
+            u, v = state.u, state.v
+        e, tau_u, tau_v, d = _roll_oracle(state)
+        got_e, tau, got_d = _edge_pass(MapState(state.grid, u, v), _EdgeWorkspace(shape))
+        assert got_e == e and got_d == d
+        assert np.array_equal(tau.tau_u, tau_u) and np.array_equal(tau.tau_v, tau_v)
+
+    @pytest.mark.parametrize("n", [4, 5, 12, 48, 64, 1024])
+    def test_divide_by_is_the_division_bit_for_bit(self, rng, n):
+        h = DomainGrid(n, n).h1
+        tiny = np.finfo(float).tiny
+        x = np.concatenate([
+            rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, tiny / 3, -5e-324,
+             np.finfo(float).max, -np.finfo(float).max / 7],
+        ])
+        op, c = _divide_by(h)
+        assert (op is np.multiply) == (n & (n - 1) == 0)
+        with np.errstate(over="ignore"):
+            assert op(x, c).tobytes() == (x / h).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 4), (64, 64), (12, 20)])
+    def test_workspace_holds_no_more_than_eleven_fields(self, shape):
+        ws = _EdgeWorkspace(shape)
+        arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+        arrays += [a for calls in ws.axis_calls for group in calls
+                   for call in group for a in call[1:]]
+        owners = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
+                  for a in arrays}
+        assert sum(o.nbytes for o in owners.values()) <= 11 * shape[0] * shape[1] * 8
+
     @pytest.mark.parametrize("layout", ["fortran", "strided_view"])
     def test_non_contiguous_fields_give_the_contiguous_result(self, rng, layout):
         # The oracle runs on the C-ordered fields: on Fortran-ordered ones its
@@ -293,19 +337,41 @@ class TestStep:
             step(s, dt, sink)
 
     @pytest.mark.parametrize("component, value", [
-        ("v", np.inf), ("v", np.nan), ("u", np.inf),
+        ("v", np.inf), ("v", np.nan), ("u", np.inf), ("u", np.nan), ("v", -2.0),
     ])
     def test_rejects_non_finite_values(self, component, value):
         # A +inf in v_new leaves min(v_new) finite; it must still be a
         # rejection (so run_flow halves dt), not a ValueError from MapState.
+        # The error names the bad node, also when only u is bad.
         grid = DomainGrid(16, 16)
         s = _constant_state(grid)
         bad = grid.zeros()
-        bad[3, 5] = value
+        bad[3, 5] = value / 1e-4
         tangent = (TangentField(bad, grid.zeros()) if component == "u"
                    else TangentField(grid.zeros(), bad))
-        with pytest.raises(StepRejectedError):
+        with pytest.raises(StepRejectedError) as exc:
             step(s, 1e-4, tangent)
+        assert exc.value.node == (3, 5)
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_the_new_fields_are_one_stack(self, rng, stacked):
+        s = _random_state(rng, (12, 20))
+        dt = cfl_dt_max(s, 0.5)
+        tau = tension_field(s)
+        if not stacked:
+            tau = TangentField(tau.tau_u.copy(), tau.tau_v.copy())
+        else:
+            assert tau.tau_u.base is tau.tau_v.base
+        s2 = step(s, dt, tau)
+        assert np.array_equal(s2.u, s.u + dt * tau.tau_u)
+        assert np.array_equal(s2.v, s.v + dt * tau.tau_v)
+        fields = s2.u.base
+        assert fields.shape == (2, 12, 20) and fields is s2.v.base
+        assert np.shares_memory(s2.u, fields[0]) and np.shares_memory(s2.v, fields[1])
+        s3 = step(s2, dt)  # a stacked state steps as a separate one does
+        twin = MapState(s2.grid, s2.u.copy(), s2.v.copy(), s2.t)
+        s4 = step(twin, dt)
+        assert np.array_equal(s3.u, s4.u) and np.array_equal(s3.v, s4.v)
 
     def test_new_state_records_its_v_min(self, rng):
         s = _random_state(rng, (16, 16))

@@ -664,6 +664,7 @@ class TestMeasureIO:
     @pytest.mark.parametrize("meta, error", [
         ("x2,2,2.0,0.25", ValueError), ("2,2,2.0,soon", ValueError),
         ("1,2,2.0,0.25", ValueError), ("2,2,3.0,0.25", BinningMismatchError),
+        ("2,2,2.0,nan", ValueError), ("2,2,2.0,-inf", ValueError),
     ])
     def test_bad_metadata_is_rejected_naming_the_file(self, meta, error, tmp_path):
         lines = MEASURE_GOLDEN.splitlines()

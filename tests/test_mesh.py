@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moduliflow.mesh import DomainGrid, periodic_op
+from moduliflow.mesh import DomainGrid, periodic_calls, run_calls
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,10 +65,32 @@ class TestPeriodicShifts:
                + (ahead[1] - 2.0 * f + behind[1]) / g.h2**2)
         assert np.array_equal(g.laplacian(f), lap)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (9, 4), (16, 16)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("op, a_shift, b_shift", [
+        (np.subtract, 1, 0),   # the flow's forward differences
+        (np.add, 0, 1),        # its edge weights
+        (np.subtract, 0, -1),  # its backward divergence
+        (np.add, 0, -1),       # its edge sums, and the Laplacian
+        (np.subtract, 1, -1),  # the central gradient
+    ])
+    def test_bound_calls_on_stacks_match_roll(self, rng, shape, axis, op, a_shift, b_shift):
+        # Calls bound once see later writes to their operands, and fix up
+        # the seam of every entry of a leading batch axis.
+        a, b, out = (np.empty((2, *shape)) for _ in range(3))
+        calls = periodic_calls(op, a, b, out, axis, a_shift, b_shift)
+        for _ in range(2):
+            a[...] = rng.standard_normal(a.shape)
+            b[...] = rng.standard_normal(b.shape)
+            run_calls(calls)
+            grid_axis = axis + 1
+            want = op(np.roll(a, -a_shift, grid_axis), np.roll(b, -b_shift, grid_axis))
+            assert np.array_equal(out, want)
+
     def test_output_must_be_c_contiguous(self):
         a = np.zeros((4, 4))
         with pytest.raises(ValueError):
-            periodic_op(np.add, a, a, np.zeros((4, 4), order="F"), 0, a_shift=1)
+            periodic_calls(np.add, a, a, np.zeros((4, 4), order="F"), 0, a_shift=1)
 
 
 class TestGradient:
