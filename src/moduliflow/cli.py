@@ -267,11 +267,6 @@ def _series_columns(config: FlowConfig) -> list:
     ]
 
 
-def _same_fields(a: flow.MapState, b: flow.MapState) -> bool:
-    """Whether two states share their arrays, as run_flow's frozen snapshots do."""
-    return a.u is b.u and a.v is b.v
-
-
 def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt):
     """Measure the snapshots as the config directs; shared by run and analyze.
 
@@ -289,7 +284,7 @@ def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt
     ws = flow._EdgeWorkspace((config.grid.n1, config.grid.n2))
     mus, values = [], []  # values: each snapshot's E, D and entropy report
     for k, s in enumerate(snapshots):
-        if k and _same_fields(s, snapshots[k - 1]):
+        if k and s.fields is snapshots[k - 1].fields:
             mus.append(replace(mus[-1], t=s.t))
         else:
             mus.append(ms.pushforward(s, binning))
@@ -401,8 +396,8 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
         "cumulative_D": traj.cumulative_dissipation, "dt": traj.dt_used,
     })
 
-    # One state file per run of consecutive snapshots that share their arrays.
-    new = [not (k and _same_fields(s, snaps[k - 1])) for k, s in enumerate(snaps)]
+    # One state file per run of consecutive snapshots that share their fields.
+    new = [not (k and s.fields is snaps[k - 1].fields) for k, s in enumerate(snaps)]
     state = np.cumsum(new) - 1
     files = _run_files(out, state)
     for directory in files:
@@ -473,8 +468,8 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
         # run_flow records no state at or below the floor; reduction fails on one.
         if states[-1].v_min <= flow.V_FLOOR:
             raise ValueError(f"{path}: v_min {states[-1].v_min} is at or below {flow.V_FLOOR}")
-    # The snapshots of one state share its arrays, so it is measured once.
-    snapshots = [flow.MapState._checked(grid, s.u, s.v, t, s.v_min)
+    # The snapshots of one state share its fields, so it is measured once.
+    snapshots = [flow.MapState._checked(grid, s.fields, t, s.v_min)
                  for t, s in zip(times, [states[j] for j in state])]
     recomputed, series = compute_snapshot_diagnostics(
         config, snapshots,

@@ -2,7 +2,7 @@
 
 A map state holds two periodic scalar fields (u, v) on a DomainGrid, read as
 the coordinates of a map from the flat torus into the hyperbolic plane
-(v > 0).  The energy is
+(v > 0), as one (2, n1, n2) array; a tangent field is one such array too.  The energy is
 
     E = 1/2 * integral of (|Du|^2 + |Dv|^2) / v^2,
 
@@ -29,7 +29,7 @@ rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,47 +67,47 @@ class AbortedRunError(RuntimeError):
         self.trajectory = trajectory
 
 
-@dataclass
 class MapState:
-    """Map into the upper half-plane: fields u, v on a grid at time t.
+    """Map into the upper half-plane at time t: the fields u and v on a grid,
+    the two halves of fields, one C-contiguous float64 (2, n1, n2) array.
 
-    The fields are checked on construction and are not to be changed in
-    place afterwards: v_min, the minimum of v, is recorded then.
+    MapState(grid, u, v, t) checks u and v and copies them into a new
+    stack, so the caller's arrays stay the caller's.  A state's arrays are
+    not to be changed in place: v_min, the minimum of v, is recorded when
+    the state is built.
     """
 
-    grid: DomainGrid
-    u: np.ndarray
-    v: np.ndarray
-    t: float = 0.0
-    v_min: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.u = self.grid.check_field(self.u, "u")
-        self.v = self.grid.check_field(self.v, "v")
-        self.v_min = float(self.v.min())
-        if self.v_min <= 0.0:
-            node = np.unravel_index(int(self.v.argmin()), self.v.shape)
-            raise ValueError(f"v must be positive everywhere; v{tuple(node)} = {self.v[node]}")
-        self.t = float(self.t)
+    def __init__(self, grid: DomainGrid, u, v, t: float = 0.0):
+        u, v = grid.check_field(u, "u"), grid.check_field(v, "v")
+        v_min = float(v.min())
+        if v_min <= 0.0:
+            node = np.unravel_index(int(v.argmin()), v.shape)
+            raise ValueError(f"v must be positive everywhere; v{tuple(node)} = {v[node]}")
+        self.grid, self.fields, self.t, self.v_min = grid, np.array((u, v)), float(t), v_min
+        self.u, self.v = self.fields
 
     @classmethod
-    def _checked(cls, grid, u, v, t, v_min) -> "MapState":
-        """A state from fields the caller has already checked: finite float
-        arrays of the grid's shape, with v_min = min(v) > 0."""
+    def _checked(cls, grid, fields, t, v_min) -> "MapState":
+        """A state holding fields, which the caller has already checked: a
+        finite C-contiguous float64 array of shape (2, *grid.shape), with
+        v_min = min(fields[1]) > 0."""
         state = object.__new__(cls)
-        state.grid, state.u, state.v, state.t, state.v_min = grid, u, v, float(t), v_min
+        state.grid, state.fields, state.t, state.v_min = grid, fields, float(t), v_min
+        state.u, state.v = fields
         return state
 
     def copy(self) -> "MapState":
-        return MapState(self.grid, self.u.copy(), self.v.copy(), self.t)
+        """A new state with a copy of fields, checked afresh."""
+        return MapState(self.grid, self.u, self.v, self.t)
 
 
-@dataclass
 class TangentField:
-    """Tangent vector along a map: components (tau_u, tau_v) at each node."""
+    """Tangent vector along a map: tau, one (2, n1, n2) array whose halves
+    tau_u and tau_v are its components at each node."""
 
-    tau_u: np.ndarray
-    tau_v: np.ndarray
+    def __init__(self, tau: np.ndarray):
+        self.tau = tau
+        self.tau_u, self.tau_v = tau
 
 
 def _check_above_floor(state: MapState):
@@ -117,22 +117,6 @@ def _check_above_floor(state: MapState):
         raise TargetEscapeError(
             f"v at node {node} is {vmin}, at or below the floor {V_FLOOR}", node
         )
-
-
-def _stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a and b as one C-contiguous (2, n1, n2) array: the array whose two
-    halves they are, in order, as step and read_snapshot make them, or else
-    a new one."""
-    whole = a.base
-    if (whole is not None and whole is b.base and whole.shape == (2, *a.shape)
-            and whole.dtype == a.dtype == b.dtype and whole.flags.c_contiguous
-            and a.flags.c_contiguous and b.flags.c_contiguous
-            # each of a and b spans one half, so missing the other one
-            # makes it that half
-            and not np.may_share_memory(a, whole[1])
-            and not np.may_share_memory(b, whole[0])):
-        return whole
-    return np.array((a, b))
 
 
 def _divide_by(h: float) -> tuple:
@@ -152,7 +136,7 @@ class _EdgeWorkspace:
     return and build no views but those of the state's fields.  The arrays
     hold no result between passes: 11 fields of the grid shape in one
     buffer, sigma, rho and edge_sq, and the (2, n1, n2) stacks diff, flux,
-    back and div, u's part first.  flux holds the edge fluxes and then the
+    back and div, laid out as the state's fields are, u's part first.  flux holds the edge fluxes and then the
     squared differences; back holds the backward differences of the fluxes
     and then, as sq and scratch, du*du + dv*dv and one scratch field.
     """
@@ -189,13 +173,12 @@ def _edge_pass(state: MapState, ws: _EdgeWorkspace) -> tuple[float, TangentField
     the node (the derivative of rho with respect to v).  Constant maps give
     exactly zero.  D = ||tau||^2 in the hyperbolic inner product.
 
-    u and v are held as one (2, n1, n2) stack (the state's own when its
-    fields are the halves of one, else a stacked copy), so each step on both
-    is one ufunc call.  Every intermediate lives in ws, which must be for
-    the state's grid shape, and its periodic calls are bound there; only
-    the calls that difference the fields are bound on each pass.  tau is
-    returned as the two halves of a fresh stack.  Each value is formed by
-    the same floating-point operations in the same order as when every
+    The pass works on the state's fields, the (2, n1, n2) stack of u and
+    v, so each step on both is one ufunc call.  Every intermediate lives in
+    ws, which must be for the state's grid shape, and its periodic calls
+    are bound there; only the calls that difference the fields are bound on
+    each pass.  tau is returned as a fresh (2, n1, n2) stack.  Each value is
+    formed by the same floating-point operations in the same order as when every
     neighbour is first copied into a shifted array (u[k+1] - u[k],
     sigma[k] + sigma[k+1], flux[k] - flux[k-1], du*du + dv*dv,
     sq[k] + sq[k-1], ...), the division by h being a multiplication by 1/h
@@ -205,7 +188,7 @@ def _edge_pass(state: MapState, ws: _EdgeWorkspace) -> tuple[float, TangentField
     grid = state.grid
     if ws.shape != grid.shape:
         raise ValueError(f"workspace is for shape {ws.shape}, the state has {grid.shape}")
-    fields, v = _stack(state.u, state.v), state.v
+    fields, v = state.fields, state.v
     sigma, rho, edge_sq, sq, scratch = ws.sigma, ws.rho, ws.edge_sq, ws.sq, ws.scratch
     diff, flux, back, div = ws.diff, ws.flux, ws.back, ws.div
     np.multiply(v, v, out=rho)
@@ -239,7 +222,7 @@ def _edge_pass(state: MapState, ws: _EdgeWorkspace) -> tuple[float, TangentField
     np.add(ws.flux_u, ws.flux_v, out=scratch)
     scratch *= sigma
     dissipation = float(grid.w * scratch.sum())
-    return 0.5 * grid.w * total, TangentField(tau[0], tau[1]), dissipation
+    return 0.5 * grid.w * total, TangentField(tau), dissipation
 
 
 def tension_field(state: MapState) -> TangentField:
@@ -279,9 +262,9 @@ def step(state: MapState, dt: float, tangent: TangentField | None = None) -> Map
     """One forward-Euler step.  Raises StepRejectedError when the step lands
     at or below the v floor or produces non-finite values.
 
-    The new u and v are the two halves of one (2, n1, n2) array.  The checks
-    cover everything MapState checks, so the new state is built without
-    checking its fields a second time."""
+    The new fields are formed as one (2, n1, n2) array.  The checks cover
+    everything MapState checks, so the new state is built without checking
+    its fields a second time."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     cap = cfl_dt_max(state, safety=1.0)
@@ -289,12 +272,9 @@ def step(state: MapState, dt: float, tangent: TangentField | None = None) -> Map
         raise ValueError(f"dt = {dt} exceeds the stability cap {cap}")
     if tangent is None:
         tangent = tension_field(state)
-    fields = np.empty((2, *state.grid.shape))
+    fields = np.multiply(dt, tangent.tau, out=np.empty(state.fields.shape))
+    fields += state.fields
     u_new, v_new = fields
-    np.multiply(dt, tangent.tau_u, out=u_new)
-    u_new += state.u
-    np.multiply(dt, tangent.tau_v, out=v_new)
-    v_new += state.v
     v_min = float(v_new.min())
     if not (v_min > V_FLOOR and np.isfinite(fields).all()):
         key = np.where(np.isfinite(v_new), v_new, -np.inf)
@@ -306,7 +286,7 @@ def step(state: MapState, dt: float, tangent: TangentField | None = None) -> Map
         raise StepRejectedError(
             f"step of dt = {dt} leaves the target at node {node}", node
         )
-    return MapState._checked(state.grid, u_new, v_new, state.t + dt, v_min)
+    return MapState._checked(state.grid, fields, state.t + dt, v_min)
 
 
 @dataclass
@@ -427,7 +407,7 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
             reason = "stalled"
             t_here = min(next_snap, t_final)
             dt_used, d_new = t_here - state.t, d_cur
-            state = MapState._checked(state.grid, state.u, state.v, t_here, state.v_min)
+            state = MapState._checked(state.grid, state.fields, t_here, state.v_min)
         else:
             cap = cfl_dt_max(state, params.cfl_safety)
             dt_used = min(dt, cap, t_final - state.t, next_snap - state.t)
@@ -475,8 +455,7 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
 def jacobian_det(state: MapState) -> np.ndarray:
     """Pointwise Jacobian determinant du/dx1 * dv/dx2 - du/dx2 * dv/dx1,
     by central differences."""
-    u1, u2 = state.grid.gradient(state.u)
-    v1, v2 = state.grid.gradient(state.v)
+    (u1, v1), (u2, v2) = state.grid.gradient(state.fields)
     return u1 * v2 - u2 * v1
 
 
@@ -502,8 +481,7 @@ def chain_rule_residual(state: MapState, f) -> float:
     h_xx = fxx - fy / v
     h_xy = fxy + fx / v
     h_yy = fyy + fy / v
-    u1, u2 = grid.gradient(u)
-    v1, v2 = grid.gradient(v)
+    (u1, v1), (u2, v2) = grid.gradient(state.fields)
     quad = (
         h_xx * (u1 * u1 + u2 * u2)
         + 2.0 * h_xy * (u1 * v1 + u2 * v2)
@@ -517,14 +495,14 @@ def write_snapshot(state: MapState, path) -> None:
     """Write a state's fields as one .npy array of shape (2, n1, n2), u then
     v, native float64 in C order; its time is not stored."""
     with open(path, "wb") as fh:
-        np.save(fh, np.stack((state.u, state.v)))
+        np.save(fh, state.fields)
 
 
 def read_snapshot(path, grid: DomainGrid) -> MapState:
-    """Read the fields written by write_snapshot as a state on grid at t = 0;
-    u and v are views of the one array read.  The file must hold a native
-    float64 C-order array of shape (2, n1, n2), read without unpickling, and
-    the fields must pass MapState's checks.  Any failure but an OSError
+    """Read the fields written by write_snapshot as a state on grid at t = 0,
+    built by MapState's constructor.  The file must hold a native float64
+    C-order array of shape (2, n1, n2), read without unpickling, and the
+    fields must pass MapState's checks.  Any failure but an OSError
     raises ValueError naming the file: on a damaged header np.load also
     raises EOFError, SyntaxError, TypeError and tokenize's errors."""
     try:
@@ -537,7 +515,7 @@ def read_snapshot(path, grid: DomainGrid) -> MapState:
             raise ValueError(f"shape {fields.shape}, expected {(2, *grid.shape)}")
         if not fields.flags.c_contiguous:
             raise ValueError("the array is not in C order")
-        return MapState(grid, fields[0], fields[1])
+        return MapState(grid, *fields)
     except OSError:
         raise
     except Exception as exc:

@@ -2,16 +2,18 @@
 
 Fields are plain numpy arrays of shape (n1, n2); index i runs along x1 and
 index j along x2, with spacings h1 = 1/n1, h2 = 1/n2 and node weight
-w = h1 * h2.  gradient() takes central differences, O(h^2), for pointwise
-derivative quantities (Jacobians, chain-rule terms).  laplacian() is the
-periodic 5-point stencil; it pairs with the staggered forward differences
-(f[i+1] - f[i]) / h that the flow builds its energy from:
-integrate(f * laplacian(g)) == -integrate(<Df, Dg>) holds to rounding, which
-is what makes discrete energy decay structural rather than approximate.
+w = h1 * h2.  A map state keeps its two fields u and v as one (2, n1, n2)
+array.  gradient() takes central differences, O(h^2), for pointwise
+derivative quantities (Jacobians, chain-rule terms), of one field or of
+such a stack at once.  laplacian() is the periodic 5-point stencil; it
+pairs with the staggered forward differences (f[i+1] - f[i]) / h that the
+flow builds its energy from: integrate(f * laplacian(g)) ==
+-integrate(<Df, Dg>) holds to rounding, which is what makes discrete
+energy decay structural rather than approximate.
 Both stencils, and the flow's edge pass, combine periodic neighbours with
 the ufunc calls periodic_calls binds: views that shift by slicing the flat
 buffers instead of copying, over fields of one grid shape or stacks of them
-(leading batch axes, such as the flow's (2, n1, n2) stack of u and v).
+(leading batch axes, such as a map state's (2, n1, n2) fields).
 run_calls runs them; the edge pass binds the calls on its scratch buffers
 once and runs them on every pass.
 """
@@ -77,7 +79,8 @@ class DomainGrid:
         return f
 
     def gradient(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Central-difference gradient (df/dx1, df/dx2), O(h^2)."""
+        """Central-difference gradient (df/dx1, df/dx2), O(h^2); f may have
+        leading batch axes, as a map state's (2, n1, n2) fields do."""
         grads = []
         for axis, h in ((0, self.h1), (1, self.h2)):
             g = np.empty(f.shape)

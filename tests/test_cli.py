@@ -456,7 +456,7 @@ class TestMeasureAudit:
 
 
 class TestFrozenSnapshots:
-    """A stalled run: its frozen snapshots share the stalled state's arrays,
+    """A stalled run: its frozen snapshots share the stalled state's fields,
     so run and analyze measure, write and read each distinct state once."""
 
     @staticmethod
@@ -464,7 +464,7 @@ class TestFrozenSnapshots:
         result = run_experiment(_fast_config(t_final=0.4), tmp_path / "run")
         snaps = result.trajectory.snapshots
         firsts = [k for k, s in enumerate(snaps)
-                  if k == 0 or not (s.u is snaps[k - 1].u and s.v is snaps[k - 1].v)]
+                  if k == 0 or s.fields is not snaps[k - 1].fields]
         assert result.summary["termination"] == "stalled"
         assert 1 < len(firsts) < len(snaps) - 1  # at least two frozen repeats
         return result, firsts
@@ -582,12 +582,12 @@ class TestRunFiles:
         assert not (tmp_path / "run" / "analysis.json").exists()
 
 
-def _damaged(data, raw: bytes, edit: str) -> bytes:
+def _damaged(data, raw: bytes, edit: str, head: int = 4) -> bytes:
     """raw truncated at a drawn byte, with a drawn byte XOR-ed, or with a
-    drawn data row (line 5 on) dropped."""
+    drawn data row (a line after the first head lines) dropped."""
     if edit == "drop":
         lines = raw.splitlines(keepends=True)
-        del lines[data.draw(st.integers(4, len(lines) - 1))]
+        del lines[data.draw(st.integers(head, len(lines) - 1))]
         return b"".join(lines)
     at = data.draw(st.integers(0, len(raw) - 1))
     if edit == "truncate":
@@ -595,14 +595,45 @@ def _damaged(data, raw: bytes, edit: str) -> bytes:
     return raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
 
 
+@pytest.fixture(scope="module")
+def stalled_run(tmp_path_factory):
+    """A small stalled run directory, and the bytes and values of its series."""
+    run = tmp_path_factory.mktemp("stalled") / "run"
+    result = run_experiment(_fast_config(t_final=0.4), run)
+    return run, (run / "series.csv").read_bytes(), result.series_rows
+
+
 class TestDamagedTables:
-    """A damaged measure file or snapshot index fails closed: its reader
-    raises a ValueError that starts with the path, or returns a value that
-    passes the reader's checks, as when a flip lands in a digit of t.  A
-    dropped row always raises: the masses no longer total 1, or the rows no
-    longer count the snapshots."""
+    """A damaged measure file, snapshot index or series fails closed: its
+    reader raises a ValueError that starts with the path, or returns a value
+    that passes the reader's checks, as when a flip lands in a digit of t.
+    A dropped row always raises: the masses no longer total 1, or the rows
+    no longer count the snapshots."""
 
     EDITS = st.sampled_from(["truncate", "flip", "drop"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_damaged_series_fails_the_audit(self, data, stalled_run):
+        # The audit passes a damaged series only where every audited value
+        # stays within the tolerance; the echoed dt and cumulative_D are
+        # not checked against anything.
+        run, raw, intact = stalled_run
+        path = run / "series.csv"
+        edit = data.draw(self.EDITS)
+        path.write_bytes(_damaged(data, raw, edit, head=2))
+        try:
+            report = analyze_run(run)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{run}{os.sep}")
+            return
+        assert edit != "drop"
+        if report["pass"]:
+            columns = report["columns"]
+            _, stored = table.read_table(path, cli_module.SERIES_SCHEMA, list(columns))
+            moved = np.abs(stored - intact).max(axis=0)
+            for name, diff in zip(columns, moved.tolist()):
+                assert diff <= report["tolerance"] or not columns[name]["audited"]
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

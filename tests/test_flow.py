@@ -107,6 +107,15 @@ def _roll_oracle(state):
     return e, tau_u, tau_v, d
 
 
+def _assert_one_stack(whole, halves, shape):
+    """whole is a C-contiguous float64 (2, *shape) array, and halves are
+    its two halves in order."""
+    assert whole.shape == (2, *shape) and whole.dtype == np.dtype(float)
+    assert whole.flags.c_contiguous
+    for k, half in enumerate(halves):
+        assert half.__array_interface__ == whole[k].__array_interface__
+
+
 class TestMapState:
     def test_positivity_and_shape(self, grid64):
         with pytest.raises(ValueError):
@@ -117,8 +126,42 @@ class TestMapState:
     def test_copy_is_deep(self, grid64):
         s = _constant_state(grid64)
         c = s.copy()
+        assert not np.shares_memory(c.fields, s.fields)
         c.u[0, 0] = 99.0
         assert s.u[0, 0] == 0.3
+
+    def test_the_callers_arrays_stay_the_callers(self):
+        # The state copies u and v, so changing them afterwards changes
+        # neither its fields nor the v_min its CFL cap is taken from.
+        grid = DomainGrid(16, 16)
+        u, v = grid.zeros(), grid.full(1.0)
+        s = MapState(grid, u, v)
+        cap = cfl_dt_max(s)
+        v[3, 5], u[0, 0] = 1e-3, np.nan
+        assert np.all(s.u == 0.0) and np.all(s.v == 1.0)
+        assert s.v_min == 1.0 and cfl_dt_max(s) == cap == 0.5 * grid.h1**2 / 4.0
+
+    @pytest.mark.parametrize("source", ["constructor", "step", "read_snapshot",
+                                        "frozen_step", "copy"])
+    def test_every_state_holds_one_stack(self, rng, tmp_path, source):
+        grid = DomainGrid(6, 10)
+        # Fortran-ordered inputs: the state's stack is C-ordered all the same.
+        s = MapState(grid, np.asfortranarray(0.3 * rng.standard_normal(grid.shape)),
+                     np.asfortranarray(np.exp(0.3 * rng.standard_normal(grid.shape))))
+        if source == "step":
+            s = step(s, cfl_dt_max(s, 0.5))
+        elif source == "read_snapshot":
+            write_snapshot(s, tmp_path / "state.npy")
+            s = read_snapshot(tmp_path / "state.npy", grid)
+        elif source == "frozen_step":
+            first = _constant_state(grid)
+            s = run_flow(first, FlowParams(t_final=0.1)).snapshots[-1]
+            assert s.t == pytest.approx(0.1)
+        elif source == "copy":
+            s = s.copy()
+        _assert_one_stack(s.fields, (s.u, s.v), grid.shape)
+        tau = tension_field(s)
+        _assert_one_stack(tau.tau, (tau.tau_u, tau.tau_v), grid.shape)
 
 
 class TestTensionField:
@@ -198,8 +241,9 @@ class TestEdgePass:
     @pytest.mark.parametrize("shape", [(5, 7), (12, 20), (48, 32)])
     @pytest.mark.parametrize("layout", ["stacked", "separate", "swapped_halves"])
     def test_stacked_and_separate_fields_match_the_roll_formulas(self, rng, shape, layout):
-        # The pass works on the state's own (2, n1, n2) stack when u and v
-        # are its halves in order, and on a stacked copy otherwise.
+        # Whether u and v are the halves of one array, in either order, or
+        # two arrays, the state's constructor copies them into a stack of its
+        # own, and the pass on it gives the roll formulas' values.
         state = _random_state(rng, shape)
         if layout == "stacked":
             fields = np.stack((state.u, state.v))
@@ -210,7 +254,9 @@ class TestEdgePass:
         else:
             u, v = state.u, state.v
         e, tau_u, tau_v, d = _roll_oracle(state)
-        got_e, tau, got_d = _edge_pass(MapState(state.grid, u, v), _EdgeWorkspace(shape))
+        built = MapState(state.grid, u, v)
+        assert not np.shares_memory(built.fields, u) and not np.shares_memory(built.fields, v)
+        got_e, tau, got_d = _edge_pass(built, _EdgeWorkspace(shape))
         assert got_e == e and got_d == d
         assert np.array_equal(tau.tau_u, tau_u) and np.array_equal(tau.tau_v, tau_v)
 
@@ -251,6 +297,7 @@ class TestEdgePass:
             u, v = u[::2, ::2], v[::2, ::2]
         assert not u.flags.c_contiguous and not v.flags.c_contiguous
         odd = MapState(state.grid, u, v)
+        assert odd.fields.flags.c_contiguous
         e, tau_u, tau_v, d = _roll_oracle(state)
         got_e, tau, got_d = _edge_pass(odd, _EdgeWorkspace(state.grid.shape))
         assert got_e == e and got_d == d
@@ -332,7 +379,7 @@ class TestStep:
     def test_rejects_target_escape(self, grid64):
         s = _constant_state(grid64, v0=1.0)
         dt = cfl_dt_max(s, 0.5)
-        sink = TangentField(grid64.zeros(), grid64.full(-2.0 / dt))
+        sink = TangentField(np.array((grid64.zeros(), grid64.full(-2.0 / dt))))
         with pytest.raises(StepRejectedError):
             step(s, dt, sink)
 
@@ -345,33 +392,29 @@ class TestStep:
         # The error names the bad node, also when only u is bad.
         grid = DomainGrid(16, 16)
         s = _constant_state(grid)
-        bad = grid.zeros()
-        bad[3, 5] = value / 1e-4
-        tangent = (TangentField(bad, grid.zeros()) if component == "u"
-                   else TangentField(grid.zeros(), bad))
+        tau = np.zeros((2, *grid.shape))
+        tau["uv".index(component), 3, 5] = value / 1e-4
+        tangent = TangentField(tau)
         with pytest.raises(StepRejectedError) as exc:
             step(s, 1e-4, tangent)
         assert exc.value.node == (3, 5)
 
     @pytest.mark.parametrize("stacked", [True, False])
     def test_the_new_fields_are_one_stack(self, rng, stacked):
+        # stacked: tau as the pass returns it; else a Fortran-ordered copy.
+        # Either way the new fields are one C-ordered stack.
         s = _random_state(rng, (12, 20))
         dt = cfl_dt_max(s, 0.5)
         tau = tension_field(s)
         if not stacked:
-            tau = TangentField(tau.tau_u.copy(), tau.tau_v.copy())
-        else:
-            assert tau.tau_u.base is tau.tau_v.base
+            tau = TangentField(np.asfortranarray(tau.tau))
         s2 = step(s, dt, tau)
         assert np.array_equal(s2.u, s.u + dt * tau.tau_u)
         assert np.array_equal(s2.v, s.v + dt * tau.tau_v)
-        fields = s2.u.base
-        assert fields.shape == (2, 12, 20) and fields is s2.v.base
-        assert np.shares_memory(s2.u, fields[0]) and np.shares_memory(s2.v, fields[1])
-        s3 = step(s2, dt)  # a stacked state steps as a separate one does
-        twin = MapState(s2.grid, s2.u.copy(), s2.v.copy(), s2.t)
-        s4 = step(twin, dt)
-        assert np.array_equal(s3.u, s4.u) and np.array_equal(s3.v, s4.v)
+        _assert_one_stack(s2.fields, (s2.u, s2.v), (12, 20))
+        s3 = step(s2, dt)  # a stepped state steps as a rebuilt one does
+        s4 = step(MapState(s2.grid, s2.u, s2.v, s2.t), dt)
+        assert s3.fields.tobytes() == s4.fields.tobytes()
 
     def test_new_state_records_its_v_min(self, rng):
         s = _random_state(rng, (16, 16))
@@ -468,8 +511,8 @@ class TestRunFlow:
         assert traj.dt_used[1:] == pytest.approx(np.full(20, 0.05), abs=1e-14)
         # The initial state is copied once; the frozen snapshots share it.
         first = traj.snapshots[0]
-        assert first.u is not initial.u and first.v is not initial.v
-        assert all(s.u is first.u and s.v is first.v for s in traj.snapshots)
+        assert first.fields is not initial.fields
+        assert all(s.fields is first.fields for s in traj.snapshots)
 
     def test_duration_semantics_with_offset_start(self, grid64):
         s = _constant_state(grid64)

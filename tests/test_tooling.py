@@ -7,6 +7,8 @@ import ast
 import importlib
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from moduliflow.cli import FlowConfig
@@ -43,3 +45,12 @@ def test_the_readme_config_defaults_are_flowconfigs():
     section = (ROOT / "README.md").read_text().split("\n## Configuration\n", 1)[1]
     block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
     assert json.loads(block) == FlowConfig().to_dict()
+
+
+def test_compare_outputs_loads_and_refuses_an_unknown_revision():
+    # tools/compare_outputs.py imports names from perfbench/run.py at start.
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare_outputs.py"), "no-such-revision"],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "no-such-revision" in done.stderr
