@@ -71,8 +71,8 @@ class MapState:
     """Map into the upper half-plane at time t: the fields u and v on a grid,
     the two halves of fields, one C-contiguous float64 (2, n1, n2) array.
 
-    MapState(grid, u, v, t) checks u and v and copies them into a new
-    stack, so the caller's arrays stay the caller's.  A state's arrays are
+    MapState(grid, u, v, t) checks u, v and t and copies u and v into a
+    new stack, so the caller's arrays stay the caller's.  A state's arrays are
     not to be changed in place: v_min, the minimum of v, is recorded when
     the state is built.
     """
@@ -83,6 +83,8 @@ class MapState:
         if v_min <= 0.0:
             node = np.unravel_index(int(v.argmin()), v.shape)
             raise ValueError(f"v must be positive everywhere; v{tuple(node)} = {v[node]}")
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
         self.grid, self.fields, self.t, self.v_min = grid, np.array((u, v)), float(t), v_min
         self.u, self.v = self.fields
 
@@ -136,9 +138,9 @@ class _EdgeWorkspace:
     return and build no views but those of the state's fields.  The arrays
     hold no result between passes: 11 fields of the grid shape in one
     buffer, sigma, rho and edge_sq, and the (2, n1, n2) stacks diff, flux,
-    back and div, laid out as the state's fields are, u's part first.  flux holds the edge fluxes and then the
-    squared differences; back holds the backward differences of the fluxes
-    and then, as sq and scratch, du*du + dv*dv and one scratch field.
+    back and div, laid out as the state's fields are, u's part first.  flux
+    holds the edge fluxes, then the squared differences; back the fluxes'
+    backward differences, then sq = du*du + dv*dv and a scratch field.
     """
 
     def __init__(self, shape: tuple[int, int]):
@@ -152,8 +154,8 @@ class _EdgeWorkspace:
         self.axis_calls = [
             (periodic_calls(np.add, self.sigma, self.sigma, self.rho, axis, b_shift=1),
              periodic_calls(np.subtract, self.flux, self.flux, self.back, axis, b_shift=-1),
-             periodic_calls(np.add, self.sq, self.sq, self.scratch, axis, b_shift=-1))
-            for axis in (0, 1)
+             periodic_calls(np.add, self.sq, self.sq, sums, axis, b_shift=-1))
+            for axis, sums in ((0, self.edge_sq), (1, self.scratch))
         ]
 
 
@@ -174,16 +176,15 @@ def _edge_pass(state: MapState, ws: _EdgeWorkspace) -> tuple[float, TangentField
     exactly zero.  D = ||tau||^2 in the hyperbolic inner product.
 
     The pass works on the state's fields, the (2, n1, n2) stack of u and
-    v, so each step on both is one ufunc call.  Every intermediate lives in
-    ws, which must be for the state's grid shape, and its periodic calls
-    are bound there; only the calls that difference the fields are bound on
-    each pass.  tau is returned as a fresh (2, n1, n2) stack.  Each value is
-    formed by the same floating-point operations in the same order as when every
-    neighbour is first copied into a shifted array (u[k+1] - u[k],
-    sigma[k] + sigma[k+1], flux[k] - flux[k-1], du*du + dv*dv,
-    sq[k] + sq[k-1], ...), the division by h being a multiplication by 1/h
-    only where that gives the same value (_divide_by), so the results agree
-    with that formulation bit for bit.
+    v, so each step on both is one ufunc call, and on ws, which must be for
+    the state's grid shape.  Each value is formed by the same floating-point
+    operations in the same order as when every neighbour is first copied
+    into a shifted array (u[k+1] - u[k], sigma[k] + sigma[k+1],
+    flux[k] - flux[k-1], du*du + dv*dv, sq[k] + sq[k-1], ...), so the
+    results agree bit for bit: x / h is x * (1/h) only where _divide_by
+    finds them equal, x*x is np.square(x), and axis 0's sums of squares,
+    never -0.0, are written to edge_sq; div, whose terms can be -0.0, is
+    zeroed first.
     """
     grid = state.grid
     if ws.shape != grid.shape:
@@ -191,10 +192,9 @@ def _edge_pass(state: MapState, ws: _EdgeWorkspace) -> tuple[float, TangentField
     fields, v = state.fields, state.v
     sigma, rho, edge_sq, sq, scratch = ws.sigma, ws.rho, ws.edge_sq, ws.sq, ws.scratch
     diff, flux, back, div = ws.diff, ws.flux, ws.back, ws.div
-    np.multiply(v, v, out=rho)
+    np.square(v, out=rho)
     np.divide(1.0, rho, out=sigma)
     div.fill(0.0)
-    edge_sq.fill(0.0)
     total = 0.0
     for axis, h in ((0, grid.h1), (1, grid.h2)):
         rho_calls, div_calls, sq_calls = ws.axis_calls[axis]
@@ -207,13 +207,14 @@ def _edge_pass(state: MapState, ws: _EdgeWorkspace) -> tuple[float, TangentField
         run_calls(div_calls)
         divide(back, by, out=back)
         div += back
-        np.multiply(diff, diff, out=flux)
+        np.square(diff, out=flux)
         np.add(ws.flux_u, ws.flux_v, out=sq)
         run_calls(sq_calls)
-        edge_sq += scratch
+        if axis:
+            edge_sq += scratch
         np.multiply(sq, rho, out=scratch)
         total += float(scratch.sum())
-    np.multiply(v, v, out=rho)
+    np.square(v, out=rho)
     tau = rho * div
     np.multiply(2.0, v, out=scratch)
     np.divide(edge_sq, scratch, out=scratch)
@@ -291,7 +292,7 @@ def step(state: MapState, dt: float, tangent: TangentField | None = None) -> Map
 
 @dataclass
 class FlowParams:
-    """Solver controls for run_flow."""
+    """Solver controls for run_flow; each must be finite."""
 
     t_final: float
     snapshot_interval: float = 0.05
@@ -300,6 +301,9 @@ class FlowParams:
     stall_threshold: float = 1e-14
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.t_final > 0.0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
         if not self.snapshot_interval > 0.0:

@@ -123,6 +123,13 @@ class TestMapState:
         with pytest.raises(ValueError):
             MapState(grid64, np.zeros((4, 4)), np.ones((4, 4)))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_time_is_refused(self, grid64, t):
+        # run_flow would otherwise fail on t / snapshot_interval with an
+        # error that names neither t nor the state.
+        with pytest.raises(ValueError, match="^t must be finite"):
+            MapState(grid64, grid64.zeros(), grid64.full(1.0), t=t)
+
     def test_copy_is_deep(self, grid64):
         s = _constant_state(grid64)
         c = s.copy()
@@ -225,6 +232,16 @@ def _random_state(rng, shape):
                     np.exp(0.3 * rng.standard_normal(grid.shape)))
 
 
+def _special_values(rng):
+    """Floats over the whole exponent range, and the special ones."""
+    tiny = np.finfo(float).tiny
+    return np.concatenate([
+        rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, tiny / 3, -5e-324,
+         np.finfo(float).max, -np.finfo(float).max / 7],
+    ])
+
+
 class TestEdgePass:
     @pytest.mark.parametrize("shape", [
         (16, 16), (8, 12), (64, 64), (4, 4), (5, 7), (9, 4), (128, 128),
@@ -263,16 +280,34 @@ class TestEdgePass:
     @pytest.mark.parametrize("n", [4, 5, 12, 48, 64, 1024])
     def test_divide_by_is_the_division_bit_for_bit(self, rng, n):
         h = DomainGrid(n, n).h1
-        tiny = np.finfo(float).tiny
-        x = np.concatenate([
-            rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000),
-            [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, tiny / 3, -5e-324,
-             np.finfo(float).max, -np.finfo(float).max / 7],
-        ])
+        x = _special_values(rng)
         op, c = _divide_by(h)
         assert (op is np.multiply) == (n & (n - 1) == 0)
         with np.errstate(over="ignore"):
             assert op(x, c).tobytes() == (x / h).tobytes()
+
+    def test_square_is_the_product_bit_for_bit(self, rng):
+        # The pass squares with np.square where the formulas multiply.
+        x = _special_values(rng)
+        with np.errstate(over="ignore", under="ignore"):
+            assert np.square(x).tobytes() == (x * x).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 6)])
+    def test_signed_zeros_match_the_roll_formulas(self, shape):
+        # u is +0.0 and -0.0 in a checkerboard and v constant, so every
+        # difference and sum of squares is exactly zero, and the backward
+        # differences of the fluxes are -0.0 at half the nodes: the zeroed
+        # sums of the formulas turn those into +0.0 in tau_u.
+        grid = DomainGrid(*shape)
+        i, j = np.indices(shape)
+        u = np.where((i + j) % 2 == 1, -0.0, 0.0)
+        state = MapState(grid, u, grid.full(1.7))
+        e, tau_u, tau_v, d = _roll_oracle(state)
+        got_e, tau, got_d = _edge_pass(state, _EdgeWorkspace(shape))
+        assert np.signbit(tau_u).sum() == 0 and e == 0.0
+        assert tau.tau_u.tobytes() == tau_u.tobytes()
+        assert tau.tau_v.tobytes() == tau_v.tobytes()
+        assert (got_e, got_d) == (e, d)
 
     @pytest.mark.parametrize("shape", [(4, 4), (64, 64), (12, 20)])
     def test_workspace_holds_no_more_than_eleven_fields(self, shape):
@@ -569,6 +604,15 @@ class TestRunFlow:
         assert traj.accepted_steps > 0
         assert traj.times[-1] == pytest.approx(t0 + 0.1, abs=1e-14)
         assert traj.snapshot_times == pytest.approx([t0, t0 + 0.05, t0 + 0.1], abs=1e-14)
+
+    @pytest.mark.parametrize("name", ["t_final", "snapshot_interval", "cfl_safety",
+                                      "dt_floor", "stall_threshold"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_params_are_refused_by_name(self, name, value):
+        # t_final = inf used to end the run at once (inf - inf is nan), and a
+        # nan stall_threshold kept it from ever stalling.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            FlowParams(**{"t_final": 1.0, name: value})
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

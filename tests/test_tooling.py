@@ -1,7 +1,7 @@
 """Tooling and docs that name the code must follow it: the per-layer trace
 of perfbench/traced.py wraps functions by name, so a renamed or removed
-function must fail here rather than break a traced run, and the README's
-config defaults must be FlowConfig's."""
+function must fail here rather than break a traced run, the README's
+config defaults must be FlowConfig's, and the tools in tools/ must run."""
 
 import ast
 import importlib
@@ -54,3 +54,22 @@ def test_compare_outputs_loads_and_refuses_an_unknown_revision():
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 2, done.stderr
     assert "no-such-revision" in done.stderr
+
+
+def test_time_kernel_times_the_tree_and_refuses_an_unknown_revision():
+    # One 6x6 grid, 3 calls and 2 rounds instead of the tool's sizes, 100
+    # calls and 21 rounds: each round starts a worker process.
+    tools = str(ROOT / "tools")
+    code = (f"import sys; sys.path.insert(0, {tools!r}); import time_kernel as tk; "
+            "tk.ROUNDS, tk.SIZES, tk.CALLS = 2, (6,), 3; sys.exit(tk.main())")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    title, header, row = done.stdout.splitlines()
+    assert "of 6 calls" in title and header.split()[:2] == ["size", "side"]
+    size, side, *numbers = row.split()
+    assert (size, side, len(numbers)) == ("6²", "tree", 6)
+    assert all(float(x) > 0 for x in numbers)
+    refused = subprocess.run([sys.executable, str(ROOT / "tools" / "time_kernel.py"),
+                              "no-such-revision"], capture_output=True, text=True, timeout=60)
+    assert refused.returncode == 2 and "no-such-revision" in refused.stderr

@@ -32,6 +32,18 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import THREAD_ENV, WORKLOADS  # noqa: E402  (perfbench/run.py)
 
 
+def extract_src(rev: str, dest: Path) -> Path:
+    """Extract rev's src/ into dest with `git archive` and return the copy
+    of src/; ValueError with git's message when rev cannot be read."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             capture_output=True)
+    if archive.returncode != 0:
+        raise ValueError(archive.stderr.decode().strip())
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
 def cases() -> list[tuple[str, dict | None, int | None]]:
     """(name, config or None for the defaults, seed or None) of each run."""
     snap = WORKLOADS["snap400"]
@@ -82,17 +94,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare the working tree with")
     args = parser.parse_args(argv)
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"],
-                             capture_output=True)
-    if archive.returncode != 0:
-        print(archive.stderr.decode().strip(), file=sys.stderr)
-        return 2
     ok = True
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         tmp = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp / "rev", filter="data")
-        sources = {args.rev: tmp / "rev" / "src", "tree": ROOT / "src"}
+        try:
+            sources = {args.rev: extract_src(args.rev, tmp / "rev"), "tree": ROOT / "src"}
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         for name, config, seed in cases():
             outs = {}
             for k, (label, src) in enumerate(sources.items()):
