@@ -55,7 +55,6 @@ from .hyperbolic import (
     ModularMatrix,
     ReductionError,
     UpperHalfPoint,
-    hyperbolic_cell_mass,
     hyperbolic_laplacian_fd,
     mobius_apply,
     mobius_apply_xy,
@@ -75,7 +74,6 @@ from .measures import (
     reference_measure,
     relative_entropy,
     time_average,
-    weak_star_pairing,
     write_measure,
 )
 from .mesh import DomainGrid
@@ -110,7 +108,6 @@ __all__ = [
     "dissipation_rate",
     "energy",
     "entropy_report",
-    "hyperbolic_cell_mass",
     "hyperbolic_laplacian_fd",
     "jacobian_det",
     "mobius_apply",
@@ -128,7 +125,6 @@ __all__ = [
     "step",
     "tension_field",
     "time_average",
-    "weak_star_pairing",
     "write_measure",
     "write_snapshot",
 ]

@@ -600,7 +600,8 @@ def run_sweep(sweep_path, out_root, jobs: int = 1) -> list:
         if not isinstance(var, dict) or "name" not in var:
             raise ConfigError("each variant needs a 'name'", f"variants[{i}]")
         name = var["name"]
-        if not isinstance(name, str) or not name or "/" in name or name in seen:
+        if (not isinstance(name, str) or name in ("", ".", "..") or "/" in name
+                or name in seen):
             raise ConfigError(f"bad or duplicate name {name!r}", f"variants[{i}].name")
         seen.add(name)
         overrides = {k: v for k, v in var.items() if k != "name"}
@@ -663,7 +664,7 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        except FileExistsError as exc:
+        except OSError as exc:
             print(f"run: {exc}", file=sys.stderr)
             return 2
         print(f"run written to {result.out_dir} "

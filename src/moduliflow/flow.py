@@ -336,10 +336,6 @@ class FlowTrajectory:
     termination: str
     accepted_steps: int = 0
 
-    @property
-    def snapshot_times(self) -> np.ndarray:
-        return self.times[self.snapshot_rows]
-
 
 def _trajectory_from_lists(rows, snapshots, snapshot_rows, violations, rejected,
                            reason, accepted):

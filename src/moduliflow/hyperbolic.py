@@ -57,10 +57,6 @@ class UpperHalfPoint:
         if not self.y > 0.0:
             raise ValueError(f"point must have y > 0, got y = {self.y}")
 
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
-
     def __repr__(self):
         return f"UpperHalfPoint({self.x!r}, {self.y!r})"
 
@@ -85,35 +81,6 @@ class ModularMatrix:
                 f"determinant must be exactly 1, got "
                 f"{self.a * self.d - self.b * self.c}"
             )
-
-    @classmethod
-    def identity(cls) -> "ModularMatrix":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def translation(cls, n: int) -> "ModularMatrix":
-        """z -> z + n."""
-        return cls(1, n, 0, 1)
-
-    @classmethod
-    def inversion(cls) -> "ModularMatrix":
-        """z -> -1/z."""
-        return cls(0, -1, 1, 0)
-
-    def __matmul__(self, other: "ModularMatrix") -> "ModularMatrix":
-        # Exact integer product; Python ints never overflow.
-        return ModularMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "ModularMatrix":
-        return ModularMatrix(self.d, -self.b, -self.c, self.a)
-
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) in ((1, 0, 0, 1), (-1, 0, 0, -1))
 
 
 def mobius_apply_xy(a, b, c, d, x, y):
@@ -209,7 +176,7 @@ def reduce_to_fundamental_domain(
     DegenerateInputError when |z|^2 underflows on the way.
     """
     if _is_canonical(z.x, z.y):
-        return z, ModularMatrix.identity()
+        return z, ModularMatrix(1, 0, 0, 1)
     x, y, a, b, c, d, _ = _reduce_scalar(z.x, z.y)
     return UpperHalfPoint(x, y), ModularMatrix(a, b, c, d)
 
@@ -344,18 +311,6 @@ def _cell_mass_centroid(x_lo, x_hi, y_lo, y_hi, panels=16):
     return mass, x_num / mass, y_num / mass
 
 
-def hyperbolic_cell_mass(
-    x_lo: float, x_hi: float, y_lo: float, y_hi: float, panels: int = 16
-) -> float:
-    """Integral of dx dy / y^2 over the rectangle clipped to {|z| >= 1}.
-
-    Degenerate (zero-width) rectangles have mass 0.  Rectangles that avoid
-    the unit-circle arc are computed in closed form; arc-crossing ones use a
-    kink-split composite midpoint rule in x (O(h^2), coherent sign).
-    """
-    return _cell_mass_centroid(x_lo, x_hi, y_lo, y_hi, panels)[0]
-
-
 class FundamentalDomainBinning:
     """Histogram bins over F_trunc = F ∩ {y <= y_max} plus a cusp overflow bin.
 
@@ -419,10 +374,6 @@ class FundamentalDomainBinning:
         self.n_bins = len(mass_list)
 
     @property
-    def overflow_index(self) -> int:
-        return self.n_bins
-
-    @property
     def overflow_mass(self) -> float:
         # Exact: integral of dx dy / y^2 over |x| <= 1/2, y > y_max.
         return 1.0 / self.y_max
@@ -438,16 +389,9 @@ class FundamentalDomainBinning:
             and self.y_max == other.y_max
         )
 
-    def bin_index(self, x: float, y: float) -> int:
-        """Bin index of a reduced point; overflow_index when y > y_max."""
-        if y > self.y_max:
-            return self.n_bins
-        ix = min(max(math.floor((x + 0.5) / self.dx), 0), self.n_x - 1)
-        iy = min(max(math.floor((y - self.y_min) / self.dy), 0), self.n_y - 1)
-        return int(self._lookup[ix, iy])
-
     def bin_index_array(self, x, y):
-        """Vectorised bin_index for arrays of reduced points."""
+        """Bin index of each reduced point; n_bins, the overflow bin, where
+        y > y_max."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         ix = np.clip(np.floor((x + 0.5) / self.dx).astype(np.int64), 0, self.n_x - 1)

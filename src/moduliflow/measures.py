@@ -54,10 +54,6 @@ class PushforwardMeasure:
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {total} deviates from 1 beyond {MASS_TOL}")
 
-    @property
-    def overflow(self) -> float:
-        return float(self.masses[-1])
-
 
 @dataclass
 class ReferenceMeasure:
@@ -71,10 +67,6 @@ class ReferenceMeasure:
         self.masses = np.asarray(self.masses, dtype=float)
         if np.any(self.masses <= 0.0):
             raise ValueError("reference measure must have full support")
-
-    @property
-    def overflow(self) -> float:
-        return float(self.masses[-1])
 
 
 def reference_measure(binning: FundamentalDomainBinning) -> ReferenceMeasure:
@@ -128,21 +120,8 @@ def relative_entropy(mu: PushforwardMeasure, nu: ReferenceMeasure) -> float:
     return entropy_from_masses(mu.masses, nu.masses)
 
 
-def _on_bins(binning, f):
-    """f at the bin mass centroids, and f's declared value on the overflow
-    bin (0 for the compactly supported observables)."""
-    live = np.asarray(f.value(binning.center_x, binning.center_y), dtype=float)
-    return live, getattr(f, "overflow_value", 0.0)
-
-
 def _pairing(masses, live, overflow_value) -> float:
     return float(np.dot(masses[:-1], live)) + float(masses[-1]) * overflow_value
-
-
-def weak_star_pairing(mu, f) -> float:
-    """Binned pairing: sum of bin masses times f at the bin mass centroids,
-    plus the overflow mass times f's declared overflow value."""
-    return _pairing(mu.masses, *_on_bins(mu.binning, f))
 
 
 class MeasureSeries:
@@ -218,13 +197,16 @@ def ergodic_error_from_measures(series: MeasureSeries, fs,
     Entry [k, j] compares the trapezoid average of the measures 0..k (row 0
     is the bare first measure) against the hyperbolic reference, which must
     be on the series' binning, through observable fs[j].  Reported as a
-    diagnostic series; no decay is asserted.  Each observable is evaluated on
-    the bins once, and the prefix averages come from the series' one running
-    integral, O(len * bins) in all; every pairing is bit-identical to
-    weak_star_pairing of time_average of the prefix.
+    diagnostic series; no decay is asserted.  Each observable is evaluated at
+    the bin mass centroids once, and takes its declared overflow_value (0 if
+    none) on the overflow bin.  The prefix averages come from the series' one
+    running integral, O(len * bins) in all; every pairing is bit-identical to
+    the binned pairing of time_average of the prefix.
     """
     _check_match(series, reference)
-    on_bins = [_on_bins(series.binning, f) for f in fs]
+    b = series.binning
+    on_bins = [(np.asarray(f.value(b.center_x, b.center_y), dtype=float),
+                getattr(f, "overflow_value", 0.0)) for f in fs]
     targets = [_pairing(reference.masses, *f_bins) for f_bins in on_bins]
     errors = np.empty((len(series), len(on_bins)))
     for k, masses in enumerate(series.prefix_averages()):

@@ -64,12 +64,6 @@ class DomainGrid:
         """Node coordinates along axis 1, shaped (1, n2)."""
         return (np.arange(self.n2) * self.h2).reshape(1, self.n2)
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
-    def full(self, value: float) -> np.ndarray:
-        return np.full(self.shape, float(value))
-
     def check_field(self, f: np.ndarray, name: str = "field") -> np.ndarray:
         f = np.asarray(f, dtype=float)
         if f.shape != self.shape:

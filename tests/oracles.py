@@ -4,8 +4,12 @@ They check the product code in src/ from outside it:
 
 * ConstantOne, AffineFunction, WindowedHarmonic -- observables with known
   gradients, Hessians or hyperbolic Laplacians;
-* weak_star_pairing_exact -- the node-exact pairing the binned
-  weak_star_pairing approximates;
+* translation, inversion, product, inverse, is_identity -- the group
+  algebra of ModularMatrix, for building and checking witness words;
+* weak_star_pairing -- the binned pairing of a measure with an observable,
+  which ergodic_error_from_measures computes on its own;
+* weak_star_pairing_exact -- the node-exact pairing the binned one
+  approximates;
 * laplacian_invariance_diagnostic -- the pairing of a measure with the
   finite-difference hyperbolic Laplacian of an observable;
 * hyperbolic_distance -- the geodesic distance of the upper half-plane.
@@ -19,7 +23,12 @@ import warnings
 import numpy as np
 
 from moduliflow.flow import MapState
-from moduliflow.hyperbolic import UpperHalfPoint, hyperbolic_laplacian_fd, reduce_points
+from moduliflow.hyperbolic import (
+    ModularMatrix,
+    UpperHalfPoint,
+    hyperbolic_laplacian_fd,
+    reduce_points,
+)
 
 
 class ConstantOne:
@@ -97,6 +106,43 @@ class WindowedHarmonic:
         sx = (np.asarray(x, float) - self.cx) / self.rx
         sy = (np.asarray(y, float) - self.cy) / self.ry
         return np.asarray(y, float) * _plateau(sx, self.flat) * _plateau(sy, self.flat)
+
+
+def translation(n: int) -> ModularMatrix:
+    """z -> z + n."""
+    return ModularMatrix(1, n, 0, 1)
+
+
+def inversion() -> ModularMatrix:
+    """z -> -1/z."""
+    return ModularMatrix(0, -1, 1, 0)
+
+
+def product(*gs: ModularMatrix) -> ModularMatrix:
+    """Exact integer product of the matrices, left to right; the identity
+    for none.  Python ints never overflow."""
+    a, b, c, d = 1, 0, 0, 1
+    for g in gs:
+        a, b, c, d = (a * g.a + b * g.c, a * g.b + b * g.d,
+                      c * g.a + d * g.c, c * g.b + d * g.d)
+    return ModularMatrix(a, b, c, d)
+
+
+def inverse(g: ModularMatrix) -> ModularMatrix:
+    return ModularMatrix(g.d, -g.b, -g.c, g.a)
+
+
+def is_identity(g: ModularMatrix) -> bool:
+    """True for the identity and its negative, which acts the same."""
+    return (g.a, g.b, g.c, g.d) in ((1, 0, 0, 1), (-1, 0, 0, -1))
+
+
+def weak_star_pairing(mu, f) -> float:
+    """Binned pairing: bin masses times f at the bin mass centroids, plus the
+    overflow mass times f's declared overflow_value (0 if none)."""
+    live = np.asarray(f.value(mu.binning.center_x, mu.binning.center_y), dtype=float)
+    return (float(np.dot(mu.masses[:-1], live))
+            + float(mu.masses[-1]) * getattr(f, "overflow_value", 0.0))
 
 
 def weak_star_pairing_exact(state: MapState, f) -> float:

@@ -32,11 +32,11 @@ from moduliflow.measures import (
     read_measure,
     reference_measure,
     time_average,
-    weak_star_pairing,
     write_measure,
 )
 from moduliflow.mesh import DomainGrid
 from moduliflow.testfunctions import BumpFunction
+from oracles import weak_star_pairing
 
 FAST_OVERRIDES = {
     "grid": {"n1": 16, "n2": 16},
@@ -766,7 +766,7 @@ class TestSweep:
         sweep = {
             "base": dict(FAST_OVERRIDES),
             "variants": [
-                {"name": n, "grid": {"n1": sizes[n], "n2": sizes[n]}}
+                {"name": n, "grid": {"n1": sizes.get(n, 8), "n2": sizes.get(n, 8)}}
                 for n in names
             ],
         }
@@ -821,11 +821,18 @@ class TestSweep:
         for name in ("a", "c"):
             assert (out_root / name / "summary.json").is_file()
 
-    def test_duplicate_names_rejected(self, tmp_path):
+    # "." would put a variant's files in the sweep root, ".." outside it.
+    @pytest.mark.parametrize("names", [("a", "a"), (".",), ("..",)],
+                             ids=["duplicate", "dot", "dotdot"])
+    def test_duplicate_names_rejected(self, tmp_path, capsys, names):
         sweep_path = tmp_path / "sweep.json"
-        self._write_sweep(sweep_path, names=("a", "a", "c"))
-        with pytest.raises(ConfigError):
-            run_sweep(sweep_path, tmp_path / "out")
+        self._write_sweep(sweep_path, names=names)
+        assert main(["sweep", "--config", str(sweep_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        i = len(names) - 1  # the last name is the bad one
+        assert capsys.readouterr().err == (f"sweep config error: variants[{i}].name: "
+                                           f"bad or duplicate name {names[i]!r}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_variant_stops_the_sweep_before_any_output(self, tmp_path,
                                                             capsys):
@@ -849,7 +856,8 @@ class TestSweep:
                                                                       capsys):
         grid = DomainGrid(16, 16)
         snap = tmp_path / "low.npy"
-        write_snapshot(MapState(grid, grid.zeros(), grid.full(1e-9)), snap)
+        write_snapshot(MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1e-9)),
+                       snap)
         sweep = {
             "base": dict(FAST_OVERRIDES),
             "variants": [
@@ -965,6 +973,15 @@ class TestMain:
         (tmp_path / "empty").mkdir()
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "empty")]) == 0
 
+    def test_an_output_directory_that_cannot_be_made_exits_2(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("a regular file\n")
+        out = tmp_path / "afile" / "sub"
+        assert main(["run", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("run: ") and len(captured.err.splitlines()) == 1
+        assert str(out) in captured.err
+
     def test_seed_override_changes_the_run(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         raw = dict(FAST_OVERRIDES)
@@ -1046,7 +1063,8 @@ class TestMain:
                                                                     capsys):
         grid = DomainGrid(16, 16)
         snap = tmp_path / "low.npy"
-        write_snapshot(MapState(grid, grid.zeros(), grid.full(1e-9)), snap)
+        write_snapshot(MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1e-9)),
+                       snap)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(
             dict(FAST_OVERRIDES, initial={"kind": "file", "path": str(snap)})
@@ -1142,7 +1160,7 @@ class TestMain:
     def test_snapshot_on_another_grid_exits_2(self, tmp_path, capsys):
         run_experiment(_fast_config(), tmp_path / "run")
         grid = DomainGrid(8, 8)
-        write_snapshot(MapState(grid, grid.zeros(), grid.full(1.0)),
+        write_snapshot(MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1.0)),
                        tmp_path / "run" / "snapshots" / "state_0001.npy")
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
@@ -1151,7 +1169,7 @@ class TestMain:
     def test_snapshot_below_the_v_floor_exits_2(self, tmp_path, capsys):
         run_experiment(_fast_config(), tmp_path / "run")
         grid = DomainGrid(16, 16)
-        write_snapshot(MapState(grid, grid.zeros(), grid.full(1e-300)),
+        write_snapshot(MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1e-300)),
                        tmp_path / "run" / "snapshots" / "state_0001.npy")
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
@@ -1241,7 +1259,8 @@ class TestMain:
             self, tmp_path, capsys, damage):
         grid = DomainGrid(16, 16)
         snap = tmp_path / "state_0001.npy"
-        write_snapshot(MapState(grid, grid.zeros(), grid.full(1.5)), snap)
+        write_snapshot(MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1.5)),
+                       snap)
         DAMAGED_STATES[damage](snap)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(

@@ -35,7 +35,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def _constant_state(grid, u0=0.3, v0=1.7):
-    return MapState(grid, grid.full(u0), grid.full(v0))
+    return MapState(grid, np.full(grid.shape, u0), np.full(grid.shape, v0))
 
 
 def _tension_oracle(state):
@@ -119,7 +119,7 @@ def _assert_one_stack(whole, halves, shape):
 class TestMapState:
     def test_positivity_and_shape(self, grid64):
         with pytest.raises(ValueError):
-            MapState(grid64, grid64.zeros(), grid64.zeros())
+            MapState(grid64, np.zeros(grid64.shape), np.zeros(grid64.shape))
         with pytest.raises(ValueError):
             MapState(grid64, np.zeros((4, 4)), np.ones((4, 4)))
 
@@ -128,7 +128,7 @@ class TestMapState:
         # run_flow would otherwise fail on t / snapshot_interval with an
         # error that names neither t nor the state.
         with pytest.raises(ValueError, match="^t must be finite"):
-            MapState(grid64, grid64.zeros(), grid64.full(1.0), t=t)
+            MapState(grid64, np.zeros(grid64.shape), np.full(grid64.shape, 1.0), t=t)
 
     def test_copy_is_deep(self, grid64):
         s = _constant_state(grid64)
@@ -141,7 +141,7 @@ class TestMapState:
         # The state copies u and v, so changing them afterwards changes
         # neither its fields nor the v_min its CFL cap is taken from.
         grid = DomainGrid(16, 16)
-        u, v = grid.zeros(), grid.full(1.0)
+        u, v = np.zeros(grid.shape), np.full(grid.shape, 1.0)
         s = MapState(grid, u, v)
         cap = cfl_dt_max(s)
         v[3, 5], u[0, 0] = 1e-3, np.nan
@@ -179,7 +179,7 @@ class TestTensionField:
     def test_flat_u_keeps_tau_u_zero(self):
         grid = DomainGrid(16, 16)
         v = 1.0 + 0.1 * np.sin(TWO_PI * grid.x2) * np.ones(grid.shape)
-        tau = tension_field(MapState(grid, grid.zeros(), v))
+        tau = tension_field(MapState(grid, np.zeros(grid.shape), v))
         assert np.all(tau.tau_u == 0.0)
         assert float(np.abs(tau.tau_v).max()) > 0.1
 
@@ -301,7 +301,7 @@ class TestEdgePass:
         grid = DomainGrid(*shape)
         i, j = np.indices(shape)
         u = np.where((i + j) % 2 == 1, -0.0, 0.0)
-        state = MapState(grid, u, grid.full(1.7))
+        state = MapState(grid, u, np.full(grid.shape, 1.7))
         e, tau_u, tau_v, d = _roll_oracle(state)
         got_e, tau, got_d = _edge_pass(state, _EdgeWorkspace(shape))
         assert np.signbit(tau_u).sum() == 0 and e == 0.0
@@ -370,7 +370,7 @@ class TestEnergy:
         for n in (32, 64):
             grid = DomainGrid(n, n)
             u = eps * np.sin(TWO_PI * grid.x1) * np.ones(grid.shape)
-            e = energy(MapState(grid, u, grid.full(1.0)))
+            e = energy(MapState(grid, u, np.full(grid.shape, 1.0)))
             exact = eps**2 * math.sin(math.pi * grid.h1) ** 2 / grid.h1**2
             assert abs(e - exact) <= 1e-12 * exact
             if n == 64:
@@ -414,7 +414,8 @@ class TestStep:
     def test_rejects_target_escape(self, grid64):
         s = _constant_state(grid64, v0=1.0)
         dt = cfl_dt_max(s, 0.5)
-        sink = TangentField(np.array((grid64.zeros(), grid64.full(-2.0 / dt))))
+        sink = TangentField(np.array((np.zeros(grid64.shape),
+                                      np.full(grid64.shape, -2.0 / dt))))
         with pytest.raises(StepRejectedError):
             step(s, dt, sink)
 
@@ -555,7 +556,7 @@ class TestRunFlow:
         traj = run_flow(s, FlowParams(t_final=0.2, snapshot_interval=0.05))
         assert traj.times[-1] == pytest.approx(0.5, abs=1e-14)
         # Snapshot times are absolute multiples of the interval.
-        assert [round(t, 10) for t in traj.snapshot_times] == [
+        assert [round(t, 10) for t in traj.times[traj.snapshot_rows]] == [
             0.3, 0.35, 0.4, 0.45, 0.5
         ]
 
@@ -603,7 +604,8 @@ class TestRunFlow:
         assert traj.termination == "t_final"
         assert traj.accepted_steps > 0
         assert traj.times[-1] == pytest.approx(t0 + 0.1, abs=1e-14)
-        assert traj.snapshot_times == pytest.approx([t0, t0 + 0.05, t0 + 0.1], abs=1e-14)
+        assert traj.times[traj.snapshot_rows] == pytest.approx([t0, t0 + 0.05, t0 + 0.1],
+                                                               abs=1e-14)
 
     @pytest.mark.parametrize("name", ["t_final", "snapshot_interval", "cfl_safety",
                                       "dt_floor", "stall_threshold"])

@@ -1,7 +1,8 @@
 """Tooling and docs that name the code must follow it: the per-layer trace
 of perfbench/traced.py wraps functions by name, so a renamed or removed
 function must fail here rather than break a traced run, the README's
-config defaults must be FlowConfig's, and the tools in tools/ must run."""
+config defaults must be FlowConfig's, the names its library example imports
+must be exported, and the tools in tools/ must run."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import moduliflow
 from moduliflow.cli import FlowConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +47,16 @@ def test_the_readme_config_defaults_are_flowconfigs():
     section = (ROOT / "README.md").read_text().split("\n## Configuration\n", 1)[1]
     block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
     assert json.loads(block) == FlowConfig().to_dict()
+
+
+def test_the_readme_library_example_imports_only_exported_names():
+    section = (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    imported = [alias.name for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "moduliflow"
+                for alias in node.names]
+    assert imported and set(imported) <= set(moduliflow.__all__)
+    assert [n for n in moduliflow.__all__ if not hasattr(moduliflow, n)] == []
 
 
 def test_compare_outputs_loads_and_refuses_an_unknown_revision():
