@@ -5,7 +5,7 @@ Subcommands:
 * run      -- integrate a configured flow and write the full diagnostic set
 * reduce   -- reduce one point into the fundamental domain
 * analyze  -- recompute the diagnostics of a stored run from its snapshots
-              and audit them against the stored series
+              and its stepping record, and audit the stored files against them
 * sweep    -- run a list of config variants, optionally in parallel
 
 Configs are strict JSON: unknown keys anywhere are rejected, every value is
@@ -47,17 +47,13 @@ from .mesh import DomainGrid
 from .testfunctions import BumpFunction
 
 SERIES_SCHEMA = "moduliflow-series-v1"
-STEPS_SCHEMA = "moduliflow-steps-v1"
 SUMMARY_SCHEMA = "moduliflow-summary-v1"
 INDEX_SCHEMA = "moduliflow-snapshot-index-v1"
 
+# The steps' columns at each snapshot, then its measures.
 SERIES_BASE_COLUMNS = [
-    "t", "E", "D", "cumulative_D", "dt",
-    "H", "rho_max", "tail_mass", "degenerate_fraction",
+    *flow.STEP_COLUMNS, "H", "rho_max", "tail_mass", "degenerate_fraction",
 ]
-# Stepping history, which analyze echoes; it recomputes every other column
-# from the snapshots alone.
-ECHOED = {"cumulative_D", "dt"}
 
 class ConfigError(ValueError):
     """A config failed validation; .path names the offending key."""
@@ -271,9 +267,9 @@ def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt
     """Measure the snapshots as the config directs; shared by run and analyze.
 
     Returns (rows, series): rows is the series table, one row per snapshot in
-    _series_columns order, with the stepping history cumulative_d and dt
-    echoed; series is the MeasureSeries of the snapshots' pushforwards.  A
-    snapshot with its predecessor's fields reuses its measure and row
+    _series_columns order, with cumulative_d and dt, the steps' values at
+    the snapshots, as given; series is the MeasureSeries of the snapshots'
+    pushforwards.  A snapshot with its predecessor's fields reuses its measure and row
     values; each prefix average of the ergodic series serves every
     observable.
     """
@@ -353,11 +349,31 @@ def _records(columns: list, rows: np.ndarray) -> tuple[list, dict]:
     return reports, fields
 
 
+def _step_fields(steps: np.ndarray, stall_threshold: float) -> dict:
+    """The summary.json fields that the steps determine, as run writes them
+    and analyze checks them.  A row whose previous D is under
+    stall_threshold is a frozen step, and every other row after row 0 an
+    accepted one; t_stall is the t of the first row whose D is under it."""
+    t, e, d, cumulative, _ = steps.T
+    stall = np.flatnonzero(d < stall_threshold)
+    e0, e_end, total = e[0].item(), e[-1].item(), cumulative[-1].item()
+    return {
+        "t_end": t[-1].item(),
+        "t_stall": t[stall[0]].item() if len(stall) else None,
+        "accepted_steps": int(np.count_nonzero(d[:-1] >= stall_threshold)),
+        "monotonicity_violations": int(np.count_nonzero(e[1:] > e[:-1] + flow.ENERGY_STEP_TOL)),
+        "energy_final": e_end,
+        "dissipation_integral": total,
+        "energy_identity_rel_gap": abs(e0 - e_end - total) / e0 if e0 > 0 else 0.0,
+    }
+
+
 def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     """Run the configured flow and write the diagnostic files.
 
     Layout of the run directory: config.json (resolved echo), series.csv
-    (snapshot-aligned diagnostics), steps.csv (per-step scalars),
+    (snapshot-aligned diagnostics), steps.npy (the trajectory's steps: row 0
+    and one row per accepted or frozen step, float64 columns STEP_COLUMNS),
     snapshots/ (the index and one .npy per distinct state), measures/
     (per-snapshot pushforwards plus the run's trapezoid time average),
     entropy.jsonl, summary.json.  An aborted run (dt underflow) still writes
@@ -391,10 +407,7 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     )
     columns = _series_columns(config)
     table.write_table(out / "series.csv", SERIES_SCHEMA, dict(zip(columns, series.T)))
-    table.write_table(out / "steps.csv", STEPS_SCHEMA, {
-        "t": traj.times, "E": traj.energy, "D": traj.dissipation,
-        "cumulative_D": traj.cumulative_dissipation, "dt": traj.dt_used,
-    })
+    np.save(out / "steps.npy", traj.steps)
 
     # One state file per run of consecutive snapshots that share their fields.
     new = [not (k and s.fields is snaps[k - 1].fields) for k, s in enumerate(snaps)]
@@ -417,19 +430,12 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     entropy_lines += [json.dumps(report, sort_keys=True) for report in reports]
     (out / "entropy.jsonl").write_text("\n".join(entropy_lines) + "\n")
 
-    e0, e_end = float(traj.energy[0]), float(traj.energy[-1])
-    cum = float(traj.cumulative_dissipation[-1])
     summary = {
         "schema": SUMMARY_SCHEMA,
         "grid": [config.grid.n1, config.grid.n2],
         "termination": "aborted" if aborted else traj.termination,
-        "t_end": float(traj.times[-1]),
-        "accepted_steps": int(traj.accepted_steps),
         "rejected_steps": int(traj.rejected_steps),
-        "monotonicity_violations": int(traj.monotonicity_violations),
-        "energy_final": e_end,
-        "dissipation_integral": cum,
-        "energy_identity_rel_gap": abs(e0 - e_end - cum) / e0 if e0 > 0 else 0.0,
+        **_step_fields(traj.steps, config.stall_threshold),
         **series_fields,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -437,23 +443,34 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
 
 
 def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
-    """Recompute snapshot diagnostics of a stored run and audit the series.
+    """Recompute the series of a stored run from its snapshots and steps,
+    and audit the run's files.
 
     The series must carry its config's columns, and the tolerance must be
-    finite and at least 0.  Recomputed columns must match the series within
-    it; dt and cumulative_D are echoed.  snapshots/ and measures/ must hold
-    exactly _run_files of the index, each state must lie on the config's
-    grid above the v floor, and summary.json, entropy.jsonl and each measure
-    file agree with the recomputation, or ValueError names the file.
-    Returns the audit report dictionary (also written to analysis.json).
+    finite and at least 0.  Each series column is recomputed: t and the
+    measures from the snapshots, cumulative_D and dt from the steps, and E
+    and D from the snapshots, with the series' E and D equal to the steps'
+    bit for bit; each must match the series within the tolerance.
+    steps.npy must hold run_flow's rules exactly (_step_rows).  snapshots/
+    and measures/ must hold exactly _run_files of the index, each state must
+    lie on the config's grid above the v floor, and summary.json,
+    entropy.jsonl and each measure file agree with the recomputation, or
+    ValueError names the file.  Returns the audit report dictionary (also
+    written to analysis.json).
     """
     tolerance = _number(tolerance, "tolerance", nonnegative=True)
     run = Path(run_dir)
     config = parse_config((run / "config.json").read_text())
+    steps_path = run / "steps.npy"
+    if not steps_path.exists() and (run / "steps.csv").exists():
+        raise ValueError(f"{run / 'steps.csv'}: the run uses the text steps format "
+                         "moduliflow-steps-v1, which this version does not read")
+    steps = flow.read_steps(steps_path)
     columns = _series_columns(config)
     _, stored = table.read_table(run / "series.csv", SERIES_SCHEMA, columns)
     grid = DomainGrid(config.grid.n1, config.grid.n2)
     times, state = _read_index(run / "snapshots" / "index.csv", len(stored), grid)
+    at = _step_rows(steps_path, steps, config.stall_threshold, times, stored)
     files = _run_files(run, state)
     for directory, names in files.items():
         found = {p.name for p in directory.iterdir()}
@@ -471,11 +488,9 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     # The snapshots of one state share its fields, so it is measured once.
     snapshots = [flow.MapState._checked(grid, s.fields, t, s.v_min)
                  for t, s in zip(times, [states[j] for j in state])]
-    recomputed, series = compute_snapshot_diagnostics(
-        config, snapshots,
-        stored[:, columns.index("cumulative_D")], stored[:, columns.index("dt")],
-    )
-    _audit_records(run, columns, recomputed, tolerance)
+    recomputed, series = compute_snapshot_diagnostics(config, snapshots, steps[at, 3],
+                                                      steps[at, 4])
+    _audit_records(run, columns, recomputed, tolerance, steps, config.stall_threshold)
     # zip drops the average when the file list has no time_average.csv.
     for mu, name in zip([*series.measures, series.average()], measure_names):
         stored_mu = ms.read_measure(path := measure_dir / name, series.binning)
@@ -484,19 +499,53 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     table.write_table(run / "series_recomputed.csv", SERIES_SCHEMA,
                       dict(zip(columns, recomputed.T)))
     worst = np.abs(stored - recomputed).max(axis=0)
-    audited = np.array([name not in ECHOED for name in columns])
     report = {"schema": "moduliflow-analysis-v1", "tolerance": tolerance,
-              # max propagates NaN, so a NaN in an audited column fails.
-              "max_abs_diff": float(worst[audited].max()), "columns": {}}
-    for name, diff, aud in zip(columns, worst.tolist(), audited.tolist()):
-        report["columns"][name] = {
-            "max_abs_diff": diff,
-            "audited": aud,
-            "within_tolerance": (diff <= tolerance) if aud else None,
-        }
+              # max propagates NaN, so a NaN in any column fails.
+              "max_abs_diff": float(worst.max()),
+              "columns": {name: {"max_abs_diff": diff, "within_tolerance": diff <= tolerance}
+                          for name, diff in zip(columns, worst.tolist())}}
     report["pass"] = report["max_abs_diff"] <= tolerance
     (run / "analysis.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
+
+
+def _step_rows(path: Path, steps: np.ndarray, stall_threshold: float, times,
+               stored: np.ndarray) -> np.ndarray:
+    """The row of steps at each snapshot time of times, once the steps keep
+    run_flow's rules bit for bit: row 0 is snapshot 0's, with cumulative_D
+    = dt = 0; t rises; cumulative_D adds dt times the previous D; a frozen
+    step (its previous D under stall_threshold) repeats E and D and has dt
+    = t less the previous t, and every other step t = the previous t + dt;
+    each snapshot time is a row's t, where the stored series' E and D are
+    the row's.  Errors name the file."""
+    t, e, d, cumulative, dt = steps.T
+    if (t[0], cumulative[0], dt[0]) != (times[0], 0.0, 0.0):
+        raise ValueError(f"{path}: row 0 must be snapshot 0's, at t = {times[0]!r}, "
+                         "with cumulative_D = dt = 0")
+    frozen = d[:-1] < stall_threshold
+    rules = {
+        "t does not rise": t[1:] > t[:-1],
+        "cumulative_D is not the previous one plus dt times the previous D":
+            cumulative[1:] == cumulative[:-1] + dt[1:] * d[:-1],
+        "dt is not the step in t": np.where(frozen, dt[1:] == t[1:] - t[:-1],
+                                            t[1:] == t[:-1] + dt[1:]),
+        "a frozen step changes E or D": ~frozen | (e[1:] == e[:-1]) & (d[1:] == d[:-1]),
+    }
+    for problem, holds in rules.items():
+        if not holds.all():
+            raise ValueError(f"{path}: row {int(np.argmin(holds)) + 1}: {problem}")
+    at = np.minimum(np.searchsorted(t, times), len(t) - 1)
+    missing = np.flatnonzero(t[at] != times)
+    if len(missing):
+        k = missing[0]
+        raise ValueError(f"{path}: no row at t = {times[k]!r}, the time of snapshot {k}")
+    # E and D are the series' columns 1 and 2, as they are the steps'.
+    differ = np.argwhere(stored[:, 1:3] != steps[at, 1:3])
+    if len(differ):
+        k, j = differ[0] + (0, 1)
+        raise ValueError(f"{path}: row {at[k]} {flow.STEP_COLUMNS[j]} is "
+                         f"{steps[at[k], j].item()!r}, series.csv gives {stored[k, j].item()!r}")
+    return at
 
 
 def _parse_record(path, text):
@@ -509,29 +558,38 @@ def _parse_record(path, text):
 
 
 def _check_value(path, name, stored, value, tolerance, line=None):
-    if (isinstance(stored, bool) or not isinstance(stored, (int, float))
+    if value is None and stored is None:
+        return
+    if (value is None or isinstance(stored, bool) or not isinstance(stored, (int, float))
             or not abs(stored - value) <= tolerance):
         where = name if line is None else f"line {line} {name}"
-        raise ValueError(f"{path}: {where} is {stored!r}, the snapshots give {value!r}")
+        raise ValueError(f"{path}: {where} is {stored!r}, expected {value!r}")
 
 
-def _audit_records(run: Path, columns: list, rows: np.ndarray, tolerance: float):
-    """Check summary.json and entropy.jsonl against _records of the
-    recomputed series rows, field by field; a count is checked exactly.
-
-    steps.csv is not read: it costs more to read than the rest of the audit
-    on long or finely sampled runs.
+def _audit_records(run: Path, columns: list, rows: np.ndarray, tolerance: float,
+                   steps: np.ndarray, stall_threshold: float):
+    """Check summary.json and entropy.jsonl field by field: against _records
+    of the recomputed series rows, a count exactly and a number within the
+    tolerance, and against _step_fields of the steps exactly.  termination
+    must be stalled when the steps hold a frozen step, and else t_final or
+    aborted.  rejected_steps is not checked: the steps do not record
+    rejected steps.
     """
     reports, fields = _records(columns, rows)
+    step_fields = _step_fields(steps, stall_threshold)
     path = run / "summary.json"
     summary = _parse_record(path, path.read_text())
     if not isinstance(summary, dict) or summary.get("schema") != SUMMARY_SCHEMA:
         raise ValueError(f"{path}: not a {SUMMARY_SCHEMA} object")
-    # An aborted run's last step need not be a snapshot.
-    if summary.get("termination") != "aborted":
-        fields["energy_final"] = rows[-1, columns.index("E")].item()
-    for name, value in fields.items():
-        stored, tol = summary.get(name), 0.0 if isinstance(value, int) else tolerance
+    # Each row after row 0 is an accepted or a frozen step.
+    allowed = (("stalled",) if step_fields["accepted_steps"] < len(steps) - 1
+               else ("t_final", "aborted"))
+    if summary.get("termination") not in allowed:
+        raise ValueError(f"{path}: termination is {summary.get('termination')!r}, "
+                         f"expected {' or '.join(allowed)}")
+    for name, value in {**fields, **step_fields}.items():
+        stored = summary.get(name)
+        tol = 0.0 if name in step_fields or isinstance(value, int) else tolerance
         if not isinstance(value, list):
             _check_value(path, name, stored, value, tol)
         elif not (isinstance(stored, list) and len(stored) == len(value)):
@@ -601,7 +659,7 @@ def run_sweep(sweep_path, out_root, jobs: int = 1) -> list:
             raise ConfigError("each variant needs a 'name'", f"variants[{i}]")
         name = var["name"]
         if (not isinstance(name, str) or name in ("", ".", "..") or "/" in name
-                or name in seen):
+                or "\0" in name or name in seen):
             raise ConfigError(f"bad or duplicate name {name!r}", f"variants[{i}].name")
         seen.add(name)
         overrides = {k: v for k, v in var.items() if k != "name"}
@@ -689,8 +747,7 @@ def main(argv=None) -> int:
             print(f"analyze: cannot audit {args.run}: {exc}", file=sys.stderr)
             return 2
         for name, info in report["columns"].items():
-            status = ("ok" if info["within_tolerance"]
-                      else "MISMATCH") if info["audited"] else "echoed"
+            status = "ok" if info["within_tolerance"] else "MISMATCH"
             print(f"{name}: max |diff| = {info['max_abs_diff']:.3e} [{status}]")
         print(f"analysis {'PASS' if report['pass'] else 'FAIL'} "
               f"(tolerance {report['tolerance']:g})")

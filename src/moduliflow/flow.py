@@ -316,19 +316,22 @@ class FlowParams:
             raise ValueError("stall_threshold must be nonnegative")
 
 
+# The columns of a trajectory's steps, each row's t, E, D, the dissipation
+# integral so far and the dt of the step that led to it.
+STEP_COLUMNS = ("t", "E", "D", "cumulative_D", "dt")
+
+
 @dataclass
 class FlowTrajectory:
-    """Recorded run: per-accepted-step scalars plus snapshot states.
+    """Recorded run: the stepping record plus snapshot states.
 
-    Row 0 of the scalar series describes the initial state (dt_used = 0).
-    snapshot_rows[k] is the row index of snapshot k in the scalar series.
+    steps is a C-order float64 array with one row per step and the columns
+    STEP_COLUMNS.  Row 0 describes the initial state (cumulative_D = dt =
+    0); each later row an accepted or a frozen step.  snapshot_rows[k] is
+    the row of snapshot k.
     """
 
-    times: np.ndarray
-    energy: np.ndarray
-    dissipation: np.ndarray
-    cumulative_dissipation: np.ndarray
-    dt_used: np.ndarray
+    steps: np.ndarray
     snapshots: list[MapState]
     snapshot_rows: list[int]
     monotonicity_violations: int
@@ -336,23 +339,11 @@ class FlowTrajectory:
     termination: str
     accepted_steps: int = 0
 
-
-def _trajectory_from_lists(rows, snapshots, snapshot_rows, violations, rejected,
-                           reason, accepted):
-    arr = np.array(rows)
-    return FlowTrajectory(
-        times=arr[:, 0],
-        energy=arr[:, 1],
-        dissipation=arr[:, 2],
-        cumulative_dissipation=arr[:, 3],
-        dt_used=arr[:, 4],
-        snapshots=snapshots,
-        snapshot_rows=snapshot_rows,
-        monotonicity_violations=violations,
-        rejected_steps=rejected,
-        termination=reason,
-        accepted_steps=accepted,
-    )
+    times = property(lambda self: self.steps[:, 0])
+    energy = property(lambda self: self.steps[:, 1])
+    dissipation = property(lambda self: self.steps[:, 2])
+    cumulative_dissipation = property(lambda self: self.steps[:, 3])
+    dt_used = property(lambda self: self.steps[:, 4])
 
 
 def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
@@ -414,10 +405,8 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
             if dt_used < params.dt_floor:
                 raise AbortedRunError(
                     f"dt = {dt_used} fell below the floor {params.dt_floor} at t = {state.t}",
-                    _trajectory_from_lists(
-                        rows, snapshots, snapshot_rows, violations, rejected,
-                        "aborted", accepted,
-                    ),
+                    FlowTrajectory(np.array(rows), snapshots, snapshot_rows, violations,
+                                   rejected, "aborted", accepted),
                 )
             try:
                 new_state = step(state, dt_used, tangent)
@@ -447,9 +436,8 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
     if snapshot_rows[-1] != len(rows) - 1:
         snapshots.append(state)
         snapshot_rows.append(len(rows) - 1)
-    return _trajectory_from_lists(
-        rows, snapshots, snapshot_rows, violations, rejected, reason, accepted
-    )
+    return FlowTrajectory(np.array(rows), snapshots, snapshot_rows, violations, rejected,
+                          reason, accepted)
 
 
 def jacobian_det(state: MapState) -> np.ndarray:
@@ -498,25 +486,48 @@ def write_snapshot(state: MapState, path) -> None:
         np.save(fh, state.fields)
 
 
-def read_snapshot(path, grid: DomainGrid) -> MapState:
-    """Read the fields written by write_snapshot as a state on grid at t = 0,
-    built by MapState's constructor.  The file must hold a native float64
-    C-order array of shape (2, n1, n2), read without unpickling, and the
-    fields must pass MapState's checks.  Any failure but an OSError
-    raises ValueError naming the file: on a damaged header np.load also
-    raises EOFError, SyntaxError, TypeError and tokenize's errors."""
+def _read_npy(path, check):
+    """check(array) for the array in the .npy file at path, which must hold
+    a native float64 C-order array, read without unpickling.  Any failure
+    but an OSError raises ValueError naming the file: on a damaged header
+    np.load also raises EOFError, SyntaxError, TypeError and tokenize's
+    errors, and check raises ValueError."""
     try:
         with open(path, "rb") as fh:
-            fields = np.load(fh, allow_pickle=False)
-        if not isinstance(fields, np.ndarray) or fields.dtype != np.dtype(float):
+            array = np.load(fh, allow_pickle=False)
+        if not isinstance(array, np.ndarray) or array.dtype != np.dtype(float):
             raise ValueError(f"expected a native float64 array, found "
-                             f"{getattr(fields, 'dtype', type(fields).__name__)}")
-        if fields.shape != (2, *grid.shape):
-            raise ValueError(f"shape {fields.shape}, expected {(2, *grid.shape)}")
-        if not fields.flags.c_contiguous:
+                             f"{getattr(array, 'dtype', type(array).__name__)}")
+        if not array.flags.c_contiguous:
             raise ValueError("the array is not in C order")
-        return MapState(grid, *fields)
+        return check(array)
     except OSError:
         raise
     except Exception as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def read_snapshot(path, grid: DomainGrid) -> MapState:
+    """Read the fields written by write_snapshot as a state on grid at t = 0,
+    built by MapState's constructor.  The file must hold an array of shape
+    (2, n1, n2) as _read_npy requires, and the fields must pass MapState's
+    checks; else ValueError names the file."""
+    def state(fields):
+        if fields.shape != (2, *grid.shape):
+            raise ValueError(f"shape {fields.shape}, expected {(2, *grid.shape)}")
+        return MapState(grid, *fields)
+    return _read_npy(path, state)
+
+
+def read_steps(path) -> np.ndarray:
+    """Read a trajectory's steps written by np.save: an array as _read_npy
+    requires, with at least one row, a column per name of STEP_COLUMNS and
+    every value finite; else ValueError names the file."""
+    def steps(rows):
+        if rows.ndim != 2 or rows.shape[1] != len(STEP_COLUMNS) or not len(rows):
+            raise ValueError(f"shape {rows.shape}, expected (rows, {len(STEP_COLUMNS)}) "
+                             "with at least one row")
+        if not np.isfinite(rows).all():
+            raise ValueError("the values are not all finite")
+        return rows
+    return _read_npy(path, steps)

@@ -12,7 +12,9 @@ They check the product code in src/ from outside it:
   approximates;
 * laplacian_invariance_diagnostic -- the pairing of a measure with the
   finite-difference hyperbolic Laplacian of an observable;
-* hyperbolic_distance -- the geodesic distance of the upper half-plane.
+* hyperbolic_distance -- the geodesic distance of the upper half-plane;
+* stepping_record_problem -- the rules a run's stepping record keeps, row
+  by row, which analyze checks on whole arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from moduliflow.flow import MapState
+from moduliflow.flow import ENERGY_STEP_TOL, MapState
 from moduliflow.hyperbolic import (
     ModularMatrix,
     UpperHalfPoint,
@@ -187,3 +189,58 @@ def hyperbolic_distance(p: UpperHalfPoint, q: UpperHalfPoint) -> float:
     dx = p.x - q.x
     dy = p.y - q.y
     return math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * p.y * q.y))
+
+
+def stepping_record_problem(steps, stall_threshold: float, summary: dict, series,
+                            tolerance: float) -> str | None:
+    """The first rule of run_flow's stepping record that steps breaks, or
+    None.  steps is a float64 array of rows t, E, D, cumulative_D, dt;
+    summary the run's summary.json; series its series.csv rows, whose first
+    five columns are t, E, D, cumulative_D and dt at each snapshot.  Row 0
+    holds cumulative_D = dt = 0 and is the first snapshot's.  A row whose
+    previous D is under stall_threshold is frozen: it repeats E and D, and
+    its dt is its t less the previous t; every other row's t is the previous
+    t plus its dt.  t rises, and cumulative_D adds dt times the previous D.
+    The summary's stepping fields are functions of the rows, and each
+    series row is a row: t, E and D equal, cumulative_D and dt within
+    tolerance."""
+    if not (isinstance(steps, np.ndarray) and steps.dtype == np.float64
+            and steps.ndim == 2 and steps.shape[1] == 5 and len(steps)
+            and np.isfinite(steps).all()):
+        return "not a finite float64 array of rows of 5"
+    rows = [tuple(row) for row in steps.tolist()]
+    if rows[0][3:] != (0.0, 0.0):
+        return "row 0"
+    accepted = frozen = violations = 0
+    for k in range(1, len(rows)):
+        (t, e, d, total, _), (t_k, e_k, d_k, total_k, dt_k) = rows[k - 1], rows[k]
+        if not t_k > t or total_k != total + dt_k * d:
+            return f"row {k}: t or cumulative_D"
+        if d < stall_threshold:
+            frozen += 1
+            if (e_k, d_k) != (e, d) or dt_k != t_k - t:
+                return f"row {k}: frozen step"
+        else:
+            accepted += 1
+            if t_k != t + dt_k:
+                return f"row {k}: t + dt"
+        violations += e_k > e + ENERGY_STEP_TOL
+    e0, (t_end, e_end, _, total, _) = rows[0][1], rows[-1]
+    want = {
+        "t_end": t_end, "energy_final": e_end, "dissipation_integral": total,
+        "energy_identity_rel_gap": abs(e0 - e_end - total) / e0 if e0 > 0 else 0.0,
+        "accepted_steps": accepted, "monotonicity_violations": violations,
+        "t_stall": next((row[0] for row in rows if row[2] < stall_threshold), None),
+    }
+    for name, value in want.items():
+        if summary[name] != value:
+            return f"summary {name}"
+    if summary["termination"] not in (("stalled",) if frozen else ("t_final", "aborted")):
+        return "summary termination"
+    by_t = {row[0]: row for row in rows}
+    for k, snapshot in enumerate(series):
+        row = by_t.get(snapshot[0])
+        if (row is None or (k == 0 and row != rows[0]) or row[1:3] != tuple(snapshot[1:3])
+                or max(abs(a - b) for a, b in zip(row[3:], snapshot[3:5])) > tolerance):
+            return f"series row {k}"
+    return None

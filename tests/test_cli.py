@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -36,7 +37,7 @@ from moduliflow.measures import (
 )
 from moduliflow.mesh import DomainGrid
 from moduliflow.testfunctions import BumpFunction
-from oracles import weak_star_pairing
+from oracles import stepping_record_problem, weak_star_pairing
 
 FAST_OVERRIDES = {
     "grid": {"n1": 16, "n2": 16},
@@ -255,7 +256,7 @@ class TestRunExperiment:
     def test_layout_and_summary(self, tmp_path):
         result = run_experiment(_fast_config(), tmp_path / "run")
         out = result.out_dir
-        for name in ("config.json", "series.csv", "steps.csv",
+        for name in ("config.json", "series.csv", "steps.npy",
                      "entropy.jsonl", "summary.json"):
             assert (out / name).is_file()
         n_snap = result.summary["snapshot_count"]
@@ -345,12 +346,9 @@ class TestAnalyzeRun:
         report = analyze_run(tmp_path / "run")
         assert report["pass"] is True
         assert report["max_abs_diff"] <= 1e-12
-        audited = [n for n, c in report["columns"].items() if c["audited"]]
-        assert {"t", "E", "D", "H", "rho_max", "tail_mass",
-                "degenerate_fraction"} <= set(audited)
-        assert any(n.startswith("ergodic_err_") for n in audited)
-        echoed = [n for n, c in report["columns"].items() if not c["audited"]]
-        assert set(echoed) == {"cumulative_D", "dt"}
+        # Every column is recomputed, the stepping columns from steps.npy.
+        assert list(report["columns"]) == cli_module._series_columns(_fast_config())
+        assert all(c["within_tolerance"] for c in report["columns"].values())
         assert (tmp_path / "run" / "series_recomputed.csv").is_file()
         assert (tmp_path / "run" / "analysis.json").is_file()
 
@@ -532,13 +530,17 @@ class TestFrozenSnapshots:
             (snapshots / "index.csv").write_text("\n".join(lines) + "\n")
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
+        assert "PASS" not in out
         if edit == "u":
-            # The last snapshot holds the stalled state, so its energy is off.
-            assert "summary.json: energy_final is " in err
+            # The snapshots of the stalled state no longer have the energy
+            # that the series and the steps record.
+            assert err == "" and "analysis FAIL" in out
+            assert any(line.startswith("E: ") and line.endswith("[MISMATCH]")
+                       for line in out.splitlines())
         else:
-            # entropy.jsonl line k + 2 holds snapshot k's report.
-            assert f"entropy.jsonl: line {k + 2} t is " in err
-        assert "PASS" not in out and len(err.splitlines()) == 1
+            # The steps were recorded at the snapshot's true time.
+            assert f"steps.npy: no row at t = {float(row[1])!r}, the time of snapshot {k}" in err
+            assert len(err.splitlines()) == 1
 
 
 class TestRunFiles:
@@ -597,43 +599,74 @@ def _damaged(data, raw: bytes, edit: str, head: int = 4) -> bytes:
 
 @pytest.fixture(scope="module")
 def stalled_run(tmp_path_factory):
-    """A small stalled run directory, and the bytes and values of its series."""
+    """A small stalled run directory and its ExperimentResult.  A test that
+    damages one of its files restores it."""
     run = tmp_path_factory.mktemp("stalled") / "run"
-    result = run_experiment(_fast_config(t_final=0.4), run)
-    return run, (run / "series.csv").read_bytes(), result.series_rows
+    return run, run_experiment(_fast_config(t_final=0.4), run)
 
 
 class TestDamagedTables:
-    """A damaged measure file, snapshot index or series fails closed: its
-    reader raises a ValueError that starts with the path, or returns a value
-    that passes the reader's checks, as when a flip lands in a digit of t.
-    A dropped row always raises: the masses no longer total 1, or the rows
-    no longer count the snapshots."""
+    """A damaged measure file, snapshot index, series or steps file fails
+    closed: its reader raises a ValueError that starts with the path, or
+    returns a value that passes the reader's checks, as when a flip lands in
+    a digit of t.  A dropped row always raises: the masses no longer total
+    1, or the rows no longer count the snapshots or keep the stepping
+    rules."""
 
     EDITS = st.sampled_from(["truncate", "flip", "drop"])
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_a_damaged_series_fails_the_audit(self, data, stalled_run):
-        # The audit passes a damaged series only where every audited value
-        # stays within the tolerance; the echoed dt and cumulative_D are
-        # not checked against anything.
-        run, raw, intact = stalled_run
+        # The audit passes a damaged series only where every value stays
+        # within the tolerance: each column is recomputed, cumulative_D and
+        # dt from steps.npy.
+        run, result = stalled_run
         path = run / "series.csv"
+        raw = path.read_bytes()
         edit = data.draw(self.EDITS)
         path.write_bytes(_damaged(data, raw, edit, head=2))
         try:
             report = analyze_run(run)
+            assert edit != "drop"
+            if report["pass"]:
+                _, stored = table.read_table(path, cli_module.SERIES_SCHEMA,
+                                             list(report["columns"]))
+                moved = np.abs(stored - result.series_rows).max(axis=0)
+                assert (moved <= report["tolerance"]).all()
         except ValueError as exc:
             assert str(exc).startswith(f"{run}{os.sep}")
-            return
-        assert edit != "drop"
-        if report["pass"]:
-            columns = report["columns"]
-            _, stored = table.read_table(path, cli_module.SERIES_SCHEMA, list(columns))
-            moved = np.abs(stored - intact).max(axis=0)
-            for name, diff in zip(columns, moved.tolist()):
-                assert diff <= report["tolerance"] or not columns[name]["audited"]
+        finally:
+            path.write_bytes(raw)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_damaged_steps_file_fails_the_audit(self, data, stalled_run):
+        # A damaged steps.npy passes only where its array still keeps every
+        # rule of the stepping record, as a flip in an E off the snapshots may.
+        run, result = stalled_run
+        path = run / "steps.npy"
+        raw = path.read_bytes()
+        steps = result.trajectory.steps
+        edit = data.draw(self.EDITS)
+        if edit == "drop":
+            _save(path, np.delete(steps, data.draw(st.integers(0, len(steps) - 1)), axis=0))
+        else:
+            path.write_bytes(_damaged(data, raw, edit))
+        try:
+            report = analyze_run(run)
+            assert edit != "drop"
+            if report["pass"]:
+                with open(path, "rb") as fh:
+                    damaged = np.load(fh, allow_pickle=False)
+                summary = json.loads((run / "summary.json").read_text())
+                assert stepping_record_problem(
+                    damaged, result.config.stall_threshold, summary,
+                    result.series_rows.tolist(), report["tolerance"]) is None
+        except ValueError as exc:
+            assert str(exc).startswith(f"{run}{os.sep}")
+        finally:
+            path.write_bytes(raw)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -679,6 +712,111 @@ class TestDamagedTables:
             assert edit != "drop" and len(times) == len(states) == count
             assert all(map(math.isfinite, times)) and times == sorted(times)
             assert states[0] == 0 and all(b - a in (0, 1) for a, b in zip(states, states[1:]))
+
+
+@pytest.fixture(scope="module")
+def tamper_runs(tmp_path_factory):
+    """A stalled and an aborted run, for tests to copy and edit."""
+    root = tmp_path_factory.mktemp("tamper")
+    for name, extra in (("stalled", {"t_final": 0.4}), ("aborted", {"dt_floor": 1e-4})):
+        run_experiment(_fast_config(**extra), root / name)
+    return root
+
+
+class TestSteppingRecordAudit:
+    """analyze checks steps.npy bit for bit against run_flow's rules, the
+    stepping fields of summary.json against steps.npy, and the series'
+    cumulative_D and dt against the steps at the snapshot times."""
+
+    @staticmethod
+    def _exits_2_naming(run, path, capsys):
+        assert main(["analyze", "--run", str(run)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"analyze: cannot audit {run}: {path}: ")
+
+    @staticmethod
+    def _copies(tamper_runs, name, tmp_path):
+        shutil.copytree(tamper_runs / name, tmp_path / "run")
+        return tmp_path / "run"
+
+    @pytest.mark.parametrize("name, field", [
+        ("stalled", "t_end"), ("stalled", "accepted_steps"),
+        ("stalled", "dissipation_integral"), ("stalled", "energy_identity_rel_gap"),
+        ("stalled", "t_stall"),
+        # The last step of this aborted run is no snapshot, so only the steps
+        # give its energy.
+        ("aborted", "energy_final"),
+    ])
+    def test_a_stepping_field_set_to_3x_plus_7_exits_2(self, tamper_runs, tmp_path, capsys,
+                                                        name, field):
+        run = self._copies(tamper_runs, name, tmp_path)
+        path = run / "summary.json"
+        summary = json.loads(path.read_text())
+        summary[field] = 3 * summary[field] + 7
+        path.write_text(json.dumps(summary))
+        self._exits_2_naming(run, path, capsys)
+
+    def test_a_stalled_run_said_to_reach_t_final_exits_2(self, tamper_runs, tmp_path, capsys):
+        run = self._copies(tamper_runs, "stalled", tmp_path)
+        path = run / "summary.json"
+        summary = json.loads(path.read_text())
+        assert summary["termination"] == "stalled"
+        summary["termination"] = "t_final"
+        path.write_text(json.dumps(summary))
+        self._exits_2_naming(run, path, capsys)
+
+    @pytest.mark.parametrize("edit", ["last_50_rows_dropped", "cumulative_D", "dt"])
+    def test_an_edited_steps_file_exits_2(self, tamper_runs, tmp_path, capsys, edit):
+        run = self._copies(tamper_runs, "stalled", tmp_path)
+        path = run / "steps.npy"
+        steps = np.load(path)
+        if edit == "last_50_rows_dropped":
+            steps = steps[:-50]
+        else:  # by one part in 1e9, in a row of an accepted step off the snapshots
+            steps[len(steps) // 3, flow_module.STEP_COLUMNS.index(edit)] *= 1 + 1e-9
+        _save(path, steps)
+        self._exits_2_naming(run, path, capsys)
+
+    @pytest.mark.parametrize("column", ["E", "D"])
+    def test_a_series_value_one_ulp_off_the_steps_exits_2(self, tamper_runs, tmp_path, capsys,
+                                                          column):
+        # Well within the tolerance of the recomputation from the snapshots.
+        run = self._copies(tamper_runs, "stalled", tmp_path)
+        path = run / "series.csv"
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        j = lines[1].split(",").index(column)
+        row[j] = repr(float(np.nextafter(float(row[j]), np.inf)))
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        self._exits_2_naming(run, run / "steps.npy", capsys)
+
+    def test_a_changed_series_dt_cell_is_a_mismatch(self, tamper_runs, tmp_path, capsys):
+        run = self._copies(tamper_runs, "stalled", tmp_path)
+        path = run / "series.csv"
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        j = lines[1].split(",").index("dt")
+        row[j] = repr(3 * float(row[j]) + 7)
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--run", str(run)]) == 2
+        out, err = capsys.readouterr()
+        assert err == "" and "analysis FAIL" in out
+        assert [line.split(":")[0] for line in out.splitlines()
+                if line.endswith("[MISMATCH]")] == ["dt"]
+
+    def test_the_intact_runs_pass_and_keep_the_oracles_rules(self, tamper_runs):
+        for name in ("stalled", "aborted"):
+            run = tamper_runs / name
+            assert analyze_run(run)["pass"] is True
+            config = parse_config((run / "config.json").read_text())
+            _, series = table.read_table(run / "series.csv", cli_module.SERIES_SCHEMA,
+                                         cli_module._series_columns(config))
+            assert stepping_record_problem(
+                np.load(run / "steps.npy"), config.stall_threshold,
+                json.loads((run / "summary.json").read_text()), series.tolist(), 0.0) is None
 
 
 class TestRecordsMirrorTheSeries:
@@ -821,9 +959,10 @@ class TestSweep:
         for name in ("a", "c"):
             assert (out_root / name / "summary.json").is_file()
 
-    # "." would put a variant's files in the sweep root, ".." outside it.
-    @pytest.mark.parametrize("names", [("a", "a"), (".",), ("..",)],
-                             ids=["duplicate", "dot", "dotdot"])
+    # "." would put a variant's files in the sweep root, ".." outside it,
+    # and no directory name holds a NUL.
+    @pytest.mark.parametrize("names", [("a", "a"), (".",), ("..",), ("ok", "a\0b")],
+                             ids=["duplicate", "dot", "dotdot", "nul"])
     def test_duplicate_names_rejected(self, tmp_path, capsys, names):
         sweep_path = tmp_path / "sweep.json"
         self._write_sweep(sweep_path, names=names)
@@ -1251,6 +1390,23 @@ class TestMain:
         assert out == "" and len(err.splitlines()) == 1
         assert (f"{snapshots}: the run uses the text snapshot format "
                 "moduliflow-snapshot-v1, which this version does not read") in err
+
+    @pytest.mark.parametrize("steps", ["text", "missing"])
+    def test_a_run_without_binary_steps_exits_2_naming_them(self, tmp_path, capsys, steps):
+        run = tmp_path / "run"
+        run_experiment(_fast_config(), run)
+        (run / "steps.npy").unlink()
+        if steps == "text":
+            (run / "steps.csv").write_text("# schema: moduliflow-steps-v1\n"
+                                           "t,E,D,cumulative_D,dt\n0.0,1.0,1.0,0.0,0.0\n")
+        assert main(["analyze", "--run", str(run)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        if steps == "text":
+            assert (f"{run / 'steps.csv'}: the run uses the text steps format "
+                    "moduliflow-steps-v1, which this version does not read") in err
+        else:
+            assert str(run / "steps.npy") in err
 
     # A state at the v floor is refused without naming the file (see
     # test_initial_state_at_the_v_floor_exits_2_before_any_output).

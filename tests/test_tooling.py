@@ -2,7 +2,8 @@
 of perfbench/traced.py wraps functions by name, so a renamed or removed
 function must fail here rather than break a traced run, the README's
 config defaults must be FlowConfig's, the names its library example imports
-must be exported, and the tools in tools/ must run."""
+must be exported, its run directory layout must name what run writes, and
+the tools in tools/ must run."""
 
 import ast
 import importlib
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 import moduliflow
-from moduliflow.cli import FlowConfig
+from moduliflow.cli import FlowConfig, config_from_dict, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "perfbench" / "traced.py"
@@ -57,6 +58,15 @@ def test_the_readme_library_example_imports_only_exported_names():
                 for alias in node.names]
     assert imported and set(imported) <= set(moduliflow.__all__)
     assert [n for n in moduliflow.__all__ if not hasattr(moduliflow, n)] == []
+
+
+def test_the_readme_run_directory_layout_names_what_run_writes(tmp_path):
+    section = (ROOT / "README.md").read_text().split("\n## Run directory layout\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    named = [line.split()[0] for line in block.splitlines() if line[:1].strip()]
+    run = tmp_path / "run"
+    run_experiment(config_from_dict({"grid": {"n1": 8, "n2": 8}, "t_final": 0.1}), run)
+    assert sorted(named) == sorted(p.name + "/" * p.is_dir() for p in run.iterdir())
 
 
 def test_compare_outputs_loads_and_refuses_an_unknown_revision():
