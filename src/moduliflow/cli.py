@@ -490,7 +490,7 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
                  for t, s in zip(times, [states[j] for j in state])]
     recomputed, series = compute_snapshot_diagnostics(config, snapshots, steps[at, 3],
                                                       steps[at, 4])
-    _audit_records(run, columns, recomputed, tolerance, steps, config.stall_threshold)
+    _audit_records(run, columns, recomputed, tolerance, steps, config)
     # zip drops the average when the file list has no time_average.csv.
     for mu, name in zip([*series.measures, series.average()], measure_names):
         stored_mu = ms.read_measure(path := measure_dir / name, series.binning)
@@ -548,11 +548,16 @@ def _step_rows(path: Path, steps: np.ndarray, stall_threshold: float, times,
     return at
 
 
+def _parse_int(text: str):
+    # An integer too large for a float reads as inf, so that it fails its
+    # check instead of overflowing in it.
+    value = float(text)
+    return int(text) if math.isfinite(value) else value
+
+
 def _parse_record(path, text):
-    # Integers are read as floats, so that one too large for a float reads
-    # as inf and fails its check instead of overflowing in it.
     try:
-        return json.loads(text, parse_int=float)
+        return json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -567,26 +572,33 @@ def _check_value(path, name, stored, value, tolerance, line=None):
 
 
 def _audit_records(run: Path, columns: list, rows: np.ndarray, tolerance: float,
-                   steps: np.ndarray, stall_threshold: float):
+                   steps: np.ndarray, config: FlowConfig):
     """Check summary.json and entropy.jsonl field by field: against _records
     of the recomputed series rows, a count exactly and a number within the
     tolerance, and against _step_fields of the steps exactly.  termination
-    must be stalled when the steps hold a frozen step, and else t_final or
-    aborted.  rejected_steps is not checked: the steps do not record
-    rejected steps.
+    must be stalled when the steps hold a frozen step; else t_final when
+    the last row's t is at least end - 1e-14 * max(1, end), where end is
+    row 0's t plus the config's t_final, the test that ends run_flow's
+    loop; and else aborted.  rejected_steps is not checked: the steps do
+    not record rejected steps.
     """
     reports, fields = _records(columns, rows)
-    step_fields = _step_fields(steps, stall_threshold)
+    step_fields = _step_fields(steps, config.stall_threshold)
     path = run / "summary.json"
     summary = _parse_record(path, path.read_text())
     if not isinstance(summary, dict) or summary.get("schema") != SUMMARY_SCHEMA:
         raise ValueError(f"{path}: not a {SUMMARY_SCHEMA} object")
+    end = steps[0, 0].item() + config.t_final
     # Each row after row 0 is an accepted or a frozen step.
-    allowed = (("stalled",) if step_fields["accepted_steps"] < len(steps) - 1
-               else ("t_final", "aborted"))
-    if summary.get("termination") not in allowed:
+    if step_fields["accepted_steps"] < len(steps) - 1:
+        termination = "stalled"
+    elif step_fields["t_end"] >= end - 1e-14 * max(1.0, end):
+        termination = "t_final"
+    else:
+        termination = "aborted"
+    if summary.get("termination") != termination:
         raise ValueError(f"{path}: termination is {summary.get('termination')!r}, "
-                         f"expected {' or '.join(allowed)}")
+                         f"expected {termination!r}")
     for name, value in {**fields, **step_fields}.items():
         stored = summary.get(name)
         tol = 0.0 if name in step_fields or isinstance(value, int) else tolerance

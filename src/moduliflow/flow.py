@@ -10,8 +10,11 @@ discretised with the staggered forward differences of the grid and the
 metric weight 1/v^2 averaged onto cell edges.  One pass over those edges
 yields the energy, the tension field tau and the dissipation rate D together;
 energy(), tension_field() and dissipation_rate() each return one of the
-three, and run_flow() makes one pass per candidate state.  tau is the exact
-negative gradient of the discrete energy in the hyperbolic L^2 inner product
+three, and run_flow() makes one pass per candidate state.  run_flow steps in
+a ring of two field and two tau buffers that the pass's workspace owns, so
+it allocates no array of the grid's size per step, and it copies a state
+out of the ring once when it records it.  tau is the exact negative
+gradient of the discrete energy in the hyperbolic L^2 inner product
 <a, b> = integral of (a_u b_u + a_v b_v)/v^2, and D = ||tau||^2, so
 forward-Euler stepping dissipates the discrete energy structurally (up to
 O(dt) per step), and the energy identity E(0) - E(T) = integral of D holds at
@@ -130,36 +133,81 @@ def _divide_by(h: float) -> tuple:
 
 
 class _EdgeWorkspace:
-    """Scratch arrays of _edge_pass for one grid shape, and the periodic
-    calls on them, bound once.
+    """Scratch arrays of _edge_pass for one grid shape, the ring run_flow
+    steps in, and the ufunc calls on them, bound once.
 
     The caller that makes many passes on one grid owns one workspace and
-    hands it to every pass, so the passes allocate nothing but the tau they
-    return and build no views but those of the state's fields.  The arrays
-    hold no result between passes: 11 fields of the grid shape in one
-    buffer, sigma, rho and edge_sq, and the (2, n1, n2) stacks diff, flux,
-    back and div, laid out as the state's fields are, u's part first.  flux
-    holds the edge fluxes, then the squared differences; back the fluxes'
-    backward differences, then sq = du*du + dv*dv and a scratch field.
+    hands it to every pass, so that a pass builds no views but those of a
+    state outside the ring.  The arrays are views of one buffer.  Scratch,
+    which holds no result between passes, is 13 fields of the grid shape:
+    v2 = v^2, sigma, edge_sq, rho (a field per axis), and diff and work,
+    each a (2 axes, 2 fields, n1, n2) stack whose axis parts are laid out
+    as the state's fields are, u's part first.  diff holds the forward
+    differences, then the fluxes, then tau's squares.  work holds the
+    differences' squares, written field by field through squares, so that
+    work[0] holds each axis's du^2, then sq = du^2 + dv^2, and work[1] its
+    dv^2, then the edge sums of sq; then work holds the fluxes' backward
+    differences.  rho holds the edge weights, then the energy's terms; sums
+    is rho and the field after it, diff[0, 0], which takes the
+    dissipation's terms, so that one reduction sums all three.  The ring is
+    8 fields: two (2, n1, n2) field buffers, for the current state and a
+    candidate, with the forward-difference calls bound on each, and two
+    tau buffers.
     """
 
     def __init__(self, shape: tuple[int, int]):
         self.shape = tuple(shape)
-        buffer = np.empty((11, *shape))
-        self.sigma, self.rho, self.edge_sq = buffer[:3]
-        self.diff, self.flux, self.back, self.div = (
-            buffer[3:5], buffer[5:7], buffer[7:9], buffer[9:11])
-        self.flux_u, self.flux_v = self.flux
-        self.sq, self.scratch = self.back
-        self.axis_calls = [
-            (periodic_calls(np.add, self.sigma, self.sigma, self.rho, axis, b_shift=1),
-             periodic_calls(np.subtract, self.flux, self.flux, self.back, axis, b_shift=-1),
-             periodic_calls(np.add, self.sq, self.sq, sums, axis, b_shift=-1))
-            for axis, sums in ((0, self.edge_sq), (1, self.scratch))
-        ]
+        grid = DomainGrid(*self.shape)
+        self.w, self.half_w = grid.w, 0.5 * grid.w
+        # The pass's constants as 0-d arrays, which a ufunc call takes
+        # faster than Python floats.
+        self.one, self.half, self.zero, self.two = map(np.array, (1.0, 0.5, 0.0, 2.0))
+        buffer = np.empty((21, *self.shape))
+        self.v2, self.sigma, self.edge_sq = buffer[:3]
+        self.rho, self.sums = buffer[3:5], buffer[3:6]
+        self.diff, self.work = buffer[5:13].reshape(2, 2, 2, *self.shape)
+        self.ring = tuple(buffer[13:17].reshape(2, 2, *self.shape))
+        self.taus = tuple(buffer[17:21].reshape(2, 2, *self.shape))
+        self.squares = self.work.transpose(1, 0, 2, 3)
+        self.sq, self.edge = self.work
+        self.rho_by_axis = self.rho[:, None]
+        self.edge_parts = tuple(self.edge)
+        self.scratch, self.tau_sq = self.edge[0], self.diff[0]
+        self.tau_sq_parts = tuple(self.tau_sq)
+        self.rho_calls = self._bind(np.add, (self.sigma, self.sigma), self.rho, b_shift=1)
+        self.back_calls = self._bind(np.subtract, self.diff, self.work, b_shift=-1)
+        self.edge_calls = self._bind(np.add, self.sq, self.edge, b_shift=-1)
+        # x / h in place on each axis part of diff and of work, in one call
+        # for both axes when h1 == h2.
+        parts = ([(slice(None), grid.h1)] if grid.h1 == grid.h2
+                 else [(0, grid.h1), (1, grid.h2)])
+        self.scale_diff, self.scale_back = (
+            [(op, stack[k], np.array(c), stack[k]) for k, h in parts
+             for op, c in [_divide_by(h)]]
+            for stack in (self.diff, self.work))
+        self.ring_calls = {id(fields): self.diff_calls(fields) for fields in self.ring}
+        self.tangents = {id(tau): TangentField(tau) for tau in self.taus}
+
+    @staticmethod
+    def _bind(op, a, out, **shift) -> list:
+        """The calls periodic_calls binds on a[axis] and out[axis] along each
+        axis."""
+        return [call for axis in (0, 1)
+                for call in periodic_calls(op, a[axis], a[axis], out[axis], axis, **shift)]
+
+    def diff_calls(self, fields: np.ndarray) -> list:
+        """The calls that set diff to the forward differences of fields."""
+        return self._bind(np.subtract, (fields, fields), self.diff, a_shift=1)
+
+    def out_of_ring(self, state: MapState) -> MapState:
+        """state, or a copy of it when its fields are a buffer of the ring."""
+        if any(state.fields is fields for fields in self.ring):
+            return MapState._checked(state.grid, state.fields.copy(), state.t, state.v_min)
+        return state
 
 
-def _edge_pass(state: MapState, ws: _EdgeWorkspace) -> tuple[float, TangentField, float]:
+def _edge_pass(state: MapState, ws: _EdgeWorkspace,
+               tau: np.ndarray | None = None) -> tuple[float, TangentField, float]:
     """Energy E, tension field tau and dissipation rate D of one state.
 
     For each axis the metric weight sigma = 1/v^2 is averaged onto the
@@ -176,54 +224,54 @@ def _edge_pass(state: MapState, ws: _EdgeWorkspace) -> tuple[float, TangentField
     exactly zero.  D = ||tau||^2 in the hyperbolic inner product.
 
     The pass works on the state's fields, the (2, n1, n2) stack of u and
-    v, so each step on both is one ufunc call, and on ws, which must be for
-    the state's grid shape.  Each value is formed by the same floating-point
-    operations in the same order as when every neighbour is first copied
-    into a shifted array (u[k+1] - u[k], sigma[k] + sigma[k+1],
-    flux[k] - flux[k-1], du*du + dv*dv, sq[k] + sq[k-1], ...), so the
-    results agree bit for bit: x / h is x * (1/h) only where _divide_by
-    finds them equal, x*x is np.square(x), and axis 0's sums of squares,
-    never -0.0, are written to edge_sq; div, whose terms can be -0.0, is
-    zeroed first.
+    v, and on ws, which must be for the state's grid shape; each
+    elementwise step runs once on the stacks of both axes.  tau is written
+    into the given C-contiguous (2, n1, n2) array, which must share no
+    memory with the fields or with ws's scratch, or else into a new one.
+    Each value is formed by the same floating-point operations in the same
+    order as when every neighbour is first copied into a shifted array
+    (u[k+1] - u[k], sigma[k] + sigma[k+1], flux[k] - flux[k-1], du*du +
+    dv*dv, sq[k] + sq[k-1], ...), so the results agree bit for bit: x / h
+    is x * (1/h) only where _divide_by finds them equal, x*x is
+    np.square(x), the axes' divergences, whose terms can be -0.0, are
+    summed and then added to +0.0, as the formulas' zeroed sum is, and one
+    reduction over the three fields of sums adds each field's terms as a
+    sum of that field alone does.
     """
     grid = state.grid
     if ws.shape != grid.shape:
         raise ValueError(f"workspace is for shape {ws.shape}, the state has {grid.shape}")
     fields, v = state.fields, state.v
-    sigma, rho, edge_sq, sq, scratch = ws.sigma, ws.rho, ws.edge_sq, ws.sq, ws.scratch
-    diff, flux, back, div = ws.diff, ws.flux, ws.back, ws.div
-    np.square(v, out=rho)
-    np.divide(1.0, rho, out=sigma)
-    div.fill(0.0)
-    total = 0.0
-    for axis, h in ((0, grid.h1), (1, grid.h2)):
-        rho_calls, div_calls, sq_calls = ws.axis_calls[axis]
-        divide, by = _divide_by(h)
-        run_calls(periodic_calls(np.subtract, fields, fields, diff, axis, a_shift=1))
-        divide(diff, by, out=diff)
-        run_calls(rho_calls)
-        rho *= 0.5
-        np.multiply(rho, diff, out=flux)
-        run_calls(div_calls)
-        divide(back, by, out=back)
-        div += back
-        np.square(diff, out=flux)
-        np.add(ws.flux_u, ws.flux_v, out=sq)
-        run_calls(sq_calls)
-        if axis:
-            edge_sq += scratch
-        np.multiply(sq, rho, out=scratch)
-        total += float(scratch.sum())
-    np.square(v, out=rho)
-    tau = rho * div
-    np.multiply(2.0, v, out=scratch)
+    v2, sigma, edge_sq, rho, diff, work, sq, scratch = (
+        ws.v2, ws.sigma, ws.edge_sq, ws.rho, ws.diff, ws.work, ws.sq, ws.scratch)
+    np.square(v, out=v2)
+    np.divide(ws.one, v2, out=sigma)
+    run_calls(ws.ring_calls.get(id(fields)) or ws.diff_calls(fields))
+    run_calls(ws.scale_diff)
+    run_calls(ws.rho_calls)
+    np.multiply(rho, ws.half, out=rho)
+    np.square(diff, out=ws.squares)
+    np.add(sq, ws.edge, out=sq)  # du^2 + dv^2, per axis
+    np.multiply(diff, ws.rho_by_axis, out=diff)  # the fluxes
+    np.multiply(sq, rho, out=rho)  # the energy's terms
+    run_calls(ws.edge_calls)
+    np.add(*ws.edge_parts, out=edge_sq)
+    run_calls(ws.back_calls)
+    run_calls(ws.scale_back)
+    div = work[0]
+    np.add(div, work[1], out=div)
+    np.add(div, ws.zero, out=div)
+    tau = np.multiply(v2, div, out=tau)
+    tangent = ws.tangents.get(id(tau)) or TangentField(tau)
+    np.multiply(ws.two, v, out=scratch)
     np.divide(edge_sq, scratch, out=scratch)
-    tau[1] += scratch
-    np.square(tau, out=flux)
-    np.add(ws.flux_u, ws.flux_v, out=scratch)
-    scratch *= sigma
-    dissipation = float(grid.w * scratch.sum())
-    return 0.5 * grid.w * total, TangentField(tau), dissipation
+    tangent.tau_v += scratch
+    tau_sq_u, tau_sq_v = ws.tau_sq_parts
+    np.square(tangent.tau, out=ws.tau_sq)
+    np.add(tau_sq_u, tau_sq_v, out=tau_sq_u)
+    tau_sq_u *= sigma  # the dissipation's terms, the last field of sums
+    along_0, along_1, dissipation = np.add.reduce(ws.sums, axis=(1, 2)).tolist()
+    return ws.half_w * (along_0 + along_1), tangent, ws.w * dissipation
 
 
 def tension_field(state: MapState) -> TangentField:
@@ -259,11 +307,14 @@ def cfl_dt_max(state: MapState, safety: float = 0.5) -> float:
     return safety * h * h * min(1.0, vmin * vmin) / 4.0
 
 
-def step(state: MapState, dt: float, tangent: TangentField | None = None) -> MapState:
+def step(state: MapState, dt: float, tangent: TangentField | None = None,
+         out: np.ndarray | None = None) -> MapState:
     """One forward-Euler step.  Raises StepRejectedError when the step lands
     at or below the v floor or produces non-finite values.
 
-    The new fields are formed as one (2, n1, n2) array.  The checks cover
+    The new fields are formed as one (2, n1, n2) array: out, which must be
+    a C-contiguous float64 array of that shape sharing no memory with the
+    state's fields or with tau, or else a new one.  The checks cover
     everything MapState checks, so the new state is built without checking
     its fields a second time."""
     if not dt > 0.0:
@@ -273,11 +324,17 @@ def step(state: MapState, dt: float, tangent: TangentField | None = None) -> Map
         raise ValueError(f"dt = {dt} exceeds the stability cap {cap}")
     if tangent is None:
         tangent = tension_field(state)
-    fields = np.multiply(dt, tangent.tau, out=np.empty(state.fields.shape))
+    if out is None:
+        out = np.empty(state.fields.shape)
+    fields = np.multiply(dt, tangent.tau, out=out)
     fields += state.fields
-    u_new, v_new = fields
-    v_min = float(v_new.min())
-    if not (v_min > V_FLOOR and np.isfinite(fields).all()):
+    # Every value finite and v above the floor, without a temporary array:
+    # the minima catch a nan or -inf in their field, the maximum a nan or
+    # +inf anywhere.
+    u_min, v_min = np.minimum.reduce(fields, axis=(1, 2)).tolist()
+    if not (v_min > V_FLOOR and u_min > -math.inf
+            and np.maximum.reduce(fields, axis=None) < math.inf):
+        u_new, v_new = fields
         key = np.where(np.isfinite(v_new), v_new, -np.inf)
         if key.min() > V_FLOOR:  # v is fine, so u is not finite
             bad = int(np.argmin(np.isfinite(u_new)))
@@ -363,14 +420,23 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
 
     t_final is a duration measured from the initial state's time, which may
     be any time, a snapshot time included; snapshot times are the absolute
-    multiples of snapshot_interval.  States are immutable, so the snapshots
-    are the states of the run themselves: only the initial state is copied,
-    and frozen snapshots share the stalled state's arrays.
+    multiples of snapshot_interval.
+
+    The run steps in the ring of one _EdgeWorkspace and allocates no array
+    of the grid's size per step: each candidate state is written into the
+    ring's field buffer that does not hold the current state, and its tau
+    into the tau buffer that does not hold the current tau, so a rejected
+    candidate leaves both intact.  States are immutable, and a state that
+    is recorded, as a snapshot or as the stalled state, is copied out of the
+    ring once, before a later step can overwrite it: the snapshots are the
+    initial state's copy, such copies, and frozen states that share the
+    stalled state's arrays.
     """
     state = initial.copy()
     _check_above_floor(state)
     ws = _EdgeWorkspace(state.grid.shape)
-    e_cur, tangent, d_cur = _edge_pass(state, ws)
+    spare = 0  # the ring slot of the next candidate and of its tau
+    e_cur, tangent, d_cur = _edge_pass(state, ws, ws.taus[1])
     interval = params.snapshot_interval
 
     rows = [(state.t, e_cur, d_cur, 0.0, 0.0)]
@@ -389,6 +455,7 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
         # is itself a snapshot time.
         while snap_k * interval <= state.t + 1e-14 * max(1.0, state.t):
             if snapshot_rows[-1] != len(rows) - 1:
+                state = ws.out_of_ring(state)
                 snapshots.append(state)
                 snapshot_rows.append(len(rows) - 1)
             snap_k += 1
@@ -398,6 +465,7 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
             reason = "stalled"
             t_here = min(next_snap, t_final)
             dt_used, d_new = t_here - state.t, d_cur
+            state = ws.out_of_ring(state)
             state = MapState._checked(state.grid, state.fields, t_here, state.v_min)
         else:
             cap = cfl_dt_max(state, params.cfl_safety)
@@ -409,8 +477,8 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
                                    rejected, "aborted", accepted),
                 )
             try:
-                new_state = step(state, dt_used, tangent)
-                e_new, tangent_new, d_new = _edge_pass(new_state, ws)
+                new_state = step(state, dt_used, tangent, ws.ring[spare])
+                e_new, tangent_new, d_new = _edge_pass(new_state, ws, ws.taus[spare])
                 if e_new - e_cur > ENERGY_STEP_TOL:
                     raise StepRejectedError(
                         f"energy increased by {e_new - e_cur} at t = {state.t}"
@@ -423,6 +491,7 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
             if e_new > e_cur + ENERGY_STEP_TOL:
                 violations += 1  # unreachable under the rejection rule; audited anyway
             state, tangent, e_cur = new_state, tangent_new, e_new
+            spare = 1 - spare
             accepted += 1
             streak += 1
             dt = dt_used
@@ -434,7 +503,7 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
         d_cur = d_new
         rows.append((state.t, e_cur, d_cur, cumulative, dt_used))
     if snapshot_rows[-1] != len(rows) - 1:
-        snapshots.append(state)
+        snapshots.append(ws.out_of_ring(state))
         snapshot_rows.append(len(rows) - 1)
     return FlowTrajectory(np.array(rows), snapshots, snapshot_rows, violations, rejected,
                           reason, accepted)

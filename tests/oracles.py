@@ -14,7 +14,9 @@ They check the product code in src/ from outside it:
   finite-difference hyperbolic Laplacian of an observable;
 * hyperbolic_distance -- the geodesic distance of the upper half-plane;
 * stepping_record_problem -- the rules a run's stepping record keeps, row
-  by row, which analyze checks on whole arrays.
+  by row, which analyze checks on whole arrays;
+* reference_steps -- run_flow's stepping record, by a plain loop that
+  makes every candidate state and tau a new array.
 """
 
 from __future__ import annotations
@@ -24,7 +26,15 @@ import warnings
 
 import numpy as np
 
-from moduliflow.flow import ENERGY_STEP_TOL, MapState
+from moduliflow.flow import (
+    ENERGY_STEP_TOL,
+    MapState,
+    StepRejectedError,
+    _edge_pass,
+    _EdgeWorkspace,
+    cfl_dt_max,
+    step,
+)
 from moduliflow.hyperbolic import (
     ModularMatrix,
     UpperHalfPoint,
@@ -191,19 +201,21 @@ def hyperbolic_distance(p: UpperHalfPoint, q: UpperHalfPoint) -> float:
     return math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * p.y * q.y))
 
 
-def stepping_record_problem(steps, stall_threshold: float, summary: dict, series,
-                            tolerance: float) -> str | None:
+def stepping_record_problem(steps, stall_threshold: float, t_final: float, summary: dict,
+                            series, tolerance: float) -> str | None:
     """The first rule of run_flow's stepping record that steps breaks, or
     None.  steps is a float64 array of rows t, E, D, cumulative_D, dt;
-    summary the run's summary.json; series its series.csv rows, whose first
-    five columns are t, E, D, cumulative_D and dt at each snapshot.  Row 0
-    holds cumulative_D = dt = 0 and is the first snapshot's.  A row whose
-    previous D is under stall_threshold is frozen: it repeats E and D, and
-    its dt is its t less the previous t; every other row's t is the previous
-    t plus its dt.  t rises, and cumulative_D adds dt times the previous D.
-    The summary's stepping fields are functions of the rows, and each
-    series row is a row: t, E and D equal, cumulative_D and dt within
-    tolerance."""
+    t_final the run's duration; summary the run's summary.json; series its
+    series.csv rows, whose first five columns are t, E, D, cumulative_D and
+    dt at each snapshot.  Row 0 holds cumulative_D = dt = 0 and is the first
+    snapshot's.  A row whose previous D is under stall_threshold is frozen:
+    it repeats E and D, and its dt is its t less the previous t; every other
+    row's t is the previous t plus its dt.  t rises, and cumulative_D adds
+    dt times the previous D.  The summary's stepping fields are functions
+    of the rows: termination is stalled when a row is frozen, else t_final
+    when the last t is within 1e-14 * max(1, end) of the end, row 0's t
+    plus t_final, or past it, and else aborted.  Each series row is a row:
+    t, E and D equal, cumulative_D and dt within tolerance."""
     if not (isinstance(steps, np.ndarray) and steps.dtype == np.float64
             and steps.ndim == 2 and steps.shape[1] == 5 and len(steps)
             and np.isfinite(steps).all()):
@@ -235,7 +247,9 @@ def stepping_record_problem(steps, stall_threshold: float, summary: dict, series
     for name, value in want.items():
         if summary[name] != value:
             return f"summary {name}"
-    if summary["termination"] not in (("stalled",) if frozen else ("t_final", "aborted")):
+    end = rows[0][0] + t_final
+    reached = t_end >= end - 1e-14 * max(1.0, end)
+    if summary["termination"] != ("stalled" if frozen else "t_final" if reached else "aborted"):
         return "summary termination"
     by_t = {row[0]: row for row in rows}
     for k, snapshot in enumerate(series):
@@ -244,3 +258,46 @@ def stepping_record_problem(steps, stall_threshold: float, summary: dict, series
                 or max(abs(a - b) for a, b in zip(row[3:], snapshot[3:5])) > tolerance):
             return f"series row {k}"
     return None
+
+
+def reference_steps(initial: MapState, params, reject=()) -> tuple[np.ndarray, int]:
+    """The rows of run_flow's stepping record and its count of rejected
+    steps, by a plain loop on new arrays: every candidate is a new state
+    from step, and every pass runs on a new workspace and returns a new tau.
+    Candidates are numbered from 0 in the order their passes run, and those
+    in reject are rejected as if their energy had risen.  dt_floor is not
+    checked."""
+    state = initial.copy()
+    e_cur, tangent, d_cur = _edge_pass(state, _EdgeWorkspace(state.grid.shape))
+    rows = [(state.t, e_cur, d_cur, 0.0, 0.0)]
+    interval, t_final = params.snapshot_interval, state.t + params.t_final
+    snap_k = math.floor(state.t / interval) + 1
+    dt = cfl_dt_max(state, params.cfl_safety)
+    cumulative, streak, candidates, rejected = 0.0, 0, 0, 0
+    while state.t < t_final - 1e-14 * max(1.0, t_final):
+        while snap_k * interval <= state.t + 1e-14 * max(1.0, state.t):
+            snap_k += 1
+        if d_cur < params.stall_threshold:
+            t_here = min(snap_k * interval, t_final)
+            dt_used, d_new = t_here - state.t, d_cur
+            state = MapState(state.grid, state.u, state.v, t_here)
+        else:
+            cap = cfl_dt_max(state, params.cfl_safety)
+            dt_used = min(dt, cap, t_final - state.t, snap_k * interval - state.t)
+            try:
+                new_state = step(state, dt_used, tangent)
+                e_new, tangent_new, d_new = _edge_pass(new_state,
+                                                       _EdgeWorkspace(state.grid.shape))
+                candidates += 1
+                if candidates - 1 in reject or e_new - e_cur > ENERGY_STEP_TOL:
+                    raise StepRejectedError("rejected")
+            except StepRejectedError:
+                dt, streak, rejected = 0.5 * dt_used, 0, rejected + 1
+                continue
+            state, tangent, e_cur = new_state, tangent_new, e_new
+            streak += 1
+            dt = min(dt_used * 1.2, cap) if streak >= 10 else dt_used
+        cumulative += dt_used * d_cur
+        d_cur = d_new
+        rows.append((state.t, e_cur, d_cur, cumulative, dt_used))
+    return np.array(rows), rejected

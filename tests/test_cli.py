@@ -661,7 +661,7 @@ class TestDamagedTables:
                     damaged = np.load(fh, allow_pickle=False)
                 summary = json.loads((run / "summary.json").read_text())
                 assert stepping_record_problem(
-                    damaged, result.config.stall_threshold, summary,
+                    damaged, result.config.stall_threshold, result.config.t_final, summary,
                     result.series_rows.tolist(), report["tolerance"]) is None
         except ValueError as exc:
             assert str(exc).startswith(f"{run}{os.sep}")
@@ -716,9 +716,11 @@ class TestDamagedTables:
 
 @pytest.fixture(scope="module")
 def tamper_runs(tmp_path_factory):
-    """A stalled and an aborted run, for tests to copy and edit."""
+    """A stalled run, one that reaches t_final without stalling and an
+    aborted one, for tests to copy and edit."""
     root = tmp_path_factory.mktemp("tamper")
-    for name, extra in (("stalled", {"t_final": 0.4}), ("aborted", {"dt_floor": 1e-4})):
+    for name, extra in (("stalled", {"t_final": 0.4}), ("finished", {}),
+                        ("aborted", {"dt_floor": 1e-4})):
         run_experiment(_fast_config(**extra), root / name)
     return root
 
@@ -766,6 +768,39 @@ class TestSteppingRecordAudit:
         path.write_text(json.dumps(summary))
         self._exits_2_naming(run, path, capsys)
 
+    @pytest.mark.parametrize("name, said, expected", [
+        ("finished", "aborted", "t_final"), ("aborted", "t_final", "aborted"),
+        ("finished", "stalled", "t_final"), ("aborted", "stalled", "aborted"),
+    ])
+    def test_a_relabelled_termination_exits_2(self, tamper_runs, tmp_path, capsys, name,
+                                              said, expected):
+        # With no frozen step, the last row's t tells t_final from aborted.
+        run = self._copies(tamper_runs, name, tmp_path)
+        path = run / "summary.json"
+        summary = json.loads(path.read_text())
+        assert summary["termination"] == expected
+        summary["termination"] = said
+        path.write_text(json.dumps(summary))
+        assert main(["analyze", "--run", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            f"analyze: cannot audit {run}: {path}: termination is {said!r}, "
+            f"expected {expected!r}\n")
+
+    @pytest.mark.parametrize("count, shown", [(22771, "22771"), (10**400, "inf")])
+    def test_a_wrong_count_is_shown_as_an_integer(self, tamper_runs, tmp_path, capsys, count,
+                                                   shown):
+        # A count too large for a float reads as inf and fails as one.
+        run = self._copies(tamper_runs, "stalled", tmp_path)
+        path = run / "summary.json"
+        summary = json.loads(path.read_text())
+        want = summary["accepted_steps"]
+        summary["accepted_steps"] = count
+        path.write_text(json.dumps(summary))
+        assert main(["analyze", "--run", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            f"analyze: cannot audit {run}: {path}: accepted_steps is {shown}, "
+            f"expected {want}\n")
+
     @pytest.mark.parametrize("edit", ["last_50_rows_dropped", "cumulative_D", "dt"])
     def test_an_edited_steps_file_exits_2(self, tamper_runs, tmp_path, capsys, edit):
         run = self._copies(tamper_runs, "stalled", tmp_path)
@@ -808,14 +843,14 @@ class TestSteppingRecordAudit:
                 if line.endswith("[MISMATCH]")] == ["dt"]
 
     def test_the_intact_runs_pass_and_keep_the_oracles_rules(self, tamper_runs):
-        for name in ("stalled", "aborted"):
+        for name in ("stalled", "finished", "aborted"):
             run = tamper_runs / name
             assert analyze_run(run)["pass"] is True
             config = parse_config((run / "config.json").read_text())
             _, series = table.read_table(run / "series.csv", cli_module.SERIES_SCHEMA,
                                          cli_module._series_columns(config))
             assert stepping_record_problem(
-                np.load(run / "steps.npy"), config.stall_threshold,
+                np.load(run / "steps.npy"), config.stall_threshold, config.t_final,
                 json.loads((run / "summary.json").read_text()), series.tolist(), 0.0) is None
 
 

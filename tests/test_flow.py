@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from moduliflow import cli, table
+from moduliflow import cli, flow as flow_module, table
 from moduliflow.flow import (
     AbortedRunError,
     FlowParams,
@@ -29,7 +29,7 @@ from moduliflow.flow import (
 from moduliflow.initial import build_initial_state
 from moduliflow.mesh import DomainGrid
 from moduliflow.testfunctions import BumpFunction
-from oracles import AffineFunction
+from oracles import AffineFunction, reference_steps
 
 TWO_PI = 2.0 * np.pi
 
@@ -232,6 +232,24 @@ def _random_state(rng, shape):
                     np.exp(0.3 * rng.standard_normal(grid.shape)))
 
 
+def _signed_zero_state(shape):
+    """u is +0.0 and -0.0 in a checkerboard and v constant, so every
+    difference and sum of squares is exactly zero, and the backward
+    differences of the fluxes are -0.0 at half the nodes."""
+    i, j = np.indices(shape)
+    u = np.where((i + j) % 2 == 1, -0.0, 0.0)
+    return MapState(DomainGrid(*shape), u, np.full(shape, 1.7))
+
+
+def _arrays(x):
+    """The arrays in x, an array or a list, tuple or dict of them, nested."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (list, tuple, dict)):
+        for item in x.values() if isinstance(x, dict) else x:
+            yield from _arrays(item)
+
+
 def _special_values(rng):
     """Floats over the whole exponent range, and the special ones."""
     tiny = np.finfo(float).tiny
@@ -294,14 +312,9 @@ class TestEdgePass:
 
     @pytest.mark.parametrize("shape", [(4, 4), (8, 6)])
     def test_signed_zeros_match_the_roll_formulas(self, shape):
-        # u is +0.0 and -0.0 in a checkerboard and v constant, so every
-        # difference and sum of squares is exactly zero, and the backward
-        # differences of the fluxes are -0.0 at half the nodes: the zeroed
-        # sums of the formulas turn those into +0.0 in tau_u.
-        grid = DomainGrid(*shape)
-        i, j = np.indices(shape)
-        u = np.where((i + j) % 2 == 1, -0.0, 0.0)
-        state = MapState(grid, u, np.full(grid.shape, 1.7))
+        # The zeroed sums of the formulas turn the -0.0 of the backward
+        # differences into +0.0 in tau_u.
+        state = _signed_zero_state(shape)
         e, tau_u, tau_v, d = _roll_oracle(state)
         got_e, tau, got_d = _edge_pass(state, _EdgeWorkspace(shape))
         assert np.signbit(tau_u).sum() == 0 and e == 0.0
@@ -310,14 +323,37 @@ class TestEdgePass:
         assert (got_e, got_d) == (e, d)
 
     @pytest.mark.parametrize("shape", [(4, 4), (64, 64), (12, 20)])
-    def test_workspace_holds_no_more_than_eleven_fields(self, shape):
+    def test_workspace_holds_thirteen_scratch_fields_and_the_ring(self, shape):
+        # Every array the workspace holds or binds a call on, but its 0-d
+        # constants, is a view of 13 scratch fields and the ring's 8.
         ws = _EdgeWorkspace(shape)
-        arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
-        arrays += [a for calls in ws.axis_calls for group in calls
-                   for call in group for a in call[1:]]
-        owners = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
-                  for a in arrays}
-        assert sum(o.nbytes for o in owners.values()) <= 11 * shape[0] * shape[1] * 8
+        field = shape[0] * shape[1] * 8
+        owners = {id(o): o for o in (a if a.base is None else a.base
+                                     for a in _arrays(vars(ws))) if o.ndim}
+        assert sum(o.nbytes for o in owners.values()) <= (13 + 8) * field
+        ring = ws.ring + ws.taus
+        assert len(ring) == 4 and all(a.shape == (2, *shape) and a.flags.c_contiguous
+                                      for a in ring)
+        assert not any(np.shares_memory(a, b) for k, a in enumerate(ring) for b in ring[:k])
+
+    @pytest.mark.parametrize("shape, signed_zeros", [
+        ((5, 7), False), ((12, 20), False), ((48, 32), False), ((4, 4), True), ((8, 6), True),
+    ])
+    def test_a_pass_in_the_ring_is_the_fresh_pass(self, rng, shape, signed_zeros):
+        # On fields in either ring buffer, with tau written into a tau
+        # buffer, the pass gives the bytes of a pass on new arrays, pass
+        # after pass on one workspace.
+        state = _signed_zero_state(shape) if signed_zeros else _random_state(rng, shape)
+        fresh_e, fresh, fresh_d = _edge_pass(state, _EdgeWorkspace(shape))
+        ws = _EdgeWorkspace(shape)
+        for slot in (0, 1, 0):
+            ws.ring[slot][...] = state.fields
+            ringed = MapState._checked(state.grid, ws.ring[slot], state.t, state.v_min)
+            e, tangent, d = _edge_pass(ringed, ws, ws.taus[1 - slot])
+            assert tangent.tau is ws.taus[1 - slot]
+            assert (e.hex(), d.hex()) == (fresh_e.hex(), fresh_d.hex())
+            assert tangent.tau.tobytes() == fresh.tau.tobytes()
+            ws.ring[slot].fill(np.nan)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided_view"])
     def test_non_contiguous_fields_give_the_contiguous_result(self, rng, layout):
@@ -615,6 +651,49 @@ class TestRunFlow:
         # nan stall_threshold kept it from ever stalling.
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             FlowParams(**{"t_final": 1.0, name: value})
+
+    def test_snapshots_keep_their_values(self):
+        # Each snapshot of a 16x16 run that steps in the ring, then stalls,
+        # still holds its state when the run is over: its energy is its
+        # row's E, bit for bit.  Frozen snapshots share the stalled state.
+        state = build_initial_state(
+            DomainGrid(16, 16), {"kind": "random", "amp_u": 0.6, "amp_v": 0.6},
+            np.random.default_rng(0),
+        )
+        traj = run_flow(state, FlowParams(t_final=1.0, snapshot_interval=0.005))
+        assert traj.termination == "stalled" and len(traj.snapshots) == 201
+        assert [energy(s).hex() for s in traj.snapshots] == [
+            e.hex() for e in traj.energy[traj.snapshot_rows].tolist()]
+        frozen = traj.dissipation[traj.snapshot_rows] < FlowParams.stall_threshold
+        assert 0 < frozen.sum() < len(frozen) - 1
+        shared = [b.fields is a.fields for a, b in zip(traj.snapshots, traj.snapshots[1:])]
+        assert shared == frozen[:-1].tolist()
+
+    @pytest.mark.parametrize("reject", [(), (0,), (7,), (30, 31, 32), (100,)])
+    def test_a_rejected_candidate_leaves_the_state_and_tau_intact(self, monkeypatch, reject):
+        # Candidates are rejected after their pass has written them into the
+        # ring; the run's rows are those of a loop that makes every state
+        # and tau a new array.
+        state = build_initial_state(
+            DomainGrid(16, 16), {"kind": "random", "amp_u": 0.6, "amp_v": 0.6},
+            np.random.default_rng(1),
+        )
+        params = FlowParams(t_final=0.05, snapshot_interval=0.01)
+        edge_pass, passes = flow_module._edge_pass, []
+
+        def rejecting(state, ws, tau=None):
+            result = edge_pass(state, ws, tau)
+            passes.append(state.t)
+            if len(passes) - 2 in reject:  # pass 0 is the initial state's
+                raise StepRejectedError("rejected by the test")
+            return result
+
+        monkeypatch.setattr(flow_module, "_edge_pass", rejecting)
+        traj = run_flow(state, params)
+        rows, rejected = reference_steps(state, params, reject)
+        assert max(reject, default=0) < len(passes) - 1
+        assert traj.steps.tobytes() == rows.tobytes()
+        assert traj.rejected_steps == rejected >= len(reject)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

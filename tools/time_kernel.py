@@ -9,9 +9,12 @@ in 21 rounds that alternate which side goes first.  In a round each side
 runs one fresh worker process with the benchmark's single-thread
 environment, pinned to one CPU, the same one for both.  At each size, 32²,
 64², 128² and 256², the worker makes 100 pairs of calls on the default
-config's initial state: one `flow._edge_pass` on a reused workspace, then
-one `flow.step` with the stability cap's dt, as run_flow makes them, each
-timed on its own.  A fresh process per round matters at 128² and up, where
+config's initial state, stepped once into the workspace's ring: one
+`flow._edge_pass` on it with tau written into a tau buffer, then one
+`flow.step` with the stability cap's dt written into a field buffer, as
+run_flow makes them, each timed on its own.  A revision whose workspace
+has no ring is timed as its run_flow makes them: the pass and the step
+on new arrays.  A fresh process per round matters at 128² and up, where
 the same code's pass time moves by 20-30% from one process to the next as
 well as over time within one.  Printed per size and side: µs per call of
 each, min and median over every call of every round, and ns per node of
@@ -50,14 +53,22 @@ def worker(cpu: int, calls: int, *sizes: int) -> int:
     for n in sizes:
         state = build_initial_state(DomainGrid(n, n), {"kind": "sinusoidal"})
         ws = flow._EdgeWorkspace(state.grid.shape)
-        tangent = flow._edge_pass(state, ws)[1]
+        if hasattr(ws, "ring"):
+            # The state and its tau in one slot of the ring, the pass's tau
+            # and the step's fields written into the other.
+            tangent = flow._edge_pass(state, ws, ws.taus[1])[1]
+            state = flow.step(state, flow.cfl_dt_max(state), tangent, ws.ring[1])
+            tangent = flow._edge_pass(state, ws, ws.taus[1])[1]
+            ring = {"tau": ws.taus[0]}, {"out": ws.ring[0]}
+        else:
+            tangent, ring = flow._edge_pass(state, ws)[1], ({}, {})
         dt = flow.cfl_dt_max(state)
         times = out[n] = {kernel: [] for kernel in KERNELS}
         for _ in range(calls):
             start = time.perf_counter_ns()
-            flow._edge_pass(state, ws)
+            flow._edge_pass(state, ws, **ring[0])
             middle = time.perf_counter_ns()
-            flow.step(state, dt, tangent)
+            flow.step(state, dt, tangent, **ring[1])
             end = time.perf_counter_ns()
             times["pass"].append(middle - start)
             times["step"].append(end - middle)
