@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -299,16 +300,36 @@ def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt
     return rows, series
 
 
-def _run_files(run: Path, state) -> dict:
-    """Each per-snapshot directory of a run, mapped to its file names in
-    order, given each snapshot's state number (the index's state column):
-    index.csv and state_{j:04d}.npy for each state j in snapshots/, and
-    measure_{k:04d}.csv for each snapshot k, then time_average.csv for two
-    or more, in measures/.  run writes exactly these files; analyze requires them."""
-    count, states = len(state), int(state[-1]) + 1
-    return {run / "snapshots": ["index.csv"] + [f"state_{j:04d}.npy" for j in range(states)],
-            run / "measures": [f"measure_{k:04d}.csv" for k in range(count)]
-            + ["time_average.csv"] * (count >= 2)}
+def _run_files(run: Path, count: int) -> dict:
+    """Each per-snapshot directory of a run of count snapshots, mapped to its
+    file names: the index and states.npy, the stack of the distinct states,
+    in snapshots/; pushforwards.npy, the pushforward of each distinct state,
+    then time_average.csv for two or more snapshots, in measures/.  run
+    writes exactly these files; analyze requires them."""
+    return {run / "snapshots": ["index.csv", "states.npy"],
+            run / "measures": ["pushforwards.npy"] + ["time_average.csv"] * (count >= 2)}
+
+
+# A file that only an older layout of the run directory holds, and that layout.
+OLD_LAYOUTS = {
+    "steps.csv": "the text steps format moduliflow-steps-v1",
+    "snapshots/snapshot_0000.csv": "the text snapshot format moduliflow-snapshot-v1",
+    "snapshots/state_0000.npy": "one state file per distinct state",
+    "measures/measure_0000.csv": "one measure file per snapshot",
+}
+
+
+def _pushforward_rows(series, state) -> np.ndarray:
+    """pushforwards.npy's float64 rows (state, bin, mass), given each
+    snapshot's state number: for each distinct state in order, the
+    pushforward of its first snapshot, one row per nonzero bin in increasing
+    bin order, the overflow bin being n_bins."""
+    rows = []
+    for j, k in enumerate(np.flatnonzero(np.diff(state, prepend=-1))):
+        masses = series.measures[k].masses
+        bins = np.flatnonzero(masses)
+        rows.append(np.column_stack((np.full(len(bins), j), bins, masses[bins])))
+    return np.concatenate(rows)
 
 
 def _read_index(path: Path, count: int, grid: DomainGrid):
@@ -316,9 +337,6 @@ def _read_index(path: Path, count: int, grid: DomainGrid):
     count snapshots on grid.  Its rows must be k = 0..count-1 in order, t
     finite and non-decreasing, and state 0 first, then each the last one or
     one more; its metadata must name the grid.  Errors name the file."""
-    if not path.exists() and (path.parent / "snapshot_0000.csv").exists():
-        raise ValueError(f"{path.parent}: the run uses the text snapshot format "
-                         "moduliflow-snapshot-v1, which this version does not read")
     meta, body = table.read_table(path, INDEX_SCHEMA, ("k", "t", "state"), ("n1", "n2"))
     k, t, state = body.T
     try:
@@ -374,9 +392,13 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     Layout of the run directory: config.json (resolved echo), series.csv
     (snapshot-aligned diagnostics), steps.npy (the trajectory's steps: row 0
     and one row per accepted or frozen step, float64 columns STEP_COLUMNS),
-    snapshots/ (the index and one .npy per distinct state), measures/
-    (per-snapshot pushforwards plus the run's trapezoid time average),
-    entropy.jsonl, summary.json.  An aborted run (dt underflow) still writes
+    snapshots/ (index.csv, each snapshot's time and state number, and
+    states.npy, the distinct states as one (S, 2, n1, n2) array, streamed
+    state by state), measures/ (pushforwards.npy, each distinct state's
+    pushforward as the sparse rows of _pushforward_rows, and
+    time_average.csv, the run's trapezoid time average), entropy.jsonl,
+    summary.json.  A frozen snapshot shares its state and its pushforward
+    with the snapshot before it.  An aborted run (dt underflow) still writes
     everything computed so far and is marked in summary.json.  An initial
     state that cannot be built raises ConfigError before the run directory
     is created, and a run directory that holds any file raises
@@ -409,21 +431,19 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     table.write_table(out / "series.csv", SERIES_SCHEMA, dict(zip(columns, series.T)))
     np.save(out / "steps.npy", traj.steps)
 
-    # One state file per run of consecutive snapshots that share their fields.
+    # One state per run of consecutive snapshots that share their fields.
     new = [not (k and s.fields is snaps[k - 1].fields) for k, s in enumerate(snaps)]
     state = np.cumsum(new) - 1
-    files = _run_files(out, state)
-    for directory in files:
-        directory.mkdir(exist_ok=True)
-    (snap_dir, snap_names), (measure_dir, measure_names) = files.items()
-    table.write_table(snap_dir / snap_names[0], INDEX_SCHEMA,
+    snap_dir, measure_dir = _run_files(out, len(snaps))
+    snap_dir.mkdir()
+    measure_dir.mkdir()
+    table.write_table(snap_dir / "index.csv", INDEX_SCHEMA,
                       {"k": np.arange(len(snaps)), "t": [s.t for s in snaps], "state": state},
                       meta={"n1": config.grid.n1, "n2": config.grid.n2})
-    for snap, name in zip([s for s, n in zip(snaps, new) if n], snap_names[1:]):
-        flow.write_snapshot(snap, snap_dir / name)
-    # zip drops the average when the file list has no time_average.csv.
-    for mu, name in zip([*mu_series.measures, mu_series.average()], measure_names):
-        ms.write_measure(mu, measure_dir / name)
+    flow.write_snapshot([s for s, n in zip(snaps, new) if n], snap_dir / "states.npy")
+    np.save(measure_dir / "pushforwards.npy", _pushforward_rows(mu_series, state))
+    if len(snaps) >= 2:
+        ms.write_measure(mu_series.average(), measure_dir / "time_average.csv")
 
     reports, series_fields = _records(columns, series)
     entropy_lines = [json.dumps({"schema": ms.ENTROPY_SCHEMA})]
@@ -451,51 +471,58 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     measures from the snapshots, cumulative_D and dt from the steps, and E
     and D from the snapshots, with the series' E and D equal to the steps'
     bit for bit; each must match the series within the tolerance.
-    steps.npy must hold run_flow's rules exactly (_step_rows).  snapshots/
-    and measures/ must hold exactly _run_files of the index, each state must
-    lie on the config's grid above the v floor, and summary.json,
-    entropy.jsonl and each measure file agree with the recomputation, or
-    ValueError names the file.  Returns the audit report dictionary (also
-    written to analysis.json).
+    steps.npy must hold run_flow's rules exactly (_step_rows).  A run that
+    holds a file of OLD_LAYOUTS is refused.  snapshots/ and measures/ must
+    hold exactly _run_files; states.npy is read once, and must hold as many
+    states as the index names, on the config's grid, finite and above the v
+    floor; the snapshots are views of it.  summary.json and entropy.jsonl
+    must agree with the recomputation, pushforwards.npy must be the rows of
+    the recomputed pushforwards byte for byte, and time_average.csv their
+    time average bit for bit, or ValueError names the file (and for a
+    state, or rows that differ, the first state).  Returns the audit report
+    dictionary (also written to analysis.json).
     """
     tolerance = _number(tolerance, "tolerance", nonnegative=True)
     run = Path(run_dir)
     config = parse_config((run / "config.json").read_text())
+    for name, layout in OLD_LAYOUTS.items():
+        if (run / name).exists():
+            raise ValueError(f"{run / name}: the run uses {layout}, "
+                             "which this version does not read")
     steps_path = run / "steps.npy"
-    if not steps_path.exists() and (run / "steps.csv").exists():
-        raise ValueError(f"{run / 'steps.csv'}: the run uses the text steps format "
-                         "moduliflow-steps-v1, which this version does not read")
     steps = flow.read_steps(steps_path)
     columns = _series_columns(config)
     _, stored = table.read_table(run / "series.csv", SERIES_SCHEMA, columns)
     grid = DomainGrid(config.grid.n1, config.grid.n2)
     times, state = _read_index(run / "snapshots" / "index.csv", len(stored), grid)
     at = _step_rows(steps_path, steps, config.stall_threshold, times, stored)
-    files = _run_files(run, state)
+    files = _run_files(run, len(stored))
     for directory, names in files.items():
         found = {p.name for p in directory.iterdir()}
         odd = sorted(found.symmetric_difference(names))
         if odd:
             where = "not a file of" if odd[0] in found else "missing from"
             raise ValueError(f"{directory / odd[0]}: {where} a run of {len(stored)} snapshots")
-    (snap_dir, snap_names), (measure_dir, measure_names) = files.items()
-    states = []
-    for path in [snap_dir / name for name in snap_names[1:]]:
-        states.append(flow.read_snapshot(path, grid))
-        # run_flow records no state at or below the floor; reduction fails on one.
-        if states[-1].v_min <= flow.V_FLOOR:
-            raise ValueError(f"{path}: v_min {states[-1].v_min} is at or below {flow.V_FLOOR}")
+    snap_dir, measure_dir = files
+    path = snap_dir / "states.npy"
+    states = flow.read_snapshot(path, grid, state[-1] + 1)
+    # run_flow records no state at or below the floor; reduction fails on one.
+    low = [j for j, s in enumerate(states) if s.v_min <= flow.V_FLOOR]
+    if low:
+        raise ValueError(f"{path}: state {low[0]}: v_min {states[low[0]].v_min} "
+                         f"is at or below {flow.V_FLOOR}")
     # The snapshots of one state share its fields, so it is measured once.
     snapshots = [flow.MapState._checked(grid, s.fields, t, s.v_min)
                  for t, s in zip(times, [states[j] for j in state])]
     recomputed, series = compute_snapshot_diagnostics(config, snapshots, steps[at, 3],
                                                       steps[at, 4])
     _audit_records(run, columns, recomputed, tolerance, steps, config)
-    # zip drops the average when the file list has no time_average.csv.
-    for mu, name in zip([*series.measures, series.average()], measure_names):
-        stored_mu = ms.read_measure(path := measure_dir / name, series.binning)
+    _audit_rows(measure_dir / "pushforwards.npy", _pushforward_rows(series, state))
+    if len(stored) >= 2:
+        mu = series.average()
+        stored_mu = ms.read_measure(path := measure_dir / "time_average.csv", series.binning)
         if stored_mu.t != mu.t or stored_mu.masses.tobytes() != mu.masses.tobytes():
-            raise ValueError(f"{path}: differs from the recomputed measure")
+            raise ValueError(f"{path}: differs from the recomputed time average")
     table.write_table(run / "series_recomputed.csv", SERIES_SCHEMA,
                       dict(zip(columns, recomputed.T)))
     worst = np.abs(stored - recomputed).max(axis=0)
@@ -546,6 +573,22 @@ def _step_rows(path: Path, steps: np.ndarray, stall_threshold: float, times,
         raise ValueError(f"{path}: row {at[k]} {flow.STEP_COLUMNS[j]} is "
                          f"{steps[at[k], j].item()!r}, series.csv gives {stored[k, j].item()!r}")
     return at
+
+
+def _audit_rows(path: Path, rows: np.ndarray):
+    """The .npy file at path must hold rows, the pushforwards' (state, bin,
+    mass) table, byte for byte; else ValueError names the file and the state
+    of the first row that differs."""
+    stored = flow._read_npy(path, lambda array: array)
+    if stored.ndim != 2 or stored.shape[1] != rows.shape[1]:
+        raise ValueError(f"{path}: shape {stored.shape}, expected (rows, {rows.shape[1]})")
+    n = min(len(stored), len(rows))
+    differ = (stored[:n].view(np.uint64) != rows[:n].view(np.uint64)).any(axis=1)
+    first = int(np.argmax(differ)) if differ.any() else n
+    if first < max(len(stored), len(rows)):
+        state = int(rows[min(first, len(rows) - 1), 0])
+        raise ValueError(f"{path}: row {first} differs from the recomputed "
+                         f"pushforward of state {state}")
 
 
 def _parse_int(text: str):
@@ -681,11 +724,15 @@ def run_sweep(sweep_path, out_root, jobs: int = 1) -> list:
         except ConfigError as exc:
             raise ConfigError(str(exc), f"variants[{i}] ({name})") from exc
         payloads.append((name, merged, str(Path(out_root) / name)))
-    if jobs > 1:
+    # The pool starts all its workers at once, so no more than the variants
+    # and the CPUs this process may run on.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(payloads), cpus or 1)
+    if workers > 1:
         # Only parallel sweeps load the process pool machinery.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_worker, payloads))
     return [_sweep_worker(p) for p in payloads]
 

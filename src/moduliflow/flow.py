@@ -548,11 +548,22 @@ def chain_rule_residual(state: MapState, f) -> float:
     return float(np.sqrt(grid.integrate(residual * residual)))
 
 
-def write_snapshot(state: MapState, path) -> None:
-    """Write a state's fields as one .npy array of shape (2, n1, n2), u then
-    v, native float64 in C order; its time is not stored."""
+def write_snapshot(states, path) -> None:
+    """Write the fields of states, one or more states on one grid, as one
+    .npy array of shape (S, 2, n1, n2), native float64 in C order, state j
+    at [j] with u then v; their times are not stored.  The file is np.save's
+    of that array, written state by state after its header, so that no
+    stack of the states is built."""
+    shape = states[0].fields.shape
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+              "fortran_order": False, "shape": (len(states), *shape)}
     with open(path, "wb") as fh:
-        np.save(fh, state.fields)
+        np.lib.format.write_array_header_1_0(fh, header)
+        for state in states:
+            if state.fields.shape != shape:
+                raise ValueError(f"a state of shape {state.fields.shape} among states "
+                                 f"of shape {shape}")
+            fh.write(state.fields)
 
 
 def _read_npy(path, check):
@@ -576,16 +587,32 @@ def _read_npy(path, check):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def read_snapshot(path, grid: DomainGrid) -> MapState:
-    """Read the fields written by write_snapshot as a state on grid at t = 0,
-    built by MapState's constructor.  The file must hold an array of shape
-    (2, n1, n2) as _read_npy requires, and the fields must pass MapState's
-    checks; else ValueError names the file."""
-    def state(fields):
-        if fields.shape != (2, *grid.shape):
-            raise ValueError(f"shape {fields.shape}, expected {(2, *grid.shape)}")
-        return MapState(grid, *fields)
-    return _read_npy(path, state)
+def read_snapshot(path, grid: DomainGrid, count: int | None = None) -> list:
+    """The states written by write_snapshot, in order and at t = 0: views of
+    the one array of the .npy file at path, read as _read_npy requires.  Its
+    shape must be (count, 2, n1, n2) on grid, or with count None (S, 2, n1,
+    n2) for any S >= 1 or (2, n1, n2), one state.  Every value must be
+    finite and every v positive, as MapState requires; else ValueError names
+    the file and the first state at fault."""
+    state_shape = (2, *grid.shape)
+
+    def states(stack):
+        if count is None and stack.shape == state_shape:
+            stack = stack[np.newaxis]
+        if (stack.ndim != 4 or stack.shape[1:] != state_shape or not len(stack)
+                or count not in (None, len(stack))):
+            n = "S" if count is None else count
+            raise ValueError(f"shape {stack.shape}, expected ({n}, 2, {grid.n1}, {grid.n2})")
+        finite = np.isfinite(stack).all(axis=(1, 2, 3))
+        v_min = stack[:, 1].min(axis=(1, 2))
+        bad = np.flatnonzero(~finite | ~(v_min > 0.0))
+        if len(bad):
+            j = bad[0]
+            raise ValueError(f"state {j}: the values are not all finite" if not finite[j]
+                             else f"state {j}: v must be positive, its minimum is {v_min[j]}")
+        return [MapState._checked(grid, fields, 0.0, v)
+                for fields, v in zip(stack, v_min.tolist())]
+    return _read_npy(path, states)
 
 
 def read_steps(path) -> np.ndarray:

@@ -8,8 +8,10 @@ studies.  Kinds:
 * sinusoidal  -- single-mode trigonometric perturbation of a constant
 * winding     -- u = amp * sin(2 pi k x1), v = exp(b * cos(2 pi m x2))
 * random      -- band-limited random trigonometric fields (seeded)
-* file        -- a stored state: a .npy file written by write_snapshot, such
-                 as a run's snapshots/state_0003.npy; t starts at 0
+* file        -- a stored state: a .npy file of one (2, n1, n2) state, or of
+                 a stack of states as write_snapshot writes it, such as a
+                 run's snapshots/states.npy, whose last state it takes (to
+                 continue that run); t starts at 0
 """
 
 from __future__ import annotations
@@ -136,4 +138,5 @@ def build_initial_state(
     # kind == "file"
     if not p["path"]:
         raise ValueError("file initial data needs a 'path'")
-    return read_snapshot(p["path"], grid)
+    # A copy, so that the state does not keep the rest of a stack alive.
+    return read_snapshot(p["path"], grid)[-1].copy()

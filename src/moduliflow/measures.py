@@ -149,6 +149,7 @@ class MeasureSeries:
         self.measures = list(measures)
         self.binning = measures[0].binning
         self.times = times
+        self._average = None  # the last prefix average, once a walk has made it
 
     def __len__(self) -> int:
         return len(self.times)
@@ -157,27 +158,33 @@ class MeasureSeries:
         """Yield the masses of the trapezoid-in-time average of the first k
         measures, for k = 1 .. len: the first measure's own masses, then the
         running integral renormalised to total mass exactly 1.  A prefix
-        spanning no time yields the plain mean."""
+        spanning no time yields the plain mean.  A walk to the end keeps the
+        last for average."""
         masses, times = self.measures[0].masses, self.times
-        yield masses
+        average = masses
+        yield average
         integral, plain = np.zeros_like(masses), masses.copy()
         for k in range(1, len(self)):
             prev, masses = masses, self.measures[k].masses
             integral += 0.5 * (times[k] - times[k - 1]) * (prev + masses)
             if times[k] > times[0]:
-                yield integral / integral.sum()
+                average = integral / integral.sum()
             else:
                 plain += masses
-                yield plain / plain.sum()
+                average = plain / plain.sum()
+            yield average
+        self._average = average
 
     def average(self) -> PushforwardMeasure:
         """Trapezoid-in-time average of the whole series, the last of
-        prefix_averages; the average of one measure is that measure."""
+        prefix_averages, which walks the series unless a walk has already
+        ended; the average of one measure is that measure."""
         if len(self) == 1:
             return self.measures[0]
-        for masses in self.prefix_averages():
-            pass
-        return PushforwardMeasure(self.binning, masses, float(self.times[-1]))
+        if self._average is None:
+            for _ in self.prefix_averages():
+                pass
+        return PushforwardMeasure(self.binning, self._average, float(self.times[-1]))
 
 
 def time_average(measures, t_end: float | None = None) -> PushforwardMeasure:

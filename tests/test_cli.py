@@ -59,7 +59,8 @@ def _save(path, fields, **kwargs):
 
 
 def _resaved(edit):
-    """Rewrite a state file with its (2, n1, n2) fields array edited."""
+    """Rewrite a state file with its array edited: a (2, n1, n2) state or an
+    (S, 2, n1, n2) stack of states."""
     def apply(path):
         fields = np.load(path)
         _save(path, edit(fields.copy()))
@@ -80,6 +81,8 @@ def _set(index, value):
 
 
 # Ways to damage a state file that its reader must reject, naming the file.
+# The edits index from the last axis, so that they damage a state and every
+# state of a stack alike.
 DAMAGED_STATES = {
     "empty": _cut(0),
     "truncated_header": _cut(64),
@@ -89,10 +92,10 @@ DAMAGED_STATES = {
     "float32": _resaved(lambda f: f.astype(np.float32)),
     "big_endian": _resaved(lambda f: f.astype(">f8")),
     "fortran_order": _resaved(np.asfortranarray),
-    "wrong_shape": _resaved(lambda f: f[:, :, :-1]),
-    "nan": _set((0, 1, 2), np.nan),
-    "inf": _set((1, 2, 3), np.inf),
-    "v_at_floor": _set((1, 0, 0), V_FLOOR),
+    "wrong_shape": _resaved(lambda f: f[..., :-1]),
+    "nan": _set((..., 0, 1, 2), np.nan),
+    "inf": _set((..., 1, 2, 3), np.inf),
+    "v_at_floor": _set((..., 1, 0, 0), V_FLOOR),
 }
 
 
@@ -263,9 +266,13 @@ class TestRunExperiment:
         index = (out / "snapshots" / "index.csv").read_text().splitlines()
         assert index[4:] and index[-1].startswith(f"{n_snap - 1},")
         states = int(index[-1].rsplit(",", 1)[1]) + 1
-        assert len(list((out / "snapshots").glob("state_*.npy"))) == states
-        assert len(list((out / "measures").glob("measure_*.csv"))) == n_snap
-        assert (out / "measures" / "time_average.csv").is_file()
+        assert sorted(p.name for p in (out / "snapshots").iterdir()) == ["index.csv",
+                                                                       "states.npy"]
+        assert np.load(out / "snapshots" / "states.npy").shape == (states, 2, 16, 16)
+        assert sorted(p.name for p in (out / "measures").iterdir()) == [
+            "pushforwards.npy", "time_average.csv"]
+        rows = np.load(out / "measures" / "pushforwards.npy")
+        assert rows.shape[1] == 3 and np.array_equal(np.unique(rows[:, 0]), np.arange(states))
         assert result.summary["termination"] in ("t_final", "stalled")
         assert result.summary["monotonicity_violations"] == 0
         assert not result.aborted
@@ -280,8 +287,8 @@ class TestRunExperiment:
             json.dumps(cfg.to_dict()))), tmp_path / "b")
         assert ((tmp_path / "a" / "series.csv").read_bytes()
                 == (tmp_path / "b" / "series.csv").read_bytes())
-        assert ((tmp_path / "a" / "measures" / "measure_0000.csv").read_bytes()
-                == (tmp_path / "b" / "measures" / "measure_0000.csv").read_bytes())
+        for name in ("snapshots/states.npy", "measures/pushforwards.npy"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert a.summary["energy_final"] == b.summary["energy_final"]
 
     def test_constant_map_run(self, tmp_path):
@@ -312,12 +319,19 @@ class TestRunExperiment:
         cfg = _fast_config(snapshot_interval=0.02)
         result = run_experiment(cfg, tmp_path / "run")
         binning = FundamentalDomainBinning(12, 12, 4.0)
-        mus = [pushforward(s, binning) for s in result.trajectory.snapshots]
+        snaps = result.trajectory.snapshots
+        mus = [pushforward(s, binning) for s in snaps]
         assert len(mus) >= 3
         measures = tmp_path / "run" / "measures"
+        # Each snapshot's pushforward is stored as its state's rows.
+        rows = np.load(measures / "pushforwards.npy")
+        state = np.cumsum([k == 0 or s.fields is not snaps[k - 1].fields
+                           for k, s in enumerate(snaps)]) - 1
         for k, mu in enumerate(mus):
-            stored = read_measure(measures / f"measure_{k:04d}.csv")
-            assert stored.masses.tobytes() == mu.masses.tobytes()
+            bins, masses = rows[rows[:, 0] == state[k], 1:].T
+            stored = np.zeros_like(mu.masses)
+            stored[bins.astype(int)] = masses
+            assert stored.tobytes() == mu.masses.tobytes()
         average = read_measure(measures / "time_average.csv")
         assert average.masses.tobytes() == time_average(mus).masses.tobytes()
         nu = reference_measure(mus[0].binning)
@@ -330,6 +344,24 @@ class TestRunExperiment:
             ]
             assert result.series_rows[:, result.series_columns.index(
                 f"ergodic_err_{j}")].tolist() == want
+
+    def test_run_and_analyze_each_walk_the_time_average_once(self, tmp_path, monkeypatch):
+        # The ergodic columns walk every prefix average; time_average.csv
+        # is the last of them, kept from that walk.
+        walks = []
+        inner = measures_module.MeasureSeries.prefix_averages
+
+        def counted(series):
+            walks.append(len(series))
+            return inner(series)
+
+        monkeypatch.setattr(measures_module.MeasureSeries, "prefix_averages", counted)
+        result = run_experiment(_fast_config(snapshot_interval=0.02), tmp_path / "run")
+        count = result.summary["snapshot_count"]
+        assert count > 2 and walks == [count]
+        walks.clear()
+        assert analyze_run(tmp_path / "run")["pass"] is True
+        assert walks == [count]
 
     def test_aborted_run_keeps_partial_output(self, tmp_path):
         cfg = _fast_config(dt_floor=1.0)
@@ -377,10 +409,10 @@ class TestAnalyzeRun:
         # State 1 is snapshot 1's alone; the records name no row but the first
         # and the last, so the series audit is what catches the edit.
         run_experiment(_fast_config(), tmp_path / "run")
-        path = tmp_path / "run" / "snapshots" / "state_0001.npy"
-        fields = np.load(path)
-        fields[0, 0, 1] += 1e-3  # too little to move the node to another bin
-        _save(path, fields)
+        path = tmp_path / "run" / "snapshots" / "states.npy"
+        states = np.load(path)
+        states[1, 0, 0, 1] += 1e-3  # too little to move the node to another bin
+        _save(path, states)
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
         assert err == "" and "analysis FAIL" in out
@@ -401,8 +433,8 @@ class TestAnalyzeRun:
 
 
 class TestMeasureAudit:
-    """analyze reads every file of measures/ and compares it bit for bit with
-    the pushforwards it recomputes from the snapshots."""
+    """analyze reads pushforwards.npy and time_average.csv and compares them
+    bit for bit with the pushforwards it recomputes from the snapshots."""
 
     @staticmethod
     def _scale_one_mass(path, factor):
@@ -418,26 +450,34 @@ class TestMeasureAudit:
                                       "metadata", "binning"])
     def test_a_measure_file_that_is_not_the_recomputed_one_exits_2(
             self, tmp_path, capsys, edit):
-        result = run_experiment(_fast_config(snapshot_interval=0.02), tmp_path / "run")
+        run_experiment(_fast_config(snapshot_interval=0.02), tmp_path / "run")
         measures = tmp_path / "run" / "measures"
-        count = len(result.trajectory.snapshots)
-        name = {"mass": "measure_0001.csv", "time_average": "time_average.csv",
-                "deleted": "measure_0002.csv", "added": f"measure_{count:04d}.csv",
-                "metadata": "measure_0003.csv", "binning": "measure_0000.csv"}[edit]
+        rows_file = edit in ("mass", "deleted", "added")
+        path = measures / ("pushforwards.npy" if rows_file else "time_average.csv")
         if edit in ("metadata", "binning"):
-            text = (measures / name).read_text()
+            text = path.read_text()
             meta = "x12,12,4.0," if edit == "metadata" else "12,12,5.0,"
-            (measures / name).write_text(text.replace("\n12,12,4.0,", "\n" + meta, 1))
+            path.write_text(text.replace("\n12,12,4.0,", "\n" + meta, 1))
         elif edit == "deleted":
-            (measures / name).unlink()
-        elif edit == "added":
-            (measures / name).write_bytes((measures / "measure_0000.csv").read_bytes())
+            path.unlink()
+        elif edit == "time_average":
+            self._scale_one_mass(path, 1.0 + 1e-15)
         else:
-            self._scale_one_mass(measures / name, 1.0 + 1e-15)
+            rows = np.load(path)
+            if edit == "mass":  # the largest mass of state 1
+                of_1 = np.flatnonzero(rows[:, 0] == 1)
+                k = of_1[np.argmax(rows[of_1, 2])]
+                rows[k, 2] *= 1.0 + 1e-15
+            else:  # a state more than the run has
+                rows = np.vstack([rows, [rows[-1, 0] + 1, 0.0, 1.0]])
+            _save(path, rows)
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
         assert "PASS" not in out
-        assert str(measures / name) in err and len(err.splitlines()) == 1
+        assert str(path) in err and len(err.splitlines()) == 1
+        if edit in ("mass", "added"):
+            state = 1 if edit == "mass" else int(rows[-2, 0])
+            assert f"the recomputed pushforward of state {state}\n" in err
 
     def test_the_audit_reads_every_measure_file_on_one_binning(self, tmp_path, monkeypatch):
         run_experiment(_fast_config(snapshot_interval=0.02), tmp_path / "run")
@@ -494,21 +534,26 @@ class TestFrozenSnapshots:
         assert calls == {"pushforward": len(firsts), "_edge_pass": len(firsts)}
 
     def test_files_equal_those_written_one_by_one(self, tmp_path):
+        # states.npy holds each distinct state once, as np.save writes the
+        # stack of their fields; pushforwards.npy holds, for each state, the
+        # bin and mass rows that a measure file of each of its snapshots holds.
         result, firsts = self._stalled_run(tmp_path)
-        out, alone = tmp_path / "run", tmp_path / "alone"
+        out, stack, alone = tmp_path / "run", tmp_path / "stack.npy", tmp_path / "alone.csv"
         snaps = result.trajectory.snapshots
-        for j, k in enumerate(firsts):
-            write_snapshot(snaps[k], alone)
-            assert (out / "snapshots" / f"state_{j:04d}.npy").read_bytes() \
-                == alone.read_bytes()
+        np.save(stack, np.stack([snaps[k].fields for k in firsts]))
+        assert (out / "snapshots" / "states.npy").read_bytes() == stack.read_bytes()
         index = (out / "snapshots" / "index.csv").read_text().splitlines()[4:]
         assert index == [f"{k},{s.t!r},{sum(f <= k for f in firsts) - 1}"
                          for k, s in enumerate(snaps)]
         binning = FundamentalDomainBinning(12, 12, 4.0)
+        rows = np.load(out / "measures" / "pushforwards.npy")
+        assert np.array_equal(np.unique(rows[:, 0]), np.arange(len(firsts)))
         for k, snap in enumerate(snaps):
             write_measure(pushforward(snap, binning), alone)
-            assert (out / "measures" / f"measure_{k:04d}.csv").read_bytes() \
-                == alone.read_bytes()
+            _, body = table.read_table(alone, measures_module.MEASURE_SCHEMA, ("bin", "mass"),
+                                       ("n_x", "n_y", "y_max", "t"))
+            state = sum(f <= k for f in firsts) - 1
+            assert rows[rows[:, 0] == state, 1:].tobytes() == body.tobytes()
 
     @pytest.mark.parametrize("edit", ["u", "t"])
     def test_an_edited_frozen_snapshot_fails_the_audit(self, tmp_path, capsys, edit):
@@ -518,10 +563,10 @@ class TestFrozenSnapshots:
         snapshots = tmp_path / "run" / "snapshots"
         if edit == "u":
             # The stalled state, which this snapshot and the ones after it share.
-            path = snapshots / f"state_{len(firsts) - 1:04d}.npy"
-            fields = np.load(path)
-            fields[0, 0, 1] += 1e-3
-            _save(path, fields)
+            path = snapshots / "states.npy"
+            states = np.load(path)
+            states[len(firsts) - 1, 0, 0, 1] += 1e-3
+            _save(path, states)
         else:
             lines = (snapshots / "index.csv").read_text().splitlines()
             row = lines[4 + k].split(",")
@@ -545,7 +590,7 @@ class TestFrozenSnapshots:
 
 class TestRunFiles:
     """run writes exactly the files of its run directory's file list, and
-    analyze requires exactly those, read in snapshot order."""
+    analyze requires exactly those."""
 
     def test_a_run_of_more_than_9999_snapshots_passes_analyze(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
@@ -555,17 +600,19 @@ class TestRunFiles:
         )))
         run = tmp_path / "run"
         assert main(["run", "--config", str(cfg_path), "--out", str(run)]) == 0
-        # A constant map is one state, frozen for all 10 001 snapshots.
+        # A constant map is one state, frozen for all 10 001 snapshots: one
+        # state and one group of pushforward rows.
         assert (run / "snapshots" / "index.csv").read_text().endswith("\n10000,1.0,0\n")
-        assert (run / "measures" / "measure_10000.csv").is_file()
+        assert np.load(run / "snapshots" / "states.npy").shape == (1, 2, 4, 4)
+        assert (np.load(run / "measures" / "pushforwards.npy")[:, 0] == 0).all()
         assert main(["analyze", "--run", str(run)]) == 0
         assert "analysis PASS" in capsys.readouterr().out
 
-    def test_state_names_have_four_digits_and_more_when_needed(self, tmp_path):
-        snapshots, measures = cli_module._run_files(tmp_path, range(10001)).values()
-        assert snapshots[:3] == ["index.csv", "state_0000.npy", "state_0001.npy"]
-        assert snapshots[-1] == "state_10000.npy" and len(snapshots) == 10002
-        assert measures[-2:] == ["measure_10000.csv", "time_average.csv"]
+    def test_the_file_list_is_fixed(self, tmp_path):
+        for count, average in ((1, []), (2, ["time_average.csv"]), (10001, ["time_average.csv"])):
+            assert cli_module._run_files(tmp_path, count) == {
+                tmp_path / "snapshots": ["index.csv", "states.npy"],
+                tmp_path / "measures": ["pushforwards.npy", *average]}
 
     @pytest.mark.parametrize("edit", ["extra", "deleted"])
     def test_a_file_off_the_list_exits_2_naming_it(self, tmp_path, capsys, edit):
@@ -575,7 +622,7 @@ class TestRunFiles:
             path = snapshots / "notes.txt"
             path.write_text("kept by hand\n")
         else:
-            path = snapshots / "state_0001.npy"
+            path = snapshots / "states.npy"
             path.unlink()
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
@@ -606,12 +653,12 @@ def stalled_run(tmp_path_factory):
 
 
 class TestDamagedTables:
-    """A damaged measure file, snapshot index, series or steps file fails
-    closed: its reader raises a ValueError that starts with the path, or
-    returns a value that passes the reader's checks, as when a flip lands in
-    a digit of t.  A dropped row always raises: the masses no longer total
-    1, or the rows no longer count the snapshots or keep the stepping
-    rules."""
+    """A damaged measure file, snapshot index, series, steps, states or
+    pushforwards file fails closed: its reader raises a ValueError that
+    starts with the path, or returns a value that passes the reader's
+    checks, as when a flip lands in a digit of t.  A dropped row or state
+    always raises: the masses no longer total 1, or the rows no longer
+    count the snapshots or states or keep the stepping rules."""
 
     EDITS = st.sampled_from(["truncate", "flip", "drop"])
 
@@ -663,6 +710,63 @@ class TestDamagedTables:
                 assert stepping_record_problem(
                     damaged, result.config.stall_threshold, result.config.t_final, summary,
                     result.series_rows.tolist(), report["tolerance"]) is None
+        except ValueError as exc:
+            assert str(exc).startswith(f"{run}{os.sep}")
+        finally:
+            path.write_bytes(raw)
+
+    # np.load parses a flipped header with ast, which may warn about it; a
+    # flip in an exponent may leave finite values whose diagnostics overflow.
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning", "ignore::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_damaged_states_file_fails_the_audit(self, data, stalled_run):
+        # A damaged states.npy passes only where the series recomputed from
+        # it stays within the tolerance of the stored one, as a flip in a
+        # low mantissa bit of a state may.
+        run, result = stalled_run
+        path = run / "snapshots" / "states.npy"
+        raw = path.read_bytes()
+        edit = data.draw(self.EDITS)
+        if edit == "drop":
+            states = np.load(path)
+            _save(path, np.delete(states, data.draw(st.integers(0, len(states) - 1)), axis=0))
+        else:
+            path.write_bytes(_damaged(data, raw, edit))
+        try:
+            report = analyze_run(run)
+            assert edit != "drop"
+            if report["pass"]:
+                _, recomputed = table.read_table(run / "series_recomputed.csv",
+                                                 cli_module.SERIES_SCHEMA,
+                                                 list(report["columns"]))
+                moved = np.abs(recomputed - result.series_rows).max(axis=0)
+                assert (moved <= report["tolerance"]).all()
+        except ValueError as exc:
+            assert str(exc).startswith(f"{run}{os.sep}")
+        finally:
+            path.write_bytes(raw)
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_damaged_pushforwards_file_fails_the_audit(self, data, stalled_run):
+        # pushforwards.npy is compared byte for byte, so a damaged one passes
+        # only where its array is unchanged, as after a flip in the header's
+        # padding.
+        run, _ = stalled_run
+        path = run / "measures" / "pushforwards.npy"
+        raw = path.read_bytes()
+        rows = np.load(path)
+        edit = data.draw(self.EDITS)
+        if edit == "drop":
+            _save(path, np.delete(rows, data.draw(st.integers(0, len(rows) - 1)), axis=0))
+        else:
+            path.write_bytes(_damaged(data, raw, edit))
+        try:
+            report = analyze_run(run)
+            assert edit != "drop" and report["pass"]
+            assert np.load(path).tobytes() == rows.tobytes()
         except ValueError as exc:
             assert str(exc).startswith(f"{run}{os.sep}")
         finally:
@@ -1030,7 +1134,7 @@ class TestSweep:
                                                                       capsys):
         grid = DomainGrid(16, 16)
         snap = tmp_path / "low.npy"
-        write_snapshot(MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1e-9)),
+        write_snapshot([MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1e-9))],
                        snap)
         sweep = {
             "base": dict(FAST_OVERRIDES),
@@ -1081,6 +1185,36 @@ class TestSweep:
         assert main(["sweep", "--config", str(sweep_path),
                      "--out", str(tmp_path / "out")]) == 2
         assert "sweep config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs, variants, cpus, workers", [
+        (100000, 2, 64, 2), (3, 5, 4, 3), (8, 5, 4, 4), (2, 1, 4, None), (4, 3, 1, None)])
+    def test_the_pool_has_no_more_workers_than_variants_or_cpus(
+            self, tmp_path, monkeypatch, jobs, variants, cpus, workers):
+        # The pool is a fake that records its size and runs the variants
+        # here, so that no process is started; None: no pool, a serial sweep.
+        made = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        names = "abcde"[:variants]
+        self._write_sweep(tmp_path / "sweep.json", names=names)
+        results = run_sweep(tmp_path / "sweep.json", tmp_path / "out", jobs=jobs)
+        assert made == ([] if workers is None else [workers])
+        assert [(name, failed) for name, failed, _ in results] == [(n, False) for n in names]
 
     def test_parallel_jobs_agree_with_serial(self, tmp_path):
         sweep_path = tmp_path / "sweep.json"
@@ -1237,7 +1371,7 @@ class TestMain:
                                                                     capsys):
         grid = DomainGrid(16, 16)
         snap = tmp_path / "low.npy"
-        write_snapshot(MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1e-9)),
+        write_snapshot([MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1e-9))],
                        snap)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(
@@ -1333,26 +1467,31 @@ class TestMain:
 
     def test_snapshot_on_another_grid_exits_2(self, tmp_path, capsys):
         run_experiment(_fast_config(), tmp_path / "run")
+        path = tmp_path / "run" / "snapshots" / "states.npy"
+        count = len(np.load(path))
         grid = DomainGrid(8, 8)
-        write_snapshot(MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1.0)),
-                       tmp_path / "run" / "snapshots" / "state_0001.npy")
+        write_snapshot([MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1.0))] * count,
+                       path)
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
-        assert "state_0001.npy: shape (2, 8, 8)" in err and len(err.splitlines()) == 1
+        assert f"states.npy: shape ({count}, 2, 8, 8), expected ({count}, 2, 16, 16)" in err
+        assert len(err.splitlines()) == 1
 
     def test_snapshot_below_the_v_floor_exits_2(self, tmp_path, capsys):
         run_experiment(_fast_config(), tmp_path / "run")
-        grid = DomainGrid(16, 16)
-        write_snapshot(MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1e-300)),
-                       tmp_path / "run" / "snapshots" / "state_0001.npy")
+        path = tmp_path / "run" / "snapshots" / "states.npy"
+        states = np.load(path)
+        states[1, 1] = 1e-300
+        _save(path, states)
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
-        assert "state_0001.npy" in err and len(err.splitlines()) == 1
+        assert f"{path}: state 1: v_min 1e-300 is at or below {V_FLOOR}" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("damage", DAMAGED_STATES)
     def test_a_damaged_state_file_exits_2_naming_it(self, tmp_path, capsys, damage):
         run_experiment(_fast_config(), tmp_path / "run")
-        path = tmp_path / "run" / "snapshots" / "state_0001.npy"
+        path = tmp_path / "run" / "snapshots" / "states.npy"
         DAMAGED_STATES[damage](path)
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
@@ -1398,10 +1537,10 @@ class TestMain:
         elif edit == "t_falls":
             rows[2][1] = rows[1][1]
             rows[1][1] = rows[3][1]
-        else:  # a state file of its own, holding the initial state
+        else:  # a state of its own, the initial state again
             rows[-1][2] = str(int(rows[-1][2]) + 1)
-            _save(snapshots / f"state_{int(rows[-1][2]):04d}.npy",
-                  np.load(snapshots / "state_0000.npy"))
+            states = np.load(snapshots / "states.npy")
+            _save(snapshots / "states.npy", np.concatenate([states, states[:1]]))
         path.write_text("\n".join(lines[:4] + [",".join(r) for r in rows]) + "\n")
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
@@ -1423,8 +1562,25 @@ class TestMain:
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
-        assert (f"{snapshots}: the run uses the text snapshot format "
+        assert (f"{snapshots / 'snapshot_0000.csv'}: the run uses the text snapshot format "
                 "moduliflow-snapshot-v1, which this version does not read") in err
+
+    @pytest.mark.parametrize("name, layout", [
+        ("snapshots/state_0000.npy", "one state file per distinct state"),
+        ("measures/measure_0000.csv", "one measure file per snapshot")])
+    def test_a_run_with_a_file_per_state_or_measure_exits_2_naming_it(
+            self, tmp_path, capsys, name, layout):
+        # The layout of one state file per distinct state and one measure
+        # file per snapshot, which states.npy and pushforwards.npy replace.
+        run = tmp_path / "run"
+        run_experiment(_fast_config(), run)
+        for path in (run / "snapshots" / "states.npy", run / "measures" / "pushforwards.npy"):
+            path.unlink()
+        (run / name).write_bytes(b"")
+        assert main(["analyze", "--run", str(run)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"analyze: cannot audit {run}: {run / name}: the run uses "
+                                     f"{layout}, which this version does not read\n")
 
     @pytest.mark.parametrize("steps", ["text", "missing"])
     def test_a_run_without_binary_steps_exits_2_naming_them(self, tmp_path, capsys, steps):
@@ -1450,7 +1606,7 @@ class TestMain:
             self, tmp_path, capsys, damage):
         grid = DomainGrid(16, 16)
         snap = tmp_path / "state_0001.npy"
-        write_snapshot(MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1.5)),
+        write_snapshot([MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1.5))],
                        snap)
         DAMAGED_STATES[damage](snap)
         cfg_path = tmp_path / "config.json"

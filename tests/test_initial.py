@@ -105,7 +105,7 @@ class TestFile:
         state = build_initial_state(grid64, {"kind": "random"}, rng=rng)
         state.t = 0.7
         path = tmp_path / "state.npy"
-        write_snapshot(state, path)
+        write_snapshot([state], path)
         back = build_initial_state(grid64, {"kind": "file", "path": str(path)})
         assert back.t == 0.0
         assert np.array_equal(back.u, state.u)
@@ -115,9 +115,19 @@ class TestFile:
         small = DomainGrid(8, 8)
         state = build_initial_state(small, {"kind": "constant"})
         path = tmp_path / "state.npy"
-        write_snapshot(state, path)
+        write_snapshot([state], path)
         with pytest.raises(ValueError):
             build_initial_state(grid64, {"kind": "file", "path": str(path)})
+
+    def test_a_stack_starts_from_its_last_state(self, grid64, rng, tmp_path):
+        # A run's snapshots/states.npy: the run continues from its last state.
+        states = [build_initial_state(grid64, {"kind": "random"}, rng=rng) for _ in range(3)]
+        path = tmp_path / "states.npy"
+        write_snapshot(states, path)
+        back = build_initial_state(grid64, {"kind": "file", "path": str(path)})
+        assert back.t == 0.0 and back.fields.tobytes() == states[-1].fields.tobytes()
+        # Its own array, not a view that keeps the whole stack alive.
+        assert back.fields.base is None
 
     def test_missing_path(self, grid64):
         with pytest.raises(ValueError):

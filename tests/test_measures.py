@@ -336,6 +336,20 @@ class TestPrefixAverages:
         for k in range(1, len(mus)):
             assert averages[k].tobytes() == time_average(mus[: k + 1]).masses.tobytes()
 
+    def test_a_finished_walk_gives_the_average_without_another(self, binning60, rng):
+        mus = self._measures(binning60, rng, [0.25, 0.25, 0.5, 0.625, 1.1])
+        fresh = MeasureSeries(mus).average()
+        series = MeasureSeries(mus)
+        walk = series.prefix_averages()
+        next(walk)
+        # A walk stopped early keeps nothing: average walks the series itself.
+        assert series.average().masses.tobytes() == fresh.masses.tobytes()
+        series = MeasureSeries(mus)
+        *_, last = series.prefix_averages()
+        average = series.average()
+        assert average.masses is last and average.t == fresh.t == 1.1
+        assert last.tobytes() == fresh.masses.tobytes()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_is_rejected(self, binning60, rng, bad):
         mus = self._measures(binning60, rng, [0.0, 1.0])
