@@ -49,7 +49,6 @@ from .testfunctions import BumpFunction
 
 SERIES_SCHEMA = "moduliflow-series-v1"
 SUMMARY_SCHEMA = "moduliflow-summary-v1"
-INDEX_SCHEMA = "moduliflow-snapshot-index-v1"
 
 # The steps' columns at each snapshot, then its measures.
 SERIES_BASE_COLUMNS = [
@@ -264,13 +263,14 @@ def _series_columns(config: FlowConfig) -> list:
     ]
 
 
-def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt):
+def compute_snapshot_diagnostics(config: FlowConfig, snapshots, state, cumulative_d, dt):
     """Measure the snapshots as the config directs; shared by run and analyze.
 
     Returns (rows, series): rows is the series table, one row per snapshot in
     _series_columns order, with cumulative_d and dt, the steps' values at
     the snapshots, as given; series is the MeasureSeries of the snapshots'
-    pushforwards.  A snapshot with its predecessor's fields reuses its measure and row
+    pushforwards.  state gives each snapshot's state number (_state_numbers):
+    a snapshot of its predecessor's state reuses its measure and row
     values; each prefix average of the ergodic series serves every
     observable.
     """
@@ -281,7 +281,7 @@ def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt
     ws = flow._EdgeWorkspace((config.grid.n1, config.grid.n2))
     mus, values = [], []  # values: each snapshot's E, D and entropy report
     for k, s in enumerate(snapshots):
-        if k and s.fields is snapshots[k - 1].fields:
+        if k and state[k] == state[k - 1]:
             mus.append(replace(mus[-1], t=s.t))
         else:
             mus.append(ms.pushforward(s, binning))
@@ -302,11 +302,11 @@ def compute_snapshot_diagnostics(config: FlowConfig, snapshots, cumulative_d, dt
 
 def _run_files(run: Path, count: int) -> dict:
     """Each per-snapshot directory of a run of count snapshots, mapped to its
-    file names: the index and states.npy, the stack of the distinct states,
-    in snapshots/; pushforwards.npy, the pushforward of each distinct state,
+    file names: states.npy, the stack of the distinct states, in
+    snapshots/; pushforwards.npy, the pushforward of each distinct state,
     then time_average.csv for two or more snapshots, in measures/.  run
     writes exactly these files; analyze requires them."""
-    return {run / "snapshots": ["index.csv", "states.npy"],
+    return {run / "snapshots": ["states.npy"],
             run / "measures": ["pushforwards.npy"] + ["time_average.csv"] * (count >= 2)}
 
 
@@ -316,6 +316,7 @@ OLD_LAYOUTS = {
     "snapshots/snapshot_0000.csv": "the text snapshot format moduliflow-snapshot-v1",
     "snapshots/state_0000.npy": "one state file per distinct state",
     "measures/measure_0000.csv": "one measure file per snapshot",
+    "snapshots/index.csv": "the snapshot index moduliflow-snapshot-index-v1",
 }
 
 
@@ -332,39 +333,24 @@ def _pushforward_rows(series, state) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _read_index(path: Path, count: int, grid: DomainGrid):
-    """The t and state columns of a run's snapshot index, for a series of
-    count snapshots on grid.  Its rows must be k = 0..count-1 in order, t
-    finite and non-decreasing, and state 0 first, then each the last one or
-    one more; its metadata must name the grid.  Errors name the file."""
-    meta, body = table.read_table(path, INDEX_SCHEMA, ("k", "t", "state"), ("n1", "n2"))
-    k, t, state = body.T
-    try:
-        if (int(meta["n1"]), int(meta["n2"])) != grid.shape:
-            raise ValueError(f"grid {meta['n1']} x {meta['n2']}, the config has {grid.shape}")
-        if not np.array_equal(k, np.arange(count)):
-            raise ValueError(f"expected rows k = 0..{count - 1} in order, one per snapshot")
-        if state[0] != 0 or not np.isin(np.diff(state), (0, 1)).all():
-            raise ValueError("state must start at 0 and grow by 0 or 1 per row")
-        if not (np.isfinite(t).all() and (np.diff(t) >= 0).all()):
-            raise ValueError("t must be finite and non-decreasing")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return t.tolist(), state.astype(int).tolist()
+def _state_numbers(d: np.ndarray, stall_threshold: float) -> np.ndarray:
+    """Each snapshot's state number, given D at each snapshot's row of the
+    steps: 0 for snapshot 0, then the number of the snapshot before, plus
+    one unless D there is under stall_threshold.  run_flow freezes every
+    step after such a row, so the snapshot shares its predecessor's fields;
+    after any other row it steps, and the snapshot has fields of its own."""
+    return np.concatenate(([0], np.cumsum(d[:-1] >= stall_threshold)))
 
 
-def _records(columns: list, rows: np.ndarray) -> tuple[list, dict]:
-    """The entropy.jsonl reports, one per row, and the summary.json fields
-    that the series rows determine, as run writes them and analyze checks
-    them.  mirrors maps each report field to its series column."""
-    col = dict(zip(columns, rows.T.tolist()))
-    mirrors = {"t": "t", "entropy": "H", "rho_max": "rho_max",
-               "tail_mass": "tail_mass", "degenerate_fraction": "degenerate_fraction"}
-    reports = [dict(zip(mirrors, v)) for v in zip(*map(col.get, mirrors.values()))]
-    fields = {f"final_{name}": reports[-1][name] for name in mirrors if name != "t"}
-    fields.update(snapshot_count=len(rows), energy_initial=col["E"][0],
-                  final_ergodic_errors=rows[-1, len(SERIES_BASE_COLUMNS):].tolist())
-    return reports, fields
+def _series_fields(columns: list, rows: np.ndarray) -> dict:
+    """The summary.json fields that the series rows determine, as run writes
+    them and analyze checks them."""
+    last = dict(zip(columns, rows[-1].tolist()))
+    return {"final_entropy": last["H"],
+            **{f"final_{name}": last[name]
+               for name in ("rho_max", "tail_mass", "degenerate_fraction")},
+            "snapshot_count": len(rows), "energy_initial": rows[0, columns.index("E")].item(),
+            "final_ergodic_errors": rows[-1, len(SERIES_BASE_COLUMNS):].tolist()}
 
 
 def _step_fields(steps: np.ndarray, stall_threshold: float) -> dict:
@@ -390,19 +376,19 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     """Run the configured flow and write the diagnostic files.
 
     Layout of the run directory: config.json (resolved echo), series.csv
-    (snapshot-aligned diagnostics), steps.npy (the trajectory's steps: row 0
-    and one row per accepted or frozen step, float64 columns STEP_COLUMNS),
-    snapshots/ (index.csv, each snapshot's time and state number, and
-    states.npy, the distinct states as one (S, 2, n1, n2) array, streamed
-    state by state), measures/ (pushforwards.npy, each distinct state's
-    pushforward as the sparse rows of _pushforward_rows, and
-    time_average.csv, the run's trapezoid time average), entropy.jsonl,
-    summary.json.  A frozen snapshot shares its state and its pushforward
-    with the snapshot before it.  An aborted run (dt underflow) still writes
-    everything computed so far and is marked in summary.json.  An initial
-    state that cannot be built raises ConfigError before the run directory
-    is created, and a run directory that holds any file raises
-    FileExistsError before anything is written.
+    (snapshot-aligned diagnostics, the snapshots' times among them),
+    steps.npy (the trajectory's steps: row 0 and one row per accepted or
+    frozen step, float64 columns STEP_COLUMNS), snapshots/states.npy (the
+    distinct states as one (S, 2, n1, n2) array, streamed state by state),
+    measures/ (pushforwards.npy, each distinct state's pushforward as the
+    sparse rows of _pushforward_rows, and time_average.csv, the run's
+    trapezoid time average), summary.json.  A frozen snapshot shares its
+    state and its pushforward with the snapshot before it, and the steps
+    give each snapshot's state number (_state_numbers).  An aborted run
+    (dt underflow) still writes everything computed so far and is marked in
+    summary.json.  An initial state that cannot be built raises ConfigError
+    before the run directory is created, and a run directory that holds any
+    file raises FileExistsError before anything is written.
     """
     state0 = _initial_state(config)
 
@@ -422,33 +408,22 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
 
     (out / "config.json").write_text(emit_config(config))
 
-    snaps = traj.snapshots
+    snaps, at = traj.snapshots, traj.snapshot_rows
+    state = _state_numbers(traj.dissipation[at], config.stall_threshold)
     series, mu_series = compute_snapshot_diagnostics(
-        config, snaps, traj.cumulative_dissipation[traj.snapshot_rows],
-        traj.dt_used[traj.snapshot_rows],
-    )
+        config, snaps, state, traj.cumulative_dissipation[at], traj.dt_used[at])
     columns = _series_columns(config)
     table.write_table(out / "series.csv", SERIES_SCHEMA, dict(zip(columns, series.T)))
     np.save(out / "steps.npy", traj.steps)
 
-    # One state per run of consecutive snapshots that share their fields.
-    new = [not (k and s.fields is snaps[k - 1].fields) for k, s in enumerate(snaps)]
-    state = np.cumsum(new) - 1
     snap_dir, measure_dir = _run_files(out, len(snaps))
     snap_dir.mkdir()
     measure_dir.mkdir()
-    table.write_table(snap_dir / "index.csv", INDEX_SCHEMA,
-                      {"k": np.arange(len(snaps)), "t": [s.t for s in snaps], "state": state},
-                      meta={"n1": config.grid.n1, "n2": config.grid.n2})
-    flow.write_snapshot([s for s, n in zip(snaps, new) if n], snap_dir / "states.npy")
+    flow.write_snapshot([snaps[k] for k in np.flatnonzero(np.diff(state, prepend=-1))],
+                        snap_dir / "states.npy")
     np.save(measure_dir / "pushforwards.npy", _pushforward_rows(mu_series, state))
     if len(snaps) >= 2:
         ms.write_measure(mu_series.average(), measure_dir / "time_average.csv")
-
-    reports, series_fields = _records(columns, series)
-    entropy_lines = [json.dumps({"schema": ms.ENTROPY_SCHEMA})]
-    entropy_lines += [json.dumps(report, sort_keys=True) for report in reports]
-    (out / "entropy.jsonl").write_text("\n".join(entropy_lines) + "\n")
 
     summary = {
         "schema": SUMMARY_SCHEMA,
@@ -456,7 +431,7 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
         "termination": "aborted" if aborted else traj.termination,
         "rejected_steps": int(traj.rejected_steps),
         **_step_fields(traj.steps, config.stall_threshold),
-        **series_fields,
+        **_series_fields(columns, series),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return ExperimentResult(config, out, traj, columns, series, summary, aborted)
@@ -467,20 +442,23 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     and audit the run's files.
 
     The series must carry its config's columns, and the tolerance must be
-    finite and at least 0.  Each series column is recomputed: t and the
+    finite and at least 0.  Its t column gives the snapshots' times, which
+    must rise strictly.  Each series column is recomputed: t and the
     measures from the snapshots, cumulative_D and dt from the steps, and E
     and D from the snapshots, with the series' E and D equal to the steps'
     bit for bit; each must match the series within the tolerance.
-    steps.npy must hold run_flow's rules exactly (_step_rows).  A run that
-    holds a file of OLD_LAYOUTS is refused.  snapshots/ and measures/ must
-    hold exactly _run_files; states.npy is read once, and must hold as many
-    states as the index names, on the config's grid, finite and above the v
-    floor; the snapshots are views of it.  summary.json and entropy.jsonl
-    must agree with the recomputation, pushforwards.npy must be the rows of
-    the recomputed pushforwards byte for byte, and time_average.csv their
-    time average bit for bit, or ValueError names the file (and for a
-    state, or rows that differ, the first state).  Returns the audit report
-    dictionary (also written to analysis.json).
+    steps.npy must hold run_flow's rules exactly (_step_rows), and gives
+    each snapshot's state number (_state_numbers).  A run that holds a file
+    of OLD_LAYOUTS is refused.  snapshots/ and measures/ must hold exactly
+    _run_files; states.npy is read once, and must hold as many states as
+    the steps give, on the config's grid, finite and above the v floor; the
+    snapshots are views of it.  summary.json must agree with the
+    recomputation, pushforwards.npy must be the rows of the recomputed
+    pushforwards byte for byte, and time_average.csv their time average bit
+    for bit, or ValueError names the file (and for a state, or rows that
+    differ, the first state).  Values so large that the recomputation
+    overflows give inf or nan in its columns, without a warning.  Returns
+    the audit report dictionary (also written to analysis.json).
     """
     tolerance = _number(tolerance, "tolerance", nonnegative=True)
     run = Path(run_dir)
@@ -492,10 +470,12 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     steps_path = run / "steps.npy"
     steps = flow.read_steps(steps_path)
     columns = _series_columns(config)
-    _, stored = table.read_table(run / "series.csv", SERIES_SCHEMA, columns)
-    grid = DomainGrid(config.grid.n1, config.grid.n2)
-    times, state = _read_index(run / "snapshots" / "index.csv", len(stored), grid)
+    _, stored = table.read_table(path := run / "series.csv", SERIES_SCHEMA, columns)
+    times = stored[:, 0].tolist()
+    if not (np.diff(times) > 0).all():
+        raise ValueError(f"{path}: t does not rise strictly from row to row")
     at = _step_rows(steps_path, steps, config.stall_threshold, times, stored)
+    state = _state_numbers(steps[at, 2], config.stall_threshold)
     files = _run_files(run, len(stored))
     for directory, names in files.items():
         found = {p.name for p in directory.iterdir()}
@@ -505,17 +485,19 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
             raise ValueError(f"{directory / odd[0]}: {where} a run of {len(stored)} snapshots")
     snap_dir, measure_dir = files
     path = snap_dir / "states.npy"
+    grid = DomainGrid(config.grid.n1, config.grid.n2)
     states = flow.read_snapshot(path, grid, state[-1] + 1)
     # run_flow records no state at or below the floor; reduction fails on one.
     low = [j for j, s in enumerate(states) if s.v_min <= flow.V_FLOOR]
     if low:
         raise ValueError(f"{path}: state {low[0]}: v_min {states[low[0]].v_min} "
                          f"is at or below {flow.V_FLOOR}")
-    # The snapshots of one state share its fields, so it is measured once.
+    # Each snapshot is a view of its state's fields.
     snapshots = [flow.MapState._checked(grid, s.fields, t, s.v_min)
                  for t, s in zip(times, [states[j] for j in state])]
-    recomputed, series = compute_snapshot_diagnostics(config, snapshots, steps[at, 3],
-                                                      steps[at, 4])
+    with np.errstate(over="ignore", invalid="ignore"):
+        recomputed, series = compute_snapshot_diagnostics(config, snapshots, state,
+                                                          steps[at, 3], steps[at, 4])
     _audit_records(run, columns, recomputed, tolerance, steps, config)
     _audit_rows(measure_dir / "pushforwards.npy", _pushforward_rows(series, state))
     if len(stored) >= 2:
@@ -605,19 +587,18 @@ def _parse_record(path, text):
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _check_value(path, name, stored, value, tolerance, line=None):
+def _check_value(path, name, stored, value, tolerance):
     if value is None and stored is None:
         return
     if (value is None or isinstance(stored, bool) or not isinstance(stored, (int, float))
             or not abs(stored - value) <= tolerance):
-        where = name if line is None else f"line {line} {name}"
-        raise ValueError(f"{path}: {where} is {stored!r}, expected {value!r}")
+        raise ValueError(f"{path}: {name} is {stored!r}, expected {value!r}")
 
 
 def _audit_records(run: Path, columns: list, rows: np.ndarray, tolerance: float,
                    steps: np.ndarray, config: FlowConfig):
-    """Check summary.json and entropy.jsonl field by field: against _records
-    of the recomputed series rows, a count exactly and a number within the
+    """Check summary.json field by field: against _series_fields of the
+    recomputed series rows, a count exactly and a number within the
     tolerance, and against _step_fields of the steps exactly.  termination
     must be stalled when the steps hold a frozen step; else t_final when
     the last row's t is at least end - 1e-14 * max(1, end), where end is
@@ -625,7 +606,7 @@ def _audit_records(run: Path, columns: list, rows: np.ndarray, tolerance: float,
     loop; and else aborted.  rejected_steps is not checked: the steps do
     not record rejected steps.
     """
-    reports, fields = _records(columns, rows)
+    fields = _series_fields(columns, rows)
     step_fields = _step_fields(steps, config.stall_threshold)
     path = run / "summary.json"
     summary = _parse_record(path, path.read_text())
@@ -652,19 +633,6 @@ def _audit_records(run: Path, columns: list, rows: np.ndarray, tolerance: float,
         else:
             for j, (s, v) in enumerate(zip(stored, value)):
                 _check_value(path, f"{name}[{j}]", s, v, tolerance)
-
-    path = run / "entropy.jsonl"
-    lines = path.read_text().splitlines()
-    if not lines or _parse_record(path, lines[0]) != {"schema": ms.ENTROPY_SCHEMA}:
-        raise ValueError(f"{path}: the first line must be the {ms.ENTROPY_SCHEMA} header")
-    if len(lines) - 1 != len(reports):
-        raise ValueError(f"{path}: {len(lines) - 1} reports for {len(rows)} snapshots")
-    for k, (line, want) in enumerate(zip(lines[1:], reports)):
-        report = _parse_record(path, line)
-        if not isinstance(report, dict) or report.keys() != want.keys():
-            raise ValueError(f"{path}: line {k + 2} must hold exactly {sorted(want)}")
-        for name, value in want.items():
-            _check_value(path, name, report[name], value, tolerance, line=k + 2)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

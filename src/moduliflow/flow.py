@@ -391,7 +391,6 @@ class FlowTrajectory:
     steps: np.ndarray
     snapshots: list[MapState]
     snapshot_rows: list[int]
-    monotonicity_violations: int
     rejected_steps: int
     termination: str
     accepted_steps: int = 0
@@ -441,7 +440,7 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
 
     rows = [(state.t, e_cur, d_cur, 0.0, 0.0)]
     snapshots, snapshot_rows = [state], [0]
-    violations = rejected = accepted = streak = 0
+    rejected = accepted = streak = 0
     cumulative = 0.0
     snap_k = int(math.floor(state.t / interval)) + 1
 
@@ -473,8 +472,8 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
             if dt_used < params.dt_floor:
                 raise AbortedRunError(
                     f"dt = {dt_used} fell below the floor {params.dt_floor} at t = {state.t}",
-                    FlowTrajectory(np.array(rows), snapshots, snapshot_rows, violations,
-                                   rejected, "aborted", accepted),
+                    FlowTrajectory(np.array(rows), snapshots, snapshot_rows, rejected,
+                                   "aborted", accepted),
                 )
             try:
                 new_state = step(state, dt_used, tangent, ws.ring[spare])
@@ -488,8 +487,6 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
                 rejected += 1
                 streak = 0
                 continue
-            if e_new > e_cur + ENERGY_STEP_TOL:
-                violations += 1  # unreachable under the rejection rule; audited anyway
             state, tangent, e_cur = new_state, tangent_new, e_new
             spare = 1 - spare
             accepted += 1
@@ -505,8 +502,8 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
     if snapshot_rows[-1] != len(rows) - 1:
         snapshots.append(ws.out_of_ring(state))
         snapshot_rows.append(len(rows) - 1)
-    return FlowTrajectory(np.array(rows), snapshots, snapshot_rows, violations, rejected,
-                          reason, accepted)
+    return FlowTrajectory(np.array(rows), snapshots, snapshot_rows, rejected, reason,
+                          accepted)
 
 
 def jacobian_det(state: MapState) -> np.ndarray:

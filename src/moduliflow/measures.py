@@ -20,7 +20,6 @@ from .flow import MapState, jacobian_det
 from .hyperbolic import FundamentalDomainBinning, reduce_points
 
 MEASURE_SCHEMA = "moduliflow-measure-v2"
-ENTROPY_SCHEMA = "moduliflow-entropy-v1"
 
 MASS_TOL = 1e-12
 

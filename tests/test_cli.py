@@ -259,15 +259,11 @@ class TestRunExperiment:
     def test_layout_and_summary(self, tmp_path):
         result = run_experiment(_fast_config(), tmp_path / "run")
         out = result.out_dir
-        for name in ("config.json", "series.csv", "steps.npy",
-                     "entropy.jsonl", "summary.json"):
-            assert (out / name).is_file()
-        n_snap = result.summary["snapshot_count"]
-        index = (out / "snapshots" / "index.csv").read_text().splitlines()
-        assert index[4:] and index[-1].startswith(f"{n_snap - 1},")
-        states = int(index[-1].rsplit(",", 1)[1]) + 1
-        assert sorted(p.name for p in (out / "snapshots").iterdir()) == ["index.csv",
-                                                                       "states.npy"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.json", "measures", "series.csv", "snapshots", "steps.npy", "summary.json"]
+        snaps = result.trajectory.snapshots
+        states = sum(k == 0 or s.fields is not snaps[k - 1].fields for k, s in enumerate(snaps))
+        assert sorted(p.name for p in (out / "snapshots").iterdir()) == ["states.npy"]
         assert np.load(out / "snapshots" / "states.npy").shape == (states, 2, 16, 16)
         assert sorted(p.name for p in (out / "measures").iterdir()) == [
             "pushforwards.npy", "time_average.csv"]
@@ -526,12 +522,30 @@ class TestFrozenSnapshots:
         self._count_calls(monkeypatch, flow_module, "_edge_pass", calls)
         traj = result.trajectory
         rows = traj.snapshot_rows
-        compute_snapshot_diagnostics(result.config, traj.snapshots,
+        state = cli_module._state_numbers(traj.dissipation[rows], result.config.stall_threshold)
+        compute_snapshot_diagnostics(result.config, traj.snapshots, state,
                                      traj.cumulative_dissipation[rows], traj.dt_used[rows])
         assert calls == {"pushforward": 2 * len(firsts), "_edge_pass": len(firsts)}
         calls.clear()
         assert analyze_run(tmp_path / "run")["pass"] is True
         assert calls == {"pushforward": len(firsts), "_edge_pass": len(firsts)}
+
+    @pytest.mark.parametrize("extra, termination", [
+        ({"t_final": 0.4}, "stalled"), ({}, "t_final"),
+        ({"snapshot_interval": 0.003, "dt_floor": 1e-4}, "aborted"),
+        ({"initial": {"kind": "constant"}}, "stalled"),
+    ])
+    def test_the_state_rule_follows_run_flows_sharing(self, tmp_path, extra, termination):
+        # A snapshot shares its predecessor's fields exactly where the steps'
+        # D at the predecessor is under the stall threshold.
+        result = run_experiment(_fast_config(**extra), tmp_path / "run")
+        traj = result.trajectory
+        snaps = traj.snapshots
+        state = cli_module._state_numbers(traj.dissipation[traj.snapshot_rows],
+                                          result.config.stall_threshold)
+        assert result.summary["termination"] == termination and len(snaps) > 2
+        assert state[0] == 0 and [state[k] == state[k - 1] for k in range(1, len(snaps))] == [
+            snaps[k].fields is snaps[k - 1].fields for k in range(1, len(snaps))]
 
     def test_files_equal_those_written_one_by_one(self, tmp_path):
         # states.npy holds each distinct state once, as np.save writes the
@@ -542,9 +556,6 @@ class TestFrozenSnapshots:
         snaps = result.trajectory.snapshots
         np.save(stack, np.stack([snaps[k].fields for k in firsts]))
         assert (out / "snapshots" / "states.npy").read_bytes() == stack.read_bytes()
-        index = (out / "snapshots" / "index.csv").read_text().splitlines()[4:]
-        assert index == [f"{k},{s.t!r},{sum(f <= k for f in firsts) - 1}"
-                         for k, s in enumerate(snaps)]
         binning = FundamentalDomainBinning(12, 12, 4.0)
         rows = np.load(out / "measures" / "pushforwards.npy")
         assert np.array_equal(np.unique(rows[:, 0]), np.arange(len(firsts)))
@@ -567,12 +578,13 @@ class TestFrozenSnapshots:
             states = np.load(path)
             states[len(firsts) - 1, 0, 0, 1] += 1e-3
             _save(path, states)
-        else:
-            lines = (snapshots / "index.csv").read_text().splitlines()
-            row = lines[4 + k].split(",")
-            row[1] = repr(float(row[1]) + 1e-9)
-            lines[4 + k] = ",".join(row)
-            (snapshots / "index.csv").write_text("\n".join(lines) + "\n")
+        else:  # its time, the t column of series.csv
+            series = tmp_path / "run" / "series.csv"
+            lines = series.read_text().splitlines()
+            row = lines[2 + k].split(",")
+            row[0] = repr(float(row[0]) + 1e-9)
+            lines[2 + k] = ",".join(row)
+            series.write_text("\n".join(lines) + "\n")
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
         assert "PASS" not in out
@@ -584,7 +596,7 @@ class TestFrozenSnapshots:
                        for line in out.splitlines())
         else:
             # The steps were recorded at the snapshot's true time.
-            assert f"steps.npy: no row at t = {float(row[1])!r}, the time of snapshot {k}" in err
+            assert f"steps.npy: no row at t = {float(row[0])!r}, the time of snapshot {k}" in err
             assert len(err.splitlines()) == 1
 
 
@@ -602,7 +614,8 @@ class TestRunFiles:
         assert main(["run", "--config", str(cfg_path), "--out", str(run)]) == 0
         # A constant map is one state, frozen for all 10 001 snapshots: one
         # state and one group of pushforward rows.
-        assert (run / "snapshots" / "index.csv").read_text().endswith("\n10000,1.0,0\n")
+        series = (run / "series.csv").read_text().splitlines()
+        assert len(series) == 2 + 10001 and series[-1].startswith("1.0,")
         assert np.load(run / "snapshots" / "states.npy").shape == (1, 2, 4, 4)
         assert (np.load(run / "measures" / "pushforwards.npy")[:, 0] == 0).all()
         assert main(["analyze", "--run", str(run)]) == 0
@@ -611,7 +624,7 @@ class TestRunFiles:
     def test_the_file_list_is_fixed(self, tmp_path):
         for count, average in ((1, []), (2, ["time_average.csv"]), (10001, ["time_average.csv"])):
             assert cli_module._run_files(tmp_path, count) == {
-                tmp_path / "snapshots": ["index.csv", "states.npy"],
+                tmp_path / "snapshots": ["states.npy"],
                 tmp_path / "measures": ["pushforwards.npy", *average]}
 
     @pytest.mark.parametrize("edit", ["extra", "deleted"])
@@ -653,12 +666,12 @@ def stalled_run(tmp_path_factory):
 
 
 class TestDamagedTables:
-    """A damaged measure file, snapshot index, series, steps, states or
-    pushforwards file fails closed: its reader raises a ValueError that
-    starts with the path, or returns a value that passes the reader's
-    checks, as when a flip lands in a digit of t.  A dropped row or state
-    always raises: the masses no longer total 1, or the rows no longer
-    count the snapshots or states or keep the stepping rules."""
+    """A damaged measure file, series, steps, states or pushforwards file
+    fails closed: its reader raises a ValueError that starts with the path,
+    or returns a value that passes the reader's checks, as when a flip
+    lands in a digit of t.  A dropped row or state always raises: the
+    masses no longer total 1, or the rows no longer count the snapshots or
+    states or keep the stepping rules."""
 
     EDITS = st.sampled_from(["truncate", "flip", "drop"])
 
@@ -792,30 +805,6 @@ class TestDamagedTables:
         else:
             assert edit != "drop" and back.binning is binning
             assert (back.masses >= 0.0).all() and abs(back.masses.sum() - 1.0) <= MASS_TOL
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_a_damaged_snapshot_index(self, data, tmp_path_factory):
-        grid = DomainGrid(4, 5)
-        count = data.draw(st.integers(1, 6))
-        t = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count)))
-        state = np.cumsum([0] + data.draw(st.lists(st.integers(0, 1), min_size=count - 1,
-                                                   max_size=count - 1))).tolist()
-        path = tmp_path_factory.mktemp("index") / "index.csv"
-        table.write_table(path, cli_module.INDEX_SCHEMA,
-                          {"k": np.arange(count), "t": t, "state": state},
-                          meta={"n1": 4, "n2": 5})
-        assert cli_module._read_index(path, count, grid) == (t, state)
-        edit = data.draw(self.EDITS)
-        path.write_bytes(_damaged(data, path.read_bytes(), edit))
-        try:
-            times, states = cli_module._read_index(path, count, grid)
-        except ValueError as exc:
-            assert str(exc).startswith(f"{path}: ")
-        else:
-            assert edit != "drop" and len(times) == len(states) == count
-            assert all(map(math.isfinite, times)) and times == sorted(times)
-            assert states[0] == 0 and all(b - a in (0, 1) for a, b in zip(states, states[1:]))
 
 
 @pytest.fixture(scope="module")
@@ -959,12 +948,11 @@ class TestSteppingRecordAudit:
 
 
 class TestRecordsMirrorTheSeries:
-    """entropy.jsonl and the series-determined summary.json fields hold the
-    series.csv values themselves, bit for bit."""
+    """The series-determined summary.json fields hold the series.csv values
+    themselves, bit for bit."""
 
-    REPORT_COLUMNS = {"t": "t", "entropy": "H", "rho_max": "rho_max",
-                      "tail_mass": "tail_mass",
-                      "degenerate_fraction": "degenerate_fraction"}
+    FINAL_COLUMNS = {"entropy": "H", "rho_max": "rho_max", "tail_mass": "tail_mass",
+                     "degenerate_fraction": "degenerate_fraction"}
 
     @pytest.mark.parametrize("extra, termination", [
         ({"t_final": 0.4}, "stalled"), ({"dt_floor": 1e-4}, "aborted"),
@@ -979,20 +967,10 @@ class TestRecordsMirrorTheSeries:
                for j, name in enumerate(columns)}
         summary = json.loads((run / "summary.json").read_text())
         assert summary["termination"] == termination
-
-        lines = (run / "entropy.jsonl").read_text().splitlines()[1:]
-        assert len(lines) == len(body)
-        for k, line in enumerate(lines):
-            report = json.loads(line)
-            assert report.keys() == self.REPORT_COLUMNS.keys()
-            for name, column in self.REPORT_COLUMNS.items():
-                assert float.hex(report[name]) == col[column][k]
-
         assert summary["snapshot_count"] == len(body)
         assert float.hex(summary["energy_initial"]) == col["E"][0]
-        for name, column in self.REPORT_COLUMNS.items():
-            if name != "t":
-                assert float.hex(summary[f"final_{name}"]) == col[column][-1]
+        for name, column in self.FINAL_COLUMNS.items():
+            assert float.hex(summary[f"final_{name}"]) == col[column][-1]
         ergodic = [n for n in columns if n.startswith("ergodic_err_")]
         assert [float.hex(v) for v in summary["final_ergodic_errors"]] \
             == [col[n][-1] for n in ergodic]
@@ -1421,11 +1399,6 @@ class TestMain:
         ("summary.json", "huge_integer"),
         ("summary.json", "final_entropy"),
         ("summary.json", "final_ergodic_errors"),
-        ("entropy.jsonl", "missing"),
-        ("entropy.jsonl", "garbage"),
-        ("entropy.jsonl", "line_dropped"),
-        ("entropy.jsonl", "rho_max"),
-        ("entropy.jsonl", "extra_key"),
     ])
     def test_records_that_disagree_with_the_snapshots_exit_2(
             self, tmp_path, capsys, name, edit):
@@ -1435,7 +1408,7 @@ class TestMain:
             path.unlink()
         elif edit == "garbage":
             path.write_text("garbage\n")
-        elif name == "summary.json":
+        else:
             summary = json.loads(path.read_text())
             if edit == "empty_object":
                 summary = {}
@@ -1448,18 +1421,6 @@ class TestMain:
             else:
                 summary[edit] += 1e-9
             path.write_text(json.dumps(summary))
-        else:
-            lines = path.read_text().splitlines()
-            if edit == "line_dropped":
-                del lines[2]
-            else:
-                report = json.loads(lines[-1])
-                if edit == "rho_max":
-                    report["rho_max"] += 1e-9
-                else:
-                    report["note"] = 0.0
-                lines[-1] = json.dumps(report)
-            path.write_text("\n".join(lines) + "\n")
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
         assert "PASS" not in out
@@ -1501,56 +1462,51 @@ class TestMain:
     @pytest.mark.parametrize("field, value", [("n1", "x16"), ("t", "nan"), ("t", "inf")])
     def test_snapshot_with_bad_metadata_exits_2_naming_the_file(self, tmp_path, capsys,
                                                                 field, value):
+        # A snapshot's grid is the shape in the header of states.npy, and its
+        # time a cell of the t column of series.csv.
         run_experiment(_fast_config(), tmp_path / "run")
-        path = tmp_path / "run" / "snapshots" / "index.csv"
-        lines = path.read_text().splitlines()
         if field == "n1":
-            lines[2] = value + lines[2][2:]
+            path = tmp_path / "run" / "snapshots" / "states.npy"
+            raw = path.read_bytes()
+            # The header keeps its length: one space of its padding goes.
+            raw = raw.replace(b"16, 16)", b"x16, 16)", 1).replace(b" \n", b"\n", 1)
+            path.write_bytes(raw)
+            named = [path]
         else:  # snapshot 1's time
-            k, _, state = lines[5].split(",")
-            lines[5] = ",".join((k, value, state))
-        path.write_text("\n".join(lines) + "\n")
+            path = tmp_path / "run" / "series.csv"
+            lines = path.read_text().splitlines()
+            lines[3] = ",".join([value] + lines[3].split(",")[1:])
+            path.write_text("\n".join(lines) + "\n")
+            named = [path, tmp_path / "run" / "steps.npy"]
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
-        assert "PASS" not in out
-        assert "index.csv" in err and len(err.splitlines()) == 1
+        assert out == "" and len(err.splitlines()) == 1
+        assert any(f"{p}: " in err for p in named)
 
-    @pytest.mark.parametrize("edit", [
-        "k_skips", "k_short", "state_starts_at_1", "state_skips", "state_falls",
-        "t_falls", "last_snapshot_on_another_state"])
-    def test_an_index_that_does_not_fit_exits_2_naming_it(self, tmp_path, capsys, edit):
-        run_experiment(_fast_config(t_final=0.4), tmp_path / "run")
-        snapshots = tmp_path / "run" / "snapshots"
-        path = snapshots / "index.csv"
-        lines = path.read_text().splitlines()
-        rows = [line.split(",") for line in lines[4:]]
-        if edit == "k_skips":
-            rows[2][0] = "3"
-        elif edit == "k_short":
-            del rows[-1]
-        elif edit == "state_starts_at_1":
-            rows[0][2] = "1"
-        elif edit == "state_skips":
-            rows[-1][2] = str(int(rows[-1][2]) + 2)
-        elif edit == "state_falls":
-            rows[-1][2] = str(int(rows[-1][2]) - 1)
-        elif edit == "t_falls":
-            rows[2][1] = rows[1][1]
-            rows[1][1] = rows[3][1]
-        else:  # a state of its own, the initial state again
-            rows[-1][2] = str(int(rows[-1][2]) + 1)
-            states = np.load(snapshots / "states.npy")
-            _save(snapshots / "states.npy", np.concatenate([states, states[:1]]))
-        path.write_text("\n".join(lines[:4] + [",".join(r) for r in rows]) + "\n")
-        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
-        out, err = capsys.readouterr()
-        assert "PASS" not in out
-        assert len(err.splitlines()) == 1
-        if edit == "last_snapshot_on_another_state":
-            # A consistent index is trusted; the records then disagree.
-            assert "summary.json: final_entropy is " in err
+    @pytest.mark.parametrize("edit", ["t_falls", "t_repeats", "one_state_too_many"])
+    def test_snapshot_times_or_states_that_do_not_fit_exit_2(
+            self, tmp_path, capsys, edit):
+        run = tmp_path / "run"
+        run_experiment(_fast_config(t_final=0.4), run)
+        if edit == "one_state_too_many":  # the initial state again, after the last
+            path = run / "snapshots" / "states.npy"
+            states = np.load(path)
+            _save(path, np.concatenate([states, states[:1]]))
+            problem = f"shape ({len(states) + 1}, 2, 16, 16), expected ({len(states)}, "
         else:
-            assert f"{path}: " in err
+            path = run / "series.csv"
+            lines = path.read_text().splitlines()
+            rows = [line.split(",") for line in lines[2:]]
+            if edit == "t_falls":
+                rows[1][0], rows[2][0] = rows[2][0], rows[1][0]
+            else:
+                rows[2][0] = rows[1][0]
+            path.write_text("\n".join(lines[:2] + [",".join(r) for r in rows]) + "\n")
+            problem = "t does not rise strictly from row to row"
+        assert main(["analyze", "--run", str(run)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"analyze: cannot audit {run}: {path}: {problem}")
 
     def test_a_run_in_the_text_snapshot_format_exits_2_naming_it(self, tmp_path, capsys):
         run_experiment(_fast_config(), tmp_path / "run")
@@ -1581,6 +1537,36 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == "" and err == (f"analyze: cannot audit {run}: {run / name}: the run uses "
                                      f"{layout}, which this version does not read\n")
+
+    def test_a_run_with_a_snapshot_index_exits_2_naming_it(self, tmp_path, capsys):
+        # The index held each snapshot's time and state number, which the t
+        # column of series.csv and the steps' D give.
+        run = tmp_path / "run"
+        run_experiment(_fast_config(), run)
+        path = run / "snapshots" / "index.csv"
+        path.write_text("# schema: moduliflow-snapshot-index-v1\nn1,n2\n16,16\nk,t,state\n"
+                        "0,0.0,0\n")
+        assert main(["analyze", "--run", str(run)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"analyze: cannot audit {run}: {path}: the run uses the snapshot index "
+            "moduliflow-snapshot-index-v1, which this version does not read\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_state_whose_diagnostics_overflow_fails_without_warnings(self, tmp_path, capsys):
+        # u = 1e300 is finite, but its squares overflow in the reduction and
+        # in the edge pass: E and D recompute as inf.
+        run = tmp_path / "run"
+        run_experiment(_fast_config(), run)
+        path = run / "snapshots" / "states.npy"
+        states = np.load(path)
+        states[1, 0, 0, 1] = 1e300
+        _save(path, states)
+        assert main(["analyze", "--run", str(run)]) == 2
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines()[-1].startswith("analysis FAIL")
+        assert {line.split(":")[0] for line in out.splitlines()
+                if line.endswith("[MISMATCH]")} == {"E", "D"}
 
     @pytest.mark.parametrize("steps", ["text", "missing"])
     def test_a_run_without_binary_steps_exits_2_naming_them(self, tmp_path, capsys, steps):

@@ -64,9 +64,12 @@ def test_the_readme_run_directory_layout_names_what_run_writes(tmp_path):
     section = (ROOT / "README.md").read_text().split("\n## Run directory layout\n", 1)[1]
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
     named = [line.split()[0] for line in block.splitlines() if line[:1].strip()]
+    files = re.findall(r"[\w.]+\.(?:csv|npy|json|jsonl)\b", block)
     run = tmp_path / "run"
     run_experiment(config_from_dict({"grid": {"n1": 8, "n2": 8}, "t_final": 0.1}), run)
     assert sorted(named) == sorted(p.name + "/" * p.is_dir() for p in run.iterdir())
+    # Every file name in the block, at any depth, and nothing else.
+    assert sorted(files) == sorted(p.name for p in run.rglob("*") if p.is_file())
 
 
 def test_compare_outputs_loads_and_refuses_an_unknown_revision():
