@@ -50,10 +50,9 @@ from .testfunctions import BumpFunction
 SERIES_SCHEMA = "moduliflow-series-v1"
 SUMMARY_SCHEMA = "moduliflow-summary-v1"
 
-# The steps' columns at each snapshot, then its measures.
-SERIES_BASE_COLUMNS = [
-    *flow.STEP_COLUMNS, "H", "rho_max", "tail_mass", "degenerate_fraction",
-]
+# The steps' t, E, D, cumulative_D and dt at each snapshot, then its measures.
+SERIES_BASE_COLUMNS = ["t", "E", "D", "cumulative_D", "dt",
+                       "H", "rho_max", "tail_mass", "degenerate_fraction"]
 
 class ConfigError(ValueError):
     """A config failed validation; .path names the offending key."""
@@ -254,7 +253,7 @@ class ExperimentResult:
     series_columns: list
     series_rows: np.ndarray
     summary: dict
-    aborted: bool
+    aborted = property(lambda self: self.summary["termination"] == "aborted")
 
 
 def _series_columns(config: FlowConfig) -> list:
@@ -269,7 +268,7 @@ def compute_snapshot_diagnostics(config: FlowConfig, snapshots, state, cumulativ
     Returns (rows, series): rows is the series table, one row per snapshot in
     _series_columns order, with cumulative_d and dt, the steps' values at
     the snapshots, as given; series is the MeasureSeries of the snapshots'
-    pushforwards.  state gives each snapshot's state number (_state_numbers):
+    pushforwards.  state gives each snapshot's state number (state_numbers):
     a snapshot of its predecessor's state reuses its measure and row
     values; each prefix average of the ergodic series serves every
     observable.
@@ -333,15 +332,6 @@ def _pushforward_rows(series, state) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _state_numbers(d: np.ndarray, stall_threshold: float) -> np.ndarray:
-    """Each snapshot's state number, given D at each snapshot's row of the
-    steps: 0 for snapshot 0, then the number of the snapshot before, plus
-    one unless D there is under stall_threshold.  run_flow freezes every
-    step after such a row, so the snapshot shares its predecessor's fields;
-    after any other row it steps, and the snapshot has fields of its own."""
-    return np.concatenate(([0], np.cumsum(d[:-1] >= stall_threshold)))
-
-
 def _series_fields(columns: list, rows: np.ndarray) -> dict:
     """The summary.json fields that the series rows determine, as run writes
     them and analyze checks them."""
@@ -353,42 +343,25 @@ def _series_fields(columns: list, rows: np.ndarray) -> dict:
             "final_ergodic_errors": rows[-1, len(SERIES_BASE_COLUMNS):].tolist()}
 
 
-def _step_fields(steps: np.ndarray, stall_threshold: float) -> dict:
-    """The summary.json fields that the steps determine, as run writes them
-    and analyze checks them.  A row whose previous D is under
-    stall_threshold is a frozen step, and every other row after row 0 an
-    accepted one; t_stall is the t of the first row whose D is under it."""
-    t, e, d, cumulative, _ = steps.T
-    stall = np.flatnonzero(d < stall_threshold)
-    e0, e_end, total = e[0].item(), e[-1].item(), cumulative[-1].item()
-    return {
-        "t_end": t[-1].item(),
-        "t_stall": t[stall[0]].item() if len(stall) else None,
-        "accepted_steps": int(np.count_nonzero(d[:-1] >= stall_threshold)),
-        "monotonicity_violations": int(np.count_nonzero(e[1:] > e[:-1] + flow.ENERGY_STEP_TOL)),
-        "energy_final": e_end,
-        "dissipation_integral": total,
-        "energy_identity_rel_gap": abs(e0 - e_end - total) / e0 if e0 > 0 else 0.0,
-    }
-
-
 def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     """Run the configured flow and write the diagnostic files.
 
     Layout of the run directory: config.json (resolved echo), series.csv
     (snapshot-aligned diagnostics, the snapshots' times among them),
     steps.npy (the trajectory's steps: row 0 and one row per accepted or
-    frozen step, float64 columns STEP_COLUMNS), snapshots/states.npy (the
-    distinct states as one (S, 2, n1, n2) array, streamed state by state),
-    measures/ (pushforwards.npy, each distinct state's pushforward as the
-    sparse rows of _pushforward_rows, and time_average.csv, the run's
-    trapezoid time average), summary.json.  A frozen snapshot shares its
-    state and its pushforward with the snapshot before it, and the steps
-    give each snapshot's state number (_state_numbers).  An aborted run
-    (dt underflow) still writes everything computed so far and is marked in
-    summary.json.  An initial state that cannot be built raises ConfigError
-    before the run directory is created, and a run directory that holds any
-    file raises FileExistsError before anything is written.
+    frozen step, float64 columns flow.STEP_COLUMNS), snapshots/states.npy
+    (the distinct states as one (S, 2, n1, n2) array, streamed state by
+    state), measures/ (pushforwards.npy, each distinct state's pushforward
+    as the sparse rows of _pushforward_rows, and time_average.csv, the
+    run's trapezoid time average), summary.json.  A frozen snapshot shares
+    its state and its pushforward with the snapshot before it, and the
+    steps give each snapshot's state number (flow.state_numbers).
+    summary.json holds flow.step_fields of the steps and _series_fields of
+    the series; an aborted run (dt underflow) still writes everything
+    computed so far, with termination aborted.  An initial state that
+    cannot be built raises ConfigError before the run directory is
+    created, and a run directory that holds any file raises
+    FileExistsError before anything is written.
     """
     state0 = _initial_state(config)
 
@@ -399,17 +372,15 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
 
     params = flow.FlowParams(**{f.name: getattr(config, f.name)
                                 for f in fields(flow.FlowParams)})
-    aborted = False
     try:
         traj = flow.run_flow(state0, params)
     except flow.AbortedRunError as exc:
         traj = exc.trajectory
-        aborted = True
 
     (out / "config.json").write_text(emit_config(config))
 
     snaps, at = traj.snapshots, traj.snapshot_rows
-    state = _state_numbers(traj.dissipation[at], config.stall_threshold)
+    state = flow.state_numbers(traj.dissipation[at], config.stall_threshold)
     series, mu_series = compute_snapshot_diagnostics(
         config, snaps, state, traj.cumulative_dissipation[at], traj.dt_used[at])
     columns = _series_columns(config)
@@ -428,13 +399,12 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     summary = {
         "schema": SUMMARY_SCHEMA,
         "grid": [config.grid.n1, config.grid.n2],
-        "termination": "aborted" if aborted else traj.termination,
         "rejected_steps": int(traj.rejected_steps),
-        **_step_fields(traj.steps, config.stall_threshold),
+        **flow.step_fields(traj.steps, config.t_final, config.stall_threshold),
         **_series_fields(columns, series),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return ExperimentResult(config, out, traj, columns, series, summary, aborted)
+    return ExperimentResult(config, out, traj, columns, series, summary)
 
 
 def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
@@ -444,21 +414,23 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     The series must carry its config's columns, and the tolerance must be
     finite and at least 0.  Its t column gives the snapshots' times, which
     must rise strictly.  Each series column is recomputed: t and the
-    measures from the snapshots, cumulative_D and dt from the steps, and E
-    and D from the snapshots, with the series' E and D equal to the steps'
-    bit for bit; each must match the series within the tolerance.
-    steps.npy must hold run_flow's rules exactly (_step_rows), and gives
-    each snapshot's state number (_state_numbers).  A run that holds a file
-    of OLD_LAYOUTS is refused.  snapshots/ and measures/ must hold exactly
+    measures from the snapshots, cumulative_D (flow.dissipation_integral)
+    and dt from the steps, and E and D from the snapshots, with the series'
+    E and D equal to the steps' bit for bit; each must match the series
+    within the tolerance.  steps.npy must keep run_flow's rules exactly
+    (flow.read_steps, which refuses the older five-column layout) and hold
+    a row at each snapshot time (_step_rows).  A run that holds a file of
+    OLD_LAYOUTS is refused.  snapshots/ and measures/ must hold exactly
     _run_files; states.npy is read once, and must hold as many states as
-    the steps give, on the config's grid, finite and above the v floor; the
-    snapshots are views of it.  summary.json must agree with the
-    recomputation, pushforwards.npy must be the rows of the recomputed
-    pushforwards byte for byte, and time_average.csv their time average bit
-    for bit, or ValueError names the file (and for a state, or rows that
-    differ, the first state).  Values so large that the recomputation
-    overflows give inf or nan in its columns, without a warning.  Returns
-    the audit report dictionary (also written to analysis.json).
+    the steps give (flow.state_numbers), on the config's grid, finite and
+    above the v floor; the snapshots are views of it.  summary.json must
+    agree with the recomputation (_audit_records), pushforwards.npy must be
+    the rows of the recomputed pushforwards byte for byte, and
+    time_average.csv their time average bit for bit, or ValueError names
+    the file (and for a state, or rows that differ, the first state).
+    Values so large that the recomputation overflows give inf or nan in its
+    columns, without a warning.  Returns the audit report dictionary (also
+    written to analysis.json).
     """
     tolerance = _number(tolerance, "tolerance", nonnegative=True)
     run = Path(run_dir)
@@ -467,15 +439,14 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
         if (run / name).exists():
             raise ValueError(f"{run / name}: the run uses {layout}, "
                              "which this version does not read")
-    steps_path = run / "steps.npy"
-    steps = flow.read_steps(steps_path)
+    steps = flow.read_steps(steps_path := run / "steps.npy", config.stall_threshold)
     columns = _series_columns(config)
     _, stored = table.read_table(path := run / "series.csv", SERIES_SCHEMA, columns)
     times = stored[:, 0].tolist()
     if not (np.diff(times) > 0).all():
         raise ValueError(f"{path}: t does not rise strictly from row to row")
-    at = _step_rows(steps_path, steps, config.stall_threshold, times, stored)
-    state = _state_numbers(steps[at, 2], config.stall_threshold)
+    at = _step_rows(steps_path, steps, times, stored)
+    state = flow.state_numbers(steps[at, 2], config.stall_threshold)
     files = _run_files(run, len(stored))
     for directory, names in files.items():
         found = {p.name for p in directory.iterdir()}
@@ -496,8 +467,8 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     snapshots = [flow.MapState._checked(grid, s.fields, t, s.v_min)
                  for t, s in zip(times, [states[j] for j in state])]
     with np.errstate(over="ignore", invalid="ignore"):
-        recomputed, series = compute_snapshot_diagnostics(config, snapshots, state,
-                                                          steps[at, 3], steps[at, 4])
+        recomputed, series = compute_snapshot_diagnostics(
+            config, snapshots, state, flow.dissipation_integral(steps)[at], steps[at, 3])
     _audit_records(run, columns, recomputed, tolerance, steps, config)
     _audit_rows(measure_dir / "pushforwards.npy", _pushforward_rows(series, state))
     if len(stored) >= 2:
@@ -518,31 +489,13 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     return report
 
 
-def _step_rows(path: Path, steps: np.ndarray, stall_threshold: float, times,
-               stored: np.ndarray) -> np.ndarray:
-    """The row of steps at each snapshot time of times, once the steps keep
-    run_flow's rules bit for bit: row 0 is snapshot 0's, with cumulative_D
-    = dt = 0; t rises; cumulative_D adds dt times the previous D; a frozen
-    step (its previous D under stall_threshold) repeats E and D and has dt
-    = t less the previous t, and every other step t = the previous t + dt;
-    each snapshot time is a row's t, where the stored series' E and D are
-    the row's.  Errors name the file."""
-    t, e, d, cumulative, dt = steps.T
-    if (t[0], cumulative[0], dt[0]) != (times[0], 0.0, 0.0):
-        raise ValueError(f"{path}: row 0 must be snapshot 0's, at t = {times[0]!r}, "
-                         "with cumulative_D = dt = 0")
-    frozen = d[:-1] < stall_threshold
-    rules = {
-        "t does not rise": t[1:] > t[:-1],
-        "cumulative_D is not the previous one plus dt times the previous D":
-            cumulative[1:] == cumulative[:-1] + dt[1:] * d[:-1],
-        "dt is not the step in t": np.where(frozen, dt[1:] == t[1:] - t[:-1],
-                                            t[1:] == t[:-1] + dt[1:]),
-        "a frozen step changes E or D": ~frozen | (e[1:] == e[:-1]) & (d[1:] == d[:-1]),
-    }
-    for problem, holds in rules.items():
-        if not holds.all():
-            raise ValueError(f"{path}: row {int(np.argmin(holds)) + 1}: {problem}")
+def _step_rows(path: Path, steps: np.ndarray, times, stored: np.ndarray) -> np.ndarray:
+    """The row of steps at each snapshot time of times: row 0 is snapshot
+    0's, each snapshot time is a row's t, and there the stored series' E
+    and D are the row's, bit for bit.  Errors name the file."""
+    t = steps[:, 0]
+    if t[0] != times[0]:
+        raise ValueError(f"{path}: row 0 is not snapshot 0's, at t = {times[0]!r}")
     at = np.minimum(np.searchsorted(t, times), len(t) - 1)
     missing = np.flatnonzero(t[at] != times)
     if len(missing):
@@ -588,9 +541,10 @@ def _parse_record(path, text):
 
 
 def _check_value(path, name, stored, value, tolerance):
-    if value is None and stored is None:
+    exact = value is None or isinstance(value, str)
+    if exact and stored == value:
         return
-    if (value is None or isinstance(stored, bool) or not isinstance(stored, (int, float))
+    if (exact or isinstance(stored, bool) or not isinstance(stored, (int, float))
             or not abs(stored - value) <= tolerance):
         raise ValueError(f"{path}: {name} is {stored!r}, expected {value!r}")
 
@@ -599,30 +553,16 @@ def _audit_records(run: Path, columns: list, rows: np.ndarray, tolerance: float,
                    steps: np.ndarray, config: FlowConfig):
     """Check summary.json field by field: against _series_fields of the
     recomputed series rows, a count exactly and a number within the
-    tolerance, and against _step_fields of the steps exactly.  termination
-    must be stalled when the steps hold a frozen step; else t_final when
-    the last row's t is at least end - 1e-14 * max(1, end), where end is
-    row 0's t plus the config's t_final, the test that ends run_flow's
-    loop; and else aborted.  rejected_steps is not checked: the steps do
-    not record rejected steps.
+    tolerance, and against flow.step_fields of the steps, termination
+    included, exactly.  rejected_steps is not checked: the steps do not
+    record rejected steps.
     """
     fields = _series_fields(columns, rows)
-    step_fields = _step_fields(steps, config.stall_threshold)
+    step_fields = flow.step_fields(steps, config.t_final, config.stall_threshold)
     path = run / "summary.json"
     summary = _parse_record(path, path.read_text())
     if not isinstance(summary, dict) or summary.get("schema") != SUMMARY_SCHEMA:
         raise ValueError(f"{path}: not a {SUMMARY_SCHEMA} object")
-    end = steps[0, 0].item() + config.t_final
-    # Each row after row 0 is an accepted or a frozen step.
-    if step_fields["accepted_steps"] < len(steps) - 1:
-        termination = "stalled"
-    elif step_fields["t_end"] >= end - 1e-14 * max(1.0, end):
-        termination = "t_final"
-    else:
-        termination = "aborted"
-    if summary.get("termination") != termination:
-        raise ValueError(f"{path}: termination is {summary.get('termination')!r}, "
-                         f"expected {termination!r}")
     for name, value in {**fields, **step_fields}.items():
         stored = summary.get(name)
         tol = 0.0 if name in step_fields or isinstance(value, int) else tolerance

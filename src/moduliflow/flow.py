@@ -27,6 +27,11 @@ The continuum limit of the two components is
 
 which is certified against the energy by the gradient-consistency tests
 rather than assumed.
+
+run_flow's stepping record holds each row's t, E, D and dt alone; the
+integral of D (dissipation_integral), termination and step counts
+(step_fields), state numbers (state_numbers) and a stored record's rules
+(read_steps) are derived from the rows once, here, for run and analyze.
 """
 
 from __future__ import annotations
@@ -373,9 +378,9 @@ class FlowParams:
             raise ValueError("stall_threshold must be nonnegative")
 
 
-# The columns of a trajectory's steps, each row's t, E, D, the dissipation
-# integral so far and the dt of the step that led to it.
-STEP_COLUMNS = ("t", "E", "D", "cumulative_D", "dt")
+# The columns of a trajectory's steps: each row's t, E, D and the dt of the
+# step that led to it.
+STEP_COLUMNS = ("t", "E", "D", "dt")
 
 
 @dataclass
@@ -383,23 +388,21 @@ class FlowTrajectory:
     """Recorded run: the stepping record plus snapshot states.
 
     steps is a C-order float64 array with one row per step and the columns
-    STEP_COLUMNS.  Row 0 describes the initial state (cumulative_D = dt =
-    0); each later row an accepted or a frozen step.  snapshot_rows[k] is
-    the row of snapshot k.
+    STEP_COLUMNS.  Row 0 describes the initial state (dt = 0); each later
+    row an accepted or a frozen step.  snapshot_rows[k] is the row of
+    snapshot k.
     """
 
     steps: np.ndarray
     snapshots: list[MapState]
     snapshot_rows: list[int]
     rejected_steps: int
-    termination: str
-    accepted_steps: int = 0
 
     times = property(lambda self: self.steps[:, 0])
     energy = property(lambda self: self.steps[:, 1])
     dissipation = property(lambda self: self.steps[:, 2])
-    cumulative_dissipation = property(lambda self: self.steps[:, 3])
-    dt_used = property(lambda self: self.steps[:, 4])
+    dt_used = property(lambda self: self.steps[:, 3])
+    cumulative_dissipation = property(lambda self: dissipation_integral(self.steps))
 
 
 def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
@@ -438,16 +441,14 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
     e_cur, tangent, d_cur = _edge_pass(state, ws, ws.taus[1])
     interval = params.snapshot_interval
 
-    rows = [(state.t, e_cur, d_cur, 0.0, 0.0)]
+    rows = [(state.t, e_cur, d_cur, 0.0)]
     snapshots, snapshot_rows = [state], [0]
-    rejected = accepted = streak = 0
-    cumulative = 0.0
+    rejected = streak = 0
     snap_k = int(math.floor(state.t / interval)) + 1
 
     t_final = state.t + params.t_final
-    end = t_final - 1e-14 * max(1.0, t_final)
+    end = _end(t_final)
     dt = cfl_dt_max(state, params.cfl_safety)
-    reason = "t_final"
     while state.t < end:
         # Record the last row's state for each snapshot time it has reached
         # (once); on the first pass this only moves snap_k past a start that
@@ -461,7 +462,6 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
         next_snap = snap_k * interval
         if d_cur < params.stall_threshold:
             # Frozen step; it is not an accepted step and leaves dt alone.
-            reason = "stalled"
             t_here = min(next_snap, t_final)
             dt_used, d_new = t_here - state.t, d_cur
             state = ws.out_of_ring(state)
@@ -472,8 +472,7 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
             if dt_used < params.dt_floor:
                 raise AbortedRunError(
                     f"dt = {dt_used} fell below the floor {params.dt_floor} at t = {state.t}",
-                    FlowTrajectory(np.array(rows), snapshots, snapshot_rows, rejected,
-                                   "aborted", accepted),
+                    FlowTrajectory(np.array(rows), snapshots, snapshot_rows, rejected),
                 )
             try:
                 new_state = step(state, dt_used, tangent, ws.ring[spare])
@@ -489,21 +488,95 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
                 continue
             state, tangent, e_cur = new_state, tangent_new, e_new
             spare = 1 - spare
-            accepted += 1
             streak += 1
             dt = dt_used
             if streak >= 10:
                 dt = min(dt * 1.2, cap)
-        # The dissipation integral uses the pre-step rate, matching the
-        # explicit quadrature of dE/dt = -D (and, frozen, the stalled rate).
-        cumulative += dt_used * d_cur
         d_cur = d_new
-        rows.append((state.t, e_cur, d_cur, cumulative, dt_used))
+        rows.append((state.t, e_cur, d_cur, dt_used))
     if snapshot_rows[-1] != len(rows) - 1:
         snapshots.append(ws.out_of_ring(state))
         snapshot_rows.append(len(rows) - 1)
-    return FlowTrajectory(np.array(rows), snapshots, snapshot_rows, rejected, reason,
-                          accepted)
+    return FlowTrajectory(np.array(rows), snapshots, snapshot_rows, rejected)
+
+
+def _end(t_final: float) -> float:
+    """run_flow's end test: a run to t_final is over at or past this time."""
+    return t_final - 1e-14 * max(1.0, t_final)
+
+
+def dissipation_integral(steps: np.ndarray) -> np.ndarray:
+    """cumulative_D at each row of steps: 0 at row 0, then the previous one
+    plus dt times the previous D, the explicit quadrature of dE/dt = -D
+    (frozen, of the stalled rate), summed in row order as run_flow would."""
+    d, dt = steps[:, 2], steps[:, 3]
+    return np.add.accumulate(np.concatenate(([0.0], dt[1:] * d[:-1])))
+
+
+def step_fields(steps: np.ndarray, t_final: float, stall_threshold: float) -> dict:
+    """The summary fields that the steps of a run of duration t_final
+    determine, as run writes them and analyze checks them.  A row after row
+    0 is a frozen step if the previous D is under stall_threshold, else an
+    accepted one; t_stall is the first t whose D is under it.  termination
+    is stalled if a step froze (no later step can abort), else t_final if
+    the last t passes run_flow's end test, else aborted."""
+    t, e, d, _ = steps.T
+    frozen = d[:-1] < stall_threshold
+    stall = np.flatnonzero(d < stall_threshold)
+    e0, e_end, total = e[0].item(), e[-1].item(), dissipation_integral(steps)[-1].item()
+    return {
+        "termination": "stalled" if frozen.any() else
+                       "t_final" if t[-1] >= _end(t[0].item() + t_final) else "aborted",
+        "t_end": t[-1].item(),
+        "t_stall": t[stall[0]].item() if len(stall) else None,
+        "accepted_steps": int(np.count_nonzero(~frozen)),
+        "monotonicity_violations": int(np.count_nonzero(e[1:] > e[:-1] + ENERGY_STEP_TOL)),
+        "energy_final": e_end,
+        "dissipation_integral": total,
+        "energy_identity_rel_gap": abs(e0 - e_end - total) / e0 if e0 > 0 else 0.0,
+    }
+
+
+def state_numbers(d: np.ndarray, stall_threshold: float) -> np.ndarray:
+    """Each snapshot's state number, given D at each snapshot's row of the
+    steps: 0 for snapshot 0, then the number of the snapshot before, plus
+    one unless D there is under stall_threshold.  run_flow freezes every
+    step after such a row, so the snapshot shares its predecessor's fields;
+    after any other row it steps, and the snapshot has fields of its own."""
+    return np.concatenate(([0], np.cumsum(d[:-1] >= stall_threshold)))
+
+
+def read_steps(path, stall_threshold: float) -> np.ndarray:
+    """The steps np.save wrote at path: an array as _read_npy requires, of
+    one or more rows of a finite value per name of STEP_COLUMNS, which keep
+    run_flow's rules bit for bit: row 0 has dt = 0; t rises; a frozen step
+    (its previous D under stall_threshold) repeats E and D and has dt = t
+    less the previous t, and every other step t = the previous t + dt.
+    Else ValueError names the file, and for a broken rule the row."""
+    def steps(rows):
+        if rows.shape[1:] == (5,):
+            raise ValueError("the older layout of steps.npy, with a cumulative_D column, "
+                             "which this version does not read")
+        if rows.ndim != 2 or rows.shape[1] != len(STEP_COLUMNS) or not len(rows):
+            raise ValueError(f"shape {rows.shape}, expected (rows, {len(STEP_COLUMNS)}) "
+                             "with at least one row")
+        if not np.isfinite(rows).all():
+            raise ValueError("the values are not all finite")
+        t, e, d, dt = rows.T
+        if dt[0] != 0.0:
+            raise ValueError("row 0: dt is not 0")
+        frozen = d[:-1] < stall_threshold
+        rules = {
+            "t does not rise": t[1:] > t[:-1],
+            "dt is not the step in t": np.where(frozen, dt[1:] == t[1:] - t[:-1],
+                                                t[1:] == t[:-1] + dt[1:]),
+            "a frozen step changes E or D": ~frozen | (e[1:] == e[:-1]) & (d[1:] == d[:-1]),
+        }
+        for problem, holds in rules.items():
+            if not holds.all():
+                raise ValueError(f"row {int(np.argmin(holds)) + 1}: {problem}")
+        return rows
+    return _read_npy(path, steps)
 
 
 def jacobian_det(state: MapState) -> np.ndarray:
@@ -610,17 +683,3 @@ def read_snapshot(path, grid: DomainGrid, count: int | None = None) -> list:
         return [MapState._checked(grid, fields, 0.0, v)
                 for fields, v in zip(stack, v_min.tolist())]
     return _read_npy(path, states)
-
-
-def read_steps(path) -> np.ndarray:
-    """Read a trajectory's steps written by np.save: an array as _read_npy
-    requires, with at least one row, a column per name of STEP_COLUMNS and
-    every value finite; else ValueError names the file."""
-    def steps(rows):
-        if rows.ndim != 2 or rows.shape[1] != len(STEP_COLUMNS) or not len(rows):
-            raise ValueError(f"shape {rows.shape}, expected (rows, {len(STEP_COLUMNS)}) "
-                             "with at least one row")
-        if not np.isfinite(rows).all():
-            raise ValueError("the values are not all finite")
-        return rows
-    return _read_npy(path, steps)

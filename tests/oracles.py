@@ -15,8 +15,9 @@ They check the product code in src/ from outside it:
 * hyperbolic_distance -- the geodesic distance of the upper half-plane;
 * stepping_record_problem -- the rules a run's stepping record keeps, row
   by row, which analyze checks on whole arrays;
-* reference_steps -- run_flow's stepping record, by a plain loop that
-  makes every candidate state and tau a new array.
+* reference_steps -- run_flow's stepping record, with its step counts,
+  termination and dissipation integral counted as the loop goes, by a
+  plain loop that makes every candidate state and tau a new array.
 """
 
 from __future__ import annotations
@@ -204,30 +205,32 @@ def hyperbolic_distance(p: UpperHalfPoint, q: UpperHalfPoint) -> float:
 def stepping_record_problem(steps, stall_threshold: float, t_final: float, summary: dict,
                             series, tolerance: float) -> str | None:
     """The first rule of run_flow's stepping record that steps breaks, or
-    None.  steps is a float64 array of rows t, E, D, cumulative_D, dt;
-    t_final the run's duration; summary the run's summary.json; series its
-    series.csv rows, whose first five columns are t, E, D, cumulative_D and
-    dt at each snapshot.  Row 0 holds cumulative_D = dt = 0 and is the first
-    snapshot's.  A row whose previous D is under stall_threshold is frozen:
-    it repeats E and D, and its dt is its t less the previous t; every other
-    row's t is the previous t plus its dt.  t rises, and cumulative_D adds
-    dt times the previous D.  The summary's stepping fields are functions
-    of the rows: termination is stalled when a row is frozen, else t_final
-    when the last t is within 1e-14 * max(1, end) of the end, row 0's t
-    plus t_final, or past it, and else aborted.  Each series row is a row:
-    t, E and D equal, cumulative_D and dt within tolerance."""
+    None.  steps is a float64 array of rows t, E, D, dt; t_final the run's
+    duration; summary the run's summary.json; series its series.csv rows,
+    whose first five columns are t, E, D, cumulative_D and dt at each
+    snapshot.  Row 0 holds dt = 0 and is the first snapshot's.  A row whose
+    previous D is under stall_threshold is frozen: it repeats E and D, and
+    its dt is its t less the previous t; every other row's t is the
+    previous t plus its dt.  t rises.  cumulative_D, 0 at row 0, adds dt
+    times the previous D at each row.  The summary's stepping fields are
+    functions of the rows: termination is stalled when a row is frozen,
+    else t_final when the last t is within 1e-14 * max(1, end) of the end,
+    row 0's t plus t_final, or past it, and else aborted.  Each series row
+    is a row: t, E and D equal, cumulative_D and dt within tolerance."""
     if not (isinstance(steps, np.ndarray) and steps.dtype == np.float64
-            and steps.ndim == 2 and steps.shape[1] == 5 and len(steps)
+            and steps.ndim == 2 and steps.shape[1] == 4 and len(steps)
             and np.isfinite(steps).all()):
-        return "not a finite float64 array of rows of 5"
+        return "not a finite float64 array of rows of 4"
     rows = [tuple(row) for row in steps.tolist()]
-    if rows[0][3:] != (0.0, 0.0):
+    if rows[0][3] != 0.0:
         return "row 0"
+    totals = [0.0]
     accepted = frozen = violations = 0
     for k in range(1, len(rows)):
-        (t, e, d, total, _), (t_k, e_k, d_k, total_k, dt_k) = rows[k - 1], rows[k]
-        if not t_k > t or total_k != total + dt_k * d:
-            return f"row {k}: t or cumulative_D"
+        (t, e, d, _), (t_k, e_k, d_k, dt_k) = rows[k - 1], rows[k]
+        if not t_k > t:
+            return f"row {k}: t"
+        totals.append(totals[-1] + dt_k * d)
         if d < stall_threshold:
             frozen += 1
             if (e_k, d_k) != (e, d) or dt_k != t_k - t:
@@ -237,7 +240,7 @@ def stepping_record_problem(steps, stall_threshold: float, t_final: float, summa
             if t_k != t + dt_k:
                 return f"row {k}: t + dt"
         violations += e_k > e + ENERGY_STEP_TOL
-    e0, (t_end, e_end, _, total, _) = rows[0][1], rows[-1]
+    e0, (t_end, e_end, _, _), total = rows[0][1], rows[-1], totals[-1]
     want = {
         "t_end": t_end, "energy_final": e_end, "dissipation_integral": total,
         "energy_identity_rel_gap": abs(e0 - e_end - total) / e0 if e0 > 0 else 0.0,
@@ -251,39 +254,47 @@ def stepping_record_problem(steps, stall_threshold: float, t_final: float, summa
     reached = t_end >= end - 1e-14 * max(1.0, end)
     if summary["termination"] != ("stalled" if frozen else "t_final" if reached else "aborted"):
         return "summary termination"
-    by_t = {row[0]: row for row in rows}
+    by_t = {row[0]: (row, total) for row, total in zip(rows, totals)}
     for k, snapshot in enumerate(series):
-        row = by_t.get(snapshot[0])
+        row, total = by_t.get(snapshot[0], (None, None))
         if (row is None or (k == 0 and row != rows[0]) or row[1:3] != tuple(snapshot[1:3])
-                or max(abs(a - b) for a, b in zip(row[3:], snapshot[3:5])) > tolerance):
+                or max(abs(total - snapshot[3]), abs(row[3] - snapshot[4])) > tolerance):
             return f"series row {k}"
     return None
 
 
-def reference_steps(initial: MapState, params, reject=()) -> tuple[np.ndarray, int]:
-    """The rows of run_flow's stepping record and its count of rejected
-    steps, by a plain loop on new arrays: every candidate is a new state
-    from step, and every pass runs on a new workspace and returns a new tau.
-    Candidates are numbered from 0 in the order their passes run, and those
-    in reject are rejected as if their energy had risen.  dt_floor is not
-    checked."""
+def reference_steps(initial: MapState, params, reject=()) -> dict:
+    """run_flow's stepping record by a plain loop on new arrays, with what
+    the loop counts on its own: "rows", the record's rows t, E, D, dt;
+    "rejected" and "accepted", the step counts; "cumulative", the running
+    sum of dt times the previous D at each row; and "termination", stalled
+    once a frozen step is taken, aborted when dt falls under dt_floor (the
+    loop then stops), and else t_final.  Every candidate is a new state
+    from step, and every pass runs on a new workspace and returns a new
+    tau.  Candidates are numbered from 0 in the order their passes run, and
+    those in reject are rejected as if their energy had risen."""
     state = initial.copy()
     e_cur, tangent, d_cur = _edge_pass(state, _EdgeWorkspace(state.grid.shape))
-    rows = [(state.t, e_cur, d_cur, 0.0, 0.0)]
+    rows, totals = [(state.t, e_cur, d_cur, 0.0)], [0.0]
     interval, t_final = params.snapshot_interval, state.t + params.t_final
     snap_k = math.floor(state.t / interval) + 1
     dt = cfl_dt_max(state, params.cfl_safety)
-    cumulative, streak, candidates, rejected = 0.0, 0, 0, 0
+    cumulative, streak, candidates, rejected, accepted = 0.0, 0, 0, 0, 0
+    termination = "t_final"
     while state.t < t_final - 1e-14 * max(1.0, t_final):
         while snap_k * interval <= state.t + 1e-14 * max(1.0, state.t):
             snap_k += 1
         if d_cur < params.stall_threshold:
+            termination = "stalled"
             t_here = min(snap_k * interval, t_final)
             dt_used, d_new = t_here - state.t, d_cur
             state = MapState(state.grid, state.u, state.v, t_here)
         else:
             cap = cfl_dt_max(state, params.cfl_safety)
             dt_used = min(dt, cap, t_final - state.t, snap_k * interval - state.t)
+            if dt_used < params.dt_floor:
+                termination = "aborted"
+                break
             try:
                 new_state = step(state, dt_used, tangent)
                 e_new, tangent_new, d_new = _edge_pass(new_state,
@@ -295,9 +306,11 @@ def reference_steps(initial: MapState, params, reject=()) -> tuple[np.ndarray, i
                 dt, streak, rejected = 0.5 * dt_used, 0, rejected + 1
                 continue
             state, tangent, e_cur = new_state, tangent_new, e_new
-            streak += 1
+            streak, accepted = streak + 1, accepted + 1
             dt = min(dt_used * 1.2, cap) if streak >= 10 else dt_used
         cumulative += dt_used * d_cur
         d_cur = d_new
-        rows.append((state.t, e_cur, d_cur, cumulative, dt_used))
-    return np.array(rows), rejected
+        rows.append((state.t, e_cur, d_cur, dt_used))
+        totals.append(cumulative)
+    return {"rows": np.array(rows), "rejected": rejected, "accepted": accepted,
+            "cumulative": np.array(totals), "termination": termination}

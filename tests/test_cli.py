@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -37,7 +38,7 @@ from moduliflow.measures import (
 )
 from moduliflow.mesh import DomainGrid
 from moduliflow.testfunctions import BumpFunction
-from oracles import stepping_record_problem, weak_star_pairing
+from oracles import reference_steps, stepping_record_problem, weak_star_pairing
 
 FAST_OVERRIDES = {
     "grid": {"n1": 16, "n2": 16},
@@ -396,7 +397,7 @@ class TestAnalyzeRun:
     def test_aborted_run_whose_last_step_is_no_snapshot_passes(self, tmp_path):
         # energy_final belongs to the last step, which no snapshot records.
         result = run_experiment(_fast_config(dt_floor=1e-4), tmp_path / "run")
-        assert result.aborted and result.trajectory.accepted_steps > 0
+        assert result.aborted and result.summary["accepted_steps"] > 0
         assert result.summary["snapshot_count"] == 1
         assert result.summary["energy_final"] != result.summary["energy_initial"]
         assert analyze_run(tmp_path / "run")["pass"] is True
@@ -522,7 +523,7 @@ class TestFrozenSnapshots:
         self._count_calls(monkeypatch, flow_module, "_edge_pass", calls)
         traj = result.trajectory
         rows = traj.snapshot_rows
-        state = cli_module._state_numbers(traj.dissipation[rows], result.config.stall_threshold)
+        state = flow_module.state_numbers(traj.dissipation[rows], result.config.stall_threshold)
         compute_snapshot_diagnostics(result.config, traj.snapshots, state,
                                      traj.cumulative_dissipation[rows], traj.dt_used[rows])
         assert calls == {"pushforward": 2 * len(firsts), "_edge_pass": len(firsts)}
@@ -530,22 +531,48 @@ class TestFrozenSnapshots:
         assert analyze_run(tmp_path / "run")["pass"] is True
         assert calls == {"pushforward": len(firsts), "_edge_pass": len(firsts)}
 
-    @pytest.mark.parametrize("extra, termination", [
+    # A stalled, a finished, an aborted and a constant-map run.
+    RUNS = [
         ({"t_final": 0.4}, "stalled"), ({}, "t_final"),
         ({"snapshot_interval": 0.003, "dt_floor": 1e-4}, "aborted"),
         ({"initial": {"kind": "constant"}}, "stalled"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("extra, termination", RUNS)
     def test_the_state_rule_follows_run_flows_sharing(self, tmp_path, extra, termination):
         # A snapshot shares its predecessor's fields exactly where the steps'
         # D at the predecessor is under the stall threshold.
         result = run_experiment(_fast_config(**extra), tmp_path / "run")
         traj = result.trajectory
         snaps = traj.snapshots
-        state = cli_module._state_numbers(traj.dissipation[traj.snapshot_rows],
+        state = flow_module.state_numbers(traj.dissipation[traj.snapshot_rows],
                                           result.config.stall_threshold)
         assert result.summary["termination"] == termination and len(snaps) > 2
         assert state[0] == 0 and [state[k] == state[k - 1] for k in range(1, len(snaps))] == [
             snaps[k].fields is snaps[k - 1].fields for k in range(1, len(snaps))]
+
+    @pytest.mark.parametrize("extra, termination", RUNS)
+    def test_the_stepping_fields_follow_run_flow(self, extra, termination):
+        # What flow derives from the rows is what run_flow did: it aborts
+        # exactly when it raised, stalls exactly when the oracle's loop took
+        # a frozen step, and counts and sums as that loop does, bit for bit.
+        config = _fast_config(**extra)
+        params = flow_module.FlowParams(**{f.name: getattr(config, f.name)
+                                           for f in dataclasses.fields(flow_module.FlowParams)})
+        state = cli_module._initial_state(config)
+        try:
+            traj, raised = flow_module.run_flow(state, params), False
+        except flow_module.AbortedRunError as exc:
+            traj, raised = exc.trajectory, True
+        reference = reference_steps(state, params)
+        fields = flow_module.step_fields(traj.steps, params.t_final, params.stall_threshold)
+        assert traj.steps.tobytes() == reference["rows"].tobytes()
+        assert fields["termination"] == termination
+        assert (fields["termination"] == "aborted") == raised
+        assert (fields["termination"] == "stalled") == (reference["termination"] == "stalled")
+        assert fields["accepted_steps"] == reference["accepted"]
+        assert traj.cumulative_dissipation.tobytes() == reference["cumulative"].tobytes()
+        assert fields["dissipation_integral"] == reference["cumulative"][-1]
 
     def test_files_equal_those_written_one_by_one(self, tmp_path):
         # states.npy holds each distinct state once, as np.save writes the
@@ -894,7 +921,7 @@ class TestSteppingRecordAudit:
             f"analyze: cannot audit {run}: {path}: accepted_steps is {shown}, "
             f"expected {want}\n")
 
-    @pytest.mark.parametrize("edit", ["last_50_rows_dropped", "cumulative_D", "dt"])
+    @pytest.mark.parametrize("edit", ["last_50_rows_dropped", "D", "dt"])
     def test_an_edited_steps_file_exits_2(self, tamper_runs, tmp_path, capsys, edit):
         run = self._copies(tamper_runs, "stalled", tmp_path)
         path = run / "steps.npy"
@@ -904,7 +931,9 @@ class TestSteppingRecordAudit:
         else:  # by one part in 1e9, in a row of an accepted step off the snapshots
             steps[len(steps) // 3, flow_module.STEP_COLUMNS.index(edit)] *= 1 + 1e-9
         _save(path, steps)
-        self._exits_2_naming(run, path, capsys)
+        # An edited D keeps every rule of the rows and moves the dissipation
+        # integral, which summary.json holds.
+        self._exits_2_naming(run, run / "summary.json" if edit == "D" else path, capsys)
 
     @pytest.mark.parametrize("column", ["E", "D"])
     def test_a_series_value_one_ulp_off_the_steps_exits_2(self, tamper_runs, tmp_path, capsys,
@@ -1584,6 +1613,18 @@ class TestMain:
                     "moduliflow-steps-v1, which this version does not read") in err
         else:
             assert str(run / "steps.npy") in err
+
+    def test_steps_with_a_cumulative_d_column_exit_2_naming_them(self, tmp_path, capsys):
+        # The layout of earlier versions: t, E, D, cumulative_D, dt.
+        run = tmp_path / "run"
+        run_experiment(_fast_config(), run)
+        path = run / "steps.npy"
+        steps = np.load(path)
+        _save(path, np.insert(steps, 3, flow_module.dissipation_integral(steps), axis=1))
+        assert main(["analyze", "--run", str(run)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"analyze: cannot audit {run}: {path}: the older layout of steps.npy, "
+            "with a cumulative_D column, which this version does not read\n"))
 
     # A state at the v floor is refused without naming the file (see
     # test_initial_state_at_the_v_floor_exits_2_before_any_output).

@@ -568,14 +568,19 @@ class TestRichardson:
         assert err_half < err_full
 
 
+def _step_fields(traj, params):
+    return flow_module.step_fields(traj.steps, params.t_final, params.stall_threshold)
+
+
 class TestRunFlow:
     def test_constant_map_runs_to_final_time(self, grid64):
         initial = _constant_state(grid64)
-        traj = run_flow(initial, FlowParams(t_final=1.0))
+        traj = run_flow(initial, params := FlowParams(t_final=1.0))
         assert traj.times[-1] == 1.0
         assert np.all(traj.energy == 0.0) and np.all(traj.dissipation == 0.0)
-        assert traj.termination == "stalled"
-        assert traj.accepted_steps == 0
+        fields = _step_fields(traj, params)
+        assert fields["termination"] == "stalled"
+        assert fields["accepted_steps"] == 0
         assert len(traj.snapshots) == 21  # cadence 0.05 inclusive of both ends
         assert [round(s.t, 10) for s in traj.snapshots] == [
             round(0.05 * k, 10) for k in range(21)
@@ -609,9 +614,9 @@ class TestRunFlow:
     def test_dt_floor_aborts_with_partial_trajectory(self, grid64):
         state = build_initial_state(grid64, {"kind": "sinusoidal"})
         with pytest.raises(AbortedRunError) as info:
-            run_flow(state, FlowParams(t_final=1.0, dt_floor=1.0))
+            run_flow(state, params := FlowParams(t_final=1.0, dt_floor=1.0))
         traj = info.value.trajectory
-        assert traj.termination == "aborted"
+        assert _step_fields(traj, params)["termination"] == "aborted"
         assert len(traj.snapshots) >= 1
         assert traj.times[-1] == 0.0
 
@@ -622,9 +627,10 @@ class TestRunFlow:
             DomainGrid(16, 16), {"kind": "random", "amp_u": 0.6, "amp_v": 0.6},
             np.random.default_rng(0),
         )
-        traj = run_flow(state, FlowParams(t_final=1.0))
-        assert traj.accepted_steps == 1013
-        assert traj.termination == "stalled"
+        traj = run_flow(state, params := FlowParams(t_final=1.0))
+        fields = _step_fields(traj, params)
+        assert fields["accepted_steps"] == 1013
+        assert fields["termination"] == "stalled"
         assert traj.energy[-1].hex() == "0x1.1efe5a6fe02ebp-53"
 
     @pytest.mark.parametrize("t0", [0.15, 0.3, 0.7])
@@ -637,9 +643,10 @@ class TestRunFlow:
             np.random.default_rng(0),
         )
         traj = run_flow(MapState(grid, s.u, s.v, t0),
-                        FlowParams(t_final=0.1, snapshot_interval=0.05))
-        assert traj.termination == "t_final"
-        assert traj.accepted_steps > 0
+                        params := FlowParams(t_final=0.1, snapshot_interval=0.05))
+        fields = _step_fields(traj, params)
+        assert fields["termination"] == "t_final"
+        assert fields["accepted_steps"] > 0
         assert traj.times[-1] == pytest.approx(t0 + 0.1, abs=1e-14)
         assert traj.times[traj.snapshot_rows] == pytest.approx([t0, t0 + 0.05, t0 + 0.1],
                                                                abs=1e-14)
@@ -661,8 +668,9 @@ class TestRunFlow:
             DomainGrid(16, 16), {"kind": "random", "amp_u": 0.6, "amp_v": 0.6},
             np.random.default_rng(0),
         )
-        traj = run_flow(state, FlowParams(t_final=1.0, snapshot_interval=0.005))
-        assert traj.termination == "stalled" and len(traj.snapshots) == 201
+        traj = run_flow(state, params := FlowParams(t_final=1.0, snapshot_interval=0.005))
+        assert _step_fields(traj, params)["termination"] == "stalled"
+        assert len(traj.snapshots) == 201
         assert [energy(s).hex() for s in traj.snapshots] == [
             e.hex() for e in traj.energy[traj.snapshot_rows].tolist()]
         frozen = traj.dissipation[traj.snapshot_rows] < FlowParams.stall_threshold
@@ -691,10 +699,10 @@ class TestRunFlow:
 
         monkeypatch.setattr(flow_module, "_edge_pass", rejecting)
         traj = run_flow(state, params)
-        rows, rejected = reference_steps(state, params, reject)
+        reference = reference_steps(state, params, reject)
         assert max(reject, default=0) < len(passes) - 1
-        assert traj.steps.tobytes() == rows.tobytes()
-        assert traj.rejected_steps == rejected >= len(reject)
+        assert traj.steps.tobytes() == reference["rows"].tobytes()
+        assert traj.rejected_steps == reference["rejected"] >= len(reject)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 of perfbench/traced.py wraps functions by name, so a renamed or removed
 function must fail here rather than break a traced run, the README's
 config defaults must be FlowConfig's, the names its library example imports
-must be exported, its run directory layout must name what run writes, and
-the tools in tools/ must run."""
+must be exported, its run directory layout must name what run writes and
+the columns of steps.npy, and the tools in tools/ must run."""
 
 import ast
 import importlib
@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import moduliflow
+from moduliflow import flow
 from moduliflow.cli import FlowConfig, config_from_dict, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,9 +61,13 @@ def test_the_readme_library_example_imports_only_exported_names():
     assert [n for n in moduliflow.__all__ if not hasattr(moduliflow, n)] == []
 
 
-def test_the_readme_run_directory_layout_names_what_run_writes(tmp_path):
+def _layout_block() -> str:
     section = (ROOT / "README.md").read_text().split("\n## Run directory layout\n", 1)[1]
-    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    return re.search(r"```\n(.*?)```", section, re.S).group(1)
+
+
+def test_the_readme_run_directory_layout_names_what_run_writes(tmp_path):
+    block = _layout_block()
     named = [line.split()[0] for line in block.splitlines() if line[:1].strip()]
     files = re.findall(r"[\w.]+\.(?:csv|npy|json|jsonl)\b", block)
     run = tmp_path / "run"
@@ -70,6 +75,12 @@ def test_the_readme_run_directory_layout_names_what_run_writes(tmp_path):
     assert sorted(named) == sorted(p.name + "/" * p.is_dir() for p in run.iterdir())
     # Every file name in the block, at any depth, and nothing else.
     assert sorted(files) == sorted(p.name for p in run.rglob("*") if p.is_file())
+
+
+def test_the_readme_steps_entry_names_the_step_columns():
+    entry = re.search(r"^steps\.npy\s(.*?)\n(?=\S)", _layout_block(), re.S | re.M).group(1)
+    columns = re.search(r"array of\s+(.*?);", entry, re.S).group(1)
+    assert re.split(r",\s+", columns) == list(flow.STEP_COLUMNS)
 
 
 def test_compare_outputs_loads_and_refuses_an_unknown_revision():
