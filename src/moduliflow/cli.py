@@ -262,39 +262,36 @@ def _series_columns(config: FlowConfig) -> list:
     ]
 
 
-def compute_snapshot_diagnostics(config: FlowConfig, snapshots, state, cumulative_d, dt):
+def compute_snapshot_diagnostics(config: FlowConfig, snapshots, state, e, d, cumulative_d, dt):
     """Measure the snapshots as the config directs; shared by run and analyze.
 
     Returns (rows, series): rows is the series table, one row per snapshot in
-    _series_columns order, with cumulative_d and dt, the steps' values at
-    the snapshots, as given; series is the MeasureSeries of the snapshots'
-    pushforwards.  state gives each snapshot's state number (state_numbers):
-    a snapshot of its predecessor's state reuses its measure and row
-    values; each prefix average of the ergodic series serves every
-    observable.
+    _series_columns order, with e, d, cumulative_d and dt, each snapshot's
+    E and D and the steps' values at the snapshots, as given; series is the
+    MeasureSeries of the snapshots' pushforwards.  state gives each
+    snapshot's state number (state_numbers): a snapshot of its
+    predecessor's state reuses its measure and entropy report; each prefix
+    average of the ergodic series serves every observable.
     """
     binning = FundamentalDomainBinning(
         config.binning.n_x, config.binning.n_y, config.binning.y_max
     )
     reference = ms.reference_measure(binning)
-    ws = flow._EdgeWorkspace((config.grid.n1, config.grid.n2))
-    mus, values = [], []  # values: each snapshot's E, D and entropy report
+    mus, reports = [], []
     for k, s in enumerate(snapshots):
         if k and state[k] == state[k - 1]:
             mus.append(replace(mus[-1], t=s.t))
         else:
             mus.append(ms.pushforward(s, binning))
-            e, _, d = flow._edge_pass(s, ws)
             r = ms.entropy_report(s, mus[-1], reference, config.density_threshold,
                                   config.jacobian_threshold)
-            row = (e, d, r.entropy, r.rho_max, r.tail_mass, r.degenerate_fraction)
-        values.append(row)
+            report = (r.entropy, r.rho_max, r.tail_mass, r.degenerate_fraction)
+        reports.append(report)
     series = ms.MeasureSeries(mus)
     bumps = [BumpFunction(**tf) for tf in config.test_functions]
     ergodic = ms.ergodic_error_from_measures(series, bumps, reference)
-    e, d, *report = np.array(values).T
     rows = np.column_stack(
-        [[s.t for s in snapshots], e, d, cumulative_d, dt, *report, ergodic]
+        [[s.t for s in snapshots], e, d, cumulative_d, dt, *np.array(reports).T, ergodic]
     )
     return rows, series
 
@@ -382,7 +379,8 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     snaps, at = traj.snapshots, traj.snapshot_rows
     state = flow.state_numbers(traj.dissipation[at], config.stall_threshold)
     series, mu_series = compute_snapshot_diagnostics(
-        config, snaps, state, traj.cumulative_dissipation[at], traj.dt_used[at])
+        config, snaps, state, traj.energy[at], traj.dissipation[at],
+        traj.cumulative_dissipation[at], traj.dt_used[at])
     columns = _series_columns(config)
     table.write_table(out / "series.csv", SERIES_SCHEMA, dict(zip(columns, series.T)))
     np.save(out / "steps.npy", traj.steps)
@@ -415,8 +413,9 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     finite and at least 0.  Its t column gives the snapshots' times, which
     must rise strictly.  Each series column is recomputed: t and the
     measures from the snapshots, cumulative_D (flow.dissipation_integral)
-    and dt from the steps, and E and D from the snapshots, with the series'
-    E and D equal to the steps' bit for bit; each must match the series
+    and dt from the steps, and E and D by one edge pass per distinct
+    state, with the series' E and D equal to the steps' bit for bit (run
+    takes them from the steps); each must match the series
     within the tolerance.  steps.npy must keep run_flow's rules exactly
     (flow.read_steps, which refuses the older five-column layout) and hold
     a row at each snapshot time (_step_rows).  A run that holds a file of
@@ -467,8 +466,10 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     snapshots = [flow.MapState._checked(grid, s.fields, t, s.v_min)
                  for t, s in zip(times, [states[j] for j in state])]
     with np.errstate(over="ignore", invalid="ignore"):
+        ws = flow._EdgeWorkspace(grid.shape)
+        e, d = np.array([flow._edge_pass(s, ws)[::2] for s in states]).T[:, state]
         recomputed, series = compute_snapshot_diagnostics(
-            config, snapshots, state, flow.dissipation_integral(steps)[at], steps[at, 3])
+            config, snapshots, state, e, d, flow.dissipation_integral(steps)[at], steps[at, 3])
     _audit_records(run, columns, recomputed, tolerance, steps, config)
     _audit_rows(measure_dir / "pushforwards.npy", _pushforward_rows(series, state))
     if len(stored) >= 2:

@@ -152,21 +152,25 @@ class _EdgeWorkspace:
     differences' squares, written field by field through squares, so that
     work[0] holds each axis's du^2, then sq = du^2 + dv^2, and work[1] its
     dv^2, then the edge sums of sq; then work holds the fluxes' backward
-    differences.  rho holds the edge weights, then the energy's terms; sums
-    is rho and the field after it, diff[0, 0], which takes the
-    dissipation's terms, so that one reduction sums all three.  The ring is
-    8 fields: two (2, n1, n2) field buffers, for the current state and a
-    candidate, with the forward-difference calls bound on each, and two
-    tau buffers.
+    differences.  rho holds twice the edge weights, then the energy's
+    terms, scaled as below; sums is rho and the field after it, diff[0, 0],
+    which takes the dissipation's terms, so that one reduction sums all
+    three.  The ring is 8 fields: two (2, n1, n2) field buffers, for the
+    current state and a candidate, with the forward-difference calls bound
+    on each, and two tau buffers.
+
+    The pass's powers of two are scalars: scale_diff and scale_back divide
+    diff's differences and work's by h, and are empty when h1 == h2 is a
+    power of two; tau_scale, k = 1/(2 h^2) then and 1/2 otherwise, scales
+    tau once, and e_scale = w k / 2 the energy's sum.
     """
 
     def __init__(self, shape: tuple[int, int]):
         self.shape = tuple(shape)
         grid = DomainGrid(*self.shape)
-        self.w, self.half_w = grid.w, 0.5 * grid.w
         # The pass's constants as 0-d arrays, which a ufunc call takes
         # faster than Python floats.
-        self.one, self.half, self.zero, self.two = map(np.array, (1.0, 0.5, 0.0, 2.0))
+        self.one, self.zero = map(np.array, (1.0, 0.0))
         buffer = np.empty((21, *self.shape))
         self.v2, self.sigma, self.edge_sq = buffer[:3]
         self.rho, self.sums = buffer[3:5], buffer[3:6]
@@ -182,14 +186,18 @@ class _EdgeWorkspace:
         self.rho_calls = self._bind(np.add, (self.sigma, self.sigma), self.rho, b_shift=1)
         self.back_calls = self._bind(np.subtract, self.diff, self.work, b_shift=-1)
         self.edge_calls = self._bind(np.add, self.sq, self.edge, b_shift=-1)
-        # x / h in place on each axis part of diff and of work, in one call
-        # for both axes when h1 == h2.
-        parts = ([(slice(None), grid.h1)] if grid.h1 == grid.h2
-                 else [(0, grid.h1), (1, grid.h2)])
+        # x / h in place on each axis part of diff and of work: in one call
+        # for both axes when h1 == h2, in none when h is also a power of two.
+        h = grid.h1
+        folded = grid.h2 == h and math.frexp(h)[0] == 0.5
+        parts = ([] if folded else [(slice(None), h)] if grid.h2 == h
+                 else [(0, h), (1, grid.h2)])
         self.scale_diff, self.scale_back = (
-            [(op, stack[k], np.array(c), stack[k]) for k, h in parts
-             for op, c in [_divide_by(h)]]
+            [(op, stack[axis], np.array(c), stack[axis]) for axis, h_axis in parts
+             for op, c in [_divide_by(h_axis)]]
             for stack in (self.diff, self.work))
+        k = 0.5 / (h * h) if folded else 0.5
+        self.tau_scale, self.e_scale, self.w = np.array(k), 0.5 * grid.w * k, grid.w
         self.ring_calls = {id(fields): self.diff_calls(fields) for fields in self.ring}
         self.tangents = {id(tau): TangentField(tau) for tau in self.taus}
 
@@ -236,12 +244,22 @@ def _edge_pass(state: MapState, ws: _EdgeWorkspace,
     Each value is formed by the same floating-point operations in the same
     order as when every neighbour is first copied into a shifted array
     (u[k+1] - u[k], sigma[k] + sigma[k+1], flux[k] - flux[k-1], du*du +
-    dv*dv, sq[k] + sq[k-1], ...), so the results agree bit for bit: x / h
-    is x * (1/h) only where _divide_by finds them equal, x*x is
-    np.square(x), the axes' divergences, whose terms can be -0.0, are
-    summed and then added to +0.0, as the formulas' zeroed sum is, and one
-    reduction over the three fields of sums adds each field's terms as a
-    sum of that field alone does.
+    dv*dv, sq[k] + sq[k-1], ...), but for factors that are powers of two:
+    the edge weight is sigma[k] + sigma[k+1] without its 1/2, the S term is
+    S / v, and when h1 == h2 is a power of two the differences and the
+    divergence are not divided by h; tau is multiplied by ws's k once, at
+    the end, and the energy's sum by w k / 2.  x / h is x * (1/h) only
+    where _divide_by finds them equal, x*x is np.square(x), the axes'
+    divergences, whose terms can be -0.0, are summed and then added to
+    +0.0, as the formulas' zeroed sum is, and one reduction over the three
+    fields of sums adds each field's terms as a sum of that field alone
+    does.  A product by a power of two is exact and commutes with rounding
+    while both values are normal floats, so E, tau and D are the
+    formulas' bit for bit wherever no value either forms is subnormal or
+    overflows.  Beyond that they can differ: with u ~ 2^-450 against
+    v ~ 2^300 the fluxes are subnormal and round tau_u otherwise, and with
+    u ~ 2^501 at 64^2 the formulas' energy sum overflows to inf where E
+    stays finite.
     """
     grid = state.grid
     if ws.shape != grid.shape:
@@ -254,7 +272,6 @@ def _edge_pass(state: MapState, ws: _EdgeWorkspace,
     run_calls(ws.ring_calls.get(id(fields)) or ws.diff_calls(fields))
     run_calls(ws.scale_diff)
     run_calls(ws.rho_calls)
-    np.multiply(rho, ws.half, out=rho)
     np.square(diff, out=ws.squares)
     np.add(sq, ws.edge, out=sq)  # du^2 + dv^2, per axis
     np.multiply(diff, ws.rho_by_axis, out=diff)  # the fluxes
@@ -268,15 +285,15 @@ def _edge_pass(state: MapState, ws: _EdgeWorkspace,
     np.add(div, ws.zero, out=div)
     tau = np.multiply(v2, div, out=tau)
     tangent = ws.tangents.get(id(tau)) or TangentField(tau)
-    np.multiply(ws.two, v, out=scratch)
-    np.divide(edge_sq, scratch, out=scratch)
+    np.divide(edge_sq, v, out=scratch)
     tangent.tau_v += scratch
+    tau *= ws.tau_scale
     tau_sq_u, tau_sq_v = ws.tau_sq_parts
     np.square(tangent.tau, out=ws.tau_sq)
     np.add(tau_sq_u, tau_sq_v, out=tau_sq_u)
     tau_sq_u *= sigma  # the dissipation's terms, the last field of sums
     along_0, along_1, dissipation = np.add.reduce(ws.sums, axis=(1, 2)).tolist()
-    return ws.half_w * (along_0 + along_1), tangent, ws.w * dissipation
+    return ws.e_scale * (along_0 + along_1), tangent, ws.w * dissipation
 
 
 def tension_field(state: MapState) -> TangentField:

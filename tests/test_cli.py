@@ -519,17 +519,45 @@ class TestFrozenSnapshots:
         self._count_calls(monkeypatch, measures_module, "pushforward", calls)
         result, firsts = self._stalled_run(tmp_path)
         # run_flow makes edge passes of its own, so edge passes are counted on
-        # one more diagnostic pass alone; pushforwards on the run and that pass.
+        # one more diagnostic pass alone, which takes E and D as given and
+        # makes none; pushforwards on the run and that pass.  analyze makes
+        # one edge pass per distinct state.
         self._count_calls(monkeypatch, flow_module, "_edge_pass", calls)
         traj = result.trajectory
         rows = traj.snapshot_rows
         state = flow_module.state_numbers(traj.dissipation[rows], result.config.stall_threshold)
         compute_snapshot_diagnostics(result.config, traj.snapshots, state,
+                                     traj.energy[rows], traj.dissipation[rows],
                                      traj.cumulative_dissipation[rows], traj.dt_used[rows])
-        assert calls == {"pushforward": 2 * len(firsts), "_edge_pass": len(firsts)}
+        assert calls == {"pushforward": 2 * len(firsts)}
         calls.clear()
         assert analyze_run(tmp_path / "run")["pass"] is True
         assert calls == {"pushforward": len(firsts), "_edge_pass": len(firsts)}
+
+    @pytest.mark.parametrize("reject", [(), (5, 6, 40)])
+    def test_run_makes_an_edge_pass_per_candidate_state_alone(self, tmp_path, monkeypatch,
+                                                               reject):
+        # A run that neither stalls nor has a step leave the target makes one
+        # pass for its initial state and one per accepted or rejected
+        # candidate (here the candidates of the passes in reject, rejected
+        # after their pass), and none for the series, whose E and D are the
+        # steps'.
+        edge_pass, passes = flow_module._edge_pass, []
+
+        def counted(state, ws, tau=None):
+            result = edge_pass(state, ws, tau)
+            passes.append(state.t)
+            if len(passes) - 1 in reject:
+                raise flow_module.StepRejectedError("rejected by the test")
+            return result
+
+        monkeypatch.setattr(flow_module, "_edge_pass", counted)
+        result = run_experiment(_fast_config(), tmp_path / "run")
+        traj = result.trajectory
+        assert result.summary["termination"] == "t_final"
+        assert traj.rejected_steps == len(reject)
+        assert len(passes) == len(traj.steps) + traj.rejected_steps
+        assert np.array_equal(result.series_rows[:, 1:3], traj.steps[traj.snapshot_rows, 1:3])
 
     # A stalled, a finished, an aborted and a constant-map run.
     RUNS = [

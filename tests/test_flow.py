@@ -297,6 +297,54 @@ class TestEdgePass:
         assert got_e == e and got_d == d
         assert np.array_equal(tau.tau_u, tau_u) and np.array_equal(tau.tau_v, tau_v)
 
+    @pytest.mark.parametrize("shape", [(32, 32), (48, 48), (64, 64), (64, 32)])
+    def test_bit_identical_to_the_roll_formulas_over_the_exponent_range(self, rng, shape):
+        # The pass scales by powers of two where the formulas do not (at 32^2
+        # and 64^2 by 1/h^2 as well as 1/2), which is exact while every value
+        # stays a normal float.  Over u scaled by 2^-600 to 2^300 and v by
+        # 2^-150 to 2^300 one corner leaves that range: with u ~ 2^-450
+        # against v ~ 2^300 the fluxes are near 2^-1050, subnormal, and the
+        # two scales round tau_u differently; E, tau_v and D agree there.
+        base = _random_state(rng, shape)
+        differ = []
+        for a in range(-600, 301, 75):
+            for b in (-150, 75, 300):
+                state = MapState(base.grid, np.ldexp(base.u, a), np.ldexp(base.v, b))
+                with np.errstate(all="ignore"):
+                    e, tau_u, tau_v, d = _roll_oracle(state)
+                    got_e, tau, got_d = _edge_pass(state, _EdgeWorkspace(shape))
+                same = (got_e.hex() == e.hex(), tau.tau_u.tobytes() == tau_u.tobytes(),
+                        tau.tau_v.tobytes() == tau_v.tobytes(), got_d.hex() == d.hex())
+                if not all(same):
+                    differ.append((a, b, same))
+        assert differ == [(-450, 300, (True, False, True, True))]
+
+    def test_an_energy_the_formulas_overflow_can_stay_finite(self, rng):
+        # With u ~ 2^501 at 64^2 the formulas' energy terms, scaled by 1/h^2
+        # before they are summed, overflow the sum to inf; the pass sums them
+        # unscaled and scales the sum once, by w / (4 h^2) = 1/4.  tau and
+        # D (inf) are the formulas' all the same.
+        base = _random_state(rng, (64, 64))
+        state = MapState(base.grid, np.ldexp(base.u, 501), base.v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e, tau_u, tau_v, d = _roll_oracle(state)
+            got_e, tau, got_d = _edge_pass(state, _EdgeWorkspace((64, 64)))
+        assert e == math.inf and 1e304 < got_e < math.inf
+        assert tau.tau_u.tobytes() == tau_u.tobytes()
+        assert tau.tau_v.tobytes() == tau_v.tobytes()
+        assert got_d == d == math.inf
+
+    @pytest.mark.parametrize("shape, scale_calls, k", [
+        ((64, 64), 0, 2.0**11), ((32, 32), 0, 2.0**9), ((64, 32), 2, 0.5),
+        ((48, 48), 1, 0.5), ((12, 20), 2, 0.5),
+    ])
+    def test_powers_of_two_are_folded_into_one_scale(self, shape, scale_calls, k):
+        # x / h is a call per axis part of diff and of work, none when
+        # h1 == h2 is a power of two, whose 1/h^2 joins tau's 1/2.
+        ws = _EdgeWorkspace(shape)
+        assert len(ws.scale_diff) == len(ws.scale_back) == scale_calls
+        assert ws.tau_scale == k and ws.e_scale == 0.5 * ws.w * k
+
     @pytest.mark.parametrize("n", [4, 5, 12, 48, 64, 1024])
     def test_divide_by_is_the_division_bit_for_bit(self, rng, n):
         h = DomainGrid(n, n).h1
