@@ -70,7 +70,6 @@ from .measures import (
     entropy_report,
     pushforward,
     radon_nikodym,
-    read_measure,
     reference_measure,
     relative_entropy,
     time_average,
@@ -114,7 +113,6 @@ __all__ = [
     "mobius_apply_xy",
     "pushforward",
     "radon_nikodym",
-    "read_measure",
     "read_snapshot",
     "reduce_points",
     "reduce_to_fundamental_domain",

@@ -233,16 +233,21 @@ def emit_config(config: FlowConfig) -> str:
 
 def _initial_state(config: FlowConfig) -> flow.MapState:
     """The config's initial state; one that cannot be built, or that the flow
-    would refuse at its v floor, is a ConfigError."""
+    would refuse at its v floor, is a ConfigError, and so is a snapshot
+    interval that run_flow would refuse from the state's time."""
     grid = DomainGrid(config.grid.n1, config.grid.n2)
     try:
         state = initial.build_initial_state(
             grid, config.initial, np.random.default_rng(config.seed)
         )
         flow._check_above_floor(state)
-        return state
     except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc), "initial") from exc
+    try:
+        flow._check_interval(state.t, config.t_final, config.snapshot_interval)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return state
 
 
 @dataclass
@@ -296,14 +301,12 @@ def compute_snapshot_diagnostics(config: FlowConfig, snapshots, state, e, d, cum
     return rows, series
 
 
-def _run_files(run: Path, count: int) -> dict:
-    """Each per-snapshot directory of a run of count snapshots, mapped to its
-    file names: states.npy, the stack of the distinct states, in
-    snapshots/; pushforwards.npy, the pushforward of each distinct state,
-    then time_average.csv for two or more snapshots, in measures/.  run
-    writes exactly these files; analyze requires them."""
-    return {run / "snapshots": ["states.npy"],
-            run / "measures": ["pushforwards.npy"] + ["time_average.csv"] * (count >= 2)}
+def _run_files(run: Path) -> dict:
+    """Each per-snapshot directory of a run, mapped to its file names:
+    states.npy, the stack of the distinct states, in snapshots/;
+    pushforwards.npy, the pushforward of each distinct state, in measures/.
+    run writes exactly these files; analyze requires them."""
+    return {run / "snapshots": ["states.npy"], run / "measures": ["pushforwards.npy"]}
 
 
 # A file that only an older layout of the run directory holds, and that layout.
@@ -313,20 +316,8 @@ OLD_LAYOUTS = {
     "snapshots/state_0000.npy": "one state file per distinct state",
     "measures/measure_0000.csv": "one measure file per snapshot",
     "snapshots/index.csv": "the snapshot index moduliflow-snapshot-index-v1",
+    "measures/time_average.csv": "the stored time average moduliflow-measure-v2",
 }
-
-
-def _pushforward_rows(series, state) -> np.ndarray:
-    """pushforwards.npy's float64 rows (state, bin, mass), given each
-    snapshot's state number: for each distinct state in order, the
-    pushforward of its first snapshot, one row per nonzero bin in increasing
-    bin order, the overflow bin being n_bins."""
-    rows = []
-    for j, k in enumerate(np.flatnonzero(np.diff(state, prepend=-1))):
-        masses = series.measures[k].masses
-        bins = np.flatnonzero(masses)
-        rows.append(np.column_stack((np.full(len(bins), j), bins, masses[bins])))
-    return np.concatenate(rows)
 
 
 def _series_fields(columns: list, rows: np.ndarray) -> dict:
@@ -340,6 +331,13 @@ def _series_fields(columns: list, rows: np.ndarray) -> dict:
             "final_ergodic_errors": rows[-1, len(SERIES_BASE_COLUMNS):].tolist()}
 
 
+def _summary(config: FlowConfig, steps: np.ndarray, series_fields: dict) -> dict:
+    """summary.json's fields but rejected_steps, which the steps do not
+    record, as run writes them and analyze checks them."""
+    return {"schema": SUMMARY_SCHEMA, "grid": [config.grid.n1, config.grid.n2],
+            **flow.step_fields(steps, config.t_final, config.stall_threshold), **series_fields}
+
+
 def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     """Run the configured flow and write the diagnostic files.
 
@@ -348,15 +346,14 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     steps.npy (the trajectory's steps: row 0 and one row per accepted or
     frozen step, float64 columns flow.STEP_COLUMNS), snapshots/states.npy
     (the distinct states as one (S, 2, n1, n2) array, streamed state by
-    state), measures/ (pushforwards.npy, each distinct state's pushforward
-    as the sparse rows of _pushforward_rows, and time_average.csv, the
-    run's trapezoid time average), summary.json.  A frozen snapshot shares
+    state), measures/pushforwards.npy (each distinct state's pushforward
+    as the rows of ms.measure_rows), summary.json.  A frozen snapshot shares
     its state and its pushforward with the snapshot before it, and the
     steps give each snapshot's state number (flow.state_numbers).
-    summary.json holds flow.step_fields of the steps and _series_fields of
-    the series; an aborted run (dt underflow) still writes everything
-    computed so far, with termination aborted.  An initial state that
-    cannot be built raises ConfigError before the run directory is
+    summary.json holds _summary of the steps and the series, and
+    rejected_steps; an aborted run (dt underflow) still writes everything
+    computed so far, with termination aborted.  A config that
+    _initial_state refuses raises ConfigError before the run directory is
     created, and a run directory that holds any file raises
     FileExistsError before anything is written.
     """
@@ -385,22 +382,15 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     table.write_table(out / "series.csv", SERIES_SCHEMA, dict(zip(columns, series.T)))
     np.save(out / "steps.npy", traj.steps)
 
-    snap_dir, measure_dir = _run_files(out, len(snaps))
+    snap_dir, measure_dir = _run_files(out)
     snap_dir.mkdir()
     measure_dir.mkdir()
-    flow.write_snapshot([snaps[k] for k in np.flatnonzero(np.diff(state, prepend=-1))],
-                        snap_dir / "states.npy")
-    np.save(measure_dir / "pushforwards.npy", _pushforward_rows(mu_series, state))
-    if len(snaps) >= 2:
-        ms.write_measure(mu_series.average(), measure_dir / "time_average.csv")
+    firsts = np.flatnonzero(np.diff(state, prepend=-1))  # each state's first snapshot
+    flow.write_snapshot([snaps[k] for k in firsts], snap_dir / "states.npy")
+    ms.write_measure([mu_series.measures[k] for k in firsts], measure_dir / "pushforwards.npy")
 
-    summary = {
-        "schema": SUMMARY_SCHEMA,
-        "grid": [config.grid.n1, config.grid.n2],
-        "rejected_steps": int(traj.rejected_steps),
-        **flow.step_fields(traj.steps, config.t_final, config.stall_threshold),
-        **_series_fields(columns, series),
-    }
+    summary = {**_summary(config, traj.steps, _series_fields(columns, series)),
+               "rejected_steps": int(traj.rejected_steps)}
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return ExperimentResult(config, out, traj, columns, series, summary)
 
@@ -424,9 +414,8 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     the steps give (flow.state_numbers), on the config's grid, finite and
     above the v floor; the snapshots are views of it.  summary.json must
     agree with the recomputation (_audit_records), pushforwards.npy must be
-    the rows of the recomputed pushforwards byte for byte, and
-    time_average.csv their time average bit for bit, or ValueError names
-    the file (and for a state, or rows that differ, the first state).
+    the rows of the recomputed pushforwards byte for byte, or ValueError
+    names the file (and for a state, or rows that differ, the first state).
     Values so large that the recomputation overflows give inf or nan in its
     columns, without a warning.  Returns the audit report dictionary (also
     written to analysis.json).
@@ -440,23 +429,24 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
                              "which this version does not read")
     steps = flow.read_steps(steps_path := run / "steps.npy", config.stall_threshold)
     columns = _series_columns(config)
-    _, stored = table.read_table(path := run / "series.csv", SERIES_SCHEMA, columns)
+    stored = table.read_table(path := run / "series.csv", SERIES_SCHEMA, columns)
     times = stored[:, 0].tolist()
     if not (np.diff(times) > 0).all():
         raise ValueError(f"{path}: t does not rise strictly from row to row")
     at = _step_rows(steps_path, steps, times, stored)
     state = flow.state_numbers(steps[at, 2], config.stall_threshold)
-    files = _run_files(run, len(stored))
+    firsts = np.flatnonzero(np.diff(state, prepend=-1))  # each state's first snapshot
+    files = _run_files(run)
     for directory, names in files.items():
         found = {p.name for p in directory.iterdir()}
         odd = sorted(found.symmetric_difference(names))
         if odd:
             where = "not a file of" if odd[0] in found else "missing from"
-            raise ValueError(f"{directory / odd[0]}: {where} a run of {len(stored)} snapshots")
+            raise ValueError(f"{directory / odd[0]}: {where} a run directory")
     snap_dir, measure_dir = files
     path = snap_dir / "states.npy"
     grid = DomainGrid(config.grid.n1, config.grid.n2)
-    states = flow.read_snapshot(path, grid, state[-1] + 1)
+    states = flow.read_snapshot(path, grid, len(firsts))
     # run_flow records no state at or below the floor; reduction fails on one.
     low = [j for j, s in enumerate(states) if s.v_min <= flow.V_FLOOR]
     if low:
@@ -471,12 +461,8 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
         recomputed, series = compute_snapshot_diagnostics(
             config, snapshots, state, e, d, flow.dissipation_integral(steps)[at], steps[at, 3])
     _audit_records(run, columns, recomputed, tolerance, steps, config)
-    _audit_rows(measure_dir / "pushforwards.npy", _pushforward_rows(series, state))
-    if len(stored) >= 2:
-        mu = series.average()
-        stored_mu = ms.read_measure(path := measure_dir / "time_average.csv", series.binning)
-        if stored_mu.t != mu.t or stored_mu.masses.tobytes() != mu.masses.tobytes():
-            raise ValueError(f"{path}: differs from the recomputed time average")
+    _audit_rows(measure_dir / "pushforwards.npy",
+                ms.measure_rows([series.measures[k] for k in firsts]))
     table.write_table(run / "series_recomputed.csv", SERIES_SCHEMA,
                       dict(zip(columns, recomputed.T)))
     worst = np.abs(stored - recomputed).max(axis=0)
@@ -542,31 +528,41 @@ def _parse_record(path, text):
 
 
 def _check_value(path, name, stored, value, tolerance):
-    exact = value is None or isinstance(value, str)
-    if exact and stored == value:
-        return
-    if (exact or isinstance(stored, bool) or not isinstance(stored, (int, float))
-            or not abs(stored - value) <= tolerance):
+    """A float within the tolerance of value, else exactly value and of its
+    type: a count is an int, not a float that equals it."""
+    if isinstance(value, float):
+        ok = (isinstance(stored, (int, float)) and not isinstance(stored, bool)
+              and abs(stored - value) <= tolerance)
+    else:
+        ok = type(stored) is type(value) and stored == value
+    if not ok:
         raise ValueError(f"{path}: {name} is {stored!r}, expected {value!r}")
 
 
 def _audit_records(run: Path, columns: list, rows: np.ndarray, tolerance: float,
                    steps: np.ndarray, config: FlowConfig):
-    """Check summary.json field by field: against _series_fields of the
-    recomputed series rows, a count exactly and a number within the
-    tolerance, and against flow.step_fields of the steps, termination
-    included, exactly.  rejected_steps is not checked: the steps do not
-    record rejected steps.
+    """Check summary.json, which must hold exactly the fields run writes:
+    those of _summary, each as _check_value compares it, the fields of
+    _series_fields of the recomputed series rows within the tolerance and
+    the rest exactly; and rejected_steps, which need only be a count, an
+    int of at least 0.
     """
     fields = _series_fields(columns, rows)
-    step_fields = flow.step_fields(steps, config.t_final, config.stall_threshold)
+    expected = _summary(config, steps, fields)
     path = run / "summary.json"
     summary = _parse_record(path, path.read_text())
     if not isinstance(summary, dict) or summary.get("schema") != SUMMARY_SCHEMA:
         raise ValueError(f"{path}: not a {SUMMARY_SCHEMA} object")
-    for name, value in {**fields, **step_fields}.items():
-        stored = summary.get(name)
-        tol = 0.0 if name in step_fields or isinstance(value, int) else tolerance
+    odd = sorted(set(summary).symmetric_difference({*expected, "rejected_steps"}))
+    if odd:
+        where = "not a field of" if odd[0] in summary else "missing from"
+        raise ValueError(f"{path}: {odd[0]} is {where} the summary")
+    rejected = summary["rejected_steps"]
+    if type(rejected) is not int or rejected < 0:
+        raise ValueError(f"{path}: rejected_steps is {rejected!r}, expected a count")
+    for name, value in expected.items():
+        stored = summary[name]
+        tol = tolerance if name in fields else 0.0
         if not isinstance(value, list):
             _check_value(path, name, stored, value, tol)
         elif not (isinstance(stored, list) and len(stored) == len(value)):

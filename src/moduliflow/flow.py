@@ -439,7 +439,8 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
 
     t_final is a duration measured from the initial state's time, which may
     be any time, a snapshot time included; snapshot times are the absolute
-    multiples of snapshot_interval.
+    multiples of snapshot_interval, which must exceed the tolerance of
+    _check_interval.
 
     The run steps in the ring of one _EdgeWorkspace and allocates no array
     of the grid's size per step: each candidate state is written into the
@@ -451,6 +452,7 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
     initial state's copy, such copies, and frozen states that share the
     stalled state's arrays.
     """
+    _check_interval(initial.t, params.t_final, params.snapshot_interval)
     state = initial.copy()
     _check_above_floor(state)
     ws = _EdgeWorkspace(state.grid.shape)
@@ -520,6 +522,18 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
 def _end(t_final: float) -> float:
     """run_flow's end test: a run to t_final is over at or past this time."""
     return t_final - 1e-14 * max(1.0, t_final)
+
+
+def _check_interval(t0: float, t_final: float, interval: float) -> None:
+    """run_flow meets a snapshot time within 1e-14 * max(1, t), as _end
+    meets t_final, and moves its snapshot count past the times it has met
+    one interval at a time.  An interval at or below that tolerance at the
+    run's end, t0 + t_final, would take about tolerance / interval moves
+    (1e286 at t = 0 for an interval of 1e-300); ValueError refuses it."""
+    tolerance = 1e-14 * max(1.0, t0 + t_final)
+    if not interval > tolerance:
+        raise ValueError(f"snapshot_interval {interval!r} is at or below {tolerance!r}, "
+                         "the tolerance on a snapshot time of this run")
 
 
 def dissipation_integral(steps: np.ndarray) -> np.ndarray:

@@ -15,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import table
 from .flow import MapState, jacobian_det
 from .hyperbolic import FundamentalDomainBinning, reduce_points
-
-MEASURE_SCHEMA = "moduliflow-measure-v2"
 
 MASS_TOL = 1e-12
 
@@ -30,18 +27,14 @@ class BinningMismatchError(ValueError):
 
 @dataclass
 class PushforwardMeasure:
-    """Probability histogram over a binning; masses[-1] is the overflow bin.
-    Masses are stored with signed zeros made +0.0, as a measure file reads
-    them back."""
+    """Probability histogram over a binning; masses[-1] is the overflow bin."""
 
     binning: FundamentalDomainBinning
     masses: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        masses = np.asarray(self.masses, dtype=float)
-        # Copied only to drop a sign: measures of one state share their masses.
-        self.masses = masses + 0.0 if np.signbit(masses).any() else masses
+        self.masses = np.asarray(self.masses, dtype=float)
         if self.masses.shape != (self.binning.n_bins + 1,):
             raise ValueError(
                 f"mass vector has shape {self.masses.shape}, expected "
@@ -148,7 +141,6 @@ class MeasureSeries:
         self.measures = list(measures)
         self.binning = measures[0].binning
         self.times = times
-        self._average = None  # the last prefix average, once a walk has made it
 
     def __len__(self) -> int:
         return len(self.times)
@@ -157,8 +149,7 @@ class MeasureSeries:
         """Yield the masses of the trapezoid-in-time average of the first k
         measures, for k = 1 .. len: the first measure's own masses, then the
         running integral renormalised to total mass exactly 1.  A prefix
-        spanning no time yields the plain mean.  A walk to the end keeps the
-        last for average."""
+        spanning no time yields the plain mean."""
         masses, times = self.measures[0].masses, self.times
         average = masses
         yield average
@@ -172,27 +163,18 @@ class MeasureSeries:
                 plain += masses
                 average = plain / plain.sum()
             yield average
-        self._average = average
-
-    def average(self) -> PushforwardMeasure:
-        """Trapezoid-in-time average of the whole series, the last of
-        prefix_averages, which walks the series unless a walk has already
-        ended; the average of one measure is that measure."""
-        if len(self) == 1:
-            return self.measures[0]
-        if self._average is None:
-            for _ in self.prefix_averages():
-                pass
-        return PushforwardMeasure(self.binning, self._average, float(self.times[-1]))
 
 
 def time_average(measures, t_end: float | None = None) -> PushforwardMeasure:
     """Trapezoid-in-time average of a sorted list of measures, renormalised
-    to total mass exactly 1.  At least two measures are required; identical
-    timestamps degrade gracefully to the plain mean."""
+    to total mass exactly 1, at the last measure's time: the last prefix
+    average of their MeasureSeries.  At least two measures are required;
+    identical timestamps degrade gracefully to the plain mean."""
     if len(measures) < 2:
         raise ValueError("time averaging needs at least two measures")
-    return MeasureSeries(measures, t_end).average()
+    series = MeasureSeries(measures, t_end)
+    *_, average = series.prefix_averages()
+    return PushforwardMeasure(series.binning, average, float(series.times[-1]))
 
 
 def ergodic_error_from_measures(series: MeasureSeries, fs,
@@ -258,47 +240,18 @@ def entropy_report(
     )
 
 
-def write_measure(mu, path) -> None:
-    """Write a measure as a table: metadata n_x,n_y,y_max,t, then one bin,mass
-    row per nonzero bin in increasing bin order, the overflow bin being
-    n_bins."""
-    b = mu.binning
-    bins = np.flatnonzero(mu.masses)
-    table.write_table(
-        path, MEASURE_SCHEMA, {"bin": bins, "mass": mu.masses[bins]},
-        meta={"n_x": b.n_x, "n_y": b.n_y, "y_max": float(b.y_max),
-              "t": float(getattr(mu, "t", 0.0))},
-    )
+def measure_rows(measures) -> np.ndarray:
+    """The one sparse format of measures on one binning: float64 rows
+    (j, bin, mass), for each measure j in order one row per bin of nonzero
+    mass, in increasing bin order, the overflow bin being n_bins.  A zero
+    of either sign has no row."""
+    rows = []
+    for j, mu in enumerate(measures):
+        bins = np.flatnonzero(mu.masses)
+        rows.append(np.column_stack((np.full(len(bins), j), bins, mu.masses[bins])))
+    return np.concatenate(rows)
 
 
-def read_measure(path, binning: FundamentalDomainBinning | None = None) -> PushforwardMeasure:
-    """Read a measure written by write_measure.  Rebuilds the binning from
-    the header unless a matching one is supplied.  The bins must be integers
-    in [0, n_bins], strictly increasing, with positive finite masses of total
-    1; every bin not listed has mass 0.  t must be finite.  Every error
-    names the file."""
-    meta, body = table.read_table(
-        path, MEASURE_SCHEMA, ("bin", "mass"), ("n_x", "n_y", "y_max", "t")
-    )
-    try:
-        header_binning = (int(meta["n_x"]), int(meta["n_y"]), float(meta["y_max"]))
-        if binning is None:
-            binning = FundamentalDomainBinning(*header_binning)
-        elif (binning.n_x, binning.n_y, binning.y_max) != header_binning:
-            raise BinningMismatchError(
-                f"file binning {header_binning} does not match supplied binning"
-            )
-        t = float(meta["t"])
-        if not np.isfinite(t):
-            raise ValueError(f"t must be finite, got {meta['t']}")
-        bins, masses, n = body[:, 0], body[:, 1], binning.n_bins
-        if not (np.all(bins == np.trunc(bins)) and 0 <= bins[0] and bins[-1] <= n
-                and np.all(np.diff(bins) > 0)):
-            raise ValueError(f"bins must be strictly increasing integers in [0, {n}]")
-        if not np.all((masses > 0.0) & (masses < np.inf)):
-            raise ValueError("masses must be positive and finite")
-        dense = np.zeros(n + 1)
-        dense[bins.astype(np.intp)] = masses
-        return PushforwardMeasure(binning, dense, t)
-    except ValueError as exc:  # BinningMismatchError keeps its type
-        raise type(exc)(f"{path}: {exc}") from exc
+def write_measure(measures, path) -> None:
+    """Save measure_rows of measures as the .npy file at path."""
+    np.save(path, measure_rows(measures))

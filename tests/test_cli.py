@@ -27,15 +27,7 @@ from moduliflow.cli import (
 )
 from moduliflow.flow import V_FLOOR, MapState, write_snapshot
 from moduliflow.hyperbolic import FundamentalDomainBinning
-from moduliflow.measures import (
-    MASS_TOL,
-    PushforwardMeasure,
-    pushforward,
-    read_measure,
-    reference_measure,
-    time_average,
-    write_measure,
-)
+from moduliflow.measures import measure_rows, pushforward, reference_measure, time_average
 from moduliflow.mesh import DomainGrid
 from moduliflow.testfunctions import BumpFunction
 from oracles import reference_steps, stepping_record_problem, weak_star_pairing
@@ -266,8 +258,7 @@ class TestRunExperiment:
         states = sum(k == 0 or s.fields is not snaps[k - 1].fields for k, s in enumerate(snaps))
         assert sorted(p.name for p in (out / "snapshots").iterdir()) == ["states.npy"]
         assert np.load(out / "snapshots" / "states.npy").shape == (states, 2, 16, 16)
-        assert sorted(p.name for p in (out / "measures").iterdir()) == [
-            "pushforwards.npy", "time_average.csv"]
+        assert sorted(p.name for p in (out / "measures").iterdir()) == ["pushforwards.npy"]
         rows = np.load(out / "measures" / "pushforwards.npy")
         assert rows.shape[1] == 3 and np.array_equal(np.unique(rows[:, 0]), np.arange(states))
         assert result.summary["termination"] in ("t_final", "stalled")
@@ -329,8 +320,6 @@ class TestRunExperiment:
             stored = np.zeros_like(mu.masses)
             stored[bins.astype(int)] = masses
             assert stored.tobytes() == mu.masses.tobytes()
-        average = read_measure(measures / "time_average.csv")
-        assert average.masses.tobytes() == time_average(mus).masses.tobytes()
         nu = reference_measure(mus[0].binning)
         for j, tf in enumerate(cfg.test_functions):
             f = BumpFunction(tf["center"], tf["radii"], tf["amplitude"])
@@ -343,8 +332,8 @@ class TestRunExperiment:
                 f"ergodic_err_{j}")].tolist() == want
 
     def test_run_and_analyze_each_walk_the_time_average_once(self, tmp_path, monkeypatch):
-        # The ergodic columns walk every prefix average; time_average.csv
-        # is the last of them, kept from that walk.
+        # The ergodic columns walk every prefix average, and nothing else
+        # walks the series: no time average is stored or audited apart.
         walks = []
         inner = measures_module.MeasureSeries.prefix_averages
 
@@ -430,35 +419,22 @@ class TestAnalyzeRun:
 
 
 class TestMeasureAudit:
-    """analyze reads pushforwards.npy and time_average.csv and compares them
-    bit for bit with the pushforwards it recomputes from the snapshots."""
+    """analyze reads pushforwards.npy and compares it bit for bit with the
+    pushforwards it recomputes from the snapshots; it refuses a stored
+    time average, which the older layout kept beside it."""
 
-    @staticmethod
-    def _scale_one_mass(path, factor):
-        lines = path.read_text().splitlines()
-        k = max(range(4, len(lines)), key=lambda i: float(lines[i].split(",")[1]))
-        bin_, mass = lines[k].split(",")
-        changed = float(mass) * factor
-        assert changed != float(mass)
-        lines[k] = f"{bin_},{changed!r}"
-        path.write_text("\n".join(lines) + "\n")
-
-    @pytest.mark.parametrize("edit", ["mass", "time_average", "deleted", "added",
-                                      "metadata", "binning"])
+    @pytest.mark.parametrize("edit", ["mass", "time_average", "deleted", "added"])
     def test_a_measure_file_that_is_not_the_recomputed_one_exits_2(
             self, tmp_path, capsys, edit):
-        run_experiment(_fast_config(snapshot_interval=0.02), tmp_path / "run")
-        measures = tmp_path / "run" / "measures"
-        rows_file = edit in ("mass", "deleted", "added")
-        path = measures / ("pushforwards.npy" if rows_file else "time_average.csv")
-        if edit in ("metadata", "binning"):
-            text = path.read_text()
-            meta = "x12,12,4.0," if edit == "metadata" else "12,12,5.0,"
-            path.write_text(text.replace("\n12,12,4.0,", "\n" + meta, 1))
-        elif edit == "deleted":
+        run = tmp_path / "run"
+        run_experiment(_fast_config(snapshot_interval=0.02), run)
+        path = run / "measures" / "pushforwards.npy"
+        if edit == "deleted":
             path.unlink()
-        elif edit == "time_average":
-            self._scale_one_mass(path, 1.0 + 1e-15)
+        elif edit == "time_average":  # the seventh file of the older layout
+            path = run / "measures" / "time_average.csv"
+            path.write_text("# schema: moduliflow-measure-v2\nn_x,n_y,y_max,t\n"
+                            "12,12,4.0,0.1\nbin,mass\n0,1.0\n")
         else:
             rows = np.load(path)
             if edit == "mass":  # the largest mass of state 1
@@ -468,11 +444,15 @@ class TestMeasureAudit:
             else:  # a state more than the run has
                 rows = np.vstack([rows, [rows[-1, 0] + 1, 0.0, 1.0]])
             _save(path, rows)
-        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        assert main(["analyze", "--run", str(run)]) == 2
         out, err = capsys.readouterr()
         assert "PASS" not in out
         assert str(path) in err and len(err.splitlines()) == 1
-        if edit in ("mass", "added"):
+        if edit == "time_average":
+            assert err == (f"analyze: cannot audit {run}: {path}: the run uses the stored "
+                           "time average moduliflow-measure-v2, which this version does not "
+                           "read\n")
+        elif edit != "deleted":
             state = 1 if edit == "mass" else int(rows[-2, 0])
             assert f"the recomputed pushforward of state {state}\n" in err
 
@@ -605,9 +585,9 @@ class TestFrozenSnapshots:
     def test_files_equal_those_written_one_by_one(self, tmp_path):
         # states.npy holds each distinct state once, as np.save writes the
         # stack of their fields; pushforwards.npy holds, for each state, the
-        # bin and mass rows that a measure file of each of its snapshots holds.
+        # bin and mass rows of the pushforward of each of its snapshots alone.
         result, firsts = self._stalled_run(tmp_path)
-        out, stack, alone = tmp_path / "run", tmp_path / "stack.npy", tmp_path / "alone.csv"
+        out, stack = tmp_path / "run", tmp_path / "stack.npy"
         snaps = result.trajectory.snapshots
         np.save(stack, np.stack([snaps[k].fields for k in firsts]))
         assert (out / "snapshots" / "states.npy").read_bytes() == stack.read_bytes()
@@ -615,11 +595,9 @@ class TestFrozenSnapshots:
         rows = np.load(out / "measures" / "pushforwards.npy")
         assert np.array_equal(np.unique(rows[:, 0]), np.arange(len(firsts)))
         for k, snap in enumerate(snaps):
-            write_measure(pushforward(snap, binning), alone)
-            _, body = table.read_table(alone, measures_module.MEASURE_SCHEMA, ("bin", "mass"),
-                                       ("n_x", "n_y", "y_max", "t"))
+            alone = measure_rows([pushforward(snap, binning)])[:, 1:]
             state = sum(f <= k for f in firsts) - 1
-            assert rows[rows[:, 0] == state, 1:].tobytes() == body.tobytes()
+            assert rows[rows[:, 0] == state, 1:].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("edit", ["u", "t"])
     def test_an_edited_frozen_snapshot_fails_the_audit(self, tmp_path, capsys, edit):
@@ -677,10 +655,8 @@ class TestRunFiles:
         assert "analysis PASS" in capsys.readouterr().out
 
     def test_the_file_list_is_fixed(self, tmp_path):
-        for count, average in ((1, []), (2, ["time_average.csv"]), (10001, ["time_average.csv"])):
-            assert cli_module._run_files(tmp_path, count) == {
-                tmp_path / "snapshots": ["states.npy"],
-                tmp_path / "measures": ["pushforwards.npy", *average]}
+        assert cli_module._run_files(tmp_path) == {tmp_path / "snapshots": ["states.npy"],
+                                                   tmp_path / "measures": ["pushforwards.npy"]}
 
     @pytest.mark.parametrize("edit", ["extra", "deleted"])
     def test_a_file_off_the_list_exits_2_naming_it(self, tmp_path, capsys, edit):
@@ -721,12 +697,12 @@ def stalled_run(tmp_path_factory):
 
 
 class TestDamagedTables:
-    """A damaged measure file, series, steps, states or pushforwards file
-    fails closed: its reader raises a ValueError that starts with the path,
-    or returns a value that passes the reader's checks, as when a flip
-    lands in a digit of t.  A dropped row or state always raises: the
-    masses no longer total 1, or the rows no longer count the snapshots or
-    states or keep the stepping rules."""
+    """A damaged series, steps, states or pushforwards file fails closed:
+    its reader raises a ValueError that starts with the path, or returns a
+    value that passes the reader's checks, as when a flip lands in a digit
+    of t.  A dropped row or state always raises: the rows no longer count
+    the snapshots or states, keep the stepping rules or equal the
+    recomputed pushforwards."""
 
     EDITS = st.sampled_from(["truncate", "flip", "drop"])
 
@@ -745,7 +721,7 @@ class TestDamagedTables:
             report = analyze_run(run)
             assert edit != "drop"
             if report["pass"]:
-                _, stored = table.read_table(path, cli_module.SERIES_SCHEMA,
+                stored = table.read_table(path, cli_module.SERIES_SCHEMA,
                                              list(report["columns"]))
                 moved = np.abs(stored - result.series_rows).max(axis=0)
                 assert (moved <= report["tolerance"]).all()
@@ -805,7 +781,7 @@ class TestDamagedTables:
             report = analyze_run(run)
             assert edit != "drop"
             if report["pass"]:
-                _, recomputed = table.read_table(run / "series_recomputed.csv",
+                recomputed = table.read_table(run / "series_recomputed.csv",
                                                  cli_module.SERIES_SCHEMA,
                                                  list(report["columns"]))
                 moved = np.abs(recomputed - result.series_rows).max(axis=0)
@@ -839,27 +815,6 @@ class TestDamagedTables:
             assert str(exc).startswith(f"{run}{os.sep}")
         finally:
             path.write_bytes(raw)
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_a_damaged_measure_file(self, data, tmp_path_factory):
-        binning = FundamentalDomainBinning(2, 3, 4.0)
-        # Node counts over their total, as pushforward makes them, so that
-        # every listed mass is far above MASS_TOL.
-        counts = np.array(data.draw(st.lists(st.integers(0, 5), min_size=binning.n_bins + 1,
-                                             max_size=binning.n_bins + 1)))
-        counts[data.draw(st.integers(0, binning.n_bins))] += 1
-        path = tmp_path_factory.mktemp("measure") / "measure.csv"
-        write_measure(PushforwardMeasure(binning, counts / counts.sum(), t=0.5), path)
-        edit = data.draw(self.EDITS)
-        path.write_bytes(_damaged(data, path.read_bytes(), edit))
-        try:
-            back = read_measure(path, binning)
-        except ValueError as exc:
-            assert str(exc).startswith(f"{path}: ")
-        else:
-            assert edit != "drop" and back.binning is binning
-            assert (back.masses >= 0.0).all() and abs(back.masses.sum() - 1.0) <= MASS_TOL
 
 
 @pytest.fixture(scope="module")
@@ -997,7 +952,7 @@ class TestSteppingRecordAudit:
             run = tamper_runs / name
             assert analyze_run(run)["pass"] is True
             config = parse_config((run / "config.json").read_text())
-            _, series = table.read_table(run / "series.csv", cli_module.SERIES_SCHEMA,
+            series = table.read_table(run / "series.csv", cli_module.SERIES_SCHEMA,
                                          cli_module._series_columns(config))
             assert stepping_record_problem(
                 np.load(run / "steps.npy"), config.stall_threshold, config.t_final,
@@ -1019,7 +974,7 @@ class TestRecordsMirrorTheSeries:
         run_experiment(cfg, tmp_path / "run")
         run = tmp_path / "run"
         columns = cli_module._series_columns(cfg)
-        _, body = table.read_table(run / "series.csv", cli_module.SERIES_SCHEMA, columns)
+        body = table.read_table(run / "series.csv", cli_module.SERIES_SCHEMA, columns)
         col = {name: [float.hex(v) for v in body[:, j].tolist()]
                for j, name in enumerate(columns)}
         summary = json.loads((run / "summary.json").read_text())
@@ -1402,6 +1357,20 @@ class TestMain:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("interval", [1e-300, 1e-14])
+    def test_an_interval_within_the_snapshot_tolerance_exits_2_before_any_output(
+            self, tmp_path, capsys, interval):
+        # run_flow would step its snapshot count 1e-14 / interval times at
+        # t = 0; the config is refused before the run directory is made.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid": {"n1": 8, "n2": 8}, "snapshot_interval": interval,
+                                   "t_final": 0.01}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: snapshot_interval {interval!r} is at or below 1e-14, "
+                       "the tolerance on a snapshot time of this run\n")
+        assert not (tmp_path / "run").exists()
+
     def test_initial_state_at_the_v_floor_exits_2_before_any_output(self, tmp_path,
                                                                     capsys):
         grid = DomainGrid(16, 16)
@@ -1456,6 +1425,10 @@ class TestMain:
         ("summary.json", "huge_integer"),
         ("summary.json", "final_entropy"),
         ("summary.json", "final_ergodic_errors"),
+        ("summary.json", "grid"),
+        ("summary.json", "bogus"),
+        ("summary.json", "rejected_steps"),
+        ("summary.json", "accepted_steps"),
     ])
     def test_records_that_disagree_with_the_snapshots_exit_2(
             self, tmp_path, capsys, name, edit):
@@ -1475,6 +1448,14 @@ class TestMain:
                 summary["energy_initial"] = 10**400
             elif edit == "final_ergodic_errors":
                 summary["final_ergodic_errors"][-1] += 1e-9
+            elif edit == "grid":
+                summary["grid"] = [8, 8]
+            elif edit == "bogus":
+                summary["bogus"] = 1
+            elif edit == "rejected_steps":
+                summary["rejected_steps"] = -5
+            elif edit == "accepted_steps":  # the count, as a float that equals it
+                summary["accepted_steps"] = float(summary["accepted_steps"])
             else:
                 summary[edit] += 1e-9
             path.write_text(json.dumps(summary))
@@ -1482,6 +1463,8 @@ class TestMain:
         out, err = capsys.readouterr()
         assert "PASS" not in out
         assert name in err and len(err.splitlines()) == 1
+        if edit in ("grid", "bogus", "rejected_steps", "accepted_steps"):
+            assert f"summary.json: {edit}" in err
 
     def test_snapshot_on_another_grid_exits_2(self, tmp_path, capsys):
         run_experiment(_fast_config(), tmp_path / "run")

@@ -708,6 +708,21 @@ class TestRunFlow:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             FlowParams(**{"t_final": 1.0, name: value})
 
+    @pytest.mark.parametrize("t0, interval", [(0.0, 1e-300), (0.0, 1e-14), (1e3, 1e-11)])
+    def test_an_interval_within_the_snapshot_tolerance_is_refused(self, t0, interval):
+        # A snapshot time is met within 1e-14 * max(1, t), and the snapshot
+        # count moves past the times met one interval at a time: 1e286
+        # moves at t = 0 for an interval of 1e-300.  At t0 = 1e3 the
+        # tolerance at the run's end is 1.0005e-11.
+        state = _constant_state(DomainGrid(4, 4))
+        state.t = t0
+        with pytest.raises(ValueError, match=rf"^snapshot_interval {interval!r} is at or below"):
+            run_flow(state, FlowParams(t_final=0.5, snapshot_interval=interval))
+        # At twice the tolerance the run goes ahead.
+        above = 2e-14 * max(1.0, t0)
+        traj = run_flow(state, FlowParams(t_final=5 * above, snapshot_interval=above))
+        assert len(traj.snapshots) > 1
+
     def test_snapshots_keep_their_values(self):
         # Each snapshot of a 16x16 run that steps in the ring, then stalls,
         # still holds its state when the run is over: its energy is its
@@ -917,7 +932,7 @@ class TestSnapshotIO:
         # text part of its snapshots.
         path = tmp_path / "series.csv"
         table.write_table(path, cli.SERIES_SCHEMA, {"t": [0.0, 0.05]})
-        assert table.read_table(path, cli.SERIES_SCHEMA, ["t"])[1].tolist() == [[0.0], [0.05]]
+        assert table.read_table(path, cli.SERIES_SCHEMA, ["t"]).tolist() == [[0.0], [0.05]]
         lines = path.read_text().splitlines()
         lines.insert(3, "# a note")
         path.write_text("\n".join(lines) + "\n")

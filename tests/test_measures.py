@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import dblquad
 
+from moduliflow.cli import _audit_rows
 from moduliflow.flow import FlowParams, MapState, run_flow
 from moduliflow.hyperbolic import (
     FundamentalDomainBinning,
@@ -23,7 +24,7 @@ from moduliflow.measures import (
     ergodic_error_from_measures,
     pushforward,
     radon_nikodym,
-    read_measure,
+    measure_rows,
     reference_measure,
     relative_entropy,
     time_average,
@@ -336,20 +337,6 @@ class TestPrefixAverages:
         for k in range(1, len(mus)):
             assert averages[k].tobytes() == time_average(mus[: k + 1]).masses.tobytes()
 
-    def test_a_finished_walk_gives_the_average_without_another(self, binning60, rng):
-        mus = self._measures(binning60, rng, [0.25, 0.25, 0.5, 0.625, 1.1])
-        fresh = MeasureSeries(mus).average()
-        series = MeasureSeries(mus)
-        walk = series.prefix_averages()
-        next(walk)
-        # A walk stopped early keeps nothing: average walks the series itself.
-        assert series.average().masses.tobytes() == fresh.masses.tobytes()
-        series = MeasureSeries(mus)
-        *_, last = series.prefix_averages()
-        average = series.average()
-        assert average.masses is last and average.t == fresh.t == 1.1
-        assert last.tobytes() == fresh.masses.tobytes()
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_is_rejected(self, binning60, rng, bad):
         mus = self._measures(binning60, rng, [0.0, 1.0])
@@ -567,16 +554,9 @@ class TestEntropyReport:
                            density_threshold=1.0, jacobian_threshold=1e-6)
 
 
-MEASURE_GOLDEN = """\
-# schema: moduliflow-measure-v2
-n_x,n_y,y_max,t
-2,2,2.0,0.25
-bin,mass
-0,0.5
-2,0.1
-3,0.30000000000000004
-4,0.1
-"""
+# A measure on FundamentalDomainBinning(2, 2, 2.0) and its (bin, mass) rows.
+GOLDEN_MASSES = [0.5, 0.0, 0.1, 0.30000000000000004, 0.1]
+GOLDEN_ROWS = [[0, 0.5], [2, 0.1], [3, 0.30000000000000004], [4, 0.1]]
 
 
 @st.composite
@@ -601,137 +581,98 @@ def _count_measures(draw):
     return PushforwardMeasure(binning, counts / counts.sum(), t=0.5)
 
 
-def _rejected(path, binning=None):
-    """The ValueError message read_measure raises on path; it names the file."""
+def _masses(path, binning, count):
+    """The masses of the count measures whose rows the .npy file at path holds."""
+    rows = np.load(path)
+    masses = np.zeros((count, binning.n_bins + 1))
+    masses[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2]
+    return masses
+
+
+def _rejected(path, measures):
+    """The ValueError message with which analyze's audit refuses the rows
+    at path as those of measures; it names the file."""
     with pytest.raises(ValueError) as exc:
-        read_measure(path, binning)
+        _audit_rows(path, measure_rows(measures))
     assert str(path) in str(exc.value)
     return str(exc.value)
 
 
 class TestMeasureIO:
-    def test_golden_text(self, tmp_path):
-        binning = FundamentalDomainBinning(2, 2, 2.0)
-        mu = PushforwardMeasure(binning, [0.5, 0.0, 0.1, 0.30000000000000004, 0.1],
-                                t=0.25)
-        path = tmp_path / "measure.csv"
-        write_measure(mu, path)
-        assert path.read_text() == MEASURE_GOLDEN
-        assert read_measure(path).masses.tobytes() == mu.masses.tobytes()
+    """write_measure saves measure_rows of a list of measures, the one sparse
+    format of a run's pushforwards; analyze accepts such a file only when it
+    holds, byte for byte, the rows of the measures it recomputes."""
 
     @settings(max_examples=60, deadline=None)
     @given(mu=_measures())
     def test_round_trip_property(self, mu, tmp_path_factory):
-        path = tmp_path_factory.mktemp("measure") / "measure.csv"
-        write_measure(mu, path)
-        back = read_measure(path, mu.binning)
-        assert np.array(back.t).tobytes() == np.array(mu.t).tobytes()
-        assert back.masses.tobytes() == mu.masses.tobytes()
+        # A zero of either sign has no row, so it reads back as +0.0.
+        path = tmp_path_factory.mktemp("measure") / "pushforwards.npy"
+        write_measure([mu, mu], path)
+        for back in _masses(path, mu.binning, 2):
+            assert back.tobytes() == (mu.masses + 0.0).tobytes()
+        _audit_rows(path, measure_rows([mu, mu]))
 
-    @pytest.mark.parametrize("edit", ["missing", "duplicated", "not_last", "hash_row"])
+    @pytest.mark.parametrize("edit", ["missing", "duplicated", "not_last"])
     def test_rows_are_the_bins_then_one_overflow_row(self, edit, small_binning, tmp_path):
         n = small_binning.n_bins
         mu = PushforwardMeasure(small_binning, np.full(n + 1, 1.0 / (n + 1)))
-        path = tmp_path / "m.csv"
-        write_measure(mu, path)
-        lines = path.read_text().splitlines()
-        overflow = lines[-1]
+        path = tmp_path / "pushforwards.npy"
+        write_measure([mu], path)
+        rows = np.load(path)
+        assert rows[:, 1].tolist() == list(range(n + 1))
         if edit == "missing":
-            del lines[-1]
+            rows = rows[:-1]
         elif edit == "duplicated":
-            lines.append(overflow)
-        elif edit == "not_last":
-            lines.insert(4, lines.pop())
+            rows = np.vstack([rows, rows[-1:]])
         else:
-            lines.insert(5, "# a note")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
-            read_measure(path, small_binning)
+            rows = np.vstack([rows[-1:], rows[:-1]])
+        np.save(path, rows)
+        _rejected(path, [mu])
 
-    @pytest.mark.parametrize("edit, rows, message", [
-        ("dropped_row", ["0,0.5", "3,0.30000000000000004", "4,0.1"], "total mass"),
-        ("duplicated_bin", ["0,0.5", "2,0.1", "2,0.1", "3,0.30000000000000004",
-                            "4,0.1"], "bins"),
-        ("bins_out_of_order", ["2,0.1", "0,0.5", "3,0.30000000000000004", "4,0.1"],
-         "bins"),
-        ("bin_past_overflow", ["0,0.5", "2,0.1", "3,0.30000000000000004", "5,0.1"],
-         "bins"),
-        ("negative_bin", ["-1,0.5", "2,0.1", "3,0.30000000000000004", "4,0.1"], "bins"),
-        ("fractional_bin", ["0,0.5", "2,0.1", "3.5,0.30000000000000004", "4,0.1"],
-         "bins"),
-        ("zero_mass", ["0,0.5", "1,0.0", "2,0.1", "3,0.30000000000000004", "4,0.1"],
-         "masses"),
-        ("negative_mass", ["0,0.501", "1,-1e-3", "2,0.1", "3,0.30000000000000004",
-                           "4,0.1"], "masses"),
-        ("nan_mass", ["0,0.5", "2,nan", "3,0.30000000000000004", "4,0.1"], "masses"),
-        ("flipped_digit", ["0,0.5", "2,0.1", "3,0.40000000000000004", "4,0.1"],
-         "total mass"),
+    @pytest.mark.parametrize("edit, rows", [
+        ("dropped_row", [[0, 0.5], [3, 0.30000000000000004], [4, 0.1]]),
+        ("duplicated_bin", [[0, 0.5], [2, 0.1], [2, 0.1], [3, 0.30000000000000004], [4, 0.1]]),
+        ("bins_out_of_order", [[2, 0.1], [0, 0.5], [3, 0.30000000000000004], [4, 0.1]]),
+        ("bin_past_overflow", [[0, 0.5], [2, 0.1], [3, 0.30000000000000004], [5, 0.1]]),
+        ("negative_bin", [[-1, 0.5], [2, 0.1], [3, 0.30000000000000004], [4, 0.1]]),
+        ("fractional_bin", [[0, 0.5], [2, 0.1], [3.5, 0.30000000000000004], [4, 0.1]]),
+        ("zero_mass", [[0, 0.5], [1, 0.0], [2, 0.1], [3, 0.30000000000000004], [4, 0.1]]),
+        ("negative_mass", [[0, 0.501], [1, -1e-3], [2, 0.1], [3, 0.30000000000000004],
+                           [4, 0.1]]),
+        ("nan_mass", [[0, 0.5], [2, np.nan], [3, 0.30000000000000004], [4, 0.1]]),
+        ("flipped_digit", [[0, 0.5], [2, 0.1], [3, 0.40000000000000004], [4, 0.1]]),
     ])
-    def test_rows_that_are_not_a_sparse_measure_are_rejected(self, edit, rows,
-                                                             message, tmp_path):
-        head = MEASURE_GOLDEN.splitlines()[:4]
-        path = tmp_path / f"{edit}.csv"
-        path.write_text("\n".join(head + rows) + "\n")
-        assert message in _rejected(path)
-        assert message in _rejected(path, FundamentalDomainBinning(2, 2, 2.0))
-
-    @pytest.mark.parametrize("meta, error", [
-        ("x2,2,2.0,0.25", ValueError), ("2,2,2.0,soon", ValueError),
-        ("1,2,2.0,0.25", ValueError), ("2,2,3.0,0.25", BinningMismatchError),
-        ("2,2,2.0,nan", ValueError), ("2,2,2.0,-inf", ValueError),
-    ])
-    def test_bad_metadata_is_rejected_naming_the_file(self, meta, error, tmp_path):
-        lines = MEASURE_GOLDEN.splitlines()
-        lines[2] = meta
-        path = tmp_path / "measure.csv"
-        path.write_text("\n".join(lines) + "\n")
-        binning = FundamentalDomainBinning(2, 2, 2.0) if error is BinningMismatchError else None
-        with pytest.raises(error) as exc:
-            read_measure(path, binning)
-        assert str(path) in str(exc.value)
+    def test_rows_that_are_not_a_sparse_measure_are_rejected(self, edit, rows, tmp_path):
+        mu = PushforwardMeasure(FundamentalDomainBinning(2, 2, 2.0), GOLDEN_MASSES, t=0.25)
+        assert measure_rows([mu]).tolist() == [[0, *row] for row in GOLDEN_ROWS]
+        path = tmp_path / f"{edit}.npy"
+        np.save(path, np.column_stack((np.zeros(len(rows)), rows)))
+        assert "differs from the recomputed pushforward of state 0" in _rejected(path, [mu])
 
     @settings(max_examples=60, deadline=None)
     @given(mu=_count_measures(), data=st.data())
     def test_a_dropped_or_repeated_row_is_rejected(self, mu, data, tmp_path_factory):
-        path = tmp_path_factory.mktemp("measure") / "measure.csv"
-        write_measure(mu, path)
-        lines = path.read_text().splitlines()
-        row = data.draw(st.integers(4, len(lines) - 1))
-        if data.draw(st.booleans()):
-            del lines[row]
-        else:
-            lines.insert(row, lines[row])
-        path.write_text("\n".join(lines) + "\n")
-        _rejected(path, mu.binning)
+        path = tmp_path_factory.mktemp("measure") / "pushforwards.npy"
+        write_measure([mu], path)
+        rows = np.load(path)
+        row = data.draw(st.integers(0, len(rows) - 1))
+        np.save(path, np.delete(rows, row, axis=0) if data.draw(st.booleans())
+                else np.insert(rows, row, rows[row], axis=0))
+        _rejected(path, [mu])
 
     def test_round_trip_is_bit_exact(self, grid64, binning60, tmp_path):
         state = build_initial_state(grid64, {"kind": "sinusoidal"})
-        state.t = 0.375
         mu = pushforward(state, binning60)
-        path = tmp_path / "measure.csv"
-        write_measure(mu, path)
-        back = read_measure(path, binning60)
-        assert np.array_equal(back.masses, mu.masses)
-        assert back.t == mu.t
-        assert back.binning.matches(binning60)
+        path = tmp_path / "pushforwards.npy"
+        write_measure([mu], path)
+        assert _masses(path, binning60, 1)[0].tobytes() == mu.masses.tobytes()
+        _audit_rows(path, measure_rows([mu]))
 
     def test_schema_and_shape_errors(self, grid64, binning60, tmp_path):
-        bad = tmp_path / "bad.csv"
+        mu = pushforward(_constant_state(grid64, 0.1, 1.3), binning60)
+        bad = tmp_path / "bad.npy"
         bad.write_text("nope\n")
-        with pytest.raises(ValueError):
-            read_measure(bad)
-        mu = pushforward(_constant_state(grid64, 0.1, 1.3), binning60)
-        path = tmp_path / "m.csv"
-        write_measure(mu, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-5]) + "\n")
-        with pytest.raises(ValueError):
-            read_measure(path)
-
-    def test_binning_mismatch_on_read(self, grid64, binning60, small_binning,
-                                      tmp_path):
-        mu = pushforward(_constant_state(grid64, 0.1, 1.3), binning60)
-        path = tmp_path / "m.csv"
-        write_measure(mu, path)
-        with pytest.raises(BinningMismatchError):
-            read_measure(path, small_binning)
+        _rejected(bad, [mu])
+        np.save(bad, measure_rows([mu])[:, 1:])
+        assert "shape" in _rejected(bad, [mu])

@@ -3,7 +3,9 @@ of perfbench/traced.py wraps functions by name, so a renamed or removed
 function must fail here rather than break a traced run, the README's
 config defaults must be FlowConfig's, the names its library example imports
 must be exported, its run directory layout must name what run writes and
-the columns of steps.npy, and the tools in tools/ must run."""
+the columns of steps.npy, its recipe must rebuild a run's time average,
+its list of older layouts must name each that analyze refuses, and the
+tools in tools/ must run."""
 
 import ast
 import importlib
@@ -13,9 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import moduliflow
-from moduliflow import flow
+from moduliflow import cli, flow
 from moduliflow.cli import FlowConfig, config_from_dict, run_experiment
+from moduliflow.hyperbolic import FundamentalDomainBinning
+from moduliflow.measures import pushforward, time_average
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "perfbench" / "traced.py"
@@ -81,6 +87,35 @@ def test_the_readme_steps_entry_names_the_step_columns():
     entry = re.search(r"^steps\.npy\s(.*?)\n(?=\S)", _layout_block(), re.S | re.M).group(1)
     columns = re.search(r"array of\s+(.*?);", entry, re.S).group(1)
     assert re.split(r",\s+", columns) == list(flow.STEP_COLUMNS)
+
+
+def _layout_section() -> str:
+    return (ROOT / "README.md").read_text().split(
+        "\n## Run directory layout\n", 1)[1].split("\n## ", 1)[0]
+
+
+@pytest.mark.parametrize("t_final, termination", [(0.4, "stalled"), (0.1, "t_final")])
+def test_the_readme_recipe_rebuilds_the_time_average(tmp_path, t_final, termination):
+    # The recipe reads pushforwards.npy, series.csv's t and the steps' D;
+    # its average is time_average of the run's pushforwards, bit for bit.
+    run = tmp_path / "run"
+    result = run_experiment(config_from_dict({
+        "grid": {"n1": 16, "n2": 16}, "t_final": t_final, "snapshot_interval": 0.05,
+        "binning": {"n_x": 12, "n_y": 12, "y_max": 4.0}}), run)
+    snaps = result.trajectory.snapshots
+    assert result.summary["termination"] == termination and len(snaps) >= 3
+    recipe = re.search(r"```python\n(.*?)```", _layout_section(), re.S).group(1)
+    namespace = {"run": run}
+    exec(recipe, namespace)
+    binning = FundamentalDomainBinning(12, 12, 4.0)
+    want = time_average([pushforward(s, binning) for s in snaps])
+    got = namespace["average"]
+    assert got.t == want.t and got.masses.tobytes() == want.masses.tobytes()
+
+
+def test_the_readme_names_every_old_layout():
+    paragraph = _layout_section().split("Runs of older layouts", 1)[1].split("\n\n", 1)[0]
+    assert [name for name in cli.OLD_LAYOUTS if f"`{name}`" not in paragraph] == []
 
 
 def test_compare_outputs_loads_and_refuses_an_unknown_revision():
