@@ -29,7 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -237,9 +237,10 @@ def _initial_state(config: FlowConfig) -> flow.MapState:
     interval that run_flow would refuse from the state's time."""
     grid = DomainGrid(config.grid.n1, config.grid.n2)
     try:
-        state = initial.build_initial_state(
-            grid, config.initial, np.random.default_rng(config.seed)
-        )
+        # Only random data draws; loading numpy.random costs others time and memory.
+        rng = (np.random.default_rng(config.seed) if config.initial.get("kind") == "random"
+               else None)
+        state = initial.build_initial_state(grid, config.initial, rng)
         flow._check_above_floor(state)
     except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc), "initial") from exc
@@ -267,38 +268,54 @@ def _series_columns(config: FlowConfig) -> list:
     ]
 
 
-def compute_snapshot_diagnostics(config: FlowConfig, snapshots, state, e, d, cumulative_d, dt):
+# Grid nodes of the states measured at once: one state at 64², four at 32².
+# Larger chunks raise run's peak memory; smaller ones add calls per state.
+CHUNK_NODES = 4096
+
+
+def compute_snapshot_diagnostics(config: FlowConfig, fields, times, state,
+                                 e, d, cumulative_d, dt):
     """Measure the snapshots as the config directs; shared by run and analyze.
 
-    Returns (rows, series): rows is the series table, one row per snapshot in
-    _series_columns order, with e, d, cumulative_d and dt, each snapshot's
-    E and D and the steps' values at the snapshots, as given; series is the
-    MeasureSeries of the snapshots' pushforwards.  state gives each
-    snapshot's state number (state_numbers): a snapshot of its
-    predecessor's state reuses its measure and entropy report; each prefix
-    average of the ergodic series serves every observable.
+    fields lists the distinct states' (2, n1, n2) fields in order, times the
+    snapshots' times, state each snapshot's state number (state_numbers).
+    Each state is measured once, by ms.state_masses and ms.state_reports of
+    a stack of CHUNK_NODES grid nodes; each snapshot's masses, its state's,
+    then go to the one walk of the prefix averages, which serves every
+    observable, and the chunk is dropped.  Memory holds at most two chunks
+    of dense masses besides the sparse rows.
+
+    Returns (rows, pushforwards): rows is the series table, one row per
+    snapshot in _series_columns order, with e, d, cumulative_d and dt, each
+    snapshot's E and D and the steps' values at the snapshots, as given;
+    pushforwards is ms.measure_rows of the distinct states' masses.
     """
+    grid = DomainGrid(config.grid.n1, config.grid.n2)
     binning = FundamentalDomainBinning(
         config.binning.n_x, config.binning.n_y, config.binning.y_max
     )
     reference = ms.reference_measure(binning)
-    mus, reports = [], []
-    for k, s in enumerate(snapshots):
-        if k and state[k] == state[k - 1]:
-            mus.append(replace(mus[-1], t=s.t))
-        else:
-            mus.append(ms.pushforward(s, binning))
-            r = ms.entropy_report(s, mus[-1], reference, config.density_threshold,
-                                  config.jacobian_threshold)
-            report = (r.entropy, r.rho_max, r.tail_mass, r.degenerate_fraction)
-        reports.append(report)
-    series = ms.MeasureSeries(mus)
+    size = max(1, CHUNK_NODES // (grid.n1 * grid.n2))
+    repeats = np.bincount(state)  # the snapshots of each state
+    reports, pushforwards = [], []
+
+    def snapshot_masses():
+        for a in range(0, len(fields), size):
+            chunk = np.asarray(fields[a:a + size])
+            masses = ms.state_masses(chunk, grid, binning)
+            reports.extend(ms.state_reports(chunk, grid, masses, reference,
+                                            config.density_threshold, config.jacobian_threshold))
+            rows = ms.measure_rows(masses)
+            rows[:, 0] += a
+            pushforwards.append(rows)
+            for mu, n in zip(masses, repeats[a:a + size]):
+                for _ in range(n):
+                    yield mu
+
     bumps = [BumpFunction(**tf) for tf in config.test_functions]
-    ergodic = ms.ergodic_error_from_measures(series, bumps, reference)
-    rows = np.column_stack(
-        [[s.t for s in snapshots], e, d, cumulative_d, dt, *np.array(reports).T, ergodic]
-    )
-    return rows, series
+    ergodic = ms.ergodic_error_from_measures(times, snapshot_masses(), bumps, reference)
+    rows = np.column_stack([times, e, d, cumulative_d, dt, *np.array(reports)[state].T, ergodic])
+    return rows, np.concatenate(pushforwards)
 
 
 def _run_files(run: Path) -> dict:
@@ -375,9 +392,10 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
 
     snaps, at = traj.snapshots, traj.snapshot_rows
     state = flow.state_numbers(traj.dissipation[at], config.stall_threshold)
-    series, mu_series = compute_snapshot_diagnostics(
-        config, snaps, state, traj.energy[at], traj.dissipation[at],
-        traj.cumulative_dissipation[at], traj.dt_used[at])
+    firsts = np.flatnonzero(np.diff(state, prepend=-1))  # each state's first snapshot
+    series, pushforwards = compute_snapshot_diagnostics(
+        config, [snaps[k].fields for k in firsts], [s.t for s in snaps], state,
+        traj.energy[at], traj.dissipation[at], traj.cumulative_dissipation[at], traj.dt_used[at])
     columns = _series_columns(config)
     table.write_table(out / "series.csv", SERIES_SCHEMA, dict(zip(columns, series.T)))
     np.save(out / "steps.npy", traj.steps)
@@ -385,9 +403,8 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     snap_dir, measure_dir = _run_files(out)
     snap_dir.mkdir()
     measure_dir.mkdir()
-    firsts = np.flatnonzero(np.diff(state, prepend=-1))  # each state's first snapshot
     flow.write_snapshot([snaps[k] for k in firsts], snap_dir / "states.npy")
-    ms.write_measure([mu_series.measures[k] for k in firsts], measure_dir / "pushforwards.npy")
+    ms.write_measure(pushforwards, measure_dir / "pushforwards.npy")
 
     summary = {**_summary(config, traj.steps, _series_fields(columns, series)),
                "rejected_steps": int(traj.rejected_steps)}
@@ -412,10 +429,10 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     OLD_LAYOUTS is refused.  snapshots/ and measures/ must hold exactly
     _run_files; states.npy is read once, and must hold as many states as
     the steps give (flow.state_numbers), on the config's grid, finite and
-    above the v floor; the snapshots are views of it.  summary.json must
-    agree with the recomputation (_audit_records), pushforwards.npy must be
-    the rows of the recomputed pushforwards byte for byte, or ValueError
-    names the file (and for a state, or rows that differ, the first state).
+    above the v floor.  summary.json must agree with the recomputation
+    (_audit_records), pushforwards.npy must be the rows of the recomputed
+    pushforwards byte for byte, or ValueError names the file (and for a
+    state, or rows that differ, the first state).
     Values so large that the recomputation overflows give inf or nan in its
     columns, without a warning.  Returns the audit report dictionary (also
     written to analysis.json).
@@ -435,7 +452,6 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
         raise ValueError(f"{path}: t does not rise strictly from row to row")
     at = _step_rows(steps_path, steps, times, stored)
     state = flow.state_numbers(steps[at, 2], config.stall_threshold)
-    firsts = np.flatnonzero(np.diff(state, prepend=-1))  # each state's first snapshot
     files = _run_files(run)
     for directory, names in files.items():
         found = {p.name for p in directory.iterdir()}
@@ -446,23 +462,20 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     snap_dir, measure_dir = files
     path = snap_dir / "states.npy"
     grid = DomainGrid(config.grid.n1, config.grid.n2)
-    states = flow.read_snapshot(path, grid, len(firsts))
+    states = flow.read_snapshot(path, grid, int(state[-1]) + 1)
     # run_flow records no state at or below the floor; reduction fails on one.
     low = [j for j, s in enumerate(states) if s.v_min <= flow.V_FLOOR]
     if low:
         raise ValueError(f"{path}: state {low[0]}: v_min {states[low[0]].v_min} "
                          f"is at or below {flow.V_FLOOR}")
-    # Each snapshot is a view of its state's fields.
-    snapshots = [flow.MapState._checked(grid, s.fields, t, s.v_min)
-                 for t, s in zip(times, [states[j] for j in state])]
     with np.errstate(over="ignore", invalid="ignore"):
         ws = flow._EdgeWorkspace(grid.shape)
         e, d = np.array([flow._edge_pass(s, ws)[::2] for s in states]).T[:, state]
-        recomputed, series = compute_snapshot_diagnostics(
-            config, snapshots, state, e, d, flow.dissipation_integral(steps)[at], steps[at, 3])
+        recomputed, pushforwards = compute_snapshot_diagnostics(
+            config, [s.fields for s in states], times, state, e, d,
+            flow.dissipation_integral(steps)[at], steps[at, 3])
     _audit_records(run, columns, recomputed, tolerance, steps, config)
-    _audit_rows(measure_dir / "pushforwards.npy",
-                ms.measure_rows([series.measures[k] for k in firsts]))
+    _audit_rows(measure_dir / "pushforwards.npy", pushforwards)
     table.write_table(run / "series_recomputed.csv", SERIES_SCHEMA,
                       dict(zip(columns, recomputed.T)))
     worst = np.abs(stored - recomputed).max(axis=0)

@@ -6,7 +6,8 @@ is deposited in the containing histogram bin.  Against those histograms
 this module computes the normalised hyperbolic reference measure, densities
 (Radon-Nikodym ratios), relative entropy sum(mu log(mu/nu)), weak-* pairings
 with smooth observables, trapezoid time averages, equidistribution error
-series, and the degenerate-set / tail diagnostics bundled in EntropyReport.
+series, and the degenerate-set / tail diagnostics bundled in EntropyReport,
+for a stack of states at once (state_masses, state_reports) or for one.
 """
 
 from __future__ import annotations
@@ -15,14 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# jacobian_det stays bound here for perfbench/traced.py, which wraps it by name.
 from .flow import MapState, jacobian_det
 from .hyperbolic import FundamentalDomainBinning, reduce_points
+from .mesh import DomainGrid
 
 MASS_TOL = 1e-12
 
 
 class BinningMismatchError(ValueError):
     """Two measures were combined across incompatible binnings."""
+
+
+def _check_masses(masses: np.ndarray):
+    """A mass vector must be finite, nonnegative and of total 1 within MASS_TOL."""
+    if np.any(masses < 0.0) or not np.all(np.isfinite(masses)):
+        raise ValueError("masses must be finite and nonnegative")
+    total = float(masses.sum())
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"total mass {total} deviates from 1 beyond {MASS_TOL}")
 
 
 @dataclass
@@ -40,11 +52,7 @@ class PushforwardMeasure:
                 f"mass vector has shape {self.masses.shape}, expected "
                 f"({self.binning.n_bins + 1},)"
             )
-        if np.any(self.masses < 0.0) or not np.all(np.isfinite(self.masses)):
-            raise ValueError("masses must be finite and nonnegative")
-        total = float(self.masses.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"total mass {total} deviates from 1 beyond {MASS_TOL}")
+        _check_masses(self.masses)
 
 
 @dataclass
@@ -78,12 +86,28 @@ def _check_match(a, b):
         )
 
 
+def state_masses(fields: np.ndarray, grid: DomainGrid,
+                 binning: FundamentalDomainBinning) -> np.ndarray:
+    """The pushforward masses of each state of fields, a (C, 2, n1, n2) stack
+    on grid, as a (C, n_bins + 1) array, each row checked as
+    PushforwardMeasure checks it.  Every step is elementwise or a count, so
+    a row has the same bits whatever the stack."""
+    xf, yf = reduce_points(fields[:, 0], fields[:, 1])
+    n = binning.n_bins + 1
+    # State c's bins are offset by c * n, so that one bincount counts all.
+    idx = binning.bin_index_array(xf, yf) + n * np.arange(len(fields)).reshape(-1, 1, 1)
+    counts = np.bincount(idx.ravel(), minlength=n * len(fields)).astype(float)
+    masses = counts.reshape(-1, n) * grid.w
+    for row in masses:
+        _check_masses(row)
+    return masses
+
+
 def pushforward(state: MapState, binning: FundamentalDomainBinning) -> PushforwardMeasure:
-    """Histogram of the reduced node images, each node carrying weight w."""
-    xf, yf = reduce_points(state.u, state.v)
-    idx = binning.bin_index_array(xf.ravel(), yf.ravel())
-    counts = np.bincount(idx, minlength=binning.n_bins + 1).astype(float)
-    return PushforwardMeasure(binning, counts * state.grid.w, state.t)
+    """Histogram of the reduced node images, each node carrying weight w:
+    the one-state case of state_masses."""
+    masses = state_masses(state.fields[np.newaxis], state.grid, binning)
+    return PushforwardMeasure(binning, masses[0], state.t)
 
 
 def radon_nikodym(mu: PushforwardMeasure, nu: ReferenceMeasure) -> np.ndarray:
@@ -116,89 +140,82 @@ def _pairing(masses, live, overflow_value) -> float:
     return float(np.dot(masses[:-1], live)) + float(masses[-1]) * overflow_value
 
 
-class MeasureSeries:
-    """Measures of one binning at finite, nondecreasing times.  Every
-    average is read from one running trapezoid integral over the series,
-    so the averages of all its prefixes cost O(len * bins) time and
-    O(bins) memory together.
+def _times(times, t_end: float | None = None) -> np.ndarray:
+    """times as an array: at least one, finite, nondecreasing, none beyond t_end."""
+    times = np.array(times, dtype=float)
+    if not len(times):
+        raise ValueError("a measure series needs at least one measure")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("measure times must be finite")
+    if np.any(np.diff(times) < 0.0):
+        raise ValueError("measures must be sorted by time")
+    if t_end is not None and times[-1] > t_end + 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError(f"measure at t = {times[-1]} lies beyond t_end = {t_end}")
+    return times
 
-    measures keeps the measures themselves, in order.  A t_end, when given,
-    bounds the last time.
-    """
 
-    def __init__(self, measures, t_end: float | None = None):
-        if not measures:
-            raise ValueError("a measure series needs at least one measure")
-        times = np.array([m.t for m in measures], dtype=float)
-        if not np.all(np.isfinite(times)):
-            raise ValueError("measure times must be finite")
-        if np.any(np.diff(times) < 0.0):
-            raise ValueError("measures must be sorted by time")
-        if t_end is not None and times[-1] > t_end + 1e-9 * max(1.0, abs(t_end)):
-            raise ValueError(f"measure at t = {times[-1]} lies beyond t_end = {t_end}")
-        for m in measures[1:]:
-            _check_match(measures[0], m)
-        self.measures = list(measures)
-        self.binning = measures[0].binning
-        self.times = times
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def prefix_averages(self):
-        """Yield the masses of the trapezoid-in-time average of the first k
-        measures, for k = 1 .. len: the first measure's own masses, then the
-        running integral renormalised to total mass exactly 1.  A prefix
-        spanning no time yields the plain mean."""
-        masses, times = self.measures[0].masses, self.times
-        average = masses
+def prefix_averages(times, masses):
+    """The one walk of the time averages: yield the masses of the trapezoid
+    average of the first k measures, k = 1 .. len(times), measure k at
+    times[k] with the k-th vector that the iterable masses yields, drawn
+    when the walk reaches it.  The first is the first measure's own masses;
+    later ones renormalise one running integral to total mass exactly 1
+    (while the prefix spans no time, the plain mean).  O(bins) memory."""
+    masses = iter(masses)
+    cur = average = next(masses)
+    yield average
+    integral, plain = np.zeros_like(cur), cur.copy()
+    for k in range(1, len(times)):
+        prev, cur = cur, next(masses)
+        integral += 0.5 * (times[k] - times[k - 1]) * (prev + cur)
+        if times[k] > times[0]:
+            average = integral / integral.sum()
+        else:
+            plain += cur
+            average = plain / plain.sum()
         yield average
-        integral, plain = np.zeros_like(masses), masses.copy()
-        for k in range(1, len(self)):
-            prev, masses = masses, self.measures[k].masses
-            integral += 0.5 * (times[k] - times[k - 1]) * (prev + masses)
-            if times[k] > times[0]:
-                average = integral / integral.sum()
-            else:
-                plain += masses
-                average = plain / plain.sum()
-            yield average
 
 
 def time_average(measures, t_end: float | None = None) -> PushforwardMeasure:
-    """Trapezoid-in-time average of a sorted list of measures, renormalised
-    to total mass exactly 1, at the last measure's time: the last prefix
-    average of their MeasureSeries.  At least two measures are required;
-    identical timestamps degrade gracefully to the plain mean."""
+    """Trapezoid-in-time average of a sorted list of measures of one
+    binning, renormalised to total mass exactly 1, at the last measure's
+    time: the last of their prefix_averages.  At least two measures are
+    required, at finite times, none beyond a given t_end; identical
+    timestamps degrade gracefully to the plain mean."""
     if len(measures) < 2:
         raise ValueError("time averaging needs at least two measures")
-    series = MeasureSeries(measures, t_end)
-    *_, average = series.prefix_averages()
-    return PushforwardMeasure(series.binning, average, float(series.times[-1]))
+    times = _times([m.t for m in measures], t_end)
+    for m in measures[1:]:
+        _check_match(measures[0], m)
+    *_, average = prefix_averages(times, (m.masses for m in measures))
+    return PushforwardMeasure(measures[0].binning, average, float(times[-1]))
 
 
-def ergodic_error_from_measures(series: MeasureSeries, fs,
+def ergodic_error_from_measures(times, masses, fs,
                                 reference: ReferenceMeasure) -> np.ndarray:
-    """|time-average pairing - reference pairing| per prefix of the series,
-    as a (len(series), len(fs)) array with one column per observable.
+    """|time-average pairing - reference pairing| per prefix of a series of
+    measures, as a (len(times), len(fs)) array with one column per
+    observable: measures at times, finite and nondecreasing, with the mass
+    vectors that the iterable masses yields, on the reference's binning.
 
     Entry [k, j] compares the trapezoid average of the measures 0..k (row 0
-    is the bare first measure) against the hyperbolic reference, which must
-    be on the series' binning, through observable fs[j].  Reported as a
-    diagnostic series; no decay is asserted.  Each observable is evaluated at
-    the bin mass centroids once, and takes its declared overflow_value (0 if
-    none) on the overflow bin.  The prefix averages come from the series' one
-    running integral, O(len * bins) in all; every pairing is bit-identical to
+    is the bare first measure) against the hyperbolic reference through
+    observable fs[j].  Reported as a diagnostic series; no decay is
+    asserted.  Each observable is evaluated at the bin mass centroids once,
+    and takes its declared overflow_value (0 if none) on the overflow bin.
+    The averages are prefix_averages', so every pairing is bit-identical to
     the binned pairing of time_average of the prefix.
     """
-    _check_match(series, reference)
-    b = series.binning
+    times = _times(times)
+    b = reference.binning
     on_bins = [(np.asarray(f.value(b.center_x, b.center_y), dtype=float),
                 getattr(f, "overflow_value", 0.0)) for f in fs]
     targets = [_pairing(reference.masses, *f_bins) for f_bins in on_bins]
-    errors = np.empty((len(series), len(on_bins)))
-    for k, masses in enumerate(series.prefix_averages()):
-        errors[k] = [abs(_pairing(masses, *f_bins) - target)
+    errors = np.empty((len(times), len(on_bins)))
+    for k, average in enumerate(prefix_averages(times, masses)):
+        if average.shape != reference.masses.shape:
+            raise BinningMismatchError(f"masses of shape {average.shape} against the reference")
+        errors[k] = [abs(_pairing(average, *f_bins) - target)
                      for f_bins, target in zip(on_bins, targets)]
     return errors
 
@@ -216,6 +233,26 @@ class EntropyReport:
     degenerate_fraction: float
 
 
+def state_reports(fields: np.ndarray, grid: DomainGrid, masses: np.ndarray,
+                  nu: ReferenceMeasure, density_threshold: float,
+                  jacobian_threshold: float) -> list:
+    """EntropyReport's entropy, rho_max, tail_mass and degenerate_fraction,
+    one tuple per state of fields, a (C, 2, n1, n2) stack on grid, whose
+    state_masses on nu's binning are masses.  Each state's sums and maximum
+    reduce its own row, so a tuple has the same bits whatever the stack."""
+    if not density_threshold > 1.0:
+        raise ValueError(f"density threshold must exceed 1, got {density_threshold}")
+    d1, d2 = grid.gradient(fields)
+    jac = d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1]
+    degenerate = np.mean(np.abs(jac) < jacobian_threshold, axis=(1, 2))
+    reports = []
+    for mu, fraction in zip(masses, degenerate.tolist()):
+        rho = mu / nu.masses
+        reports.append((entropy_from_masses(mu, nu.masses), float(rho.max()),
+                        float(mu[rho > density_threshold].sum()), fraction))
+    return reports
+
+
 def entropy_report(
     state: MapState,
     mu: PushforwardMeasure,
@@ -224,34 +261,23 @@ def entropy_report(
     jacobian_threshold: float,
 ) -> EntropyReport:
     """Assemble the entropy/degeneracy diagnostics for one state, given its
-    pushforward mu."""
-    if not density_threshold > 1.0:
-        raise ValueError(f"density threshold must exceed 1, got {density_threshold}")
-    rho = radon_nikodym(mu, nu)
-    tail = float(mu.masses[rho > density_threshold].sum())
-    jac = jacobian_det(state)
-    degenerate = float(np.mean(np.abs(jac) < jacobian_threshold))
-    return EntropyReport(
-        t=state.t,
-        entropy=relative_entropy(mu, nu),
-        rho_max=float(rho.max()),
-        tail_mass=tail,
-        degenerate_fraction=degenerate,
-    )
+    pushforward mu: the one-state case of state_reports."""
+    _check_match(mu, nu)
+    (report,) = state_reports(state.fields[np.newaxis], state.grid, mu.masses[np.newaxis],
+                              nu, density_threshold, jacobian_threshold)
+    return EntropyReport(state.t, *report)
 
 
-def measure_rows(measures) -> np.ndarray:
+def measure_rows(masses: np.ndarray) -> np.ndarray:
     """The one sparse format of measures on one binning: float64 rows
-    (j, bin, mass), for each measure j in order one row per bin of nonzero
-    mass, in increasing bin order, the overflow bin being n_bins.  A zero
-    of either sign has no row."""
-    rows = []
-    for j, mu in enumerate(measures):
-        bins = np.flatnonzero(mu.masses)
-        rows.append(np.column_stack((np.full(len(bins), j), bins, mu.masses[bins])))
-    return np.concatenate(rows)
+    (j, bin, mass) of an (S, n_bins + 1) array of mass vectors, for each
+    vector j in order one row per bin of nonzero mass, in increasing bin
+    order, the overflow bin being n_bins.  A zero of either sign has no
+    row."""
+    j, bins = np.nonzero(masses)
+    return np.column_stack((j, bins, masses[j, bins]))
 
 
-def write_measure(measures, path) -> None:
-    """Save measure_rows of measures as the .npy file at path."""
-    np.save(path, measure_rows(measures))
+def write_measure(rows: np.ndarray, path) -> None:
+    """Save rows, the measure_rows of some measures, as the .npy file at path."""
+    np.save(path, rows)

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,14 @@ from moduliflow.cli import (
 )
 from moduliflow.flow import V_FLOOR, MapState, write_snapshot
 from moduliflow.hyperbolic import FundamentalDomainBinning
-from moduliflow.measures import measure_rows, pushforward, reference_measure, time_average
+from moduliflow.initial import build_initial_state
+from moduliflow.measures import (
+    entropy_report,
+    measure_rows,
+    pushforward,
+    reference_measure,
+    time_average,
+)
 from moduliflow.mesh import DomainGrid
 from moduliflow.testfunctions import BumpFunction
 from oracles import reference_steps, stepping_record_problem, weak_star_pairing
@@ -278,6 +286,24 @@ class TestRunExperiment:
         for name in ("snapshots/states.npy", "measures/pushforwards.npy"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert a.summary["energy_final"] == b.summary["energy_final"]
+        # The run starts from the draw of a generator seeded with the seed.
+        want = build_initial_state(DomainGrid(16, 16), cfg.initial, np.random.default_rng(5))
+        assert np.load(tmp_path / "a" / "snapshots" / "states.npy")[0].tobytes() == (
+            want.fields.tobytes())
+
+    def test_a_run_that_draws_nothing_leaves_numpy_random_unloaded(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(FAST_OVERRIDES))  # sinusoidal initial data
+        args = ["run", "--config", str(config), "--out", str(tmp_path / "run")]
+        probe = (f"import sys; from moduliflow.cli import main; code = main({args!r}); "
+                 "print('numpy.random' in sys.modules); sys.exit(code)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
     def test_constant_map_run(self, tmp_path):
         cfg = _fast_config(initial={"kind": "constant", "u0": 0.1, "v0": 1.3})
@@ -335,13 +361,13 @@ class TestRunExperiment:
         # The ergodic columns walk every prefix average, and nothing else
         # walks the series: no time average is stored or audited apart.
         walks = []
-        inner = measures_module.MeasureSeries.prefix_averages
+        inner = measures_module.prefix_averages
 
-        def counted(series):
-            walks.append(len(series))
-            return inner(series)
+        def counted(times, masses):
+            walks.append(len(times))
+            return inner(times, masses)
 
-        monkeypatch.setattr(measures_module.MeasureSeries, "prefix_averages", counted)
+        monkeypatch.setattr(measures_module, "prefix_averages", counted)
         result = run_experiment(_fast_config(snapshot_interval=0.02), tmp_path / "run")
         count = result.summary["snapshot_count"]
         assert count > 2 and walks == [count]
@@ -495,24 +521,35 @@ class TestFrozenSnapshots:
         monkeypatch.setattr(module, name, counted)
 
     def test_each_distinct_state_is_measured_once(self, tmp_path, monkeypatch):
+        # Counts the states that the masses and the reports are taken of,
+        # whatever the chunks they are taken in.
         calls = {}
-        self._count_calls(monkeypatch, measures_module, "pushforward", calls)
+        for name in ("state_masses", "state_reports"):
+            inner = getattr(measures_module, name)
+
+            def counted(fields, *args, name=name, inner=inner):
+                calls[name] = calls.get(name, 0) + len(fields)
+                return inner(fields, *args)
+
+            monkeypatch.setattr(measures_module, name, counted)
         result, firsts = self._stalled_run(tmp_path)
         # run_flow makes edge passes of its own, so edge passes are counted on
         # one more diagnostic pass alone, which takes E and D as given and
-        # makes none; pushforwards on the run and that pass.  analyze makes
-        # one edge pass per distinct state.
+        # makes none; states measured on the run and that pass.  analyze
+        # makes one edge pass per distinct state.
         self._count_calls(monkeypatch, flow_module, "_edge_pass", calls)
         traj = result.trajectory
         rows = traj.snapshot_rows
         state = flow_module.state_numbers(traj.dissipation[rows], result.config.stall_threshold)
-        compute_snapshot_diagnostics(result.config, traj.snapshots, state,
+        compute_snapshot_diagnostics(result.config, [traj.snapshots[k].fields for k in firsts],
+                                     [s.t for s in traj.snapshots], state,
                                      traj.energy[rows], traj.dissipation[rows],
                                      traj.cumulative_dissipation[rows], traj.dt_used[rows])
-        assert calls == {"pushforward": 2 * len(firsts)}
+        assert calls == {"state_masses": 2 * len(firsts), "state_reports": 2 * len(firsts)}
         calls.clear()
         assert analyze_run(tmp_path / "run")["pass"] is True
-        assert calls == {"pushforward": len(firsts), "_edge_pass": len(firsts)}
+        assert calls == {"state_masses": len(firsts), "state_reports": len(firsts),
+                         "_edge_pass": len(firsts)}
 
     @pytest.mark.parametrize("reject", [(), (5, 6, 40)])
     def test_run_makes_an_edge_pass_per_candidate_state_alone(self, tmp_path, monkeypatch,
@@ -595,7 +632,7 @@ class TestFrozenSnapshots:
         rows = np.load(out / "measures" / "pushforwards.npy")
         assert np.array_equal(np.unique(rows[:, 0]), np.arange(len(firsts)))
         for k, snap in enumerate(snaps):
-            alone = measure_rows([pushforward(snap, binning)])[:, 1:]
+            alone = measure_rows(pushforward(snap, binning).masses[np.newaxis])[:, 1:]
             state = sum(f <= k for f in firsts) - 1
             assert rows[rows[:, 0] == state, 1:].tobytes() == alone.tobytes()
 
@@ -631,6 +668,83 @@ class TestFrozenSnapshots:
             # The steps were recorded at the snapshot's true time.
             assert f"steps.npy: no row at t = {float(row[0])!r}, the time of snapshot {k}" in err
             assert len(err.splitlines()) == 1
+
+
+class TestChunkedDiagnostics:
+    """compute_snapshot_diagnostics measures the distinct states in chunks of
+    cli.CHUNK_NODES grid nodes; its rows must be those of each state alone."""
+
+    @staticmethod
+    def _fields(n, count, seed=7):
+        # Every third state is constant, so that its Jacobian is degenerate.
+        rng = np.random.default_rng(seed)
+        return [np.stack((0.1 + 0.3 * rng.standard_normal((n, n)) * (j % 3 > 0),
+                          1.3 * np.exp(0.3 * rng.standard_normal((n, n)) * (j % 3 > 0))))
+                for j in range(count)]
+
+    @staticmethod
+    def _diagnostics(config, fields, state):
+        state = np.asarray(state)
+        zeros = np.zeros(len(state))
+        times = (0.01 * np.arange(len(state)) + 0.25).tolist()
+        return times, *compute_snapshot_diagnostics(config, fields, times, state,
+                                                     zeros, zeros, zeros, zeros)
+
+    SIZE = cli_module.CHUNK_NODES // 32**2  # states per chunk at 32²; one at 64²
+    CASES = [
+        ("not_a_multiple_of_the_chunk", 32, list(range(2 * SIZE + 1))),
+        ("frozen_tail_from_mid_chunk", 32, [*range(SIZE + 2), *[SIZE + 1] * 4]),
+        ("frozen_run_at_a_chunk_boundary", 32,
+         [*range(SIZE), *[SIZE - 1] * 3, *range(SIZE, 2 * SIZE), 2 * SIZE - 1]),
+        ("one_state_per_chunk", 64, [0, 1, 1, 2, 3, 3]),
+        ("single_snapshot", 32, [0]),
+    ]
+
+    @pytest.mark.parametrize("name, n, state", CASES, ids=[case[0] for case in CASES])
+    def test_rows_equal_those_of_each_state_alone(self, name, n, state):
+        config = config_from_dict({"grid": {"n1": n, "n2": n},
+                                   "binning": {"n_x": 20, "n_y": 20, "y_max": 4.0}})
+        fields = self._fields(n, state[-1] + 1)
+        times, rows, pushforwards = self._diagnostics(config, fields, state)
+        grid, binning = DomainGrid(n, n), FundamentalDomainBinning(20, 20, 4.0)
+        nu = reference_measure(binning)
+        snaps = [MapState(grid, *fields[j], t) for j, t in zip(state, times)]
+        mus = [pushforward(s, binning) for s in snaps]
+        reports = [entropy_report(s, mu, nu, config.density_threshold,
+                                  config.jacobian_threshold) for s, mu in zip(snaps, mus)]
+        want = [[r.entropy, r.rho_max, r.tail_mass, r.degenerate_fraction] for r in reports]
+        assert rows[:, 5:9].tolist() == want, name
+        for j, tf in enumerate(config.test_functions):
+            f = BumpFunction(**tf)
+            target = weak_star_pairing(nu, f)
+            ergodic = [abs(weak_star_pairing(mus[0], f) - target)] + [
+                abs(weak_star_pairing(time_average(mus[:k + 1]), f) - target)
+                for k in range(1, len(mus))]
+            assert rows[:, 9 + j].tolist() == ergodic, name
+        firsts = np.flatnonzero(np.diff(state, prepend=-1))
+        alone = [measure_rows(mus[k].masses[np.newaxis]) + [j, 0, 0]
+                 for j, k in enumerate(firsts)]
+        assert pushforwards.tobytes() == np.concatenate(alone).tobytes(), name
+
+    def test_memory_does_not_grow_with_the_number_of_states(self):
+        # Dense masses are held for one chunk at a time: from 16 to 64
+        # near-constant states the traced peak grows by less than one
+        # vector of n_bins + 1 masses per 4 states, where one vector per
+        # state would be kept if every state's masses were.
+        config = config_from_dict({"grid": {"n1": 32, "n2": 32}})
+        vector = 8 * (config.binning.n_x * config.binning.n_y + 1)
+        peaks = {}
+        for count in (4, 16, 64):  # 4: imports and caches are made first
+            fields = [np.stack((np.full((32, 32), 0.1) + 1e-3 * f[0],
+                                np.full((32, 32), 1.3) + 1e-3 * f[1]))
+                      for f in self._fields(32, count)]
+            tracemalloc.start()
+            try:
+                self._diagnostics(config, fields, range(count))
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] - peaks[16] < vector * (64 - 16) / 4
 
 
 class TestRunFiles:

@@ -17,7 +17,6 @@ from moduliflow.hyperbolic import (
 from moduliflow.initial import build_initial_state
 from moduliflow.measures import (
     BinningMismatchError,
-    MeasureSeries,
     PushforwardMeasure,
     entropy_from_masses,
     entropy_report,
@@ -25,6 +24,7 @@ from moduliflow.measures import (
     pushforward,
     radon_nikodym,
     measure_rows,
+    prefix_averages,
     reference_measure,
     relative_entropy,
     time_average,
@@ -43,6 +43,16 @@ from oracles import (
 
 def _constant_state(grid, x0, y0, t=0.0):
     return MapState(grid, np.full(grid.shape, x0), np.full(grid.shape, y0), t)
+
+
+def _errors(mus, fs, nu):
+    """ergodic_error_from_measures of the measures mus, their masses drawn
+    one at a time."""
+    return ergodic_error_from_measures([m.t for m in mus], (m.masses for m in mus), fs, nu)
+
+
+def _rows(measures):
+    return measure_rows(np.array([m.masses for m in measures]))
 
 
 class _Combined:
@@ -329,7 +339,7 @@ class TestPrefixAverages:
         # The first two measures share a time, so the two-measure prefix
         # spans none; the later ones advance unevenly.
         mus = self._measures(binning60, rng, [0.25, 0.25, 0.5, 0.625, 1.1, 1.1, 2.0])
-        averages = list(MeasureSeries(mus).prefix_averages())
+        averages = list(prefix_averages([m.t for m in mus], (m.masses for m in mus)))
         assert len(averages) == len(mus)
         assert averages[0] is mus[0].masses
         plain = mus[0].masses + mus[1].masses
@@ -342,9 +352,9 @@ class TestPrefixAverages:
         mus = self._measures(binning60, rng, [0.0, 1.0])
         mus[1].t = bad
         with pytest.raises(ValueError, match="finite"):
-            MeasureSeries(mus)
+            time_average(mus)
         with pytest.raises(ValueError, match="finite"):
-            MeasureSeries(mus[1:])
+            _errors(mus[1:], [ConstantOne()], reference_measure(binning60))
 
     def test_ergodic_series_needs_memory_of_a_few_measures(self, binning60, rng):
         # 1000 measures share four mass vectors, so the inputs cost little;
@@ -356,7 +366,7 @@ class TestPrefixAverages:
         nu = reference_measure(binning60)
         tracemalloc.start()
         try:
-            errs = ergodic_error_from_measures(MeasureSeries(mus), [f], nu)
+            errs = _errors(mus, [f], nu)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -369,7 +379,7 @@ class TestErgodicError:
         traj = run_flow(_constant_state(grid64, 0.1, 1.3),
                         FlowParams(t_final=0.2))
         mus = [pushforward(s, binning60) for s in traj.snapshots]
-        errs = ergodic_error_from_measures(MeasureSeries(mus), [ConstantOne()],
+        errs = _errors(mus, [ConstantOne()],
                                            reference_measure(binning60))[:, 0]
         assert float(np.abs(errs).max()) <= 1e-12
 
@@ -379,7 +389,7 @@ class TestErgodicError:
         f = BumpFunction([0.0, 1.5], [0.45, 0.6])
         nu = reference_measure(binning60)
         mus = [pushforward(s, binning60) for s in traj.snapshots]
-        errs = ergodic_error_from_measures(MeasureSeries(mus), [f], nu)[:, 0]
+        errs = _errors(mus, [f], nu)[:, 0]
         mu0 = pushforward(traj.snapshots[0], binning60)
         expected = abs(weak_star_pairing(mu0, f) - weak_star_pairing(nu, f))
         assert np.all(np.abs(errs - expected) <= 1e-12)
@@ -394,7 +404,7 @@ class TestErgodicError:
         f = BumpFunction([0.0, 1.4], [0.4, 0.5])
         nu = reference_measure(binning60)
         mus = [pushforward(s, binning60) for s in traj.snapshots]
-        errs = ergodic_error_from_measures(MeasureSeries(mus), [f], nu)[:, 0]
+        errs = _errors(mus, [f], nu)[:, 0]
         target = weak_star_pairing(nu, f)
         pairings = np.array([weak_star_pairing(m, f) for m in mus])
         times = np.array([m.t for m in mus])
@@ -424,13 +434,13 @@ class TestErgodicError:
             abs(weak_star_pairing(time_average(mus[: k + 1]), f) - target)
             for k in range(1, len(mus))
         ]
-        errs = ergodic_error_from_measures(MeasureSeries(mus), [f], nu)[:, 0]
+        errs = _errors(mus, [f], nu)[:, 0]
         assert len(mus) > 10
         assert errs.tolist() == oracle
 
     def test_observable_is_evaluated_once_per_series(self, grid64, binning60):
         traj = run_flow(_constant_state(grid64, 0.1, 1.3), FlowParams(t_final=0.2))
-        series = MeasureSeries([pushforward(s, binning60) for s in traj.snapshots])
+        mus = [pushforward(s, binning60) for s in traj.snapshots]
         f = BumpFunction([0.0, 1.5], [0.45, 0.6])
         calls = []
 
@@ -439,24 +449,22 @@ class TestErgodicError:
                 calls.append(np.shape(x))
                 return f.value(x, y)
 
-        errs = ergodic_error_from_measures(series, [Counted()],
-                                           reference_measure(binning60))[:, 0]
-        assert errs.tolist() == ergodic_error_from_measures(
-            series, [f], reference_measure(binning60))[:, 0].tolist()
+        errs = _errors(mus, [Counted()], reference_measure(binning60))[:, 0]
+        assert errs.tolist() == _errors(mus, [f], reference_measure(binning60))[:, 0].tolist()
         assert calls == [(binning60.n_bins,)]
 
     def test_reference_on_another_binning_is_rejected(self, grid64, binning60,
                                                       small_binning):
         mu = pushforward(_constant_state(grid64, 0.1, 1.3), binning60)
         with pytest.raises(BinningMismatchError):
-            ergodic_error_from_measures(MeasureSeries([mu]), [ConstantOne()],
+            _errors([mu], [ConstantOne()],
                                         reference_measure(small_binning))
 
     def test_unsorted_measures_are_rejected(self, grid64, binning60):
         mu0 = pushforward(_constant_state(grid64, 0.1, 1.3, 0.0), binning60)
         mu1 = pushforward(_constant_state(grid64, -0.2, 2.4, 1.0), binning60)
         with pytest.raises(ValueError):
-            ergodic_error_from_measures(MeasureSeries([mu1, mu0]), [ConstantOne()],
+            _errors([mu1, mu0], [ConstantOne()],
                                         reference_measure(binning60))
 
 
@@ -593,13 +601,13 @@ def _rejected(path, measures):
     """The ValueError message with which analyze's audit refuses the rows
     at path as those of measures; it names the file."""
     with pytest.raises(ValueError) as exc:
-        _audit_rows(path, measure_rows(measures))
+        _audit_rows(path, _rows(measures))
     assert str(path) in str(exc.value)
     return str(exc.value)
 
 
 class TestMeasureIO:
-    """write_measure saves measure_rows of a list of measures, the one sparse
+    """write_measure saves measure_rows of some measures' masses, the one sparse
     format of a run's pushforwards; analyze accepts such a file only when it
     holds, byte for byte, the rows of the measures it recomputes."""
 
@@ -608,17 +616,17 @@ class TestMeasureIO:
     def test_round_trip_property(self, mu, tmp_path_factory):
         # A zero of either sign has no row, so it reads back as +0.0.
         path = tmp_path_factory.mktemp("measure") / "pushforwards.npy"
-        write_measure([mu, mu], path)
+        write_measure(_rows([mu, mu]), path)
         for back in _masses(path, mu.binning, 2):
             assert back.tobytes() == (mu.masses + 0.0).tobytes()
-        _audit_rows(path, measure_rows([mu, mu]))
+        _audit_rows(path, _rows([mu, mu]))
 
     @pytest.mark.parametrize("edit", ["missing", "duplicated", "not_last"])
     def test_rows_are_the_bins_then_one_overflow_row(self, edit, small_binning, tmp_path):
         n = small_binning.n_bins
         mu = PushforwardMeasure(small_binning, np.full(n + 1, 1.0 / (n + 1)))
         path = tmp_path / "pushforwards.npy"
-        write_measure([mu], path)
+        write_measure(_rows([mu]), path)
         rows = np.load(path)
         assert rows[:, 1].tolist() == list(range(n + 1))
         if edit == "missing":
@@ -645,7 +653,7 @@ class TestMeasureIO:
     ])
     def test_rows_that_are_not_a_sparse_measure_are_rejected(self, edit, rows, tmp_path):
         mu = PushforwardMeasure(FundamentalDomainBinning(2, 2, 2.0), GOLDEN_MASSES, t=0.25)
-        assert measure_rows([mu]).tolist() == [[0, *row] for row in GOLDEN_ROWS]
+        assert _rows([mu]).tolist() == [[0, *row] for row in GOLDEN_ROWS]
         path = tmp_path / f"{edit}.npy"
         np.save(path, np.column_stack((np.zeros(len(rows)), rows)))
         assert "differs from the recomputed pushforward of state 0" in _rejected(path, [mu])
@@ -654,7 +662,7 @@ class TestMeasureIO:
     @given(mu=_count_measures(), data=st.data())
     def test_a_dropped_or_repeated_row_is_rejected(self, mu, data, tmp_path_factory):
         path = tmp_path_factory.mktemp("measure") / "pushforwards.npy"
-        write_measure([mu], path)
+        write_measure(_rows([mu]), path)
         rows = np.load(path)
         row = data.draw(st.integers(0, len(rows) - 1))
         np.save(path, np.delete(rows, row, axis=0) if data.draw(st.booleans())
@@ -665,14 +673,14 @@ class TestMeasureIO:
         state = build_initial_state(grid64, {"kind": "sinusoidal"})
         mu = pushforward(state, binning60)
         path = tmp_path / "pushforwards.npy"
-        write_measure([mu], path)
+        write_measure(_rows([mu]), path)
         assert _masses(path, binning60, 1)[0].tobytes() == mu.masses.tobytes()
-        _audit_rows(path, measure_rows([mu]))
+        _audit_rows(path, _rows([mu]))
 
     def test_schema_and_shape_errors(self, grid64, binning60, tmp_path):
         mu = pushforward(_constant_state(grid64, 0.1, 1.3), binning60)
         bad = tmp_path / "bad.npy"
         bad.write_text("nope\n")
         _rejected(bad, [mu])
-        np.save(bad, measure_rows([mu])[:, 1:])
+        np.save(bad, _rows([mu])[:, 1:])
         assert "shape" in _rejected(bad, [mu])

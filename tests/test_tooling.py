@@ -127,6 +127,26 @@ def test_compare_outputs_loads_and_refuses_an_unknown_revision():
     assert "no-such-revision" in done.stderr
 
 
+def test_compare_outputs_runs_a_case_and_reads_its_peak_rss(tmp_path):
+    # run_case in a process of its own: compare_outputs turns off bytecode
+    # writing when it loads.
+    tools, src = str(ROOT / "tools"), str(ROOT / "src")
+    small = {"grid": {"n1": 8, "n2": 8}, "t_final": 0.05}
+    code = (f"import sys; sys.path.insert(0, {tools!r}); import compare_outputs as co; "
+            "from pathlib import Path; "
+            f"print(co.run_case(Path({src!r}), Path({str(tmp_path / 'ok')!r}), {small!r}, 3)); "
+            f"print(co.run_case(Path({src!r}), Path({str(tmp_path / 'bad')!r}), "
+            "{'t_final': -1.0}, None))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    (ok, ok_peak), (bad, bad_peak) = map(ast.literal_eval, done.stdout.splitlines())
+    assert ok is None and bad.startswith("run exited 2: config error: t_final")
+    # Each is a Python process that imported numpy: tens of MiB.
+    assert 10 < ok_peak < 1000 and 10 < bad_peak < 1000
+    assert json.loads((tmp_path / "ok" / "config.json").read_text())["seed"] == 3
+
+
 def test_time_kernel_times_the_tree_and_refuses_an_unknown_revision():
     # One 6x6 grid, 3 calls and 2 rounds instead of the tool's sizes, 100
     # calls and 21 rounds: each round starts a worker process.

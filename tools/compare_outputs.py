@@ -8,7 +8,8 @@ temporary directory, so the repository itself is left as it is.  From that
 copy and from the working tree's src/, each case below is run with the
 benchmark's single-thread environment: the default config, and the snap400
 workload of perfbench/run.py at seeds 0 to 3.  The two run directories of a
-case are compared with `diff -r`, then `analyze` audits each.  Exit code 0
+case are compared with `diff -r`, then `analyze` audits each; each side's
+`run` peak RSS is printed beside them.  Exit code 0
 when every case is identical and every audit prints PASS, 1 otherwise, 2
 when REV cannot be extracted.
 """
@@ -51,14 +52,32 @@ def cases() -> list[tuple[str, dict | None, int | None]]:
         (f"snap400-seed{s}", snap.config, s) for s in range(4)]
 
 
-def moduliflow(src: Path, *args: str) -> subprocess.CompletedProcess:
+# Runs argv, then writes its ru_maxrss in KiB, read with os.wait4 as
+# perfbench/run.py reads peak_rss_mb, to the file named first.  On Linux a
+# child's ru_maxrss starts from the RSS of the process that spawned it, so
+# this small process spawns the command, not this one, which loaded numpy.
+LAUNCHER = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[2:]); "
+            "_, status, usage = os.wait4(p.pid, 0); "
+            "p.returncode = os.waitstatus_to_exitcode(status); "
+            "open(sys.argv[1], 'w').write(str(usage.ru_maxrss)); sys.exit(p.returncode)")
+
+
+def moduliflow(src: Path, *args: str) -> tuple[subprocess.CompletedProcess, float]:
+    """Run moduliflow from src with args: the finished process and its peak
+    RSS in MiB."""
     env = dict(os.environ, **THREAD_ENV, PYTHONPATH=str(src))
-    return subprocess.run([sys.executable, "-m", "moduliflow.cli", *args],
-                          env=env, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-rss-") as tmp:
+        maxrss = Path(tmp) / "maxrss"
+        done = subprocess.run([sys.executable, "-c", LAUNCHER, str(maxrss), sys.executable,
+                               "-m", "moduliflow.cli", *args],
+                              env=env, capture_output=True, text=True)
+        return done, int(maxrss.read_text()) / 1024.0
 
 
-def run_case(src: Path, out: Path, config: dict | None, seed: int | None) -> str | None:
-    """Run one case into out; the problem as text, or None."""
+def run_case(src: Path, out: Path, config: dict | None,
+             seed: int | None) -> tuple[str | None, float]:
+    """Run one case into out: the problem as text, or None, and the run's
+    peak RSS in MiB."""
     args = ["run", "--out", str(out)]
     if config is not None:
         path = out.with_suffix(".json")
@@ -66,24 +85,28 @@ def run_case(src: Path, out: Path, config: dict | None, seed: int | None) -> str
         args += ["--config", str(path)]
     if seed is not None:
         args += ["--seed", str(seed)]
-    done = moduliflow(src, *args)
-    return None if done.returncode == 0 else f"run exited {done.returncode}: {done.stderr.strip()}"
+    done, peak = moduliflow(src, *args)
+    problem = f"run exited {done.returncode}: {done.stderr.strip()}" if done.returncode else None
+    return problem, peak
 
 
 def compare(name: str, outs: dict) -> bool:
     """diff -r the two run directories of a case and audit each; print one
-    line and return whether all was well."""
-    (old, _), (new, _) = outs.values()
+    line, with each side's run peak RSS, and return whether all was well.
+    outs maps each side's label to (run directory, src, peak RSS)."""
+    (old, *_), (new, *_) = outs.values()
     diff = subprocess.run(["diff", "-r", str(old), str(new)], capture_output=True, text=True)
     summary = json.loads((new / "summary.json").read_text())
     line = [f"{name}: {summary['termination']}, {summary['accepted_steps']} accepted steps",
             f"diff -r {'empty' if diff.returncode == 0 else 'NOT empty'}"]
     ok = diff.returncode == 0
-    for label, (out, src) in outs.items():
-        audit = moduliflow(src, "analyze", "--run", str(out))
+    for label, (out, src, _) in outs.items():
+        audit, _ = moduliflow(src, "analyze", "--run", str(out))
         passed = audit.returncode == 0 and "analysis PASS" in audit.stdout
         line.append(f"analyze ({label}) {'PASS' if passed else 'FAILED'}")
         ok &= passed
+    line.append("run peak RSS " + ", ".join(
+        f"{label} {peak:.2f} MiB" for label, (*_, peak) in outs.items()))
     print(", ".join(line))
     if diff.returncode != 0:
         print(*diff.stdout.splitlines()[:10], diff.stderr, sep="\n", end="")
@@ -106,12 +129,12 @@ def main(argv=None) -> int:
             outs = {}
             for k, (label, src) in enumerate(sources.items()):
                 out = tmp / f"{name}-{k}"
-                problem = run_case(src, out, config, seed)
+                problem, peak = run_case(src, out, config, seed)
                 if problem:
                     print(f"{name} ({label}): {problem}")
                     ok = False
                 else:
-                    outs[label] = (out, src)
+                    outs[label] = (out, src, peak)
             if len(outs) == len(sources):
                 ok &= compare(name, outs)
     print("identical, every analysis PASS" if ok else "DIFFERENT or FAILED")
