@@ -15,8 +15,7 @@ schema lives on the fields of FlowConfig, GridSpec and BinningSpec: each
 field gives one key, its default and its bounds, and config_from_dict reads
 the fields instead of restating them.  Runs
 are deterministic: the same config and seed produce bit-identical output
-files.  MODFLOW_THREADS caps kernel threads; the package applies it on
-import, before numpy loads, and sweep subprocesses inherit it.
+files.
 
 Exit codes: 0 success, 1 aborted run or failed sweep variant, 2 input error
 (config, initial state, run directory, a point to reduce) or failed audit.
@@ -318,23 +317,30 @@ def compute_snapshot_diagnostics(config: FlowConfig, fields, times, state,
     return rows, np.concatenate(pushforwards)
 
 
-def _run_files(run: Path) -> dict:
-    """Each per-snapshot directory of a run, mapped to its file names:
-    states.npy, the stack of the distinct states, in snapshots/;
-    pushforwards.npy, the pushforward of each distinct state, in measures/.
-    run writes exactly these files; analyze requires them."""
-    return {run / "snapshots": ["states.npy"], run / "measures": ["pushforwards.npy"]}
+# Every path of a run directory, in the order run_experiment and analyze_run
+# unpack them: run writes exactly these (and their directories), and analyze
+# requires exactly these, besides the ANALYSIS_PATHS it writes itself.
+RUN_PATHS = ("config.json", "series.csv", "steps.npy", "snapshots/states.npy",
+             "measures/pushforwards.npy", "summary.json")
+ANALYSIS_PATHS = ("analysis.json", "series_recomputed.csv")
 
 
-# A file that only an older layout of the run directory holds, and that layout.
-OLD_LAYOUTS = {
-    "steps.csv": "the text steps format moduliflow-steps-v1",
-    "snapshots/snapshot_0000.csv": "the text snapshot format moduliflow-snapshot-v1",
-    "snapshots/state_0000.npy": "one state file per distinct state",
-    "measures/measure_0000.csv": "one measure file per snapshot",
-    "snapshots/index.csv": "the snapshot index moduliflow-snapshot-index-v1",
-    "measures/time_average.csv": "the stored time average moduliflow-measure-v2",
-}
+def _check_paths(run: Path):
+    """run must hold exactly RUN_PATHS, their directories and any of
+    ANALYSIS_PATHS, looking at its top level and into those directories;
+    else ValueError names the first other path, or else the first missing."""
+    dirs = {path.split("/")[0] for path in RUN_PATHS if "/" in path}
+    found = set()
+    for path in run.iterdir():
+        found.add(path.name)
+        if path.name in dirs and path.is_dir():
+            found.update(f"{path.name}/{p.name}" for p in path.iterdir())
+    other = sorted(found.difference(RUN_PATHS, dirs, ANALYSIS_PATHS))
+    if other:
+        raise ValueError(f"{run / other[0]}: not a path of a run directory")
+    missing = sorted(set(RUN_PATHS) - found)
+    if missing:
+        raise ValueError(f"{run / missing[0]}: missing from a run directory")
 
 
 def _series_fields(columns: list, rows: np.ndarray) -> dict:
@@ -358,15 +364,16 @@ def _summary(config: FlowConfig, steps: np.ndarray, series_fields: dict) -> dict
 def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     """Run the configured flow and write the diagnostic files.
 
-    Layout of the run directory: config.json (resolved echo), series.csv
-    (snapshot-aligned diagnostics, the snapshots' times among them),
-    steps.npy (the trajectory's steps: row 0 and one row per accepted or
-    frozen step, float64 columns flow.STEP_COLUMNS), snapshots/states.npy
-    (the distinct states as one (S, 2, n1, n2) array, streamed state by
-    state), measures/pushforwards.npy (each distinct state's pushforward
-    as the rows of ms.measure_rows), summary.json.  A frozen snapshot shares
-    its state and its pushforward with the snapshot before it, and the
-    steps give each snapshot's state number (flow.state_numbers).
+    Layout of the run directory, RUN_PATHS: config.json (resolved echo),
+    series.csv (snapshot-aligned diagnostics, the snapshots' times among
+    them), steps.npy (the trajectory's steps: row 0 and one row per
+    accepted or frozen step, float64 columns flow.STEP_COLUMNS),
+    snapshots/states.npy (the distinct states as one (S, 2, n1, n2) array,
+    streamed state by state), measures/pushforwards.npy (each distinct
+    state's pushforward as the rows of ms.measure_rows), summary.json.  A
+    frozen snapshot shares its state and its pushforward with the snapshot
+    before it, and the steps give each snapshot's state number
+    (flow.state_numbers).
     summary.json holds _summary of the steps and the series, and
     rejected_steps; an aborted run (dt underflow) still writes everything
     computed so far, with termination aborted.  A config that
@@ -388,7 +395,9 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     except flow.AbortedRunError as exc:
         traj = exc.trajectory
 
-    (out / "config.json").write_text(emit_config(config))
+    config_path, series_path, steps_path, states_path, rows_path, summary_path = (
+        out / path for path in RUN_PATHS)
+    config_path.write_text(emit_config(config))
 
     snaps, at = traj.snapshots, traj.snapshot_rows
     state = flow.state_numbers(traj.dissipation[at], config.stall_threshold)
@@ -397,18 +406,17 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
         config, [snaps[k].fields for k in firsts], [s.t for s in snaps], state,
         traj.energy[at], traj.dissipation[at], traj.cumulative_dissipation[at], traj.dt_used[at])
     columns = _series_columns(config)
-    table.write_table(out / "series.csv", SERIES_SCHEMA, dict(zip(columns, series.T)))
-    np.save(out / "steps.npy", traj.steps)
+    table.write_table(series_path, SERIES_SCHEMA, dict(zip(columns, series.T)))
+    np.save(steps_path, traj.steps)
 
-    snap_dir, measure_dir = _run_files(out)
-    snap_dir.mkdir()
-    measure_dir.mkdir()
-    flow.write_snapshot([snaps[k] for k in firsts], snap_dir / "states.npy")
-    ms.write_measure(pushforwards, measure_dir / "pushforwards.npy")
+    states_path.parent.mkdir()
+    rows_path.parent.mkdir()
+    flow.write_snapshot([snaps[k] for k in firsts], states_path)
+    ms.write_measure(pushforwards, rows_path)
 
     summary = {**_summary(config, traj.steps, _series_fields(columns, series)),
                "rejected_steps": int(traj.rejected_steps)}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return ExperimentResult(config, out, traj, columns, series, summary)
 
 
@@ -416,68 +424,62 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     """Recompute the series of a stored run from its snapshots and steps,
     and audit the run's files.
 
-    The series must carry its config's columns, and the tolerance must be
-    finite and at least 0.  Its t column gives the snapshots' times, which
-    must rise strictly.  Each series column is recomputed: t and the
-    measures from the snapshots, cumulative_D (flow.dissipation_integral)
-    and dt from the steps, and E and D by one edge pass per distinct
-    state, with the series' E and D equal to the steps' bit for bit (run
-    takes them from the steps); each must match the series
-    within the tolerance.  steps.npy must keep run_flow's rules exactly
-    (flow.read_steps, which refuses the older five-column layout) and hold
-    a row at each snapshot time (_step_rows).  A run that holds a file of
-    OLD_LAYOUTS is refused.  snapshots/ and measures/ must hold exactly
-    _run_files; states.npy is read once, and must hold as many states as
-    the steps give (flow.state_numbers), on the config's grid, finite and
-    above the v floor.  summary.json must agree with the recomputation
-    (_audit_records), pushforwards.npy must be the rows of the recomputed
-    pushforwards byte for byte, or ValueError names the file (and for a
-    state, or rows that differ, the first state).
+    The tolerance must be finite and at least 0, and the run directory
+    must hold exactly its paths (_check_paths) before anything is read.
+    The series must carry its config's columns.  Its t column gives the
+    snapshots' times, which must rise strictly.  Each series column is
+    recomputed: t and the measures from the snapshots, cumulative_D
+    (flow.dissipation_integral) and dt from the steps, and E and D by one
+    edge pass per distinct state, with the series' E and D equal to the
+    steps' bit for bit (run takes them from the steps); each must match the
+    series within the tolerance.  steps.npy must keep run_flow's rules
+    exactly (flow.read_steps) and hold a row at each snapshot time
+    (_step_rows).  states.npy is read once, and must hold as many states
+    as the steps give (flow.state_numbers), on the config's grid, finite
+    and above the v floor; unless the initial kind is file, whose source
+    may be gone, its state 0 must be _initial_state of the config byte for
+    byte.  summary.json must agree with the recomputation (_audit_records),
+    pushforwards.npy must be the rows of the recomputed pushforwards byte
+    for byte, or ValueError names the file (and for a state, or rows that
+    differ, the first state).
     Values so large that the recomputation overflows give inf or nan in its
     columns, without a warning.  Returns the audit report dictionary (also
     written to analysis.json).
     """
     tolerance = _number(tolerance, "tolerance", nonnegative=True)
     run = Path(run_dir)
-    config = parse_config((run / "config.json").read_text())
-    for name, layout in OLD_LAYOUTS.items():
-        if (run / name).exists():
-            raise ValueError(f"{run / name}: the run uses {layout}, "
-                             "which this version does not read")
-    steps = flow.read_steps(steps_path := run / "steps.npy", config.stall_threshold)
+    _check_paths(run)
+    config_path, series_path, steps_path, states_path, rows_path, summary_path = (
+        run / path for path in RUN_PATHS)
+    config = parse_config(config_path.read_text())
+    steps = flow.read_steps(steps_path, config.stall_threshold)
     columns = _series_columns(config)
-    stored = table.read_table(path := run / "series.csv", SERIES_SCHEMA, columns)
+    stored = table.read_table(series_path, SERIES_SCHEMA, columns)
     times = stored[:, 0].tolist()
     if not (np.diff(times) > 0).all():
-        raise ValueError(f"{path}: t does not rise strictly from row to row")
+        raise ValueError(f"{series_path}: t does not rise strictly from row to row")
     at = _step_rows(steps_path, steps, times, stored)
     state = flow.state_numbers(steps[at, 2], config.stall_threshold)
-    files = _run_files(run)
-    for directory, names in files.items():
-        found = {p.name for p in directory.iterdir()}
-        odd = sorted(found.symmetric_difference(names))
-        if odd:
-            where = "not a file of" if odd[0] in found else "missing from"
-            raise ValueError(f"{directory / odd[0]}: {where} a run directory")
-    snap_dir, measure_dir = files
-    path = snap_dir / "states.npy"
     grid = DomainGrid(config.grid.n1, config.grid.n2)
-    states = flow.read_snapshot(path, grid, int(state[-1]) + 1)
+    states = flow.read_snapshot(states_path, grid, int(state[-1]) + 1)
     # run_flow records no state at or below the floor; reduction fails on one.
     low = [j for j, s in enumerate(states) if s.v_min <= flow.V_FLOOR]
     if low:
-        raise ValueError(f"{path}: state {low[0]}: v_min {states[low[0]].v_min} "
+        raise ValueError(f"{states_path}: state {low[0]}: v_min {states[low[0]].v_min} "
                          f"is at or below {flow.V_FLOOR}")
+    if (config.initial["kind"] != "file"
+            and states[0].fields.tobytes() != _initial_state(config).fields.tobytes()):
+        raise ValueError(f"{states_path}: state 0 is not the initial state of {config_path}")
     with np.errstate(over="ignore", invalid="ignore"):
         ws = flow._EdgeWorkspace(grid.shape)
         e, d = np.array([flow._edge_pass(s, ws)[::2] for s in states]).T[:, state]
         recomputed, pushforwards = compute_snapshot_diagnostics(
             config, [s.fields for s in states], times, state, e, d,
             flow.dissipation_integral(steps)[at], steps[at, 3])
-    _audit_records(run, columns, recomputed, tolerance, steps, config)
-    _audit_rows(measure_dir / "pushforwards.npy", pushforwards)
-    table.write_table(run / "series_recomputed.csv", SERIES_SCHEMA,
-                      dict(zip(columns, recomputed.T)))
+    _audit_records(summary_path, columns, recomputed, tolerance, steps, config)
+    _audit_rows(rows_path, pushforwards)
+    report_path, recomputed_path = (run / path for path in ANALYSIS_PATHS)
+    table.write_table(recomputed_path, SERIES_SCHEMA, dict(zip(columns, recomputed.T)))
     worst = np.abs(stored - recomputed).max(axis=0)
     report = {"schema": "moduliflow-analysis-v1", "tolerance": tolerance,
               # max propagates NaN, so a NaN in any column fails.
@@ -485,7 +487,7 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
               "columns": {name: {"max_abs_diff": diff, "within_tolerance": diff <= tolerance}
                           for name, diff in zip(columns, worst.tolist())}}
     report["pass"] = report["max_abs_diff"] <= tolerance
-    (run / "analysis.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 
@@ -552,17 +554,16 @@ def _check_value(path, name, stored, value, tolerance):
         raise ValueError(f"{path}: {name} is {stored!r}, expected {value!r}")
 
 
-def _audit_records(run: Path, columns: list, rows: np.ndarray, tolerance: float,
+def _audit_records(path: Path, columns: list, rows: np.ndarray, tolerance: float,
                    steps: np.ndarray, config: FlowConfig):
-    """Check summary.json, which must hold exactly the fields run writes:
-    those of _summary, each as _check_value compares it, the fields of
-    _series_fields of the recomputed series rows within the tolerance and
-    the rest exactly; and rejected_steps, which need only be a count, an
-    int of at least 0.
+    """Check the summary.json at path, which must hold exactly the fields
+    run writes: those of _summary, each as _check_value compares it, the
+    fields of _series_fields of the recomputed series rows within the
+    tolerance and the rest exactly; and rejected_steps, which need only be
+    a count, an int of at least 0.
     """
     fields = _series_fields(columns, rows)
     expected = _summary(config, steps, fields)
-    path = run / "summary.json"
     summary = _parse_record(path, path.read_text())
     if not isinstance(summary, dict) or summary.get("schema") != SUMMARY_SCHEMA:
         raise ValueError(f"{path}: not a {SUMMARY_SCHEMA} object")

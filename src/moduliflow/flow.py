@@ -585,9 +585,6 @@ def read_steps(path, stall_threshold: float) -> np.ndarray:
     less the previous t, and every other step t = the previous t + dt.
     Else ValueError names the file, and for a broken rule the row."""
     def steps(rows):
-        if rows.shape[1:] == (5,):
-            raise ValueError("the older layout of steps.npy, with a cumulative_D column, "
-                             "which this version does not read")
         if rows.ndim != 2 or rows.shape[1] != len(STEP_COLUMNS) or not len(rows):
             raise ValueError(f"shape {rows.shape}, expected (rows, {len(STEP_COLUMNS)}) "
                              "with at least one row")

@@ -5,7 +5,6 @@ import os
 import shutil
 import subprocess
 import sys
-import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -446,8 +445,8 @@ class TestAnalyzeRun:
 
 class TestMeasureAudit:
     """analyze reads pushforwards.npy and compares it bit for bit with the
-    pushforwards it recomputes from the snapshots; it refuses a stored
-    time average, which the older layout kept beside it."""
+    pushforwards it recomputes from the snapshots; a stored time average,
+    which the older layout kept beside it, is a path of no run directory."""
 
     @pytest.mark.parametrize("edit", ["mass", "time_average", "deleted", "added"])
     def test_a_measure_file_that_is_not_the_recomputed_one_exits_2(
@@ -475,9 +474,7 @@ class TestMeasureAudit:
         assert "PASS" not in out
         assert str(path) in err and len(err.splitlines()) == 1
         if edit == "time_average":
-            assert err == (f"analyze: cannot audit {run}: {path}: the run uses the stored "
-                           "time average moduliflow-measure-v2, which this version does not "
-                           "read\n")
+            assert err == f"analyze: cannot audit {run}: {path}: not a path of a run directory\n"
         elif edit != "deleted":
             state = 1 if edit == "mass" else int(rows[-2, 0])
             assert f"the recomputed pushforward of state {state}\n" in err
@@ -748,8 +745,9 @@ class TestChunkedDiagnostics:
 
 
 class TestRunFiles:
-    """run writes exactly the files of its run directory's file list, and
-    analyze requires exactly those."""
+    """run writes exactly the paths of cli.RUN_PATHS, and analyze requires
+    exactly those, besides the analysis.json and series_recomputed.csv that
+    it writes itself."""
 
     def test_a_run_of_more_than_9999_snapshots_passes_analyze(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
@@ -769,24 +767,84 @@ class TestRunFiles:
         assert "analysis PASS" in capsys.readouterr().out
 
     def test_the_file_list_is_fixed(self, tmp_path):
-        assert cli_module._run_files(tmp_path) == {tmp_path / "snapshots": ["states.npy"],
-                                                   tmp_path / "measures": ["pushforwards.npy"]}
+        assert cli_module.RUN_PATHS == ("config.json", "series.csv", "steps.npy",
+                                        "snapshots/states.npy", "measures/pushforwards.npy",
+                                        "summary.json")
+        run = tmp_path / "run"
+        run_experiment(_fast_config(), run)
+        assert sorted(p.relative_to(run).as_posix() for p in run.rglob("*")) == sorted(
+            [*cli_module.RUN_PATHS, "snapshots", "measures"])
 
-    @pytest.mark.parametrize("edit", ["extra", "deleted"])
+    # A stray file or directory at the top level or in a subdirectory, the
+    # text steps of an older layout beside steps.npy, and a missing file: one
+    # rule refuses each.  Other files of older layouts are TestMain's.
+    OFF_THE_LIST = {
+        "extra": ("snapshots/notes.txt", "not a path of"),
+        "deleted": ("snapshots/states.npy", "missing from"),
+        "top_level": ("notes.txt", "not a path of"),
+        "empty_directory": ("extra", "not a path of"),
+        "nested_directory": ("snapshots/extra", "not a path of"),
+        "text_steps": ("steps.csv", "not a path of"),
+        "no_summary": ("summary.json", "missing from"),
+    }
+
+    @pytest.mark.parametrize("edit", OFF_THE_LIST)
     def test_a_file_off_the_list_exits_2_naming_it(self, tmp_path, capsys, edit):
-        run_experiment(_fast_config(), tmp_path / "run")
-        snapshots = tmp_path / "run" / "snapshots"
-        if edit == "extra":
-            path = snapshots / "notes.txt"
-            path.write_text("kept by hand\n")
-        else:
-            path = snapshots / "states.npy"
+        name, problem = self.OFF_THE_LIST[edit]
+        run = tmp_path / "run"
+        run_experiment(_fast_config(), run)
+        path = run / name
+        if edit.endswith("directory"):
+            path.mkdir()
+        elif path.exists():
             path.unlink()
-        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
-        out, err = capsys.readouterr()
-        assert "PASS" not in out
-        assert str(path) in err and len(err.splitlines()) == 1
-        assert not (tmp_path / "run" / "analysis.json").exists()
+        else:
+            path.write_text("kept by hand\n")
+        assert main(["analyze", "--run", str(run)]) == 2
+        assert capsys.readouterr() == (
+            "", f"analyze: cannot audit {run}: {path}: {problem} a run directory\n")
+        assert not (run / "analysis.json").exists()
+
+    def test_analyze_passes_again_beside_its_own_output(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run_experiment(_fast_config(), run)
+        assert main(["analyze", "--run", str(run)]) == 0
+        report = (run / "analysis.json").read_bytes()
+        assert main(["analyze", "--run", str(run)]) == 0
+        assert capsys.readouterr().out.count("analysis PASS") == 2
+        assert (run / "analysis.json").read_bytes() == report
+
+
+class TestInitialStateAudit:
+    """analyze rebuilds a run's start from its config, as run does, and
+    requires it as state 0 of states.npy byte for byte; the start of a file
+    kind is not audited, since its source may be gone."""
+
+    @pytest.mark.parametrize("initial, edit", [
+        ({"kind": "sinusoidal"}, {"initial": {"kind": "sinusoidal", "amp_u": 0.3}}),
+        ({"kind": "random"}, {"seed": 7})])
+    def test_an_edited_initial_spec_or_seed_exits_2_naming_the_states(
+            self, tmp_path, capsys, initial, edit):
+        run = tmp_path / "run"
+        run_experiment(_fast_config(initial=initial), run)
+        assert main(["analyze", "--run", str(run)]) == 0
+        capsys.readouterr()
+        path = run / "config.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        assert main(["analyze", "--run", str(run)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"analyze: cannot audit {run}: {run / 'snapshots' / 'states.npy'}: "
+            f"state 0 is not the initial state of {path}\n"))
+
+    def test_a_file_start_passes_after_its_source_is_deleted(self, tmp_path, capsys):
+        source = tmp_path / "source"
+        run_experiment(_fast_config(), source)
+        run = tmp_path / "run"
+        run_experiment(_fast_config(initial={
+            "kind": "file", "path": str(source / "snapshots" / "states.npy")}), run)
+        shutil.rmtree(source)
+        assert main(["analyze", "--run", str(run)]) == 0
+        assert "analysis PASS" in capsys.readouterr().out
 
 
 def _damaged(data, raw: bytes, edit: str, head: int = 4) -> bytes:
@@ -1671,15 +1729,13 @@ class TestMain:
             "# schema: moduliflow-snapshot-v1\nn1,n2,t\n16,16,0.0\ni,j,u,v\n")
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1
-        assert (f"{snapshots / 'snapshot_0000.csv'}: the run uses the text snapshot format "
-                "moduliflow-snapshot-v1, which this version does not read") in err
+        assert out == "" and err == (f"analyze: cannot audit {tmp_path / 'run'}: "
+                                     f"{snapshots / 'snapshot_0000.csv'}: not a path of a "
+                                     "run directory\n")
 
-    @pytest.mark.parametrize("name, layout", [
-        ("snapshots/state_0000.npy", "one state file per distinct state"),
-        ("measures/measure_0000.csv", "one measure file per snapshot")])
+    @pytest.mark.parametrize("name", ["snapshots/state_0000.npy", "measures/measure_0000.csv"])
     def test_a_run_with_a_file_per_state_or_measure_exits_2_naming_it(
-            self, tmp_path, capsys, name, layout):
+            self, tmp_path, capsys, name):
         # The layout of one state file per distinct state and one measure
         # file per snapshot, which states.npy and pushforwards.npy replace.
         run = tmp_path / "run"
@@ -1689,8 +1745,8 @@ class TestMain:
         (run / name).write_bytes(b"")
         assert main(["analyze", "--run", str(run)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == (f"analyze: cannot audit {run}: {run / name}: the run uses "
-                                     f"{layout}, which this version does not read\n")
+        assert out == "" and err == (f"analyze: cannot audit {run}: {run / name}: not a path "
+                                     "of a run directory\n")
 
     def test_a_run_with_a_snapshot_index_exits_2_naming_it(self, tmp_path, capsys):
         # The index held each snapshot's time and state number, which the t
@@ -1703,8 +1759,7 @@ class TestMain:
         assert main(["analyze", "--run", str(run)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == (
-            f"analyze: cannot audit {run}: {path}: the run uses the snapshot index "
-            "moduliflow-snapshot-index-v1, which this version does not read\n")
+            f"analyze: cannot audit {run}: {path}: not a path of a run directory\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_state_whose_diagnostics_overflow_fails_without_warnings(self, tmp_path, capsys):
@@ -1734,8 +1789,7 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         if steps == "text":
-            assert (f"{run / 'steps.csv'}: the run uses the text steps format "
-                    "moduliflow-steps-v1, which this version does not read") in err
+            assert f"{run / 'steps.csv'}: not a path of a run directory" in err
         else:
             assert str(run / "steps.npy") in err
 
@@ -1748,8 +1802,8 @@ class TestMain:
         _save(path, np.insert(steps, 3, flow_module.dissipation_integral(steps), axis=1))
         assert main(["analyze", "--run", str(run)]) == 2
         assert capsys.readouterr() == ("", (
-            f"analyze: cannot audit {run}: {path}: the older layout of steps.npy, "
-            "with a cumulative_D column, which this version does not read\n"))
+            f"analyze: cannot audit {run}: {path}: shape ({len(steps)}, 5), expected "
+            "(rows, 4) with at least one row\n"))
 
     # A state at the v floor is refused without naming the file (see
     # test_initial_state_at_the_v_floor_exits_2_before_any_output).
@@ -1799,33 +1853,3 @@ class TestMain:
         out = capsys.readouterr().out
         assert "small:" in out and "seeded:" in out
 
-
-def test_thread_cap_is_exported_before_numpy_loads():
-    # Record OPENBLAS_NUM_THREADS at the moment numpy is first imported, the
-    # moment its BLAS pool reads it.
-    probe = textwrap.dedent("""
-        import os, sys
-
-        class Probe:
-            seen = None
-
-            def find_spec(self, name, path=None, target=None):
-                if name == "numpy" and Probe.seen is None:
-                    Probe.seen = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-                return None
-
-        sys.meta_path.insert(0, Probe())
-        import moduliflow.cli
-        print(Probe.seen)
-    """)
-    env = {k: v for k, v in os.environ.items() if k not in (
-        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS")}
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    env["MODFLOW_THREADS"] = "3"
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=120)
-    assert out.stdout.strip() == "3"

@@ -1,15 +1,16 @@
 """Tooling and docs that name the code must follow it: the per-layer trace
 of perfbench/traced.py wraps functions by name, so a renamed or removed
 function must fail here rather than break a traced run, the README's
-config defaults must be FlowConfig's, the names its library example imports
-must be exported, its run directory layout must name what run writes and
-the columns of steps.npy, its recipe must rebuild a run's time average,
-its list of older layouts must name each that analyze refuses, and the
-tools in tools/ must run."""
+config defaults must be FlowConfig's, its imports must name the modules
+that define each name, its run directory layout must name what run writes
+and the columns of steps.npy, its recipe must rebuild a run's time
+average, and the tools in tools/ must run.  The package itself is only a
+docstring: importing it loads neither numpy nor a submodule."""
 
 import ast
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -17,8 +18,7 @@ from pathlib import Path
 
 import pytest
 
-import moduliflow
-from moduliflow import cli, flow
+from moduliflow import flow
 from moduliflow.cli import FlowConfig, config_from_dict, run_experiment
 from moduliflow.hyperbolic import FundamentalDomainBinning
 from moduliflow.measures import pushforward, time_average
@@ -57,14 +57,31 @@ def test_the_readme_config_defaults_are_flowconfigs():
     assert json.loads(block) == FlowConfig().to_dict()
 
 
-def test_the_readme_library_example_imports_only_exported_names():
-    section = (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    imported = [alias.name for node in ast.walk(ast.parse(block))
-                if isinstance(node, ast.ImportFrom) and node.module == "moduliflow"
-                for alias in node.names]
-    assert imported and set(imported) <= set(moduliflow.__all__)
-    assert [n for n in moduliflow.__all__ if not hasattr(moduliflow, n)] == []
+def test_the_readme_imports_each_name_from_its_module():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    imports = [node for block in blocks for node in ast.walk(ast.parse(block))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    ours = [node for node in imports if isinstance(node, ast.ImportFrom)
+            and node.module.split(".")[0] == "moduliflow"]
+    assert len(ours) >= 5
+    # None from the bare package, and none of the package by a plain import.
+    assert [node.module for node in ours if node.module == "moduliflow"] == []
+    assert [alias.name for node in imports if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.split(".")[0] == "moduliflow"] == []
+    for node in ours:
+        exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), {})
+
+
+def test_importing_the_package_loads_nothing_else():
+    probe = ("import os, sys; env = dict(os.environ); import moduliflow; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'moduliflow'))); "
+             "print(dict(os.environ) == env)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["['moduliflow']", "True"]
 
 
 def _layout_block() -> str:
@@ -97,7 +114,8 @@ def _layout_section() -> str:
 @pytest.mark.parametrize("t_final, termination", [(0.4, "stalled"), (0.1, "t_final")])
 def test_the_readme_recipe_rebuilds_the_time_average(tmp_path, t_final, termination):
     # The recipe reads pushforwards.npy, series.csv's t and the steps' D;
-    # its average is time_average of the run's pushforwards, bit for bit.
+    # its average is the masses of time_average of the run's pushforwards,
+    # bit for bit.
     run = tmp_path / "run"
     result = run_experiment(config_from_dict({
         "grid": {"n1": 16, "n2": 16}, "t_final": t_final, "snapshot_interval": 0.05,
@@ -109,13 +127,7 @@ def test_the_readme_recipe_rebuilds_the_time_average(tmp_path, t_final, terminat
     exec(recipe, namespace)
     binning = FundamentalDomainBinning(12, 12, 4.0)
     want = time_average([pushforward(s, binning) for s in snaps])
-    got = namespace["average"]
-    assert got.t == want.t and got.masses.tobytes() == want.masses.tobytes()
-
-
-def test_the_readme_names_every_old_layout():
-    paragraph = _layout_section().split("Runs of older layouts", 1)[1].split("\n\n", 1)[0]
-    assert [name for name in cli.OLD_LAYOUTS if f"`{name}`" not in paragraph] == []
+    assert namespace["average"].tobytes() == want.masses.tobytes()
 
 
 def test_compare_outputs_loads_and_refuses_an_unknown_revision():
