@@ -426,6 +426,8 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
 
     The tolerance must be finite and at least 0, and the run directory
     must hold exactly its paths (_check_paths) before anything is read.
+    A config.json that parse_config or _initial_state refuses is a
+    ConfigError that names the file.
     The series must carry its config's columns.  Its t column gives the
     snapshots' times, which must rise strictly.  Each series column is
     recomputed: t and the measures from the snapshots, cumulative_D
@@ -451,7 +453,11 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     _check_paths(run)
     config_path, series_path, steps_path, states_path, rows_path, summary_path = (
         run / path for path in RUN_PATHS)
-    config = parse_config(config_path.read_text())
+    try:
+        config = parse_config(config_path.read_text())
+        start = None if config.initial["kind"] == "file" else _initial_state(config)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), str(config_path)) from exc
     steps = flow.read_steps(steps_path, config.stall_threshold)
     columns = _series_columns(config)
     stored = table.read_table(series_path, SERIES_SCHEMA, columns)
@@ -467,8 +473,7 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     if low:
         raise ValueError(f"{states_path}: state {low[0]}: v_min {states[low[0]].v_min} "
                          f"is at or below {flow.V_FLOOR}")
-    if (config.initial["kind"] != "file"
-            and states[0].fields.tobytes() != _initial_state(config).fields.tobytes()):
+    if start is not None and states[0].fields.tobytes() != start.fields.tobytes():
         raise ValueError(f"{states_path}: state 0 is not the initial state of {config_path}")
     with np.errstate(over="ignore", invalid="ignore"):
         ws = flow._EdgeWorkspace(grid.shape)

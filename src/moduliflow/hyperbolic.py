@@ -242,73 +242,38 @@ def hyperbolic_laplacian_fd(f, z: UpperHalfPoint, h: float) -> float:
     return -y * y * second
 
 
-def _arc_height(x: float) -> float:
-    # Height of the unit circle |z| = 1 above the real axis, 0 outside [-1, 1].
-    t = 1.0 - x * x
-    return math.sqrt(t) if t > 0.0 else 0.0
+def _cell_moments(x_edges, y_lo, y_hi):
+    """Mass of dx dy / y^2 over each cell [x_edges[i], x_edges[i+1]] x
+    [y_lo[j], y_hi[j]] clipped to |z| >= 1, and its x- and y-moments (the
+    integrals of x and y against the mass), as three (n_x, n_y) arrays, in
+    closed form.  Cells must lie in |x| <= 1 with y_lo > 0.
 
-
-def _cell_mass_centroid(x_lo, x_hi, y_lo, y_hi, panels=16):
-    """Mass of dx dy / y^2 over rect ∩ {|z| >= 1}, plus the mass centroid.
-
-    The y-integral is done in closed form per column; the x-integral uses a
-    composite midpoint rule split at the points where the circle arc crosses
-    the levels y_lo / y_hi, so every panel sees a smooth integrand and the
-    composite rule is O(panel^2)-accurate.  Bins that do not meet the arc
-    come out exact.  Returns (mass, cx, cy); (0, nan, nan) for empty cells.
+    Under arc(s) = sqrt(1 - s^2) a column s carries mass from
+    max(y_lo, arc(s)) to max(y_hi, arc(s)).  With c(y) = sqrt(max(0, 1 - y^2))
+    that is none for |s| <= c(y_hi), the arc's share for c(y_hi) < |s| < c(y_lo)
+    and the flat 1/y_lo - 1/y_hi beyond.  Each moment is a difference of its
+    antiderivative from s = 0 at the two x edges: odd in s for the mass and
+    the y-moment, even for the x-moment.
     """
-    if not (x_hi > x_lo and y_hi > y_lo and y_hi > 0.0):
-        return 0.0, math.nan, math.nan
-    y_lo = max(y_lo, 0.0)
-    if y_lo >= 1.0:
-        # Entirely above the arc: exact closed form.
-        width = x_hi - x_lo
-        mass = (1.0 / y_lo - 1.0 / y_hi) * width
-        cx = 0.5 * (x_lo + x_hi)
-        cy = math.log(y_hi / y_lo) * width / mass
-        return mass, cx, cy
-    # Split the x-range where the arc crosses the horizontal cell edges.
-    cuts = {x_lo, x_hi}
-    for level in (y_lo, y_hi):
-        if 0.0 <= level < 1.0:
-            xc = math.sqrt(1.0 - level * level)
-            for s in (-xc, xc):
-                if x_lo < s < x_hi:
-                    cuts.add(s)
-    xs = sorted(cuts)
-    width = x_hi - x_lo
-    mass = 0.0
-    x_num = 0.0
-    y_num = 0.0
-    for a, b in zip(xs, xs[1:]):
-        seg = b - a
-        if seg <= 0.0:
-            continue
-        arc_mid = _arc_height(0.5 * (a + b))
-        if arc_mid >= y_hi:
-            continue  # column segment entirely below the arc
-        if arc_mid <= y_lo:
-            if y_lo <= 0.0:
-                raise ValueError(
-                    "unbounded column: rectangle reaches y = 0 outside |z| < 1"
-                )
-            g = 1.0 / y_lo - 1.0 / y_hi
-            mass += g * seg
-            x_num += g * 0.5 * (a + b) * seg
-            y_num += math.log(y_hi / y_lo) * seg
-            continue
-        n = max(1, round(panels * seg / width))
-        pw = seg / n
-        for i in range(n):
-            xm = a + (i + 0.5) * pw
-            lower = math.sqrt(1.0 - xm * xm)
-            g = 1.0 / lower - 1.0 / y_hi
-            mass += g * pw
-            x_num += g * xm * pw
-            y_num += math.log(y_hi / lower) * pw
-    if mass <= 0.0:
-        return 0.0, math.nan, math.nan
-    return mass, x_num / mass, y_num / mass
+    s = np.asarray(x_edges, dtype=float)[:, np.newaxis]
+    t = np.abs(s)
+    c_lo, c_hi = (np.sqrt(np.maximum(0.0, 1.0 - y * y)) for y in (y_lo, y_hi))
+    on_arc, beyond = np.clip(t, c_hi, c_lo), np.maximum(t, c_lo)
+
+    def from_zero(arc, flat):
+        # The integral over [0, t]: the arc's share from c(y_hi), then flat.
+        return arc(on_arc) - arc(c_hi) + flat(beyond) - flat(c_lo)
+
+    g, log_y_hi = 1.0 / y_lo - 1.0 / y_hi, np.log(y_hi)
+    mass = from_zero(lambda u: np.arcsin(u) - u / y_hi, lambda u: g * u)
+    x_moment = from_zero(lambda u: -np.sqrt(1.0 - u * u) - u * u / (2.0 * y_hi),
+                         lambda u: 0.5 * g * u * u)
+    y_moment = from_zero(
+        lambda u: u * log_y_hi + u - 0.5 * ((1.0 + u) * np.log1p(u) - (1.0 - u) * np.log1p(-u)),
+        lambda u: np.log(y_hi / y_lo) * u)
+    sign = np.sign(s)
+    return (np.diff(sign * mass, axis=0), np.diff(x_moment, axis=0),
+            np.diff(sign * y_moment, axis=0))
 
 
 class FundamentalDomainBinning:
@@ -322,8 +287,8 @@ class FundamentalDomainBinning:
     with y > y_max map to the overflow bin, whose exact mass is 1/y_max.
 
     Live bins are indexed 0..n_bins-1 in (ix, iy) lexicographic order; the
-    overflow bin has index n_bins.  Bin centers are hyperbolic-mass centroids
-    of the clipped cells.
+    overflow bin has index n_bins.  Bin masses and centers (hyperbolic-mass
+    centroids of the clipped cells) are exact closed forms (_cell_moments).
     """
 
     def __init__(self, n_x: int, n_y: int, y_max: float):
@@ -338,40 +303,23 @@ class FundamentalDomainBinning:
         self.dx = 1.0 / self.n_x
         self.dy = (self.y_max - self.y_min) / self.n_y
 
-        lookup = np.full((self.n_x, self.n_y), -1, dtype=np.int64)
-        x_lo_list, y_lo_list = [], []
-        mass_list, cx_list, cy_list = [], [], []
-        for ix in range(self.n_x):
-            x_lo = -0.5 + ix * self.dx
-            x_hi = -0.5 + (ix + 1) * self.dx
-            first_live = None
-            for iy in range(self.n_y):
-                y_lo = self.y_min + iy * self.dy
-                y_hi = self.y_min + (iy + 1) * self.dy
-                mass, cx, cy = _cell_mass_centroid(x_lo, x_hi, y_lo, y_hi)
-                if mass > 0.0:
-                    idx = len(mass_list)
-                    lookup[ix, iy] = idx
-                    if first_live is None:
-                        first_live = idx
-                    x_lo_list.append(x_lo)
-                    y_lo_list.append(y_lo)
-                    mass_list.append(mass)
-                    cx_list.append(cx)
-                    cy_list.append(cy)
-            if first_live is None:
-                raise ValueError("column with no live bins; y_max too small")
-            # Dead cells sit under the arc, below every live cell: redirect.
-            for iy in range(self.n_y):
-                if lookup[ix, iy] < 0:
-                    lookup[ix, iy] = first_live
-        self._lookup = lookup
-        self.x_lo = np.array(x_lo_list)
-        self.y_lo = np.array(y_lo_list)
-        self.raw_mass = np.array(mass_list)
-        self.center_x = np.array(cx_list)
-        self.center_y = np.array(cy_list)
-        self.n_bins = len(mass_list)
+        x_edges = -0.5 + np.arange(self.n_x + 1) * self.dx
+        y_edges = self.y_min + np.arange(self.n_y + 1) * self.dy
+        # A cell is live when it reaches past the arc at its top edge; the
+        # top row (y_hi = y_max > 1) always does.  Dead cells sit under the
+        # arc, below every live cell of their column: redirect them there.
+        c_hi = np.sqrt(np.maximum(0.0, 1.0 - y_edges[1:] * y_edges[1:]))
+        live = (x_edges[:-1, None] < -c_hi) | (x_edges[1:, None] > c_hi)
+        index = np.cumsum(live).reshape(live.shape) - 1
+        first_live = index[np.arange(self.n_x), live.argmax(axis=1)]
+        self._lookup = np.where(live, index, first_live[:, None])
+        mass, x_moment, y_moment = _cell_moments(x_edges, y_edges[:-1], y_edges[1:])
+        self.x_lo = np.broadcast_to(x_edges[:-1, None], live.shape)[live]
+        self.y_lo = np.broadcast_to(y_edges[:-1], live.shape)[live]
+        self.raw_mass = mass[live]
+        self.center_x = x_moment[live] / self.raw_mass
+        self.center_y = y_moment[live] / self.raw_mass
+        self.n_bins = int(live.sum())
 
     @property
     def overflow_mass(self) -> float:
@@ -379,7 +327,7 @@ class FundamentalDomainBinning:
         return 1.0 / self.y_max
 
     def total_raw_mass(self) -> float:
-        """Unnormalised mass of F_trunc plus the cusp overflow (-> pi/3)."""
+        """Unnormalised mass of F_trunc plus the cusp overflow: pi/3 up to rounding."""
         return float(self.raw_mass.sum()) + self.overflow_mass
 
     def matches(self, other: "FundamentalDomainBinning") -> bool:

@@ -110,30 +110,15 @@ def pushforward(state: MapState, binning: FundamentalDomainBinning) -> Pushforwa
     return PushforwardMeasure(binning, masses[0], state.t)
 
 
-def radon_nikodym(mu: PushforwardMeasure, nu: ReferenceMeasure) -> np.ndarray:
-    """Density of mu against nu, bin by bin (nu has full support)."""
-    _check_match(mu, nu)
-    return mu.masses / nu.masses
-
-
 def entropy_from_masses(mu_masses, nu_masses) -> float:
-    """sum over bins of mu * log(mu / nu), with 0 log 0 = 0.
-
-    Raw-array core shared by relative_entropy and the analytic test cases;
-    requires nu > 0 wherever mu > 0.
-    """
+    """Relative entropy H(mu | nu): the sum over bins of mu * log(mu / nu),
+    with 0 log 0 = 0; requires nu > 0 wherever mu > 0."""
     mu = np.asarray(mu_masses, dtype=float)
     nu = np.asarray(nu_masses, dtype=float)
     pos = mu > 0.0
     if np.any(nu[pos] <= 0.0):
         raise ValueError("mu puts mass where nu vanishes; entropy is infinite")
     return float(np.sum(mu[pos] * np.log(mu[pos] / nu[pos])))
-
-
-def relative_entropy(mu: PushforwardMeasure, nu: ReferenceMeasure) -> float:
-    """Relative entropy H(mu | nu) >= 0 (up to rounding of the mass totals)."""
-    _check_match(mu, nu)
-    return entropy_from_masses(mu.masses, nu.masses)
 
 
 def _pairing(masses, live, overflow_value) -> float:

@@ -82,7 +82,3 @@ class BumpFunction:
         fxy = self.amplitude * _profile_d1(sx) * _profile_d1(sy) / (self.rx * self.ry)
         fyy = self.amplitude * _profile(sx) * _profile_d2(sy) / self.ry**2
         return fxx, fxy, fyy
-
-    def __repr__(self):
-        return (f"BumpFunction(center=({self.cx}, {self.cy}), "
-                f"radii=({self.rx}, {self.ry}), amplitude={self.amplitude})")

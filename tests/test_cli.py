@@ -836,6 +836,20 @@ class TestInitialStateAudit:
             f"analyze: cannot audit {run}: {run / 'snapshots' / 'states.npy'}: "
             f"state 0 is not the initial state of {path}\n"))
 
+    @pytest.mark.parametrize("edit, problem", [
+        ({"t_final": -1}, "t_final: must be positive, got -1.0"),
+        ({"initial": {"kind": "sinusoidal", "amp_v": 2.0}},
+         "initial: |amp_v| = 2.0 must stay below v0 = 1.0")])
+    def test_a_config_that_fails_validation_exits_2_naming_it(
+            self, tmp_path, capsys, edit, problem):
+        run = tmp_path / "run"
+        run_experiment(_fast_config(), run)
+        path = run / "config.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        assert main(["analyze", "--run", str(run)]) == 2
+        assert capsys.readouterr() == (
+            "", f"analyze: cannot audit {run}: {path}: {problem}\n")
+
     def test_a_file_start_passes_after_its_source_is_deleted(self, tmp_path, capsys):
         source = tmp_path / "source"
         run_experiment(_fast_config(), source)

@@ -13,7 +13,7 @@ from moduliflow.hyperbolic import (
     ModularMatrix,
     ReductionError,
     UpperHalfPoint,
-    _cell_mass_centroid,
+    _cell_moments,
     hyperbolic_laplacian_fd,
     mobius_apply,
     mobius_apply_xy,
@@ -325,45 +325,95 @@ class TestLaplacianFD:
             hyperbolic_laplacian_fd(lambda x, y: y, UpperHalfPoint(0.0, 1.0), 0.0)
 
 
+def _cell_by_quadrature(x_lo, x_hi, y_lo, y_hi):
+    # Mass, x- and y-centroid of dx dy / y^2 over the cell clipped to
+    # |z| >= 1, by adaptive quadrature split where the arc crosses the
+    # cell's horizontal edges.
+    from scipy.integrate import quad
+
+    def lower(s):
+        return max(y_lo, math.sqrt(1.0 - s * s))
+
+    def column(s):
+        return max(0.0, 1.0 / lower(s) - 1.0 / y_hi)
+
+    def log_column(s):
+        return math.log(y_hi / lower(s)) if lower(s) < y_hi else 0.0
+
+    crossings = [s for y in (y_lo, y_hi) if y < 1.0
+                 for s in (-math.sqrt(1.0 - y * y), math.sqrt(1.0 - y * y))
+                 if x_lo < s < x_hi]
+    kw = dict(points=crossings or None, epsabs=1e-15, epsrel=1e-13, limit=200)
+    mass = quad(column, x_lo, x_hi, **kw)[0]
+    return (mass, quad(lambda s: s * column(s), x_lo, x_hi, **kw)[0] / mass,
+            quad(log_column, x_lo, x_hi, **kw)[0] / mass)
+
+
+def _one_cell(x_lo, x_hi, y_lo, y_hi):
+    mass, x_moment, y_moment = (float(m[0, 0]) for m in _cell_moments(
+        [x_lo, x_hi], np.array([y_lo]), np.array([y_hi])))
+    return mass, x_moment, y_moment
+
+
 class TestCellMass:
     def test_degenerate_cells_have_zero_mass(self):
-        assert _cell_mass_centroid(0.2, 0.2, 1.0, 2.0)[0] == 0.0
-        assert _cell_mass_centroid(0.0, 0.1, 1.5, 1.5)[0] == 0.0
+        assert _one_cell(0.2, 0.2, 1.0, 2.0)[0] == 0.0
+        assert _one_cell(0.0, 0.1, 1.5, 1.5)[0] == 0.0
+        # Wholly under the arc.
+        assert _one_cell(-0.1, 0.1, 0.87, 0.9) == (0.0, 0.0, 0.0)
 
     def test_closed_form_above_the_arc(self):
         # For y_lo >= 1 the inner integral is exact: (1/y_lo - 1/y_hi) * dx.
-        got = _cell_mass_centroid(-0.25, 0.25, 1.5, 4.0)[0]
-        assert abs(got - 0.5 * (1 / 1.5 - 1 / 4.0)) <= 1e-15
+        mass, x_moment, y_moment = _one_cell(-0.25, 0.25, 1.5, 4.0)
+        assert abs(mass - 0.5 * (1 / 1.5 - 1 / 4.0)) <= 1e-15
+        assert x_moment == 0.0
+        assert abs(y_moment - 0.5 * math.log(4.0 / 1.5)) <= 1e-15
 
     def test_arc_crossing_cell_against_adaptive_quadrature(self):
-        scipy = pytest.importorskip("scipy")
-        from scipy.integrate import quad
-
+        pytest.importorskip("scipy")
         x_lo, x_hi, y_lo, y_hi = 0.3, 0.4, 0.9, 1.1
+        mass, cx, cy = _cell_by_quadrature(x_lo, x_hi, y_lo, y_hi)
+        got, x_moment, y_moment = _one_cell(x_lo, x_hi, y_lo, y_hi)
+        assert abs(got - mass) <= 1e-11 * mass
+        assert abs(x_moment / got - cx) <= 1e-11
+        assert abs(y_moment / got - cy) <= 1e-11
 
-        def column(x):
-            lower = max(y_lo, math.sqrt(1.0 - x * x))
-            return max(0.0, 1.0 / lower - 1.0 / y_hi)
-
-        oracle, aerr = quad(column, x_lo, x_hi, epsabs=1e-13, limit=200)
-        got = _cell_mass_centroid(x_lo, x_hi, y_lo, y_hi)[0]
-        assert abs(got - oracle) <= 1e-6
+    @pytest.mark.parametrize("args", [(60, 60, 10.0), (12, 40, 2.0), (7, 3, 1.1)])
+    def test_every_cell_below_y_1_against_adaptive_quadrature(self, args):
+        pytest.importorskip("scipy")
+        b = FundamentalDomainBinning(*args)
+        below = np.flatnonzero(b.y_lo < 1.0)
+        assert len(below) >= args[0]
+        for i in below:
+            mass, cx, cy = _cell_by_quadrature(b.x_lo[i], b.x_lo[i] + b.dx,
+                                               b.y_lo[i], b.y_lo[i] + b.dy)
+            assert abs(b.raw_mass[i] - mass) <= 1e-11 * mass
+            assert abs(b.center_x[i] - cx) <= 1e-11
+            assert abs(b.center_y[i] - cy) <= 1e-11
 
     def test_total_mass_and_overflow(self, binning60):
         total = binning60.total_raw_mass()
-        assert abs(total - FUNDAMENTAL_DOMAIN_AREA) <= 1e-5 * FUNDAMENTAL_DOMAIN_AREA
+        assert abs(total - FUNDAMENTAL_DOMAIN_AREA) <= 1e-15 * FUNDAMENTAL_DOMAIN_AREA
         assert abs(binning60.overflow_mass - 0.1) <= 1e-12
         # The split is independent of where the cusp truncation sits.
         low = FundamentalDomainBinning(40, 40, 3.0)
-        assert abs(low.total_raw_mass() - FUNDAMENTAL_DOMAIN_AREA) <= 1e-5
+        assert abs(low.total_raw_mass() - FUNDAMENTAL_DOMAIN_AREA) <= 1e-15
 
-    def test_refinement_converges_at_second_order(self):
-        errs = []
-        for n in (15, 30, 60):
-            b = FundamentalDomainBinning(n, n, 10.0)
-            errs.append(abs(b.total_raw_mass() - FUNDAMENTAL_DOMAIN_AREA))
-        assert 3.0 <= errs[0] / errs[1] <= 5.0
-        assert 3.0 <= errs[1] / errs[2] <= 5.0
+    def test_the_total_is_pi_over_3_to_4_ulp(self):
+        ulp = math.ulp(FUNDAMENTAL_DOMAIN_AREA)
+        for args in [(60, 60, 10.0), (40, 40, 3.0), (12, 40, 2.0), (60, 200, 2.0),
+                     (7, 3, 1.1), (3, 215, 27.3), (2, 2, 2.0), (12, 12, 4.0),
+                     (240, 240, 10.0)]:
+            total = FundamentalDomainBinning(*args).total_raw_mass()
+            assert abs(total - FUNDAMENTAL_DOMAIN_AREA) <= 4 * ulp, args
+
+    @pytest.mark.parametrize("args, n_bins", [
+        ((60, 60, 10.0), 3600), ((40, 40, 3.0), 1552), ((12, 40, 2.0), 452),
+        ((60, 200, 2.0), 11090)])
+    def test_the_live_set_is_pinned(self, args, n_bins):
+        # The live set numbers the bins of pushforwards.npy: a change to it
+        # renumbers every stored measure.
+        assert FundamentalDomainBinning(*args).n_bins == n_bins
 
 
 class TestBinning:

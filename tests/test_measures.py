@@ -22,11 +22,9 @@ from moduliflow.measures import (
     entropy_report,
     ergodic_error_from_measures,
     pushforward,
-    radon_nikodym,
     measure_rows,
     prefix_averages,
     reference_measure,
-    relative_entropy,
     time_average,
     write_measure,
 )
@@ -153,27 +151,27 @@ class TestRadonNikodym:
     def test_identity_density(self, binning60):
         nu = reference_measure(binning60)
         mu = PushforwardMeasure(binning60, nu.masses.copy())
-        assert np.all(radon_nikodym(mu, nu) == 1.0)
+        assert np.all(mu.masses / nu.masses == 1.0)
 
     def test_concentrated_density(self, grid64, binning60):
         nu = reference_measure(binning60)
         mu = pushforward(_constant_state(grid64, 0.1, 1.3), binning60)
-        rho = radon_nikodym(mu, nu)
+        rho = mu.masses / nu.masses
         b = int(binning60.bin_index_array(0.1, 1.3))
         assert rho[b] == 1.0 / nu.masses[b]
         assert float(np.dot(rho, nu.masses)) == pytest.approx(1.0, rel=1e-13)
 
     def test_binning_mismatch_raises(self, grid64, binning60, small_binning):
-        mu = pushforward(_constant_state(grid64, 0.1, 1.3), small_binning)
+        state = _constant_state(grid64, 0.1, 1.3)
         with pytest.raises(BinningMismatchError):
-            radon_nikodym(mu, reference_measure(binning60))
+            entropy_report(state, pushforward(state, small_binning),
+                           reference_measure(binning60), 10.0, 1e-8)
 
 
 class TestEntropy:
     def test_equal_measures_have_zero_entropy(self, binning60):
         nu = reference_measure(binning60)
-        mu = PushforwardMeasure(binning60, nu.masses.copy())
-        assert relative_entropy(mu, nu) == 0.0
+        assert entropy_from_masses(nu.masses.copy(), nu.masses) == 0.0
 
     def test_two_bin_value(self):
         h = entropy_from_masses([0.5, 0.5], [0.25, 0.75])

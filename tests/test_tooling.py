@@ -5,7 +5,9 @@ config defaults must be FlowConfig's, its imports must name the modules
 that define each name, its run directory layout must name what run writes
 and the columns of steps.npy, its recipe must rebuild a run's time
 average, and the tools in tools/ must run.  The package itself is only a
-docstring: importing it loads neither numpy nor a submodule."""
+docstring: importing it loads neither numpy nor a submodule.  Every
+function of src/ that no command enters is on a fixed list, each with its
+reason, so that src/ does not regrow code that only tests reach."""
 
 import ast
 import importlib
@@ -176,3 +178,121 @@ def test_time_kernel_times_the_tree_and_refuses_an_unknown_revision():
     refused = subprocess.run([sys.executable, str(ROOT / "tools" / "time_kernel.py"),
                               "no-such-revision"], capture_output=True, text=True, timeout=60)
     assert refused.returncode == 2 and "no-such-revision" in refused.stderr
+
+
+# Runs every command under sys.setprofile, set before moduliflow loads, and
+# prints the src/ functions (module.qualified.name) that none entered:
+# run and analyze on 8x8 grids of every initial kind and on a 12x10 grid,
+# reduce, and a serial two-variant sweep, in the directory given.
+CENSUS = """
+import ast, contextlib, io, json, sys
+from pathlib import Path
+
+work, entered = Path(sys.argv[1]), set()
+
+
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+sys.setprofile(hook)
+from moduliflow import cli
+
+
+def call(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([str(a) for a in argv]) == 0, argv
+
+
+def config(name, **raw):
+    path = work / f"{name}.json"
+    path.write_text(json.dumps({"t_final": 0.02, "snapshot_interval": 0.01,
+                                "grid": {"n1": 8, "n2": 8}, **raw}))
+    return path
+
+
+starts = [{"kind": k} for k in ("constant", "sinusoidal", "winding", "random")]
+starts.append({"kind": "file", "path": str(work / "sinusoidal" / "snapshots" / "states.npy")})
+runs = [(s["kind"], config(s["kind"], initial=s)) for s in starts]
+runs.append(("12x10", config("12x10", grid={"n1": 12, "n2": 10})))
+for name, path in runs:
+    call("run", "--config", path, "--out", work / name)
+    call("analyze", "--run", work / name)
+call("reduce", 3.7, 0.2)
+sweep = work / "sweep.json"
+sweep.write_text(json.dumps({"base": json.loads(config("base").read_text()),
+                             "variants": [{"name": "a"}, {"name": "b", "seed": 2}]}))
+call("sweep", "--config", sweep, "--out", work / "sweep", "--jobs", 1)
+sys.setprofile(None)
+
+never = []
+
+
+def walk(path, body, prefix):
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # A decorated function's code starts at its first decorator.
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if (str(path), first) not in entered:
+                never.append(f"{path.stem}.{prefix}{node.name}")
+            walk(path, node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            walk(path, node.body, f"{prefix}{node.name}.")
+        else:
+            for block in ("body", "orelse", "handlers", "finalbody"):
+                if isinstance(getattr(node, block, None), list):
+                    walk(path, getattr(node, block), prefix)
+
+
+for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+    walk(path, ast.parse(path.read_text()).body, "")
+print(json.dumps(never))
+"""
+
+ACCEPTANCE = "acceptance import: tests/test_acceptance.py calls it"
+CHAIN_RULE = "acceptance import: flow.chain_rule_residual calls it"
+# Every src/ function that no command enters, with the reason it stays.
+NEVER_ENTERED = {
+    "cli.ConfigError.__init__": "error path: a config that fails validation",
+    "flow.TargetEscapeError.__init__": "error path: a step that leaves the half-plane",
+    "flow.StepRejectedError.__init__": "error path: a rejected step",
+    "flow.AbortedRunError.__init__": "error path: an aborted run",
+    "flow.tension_field": f"{ACCEPTANCE}; perfbench target",
+    "flow.energy": f"{ACCEPTANCE}; perfbench target",
+    "flow.dissipation_rate": "perfbench target",
+    "flow.jacobian_det": "perfbench target",
+    "flow.chain_rule_residual": ACCEPTANCE,
+    "hyperbolic.ReductionError.__init__": "error path: a reduction that does not converge",
+    "hyperbolic.UpperHalfPoint.__repr__": "error path: mobius_apply's DegenerateInputError "
+                                          "names the point",
+    "hyperbolic.mobius_apply_xy": ACCEPTANCE,
+    "hyperbolic.mobius_apply": ACCEPTANCE,
+    "hyperbolic.hyperbolic_laplacian_fd": ACCEPTANCE,
+    "hyperbolic.FundamentalDomainBinning.total_raw_mass": ACCEPTANCE,
+    "hyperbolic.FundamentalDomainBinning.matches": "perfbench target: time_average and "
+                                                   "entropy_report check their binnings",
+    "initial.SpecError.__init__": "error path: a bad initial spec",
+    "measures.PushforwardMeasure.__post_init__": "acceptance import: pushforward builds one",
+    "measures._check_match": "perfbench target: time_average and entropy_report call it",
+    "measures.pushforward": f"{ACCEPTANCE}; perfbench target",
+    "measures.time_average": "perfbench target",
+    "measures.entropy_report": "perfbench target",
+    "mesh.DomainGrid.laplacian": CHAIN_RULE,
+    "mesh.DomainGrid.integrate": CHAIN_RULE,
+    "testfunctions._profile_d1": CHAIN_RULE,
+    "testfunctions._profile_d2": CHAIN_RULE,
+    "testfunctions.BumpFunction.gradient": CHAIN_RULE,
+    "testfunctions.BumpFunction.hessian": CHAIN_RULE,
+    "testfunctions.BumpFunction.support_box": "acceptance import: the support of a "
+                                              "BumpFunction; tests/oracles.py reads it",
+}
+
+
+def test_every_function_no_command_enters_is_on_the_list(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", CENSUS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert sorted(json.loads(done.stdout)) == sorted(NEVER_ENTERED)
