@@ -267,54 +267,47 @@ def _series_columns(config: FlowConfig) -> list:
     ]
 
 
-# Grid nodes of the states measured at once: one state at 64², four at 32².
-# Larger chunks raise run's peak memory; smaller ones add calls per state.
-CHUNK_NODES = 4096
-
-
-def compute_snapshot_diagnostics(config: FlowConfig, fields, times, state,
-                                 e, d, cumulative_d, dt):
+def compute_snapshot_diagnostics(config: FlowConfig, chunks, times, state):
     """Measure the snapshots as the config directs; shared by run and analyze.
 
-    fields lists the distinct states' (2, n1, n2) fields in order, times the
-    snapshots' times, state each snapshot's state number (state_numbers).
-    Each state is measured once, by ms.state_masses and ms.state_reports of
-    a stack of CHUNK_NODES grid nodes; each snapshot's masses, its state's,
-    then go to the one walk of the prefix averages, which serves every
-    observable, and the chunk is dropped.  Memory holds at most two chunks
-    of dense masses besides the sparse rows.
+    chunks yields the distinct states' fields in order, as (C, 2, n1, n2)
+    stacks, the chunks of flow.read_snapshot; times gives the snapshots'
+    times, state each snapshot's state number (flow.state_numbers).  Each
+    state is measured once, by ms.state_masses and ms.state_reports of its
+    chunk; each snapshot's masses, its state's, then go to the one walk of
+    the prefix averages, which serves every observable, and the chunk is
+    dropped.  Memory holds at most two chunks of dense masses besides the
+    sparse rows.
 
-    Returns (rows, pushforwards): rows is the series table, one row per
-    snapshot in _series_columns order, with e, d, cumulative_d and dt, each
-    snapshot's E and D and the steps' values at the snapshots, as given;
-    pushforwards is ms.measure_rows of the distinct states' masses.
+    Returns (measured, pushforwards): measured holds the series columns
+    that follow the steps' (H, rho_max, tail_mass, degenerate_fraction and
+    the ergodic errors), one row per snapshot; pushforwards is
+    ms.measure_rows of the distinct states' masses.
     """
     grid = DomainGrid(config.grid.n1, config.grid.n2)
     binning = FundamentalDomainBinning(
         config.binning.n_x, config.binning.n_y, config.binning.y_max
     )
     reference = ms.reference_measure(binning)
-    size = max(1, CHUNK_NODES // (grid.n1 * grid.n2))
     repeats = np.bincount(state)  # the snapshots of each state
     reports, pushforwards = [], []
 
     def snapshot_masses():
-        for a in range(0, len(fields), size):
-            chunk = np.asarray(fields[a:a + size])
+        for chunk in chunks:
+            a = len(reports)  # the chunk's first state
             masses = ms.state_masses(chunk, grid, binning)
             reports.extend(ms.state_reports(chunk, grid, masses, reference,
                                             config.density_threshold, config.jacobian_threshold))
             rows = ms.measure_rows(masses)
             rows[:, 0] += a
             pushforwards.append(rows)
-            for mu, n in zip(masses, repeats[a:a + size]):
+            for mu, n in zip(masses, repeats[a:a + len(chunk)]):
                 for _ in range(n):
                     yield mu
 
     bumps = [BumpFunction(**tf) for tf in config.test_functions]
     ergodic = ms.ergodic_error_from_measures(times, snapshot_masses(), bumps, reference)
-    rows = np.column_stack([times, e, d, cumulative_d, dt, *np.array(reports)[state].T, ergodic])
-    return rows, np.concatenate(pushforwards)
+    return np.column_stack([np.array(reports)[state], ergodic]), np.concatenate(pushforwards)
 
 
 # Every path of a run directory, in the order run_experiment and analyze_run
@@ -369,11 +362,13 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     them), steps.npy (the trajectory's steps: row 0 and one row per
     accepted or frozen step, float64 columns flow.STEP_COLUMNS),
     snapshots/states.npy (the distinct states as one (S, 2, n1, n2) array,
-    streamed state by state), measures/pushforwards.npy (each distinct
-    state's pushforward as the rows of ms.measure_rows), summary.json.  A
-    frozen snapshot shares its state and its pushforward with the snapshot
-    before it, and the steps give each snapshot's state number
-    (flow.state_numbers).
+    written by flow.write_snapshot as run_flow makes them), measures/
+    pushforwards.npy (each distinct state's pushforward as the rows of
+    ms.measure_rows), summary.json.  A frozen snapshot shares its state and
+    its pushforward with the snapshot before it, and the steps give each
+    snapshot's state number (flow.state_numbers).  The diagnostics are
+    measured from states.npy, read back one chunk at a time, as analyze
+    reads it, so no more than a chunk of states is held at once.
     summary.json holds _summary of the steps and the series, and
     rejected_steps; an aborted run (dt underflow) still writes everything
     computed so far, with termination aborted.  A config that
@@ -390,28 +385,27 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
 
     params = flow.FlowParams(**{f.name: getattr(config, f.name)
                                 for f in fields(flow.FlowParams)})
-    try:
-        traj = flow.run_flow(state0, params)
-    except flow.AbortedRunError as exc:
-        traj = exc.trajectory
-
     config_path, series_path, steps_path, states_path, rows_path, summary_path = (
         out / path for path in RUN_PATHS)
+    states_path.parent.mkdir()
+    rows_path.parent.mkdir()
+    try:
+        with flow.write_snapshot(states_path, state0.grid) as record:
+            traj = flow.run_flow(state0, params, record)
+    except flow.AbortedRunError as exc:
+        traj = exc.trajectory
     config_path.write_text(emit_config(config))
 
-    snaps, at = traj.snapshots, traj.snapshot_rows
+    at = traj.snapshot_rows
+    times = traj.times[at]
     state = flow.state_numbers(traj.dissipation[at], config.stall_threshold)
-    firsts = np.flatnonzero(np.diff(state, prepend=-1))  # each state's first snapshot
-    series, pushforwards = compute_snapshot_diagnostics(
-        config, [snaps[k].fields for k in firsts], [s.t for s in snaps], state,
-        traj.energy[at], traj.dissipation[at], traj.cumulative_dissipation[at], traj.dt_used[at])
+    chunks = flow.read_snapshot(states_path, state0.grid, int(state[-1]) + 1)
+    measured, pushforwards = compute_snapshot_diagnostics(config, chunks, times, state)
+    series = np.column_stack([times, traj.energy[at], traj.dissipation[at],
+                              traj.cumulative_dissipation[at], traj.dt_used[at], measured])
     columns = _series_columns(config)
     table.write_table(series_path, SERIES_SCHEMA, dict(zip(columns, series.T)))
     np.save(steps_path, traj.steps)
-
-    states_path.parent.mkdir()
-    rows_path.parent.mkdir()
-    flow.write_snapshot([snaps[k] for k in firsts], states_path)
     ms.write_measure(pushforwards, rows_path)
 
     summary = {**_summary(config, traj.steps, _series_fields(columns, series)),
@@ -436,14 +430,14 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     steps' bit for bit (run takes them from the steps); each must match the
     series within the tolerance.  steps.npy must keep run_flow's rules
     exactly (flow.read_steps) and hold a row at each snapshot time
-    (_step_rows).  states.npy is read once, and must hold as many states
-    as the steps give (flow.state_numbers), on the config's grid, finite
-    and above the v floor; unless the initial kind is file, whose source
-    may be gone, its state 0 must be _initial_state of the config byte for
-    byte.  summary.json must agree with the recomputation (_audit_records),
-    pushforwards.npy must be the rows of the recomputed pushforwards byte
-    for byte, or ValueError names the file (and for a state, or rows that
-    differ, the first state).
+    (_step_rows).  states.npy must hold as many states as the steps give
+    (flow.state_numbers), on the config's grid; it is read one chunk at a
+    time (flow.read_snapshot), each state finite and above the v floor, and
+    unless the initial kind is file, whose source may be gone, its state 0
+    must be _initial_state of the config byte for byte.  summary.json must
+    agree with the recomputation (_audit_records), pushforwards.npy must be
+    the rows of the recomputed pushforwards byte for byte, or ValueError
+    names the file (and for a state, or rows that differ, the first state).
     Values so large that the recomputation overflows give inf or nan in its
     columns, without a warning.  Returns the audit report dictionary (also
     written to analysis.json).
@@ -467,20 +461,24 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     at = _step_rows(steps_path, steps, times, stored)
     state = flow.state_numbers(steps[at, 2], config.stall_threshold)
     grid = DomainGrid(config.grid.n1, config.grid.n2)
-    states = flow.read_snapshot(states_path, grid, int(state[-1]) + 1)
-    # run_flow records no state at or below the floor; reduction fails on one.
-    low = [j for j, s in enumerate(states) if s.v_min <= flow.V_FLOOR]
-    if low:
-        raise ValueError(f"{states_path}: state {low[0]}: v_min {states[low[0]].v_min} "
-                         f"is at or below {flow.V_FLOOR}")
-    if start is not None and states[0].fields.tobytes() != start.fields.tobytes():
-        raise ValueError(f"{states_path}: state 0 is not the initial state of {config_path}")
+    chunks = flow.read_snapshot(states_path, grid, int(state[-1]) + 1)
+    ws = flow._EdgeWorkspace(grid.shape)
+    passes = []  # each distinct state's E and D
+
+    def passed():
+        for chunk in chunks:
+            if not passes and start is not None and chunk[0].tobytes() != start.fields.tobytes():
+                raise ValueError(f"{states_path}: state 0 is not the initial state of "
+                                 f"{config_path}")
+            passes.extend(flow._edge_pass(flow.MapState._checked(grid, f, 0.0, f[1].min()),
+                                          ws)[::2] for f in chunk)
+            yield chunk
+
     with np.errstate(over="ignore", invalid="ignore"):
-        ws = flow._EdgeWorkspace(grid.shape)
-        e, d = np.array([flow._edge_pass(s, ws)[::2] for s in states]).T[:, state]
-        recomputed, pushforwards = compute_snapshot_diagnostics(
-            config, [s.fields for s in states], times, state, e, d,
-            flow.dissipation_integral(steps)[at], steps[at, 3])
+        measured, pushforwards = compute_snapshot_diagnostics(config, passed(), times, state)
+    e, d = np.array(passes).T[:, state]
+    recomputed = np.column_stack([times, e, d, flow.dissipation_integral(steps)[at],
+                                  steps[at, 3], measured])
     _audit_records(summary_path, columns, recomputed, tolerance, steps, config)
     _audit_rows(rows_path, pushforwards)
     report_path, recomputed_path = (run / path for path in ANALYSIS_PATHS)

@@ -12,8 +12,9 @@ yields the energy, the tension field tau and the dissipation rate D together;
 energy(), tension_field() and dissipation_rate() each return one of the
 three, and run_flow() makes one pass per candidate state.  run_flow steps in
 a ring of two field and two tau buffers that the pass's workspace owns, so
-it allocates no array of the grid's size per step, and it copies a state
-out of the ring once when it records it.  tau is the exact negative
+it allocates no array of the grid's size per step, and it hands each new
+distinct state to a callback, write_snapshot's for a run, which writes its
+bytes out before the ring moves on.  tau is the exact negative
 gradient of the discrete energy in the hyperbolic L^2 inner product
 <a, b> = integral of (a_u b_u + a_v b_v)/v^2, and D = ||tau||^2, so
 forward-Euler stepping dissipates the discrete energy structurally (up to
@@ -37,6 +38,8 @@ integral of D (dissipation_integral), termination and step counts
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,12 +214,6 @@ class _EdgeWorkspace:
     def diff_calls(self, fields: np.ndarray) -> list:
         """The calls that set diff to the forward differences of fields."""
         return self._bind(np.subtract, (fields, fields), self.diff, a_shift=1)
-
-    def out_of_ring(self, state: MapState) -> MapState:
-        """state, or a copy of it when its fields are a buffer of the ring."""
-        if any(state.fields is fields for fields in self.ring):
-            return MapState._checked(state.grid, state.fields.copy(), state.t, state.v_min)
-        return state
 
 
 def _edge_pass(state: MapState, ws: _EdgeWorkspace,
@@ -402,7 +399,7 @@ STEP_COLUMNS = ("t", "E", "D", "dt")
 
 @dataclass
 class FlowTrajectory:
-    """Recorded run: the stepping record plus snapshot states.
+    """Recorded run: the stepping record and the rows of its snapshots.
 
     steps is a C-order float64 array with one row per step and the columns
     STEP_COLUMNS.  Row 0 describes the initial state (dt = 0); each later
@@ -411,7 +408,6 @@ class FlowTrajectory:
     """
 
     steps: np.ndarray
-    snapshots: list[MapState]
     snapshot_rows: list[int]
     rejected_steps: int
 
@@ -422,7 +418,8 @@ class FlowTrajectory:
     cumulative_dissipation = property(lambda self: dissipation_integral(self.steps))
 
 
-def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
+def run_flow(initial: MapState, params: FlowParams,
+             record=lambda state: None) -> FlowTrajectory:
     """Integrate the flow to t_final with adaptive explicit stepping.
 
     dt starts at the stability cap, is halved whenever a step is rejected
@@ -440,20 +437,21 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
     t_final is a duration measured from the initial state's time, which may
     be any time, a snapshot time included; snapshot times are the absolute
     multiples of snapshot_interval, which must exceed the tolerance of
-    _check_interval.
+    _check_interval.  The final state is a snapshot too.
 
-    The run steps in the ring of one _EdgeWorkspace and allocates no array
-    of the grid's size per step: each candidate state is written into the
-    ring's field buffer that does not hold the current state, and its tau
-    into the tau buffer that does not hold the current tau, so a rejected
-    candidate leaves both intact.  States are immutable, and a state that
-    is recorded, as a snapshot or as the stalled state, is copied out of the
-    ring once, before a later step can overwrite it: the snapshots are the
-    initial state's copy, such copies, and frozen states that share the
-    stalled state's arrays.
+    record(state) is called once per distinct snapshot state, in order:
+    the initial state, then each snapshot's state unless the snapshot
+    before it had D under the stall threshold, when it is that snapshot's
+    state frozen (state_numbers).  The run steps in the ring of one
+    _EdgeWorkspace and allocates no array of the grid's size per step:
+    each candidate state is written into the ring's field buffer that does
+    not hold the current state, and its tau into the tau buffer that does
+    not hold the current tau, so a rejected candidate leaves both intact.
+    A recorded state's fields may be a buffer of the ring, which a later
+    step overwrites, so record must copy or write out what it keeps.
     """
     _check_interval(initial.t, params.t_final, params.snapshot_interval)
-    state = initial.copy()
+    state = initial
     _check_above_floor(state)
     ws = _EdgeWorkspace(state.grid.shape)
     spare = 0  # the ring slot of the next candidate and of its tau
@@ -461,9 +459,16 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
     interval = params.snapshot_interval
 
     rows = [(state.t, e_cur, d_cur, 0.0)]
-    snapshots, snapshot_rows = [state], [0]
+    snapshot_rows = [0]
+    record(state)
     rejected = streak = 0
     snap_k = int(math.floor(state.t / interval)) + 1
+
+    def snapshot():
+        # The last row's state is new unless the previous snapshot stalled.
+        if rows[snapshot_rows[-1]][2] >= params.stall_threshold:
+            record(state)
+        snapshot_rows.append(len(rows) - 1)
 
     t_final = state.t + params.t_final
     end = _end(t_final)
@@ -474,16 +479,14 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
         # is itself a snapshot time.
         while snap_k * interval <= state.t + 1e-14 * max(1.0, state.t):
             if snapshot_rows[-1] != len(rows) - 1:
-                state = ws.out_of_ring(state)
-                snapshots.append(state)
-                snapshot_rows.append(len(rows) - 1)
+                snapshot()
             snap_k += 1
         next_snap = snap_k * interval
         if d_cur < params.stall_threshold:
             # Frozen step; it is not an accepted step and leaves dt alone.
+            # No step follows, so the ring keeps the fields.
             t_here = min(next_snap, t_final)
             dt_used, d_new = t_here - state.t, d_cur
-            state = ws.out_of_ring(state)
             state = MapState._checked(state.grid, state.fields, t_here, state.v_min)
         else:
             cap = cfl_dt_max(state, params.cfl_safety)
@@ -491,7 +494,7 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
             if dt_used < params.dt_floor:
                 raise AbortedRunError(
                     f"dt = {dt_used} fell below the floor {params.dt_floor} at t = {state.t}",
-                    FlowTrajectory(np.array(rows), snapshots, snapshot_rows, rejected),
+                    FlowTrajectory(np.array(rows), snapshot_rows, rejected),
                 )
             try:
                 new_state = step(state, dt_used, tangent, ws.ring[spare])
@@ -514,9 +517,8 @@ def run_flow(initial: MapState, params: FlowParams) -> FlowTrajectory:
         d_cur = d_new
         rows.append((state.t, e_cur, d_cur, dt_used))
     if snapshot_rows[-1] != len(rows) - 1:
-        snapshots.append(ws.out_of_ring(state))
-        snapshot_rows.append(len(rows) - 1)
-    return FlowTrajectory(np.array(rows), snapshots, snapshot_rows, rejected)
+        snapshot()
+    return FlowTrajectory(np.array(rows), snapshot_rows, rejected)
 
 
 def _end(t_final: float) -> float:
@@ -646,68 +648,132 @@ def chain_rule_residual(state: MapState, f) -> float:
     return float(np.sqrt(grid.integrate(residual * residual)))
 
 
-def write_snapshot(states, path) -> None:
-    """Write the fields of states, one or more states on one grid, as one
-    .npy array of shape (S, 2, n1, n2), native float64 in C order, state j
-    at [j] with u then v; their times are not stored.  The file is np.save's
-    of that array, written state by state after its header, so that no
-    stack of the states is built."""
-    shape = states[0].fields.shape
-    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
-              "fortran_order": False, "shape": (len(states), *shape)}
+# Grid nodes of the states that read_snapshot reads and checks at once, and
+# that run and analyze then measure at once: one state at 64², four at 32².
+# Larger chunks raise run's peak memory; smaller ones add calls per state.
+CHUNK_NODES = 4096
+
+
+@contextmanager
+def write_snapshot(path, grid: DomainGrid):
+    """Stream states on grid to the .npy file at path: a context manager
+    that gives record(state), which writes the state's fields, u then v, as
+    the next state of one (S, 2, n1, n2) array of native float64 in C order;
+    their times are not stored.  The header is written first with S = 0
+    and rewritten with the count of states recorded when the block is left,
+    also by an exception, so the file is np.save's of the stack of those
+    states, byte for byte, and no state is kept."""
+    shape = (2, *grid.shape)
     with open(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, header)
-        for state in states:
+        count = 0
+
+        def header() -> int:
+            fh.seek(0)
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+                "fortran_order": False, "shape": (count, *shape)})
+            return fh.tell()
+
+        def record(state: MapState):
+            nonlocal count
             if state.fields.shape != shape:
                 raise ValueError(f"a state of shape {state.fields.shape} among states "
                                  f"of shape {shape}")
             fh.write(state.fields)
+            count += 1
+
+        offset = header()
+        try:
+            yield record
+        finally:
+            # np.save pads the header so that the count's digits fit.
+            assert header() == offset, "the .npy header changed its length"
 
 
-def _read_npy(path, check):
-    """check(array) for the array in the .npy file at path, which must hold
-    a native float64 C-order array, read without unpickling.  Any failure
-    but an OSError raises ValueError naming the file: on a damaged header
-    np.load also raises EOFError, SyntaxError, TypeError and tokenize's
-    errors, and check raises ValueError."""
+def _named(path, read, *args):
+    """read(*args), with any failure but an OSError raised as a ValueError
+    that names the file at path: on a damaged header numpy also raises
+    EOFError, SyntaxError, TypeError and tokenize's errors."""
     try:
-        with open(path, "rb") as fh:
-            array = np.load(fh, allow_pickle=False)
-        if not isinstance(array, np.ndarray) or array.dtype != np.dtype(float):
-            raise ValueError(f"expected a native float64 array, found "
-                             f"{getattr(array, 'dtype', type(array).__name__)}")
-        if not array.flags.c_contiguous:
-            raise ValueError("the array is not in C order")
-        return check(array)
+        return read(*args)
     except OSError:
         raise
     except Exception as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def read_snapshot(path, grid: DomainGrid, count: int | None = None) -> list:
-    """The states written by write_snapshot, in order and at t = 0: views of
-    the one array of the .npy file at path, read as _read_npy requires.  Its
-    shape must be (count, 2, n1, n2) on grid, or with count None (S, 2, n1,
-    n2) for any S >= 1 or (2, n1, n2), one state.  Every value must be
-    finite and every v positive, as MapState requires; else ValueError names
-    the file and the first state at fault."""
+def _npy_layout(path) -> tuple:
+    """(shape, offset) of the array of the .npy file at path, which must
+    hold a native float64 C-order array from offset on, and nothing after
+    it, under a version 1.0 header, np.save's.  Nothing is unpickled."""
+    with open(path, "rb") as fh:
+        version = np.lib.format.read_magic(fh)
+        if version != (1, 0):
+            raise ValueError(f"unsupported .npy format version {version}")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        offset = fh.tell()
+        length = os.fstat(fh.fileno()).st_size - offset
+    if dtype != np.dtype(float):
+        raise ValueError(f"expected a native float64 array, found {dtype}")
+    if fortran_order:
+        raise ValueError("the array is not in C order")
+    if length != 8 * math.prod(shape):
+        raise ValueError(f"the array of shape {shape} takes {8 * math.prod(shape)} bytes, "
+                         f"the file holds {length} after its header")
+    return shape, offset
+
+
+def _read_npy(path, check):
+    """check(array) for the array of the .npy file at path, as _npy_layout
+    requires it; any failure but an OSError raises ValueError naming the
+    file, and check raises ValueError."""
+    def read():
+        shape, offset = _npy_layout(path)
+        return check(np.fromfile(path, float, math.prod(shape), offset=offset).reshape(shape))
+    return _named(path, read)
+
+
+def read_snapshot(path, grid: DomainGrid, count: int | None = None):
+    """The states written by write_snapshot to the .npy file at path, as an
+    iterator of (C, 2, n1, n2) chunks of the stack in order, each of
+    CHUNK_NODES grid nodes or one state, the last perhaps fewer; no more
+    than one chunk is read at a time, and the chunks share no memory.
+    Before any chunk is read, the file must hold what _npy_layout requires,
+    of shape (count, 2, n1, n2) on grid, or with count None (S, 2, n1, n2)
+    for any S >= 1 or (2, n1, n2), one state.  Each chunk must have every
+    value finite and every v above V_FLOOR.  Else ValueError names the file,
+    and for a chunk the first state at fault by its index in the stack."""
     state_shape = (2, *grid.shape)
 
-    def states(stack):
-        if count is None and stack.shape == state_shape:
-            stack = stack[np.newaxis]
-        if (stack.ndim != 4 or stack.shape[1:] != state_shape or not len(stack)
-                or count not in (None, len(stack))):
+    def states():
+        shape, offset = _npy_layout(path)
+        if count is None and shape == state_shape:
+            shape = (1, *shape)
+        if (len(shape) != 4 or shape[1:] != state_shape or not shape[0]
+                or count not in (None, shape[0])):
             n = "S" if count is None else count
-            raise ValueError(f"shape {stack.shape}, expected ({n}, 2, {grid.n1}, {grid.n2})")
+            raise ValueError(f"shape {shape}, expected ({n}, 2, {grid.n1}, {grid.n2})")
+        return shape[0], offset
+
+    def chunk(a, size, offset):
+        stack = np.fromfile(path, float, size * math.prod(state_shape),
+                            offset=offset).reshape(size, *state_shape)
         finite = np.isfinite(stack).all(axis=(1, 2, 3))
         v_min = stack[:, 1].min(axis=(1, 2))
-        bad = np.flatnonzero(~finite | ~(v_min > 0.0))
+        bad = np.flatnonzero(~finite | ~(v_min > V_FLOOR))
         if len(bad):
-            j = bad[0]
-            raise ValueError(f"state {j}: the values are not all finite" if not finite[j]
-                             else f"state {j}: v must be positive, its minimum is {v_min[j]}")
-        return [MapState._checked(grid, fields, 0.0, v)
-                for fields, v in zip(stack, v_min.tolist())]
-    return _read_npy(path, states)
+            j, v = bad[0], v_min[bad[0]].item()
+            problem = ("the values are not all finite" if not finite[j]
+                       else f"v must be positive, its minimum is {v}" if not v > 0.0
+                       else f"v_min {v} is at or below {V_FLOOR}")
+            raise ValueError(f"state {a + j}: {problem}")
+        return stack
+
+    total, offset = _named(path, states)
+    size = max(1, CHUNK_NODES // (grid.n1 * grid.n2))
+    state_bytes = 8 * math.prod(state_shape)
+
+    def chunks():
+        for a in range(0, total, size):
+            yield _named(path, chunk, a, min(size, total - a), offset + a * state_bytes)
+    return chunks()

@@ -138,5 +138,8 @@ def build_initial_state(
     # kind == "file"
     if not p["path"]:
         raise ValueError("file initial data needs a 'path'")
-    # A copy, so that the state does not keep the rest of a stack alive.
-    return read_snapshot(p["path"], grid)[-1].copy()
+    # Every state is checked, one chunk at a time; the last is copied, so
+    # that the state does not keep its chunk alive.
+    for chunk in read_snapshot(p["path"], grid):
+        last = chunk[-1]
+    return MapState(grid, *last)

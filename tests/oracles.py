@@ -17,23 +17,33 @@ They check the product code in src/ from outside it:
   by row, which analyze checks on whole arrays;
 * reference_steps -- run_flow's stepping record, with its step counts,
   termination and dissipation integral counted as the loop goes, by a
-  plain loop that makes every candidate state and tau a new array.
+  plain loop that makes every candidate state and tau a new array;
+* Recorded -- a record for run_flow that keeps a copy of each state it
+  hands on, and gives every snapshot's state from them;
+* run_recorded -- the trajectory of a config's run and its Recorded
+  record.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
+from moduliflow import cli
 from moduliflow.flow import (
     ENERGY_STEP_TOL,
+    AbortedRunError,
+    FlowParams,
     MapState,
     StepRejectedError,
     _edge_pass,
     _EdgeWorkspace,
     cfl_dt_max,
+    run_flow,
+    state_numbers,
     step,
 )
 from moduliflow.hyperbolic import (
@@ -314,3 +324,32 @@ def reference_steps(initial: MapState, params, reject=()) -> dict:
         totals.append(cumulative)
     return {"rows": np.array(rows), "rejected": rejected, "accepted": accepted,
             "cumulative": np.array(totals), "termination": termination}
+
+
+class Recorded(list):
+    """A record for run_flow: a copy of each state it hands on, in order,
+    since a state's fields may be a buffer that a later step overwrites."""
+
+    def __call__(self, state: MapState):
+        self.append(state.copy())
+
+    def snapshots(self, traj, stall_threshold: float) -> list:
+        """Each snapshot's state at its time: the recorded state of its
+        number (state_numbers), so a frozen snapshot shares the fields of
+        the snapshot before it."""
+        at = traj.snapshot_rows
+        numbers = state_numbers(traj.dissipation[at], stall_threshold)
+        return [MapState._checked(self[j].grid, self[j].fields, t, self[j].v_min)
+                for j, t in zip(numbers.tolist(), traj.times[at].tolist())]
+
+
+def run_recorded(config) -> tuple:
+    """(trajectory, recorded) of the flow that run_experiment runs for
+    config, run again with recorded, a Recorded record."""
+    params = FlowParams(**{f.name: getattr(config, f.name) for f in fields(FlowParams)})
+    recorded = Recorded()
+    try:
+        traj = run_flow(cli._initial_state(config), params, recorded)
+    except AbortedRunError as exc:
+        traj = exc.trajectory
+    return traj, recorded

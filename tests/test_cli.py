@@ -25,7 +25,7 @@ from moduliflow.cli import (
     run_experiment,
     run_sweep,
 )
-from moduliflow.flow import V_FLOOR, MapState, write_snapshot
+from moduliflow.flow import V_FLOOR, MapState
 from moduliflow.hyperbolic import FundamentalDomainBinning
 from moduliflow.initial import build_initial_state
 from moduliflow.measures import (
@@ -37,7 +37,12 @@ from moduliflow.measures import (
 )
 from moduliflow.mesh import DomainGrid
 from moduliflow.testfunctions import BumpFunction
-from oracles import reference_steps, stepping_record_problem, weak_star_pairing
+from oracles import (
+    reference_steps,
+    run_recorded,
+    stepping_record_problem,
+    weak_star_pairing,
+)
 
 FAST_OVERRIDES = {
     "grid": {"n1": 16, "n2": 16},
@@ -96,6 +101,7 @@ DAMAGED_STATES = {
     "nan": _set((..., 0, 1, 2), np.nan),
     "inf": _set((..., 1, 2, 3), np.inf),
     "v_at_floor": _set((..., 1, 0, 0), V_FLOOR),
+    "trailing_bytes": lambda path: path.write_bytes(path.read_bytes() + bytes(16)),
 }
 
 
@@ -261,8 +267,9 @@ class TestRunExperiment:
         out = result.out_dir
         assert sorted(p.name for p in out.iterdir()) == [
             "config.json", "measures", "series.csv", "snapshots", "steps.npy", "summary.json"]
-        snaps = result.trajectory.snapshots
-        states = sum(k == 0 or s.fields is not snaps[k - 1].fields for k, s in enumerate(snaps))
+        traj = result.trajectory
+        states = int(flow_module.state_numbers(traj.dissipation[traj.snapshot_rows],
+                                               result.config.stall_threshold)[-1]) + 1
         assert sorted(p.name for p in (out / "snapshots").iterdir()) == ["states.npy"]
         assert np.load(out / "snapshots" / "states.npy").shape == (states, 2, 16, 16)
         assert sorted(p.name for p in (out / "measures").iterdir()) == ["pushforwards.npy"]
@@ -332,7 +339,8 @@ class TestRunExperiment:
         cfg = _fast_config(snapshot_interval=0.02)
         result = run_experiment(cfg, tmp_path / "run")
         binning = FundamentalDomainBinning(12, 12, 4.0)
-        snaps = result.trajectory.snapshots
+        traj, recorded = run_recorded(cfg)
+        snaps = recorded.snapshots(traj, cfg.stall_threshold)
         mus = [pushforward(s, binning) for s in snaps]
         assert len(mus) >= 3
         measures = tmp_path / "run" / "measures"
@@ -500,7 +508,8 @@ class TestFrozenSnapshots:
     @staticmethod
     def _stalled_run(tmp_path):
         result = run_experiment(_fast_config(t_final=0.4), tmp_path / "run")
-        snaps = result.trajectory.snapshots
+        traj, recorded = run_recorded(result.config)
+        snaps = recorded.snapshots(traj, result.config.stall_threshold)
         firsts = [k for k, s in enumerate(snaps)
                   if k == 0 or s.fields is not snaps[k - 1].fields]
         assert result.summary["termination"] == "stalled"
@@ -538,10 +547,9 @@ class TestFrozenSnapshots:
         traj = result.trajectory
         rows = traj.snapshot_rows
         state = flow_module.state_numbers(traj.dissipation[rows], result.config.stall_threshold)
-        compute_snapshot_diagnostics(result.config, [traj.snapshots[k].fields for k in firsts],
-                                     [s.t for s in traj.snapshots], state,
-                                     traj.energy[rows], traj.dissipation[rows],
-                                     traj.cumulative_dissipation[rows], traj.dt_used[rows])
+        chunks = flow_module.read_snapshot(tmp_path / "run" / "snapshots" / "states.npy",
+                                           DomainGrid(16, 16), len(firsts))
+        compute_snapshot_diagnostics(result.config, chunks, traj.times[rows], state)
         assert calls == {"state_masses": 2 * len(firsts), "state_reports": 2 * len(firsts)}
         calls.clear()
         assert analyze_run(tmp_path / "run")["pass"] is True
@@ -582,16 +590,18 @@ class TestFrozenSnapshots:
 
     @pytest.mark.parametrize("extra, termination", RUNS)
     def test_the_state_rule_follows_run_flows_sharing(self, tmp_path, extra, termination):
-        # A snapshot shares its predecessor's fields exactly where the steps'
-        # D at the predecessor is under the stall threshold.
+        # run_flow hands on a new state at snapshot 0 and at each snapshot
+        # whose predecessor's D in the steps is not under the stall
+        # threshold, and run writes those states, in order.
         result = run_experiment(_fast_config(**extra), tmp_path / "run")
-        traj = result.trajectory
-        snaps = traj.snapshots
-        state = flow_module.state_numbers(traj.dissipation[traj.snapshot_rows],
-                                          result.config.stall_threshold)
-        assert result.summary["termination"] == termination and len(snaps) > 2
-        assert state[0] == 0 and [state[k] == state[k - 1] for k in range(1, len(snaps))] == [
-            snaps[k].fields is snaps[k - 1].fields for k in range(1, len(snaps))]
+        traj, recorded = run_recorded(result.config)
+        at = traj.snapshot_rows
+        state = flow_module.state_numbers(traj.dissipation[at], result.config.stall_threshold)
+        assert result.summary["termination"] == termination and len(at) > 2
+        firsts = np.flatnonzero(np.diff(state, prepend=-1))
+        assert [s.t for s in recorded] == traj.times[at][firsts].tolist()
+        assert (tmp_path / "run" / "snapshots" / "states.npy").read_bytes()[128:] == b"".join(
+            s.fields.tobytes() for s in recorded)
 
     @pytest.mark.parametrize("extra, termination", RUNS)
     def test_the_stepping_fields_follow_run_flow(self, extra, termination):
@@ -622,7 +632,8 @@ class TestFrozenSnapshots:
         # bin and mass rows of the pushforward of each of its snapshots alone.
         result, firsts = self._stalled_run(tmp_path)
         out, stack = tmp_path / "run", tmp_path / "stack.npy"
-        snaps = result.trajectory.snapshots
+        traj, recorded = run_recorded(result.config)
+        snaps = recorded.snapshots(traj, result.config.stall_threshold)
         np.save(stack, np.stack([snaps[k].fields for k in firsts]))
         assert (out / "snapshots" / "states.npy").read_bytes() == stack.read_bytes()
         binning = FundamentalDomainBinning(12, 12, 4.0)
@@ -668,8 +679,9 @@ class TestFrozenSnapshots:
 
 
 class TestChunkedDiagnostics:
-    """compute_snapshot_diagnostics measures the distinct states in chunks of
-    cli.CHUNK_NODES grid nodes; its rows must be those of each state alone."""
+    """compute_snapshot_diagnostics measures the distinct states in the
+    chunks of flow.CHUNK_NODES grid nodes that flow.read_snapshot reads;
+    its rows must be those of each state alone."""
 
     @staticmethod
     def _fields(n, count, seed=7):
@@ -680,14 +692,14 @@ class TestChunkedDiagnostics:
                 for j in range(count)]
 
     @staticmethod
-    def _diagnostics(config, fields, state):
+    def _diagnostics(config, fields, state, path):
         state = np.asarray(state)
-        zeros = np.zeros(len(state))
         times = (0.01 * np.arange(len(state)) + 0.25).tolist()
-        return times, *compute_snapshot_diagnostics(config, fields, times, state,
-                                                     zeros, zeros, zeros, zeros)
+        np.save(path, np.stack(fields))
+        chunks = flow_module.read_snapshot(path, DomainGrid(config.grid.n1, config.grid.n2))
+        return times, *compute_snapshot_diagnostics(config, chunks, times, state)
 
-    SIZE = cli_module.CHUNK_NODES // 32**2  # states per chunk at 32²; one at 64²
+    SIZE = flow_module.CHUNK_NODES // 32**2  # states per chunk at 32²; one at 64²
     CASES = [
         ("not_a_multiple_of_the_chunk", 32, list(range(2 * SIZE + 1))),
         ("frozen_tail_from_mid_chunk", 32, [*range(SIZE + 2), *[SIZE + 1] * 4]),
@@ -698,11 +710,12 @@ class TestChunkedDiagnostics:
     ]
 
     @pytest.mark.parametrize("name, n, state", CASES, ids=[case[0] for case in CASES])
-    def test_rows_equal_those_of_each_state_alone(self, name, n, state):
+    def test_rows_equal_those_of_each_state_alone(self, tmp_path, name, n, state):
         config = config_from_dict({"grid": {"n1": n, "n2": n},
                                    "binning": {"n_x": 20, "n_y": 20, "y_max": 4.0}})
         fields = self._fields(n, state[-1] + 1)
-        times, rows, pushforwards = self._diagnostics(config, fields, state)
+        times, rows, pushforwards = self._diagnostics(config, fields, state,
+                                                      tmp_path / "states.npy")
         grid, binning = DomainGrid(n, n), FundamentalDomainBinning(20, 20, 4.0)
         nu = reference_measure(binning)
         snaps = [MapState(grid, *fields[j], t) for j, t in zip(state, times)]
@@ -710,20 +723,20 @@ class TestChunkedDiagnostics:
         reports = [entropy_report(s, mu, nu, config.density_threshold,
                                   config.jacobian_threshold) for s, mu in zip(snaps, mus)]
         want = [[r.entropy, r.rho_max, r.tail_mass, r.degenerate_fraction] for r in reports]
-        assert rows[:, 5:9].tolist() == want, name
+        assert rows[:, :4].tolist() == want, name
         for j, tf in enumerate(config.test_functions):
             f = BumpFunction(**tf)
             target = weak_star_pairing(nu, f)
             ergodic = [abs(weak_star_pairing(mus[0], f) - target)] + [
                 abs(weak_star_pairing(time_average(mus[:k + 1]), f) - target)
                 for k in range(1, len(mus))]
-            assert rows[:, 9 + j].tolist() == ergodic, name
+            assert rows[:, 4 + j].tolist() == ergodic, name
         firsts = np.flatnonzero(np.diff(state, prepend=-1))
         alone = [measure_rows(mus[k].masses[np.newaxis]) + [j, 0, 0]
                  for j, k in enumerate(firsts)]
         assert pushforwards.tobytes() == np.concatenate(alone).tobytes(), name
 
-    def test_memory_does_not_grow_with_the_number_of_states(self):
+    def test_memory_does_not_grow_with_the_number_of_states(self, tmp_path):
         # Dense masses are held for one chunk at a time: from 16 to 64
         # near-constant states the traced peak grows by less than one
         # vector of n_bins + 1 masses per 4 states, where one vector per
@@ -737,11 +750,37 @@ class TestChunkedDiagnostics:
                       for f in self._fields(32, count)]
             tracemalloc.start()
             try:
-                self._diagnostics(config, fields, range(count))
+                self._diagnostics(config, fields, range(count), tmp_path / "states.npy")
                 peaks[count] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peaks[64] - peaks[16] < vector * (64 - 16) / 4
+
+    def test_run_and_analyze_memory_does_not_grow_with_the_number_of_states(self, tmp_path):
+        # run streams each state to states.npy as run_flow makes it, and run
+        # and analyze measure the file back a chunk at a time: from 16 to 64
+        # distinct 32² states the traced peak of each grows by less than an
+        # eighth of the states added, where holding every state would add
+        # all 48.  A near-constant map keeps the pushforward rows few.
+        state_bytes = 2 * 32 * 32 * 8
+        peaks = {}
+        for count in (4, 16, 64):  # 4: imports and caches are made first
+            config = config_from_dict({
+                "grid": {"n1": 32, "n2": 32},
+                "initial": {"kind": "sinusoidal", "amp_u": 1e-3, "amp_v": 1e-3},
+                "t_final": 0.064, "snapshot_interval": 0.064 / count})
+            run = tmp_path / str(count)
+            for command, call in (("run", lambda: run_experiment(config, run)),
+                                  ("analyze", lambda: analyze_run(run))):
+                tracemalloc.start()
+                try:
+                    call()
+                    peaks[command, count] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert len(np.load(run / "snapshots" / "states.npy")) == count + 1
+        for command in ("run", "analyze"):
+            assert peaks[command, 64] - peaks[command, 16] < state_bytes * (64 - 16) / 8, command
 
 
 class TestRunFiles:
@@ -804,6 +843,36 @@ class TestRunFiles:
         assert capsys.readouterr() == (
             "", f"analyze: cannot audit {run}: {path}: {problem} a run directory\n")
         assert not (run / "analysis.json").exists()
+
+    @pytest.mark.parametrize("name", ["snapshots/states.npy", "steps.npy",
+                                      "measures/pushforwards.npy"])
+    def test_bytes_after_an_array_exit_2_naming_the_file(self, tmp_path, capsys, name):
+        # np.load ignores bytes after the array; the readers do not.
+        run = tmp_path / "run"
+        run_experiment(_fast_config(), run)
+        path = run / name
+        shape = np.load(path).shape
+        path.write_bytes(path.read_bytes() + bytes(16))
+        assert main(["analyze", "--run", str(run)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not (run / "analysis.json").exists()
+        assert err == (f"analyze: cannot audit {run}: {path}: the array of shape {shape} "
+                       f"takes {8 * math.prod(shape)} bytes, the file holds "
+                       f"{8 * math.prod(shape) + 16} after its header\n")
+
+    def test_an_aborted_run_writes_the_count_of_its_states(self, tmp_path):
+        # The header of states.npy is rewritten when run_flow raises: its
+        # count is the number of states written, which the steps give.
+        run = tmp_path / "run"
+        result = run_experiment(_fast_config(snapshot_interval=0.003, dt_floor=1e-4), run)
+        traj = result.trajectory
+        assert result.aborted and len(traj.snapshot_rows) > 2
+        states = int(flow_module.state_numbers(traj.dissipation[traj.snapshot_rows],
+                                               result.config.stall_threshold)[-1]) + 1
+        path = run / "snapshots" / "states.npy"
+        assert np.load(path).shape == (states, 2, 16, 16)
+        assert path.stat().st_size == 128 + states * 2 * 16 * 16 * 8
+        assert analyze_run(run)["pass"] is True
 
     def test_analyze_passes_again_beside_its_own_output(self, tmp_path, capsys):
         run = tmp_path / "run"
@@ -1310,8 +1379,7 @@ class TestSweep:
                                                                       capsys):
         grid = DomainGrid(16, 16)
         snap = tmp_path / "low.npy"
-        write_snapshot([MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1e-9))],
-                       snap)
+        _save(snap, np.stack((np.zeros(grid.shape), np.full(grid.shape, 1e-9)))[np.newaxis])
         sweep = {
             "base": dict(FAST_OVERRIDES),
             "variants": [
@@ -1561,8 +1629,7 @@ class TestMain:
                                                                     capsys):
         grid = DomainGrid(16, 16)
         snap = tmp_path / "low.npy"
-        write_snapshot([MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1e-9))],
-                       snap)
+        _save(snap, np.stack((np.zeros(grid.shape), np.full(grid.shape, 1e-9)))[np.newaxis])
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(
             dict(FAST_OVERRIDES, initial={"kind": "file", "path": str(snap)})
@@ -1656,9 +1723,7 @@ class TestMain:
         run_experiment(_fast_config(), tmp_path / "run")
         path = tmp_path / "run" / "snapshots" / "states.npy"
         count = len(np.load(path))
-        grid = DomainGrid(8, 8)
-        write_snapshot([MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1.0))] * count,
-                       path)
+        _save(path, np.stack((np.zeros((count, 8, 8)), np.ones((count, 8, 8))), axis=1))
         assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert f"states.npy: shape ({count}, 2, 8, 8), expected ({count}, 2, 16, 16)" in err
@@ -1819,15 +1884,12 @@ class TestMain:
             f"analyze: cannot audit {run}: {path}: shape ({len(steps)}, 5), expected "
             "(rows, 4) with at least one row\n"))
 
-    # A state at the v floor is refused without naming the file (see
-    # test_initial_state_at_the_v_floor_exits_2_before_any_output).
-    @pytest.mark.parametrize("damage", [d for d in DAMAGED_STATES if d != "v_at_floor"])
+    @pytest.mark.parametrize("damage", DAMAGED_STATES)
     def test_initial_file_that_is_no_state_exits_2_before_any_output(
             self, tmp_path, capsys, damage):
         grid = DomainGrid(16, 16)
         snap = tmp_path / "state_0001.npy"
-        write_snapshot([MapState(grid, np.zeros(grid.shape), np.full(grid.shape, 1.5))],
-                       snap)
+        _save(snap, np.stack((np.zeros(grid.shape), np.full(grid.shape, 1.5)))[np.newaxis])
         DAMAGED_STATES[damage](snap)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(

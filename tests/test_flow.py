@@ -14,6 +14,7 @@ from moduliflow.flow import (
     MapState,
     StepRejectedError,
     TangentField,
+    V_FLOOR,
     cfl_dt_max,
     chain_rule_residual,
     dissipation_rate,
@@ -31,7 +32,7 @@ from moduliflow.flow import (
 from moduliflow.initial import build_initial_state
 from moduliflow.mesh import DomainGrid
 from moduliflow.testfunctions import BumpFunction
-from oracles import AffineFunction, reference_steps
+from oracles import AffineFunction, Recorded, reference_steps
 
 TWO_PI = 2.0 * np.pi
 
@@ -159,13 +160,20 @@ class TestMapState:
                      np.asfortranarray(np.exp(0.3 * rng.standard_normal(grid.shape))))
         if source == "step":
             s = step(s, cfl_dt_max(s, 0.5))
-        elif source == "read_snapshot":
-            write_snapshot([s, s], tmp_path / "states.npy")
-            s = read_snapshot(tmp_path / "states.npy", grid)[1]
+        elif source == "read_snapshot":  # a file start, the last state of a stack
+            with write_snapshot(tmp_path / "states.npy", grid) as record:
+                record(s)
+                record(step(s, cfl_dt_max(s, 0.5)))
+            s = build_initial_state(grid, {"kind": "file", "path": str(tmp_path / "states.npy")})
         elif source == "frozen_step":
-            first = _constant_state(grid)
-            s = run_flow(first, FlowParams(t_final=0.1)).snapshots[-1]
-            assert s.t == pytest.approx(0.1)
+            # The last state handed on by a run that stalls between its two
+            # snapshot times: a frozen step's state, in the ring.
+            handed = []
+            traj = run_flow(s, params := FlowParams(t_final=1.0, snapshot_interval=1.0),
+                            handed.append)
+            assert _step_fields(traj, params)["termination"] == "stalled"
+            s = handed[-1]
+            assert len(handed) == 2 and s.t == 1.0
         elif source == "copy":
             s = s.copy()
         _assert_one_stack(s.fields, (s.u, s.v), grid.shape)
@@ -623,23 +631,23 @@ def _step_fields(traj, params):
 class TestRunFlow:
     def test_constant_map_runs_to_final_time(self, grid64):
         initial = _constant_state(grid64)
-        traj = run_flow(initial, params := FlowParams(t_final=1.0))
+        handed = []
+        traj = run_flow(initial, params := FlowParams(t_final=1.0), handed.append)
         assert traj.times[-1] == 1.0
         assert np.all(traj.energy == 0.0) and np.all(traj.dissipation == 0.0)
         fields = _step_fields(traj, params)
         assert fields["termination"] == "stalled"
         assert fields["accepted_steps"] == 0
-        assert len(traj.snapshots) == 21  # cadence 0.05 inclusive of both ends
-        assert [round(s.t, 10) for s in traj.snapshots] == [
+        # Stalled from the start: one frozen row per snapshot time, at a
+        # cadence of 0.05 inclusive of both ends.
+        assert traj.snapshot_rows == list(range(21))
+        assert [round(t, 10) for t in traj.times.tolist()] == [
             round(0.05 * k, 10) for k in range(21)
         ]
-        # Stalled from the start: one frozen row per snapshot time.
-        assert traj.snapshot_rows == list(range(21))
         assert traj.dt_used[1:] == pytest.approx(np.full(20, 0.05), abs=1e-14)
-        # The initial state is copied once; the frozen snapshots share it.
-        first = traj.snapshots[0]
-        assert first.fields is not initial.fields
-        assert all(s.fields is first.fields for s in traj.snapshots)
+        # The initial state is handed on as it is; the frozen snapshots
+        # hand on nothing.
+        assert len(handed) == 1 and handed[0] is initial
 
     def test_duration_semantics_with_offset_start(self, grid64):
         s = _constant_state(grid64)
@@ -661,11 +669,12 @@ class TestRunFlow:
 
     def test_dt_floor_aborts_with_partial_trajectory(self, grid64):
         state = build_initial_state(grid64, {"kind": "sinusoidal"})
+        handed = []
         with pytest.raises(AbortedRunError) as info:
-            run_flow(state, params := FlowParams(t_final=1.0, dt_floor=1.0))
+            run_flow(state, params := FlowParams(t_final=1.0, dt_floor=1.0), handed.append)
         traj = info.value.trajectory
         assert _step_fields(traj, params)["termination"] == "aborted"
-        assert len(traj.snapshots) >= 1
+        assert traj.snapshot_rows == [0] and handed == [state]
         assert traj.times[-1] == 0.0
 
     def test_pinned_16x16_run(self):
@@ -721,25 +730,29 @@ class TestRunFlow:
         # At twice the tolerance the run goes ahead.
         above = 2e-14 * max(1.0, t0)
         traj = run_flow(state, FlowParams(t_final=5 * above, snapshot_interval=above))
-        assert len(traj.snapshots) > 1
+        assert len(traj.snapshot_rows) > 1
 
     def test_snapshots_keep_their_values(self):
-        # Each snapshot of a 16x16 run that steps in the ring, then stalls,
-        # still holds its state when the run is over: its energy is its
-        # row's E, bit for bit.  Frozen snapshots share the stalled state.
+        # Each state that a 16x16 run, stepping in the ring and then
+        # stalling, hands on holds its snapshot's state when it is handed
+        # on: its energy is its row's E, bit for bit.  A frozen snapshot
+        # hands on nothing.
         state = build_initial_state(
             DomainGrid(16, 16), {"kind": "random", "amp_u": 0.6, "amp_v": 0.6},
             np.random.default_rng(0),
         )
-        traj = run_flow(state, params := FlowParams(t_final=1.0, snapshot_interval=0.005))
+        recorded = Recorded()
+        traj = run_flow(state, params := FlowParams(t_final=1.0, snapshot_interval=0.005),
+                        recorded)
         assert _step_fields(traj, params)["termination"] == "stalled"
-        assert len(traj.snapshots) == 201
-        assert [energy(s).hex() for s in traj.snapshots] == [
+        snaps = recorded.snapshots(traj, params.stall_threshold)
+        assert len(snaps) == 201
+        assert [energy(s).hex() for s in snaps] == [
             e.hex() for e in traj.energy[traj.snapshot_rows].tolist()]
         frozen = traj.dissipation[traj.snapshot_rows] < FlowParams.stall_threshold
         assert 0 < frozen.sum() < len(frozen) - 1
-        shared = [b.fields is a.fields for a, b in zip(traj.snapshots, traj.snapshots[1:])]
-        assert shared == frozen[:-1].tolist()
+        assert len(recorded) == len(snaps) - frozen[:-1].sum()
+        assert [s.t for s in recorded] == [s.t for s, f in zip(snaps, [False, *frozen]) if not f]
 
     @pytest.mark.parametrize("reject", [(), (0,), (7,), (30, 31, 32), (100,)])
     def test_a_rejected_candidate_leaves_the_state_and_tau_intact(self, monkeypatch, reject):
@@ -838,8 +851,15 @@ def _states(draw):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     u = draw(arrays(float, grid.shape, elements=finite))
     v = draw(arrays(float, grid.shape, elements=st.floats(
-        min_value=5e-324, allow_infinity=False)))
+        min_value=V_FLOOR, exclude_min=True, allow_infinity=False)))
     return MapState(grid, u, v, t=draw(finite))
+
+
+def _write(path, states):
+    """Write states with write_snapshot, on the first state's grid."""
+    with write_snapshot(path, states[0].grid) as record:
+        for state in states:
+            record(state)
 
 
 class TestSnapshotIO:
@@ -848,48 +868,64 @@ class TestSnapshotIO:
         u[0, 1], u[0, 2] = -0.0, 5e-324
         v = 1.0 + np.arange(16.0).reshape(4, 4) / 10
         path = tmp_path / "states.npy"
-        write_snapshot([MapState(DomainGrid(4, 4), u, v, t=0.375)], path)
+        _write(path, [MapState(DomainGrid(4, 4), u, v, t=0.375)])
         assert path.read_bytes() == SNAPSHOT_HEADER + u.tobytes() + v.tobytes()
-        back, = read_snapshot(path, DomainGrid(4, 4))
-        assert back.u.tobytes() == u.tobytes() and back.v.tobytes() == v.tobytes()
-        assert back.t == 0.0
+        chunk, = read_snapshot(path, DomainGrid(4, 4))
+        assert chunk.shape == (1, 2, 4, 4) and chunk.tobytes() == u.tobytes() + v.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(state=_states())
     def test_round_trip_property(self, state, tmp_path_factory):
         path = tmp_path_factory.mktemp("snap") / "states.npy"
-        write_snapshot([state], path)
-        back, = read_snapshot(path, state.grid)
-        assert back.grid == state.grid and back.t == 0.0
-        assert back.u.tobytes() == state.u.tobytes()
-        assert back.v.tobytes() == state.v.tobytes()
+        _write(path, [state])
+        chunk, = read_snapshot(path, state.grid)
+        assert chunk.shape == (1, *state.fields.shape)
+        assert chunk.tobytes() == state.fields.tobytes()
 
     def test_round_trip_is_bit_exact(self, rng, tmp_path):
-        # Several states are np.save's file of their stack, and read back
-        # as views of one array, with the v_min each would have alone.
-        grid = DomainGrid(8, 12)
+        # Several states are np.save's file of their stack, read back in
+        # chunks of CHUNK_NODES grid nodes, 16 states at 16x16, each chunk
+        # an array of its own.
+        grid = DomainGrid(16, 16)
         states = [MapState(grid, rng.standard_normal(grid.shape),
                            np.exp(rng.standard_normal(grid.shape)), t=0.375 * j)
-                  for j in range(3)]
+                  for j in range(40)]
         path, alone = tmp_path / "states.npy", tmp_path / "alone.npy"
-        write_snapshot(states, path)
+        _write(path, states)
         np.save(alone, np.stack([s.fields for s in states]))
         assert path.read_bytes() == alone.read_bytes()
-        back = read_snapshot(path, grid, 3)
-        assert len(back) == 3 and back[0].fields.base is back[2].fields.base
-        for b, s in zip(back, states):
-            assert b.grid == grid and b.t == 0.0
-            assert np.array_equal(b.u, s.u) and np.array_equal(b.v, s.v)
-            assert b.v_min == MapState(grid, b.u, b.v).v_min == s.v_min
-            _assert_one_stack(b.fields, (b.u, b.v), grid.shape)
+        chunks = list(read_snapshot(path, grid, 40))
+        assert [len(c) for c in chunks] == [16, 16, 8]
+        assert all(c.flags.c_contiguous for c in chunks)
+        assert not any(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
+        assert np.concatenate(chunks).tobytes() == np.load(alone).tobytes()
+
+    def test_the_header_is_rewritten_when_the_block_is_left(self, rng, tmp_path):
+        # A block left by an exception, as by an aborted run, leaves np.save's
+        # file of the states recorded so far; the header keeps its length.
+        grid = DomainGrid(4, 6)
+        state = MapState(grid, rng.standard_normal(grid.shape), np.full(grid.shape, 2.0))
+        path = tmp_path / "states.npy"
+        with pytest.raises(RuntimeError, match="stopped"):
+            with write_snapshot(path, grid) as record:
+                record(state)
+                record(state)
+                raise RuntimeError("stopped")
+        np.save(tmp_path / "alone.npy", np.stack([state.fields] * 2))
+        assert path.read_bytes() == (tmp_path / "alone.npy").read_bytes()
+        with pytest.raises(ValueError, match=r"a state of shape \(2, 4, 4\) among states "
+                                             r"of shape \(2, 4, 6\)"):
+            with write_snapshot(path, grid) as record:
+                record(_constant_state(DomainGrid(4, 4)))
+        assert np.load(path).shape == (0, 2, 4, 6)
 
     def test_one_state_alone_reads_as_a_stack_of_one(self, rng, tmp_path):
         grid = DomainGrid(4, 6)
         state = MapState(grid, rng.standard_normal(grid.shape), np.full(grid.shape, 2.0))
         path = tmp_path / "state.npy"
         np.save(path, state.fields)
-        back, = read_snapshot(path, grid)
-        assert back.fields.tobytes() == state.fields.tobytes()
+        chunk, = read_snapshot(path, grid)
+        assert chunk.shape == (1, 2, 4, 6) and chunk.tobytes() == state.fields.tobytes()
         with pytest.raises(ValueError, match=r"state.npy: shape \(2, 4, 6\), expected "
                                              r"\(1, 2, 4, 6\)"):
             read_snapshot(path, grid, 1)
@@ -911,6 +947,7 @@ class TestSnapshotIO:
         (2, -np.inf, "the values are not all finite"),
         (1, 0.0, "v must be positive, its minimum is 0.0"),
         (2, -1.5, "v must be positive, its minimum is -1.5"),
+        (1, V_FLOOR, f"v_min {V_FLOOR} is at or below {V_FLOOR}"),
     ])
     def test_the_first_state_at_fault_is_named(self, tmp_path, j, value, problem):
         stack = np.ones((4, 2, 4, 4))
@@ -919,6 +956,28 @@ class TestSnapshotIO:
         np.save(path, stack)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: state {j}: "
                                              rf"{re.escape(problem)}$"):
+            list(read_snapshot(path, DomainGrid(4, 4)))
+
+    def test_a_state_at_fault_is_named_by_its_index_in_the_stack(self, tmp_path):
+        # Four states to a chunk at 32x32: state 6 is the third of chunk 1,
+        # which is read after chunk 0 has been handed on.
+        stack = np.ones((9, 2, 32, 32))
+        stack[6, 0, 5, 5] = np.nan
+        path = tmp_path / "states.npy"
+        np.save(path, stack)
+        chunks = read_snapshot(path, DomainGrid(32, 32))
+        assert next(chunks).shape == (4, 2, 32, 32)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: state 6: the values"):
+            next(chunks)
+
+    def test_bytes_after_the_array_are_refused(self, tmp_path):
+        # np.load ignores them; a reader that did would pass a damaged file.
+        path = tmp_path / "states.npy"
+        np.save(path, np.ones((2, 2, 4, 4)))
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: the array of shape "
+                                             r"\(2, 2, 4, 4\) takes 512 bytes, the file holds "
+                                             r"528 after its header$"):
             read_snapshot(path, DomainGrid(4, 4))
 
     def test_schema_line_is_enforced(self, tmp_path):
@@ -941,7 +1000,7 @@ class TestSnapshotIO:
 
     def test_row_count_is_enforced(self, grid64, tmp_path):
         path = tmp_path / "short.npy"
-        write_snapshot([_constant_state(grid64)], path)
+        _write(path, [_constant_state(grid64)])
         path.write_bytes(path.read_bytes()[:-80])
         with pytest.raises(ValueError, match="short.npy"):
             read_snapshot(path, grid64)
@@ -956,9 +1015,8 @@ class TestSnapshotIO:
         grid = DomainGrid(4, 5)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         path = tmp_path_factory.mktemp("snap") / "states.npy"
-        write_snapshot([MapState(grid, rng.standard_normal(grid.shape),
-                                 np.exp(rng.standard_normal(grid.shape))) for _ in range(2)],
-                       path)
+        _write(path, [MapState(grid, rng.standard_normal(grid.shape),
+                               np.exp(rng.standard_normal(grid.shape))) for _ in range(2)])
         raw = path.read_bytes()
         at = data.draw(st.integers(0, len(raw) - 1))
         if data.draw(st.booleans()):
@@ -967,13 +1025,10 @@ class TestSnapshotIO:
             raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
         path.write_bytes(raw)
         try:
-            states = read_snapshot(path, grid)
+            stack = np.concatenate(list(read_snapshot(path, grid)))
         except ValueError as exc:
             assert str(exc).startswith(f"{path}: ")
         else:
-            # A flip in the header's shape may leave a stack of one state.
-            assert len(states) in (1, 2)
-            for back in states:
-                again = MapState(grid, back.u, back.v)
-                assert back.u.dtype == back.v.dtype == np.dtype(float)
-                assert again.v_min == back.v_min > 0.0
+            # The file's length holds the header's shape to two states.
+            assert stack.shape == (2, 2, 4, 5) and stack.dtype == np.dtype(float)
+            assert np.isfinite(stack).all() and stack[:, 1].min() > V_FLOOR

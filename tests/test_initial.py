@@ -105,7 +105,7 @@ class TestFile:
         state = build_initial_state(grid64, {"kind": "random"}, rng=rng)
         state.t = 0.7
         path = tmp_path / "state.npy"
-        write_snapshot([state], path)
+        np.save(path, state.fields)
         back = build_initial_state(grid64, {"kind": "file", "path": str(path)})
         assert back.t == 0.0
         assert np.array_equal(back.u, state.u)
@@ -115,19 +115,32 @@ class TestFile:
         small = DomainGrid(8, 8)
         state = build_initial_state(small, {"kind": "constant"})
         path = tmp_path / "state.npy"
-        write_snapshot([state], path)
+        np.save(path, state.fields[np.newaxis])
         with pytest.raises(ValueError):
             build_initial_state(grid64, {"kind": "file", "path": str(path)})
 
     def test_a_stack_starts_from_its_last_state(self, grid64, rng, tmp_path):
-        # A run's snapshots/states.npy: the run continues from its last state.
+        # A run's snapshots/states.npy: the run continues from its last
+        # state.  At 64x64 each state is a chunk of its own.
         states = [build_initial_state(grid64, {"kind": "random"}, rng=rng) for _ in range(3)]
         path = tmp_path / "states.npy"
-        write_snapshot(states, path)
+        with write_snapshot(path, grid64) as record:
+            for state in states:
+                record(state)
         back = build_initial_state(grid64, {"kind": "file", "path": str(path)})
         assert back.t == 0.0 and back.fields.tobytes() == states[-1].fields.tobytes()
         # Its own array, not a view that keeps the whole stack alive.
         assert back.fields.base is None
+
+    def test_every_state_of_a_stack_is_checked(self, grid64, rng, tmp_path):
+        # A state before the last one that is no state fails the start too.
+        stack = np.stack([build_initial_state(grid64, {"kind": "random"}, rng=rng).fields
+                          for _ in range(3)])
+        stack[1, 1, 4, 4] = -1.0
+        path = tmp_path / "states.npy"
+        np.save(path, stack)
+        with pytest.raises(ValueError, match=r"states.npy: state 1: v must be positive"):
+            build_initial_state(grid64, {"kind": "file", "path": str(path)})
 
     def test_missing_path(self, grid64):
         with pytest.raises(ValueError):

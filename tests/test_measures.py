@@ -32,6 +32,7 @@ from moduliflow.mesh import DomainGrid
 from moduliflow.testfunctions import BumpFunction
 from oracles import (
     ConstantOne,
+    Recorded,
     WindowedHarmonic,
     laplacian_invariance_diagnostic,
     weak_star_pairing,
@@ -372,23 +373,29 @@ class TestPrefixAverages:
         assert peak < 20 * (binning60.n_bins + 1) * 8
 
 
+def _snapshots(initial, params) -> list:
+    """Every snapshot's state of run_flow from initial, from a Recorded
+    record."""
+    recorded = Recorded()
+    traj = run_flow(initial, params, recorded)
+    return recorded.snapshots(traj, params.stall_threshold)
+
+
 class TestErgodicError:
     def test_constant_observable_has_no_error(self, grid64, binning60):
-        traj = run_flow(_constant_state(grid64, 0.1, 1.3),
-                        FlowParams(t_final=0.2))
-        mus = [pushforward(s, binning60) for s in traj.snapshots]
+        snaps = _snapshots(_constant_state(grid64, 0.1, 1.3), FlowParams(t_final=0.2))
+        mus = [pushforward(s, binning60) for s in snaps]
         errs = _errors(mus, [ConstantOne()],
                                            reference_measure(binning60))[:, 0]
         assert float(np.abs(errs).max()) <= 1e-12
 
     def test_stationary_trajectory_has_constant_error(self, grid64, binning60):
-        traj = run_flow(_constant_state(grid64, 0.1, 1.3),
-                        FlowParams(t_final=0.2))
+        snaps = _snapshots(_constant_state(grid64, 0.1, 1.3), FlowParams(t_final=0.2))
         f = BumpFunction([0.0, 1.5], [0.45, 0.6])
         nu = reference_measure(binning60)
-        mus = [pushforward(s, binning60) for s in traj.snapshots]
+        mus = [pushforward(s, binning60) for s in snaps]
         errs = _errors(mus, [f], nu)[:, 0]
-        mu0 = pushforward(traj.snapshots[0], binning60)
+        mu0 = pushforward(snaps[0], binning60)
         expected = abs(weak_star_pairing(mu0, f) - weak_star_pairing(nu, f))
         assert np.all(np.abs(errs - expected) <= 1e-12)
 
@@ -398,10 +405,10 @@ class TestErgodicError:
             grid, {"kind": "random", "v0": 1.4, "amp_u": 0.3, "amp_v": 0.3},
             rng=rng,
         )
-        traj = run_flow(state, FlowParams(t_final=0.15, snapshot_interval=0.03))
+        snaps = _snapshots(state, FlowParams(t_final=0.15, snapshot_interval=0.03))
         f = BumpFunction([0.0, 1.4], [0.4, 0.5])
         nu = reference_measure(binning60)
-        mus = [pushforward(s, binning60) for s in traj.snapshots]
+        mus = [pushforward(s, binning60) for s in snaps]
         errs = _errors(mus, [f], nu)[:, 0]
         target = weak_star_pairing(nu, f)
         pairings = np.array([weak_star_pairing(m, f) for m in mus])
@@ -423,10 +430,10 @@ class TestErgodicError:
             grid, {"kind": "random", "v0": 1.4, "amp_u": 0.3, "amp_v": 0.3},
             rng=rng,
         )
-        traj = run_flow(state, FlowParams(t_final=0.15, snapshot_interval=0.01))
+        snaps = _snapshots(state, FlowParams(t_final=0.15, snapshot_interval=0.01))
         f = BumpFunction([0.0, 1.4], [0.4, 0.5])
         nu = reference_measure(binning60)
-        mus = [pushforward(s, binning60) for s in traj.snapshots]
+        mus = [pushforward(s, binning60) for s in snaps]
         target = weak_star_pairing(nu, f)
         oracle = [abs(weak_star_pairing(mus[0], f) - target)] + [
             abs(weak_star_pairing(time_average(mus[: k + 1]), f) - target)
@@ -437,8 +444,8 @@ class TestErgodicError:
         assert errs.tolist() == oracle
 
     def test_observable_is_evaluated_once_per_series(self, grid64, binning60):
-        traj = run_flow(_constant_state(grid64, 0.1, 1.3), FlowParams(t_final=0.2))
-        mus = [pushforward(s, binning60) for s in traj.snapshots]
+        snaps = _snapshots(_constant_state(grid64, 0.1, 1.3), FlowParams(t_final=0.2))
+        mus = [pushforward(s, binning60) for s in snaps]
         f = BumpFunction([0.0, 1.5], [0.45, 0.6])
         calls = []
 

@@ -24,6 +24,7 @@ from moduliflow import flow
 from moduliflow.cli import FlowConfig, config_from_dict, run_experiment
 from moduliflow.hyperbolic import FundamentalDomainBinning
 from moduliflow.measures import pushforward, time_average
+from oracles import run_recorded
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "perfbench" / "traced.py"
@@ -122,7 +123,8 @@ def test_the_readme_recipe_rebuilds_the_time_average(tmp_path, t_final, terminat
     result = run_experiment(config_from_dict({
         "grid": {"n1": 16, "n2": 16}, "t_final": t_final, "snapshot_interval": 0.05,
         "binning": {"n_x": 12, "n_y": 12, "y_max": 4.0}}), run)
-    snaps = result.trajectory.snapshots
+    traj, recorded = run_recorded(result.config)
+    snaps = recorded.snapshots(traj, result.config.stall_threshold)
     assert result.summary["termination"] == termination and len(snaps) >= 3
     recipe = re.search(r"```python\n(.*?)```", _layout_section(), re.S).group(1)
     namespace = {"run": run}
@@ -258,6 +260,9 @@ NEVER_ENTERED = {
     "flow.TargetEscapeError.__init__": "error path: a step that leaves the half-plane",
     "flow.StepRejectedError.__init__": "error path: a rejected step",
     "flow.AbortedRunError.__init__": "error path: an aborted run",
+    "flow.MapState.copy": "library call: no command keeps a state; the README's library "
+                          "example and tests/oracles.py's Recorded copy each state that "
+                          "run_flow hands on",
     "flow.tension_field": f"{ACCEPTANCE}; perfbench target",
     "flow.energy": f"{ACCEPTANCE}; perfbench target",
     "flow.dissipation_rate": "perfbench target",

@@ -9,7 +9,7 @@ copy and from the working tree's src/, each case below is run with the
 benchmark's single-thread environment: the default config, and the snap400
 workload of perfbench/run.py at seeds 0 to 3.  The two run directories of a
 case are compared with `diff -r`, then `analyze` audits each; each side's
-`run` peak RSS is printed beside them.  Exit code 0
+`run` and `analyze` peak RSS are printed beside them.  Exit code 0
 when every case is identical and every audit prints PASS, 1 otherwise, 2
 when REV cannot be extracted.
 """
@@ -92,21 +92,24 @@ def run_case(src: Path, out: Path, config: dict | None,
 
 def compare(name: str, outs: dict) -> bool:
     """diff -r the two run directories of a case and audit each; print one
-    line, with each side's run peak RSS, and return whether all was well.
-    outs maps each side's label to (run directory, src, peak RSS)."""
+    line, with each side's run and analyze peak RSS, and return whether all
+    was well.  outs maps each side's label to (run directory, src, run peak
+    RSS)."""
     (old, *_), (new, *_) = outs.values()
     diff = subprocess.run(["diff", "-r", str(old), str(new)], capture_output=True, text=True)
     summary = json.loads((new / "summary.json").read_text())
     line = [f"{name}: {summary['termination']}, {summary['accepted_steps']} accepted steps",
             f"diff -r {'empty' if diff.returncode == 0 else 'NOT empty'}"]
     ok = diff.returncode == 0
+    peaks = {"run": {label: peak for label, (*_, peak) in outs.items()}, "analyze": {}}
     for label, (out, src, _) in outs.items():
-        audit, _ = moduliflow(src, "analyze", "--run", str(out))
+        audit, peaks["analyze"][label] = moduliflow(src, "analyze", "--run", str(out))
         passed = audit.returncode == 0 and "analysis PASS" in audit.stdout
         line.append(f"analyze ({label}) {'PASS' if passed else 'FAILED'}")
         ok &= passed
-    line.append("run peak RSS " + ", ".join(
-        f"{label} {peak:.2f} MiB" for label, (*_, peak) in outs.items()))
+    line += [f"{command} peak RSS " + ", ".join(f"{label} {peak:.2f} MiB"
+                                               for label, peak in by_side.items())
+             for command, by_side in peaks.items()]
     print(", ".join(line))
     if diff.returncode != 0:
         print(*diff.stdout.splitlines()[:10], diff.stderr, sep="\n", end="")
