@@ -463,6 +463,7 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     grid = DomainGrid(config.grid.n1, config.grid.n2)
     chunks = flow.read_snapshot(states_path, grid, int(state[-1]) + 1)
     ws = flow._EdgeWorkspace(grid.shape)
+    ring, tau = ws.ring[0], ws.taus[0]  # each state is passed in the ring
     passes = []  # each distinct state's E and D
 
     def passed():
@@ -470,8 +471,9 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
             if not passes and start is not None and chunk[0].tobytes() != start.fields.tobytes():
                 raise ValueError(f"{states_path}: state 0 is not the initial state of "
                                  f"{config_path}")
-            passes.extend(flow._edge_pass(flow.MapState._checked(grid, f, 0.0, f[1].min()),
-                                          ws)[::2] for f in chunk)
+            for f in chunk:
+                np.copyto(ring, f)
+                passes.append(flow._edge_pass(ring, ws, tau)[::2])
             yield chunk
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -10,16 +10,18 @@ discretised with the staggered forward differences of the grid and the
 metric weight 1/v^2 averaged onto cell edges.  One pass over those edges
 yields the energy, the tension field tau and the dissipation rate D together;
 energy(), tension_field() and dissipation_rate() each return one of the
-three, and run_flow() makes one pass per candidate state.  run_flow steps in
-a ring of two field and two tau buffers that the pass's workspace owns, so
+three, and run_flow() makes one pass per candidate state.  step() and
+run_flow share one forward-Euler update; step adds the checks a caller
+needs, and run_flow checks its candidates itself.  run_flow steps in a
+ring of two field and two tau buffers that the pass's workspace owns, so
 it allocates no array of the grid's size per step, and it hands each new
-distinct state to a callback, write_snapshot's for a run, which writes its
-bytes out before the ring moves on.  tau is the exact negative
-gradient of the discrete energy in the hyperbolic L^2 inner product
-<a, b> = integral of (a_u b_u + a_v b_v)/v^2, and D = ||tau||^2, so
-forward-Euler stepping dissipates the discrete energy structurally (up to
-O(dt) per step), and the energy identity E(0) - E(T) = integral of D holds at
-first order.
+distinct state to a callback, write_snapshot's for a run, which writes
+its bytes out before the ring moves on.  tau is the
+exact negative gradient of the discrete energy in the hyperbolic L^2
+inner product <a, b> = integral of (a_u b_u + a_v b_v)/v^2, and
+D = ||tau||^2, so forward-Euler stepping dissipates the discrete energy
+structurally (up to O(dt) per step), and the energy identity
+E(0) - E(T) = integral of D holds at first order.
 
 The continuum limit of the two components is
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 import os
+from struct import Struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -63,7 +66,7 @@ class TargetEscapeError(ValueError):
 
 
 class StepRejectedError(RuntimeError):
-    """A proposed explicit step left the target or increased the energy."""
+    """step's proposed explicit step left the target."""
 
     def __init__(self, message: str, node: tuple[int, int] | None = None):
         super().__init__(message)
@@ -154,13 +157,15 @@ class _EdgeWorkspace:
     differences, then the fluxes, then tau's squares.  work holds the
     differences' squares, written field by field through squares, so that
     work[0] holds each axis's du^2, then sq = du^2 + dv^2, and work[1] its
-    dv^2, then the edge sums of sq; then work holds the fluxes' backward
-    differences.  rho holds twice the edge weights, then the energy's
-    terms, scaled as below; sums is rho and the field after it, diff[0, 0],
-    which takes the dissipation's terms, so that one reduction sums all
-    three.  The ring is 8 fields: two (2, n1, n2) field buffers, for the
-    current state and a candidate, with the forward-difference calls bound
-    on each, and two tau buffers.
+    dv^2, then the edge sums of sq, whose sum S is taken into work[1, 0]
+    and S / v into edge_sq; then work holds the fluxes' backward
+    differences, and div, work[0], their sum, then tau unscaled.  rho
+    holds twice the edge weights, then the energy's terms, scaled as
+    below; sums is rho and the field after it, diff[0, 0], which takes
+    the dissipation's terms, so that one reduction sums all three.  The
+    ring is 8 fields: two (2, n1, n2) field buffers, for the current
+    state and a candidate, with the forward-difference calls bound on
+    each, and two tau buffers.
 
     The pass's powers of two are scalars: scale_diff and scale_back divide
     diff's differences and work's by h, and are empty when h1 == h2 is a
@@ -184,7 +189,7 @@ class _EdgeWorkspace:
         self.sq, self.edge = self.work
         self.rho_by_axis = self.rho[:, None]
         self.edge_parts = tuple(self.edge)
-        self.scratch, self.tau_sq = self.edge[0], self.diff[0]
+        self.div, self.div_v, self.tau_sq = self.work[0], self.work[0, 1], self.diff[0]
         self.tau_sq_parts = tuple(self.tau_sq)
         self.rho_calls = self._bind(np.add, (self.sigma, self.sigma), self.rho, b_shift=1)
         self.back_calls = self._bind(np.subtract, self.diff, self.work, b_shift=-1)
@@ -216,9 +221,10 @@ class _EdgeWorkspace:
         return self._bind(np.subtract, (fields, fields), self.diff, a_shift=1)
 
 
-def _edge_pass(state: MapState, ws: _EdgeWorkspace,
+def _edge_pass(fields: np.ndarray, ws: _EdgeWorkspace,
                tau: np.ndarray | None = None) -> tuple[float, TangentField, float]:
-    """Energy E, tension field tau and dissipation rate D of one state.
+    """Energy E, tension field tau and dissipation rate D of one state's
+    fields, the (2, n1, n2) stack of u and v.
 
     For each axis the metric weight sigma = 1/v^2 is averaged onto the
     staggered edge where the forward difference lives, and E sums the
@@ -233,9 +239,13 @@ def _edge_pass(state: MapState, ws: _EdgeWorkspace,
     the node (the derivative of rho with respect to v).  Constant maps give
     exactly zero.  D = ||tau||^2 in the hyperbolic inner product.
 
-    The pass works on the state's fields, the (2, n1, n2) stack of u and
-    v, and on ws, which must be for the state's grid shape; each
-    elementwise step runs once on the stacks of both axes.  tau is written
+    ws must be for the fields' grid shape.  With v > 0 at every node, E
+    is finite only if every value of the fields is: a value that is not
+    makes the squared differences on its edges inf or nan, and E sums them
+    with weights 1/v^2 >= 0; run_flow relies on it.  Each elementwise step
+    runs once on the stacks of both axes, and where it can in place, into
+    an array it reads (a call with a third array costs about twice as
+    much).  tau is written
     into the given C-contiguous (2, n1, n2) array, which must share no
     memory with the fields or with ws's scratch, or else into a new one.
     Each value is formed by the same floating-point operations in the same
@@ -258,35 +268,34 @@ def _edge_pass(state: MapState, ws: _EdgeWorkspace,
     u ~ 2^501 at 64^2 the formulas' energy sum overflows to inf where E
     stays finite.
     """
-    grid = state.grid
-    if ws.shape != grid.shape:
-        raise ValueError(f"workspace is for shape {ws.shape}, the state has {grid.shape}")
-    fields, v = state.fields, state.v
-    v2, sigma, edge_sq, rho, diff, work, sq, scratch = (
-        ws.v2, ws.sigma, ws.edge_sq, ws.rho, ws.diff, ws.work, ws.sq, ws.scratch)
+    if fields.shape[1:] != ws.shape:
+        raise ValueError(f"workspace is for shape {ws.shape}, the fields have "
+                         f"{fields.shape[1:]}")
+    v = fields[1]
+    v2, sigma, edge_sq, rho, diff, div = ws.v2, ws.sigma, ws.edge_sq, ws.rho, ws.diff, ws.div
     np.square(v, out=v2)
     np.divide(ws.one, v2, out=sigma)
     run_calls(ws.ring_calls.get(id(fields)) or ws.diff_calls(fields))
     run_calls(ws.scale_diff)
     run_calls(ws.rho_calls)
     np.square(diff, out=ws.squares)
-    np.add(sq, ws.edge, out=sq)  # du^2 + dv^2, per axis
+    np.add(ws.sq, ws.edge, out=ws.sq)  # du^2 + dv^2, per axis
     np.multiply(diff, ws.rho_by_axis, out=diff)  # the fluxes
-    np.multiply(sq, rho, out=rho)  # the energy's terms
+    np.multiply(ws.sq, rho, out=rho)  # the energy's terms
     run_calls(ws.edge_calls)
-    np.add(*ws.edge_parts, out=edge_sq)
+    edge_0, edge_1 = ws.edge_parts
+    np.add(edge_0, edge_1, out=edge_0)  # S
+    np.divide(edge_0, v, out=edge_sq)  # S / v, before the back pass reuses work
     run_calls(ws.back_calls)
     run_calls(ws.scale_back)
-    div = work[0]
-    np.add(div, work[1], out=div)
+    np.add(div, ws.work[1], out=div)
     np.add(div, ws.zero, out=div)
-    tau = np.multiply(v2, div, out=tau)
+    np.multiply(div, v2, out=div)
+    np.add(ws.div_v, edge_sq, out=ws.div_v)
+    tau = np.multiply(div, ws.tau_scale, out=tau)
     tangent = ws.tangents.get(id(tau)) or TangentField(tau)
-    np.divide(edge_sq, v, out=scratch)
-    tangent.tau_v += scratch
-    tau *= ws.tau_scale
     tau_sq_u, tau_sq_v = ws.tau_sq_parts
-    np.square(tangent.tau, out=ws.tau_sq)
+    np.square(tau, out=ws.tau_sq)
     np.add(tau_sq_u, tau_sq_v, out=tau_sq_u)
     tau_sq_u *= sigma  # the dissipation's terms, the last field of sums
     along_0, along_1, dissipation = np.add.reduce(ws.sums, axis=(1, 2)).tolist()
@@ -297,17 +306,17 @@ def tension_field(state: MapState) -> TangentField:
     """Exact negative discrete-energy gradient in the hyperbolic inner product;
     raises TargetEscapeError at or below the v floor."""
     _check_above_floor(state)
-    return _edge_pass(state, _EdgeWorkspace(state.grid.shape))[1]
+    return _edge_pass(state.fields, _EdgeWorkspace(state.grid.shape))[1]
 
 
 def energy(state: MapState) -> float:
     """Harmonic-map energy of the state (staggered discretisation)."""
-    return _edge_pass(state, _EdgeWorkspace(state.grid.shape))[0]
+    return _edge_pass(state.fields, _EdgeWorkspace(state.grid.shape))[0]
 
 
 def dissipation_rate(state: MapState) -> float:
     """Squared hyperbolic L^2 norm of the tension field: D = ||tau||^2."""
-    return _edge_pass(state, _EdgeWorkspace(state.grid.shape))[2]
+    return _edge_pass(state.fields, _EdgeWorkspace(state.grid.shape))[2]
 
 
 def cfl_dt_max(state: MapState, safety: float = 0.5) -> float:
@@ -321,14 +330,28 @@ def cfl_dt_max(state: MapState, safety: float = 0.5) -> float:
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety factor must be in (0, 1], got {safety}")
-    h = min(state.grid.h1, state.grid.h2)
-    vmin = state.v_min
-    return safety * h * h * min(1.0, vmin * vmin) / 4.0
+    return _cap(state.grid, state.v_min, safety)
+
+
+def _cap(grid: DomainGrid, v_min: float, safety: float) -> float:
+    """cfl_dt_max of fields on grid whose v has the minimum v_min."""
+    h = min(grid.h1, grid.h2)
+    return safety * h * h * min(1.0, v_min * v_min) / 4.0
+
+
+def _euler(fields: np.ndarray, dt: float, tau: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The forward-Euler update fields + dt * tau, formed in out: dt * tau,
+    then the fields added in place."""
+    np.multiply(dt, tau, out=out)
+    out += fields
+    return out
 
 
 def step(state: MapState, dt: float, tangent: TangentField | None = None,
          out: np.ndarray | None = None) -> MapState:
-    """One forward-Euler step.  Raises StepRejectedError when the step lands
+    """One forward-Euler step, by the update run_flow makes (_euler), with
+    the checks a caller needs: dt must be positive and within the stability
+    cap, and StepRejectedError, naming a node, is raised when the step lands
     at or below the v floor or produces non-finite values.
 
     The new fields are formed as one (2, n1, n2) array: out, which must be
@@ -345,8 +368,7 @@ def step(state: MapState, dt: float, tangent: TangentField | None = None,
         tangent = tension_field(state)
     if out is None:
         out = np.empty(state.fields.shape)
-    fields = np.multiply(dt, tangent.tau, out=out)
-    fields += state.fields
+    fields = _euler(state.fields, dt, tangent.tau, out)
     # Every value finite and v above the floor, without a temporary array:
     # the minima catch a nan or -inf in their field, the maximum a nan or
     # +inf anywhere.
@@ -395,6 +417,8 @@ class FlowParams:
 # The columns of a trajectory's steps: each row's t, E, D and the dt of the
 # step that led to it.
 STEP_COLUMNS = ("t", "E", "D", "dt")
+# One row of run_flow's stepping record, packed as native float64s.
+_ROW = Struct(f"{len(STEP_COLUMNS)}d")
 
 
 @dataclass
@@ -444,81 +468,101 @@ def run_flow(initial: MapState, params: FlowParams,
     before it had D under the stall threshold, when it is that snapshot's
     state frozen (state_numbers).  The run steps in the ring of one
     _EdgeWorkspace and allocates no array of the grid's size per step:
-    each candidate state is written into the ring's field buffer that does
-    not hold the current state, and its tau into the tau buffer that does
-    not hold the current tau, so a rejected candidate leaves both intact.
-    A recorded state's fields may be a buffer of the ring, which a later
+    each candidate is formed by step's forward-Euler update (_euler) in the
+    ring's field buffer that does not hold the current fields, and its tau
+    in the tau buffer that does not hold the current tau, so a rejected
+    candidate leaves both intact.  A MapState is built only for a state
+    handed to record; its fields may be a buffer of the ring, which a later
     step overwrites, so record must copy or write out what it keeps.
+
+    A candidate is rejected exactly when step would refuse it or its E
+    rises by more than ENERGY_STEP_TOL.  Before its pass only the minimum
+    of its v is checked; a value that is not finite makes E inf or nan
+    (_edge_pass), so the candidate is searched for one only when E is not
+    finite.  A finite candidate whose E is nan (v^2 overflows) is
+    accepted, as the energy rule rejects no nan.  The arithmetic runs
+    under one np.errstate that ignores overflow and invalid values, so no
+    RuntimeWarning leaves the run.  The stepping record is one packed
+    32-byte row a step, and the trajectory's steps are a view of it.
     """
     _check_interval(initial.t, params.t_final, params.snapshot_interval)
-    state = initial
-    _check_above_floor(state)
-    ws = _EdgeWorkspace(state.grid.shape)
+    _check_above_floor(initial)
+    grid, fields, t, v_min = initial.grid, initial.fields, initial.t, initial.v_min
+    ws = _EdgeWorkspace(grid.shape)
     spare = 0  # the ring slot of the next candidate and of its tau
-    e_cur, tangent, d_cur = _edge_pass(state, ws, ws.taus[1])
-    interval = params.snapshot_interval
-
-    rows = [(state.t, e_cur, d_cur, 0.0)]
+    safety, interval = params.cfl_safety, params.snapshot_interval
+    rows, row = bytearray(), _ROW.pack
     snapshot_rows = [0]
-    record(state)
     rejected = streak = 0
-    snap_k = int(math.floor(state.t / interval)) + 1
+    snap_k = int(math.floor(t / interval)) + 1
+
+    def trajectory() -> FlowTrajectory:
+        steps = np.frombuffer(rows, float).reshape(-1, len(STEP_COLUMNS))
+        return FlowTrajectory(steps, snapshot_rows, rejected)
+
+    def last_row() -> int:
+        return len(rows) // _ROW.size - 1
 
     def snapshot():
         # The last row's state is new unless the previous snapshot stalled.
-        if rows[snapshot_rows[-1]][2] >= params.stall_threshold:
-            record(state)
-        snapshot_rows.append(len(rows) - 1)
+        if _ROW.unpack_from(rows, _ROW.size * snapshot_rows[-1])[2] >= params.stall_threshold:
+            record(MapState._checked(grid, fields, t, v_min))
+        snapshot_rows.append(last_row())
 
-    t_final = state.t + params.t_final
+    t_final = t + params.t_final
     end = _end(t_final)
-    dt = cfl_dt_max(state, params.cfl_safety)
-    while state.t < end:
-        # Record the last row's state for each snapshot time it has reached
-        # (once); on the first pass this only moves snap_k past a start that
-        # is itself a snapshot time.
-        while snap_k * interval <= state.t + 1e-14 * max(1.0, state.t):
-            if snapshot_rows[-1] != len(rows) - 1:
-                snapshot()
-            snap_k += 1
-        next_snap = snap_k * interval
-        if d_cur < params.stall_threshold:
-            # Frozen step; it is not an accepted step and leaves dt alone.
-            # No step follows, so the ring keeps the fields.
-            t_here = min(next_snap, t_final)
-            dt_used, d_new = t_here - state.t, d_cur
-            state = MapState._checked(state.grid, state.fields, t_here, state.v_min)
-        else:
-            cap = cfl_dt_max(state, params.cfl_safety)
-            dt_used = min(dt, cap, t_final - state.t, next_snap - state.t)
-            if dt_used < params.dt_floor:
-                raise AbortedRunError(
-                    f"dt = {dt_used} fell below the floor {params.dt_floor} at t = {state.t}",
-                    FlowTrajectory(np.array(rows), snapshot_rows, rejected),
-                )
-            try:
-                new_state = step(state, dt_used, tangent, ws.ring[spare])
-                e_new, tangent_new, d_new = _edge_pass(new_state, ws, ws.taus[spare])
-                if e_new - e_cur > ENERGY_STEP_TOL:
-                    raise StepRejectedError(
-                        f"energy increased by {e_new - e_cur} at t = {state.t}"
-                    )
-            except StepRejectedError:
-                dt = 0.5 * dt_used
-                rejected += 1
-                streak = 0
-                continue
-            state, tangent, e_cur = new_state, tangent_new, e_new
-            spare = 1 - spare
-            streak += 1
-            dt = dt_used
-            if streak >= 10:
-                dt = min(dt * 1.2, cap)
-        d_cur = d_new
-        rows.append((state.t, e_cur, d_cur, dt_used))
-    if snapshot_rows[-1] != len(rows) - 1:
-        snapshot()
-    return FlowTrajectory(np.array(rows), snapshot_rows, rejected)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_cur, _, d_cur = _edge_pass(fields, ws, ws.taus[1])
+        tau = ws.taus[1]
+        rows += row(t, e_cur, d_cur, 0.0)
+        record(initial)
+        dt = _cap(grid, v_min, safety)
+        while t < end:
+            # Record the last row's state for each snapshot time it has
+            # reached (once); on the first pass this only moves snap_k past a
+            # start that is itself a snapshot time.
+            while snap_k * interval <= t + 1e-14 * max(1.0, t):
+                if snapshot_rows[-1] != last_row():
+                    snapshot()
+                snap_k += 1
+            next_snap = snap_k * interval
+            if d_cur < params.stall_threshold:
+                # Frozen step; it is not an accepted step and leaves dt
+                # alone.  No step follows, so the ring keeps the fields.
+                t_here = min(next_snap, t_final)
+                dt_used, t = t_here - t, t_here
+            else:
+                cap = _cap(grid, v_min, safety)
+                dt_used = min(dt, cap, t_final - t, next_snap - t)
+                if dt_used < params.dt_floor:
+                    raise AbortedRunError(
+                        f"dt = {dt_used} fell below the floor {params.dt_floor} at t = {t}",
+                        trajectory())
+                candidate = _euler(fields, dt_used, tau, ws.ring[spare])
+                v_min_new = np.minimum.reduce(candidate[1], axis=None).item()
+                accepted = v_min_new > V_FLOOR
+                if accepted:
+                    e_new, _, d_new = _edge_pass(candidate, ws, ws.taus[spare])
+                    # Only a candidate whose E is not finite can hold a value
+                    # that is not.
+                    finite = math.isfinite(e_new) or np.isfinite(candidate).all()
+                    accepted = finite and not e_new - e_cur > ENERGY_STEP_TOL
+                if not accepted:
+                    dt = 0.5 * dt_used
+                    rejected += 1
+                    streak = 0
+                    continue
+                fields, tau, t, v_min = candidate, ws.taus[spare], t + dt_used, v_min_new
+                e_cur, d_cur = e_new, d_new
+                spare = 1 - spare
+                streak += 1
+                dt = dt_used
+                if streak >= 10:
+                    dt = min(dt * 1.2, cap)
+            rows += row(t, e_cur, d_cur, dt_used)
+        if snapshot_rows[-1] != last_row():
+            snapshot()
+    return trajectory()
 
 
 def _end(t_final: float) -> float:

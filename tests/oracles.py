@@ -284,7 +284,7 @@ def reference_steps(initial: MapState, params, reject=()) -> dict:
     tau.  Candidates are numbered from 0 in the order their passes run, and
     those in reject are rejected as if their energy had risen."""
     state = initial.copy()
-    e_cur, tangent, d_cur = _edge_pass(state, _EdgeWorkspace(state.grid.shape))
+    e_cur, tangent, d_cur = _edge_pass(state.fields, _EdgeWorkspace(state.grid.shape))
     rows, totals = [(state.t, e_cur, d_cur, 0.0)], [0.0]
     interval, t_final = params.snapshot_interval, state.t + params.t_final
     snap_k = math.floor(state.t / interval) + 1
@@ -307,7 +307,7 @@ def reference_steps(initial: MapState, params, reject=()) -> dict:
                 break
             try:
                 new_state = step(state, dt_used, tangent)
-                e_new, tangent_new, d_new = _edge_pass(new_state,
+                e_new, tangent_new, d_new = _edge_pass(new_state.fields,
                                                        _EdgeWorkspace(state.grid.shape))
                 candidates += 1
                 if candidates - 1 in reject or e_new - e_cur > ENERGY_STEP_TOL:

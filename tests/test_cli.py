@@ -562,16 +562,16 @@ class TestFrozenSnapshots:
         # A run that neither stalls nor has a step leave the target makes one
         # pass for its initial state and one per accepted or rejected
         # candidate (here the candidates of the passes in reject, rejected
-        # after their pass), and none for the series, whose E and D are the
-        # steps'.
+        # after their pass by an energy that rose to inf), and none for the
+        # series, whose E and D are the steps'.
         edge_pass, passes = flow_module._edge_pass, []
 
-        def counted(state, ws, tau=None):
-            result = edge_pass(state, ws, tau)
-            passes.append(state.t)
+        def counted(fields, ws, tau=None):
+            e, tangent, d = edge_pass(fields, ws, tau)
+            passes.append(fields)
             if len(passes) - 1 in reject:
-                raise flow_module.StepRejectedError("rejected by the test")
-            return result
+                e = math.inf
+            return e, tangent, d
 
         monkeypatch.setattr(flow_module, "_edge_pass", counted)
         result = run_experiment(_fast_config(), tmp_path / "run")

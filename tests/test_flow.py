@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -301,7 +303,7 @@ class TestEdgePass:
         e, tau_u, tau_v, d = _roll_oracle(state)
         built = MapState(state.grid, u, v)
         assert not np.shares_memory(built.fields, u) and not np.shares_memory(built.fields, v)
-        got_e, tau, got_d = _edge_pass(built, _EdgeWorkspace(shape))
+        got_e, tau, got_d = _edge_pass(built.fields, _EdgeWorkspace(shape))
         assert got_e == e and got_d == d
         assert np.array_equal(tau.tau_u, tau_u) and np.array_equal(tau.tau_v, tau_v)
 
@@ -320,7 +322,7 @@ class TestEdgePass:
                 state = MapState(base.grid, np.ldexp(base.u, a), np.ldexp(base.v, b))
                 with np.errstate(all="ignore"):
                     e, tau_u, tau_v, d = _roll_oracle(state)
-                    got_e, tau, got_d = _edge_pass(state, _EdgeWorkspace(shape))
+                    got_e, tau, got_d = _edge_pass(state.fields, _EdgeWorkspace(shape))
                 same = (got_e.hex() == e.hex(), tau.tau_u.tobytes() == tau_u.tobytes(),
                         tau.tau_v.tobytes() == tau_v.tobytes(), got_d.hex() == d.hex())
                 if not all(same):
@@ -336,7 +338,7 @@ class TestEdgePass:
         state = MapState(base.grid, np.ldexp(base.u, 501), base.v)
         with np.errstate(over="ignore", invalid="ignore"):
             e, tau_u, tau_v, d = _roll_oracle(state)
-            got_e, tau, got_d = _edge_pass(state, _EdgeWorkspace((64, 64)))
+            got_e, tau, got_d = _edge_pass(state.fields, _EdgeWorkspace((64, 64)))
         assert e == math.inf and 1e304 < got_e < math.inf
         assert tau.tau_u.tobytes() == tau_u.tobytes()
         assert tau.tau_v.tobytes() == tau_v.tobytes()
@@ -374,7 +376,7 @@ class TestEdgePass:
         # differences into +0.0 in tau_u.
         state = _signed_zero_state(shape)
         e, tau_u, tau_v, d = _roll_oracle(state)
-        got_e, tau, got_d = _edge_pass(state, _EdgeWorkspace(shape))
+        got_e, tau, got_d = _edge_pass(state.fields, _EdgeWorkspace(shape))
         assert np.signbit(tau_u).sum() == 0 and e == 0.0
         assert tau.tau_u.tobytes() == tau_u.tobytes()
         assert tau.tau_v.tobytes() == tau_v.tobytes()
@@ -402,12 +404,11 @@ class TestEdgePass:
         # buffer, the pass gives the bytes of a pass on new arrays, pass
         # after pass on one workspace.
         state = _signed_zero_state(shape) if signed_zeros else _random_state(rng, shape)
-        fresh_e, fresh, fresh_d = _edge_pass(state, _EdgeWorkspace(shape))
+        fresh_e, fresh, fresh_d = _edge_pass(state.fields, _EdgeWorkspace(shape))
         ws = _EdgeWorkspace(shape)
         for slot in (0, 1, 0):
             ws.ring[slot][...] = state.fields
-            ringed = MapState._checked(state.grid, ws.ring[slot], state.t, state.v_min)
-            e, tangent, d = _edge_pass(ringed, ws, ws.taus[1 - slot])
+            e, tangent, d = _edge_pass(ws.ring[slot], ws, ws.taus[1 - slot])
             assert tangent.tau is ws.taus[1 - slot]
             assert (e.hex(), d.hex()) == (fresh_e.hex(), fresh_d.hex())
             assert tangent.tau.tobytes() == fresh.tau.tobytes()
@@ -428,7 +429,7 @@ class TestEdgePass:
         odd = MapState(state.grid, u, v)
         assert odd.fields.flags.c_contiguous
         e, tau_u, tau_v, d = _roll_oracle(state)
-        got_e, tau, got_d = _edge_pass(odd, _EdgeWorkspace(state.grid.shape))
+        got_e, tau, got_d = _edge_pass(odd.fields, _EdgeWorkspace(state.grid.shape))
         assert got_e == e and got_d == d
         assert np.array_equal(tau.tau_u, tau_u) and np.array_equal(tau.tau_v, tau_v)
 
@@ -437,20 +438,34 @@ class TestEdgePass:
         # grid, and never aliases the workspace.
         first, second = _random_state(rng, (16, 16)), _random_state(rng, (16, 16))
         ws = _EdgeWorkspace(first.grid.shape)
-        tau = _edge_pass(first, ws)[1]
+        tau = _edge_pass(first.fields, ws)[1]
         other = tension_field(_random_state(rng, (8, 12)))
         taus = (tau.tau_u, tau.tau_v, other.tau_u, other.tau_v)
         kept = [a.copy() for a in taus]
-        _edge_pass(second, ws)
+        _edge_pass(second.fields, ws)
         tension_field(first)
         for a, b in zip(taus, kept):
             assert np.array_equal(a, b)
         scratch = [w for w in vars(ws).values() if isinstance(w, np.ndarray)]
         assert not any(np.shares_memory(a, w) for a in taus[:2] for w in scratch)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (12, 20)])
+    @pytest.mark.parametrize("field, value", [
+        (0, math.inf), (0, -math.inf), (0, math.nan), (1, math.inf)])
+    def test_a_value_not_finite_makes_the_energy_not_finite(self, rng, shape, field, value):
+        # run_flow looks for a value that is not finite only when E is not
+        # finite.  v stays positive, as run_flow's minimum over v requires.
+        state = _random_state(rng, shape)
+        for node in [(0, 0), (shape[0] - 1, shape[1] - 1), (2, 3)]:
+            fields = state.fields.copy()
+            fields[(field, *node)] = value
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = _edge_pass(fields, _EdgeWorkspace(shape))[0]
+            assert not math.isfinite(e)
+
     def test_workspace_of_another_shape_is_refused(self, rng):
         with pytest.raises(ValueError):
-            _edge_pass(_random_state(rng, (16, 16)), _EdgeWorkspace((16, 12)))
+            _edge_pass(_random_state(rng, (16, 16)).fields, _EdgeWorkspace((16, 12)))
 
 
 class TestEnergy:
@@ -757,8 +772,8 @@ class TestRunFlow:
     @pytest.mark.parametrize("reject", [(), (0,), (7,), (30, 31, 32), (100,)])
     def test_a_rejected_candidate_leaves_the_state_and_tau_intact(self, monkeypatch, reject):
         # Candidates are rejected after their pass has written them into the
-        # ring; the run's rows are those of a loop that makes every state
-        # and tau a new array.
+        # ring, by an energy that rose to inf; the run's rows are those of a
+        # loop that makes every state and tau a new array.
         state = build_initial_state(
             DomainGrid(16, 16), {"kind": "random", "amp_u": 0.6, "amp_v": 0.6},
             np.random.default_rng(1),
@@ -766,12 +781,12 @@ class TestRunFlow:
         params = FlowParams(t_final=0.05, snapshot_interval=0.01)
         edge_pass, passes = flow_module._edge_pass, []
 
-        def rejecting(state, ws, tau=None):
-            result = edge_pass(state, ws, tau)
-            passes.append(state.t)
+        def rejecting(fields, ws, tau=None):
+            e, tangent, d = edge_pass(fields, ws, tau)
+            passes.append(fields)
             if len(passes) - 2 in reject:  # pass 0 is the initial state's
-                raise StepRejectedError("rejected by the test")
-            return result
+                e = math.inf
+            return e, tangent, d
 
         monkeypatch.setattr(flow_module, "_edge_pass", rejecting)
         traj = run_flow(state, params)
@@ -779,6 +794,102 @@ class TestRunFlow:
         assert max(reject, default=0) < len(passes) - 1
         assert traj.steps.tobytes() == reference["rows"].tobytes()
         assert traj.rejected_steps == reference["rejected"] >= len(reject)
+
+    @staticmethod
+    def _edit_candidate(monkeypatch, at, edit):
+        """Patch the forward-Euler update that run_flow and step share, so
+        that edit changes the candidate it forms at call number at (from 0);
+        returns the list of calls, to be cleared between runs."""
+        euler, calls = flow_module._euler, []
+
+        def edited(fields, dt, tau, out):
+            out = euler(fields, dt, tau, out)
+            if len(calls) == at:
+                edit(out)
+            calls.append(dt)
+            return out
+
+        monkeypatch.setattr(flow_module, "_euler", edited)
+        return calls
+
+    @pytest.mark.parametrize("field, value", [
+        (0, math.inf), (0, -math.inf), (0, math.nan),
+        (1, math.inf), (1, -math.inf), (1, math.nan), (1, V_FLOOR),
+    ])
+    def test_a_candidate_step_refuses_is_rejected_and_counted(self, monkeypatch, field, value):
+        # run_flow checks the minimum of the candidate's v before its pass,
+        # and looks for a value that is not finite only when E is not
+        # finite; it rejects the candidates step refuses, and no warning
+        # leaves it.
+        state = build_initial_state(
+            DomainGrid(12, 10), {"kind": "random", "amp_u": 0.6, "amp_v": 0.6},
+            np.random.default_rng(2),
+        )
+        params = FlowParams(t_final=0.01, snapshot_interval=0.005)
+
+        def edit(fields):
+            fields[field, 3, 4] = value
+
+        calls = self._edit_candidate(monkeypatch, 7, edit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run_flow(state, params)
+        calls.clear()
+        reference = reference_steps(state, params)
+        assert len(calls) > 8
+        assert traj.steps.tobytes() == reference["rows"].tobytes()
+        assert traj.rejected_steps == reference["rejected"] == 1
+
+    def test_a_finite_candidate_whose_energy_is_nan_is_accepted(self, monkeypatch):
+        # v at two neighbouring nodes so large that v^2 overflows, and the
+        # square of their difference too: the edge between them has weight
+        # 0 and an infinite square, so E is nan.  Every value is finite and
+        # the energy rule does not reject a nan, so the candidate is accepted
+        # as step and that rule accept it; its tau is not finite, so every
+        # later candidate leaves the target and the run aborts.
+        state = build_initial_state(
+            DomainGrid(12, 10), {"kind": "random", "amp_u": 0.6, "amp_v": 0.6},
+            np.random.default_rng(2),
+        )
+        params = FlowParams(t_final=0.01, snapshot_interval=0.005, dt_floor=1e-7)
+
+        def edit(fields):
+            fields[1, 3, 4:6] = 1e200, 3e200
+
+        calls = self._edit_candidate(monkeypatch, 7, edit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AbortedRunError) as info:
+                run_flow(state, params)
+        traj = info.value.trajectory
+        calls.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = reference_steps(state, params)
+        assert reference["termination"] == "aborted"
+        assert traj.steps.tobytes() == reference["rows"].tobytes()
+        assert traj.rejected_steps == reference["rejected"] > 0
+        assert len(traj.steps) == 9 and math.isnan(traj.energy[-1])
+
+    def test_the_stepping_record_takes_32_bytes_a_row(self):
+        # The record is one packed row per step, and the steps a view of it:
+        # a run's traced heap peak grows by about 26 bytes a row with its
+        # steps here (a list of tuples copied into an array took 226).
+        state = build_initial_state(
+            DomainGrid(16, 16), {"kind": "random", "amp_u": 0.6, "amp_v": 0.6},
+            np.random.default_rng(0),
+        )
+        peaks, rows = [], []
+        for t_final in (0.05, 1.0):
+            tracemalloc.start()
+            try:
+                traj = run_flow(state, FlowParams(t_final=t_final, snapshot_interval=t_final))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            rows.append(len(traj.steps))
+            assert traj.steps.dtype == float and traj.steps.flags.c_contiguous
+        assert rows[1] - rows[0] > 500
+        assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) < 48
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
