@@ -204,11 +204,14 @@ def config_from_dict(raw: dict) -> FlowConfig:
 
 
 def _read_text(path) -> str:
-    """The text of an input file; a file that cannot be read is a ConfigError."""
+    """The text of a UTF-8 input file; a file that cannot be read or decoded
+    is a ConfigError that names it."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_json(text: str):
@@ -336,22 +339,23 @@ def _check_paths(run: Path):
         raise ValueError(f"{run / missing[0]}: missing from a run directory")
 
 
-def _series_fields(columns: list, rows: np.ndarray) -> dict:
-    """The summary.json fields that the series rows determine, as run writes
-    them and analyze checks them."""
+def _summary_text(config: FlowConfig, steps: np.ndarray, columns: list, rows: np.ndarray,
+                  rejected) -> str:
+    """The text of summary.json, as run writes it and analyze rebuilds it:
+    the config's grid, flow.step_fields of the steps, the fields that the
+    series rows determine (row 0's E, the last row's measures and ergodic
+    errors, the row count) and rejected_steps, which the steps do not
+    record."""
     last = dict(zip(columns, rows[-1].tolist()))
-    return {"final_entropy": last["H"],
-            **{f"final_{name}": last[name]
-               for name in ("rho_max", "tail_mass", "degenerate_fraction")},
-            "snapshot_count": len(rows), "energy_initial": rows[0, columns.index("E")].item(),
-            "final_ergodic_errors": rows[-1, len(SERIES_BASE_COLUMNS):].tolist()}
-
-
-def _summary(config: FlowConfig, steps: np.ndarray, series_fields: dict) -> dict:
-    """summary.json's fields but rejected_steps, which the steps do not
-    record, as run writes them and analyze checks them."""
-    return {"schema": SUMMARY_SCHEMA, "grid": [config.grid.n1, config.grid.n2],
-            **flow.step_fields(steps, config.t_final, config.stall_threshold), **series_fields}
+    summary = {"schema": SUMMARY_SCHEMA, "grid": [config.grid.n1, config.grid.n2],
+               **flow.step_fields(steps, config.t_final, config.stall_threshold),
+               "final_entropy": last["H"],
+               **{f"final_{name}": last[name]
+                  for name in ("rho_max", "tail_mass", "degenerate_fraction")},
+               "snapshot_count": len(rows), "energy_initial": rows[0, columns.index("E")].item(),
+               "final_ergodic_errors": rows[-1, len(SERIES_BASE_COLUMNS):].tolist(),
+               "rejected_steps": rejected}
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
@@ -369,8 +373,8 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     snapshot's state number (flow.state_numbers).  The diagnostics are
     measured from states.npy, read back one chunk at a time, as analyze
     reads it, so no more than a chunk of states is held at once.
-    summary.json holds _summary of the steps and the series, and
-    rejected_steps; an aborted run (dt underflow) still writes everything
+    summary.json is _summary_text of the steps, the series and the count of
+    rejected steps; an aborted run (dt underflow) still writes everything
     computed so far, with termination aborted.  A config that
     _initial_state refuses raises ConfigError before the run directory is
     created, and a run directory that holds any file raises
@@ -408,10 +412,9 @@ def run_experiment(config: FlowConfig, out_dir=None) -> ExperimentResult:
     np.save(steps_path, traj.steps)
     ms.write_measure(pushforwards, rows_path)
 
-    summary = {**_summary(config, traj.steps, _series_fields(columns, series)),
-               "rejected_steps": int(traj.rejected_steps)}
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return ExperimentResult(config, out, traj, columns, series, summary)
+    text = _summary_text(config, traj.steps, columns, series, int(traj.rejected_steps))
+    summary_path.write_text(text)
+    return ExperimentResult(config, out, traj, columns, series, json.loads(text))
 
 
 def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
@@ -420,23 +423,24 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
 
     The tolerance must be finite and at least 0, and the run directory
     must hold exactly its paths (_check_paths) before anything is read.
-    A config.json that parse_config or _initial_state refuses is a
-    ConfigError that names the file.
+    A config.json that _read_text, parse_config or _initial_state refuses
+    is a ConfigError that names the file.
     The series must carry its config's columns.  Its t column gives the
     snapshots' times, which must rise strictly.  Each series column is
     recomputed: t and the measures from the snapshots, cumulative_D
     (flow.dissipation_integral) and dt from the steps, and E and D by one
     edge pass per distinct state, with the series' E and D equal to the
     steps' bit for bit (run takes them from the steps); each must match the
-    series within the tolerance.  steps.npy must keep run_flow's rules
+    series within the tolerance.  summary.json must be the file that run
+    would write from the stored series and steps (_audit_summary), checked
+    before anything is recomputed.  steps.npy must keep run_flow's rules
     exactly (flow.read_steps) and hold a row at each snapshot time
     (_step_rows).  states.npy must hold as many states as the steps give
     (flow.state_numbers), on the config's grid; it is read one chunk at a
     time (flow.read_snapshot), each state finite and above the v floor, and
     unless the initial kind is file, whose source may be gone, its state 0
-    must be _initial_state of the config byte for byte.  summary.json must
-    agree with the recomputation (_audit_records), pushforwards.npy must be
-    the rows of the recomputed pushforwards byte for byte, or ValueError
+    must be _initial_state of the config byte for byte.  pushforwards.npy
+    must be the rows of the recomputed pushforwards byte for byte, or ValueError
     names the file (and for a state, or rows that differ, the first state).
     Values so large that the recomputation overflows give inf or nan in its
     columns, without a warning.  Returns the audit report dictionary (also
@@ -447,8 +451,9 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     _check_paths(run)
     config_path, series_path, steps_path, states_path, rows_path, summary_path = (
         run / path for path in RUN_PATHS)
+    text = _read_text(config_path)
     try:
-        config = parse_config(config_path.read_text())
+        config = parse_config(text)
         start = None if config.initial["kind"] == "file" else _initial_state(config)
     except ConfigError as exc:
         raise ConfigError(str(exc), str(config_path)) from exc
@@ -459,6 +464,7 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     if not (np.diff(times) > 0).all():
         raise ValueError(f"{series_path}: t does not rise strictly from row to row")
     at = _step_rows(steps_path, steps, times, stored)
+    _audit_summary(summary_path, config, steps, columns, stored)
     state = flow.state_numbers(steps[at, 2], config.stall_threshold)
     grid = DomainGrid(config.grid.n1, config.grid.n2)
     chunks = flow.read_snapshot(states_path, grid, int(state[-1]) + 1)
@@ -481,7 +487,6 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     e, d = np.array(passes).T[:, state]
     recomputed = np.column_stack([times, e, d, flow.dissipation_integral(steps)[at],
                                   steps[at, 3], measured])
-    _audit_records(summary_path, columns, recomputed, tolerance, steps, config)
     _audit_rows(rows_path, pushforwards)
     report_path, recomputed_path = (run / path for path in ANALYSIS_PATHS)
     table.write_table(recomputed_path, SERIES_SCHEMA, dict(zip(columns, recomputed.T)))
@@ -535,60 +540,35 @@ def _audit_rows(path: Path, rows: np.ndarray):
 
 def _parse_int(text: str):
     # An integer too large for a float reads as inf, so that it fails its
-    # check instead of overflowing in it.
+    # check as inf instead of being written out digit by digit.
     value = float(text)
     return int(text) if math.isfinite(value) else value
 
 
-def _parse_record(path, text):
+def _audit_summary(path: Path, config: FlowConfig, steps: np.ndarray, columns: list,
+                   rows: np.ndarray):
+    """The summary.json at path must be _summary_text of the steps and the
+    series rows, given its own rejected_steps, which must be a count, an
+    int of at least 0: the same keys, and for each the same json.dumps
+    text, so that a float keeps its bits and a count is no float that
+    equals it.  Else ValueError names the file and the first field."""
     try:
-        return json.loads(text, parse_int=_parse_int)
-    except json.JSONDecodeError as exc:
+        stored = json.loads(path.read_text(encoding="utf-8"), parse_int=_parse_int)
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _check_value(path, name, stored, value, tolerance):
-    """A float within the tolerance of value, else exactly value and of its
-    type: a count is an int, not a float that equals it."""
-    if isinstance(value, float):
-        ok = (isinstance(stored, (int, float)) and not isinstance(stored, bool)
-              and abs(stored - value) <= tolerance)
-    else:
-        ok = type(stored) is type(value) and stored == value
-    if not ok:
-        raise ValueError(f"{path}: {name} is {stored!r}, expected {value!r}")
-
-
-def _audit_records(path: Path, columns: list, rows: np.ndarray, tolerance: float,
-                   steps: np.ndarray, config: FlowConfig):
-    """Check the summary.json at path, which must hold exactly the fields
-    run writes: those of _summary, each as _check_value compares it, the
-    fields of _series_fields of the recomputed series rows within the
-    tolerance and the rest exactly; and rejected_steps, which need only be
-    a count, an int of at least 0.
-    """
-    fields = _series_fields(columns, rows)
-    expected = _summary(config, steps, fields)
-    summary = _parse_record(path, path.read_text())
-    if not isinstance(summary, dict) or summary.get("schema") != SUMMARY_SCHEMA:
+    if not isinstance(stored, dict) or stored.get("schema") != SUMMARY_SCHEMA:
         raise ValueError(f"{path}: not a {SUMMARY_SCHEMA} object")
-    odd = sorted(set(summary).symmetric_difference({*expected, "rejected_steps"}))
+    rejected = stored.get("rejected_steps")
+    expected = json.loads(_summary_text(config, steps, columns, rows, rejected))
+    odd = sorted(set(stored).symmetric_difference(expected))
     if odd:
-        where = "not a field of" if odd[0] in summary else "missing from"
+        where = "not a field of" if odd[0] in stored else "missing from"
         raise ValueError(f"{path}: {odd[0]} is {where} the summary")
-    rejected = summary["rejected_steps"]
     if type(rejected) is not int or rejected < 0:
         raise ValueError(f"{path}: rejected_steps is {rejected!r}, expected a count")
     for name, value in expected.items():
-        stored = summary[name]
-        tol = tolerance if name in fields else 0.0
-        if not isinstance(value, list):
-            _check_value(path, name, stored, value, tol)
-        elif not (isinstance(stored, list) and len(stored) == len(value)):
-            raise ValueError(f"{path}: {name} needs {len(value)} entries")
-        else:
-            for j, (s, v) in enumerate(zip(stored, value)):
-                _check_value(path, f"{name}[{j}]", s, v, tolerance)
+        if json.dumps(stored[name]) != json.dumps(value):
+            raise ValueError(f"{path}: {name} is {stored[name]!r}, expected {value!r}")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

@@ -653,11 +653,11 @@ def read_steps(path, stall_threshold: float) -> np.ndarray:
     return _read_npy(path, steps)
 
 
-def jacobian_det(state: MapState) -> np.ndarray:
-    """Pointwise Jacobian determinant du/dx1 * dv/dx2 - du/dx2 * dv/dx1,
-    by central differences."""
-    (u1, v1), (u2, v2) = state.grid.gradient(state.fields)
-    return u1 * v2 - u2 * v1
+def jacobian_det(fields: np.ndarray, grid: DomainGrid) -> np.ndarray:
+    """Pointwise Jacobian determinant du/dx1 * dv/dx2 - du/dx2 * dv/dx1 of
+    a (..., 2, n1, n2) stack of fields on grid, by central differences."""
+    d1, d2 = grid.gradient(fields)
+    return d1[..., 0, :, :] * d2[..., 1, :, :] - d2[..., 0, :, :] * d1[..., 1, :, :]
 
 
 def chain_rule_residual(state: MapState, f) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# jacobian_det stays bound here for perfbench/traced.py, which wraps it by name.
 from .flow import MapState, jacobian_det
 from .hyperbolic import FundamentalDomainBinning, reduce_points
 from .mesh import DomainGrid
@@ -227,8 +226,7 @@ def state_reports(fields: np.ndarray, grid: DomainGrid, masses: np.ndarray,
     reduce its own row, so a tuple has the same bits whatever the stack."""
     if not density_threshold > 1.0:
         raise ValueError(f"density threshold must exceed 1, got {density_threshold}")
-    d1, d2 = grid.gradient(fields)
-    jac = d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1]
+    jac = jacobian_det(fields, grid)
     degenerate = np.mean(np.abs(jac) < jacobian_threshold, axis=(1, 2))
     reports = []
     for mu, fraction in zip(masses, degenerate.tolist()):

@@ -403,15 +403,29 @@ class TestAnalyzeRun:
         assert (tmp_path / "run" / "series_recomputed.csv").is_file()
         assert (tmp_path / "run" / "analysis.json").is_file()
 
-    def test_nan_in_an_audited_column_fails(self, tmp_path):
-        run_experiment(_fast_config(), tmp_path / "run")
-        series = tmp_path / "run" / "series.csv"
+    @staticmethod
+    def _set_h_to_nan(run, row):
+        series = run / "series.csv"
         lines = series.read_text().splitlines()
         h_col = lines[1].split(",").index("H")
-        last = lines[-1].split(",")
-        last[h_col] = "nan"
-        lines[-1] = ",".join(last)
+        cells = lines[row].split(",")
+        cells[h_col] = "nan"
+        lines[row] = ",".join(cells)
         series.write_text("\n".join(lines) + "\n")
+
+    def test_nan_in_an_audited_column_fails(self, tmp_path, capsys):
+        # The last row's H is summary.json's final_entropy, which is checked
+        # exactly against series.csv before anything is recomputed.
+        run_experiment(_fast_config(), tmp_path / "run")
+        self._set_h_to_nan(tmp_path / "run", -1)
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert "summary.json: final_entropy is " in err and err.endswith(", expected nan\n")
+
+    def test_nan_in_a_middle_row_fails_the_audit(self, tmp_path):
+        run_experiment(_fast_config(), tmp_path / "run")
+        self._set_h_to_nan(tmp_path / "run", 3)
         report = analyze_run(tmp_path / "run")
         assert report["pass"] is False
         assert report["columns"]["H"]["within_tolerance"] is False
@@ -1243,6 +1257,77 @@ class TestRecordsMirrorTheSeries:
             == [col[n][-1] for n in ergodic]
 
 
+def _perturbed(value):
+    """value changed as little as JSON allows: a float by one ulp, an int to
+    the float that equals it, a string by one character, a list in entry 0."""
+    if isinstance(value, list):
+        return [_perturbed(value[0]), *value[1:]]
+    if isinstance(value, float):
+        return float(np.nextafter(value, np.inf))
+    if isinstance(value, int):
+        return float(value)
+    return value + "x"
+
+
+class TestSummaryAudit:
+    """summary.json must be, key for key, the file run would write from the
+    stored series.csv and steps.npy, each value with the same JSON text;
+    only its rejected_steps is its own, and must be a count."""
+
+    @staticmethod
+    def _analyze(tamper_runs, tmp_path, capsys, name, edit):
+        shutil.copytree(tamper_runs / name, tmp_path / "run")
+        run, path = tmp_path / "run", tmp_path / "run" / "summary.json"
+        summary = json.loads(path.read_text())
+        edit(summary)
+        path.write_text(json.dumps(summary))
+        code = main(["analyze", "--run", str(run)])
+        out, err = capsys.readouterr()
+        return code, out, err.removeprefix(f"analyze: cannot audit {run}: {path}: ")
+
+    def test_a_deleted_null_field_exits_2_naming_it(self, tamper_runs, tmp_path, capsys):
+        def edit(summary):
+            assert summary["termination"] == "t_final" and summary["t_stall"] is None
+            del summary["t_stall"]
+        assert self._analyze(tamper_runs, tmp_path, capsys, "finished", edit) == (
+            2, "", "t_stall is missing from the summary\n")
+
+    def test_an_added_null_field_exits_2_naming_it(self, tamper_runs, tmp_path, capsys):
+        def edit(summary):
+            summary["extra"] = None
+        assert self._analyze(tamper_runs, tmp_path, capsys, "finished", edit) == (
+            2, "", "extra is not a field of the summary\n")
+
+    # The fields of a stalled run, whose t_stall is a float.
+    FIELDS = ["accepted_steps", "dissipation_integral", "energy_final", "energy_identity_rel_gap",
+              "energy_initial", "final_degenerate_fraction", "final_entropy",
+              "final_ergodic_errors", "final_rho_max", "final_tail_mass", "grid",
+              "monotonicity_violations", "rejected_steps", "schema", "snapshot_count",
+              "t_end", "t_stall", "termination"]
+
+    def test_the_audited_fields_are_those_run_writes(self, tamper_runs):
+        assert sorted(json.loads((tamper_runs / "stalled" / "summary.json").read_text())) \
+            == self.FIELDS
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_every_field_perturbed_exits_2_naming_it(self, tamper_runs, tmp_path, capsys, field):
+        def edit(summary):
+            summary[field] = _perturbed(summary[field])
+        code, out, err = self._analyze(tamper_runs, tmp_path, capsys, "stalled", edit)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        # A wrong schema is no summary at all.
+        name = "not a moduliflow-summary-v1 object" if field == "schema" else f"{field} is "
+        assert err.startswith(name)
+
+    def test_a_reindented_equal_summary_passes(self, tamper_runs, tmp_path, capsys):
+        shutil.copytree(tamper_runs / "stalled", tmp_path / "run")
+        path = tmp_path / "run" / "summary.json"
+        summary = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(reversed(summary.items())), indent=4))
+        assert main(["analyze", "--run", str(tmp_path / "run")]) == 0
+        assert "analysis PASS" in capsys.readouterr().out
+
+
 class TestNumericFlags:
     """Numeric flags are checked before anything is read or written."""
 
@@ -1639,6 +1724,29 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: initial:") and len(err.splitlines()) == 1
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_a_config_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        prefix = "config error" if command == "run" else "sweep config error"
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"{prefix}: cannot read {path}: 'utf-8' codec can't decode")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("name", ["config.json", "summary.json"])
+    def test_a_run_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, name):
+        run = tmp_path / "run"
+        run_experiment(_fast_config(), run)
+        (run / name).write_bytes(b"\xff\xfe")
+        assert main(["analyze", "--run", str(run)]) == 2
+        out, err = capsys.readouterr()
+        where = f"cannot read {run / name}" if name == "config.json" else f"{run / name}: invalid JSON"
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"analyze: cannot audit {run}: {where}: 'utf-8' codec can't decode")
+        assert not (run / "analysis.json").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"),

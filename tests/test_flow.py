@@ -902,13 +902,13 @@ class TestRunFlow:
 
 class TestJacobian:
     def test_constant_map(self, grid64):
-        assert np.all(jacobian_det(_constant_state(grid64)) == 0.0)
+        assert np.all(jacobian_det(_constant_state(grid64).fields, grid64) == 0.0)
 
     def test_product_mode_value_at_origin(self):
         grid = DomainGrid(64, 64)
         u = 0.1 * np.sin(TWO_PI * grid.x1) * np.ones(grid.shape)
         v = 1.0 + 0.1 * np.sin(TWO_PI * grid.x2) * np.ones(grid.shape)
-        jac = jacobian_det(MapState(grid, u, v))
+        jac = jacobian_det(np.stack((u, v)), grid)
         # Central differences of the two sines at the origin node.
         central = 0.1 * math.sin(TWO_PI * grid.h1) / grid.h1
         assert abs(jac[0, 0] - central**2) <= 1e-14
@@ -918,9 +918,15 @@ class TestJacobian:
         grid = DomainGrid(12, 12)
         u = rng.standard_normal(grid.shape)
         v = np.exp(0.1 * rng.standard_normal(grid.shape))
-        j = jacobian_det(MapState(grid, u, v))
-        j_swapped = jacobian_det(MapState(grid, u.T.copy(), v.T.copy()))
+        j = jacobian_det(np.stack((u, v)), grid)
+        j_swapped = jacobian_det(np.stack((u.T, v.T)), grid)
         assert np.array_equal(j_swapped, -j.T)
+
+    def test_a_stack_gives_each_state_its_own_bits(self, rng):
+        grid = DomainGrid(12, 8)
+        stack = rng.standard_normal((3, 2, *grid.shape))
+        assert np.array_equal(jacobian_det(stack, grid),
+                              [jacobian_det(fields, grid) for fields in stack])
 
 
 class TestChainRule:

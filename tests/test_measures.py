@@ -552,7 +552,7 @@ class TestEntropyReport:
             rho_max = max(rho_max, m / n)
             if m / n > 10.0:
                 tail += m
-        jac = jacobian_det(state)
+        jac = jacobian_det(state.fields, state.grid)
         degenerate = float(np.count_nonzero(np.abs(jac) < 1e-6)) / jac.size
         assert abs(rep.entropy - h) <= 1e-12 * max(1.0, abs(h))
         assert abs(rep.rho_max - rho_max) <= 1e-12 * rho_max

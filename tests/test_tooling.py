@@ -271,7 +271,6 @@ NEVER_ENTERED = {
     "flow.tension_field": f"{ACCEPTANCE}; perfbench target",
     "flow.energy": f"{ACCEPTANCE}; perfbench target",
     "flow.dissipation_rate": "perfbench target",
-    "flow.jacobian_det": "perfbench target",
     "flow.chain_rule_residual": ACCEPTANCE,
     "hyperbolic.ReductionError.__init__": "error path: a reduction that does not converge",
     "hyperbolic.UpperHalfPoint.__repr__": "error path: mobius_apply's DegenerateInputError "
