@@ -469,7 +469,6 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
     grid = DomainGrid(config.grid.n1, config.grid.n2)
     chunks = flow.read_snapshot(states_path, grid, int(state[-1]) + 1)
     ws = flow._EdgeWorkspace(grid.shape)
-    ring, tau = ws.ring[0], ws.taus[0]  # each state is passed in the ring
     passes = []  # each distinct state's E and D
 
     def passed():
@@ -478,8 +477,8 @@ def analyze_run(run_dir, tolerance: float = 1e-12) -> dict:
                 raise ValueError(f"{states_path}: state 0 is not the initial state of "
                                  f"{config_path}")
             for f in chunk:
-                np.copyto(ring, f)
-                passes.append(flow._edge_pass(ring, ws, tau)[::2])
+                np.copyto(ws.ring[0], f)  # each state is passed in slot 0
+                passes.append(flow._edge_pass(ws, 0))
             yield chunk
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -10,18 +10,19 @@ discretised with the staggered forward differences of the grid and the
 metric weight 1/v^2 averaged onto cell edges.  One pass over those edges
 yields the energy, the tension field tau and the dissipation rate D together;
 energy(), tension_field() and dissipation_rate() each return one of the
-three, and run_flow() makes one pass per candidate state.  step() and
-run_flow share one forward-Euler update; step adds the checks a caller
-needs, and run_flow checks its candidates itself.  run_flow steps in a
-ring of two field and two tau buffers that the pass's workspace owns, so
-it allocates no array of the grid's size per step, and it hands each new
-distinct state to a callback, write_snapshot's for a run, which writes
-its bytes out before the ring moves on.  tau is the
-exact negative gradient of the discrete energy in the hyperbolic L^2
-inner product <a, b> = integral of (a_u b_u + a_v b_v)/v^2, and
-D = ||tau||^2, so forward-Euler stepping dissipates the discrete energy
-structurally (up to O(dt) per step), and the energy identity
-E(0) - E(T) = integral of D holds at first order.
+three, and run_flow() makes one pass per candidate state.  The pass's
+workspace owns every array it touches: the pass reads the fields in one
+slot of the workspace's ring and writes tau into that slot's tau buffer.
+step() and run_flow share one forward-Euler update; step adds the checks
+a caller needs, and run_flow checks its candidates itself.  run_flow
+steps in the ring's two slots, so it allocates no array of the grid's
+size per step, and it hands each new distinct state to a callback,
+write_snapshot's for a run, which writes its bytes out before the ring
+moves on.  tau is the exact negative gradient of the discrete energy in
+the hyperbolic L^2 inner product <a, b> = integral of
+(a_u b_u + a_v b_v)/v^2, and D = ||tau||^2, so forward-Euler stepping
+dissipates the discrete energy structurally (up to O(dt) per step), and
+the energy identity E(0) - E(T) = integral of D holds at first order.
 
 The continuum limit of the two components is
 
@@ -58,17 +59,10 @@ ENERGY_STEP_TOL = 1e-10
 
 
 class TargetEscapeError(ValueError):
-    """A state's v field is at or below the positivity floor."""
+    """A state leaves the half-plane: its v is at or below the positivity
+    floor, or a value is not finite, at node."""
 
     def __init__(self, message: str, node: tuple[int, int]):
-        super().__init__(message)
-        self.node = node
-
-
-class StepRejectedError(RuntimeError):
-    """step's proposed explicit step left the target."""
-
-    def __init__(self, message: str, node: tuple[int, int] | None = None):
         super().__init__(message)
         self.node = node
 
@@ -144,16 +138,16 @@ def _divide_by(h: float) -> tuple:
 
 
 class _EdgeWorkspace:
-    """Scratch arrays of _edge_pass for one grid shape, the ring run_flow
-    steps in, and the ufunc calls on them, bound once.
+    """Every array _edge_pass touches for one grid shape, the ring run_flow
+    steps in among them, and the ufunc calls on them, bound once.
 
     The caller that makes many passes on one grid owns one workspace and
-    hands it to every pass, so that a pass builds no views but those of a
-    state outside the ring.  The arrays are views of one buffer.  Scratch,
-    which holds no result between passes, is 13 fields of the grid shape:
-    v2 = v^2, sigma, edge_sq, rho (a field per axis), and diff and work,
-    each a (2 axes, 2 fields, n1, n2) stack whose axis parts are laid out
-    as the state's fields are, u's part first.  diff holds the forward
+    hands it to every pass, so that a pass builds no views.  The arrays
+    are views of one buffer.  Scratch, which holds no result between
+    passes, is 13 fields of the grid shape: v2 = v^2, sigma, edge_sq, rho
+    (a field per axis), and diff and work, each a (2 axes, 2 fields, n1,
+    n2) stack whose axis parts are laid out as the state's fields are,
+    u's part first.  diff holds the forward
     differences, then the fluxes, then tau's squares.  work holds the
     differences' squares, written field by field through squares, so that
     work[0] holds each axis's du^2, then sq = du^2 + dv^2, and work[1] its
@@ -163,9 +157,10 @@ class _EdgeWorkspace:
     holds twice the edge weights, then the energy's terms, scaled as
     below; sums is rho and the field after it, diff[0, 0], which takes
     the dissipation's terms, so that one reduction sums all three.  The
-    ring is 8 fields: two (2, n1, n2) field buffers, for the current
-    state and a candidate, with the forward-difference calls bound on
-    each, and two tau buffers.
+    ring is 8 fields in two slots, for the current state and a candidate:
+    slot k is the (2, n1, n2) field buffer ring[k], with the calls that
+    set diff to its forward differences bound in forward_calls[k], and
+    the tau buffer taus[k].
 
     The pass's powers of two are scalars: scale_diff and scale_back divide
     diff's differences and work's by h, and are empty when h1 == h2 is a
@@ -174,17 +169,16 @@ class _EdgeWorkspace:
     """
 
     def __init__(self, shape: tuple[int, int]):
-        self.shape = tuple(shape)
-        grid = DomainGrid(*self.shape)
+        grid = DomainGrid(*shape)
         # The pass's constants as 0-d arrays, which a ufunc call takes
         # faster than Python floats.
         self.one, self.zero = map(np.array, (1.0, 0.0))
-        buffer = np.empty((21, *self.shape))
+        buffer = np.empty((21, *shape))
         self.v2, self.sigma, self.edge_sq = buffer[:3]
         self.rho, self.sums = buffer[3:5], buffer[3:6]
-        self.diff, self.work = buffer[5:13].reshape(2, 2, 2, *self.shape)
-        self.ring = tuple(buffer[13:17].reshape(2, 2, *self.shape))
-        self.taus = tuple(buffer[17:21].reshape(2, 2, *self.shape))
+        self.diff, self.work = buffer[5:13].reshape(2, 2, 2, *shape)
+        self.ring = tuple(buffer[13:17].reshape(2, 2, *shape))
+        self.taus = tuple(buffer[17:21].reshape(2, 2, *shape))
         self.squares = self.work.transpose(1, 0, 2, 3)
         self.sq, self.edge = self.work
         self.rho_by_axis = self.rho[:, None]
@@ -206,8 +200,8 @@ class _EdgeWorkspace:
             for stack in (self.diff, self.work))
         k = 0.5 / (h * h) if folded else 0.5
         self.tau_scale, self.e_scale, self.w = np.array(k), 0.5 * grid.w * k, grid.w
-        self.ring_calls = {id(fields): self.diff_calls(fields) for fields in self.ring}
-        self.tangents = {id(tau): TangentField(tau) for tau in self.taus}
+        self.forward_calls = [self._bind(np.subtract, (f, f), self.diff, a_shift=1)
+                              for f in self.ring]
 
     @staticmethod
     def _bind(op, a, out, **shift) -> list:
@@ -216,15 +210,11 @@ class _EdgeWorkspace:
         return [call for axis in (0, 1)
                 for call in periodic_calls(op, a[axis], a[axis], out[axis], axis, **shift)]
 
-    def diff_calls(self, fields: np.ndarray) -> list:
-        """The calls that set diff to the forward differences of fields."""
-        return self._bind(np.subtract, (fields, fields), self.diff, a_shift=1)
 
-
-def _edge_pass(fields: np.ndarray, ws: _EdgeWorkspace,
-               tau: np.ndarray | None = None) -> tuple[float, TangentField, float]:
-    """Energy E, tension field tau and dissipation rate D of one state's
-    fields, the (2, n1, n2) stack of u and v.
+def _edge_pass(ws: _EdgeWorkspace, slot: int) -> tuple[float, float]:
+    """Energy E and dissipation rate D of the fields in ws.ring[slot], the
+    (2, n1, n2) stack of u and v, with their tension field tau written
+    into ws.taus[slot].
 
     For each axis the metric weight sigma = 1/v^2 is averaged onto the
     staggered edge where the forward difference lives, and E sums the
@@ -239,19 +229,16 @@ def _edge_pass(fields: np.ndarray, ws: _EdgeWorkspace,
     the node (the derivative of rho with respect to v).  Constant maps give
     exactly zero.  D = ||tau||^2 in the hyperbolic inner product.
 
-    ws must be for the fields' grid shape.  With v > 0 at every node, E
-    is finite only if every value of the fields is: a value that is not
-    makes the squared differences on its edges inf or nan, and E sums them
-    with weights 1/v^2 >= 0; run_flow relies on it.  Each elementwise step
-    runs once on the stacks of both axes, and where it can in place, into
-    an array it reads (a call with a third array costs about twice as
-    much).  tau is written
-    into the given C-contiguous (2, n1, n2) array, which must share no
-    memory with the fields or with ws's scratch, or else into a new one.
-    Each value is formed by the same floating-point operations in the same
-    order as when every neighbour is first copied into a shifted array
-    (u[k+1] - u[k], sigma[k] + sigma[k+1], flux[k] - flux[k-1], du*du +
-    dv*dv, sq[k] + sq[k-1], ...), but for factors that are powers of two:
+    With v > 0 at every node, E is finite only if every value of the
+    fields is: a value that is not makes the squared differences on its
+    edges inf or nan, and E sums them with weights 1/v^2 >= 0; run_flow
+    relies on it.  Each elementwise step runs once on the stacks of both
+    axes, and where it can in place, into an array it reads (a call with
+    a third array costs about twice as much).  Each value is formed by the
+    same floating-point operations in the same order as when every
+    neighbour is first copied into a shifted array (u[k+1] - u[k],
+    sigma[k] + sigma[k+1], flux[k] - flux[k-1], du*du + dv*dv,
+    sq[k] + sq[k-1], ...), but for factors that are powers of two:
     the edge weight is sigma[k] + sigma[k+1] without its 1/2, the S term is
     S / v, and when h1 == h2 is a power of two the differences and the
     divergence are not divided by h; tau is multiplied by ws's k once, at
@@ -268,14 +255,11 @@ def _edge_pass(fields: np.ndarray, ws: _EdgeWorkspace,
     u ~ 2^501 at 64^2 the formulas' energy sum overflows to inf where E
     stays finite.
     """
-    if fields.shape[1:] != ws.shape:
-        raise ValueError(f"workspace is for shape {ws.shape}, the fields have "
-                         f"{fields.shape[1:]}")
-    v = fields[1]
+    v, tau = ws.ring[slot][1], ws.taus[slot]
     v2, sigma, edge_sq, rho, diff, div = ws.v2, ws.sigma, ws.edge_sq, ws.rho, ws.diff, ws.div
     np.square(v, out=v2)
     np.divide(ws.one, v2, out=sigma)
-    run_calls(ws.ring_calls.get(id(fields)) or ws.diff_calls(fields))
+    run_calls(ws.forward_calls[slot])
     run_calls(ws.scale_diff)
     run_calls(ws.rho_calls)
     np.square(diff, out=ws.squares)
@@ -292,31 +276,40 @@ def _edge_pass(fields: np.ndarray, ws: _EdgeWorkspace,
     np.add(div, ws.zero, out=div)
     np.multiply(div, v2, out=div)
     np.add(ws.div_v, edge_sq, out=ws.div_v)
-    tau = np.multiply(div, ws.tau_scale, out=tau)
-    tangent = ws.tangents.get(id(tau)) or TangentField(tau)
+    np.multiply(div, ws.tau_scale, out=tau)
     tau_sq_u, tau_sq_v = ws.tau_sq_parts
     np.square(tau, out=ws.tau_sq)
     np.add(tau_sq_u, tau_sq_v, out=tau_sq_u)
     tau_sq_u *= sigma  # the dissipation's terms, the last field of sums
     along_0, along_1, dissipation = np.add.reduce(ws.sums, axis=(1, 2)).tolist()
-    return ws.e_scale * (along_0 + along_1), tangent, ws.w * dissipation
+    return ws.e_scale * (along_0 + along_1), ws.w * dissipation
+
+
+def _state_pass(state: MapState) -> tuple[float, np.ndarray, float]:
+    """E, tau and D of state, by a pass on its fields copied into slot 0 of
+    a new workspace; tau is that workspace's buffer."""
+    ws = _EdgeWorkspace(state.grid.shape)
+    np.copyto(ws.ring[0], state.fields)
+    e, d = _edge_pass(ws, 0)
+    return e, ws.taus[0], d
 
 
 def tension_field(state: MapState) -> TangentField:
     """Exact negative discrete-energy gradient in the hyperbolic inner product;
-    raises TargetEscapeError at or below the v floor."""
+    raises TargetEscapeError at or below the v floor.  tau is an array of
+    its own, not the pass's workspace."""
     _check_above_floor(state)
-    return _edge_pass(state.fields, _EdgeWorkspace(state.grid.shape))[1]
+    return TangentField(_state_pass(state)[1].copy())
 
 
 def energy(state: MapState) -> float:
     """Harmonic-map energy of the state (staggered discretisation)."""
-    return _edge_pass(state.fields, _EdgeWorkspace(state.grid.shape))[0]
+    return _state_pass(state)[0]
 
 
 def dissipation_rate(state: MapState) -> float:
     """Squared hyperbolic L^2 norm of the tension field: D = ||tau||^2."""
-    return _edge_pass(state.fields, _EdgeWorkspace(state.grid.shape))[2]
+    return _state_pass(state)[2]
 
 
 def cfl_dt_max(state: MapState, safety: float = 0.5) -> float:
@@ -347,18 +340,15 @@ def _euler(fields: np.ndarray, dt: float, tau: np.ndarray, out: np.ndarray) -> n
     return out
 
 
-def step(state: MapState, dt: float, tangent: TangentField | None = None,
-         out: np.ndarray | None = None) -> MapState:
+def step(state: MapState, dt: float, tangent: TangentField | None = None) -> MapState:
     """One forward-Euler step, by the update run_flow makes (_euler), with
     the checks a caller needs: dt must be positive and within the stability
-    cap, and StepRejectedError, naming a node, is raised when the step lands
-    at or below the v floor or produces non-finite values.
+    cap, and TargetEscapeError, naming a node, is raised when the step
+    lands at or below the v floor or produces non-finite values.
 
-    The new fields are formed as one (2, n1, n2) array: out, which must be
-    a C-contiguous float64 array of that shape sharing no memory with the
-    state's fields or with tau, or else a new one.  The checks cover
-    everything MapState checks, so the new state is built without checking
-    its fields a second time."""
+    The new fields are formed as one new (2, n1, n2) array.  The checks
+    cover everything MapState checks, so the new state is built without
+    checking its fields a second time."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     cap = cfl_dt_max(state, safety=1.0)
@@ -366,9 +356,7 @@ def step(state: MapState, dt: float, tangent: TangentField | None = None,
         raise ValueError(f"dt = {dt} exceeds the stability cap {cap}")
     if tangent is None:
         tangent = tension_field(state)
-    if out is None:
-        out = np.empty(state.fields.shape)
-    fields = _euler(state.fields, dt, tangent.tau, out)
+    fields = _euler(state.fields, dt, tangent.tau, np.empty(state.fields.shape))
     # Every value finite and v above the floor, without a temporary array:
     # the minima catch a nan or -inf in their field, the maximum a nan or
     # +inf anywhere.
@@ -382,7 +370,7 @@ def step(state: MapState, dt: float, tangent: TangentField | None = None,
         else:
             bad = int(np.argmin(key))
         node = tuple(int(k) for k in np.unravel_index(bad, v_new.shape))
-        raise StepRejectedError(
+        raise TargetEscapeError(
             f"step of dt = {dt} leaves the target at node {node}", node
         )
     return MapState._checked(state.grid, fields, state.t + dt, v_min)
@@ -468,12 +456,13 @@ def run_flow(initial: MapState, params: FlowParams,
     before it had D under the stall threshold, when it is that snapshot's
     state frozen (state_numbers).  The run steps in the ring of one
     _EdgeWorkspace and allocates no array of the grid's size per step:
-    each candidate is formed by step's forward-Euler update (_euler) in the
-    ring's field buffer that does not hold the current fields, and its tau
-    in the tau buffer that does not hold the current tau, so a rejected
-    candidate leaves both intact.  A MapState is built only for a state
-    handed to record; its fields may be a buffer of the ring, which a later
-    step overwrites, so record must copy or write out what it keeps.
+    the initial fields are copied into one slot, so the initial state's own
+    are never written, and each candidate is formed by step's forward-Euler
+    update (_euler) in the other slot, where its pass writes its tau, so a
+    rejected candidate leaves the current slot intact.  A MapState is built
+    only for a state handed to record after the initial one; its fields
+    are a buffer of the ring, which a later step overwrites, so record must
+    copy or write out what it keeps.
 
     A candidate is rejected exactly when step would refuse it or its E
     rises by more than ENERGY_STEP_TOL.  Before its pass only the minimum
@@ -487,9 +476,10 @@ def run_flow(initial: MapState, params: FlowParams,
     """
     _check_interval(initial.t, params.t_final, params.snapshot_interval)
     _check_above_floor(initial)
-    grid, fields, t, v_min = initial.grid, initial.fields, initial.t, initial.v_min
+    grid, t, v_min = initial.grid, initial.t, initial.v_min
     ws = _EdgeWorkspace(grid.shape)
-    spare = 0  # the ring slot of the next candidate and of its tau
+    now = 0  # the ring slot of the current fields and their tau
+    np.copyto(ws.ring[now], initial.fields)
     safety, interval = params.cfl_safety, params.snapshot_interval
     rows, row = bytearray(), _ROW.pack
     snapshot_rows = [0]
@@ -506,14 +496,13 @@ def run_flow(initial: MapState, params: FlowParams,
     def snapshot():
         # The last row's state is new unless the previous snapshot stalled.
         if _ROW.unpack_from(rows, _ROW.size * snapshot_rows[-1])[2] >= params.stall_threshold:
-            record(MapState._checked(grid, fields, t, v_min))
+            record(MapState._checked(grid, ws.ring[now], t, v_min))
         snapshot_rows.append(last_row())
 
     t_final = t + params.t_final
     end = _end(t_final)
     with np.errstate(over="ignore", invalid="ignore"):
-        e_cur, _, d_cur = _edge_pass(fields, ws, ws.taus[1])
-        tau = ws.taus[1]
+        e_cur, d_cur = _edge_pass(ws, now)
         rows += row(t, e_cur, d_cur, 0.0)
         record(initial)
         dt = _cap(grid, v_min, safety)
@@ -538,11 +527,12 @@ def run_flow(initial: MapState, params: FlowParams,
                     raise AbortedRunError(
                         f"dt = {dt_used} fell below the floor {params.dt_floor} at t = {t}",
                         trajectory())
-                candidate = _euler(fields, dt_used, tau, ws.ring[spare])
+                spare = 1 - now
+                candidate = _euler(ws.ring[now], dt_used, ws.taus[now], ws.ring[spare])
                 v_min_new = np.minimum.reduce(candidate[1], axis=None).item()
                 accepted = v_min_new > V_FLOOR
                 if accepted:
-                    e_new, _, d_new = _edge_pass(candidate, ws, ws.taus[spare])
+                    e_new, d_new = _edge_pass(ws, spare)
                     # Only a candidate whose E is not finite can hold a value
                     # that is not.
                     finite = math.isfinite(e_new) or np.isfinite(candidate).all()
@@ -552,9 +542,8 @@ def run_flow(initial: MapState, params: FlowParams,
                     rejected += 1
                     streak = 0
                     continue
-                fields, tau, t, v_min = candidate, ws.taus[spare], t + dt_used, v_min_new
+                now, t, v_min = spare, t + dt_used, v_min_new
                 e_cur, d_cur = e_new, d_new
-                spare = 1 - spare
                 streak += 1
                 dt = dt_used
                 if streak >= 10:

@@ -55,12 +55,6 @@ class BumpFunction:
         self.rx, self.ry = rx, ry
         self.amplitude = float(amplitude)
 
-    @property
-    def support_box(self) -> tuple[float, float, float, float]:
-        """(x_lo, x_hi, y_lo, y_hi) bounding the support."""
-        return (self.cx - self.rx, self.cx + self.rx,
-                self.cy - self.ry, self.cy + self.ry)
-
     def _s(self, x, y):
         return (np.asarray(x, float) - self.cx) / self.rx, (
             np.asarray(y, float) - self.cy

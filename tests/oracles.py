@@ -4,6 +4,8 @@ They check the product code in src/ from outside it:
 
 * ConstantOne, AffineFunction, WindowedHarmonic -- observables with known
   gradients, Hessians or hyperbolic Laplacians;
+* support_box -- the box bounding an observable's support, a
+  BumpFunction's included;
 * translation, inversion, product, inverse, is_identity -- the group
   algebra of ModularMatrix, for building and checking witness words;
 * weak_star_pairing -- the binned pairing of a measure with an observable,
@@ -38,9 +40,9 @@ from moduliflow.flow import (
     AbortedRunError,
     FlowParams,
     MapState,
-    StepRejectedError,
-    _edge_pass,
-    _EdgeWorkspace,
+    TangentField,
+    TargetEscapeError,
+    _state_pass,
     cfl_dt_max,
     run_flow,
     state_numbers,
@@ -120,15 +122,22 @@ class WindowedHarmonic:
         return (self.cx - self.flat * self.rx, self.cx + self.flat * self.rx,
                 self.cy - self.flat * self.ry, self.cy + self.flat * self.ry)
 
-    @property
-    def support_box(self) -> tuple[float, float, float, float]:
-        return (self.cx - self.rx, self.cx + self.rx,
-                self.cy - self.ry, self.cy + self.ry)
-
     def value(self, x, y):
         sx = (np.asarray(x, float) - self.cx) / self.rx
         sy = (np.asarray(y, float) - self.cy) / self.ry
         return np.asarray(y, float) * _plateau(sx, self.flat) * _plateau(sy, self.flat)
+
+
+def support_box(f) -> tuple[float, float, float, float] | None:
+    """(x_lo, x_hi, y_lo, y_hi) bounding the support of the observable f:
+    the box f declares as support_box, else, for a BumpFunction or a
+    WindowedHarmonic, its centre plus and minus its radii; None for an f
+    with neither, which is not compactly supported."""
+    if hasattr(f, "support_box"):
+        return f.support_box
+    if hasattr(f, "rx"):
+        return (f.cx - f.rx, f.cx + f.rx, f.cy - f.ry, f.cy + f.ry)
+    return None
 
 
 def translation(n: int) -> ModularMatrix:
@@ -185,7 +194,7 @@ def laplacian_invariance_diagnostic(mu, f, fd_step: float = 1e-4) -> float:
     boundary is then attributed incorrectly.
     """
     binning = mu.binning
-    box = getattr(f, "support_box", None)
+    box = support_box(f)
     if box is not None:
         x_lo, x_hi, y_lo, y_hi = box
         inner = min(1.0, binning.y_min + binning.dy)
@@ -273,6 +282,10 @@ def stepping_record_problem(steps, stall_threshold: float, t_final: float, summa
     return None
 
 
+class _Rejected(Exception):
+    """reference_steps' rejection of a candidate by its energy."""
+
+
 def reference_steps(initial: MapState, params, reject=()) -> dict:
     """run_flow's stepping record by a plain loop on new arrays, with what
     the loop counts on its own: "rows", the record's rows t, E, D, dt;
@@ -284,7 +297,8 @@ def reference_steps(initial: MapState, params, reject=()) -> dict:
     tau.  Candidates are numbered from 0 in the order their passes run, and
     those in reject are rejected as if their energy had risen."""
     state = initial.copy()
-    e_cur, tangent, d_cur = _edge_pass(state.fields, _EdgeWorkspace(state.grid.shape))
+    e_cur, tau, d_cur = _state_pass(state)
+    tangent = TangentField(tau)
     rows, totals = [(state.t, e_cur, d_cur, 0.0)], [0.0]
     interval, t_final = params.snapshot_interval, state.t + params.t_final
     snap_k = math.floor(state.t / interval) + 1
@@ -307,15 +321,14 @@ def reference_steps(initial: MapState, params, reject=()) -> dict:
                 break
             try:
                 new_state = step(state, dt_used, tangent)
-                e_new, tangent_new, d_new = _edge_pass(new_state.fields,
-                                                       _EdgeWorkspace(state.grid.shape))
+                e_new, tau_new, d_new = _state_pass(new_state)
                 candidates += 1
                 if candidates - 1 in reject or e_new - e_cur > ENERGY_STEP_TOL:
-                    raise StepRejectedError("rejected")
-            except StepRejectedError:
+                    raise _Rejected
+            except (TargetEscapeError, _Rejected):
                 dt, streak, rejected = 0.5 * dt_used, 0, rejected + 1
                 continue
-            state, tangent, e_cur = new_state, tangent_new, e_new
+            state, tangent, e_cur = new_state, TangentField(tau_new), e_new
             streak, accepted = streak + 1, accepted + 1
             dt = min(dt_used * 1.2, cap) if streak >= 10 else dt_used
         cumulative += dt_used * d_cur

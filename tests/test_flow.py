@@ -14,8 +14,8 @@ from moduliflow.flow import (
     AbortedRunError,
     FlowParams,
     MapState,
-    StepRejectedError,
     TangentField,
+    TargetEscapeError,
     V_FLOOR,
     cfl_dt_max,
     chain_rule_residual,
@@ -30,6 +30,7 @@ from moduliflow.flow import (
     _EdgeWorkspace,
     _divide_by,
     _edge_pass,
+    _state_pass,
 )
 from moduliflow.initial import build_initial_state
 from moduliflow.mesh import DomainGrid
@@ -303,9 +304,9 @@ class TestEdgePass:
         e, tau_u, tau_v, d = _roll_oracle(state)
         built = MapState(state.grid, u, v)
         assert not np.shares_memory(built.fields, u) and not np.shares_memory(built.fields, v)
-        got_e, tau, got_d = _edge_pass(built.fields, _EdgeWorkspace(shape))
+        got_e, tau, got_d = _state_pass(built)
         assert got_e == e and got_d == d
-        assert np.array_equal(tau.tau_u, tau_u) and np.array_equal(tau.tau_v, tau_v)
+        assert np.array_equal(tau[0], tau_u) and np.array_equal(tau[1], tau_v)
 
     @pytest.mark.parametrize("shape", [(32, 32), (48, 48), (64, 64), (64, 32)])
     def test_bit_identical_to_the_roll_formulas_over_the_exponent_range(self, rng, shape):
@@ -322,9 +323,9 @@ class TestEdgePass:
                 state = MapState(base.grid, np.ldexp(base.u, a), np.ldexp(base.v, b))
                 with np.errstate(all="ignore"):
                     e, tau_u, tau_v, d = _roll_oracle(state)
-                    got_e, tau, got_d = _edge_pass(state.fields, _EdgeWorkspace(shape))
-                same = (got_e.hex() == e.hex(), tau.tau_u.tobytes() == tau_u.tobytes(),
-                        tau.tau_v.tobytes() == tau_v.tobytes(), got_d.hex() == d.hex())
+                    got_e, tau, got_d = _state_pass(state)
+                same = (got_e.hex() == e.hex(), tau[0].tobytes() == tau_u.tobytes(),
+                        tau[1].tobytes() == tau_v.tobytes(), got_d.hex() == d.hex())
                 if not all(same):
                     differ.append((a, b, same))
         assert differ == [(-450, 300, (True, False, True, True))]
@@ -338,10 +339,10 @@ class TestEdgePass:
         state = MapState(base.grid, np.ldexp(base.u, 501), base.v)
         with np.errstate(over="ignore", invalid="ignore"):
             e, tau_u, tau_v, d = _roll_oracle(state)
-            got_e, tau, got_d = _edge_pass(state.fields, _EdgeWorkspace((64, 64)))
+            got_e, tau, got_d = _state_pass(state)
         assert e == math.inf and 1e304 < got_e < math.inf
-        assert tau.tau_u.tobytes() == tau_u.tobytes()
-        assert tau.tau_v.tobytes() == tau_v.tobytes()
+        assert tau[0].tobytes() == tau_u.tobytes()
+        assert tau[1].tobytes() == tau_v.tobytes()
         assert got_d == d == math.inf
 
     @pytest.mark.parametrize("shape, scale_calls, k", [
@@ -376,10 +377,10 @@ class TestEdgePass:
         # differences into +0.0 in tau_u.
         state = _signed_zero_state(shape)
         e, tau_u, tau_v, d = _roll_oracle(state)
-        got_e, tau, got_d = _edge_pass(state.fields, _EdgeWorkspace(shape))
+        got_e, tau, got_d = _state_pass(state)
         assert np.signbit(tau_u).sum() == 0 and e == 0.0
-        assert tau.tau_u.tobytes() == tau_u.tobytes()
-        assert tau.tau_v.tobytes() == tau_v.tobytes()
+        assert tau[0].tobytes() == tau_u.tobytes()
+        assert tau[1].tobytes() == tau_v.tobytes()
         assert (got_e, got_d) == (e, d)
 
     @pytest.mark.parametrize("shape", [(4, 4), (64, 64), (12, 20)])
@@ -400,18 +401,18 @@ class TestEdgePass:
         ((5, 7), False), ((12, 20), False), ((48, 32), False), ((4, 4), True), ((8, 6), True),
     ])
     def test_a_pass_in_the_ring_is_the_fresh_pass(self, rng, shape, signed_zeros):
-        # On fields in either ring buffer, with tau written into a tau
-        # buffer, the pass gives the bytes of a pass on new arrays, pass
-        # after pass on one workspace.
+        # On fields in either slot of the ring, with tau written into that
+        # slot's tau buffer, the pass gives the bytes of a pass on a new
+        # workspace, pass after pass on one workspace.
         state = _signed_zero_state(shape) if signed_zeros else _random_state(rng, shape)
-        fresh_e, fresh, fresh_d = _edge_pass(state.fields, _EdgeWorkspace(shape))
+        fresh_e, fresh, fresh_d = _state_pass(state)
         ws = _EdgeWorkspace(shape)
         for slot in (0, 1, 0):
             ws.ring[slot][...] = state.fields
-            e, tangent, d = _edge_pass(ws.ring[slot], ws, ws.taus[1 - slot])
-            assert tangent.tau is ws.taus[1 - slot]
+            ws.taus[slot].fill(np.nan)
+            e, d = _edge_pass(ws, slot)
             assert (e.hex(), d.hex()) == (fresh_e.hex(), fresh_d.hex())
-            assert tangent.tau.tobytes() == fresh.tau.tobytes()
+            assert ws.taus[slot].tobytes() == fresh.tobytes()
             ws.ring[slot].fill(np.nan)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided_view"])
@@ -429,25 +430,31 @@ class TestEdgePass:
         odd = MapState(state.grid, u, v)
         assert odd.fields.flags.c_contiguous
         e, tau_u, tau_v, d = _roll_oracle(state)
-        got_e, tau, got_d = _edge_pass(odd.fields, _EdgeWorkspace(state.grid.shape))
-        assert got_e == e and got_d == d
+        tau = tension_field(odd)
+        assert energy(odd) == e and dissipation_rate(odd) == d
         assert np.array_equal(tau.tau_u, tau_u) and np.array_equal(tau.tau_v, tau_v)
 
     def test_passes_share_no_arrays(self, rng):
-        # tau survives later passes, on the same workspace or on another
-        # grid, and never aliases the workspace.
+        # tension_field's tau is an array of its own, two fields and no
+        # more, which survives later passes, on a state of the same grid or
+        # of another, and a pass in one slot leaves the other slot's tau.
         first, second = _random_state(rng, (16, 16)), _random_state(rng, (16, 16))
-        ws = _EdgeWorkspace(first.grid.shape)
-        tau = _edge_pass(first.fields, ws)[1]
+        tau = tension_field(first)
         other = tension_field(_random_state(rng, (8, 12)))
+        for tangent, shape in ((tau, (16, 16)), (other, (8, 12))):
+            assert tangent.tau.base is None and tangent.tau.shape == (2, *shape)
         taus = (tau.tau_u, tau.tau_v, other.tau_u, other.tau_v)
         kept = [a.copy() for a in taus]
-        _edge_pass(second.fields, ws)
-        tension_field(first)
+        energy(second)
+        tension_field(second)
         for a, b in zip(taus, kept):
             assert np.array_equal(a, b)
-        scratch = [w for w in vars(ws).values() if isinstance(w, np.ndarray)]
-        assert not any(np.shares_memory(a, w) for a in taus[:2] for w in scratch)
+        ws = _EdgeWorkspace((16, 16))
+        ws.ring[0][...], ws.ring[1][...] = first.fields, second.fields
+        _edge_pass(ws, 0)
+        kept = ws.taus[0].copy()
+        _edge_pass(ws, 1)
+        assert ws.taus[0].tobytes() == kept.tobytes() == tau.tau.tobytes()
 
     @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (12, 20)])
     @pytest.mark.parametrize("field, value", [
@@ -456,16 +463,13 @@ class TestEdgePass:
         # run_flow looks for a value that is not finite only when E is not
         # finite.  v stays positive, as run_flow's minimum over v requires.
         state = _random_state(rng, shape)
+        ws = _EdgeWorkspace(shape)
         for node in [(0, 0), (shape[0] - 1, shape[1] - 1), (2, 3)]:
-            fields = state.fields.copy()
-            fields[(field, *node)] = value
+            ws.ring[0][...] = state.fields
+            ws.ring[0][(field, *node)] = value
             with np.errstate(over="ignore", invalid="ignore"):
-                e = _edge_pass(fields, _EdgeWorkspace(shape))[0]
+                e = _edge_pass(ws, 0)[0]
             assert not math.isfinite(e)
-
-    def test_workspace_of_another_shape_is_refused(self, rng):
-        with pytest.raises(ValueError):
-            _edge_pass(_random_state(rng, (16, 16)).fields, _EdgeWorkspace((16, 12)))
 
 
 class TestEnergy:
@@ -525,7 +529,7 @@ class TestStep:
         dt = cfl_dt_max(s, 0.5)
         sink = TangentField(np.array((np.zeros(grid64.shape),
                                       np.full(grid64.shape, -2.0 / dt))))
-        with pytest.raises(StepRejectedError):
+        with pytest.raises(TargetEscapeError):
             step(s, dt, sink)
 
     @pytest.mark.parametrize("component, value", [
@@ -540,7 +544,7 @@ class TestStep:
         tau = np.zeros((2, *grid.shape))
         tau["uv".index(component), 3, 5] = value / 1e-4
         tangent = TangentField(tau)
-        with pytest.raises(StepRejectedError) as exc:
+        with pytest.raises(TargetEscapeError) as exc:
             step(s, 1e-4, tangent)
         assert exc.value.node == (3, 5)
 
@@ -682,6 +686,22 @@ class TestRunFlow:
         gap = abs(traj.energy[0] - traj.energy[-1] - traj.cumulative_dissipation[-1])
         assert gap <= 0.02 * traj.energy[0]
 
+    def test_the_initial_fields_are_left_as_they_are(self):
+        # run_flow copies the start into its ring and steps there: record is
+        # handed the initial state itself first, with its bytes, and every
+        # later state in the ring; the initial fields keep their bytes.
+        state = build_initial_state(
+            DomainGrid(16, 16), {"kind": "random", "amp_u": 0.6, "amp_v": 0.6},
+            np.random.default_rng(3),
+        )
+        before, handed = state.fields.tobytes(), []
+        traj = run_flow(state, FlowParams(t_final=0.05, snapshot_interval=0.01),
+                        lambda s: handed.append((s, s.fields.tobytes())))
+        assert state.fields.tobytes() == before
+        assert handed[0] == (state, before)
+        assert len(handed) == len(traj.snapshot_rows) == 6
+        assert not any(np.shares_memory(s.fields, state.fields) for s, _ in handed[1:])
+
     def test_dt_floor_aborts_with_partial_trajectory(self, grid64):
         state = build_initial_state(grid64, {"kind": "sinusoidal"})
         handed = []
@@ -781,12 +801,12 @@ class TestRunFlow:
         params = FlowParams(t_final=0.05, snapshot_interval=0.01)
         edge_pass, passes = flow_module._edge_pass, []
 
-        def rejecting(fields, ws, tau=None):
-            e, tangent, d = edge_pass(fields, ws, tau)
-            passes.append(fields)
+        def rejecting(ws, slot):
+            e, d = edge_pass(ws, slot)
+            passes.append(slot)
             if len(passes) - 2 in reject:  # pass 0 is the initial state's
                 e = math.inf
-            return e, tangent, d
+            return e, d
 
         monkeypatch.setattr(flow_module, "_edge_pass", rejecting)
         traj = run_flow(state, params)

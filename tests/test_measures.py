@@ -35,6 +35,7 @@ from oracles import (
     Recorded,
     WindowedHarmonic,
     laplacian_invariance_diagnostic,
+    support_box,
     weak_star_pairing,
     weak_star_pairing_exact,
 )
@@ -59,8 +60,8 @@ class _Combined:
 
     def __init__(self, a, f, b, g):
         self.a, self.f, self.b, self.g = a, f, b, g
-        fx_lo, fx_hi, fy_lo, fy_hi = f.support_box
-        gx_lo, gx_hi, gy_lo, gy_hi = g.support_box
+        fx_lo, fx_hi, fy_lo, fy_hi = support_box(f)
+        gx_lo, gx_hi, gy_lo, gy_hi = support_box(g)
         self.support_box = (min(fx_lo, gx_lo), max(fx_hi, gx_hi),
                             min(fy_lo, gy_lo), max(fy_hi, gy_hi))
         self.overflow_value = 0.0

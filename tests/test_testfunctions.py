@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moduliflow.testfunctions import BumpFunction
-from oracles import AffineFunction, ConstantOne, WindowedHarmonic
+from oracles import AffineFunction, ConstantOne, WindowedHarmonic, support_box
 
 
 def _fd_gradient(f, x, y, h=1e-5):
@@ -33,7 +33,7 @@ class TestBumpFunction:
 
     def test_support_box(self):
         f = BumpFunction([0.1, 1.5], [0.3, 0.4])
-        assert f.support_box == (0.1 - 0.3, 0.1 + 0.3, 1.5 - 0.4, 1.5 + 0.4)
+        assert support_box(f) == (0.1 - 0.3, 0.1 + 0.3, 1.5 - 0.4, 1.5 + 0.4)
 
     def test_gradient_matches_finite_differences(self, rng):
         f = BumpFunction([-0.2, 2.0], [0.35, 0.6], amplitude=1.3)
@@ -114,7 +114,7 @@ class TestWindowedHarmonic:
 
     def test_zero_outside_support(self):
         f = WindowedHarmonic([0.0, 2.0], [0.4, 1.0])
-        x_lo, x_hi, y_lo, y_hi = f.support_box
+        x_lo, x_hi, y_lo, y_hi = support_box(f)
         assert f.value(x_hi + 1e-9, 2.0) == 0.0
         assert f.value(0.0, y_hi + 1e-9) == 0.0
         assert f.value(x_lo - 0.1, y_lo - 0.1) == 0.0
@@ -123,7 +123,7 @@ class TestWindowedHarmonic:
     def test_boxes_nest(self):
         f = WindowedHarmonic([0.0, 2.0], [0.4, 1.0], flat=0.5)
         px_lo, px_hi, py_lo, py_hi = f.plateau_box
-        sx_lo, sx_hi, sy_lo, sy_hi = f.support_box
+        sx_lo, sx_hi, sy_lo, sy_hi = support_box(f)
         assert sx_lo < px_lo < px_hi < sx_hi
         assert sy_lo < py_lo < py_hi < sy_hi
 

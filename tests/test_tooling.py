@@ -257,9 +257,11 @@ CHAIN_RULE = "acceptance import: flow.chain_rule_residual calls it"
 # Every src/ function that no command enters, with the reason it stays.
 NEVER_ENTERED = {
     "cli.ConfigError.__init__": "error path: a config that fails validation",
-    "flow.TargetEscapeError.__init__": "error path: a step that leaves the half-plane",
-    "flow.StepRejectedError.__init__": "error path: a rejected step",
+    "flow.TargetEscapeError.__init__": "error path: a state or a step that leaves the "
+                                       "half-plane",
     "flow.AbortedRunError.__init__": "error path: an aborted run",
+    "flow.TangentField.__init__": "library call: tension_field returns one and step takes "
+                                  "one; run_flow and analyze keep tau in their workspaces",
     "flow.MapState.copy": "library call: no command keeps a state; the README's library "
                           "example and tests/oracles.py's Recorded copy each state that "
                           "run_flow hands on",
@@ -271,6 +273,8 @@ NEVER_ENTERED = {
     "flow.tension_field": f"{ACCEPTANCE}; perfbench target",
     "flow.energy": f"{ACCEPTANCE}; perfbench target",
     "flow.dissipation_rate": "perfbench target",
+    "flow._state_pass": "library call: tension_field, energy and dissipation_rate pass "
+                        "a state by it; run and analyze pass in their own workspaces",
     "flow.chain_rule_residual": ACCEPTANCE,
     "hyperbolic.ReductionError.__init__": "error path: a reduction that does not converge",
     "hyperbolic.UpperHalfPoint.__repr__": "error path: mobius_apply's DegenerateInputError "
@@ -293,8 +297,6 @@ NEVER_ENTERED = {
     "testfunctions._profile_d2": CHAIN_RULE,
     "testfunctions.BumpFunction.gradient": CHAIN_RULE,
     "testfunctions.BumpFunction.hessian": CHAIN_RULE,
-    "testfunctions.BumpFunction.support_box": "acceptance import: the support of a "
-                                              "BumpFunction; tests/oracles.py reads it",
 }
 
 

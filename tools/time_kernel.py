@@ -9,17 +9,16 @@ in 21 rounds that alternate which side goes first.  In a round each side
 runs one fresh worker process with the benchmark's single-thread
 environment, pinned to one CPU, the same one for both.  At each size, 32²,
 64², 128² and 256², the worker makes 100 pairs of calls on the default
-config's initial state, stepped once into the workspace's ring: one
-`flow._edge_pass` on it with tau written into a tau buffer, then one step
-with the stability cap's dt written into a field buffer, as run_flow makes
-them, each timed on its own.  A revision whose pass takes the fields
-stack is given the fields, an older one the state.  A revision with
-`flow._euler` steps as its run_flow does, by that update and the minimum
-over the candidate's v; an older one calls `flow.step`.  A revision whose
-workspace has no ring is timed as its run_flow makes them: the pass and
-the step on new arrays.  A fresh process per round matters at 128² and
-up, where the same code's pass time moves by 20-30% from one process to
-the next as well as over time within one.  Printed per size and side: µs
+config's initial state, stepped once from one slot of the workspace's
+ring into the other: one `flow._edge_pass` on the stepped slot, which
+writes tau into that slot's tau buffer, then one step as run_flow makes
+it, `flow._euler` with the stability cap's dt into the first slot and the
+minimum over its v, each timed on its own.  The working tree's pass takes
+the workspace and the slot; a revision whose pass takes the fields stack,
+the workspace and a tau buffer is given the slot's fields and tau buffer.
+A fresh process per round matters at 128² and up, where the same code's
+pass time moves by 20-30% from one process to the next as well as over
+time within one.  Printed per size and side: µs
 per call of each, min and median over every call of every round, and ns
 per node of the medians.  Exit code 0 when every worker answered, 1 when
 one failed, 2 when REV cannot be extracted.
@@ -54,35 +53,28 @@ def worker(cpu: int, calls: int, *sizes: int) -> int:
     from moduliflow.initial import build_initial_state
     from moduliflow.mesh import DomainGrid
 
-    # What the revision's pass takes: the fields stack, or else the state.
-    arg = ((lambda state: state.fields)
-           if "fields" in inspect.signature(flow._edge_pass).parameters else (lambda state: state))
+    # The arguments of the revision's pass on slot k: the workspace and k,
+    # or else the slot's fields, the workspace and the slot's tau buffer.
+    by_slot = "slot" in inspect.signature(flow._edge_pass).parameters
     out = {}
     for n in sizes:
         state = build_initial_state(DomainGrid(n, n), {"kind": "sinusoidal"})
         ws = flow._EdgeWorkspace(state.grid.shape)
-        if hasattr(ws, "ring"):
-            # The state and its tau in one slot of the ring, the pass's tau
-            # and the step's fields written into the other.
-            tangent = flow._edge_pass(arg(state), ws, ws.taus[1])[1]
-            state = flow.step(state, flow.cfl_dt_max(state), tangent, ws.ring[1])
-            tangent = flow._edge_pass(arg(state), ws, ws.taus[1])[1]
-            ring = {"tau": ws.taus[0]}, {"out": ws.ring[0]}
-        else:
-            tangent, ring = flow._edge_pass(state, ws)[1], ({}, {})
-        dt = flow.cfl_dt_max(state)
-        if hasattr(flow, "_euler"):
-            def step(state=state, dt=dt, tangent=tangent, out=ws.ring[0]):
-                flow._euler(state.fields, dt, tangent.tau, out)
-                np.minimum.reduce(out[1], axis=None).item()
-        else:
-            def step(state=state, dt=dt, tangent=tangent, kwargs=ring[1]):
-                flow.step(state, dt, tangent, **kwargs)
-        fields = arg(state)
+        args = [(ws, k) if by_slot else (ws.ring[k], ws, ws.taus[k]) for k in (0, 1)]
+        np.copyto(ws.ring[0], state.fields)
+        flow._edge_pass(*args[0])
+        flow._euler(ws.ring[0], flow.cfl_dt_max(state), ws.taus[0], ws.ring[1])
+        flow._edge_pass(*args[1])
+        dt = flow.cfl_dt_max(flow.MapState(state.grid, *ws.ring[1]))
+
+        def step(fields=ws.ring[1], dt=dt, tau=ws.taus[1], candidate=ws.ring[0]):
+            flow._euler(fields, dt, tau, candidate)
+            np.minimum.reduce(candidate[1], axis=None).item()
+
         times = out[n] = {kernel: [] for kernel in KERNELS}
         for _ in range(calls):
             start = time.perf_counter_ns()
-            flow._edge_pass(fields, ws, **ring[0])
+            flow._edge_pass(*args[1])
             middle = time.perf_counter_ns()
             step()
             end = time.perf_counter_ns()
