@@ -386,16 +386,35 @@ class TestEdgePass:
     @pytest.mark.parametrize("shape", [(4, 4), (64, 64), (12, 20)])
     def test_workspace_holds_thirteen_scratch_fields_and_the_ring(self, shape):
         # Every array the workspace holds or binds a call on, but its 0-d
-        # constants, is a view of 13 scratch fields and the ring's 8.
+        # constants, is a view of 13 scratch fields and the ring's 8, in
+        # one allocation with 64 bytes of slack for the alignment.
         ws = _EdgeWorkspace(shape)
         field = shape[0] * shape[1] * 8
         owners = {id(o): o for o in (a if a.base is None else a.base
                                      for a in _arrays(vars(ws))) if o.ndim}
-        assert sum(o.nbytes for o in owners.values()) <= (13 + 8) * field
+        assert sum(o.nbytes for o in owners.values()) <= (13 + 8) * field + 64
         ring = ws.ring + ws.taus
         assert len(ring) == 4 and all(a.shape == (2, *shape) and a.flags.c_contiguous
                                       for a in ring)
         assert not any(np.shares_memory(a, b) for k, a in enumerate(ring) for b in ring[:k])
+
+    @pytest.mark.parametrize("shape", [(4, 4), (32, 32), (64, 64), (12, 20), (5, 7)])
+    def test_every_field_starts_on_a_64_byte_boundary(self, shape):
+        # The buffer starts on a 64-byte boundary, where np.empty gives 16,
+        # wherever it lands: in an mmap or on the heap, whose next address
+        # the held allocations of odd sizes move.  Each field does too when
+        # n1 * n2 is a multiple of 8.
+        held = []
+        for floats in (0, 1, 3, 5, 7):
+            held.append(np.empty(floats))
+            ws = _EdgeWorkspace(shape)
+            fields = [ws.v2, ws.sigma, ws.edge_sq, *ws.rho]
+            for stack in (*ws.diff, *ws.work, *ws.ring, *ws.taus):
+                fields += list(stack)
+            assert len(fields) == 21
+            if shape[0] * shape[1] % 8:
+                fields = fields[:1]
+            assert [f.ctypes.data % 64 for f in fields] == [0] * len(fields)
 
     @pytest.mark.parametrize("shape, signed_zeros", [
         ((5, 7), False), ((12, 20), False), ((48, 32), False), ((4, 4), True), ((8, 6), True),
@@ -910,6 +929,58 @@ class TestRunFlow:
             assert traj.steps.dtype == float and traj.steps.flags.c_contiguous
         assert rows[1] - rows[0] > 500
         assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) < 48
+
+    def test_scaling_the_map_by_two_keeps_every_bit(self):
+        # z -> 2z is an isometry, and multiplying by a power of two is exact:
+        # the differences double and the weights 1/v^2 quarter, so E, D and,
+        # while v_min >= 1 keeps the cap's min(1, v_min^2) at 1, every dt
+        # are the same bits, and each state is exactly twice the original.
+        state = build_initial_state(DomainGrid(16, 16), {"kind": "random", "v0": 1.8},
+                                    np.random.default_rng(0))
+        runs = []
+        for scale in (1.0, 2.0):
+            states = []
+            scaled = MapState(state.grid, scale * state.u, scale * state.v)
+            traj = run_flow(scaled, FlowParams(t_final=0.2),
+                            lambda s: states.append(s.fields.copy()))
+            runs.append((traj, states))
+        (traj, states), (traj2, states2) = runs
+        assert len(traj.steps) == 415 and min(s[1].min() for s in states) >= 1.0
+        assert traj2.steps.tobytes() == traj.steps.tobytes()
+        assert (traj2.snapshot_rows, traj2.rejected_steps) == (traj.snapshot_rows,
+                                                               traj.rejected_steps)
+        assert len(states2) == len(states) == 5
+        assert all((2.0 * a).tobytes() == b.tobytes() for a, b in zip(states, states2))
+
+    def test_a_vertical_geodesic_is_solved_at_second_order(self):
+        # With u constant, tau_u = 0 and tau_v = v Delta(log v), so
+        # s = log v solves the heat equation: s = b exp(-4 pi^2 m^2 t)
+        # cos(2 pi m x2), with E(t) = pi^2 m^2 b^2 exp(-8 pi^2 m^2 t).  The
+        # discrete flow keeps u at zero, and the state's and E's errors
+        # fall about 4x per halving of h at a fixed cfl_safety.
+        b, m, t_final = 0.3, 1, 0.02
+        errors = []
+        for n in (16, 32, 64):
+            initial = build_initial_state(DomainGrid(n, n),
+                                          {"kind": "winding", "amp": 0, "b": b, "m": m})
+            states = []
+            traj = run_flow(initial, FlowParams(t_final=t_final),
+                            lambda s: states.append((s.t, s.fields.copy())))
+            # The initial u is 0 * sin, -0.0 where sin < 0; the first step's
+            # tau_u is +0.0, which makes every zero +0.0.
+            assert [t for t, _ in states] == [0.0, t_final]
+            assert np.all(states[0][1][0] == 0.0)
+            t, fields = states[-1]
+            assert fields[0].tobytes() == np.zeros((n, n)).tobytes()
+            decay = math.exp(-4 * math.pi**2 * m**2 * t)
+            exact_s = b * decay * np.cos(TWO_PI * m * initial.grid.x2)
+            exact_e = math.pi**2 * m**2 * b**2 * decay**2
+            errors.append((float(np.abs(np.log(fields[1]) - exact_s).max()),
+                           abs(traj.energy[-1] - exact_e) / exact_e))
+        assert errors[0][0] < 3e-4 and errors[0][1] < 1.2e-2
+        for coarse, fine in zip(errors, errors[1:]):
+            for c, f in zip(coarse, fine):
+                assert 3.5 < c / f < 4.5
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -16,12 +16,17 @@ it, `flow._euler` with the stability cap's dt into the first slot and the
 minimum over its v, each timed on its own.  The working tree's pass takes
 the workspace and the slot; a revision whose pass takes the fields stack,
 the workspace and a tau buffer is given the slot's fields and tau buffer.
-A fresh process per round matters at 128² and up, where the same code's
-pass time moves by 20-30% from one process to the next as well as over
-time within one.  Printed per size and side: µs
-per call of each, min and median over every call of every round, and ns
-per node of the medians.  Exit code 0 when every worker answered, 1 when
-one failed, 2 when REV cannot be extracted.
+A fresh process per round spreads the rounds over processes and over
+time: on a 2-CPU VM, blocks of 200 passes at 128² still moved by up to
+30% over a second, within one process as between processes, while three
+runs of the tool gave pass medians within 2% of each other at 128² and
+256².  The workspace's offset from a 64-byte boundary moves the pass by
+about 20% at 64², so it is printed with each time.  Printed per size and
+side: the ring's offset from a 64-byte boundary in bytes, one per
+distinct value over the rounds; µs per call of each kernel, min and
+median over every call of every round; and ns per node of the medians.
+Exit code 0 when every worker answered, 1 when one failed, 2 when REV
+cannot be extracted.
 """
 
 from __future__ import annotations
@@ -45,8 +50,9 @@ ROUNDS, SIZES, CALLS = 21, (32, 64, 128, 256), 100
 
 
 def worker(cpu: int, calls: int, *sizes: int) -> int:
-    """Print one JSON line of per-call nanoseconds,
-    {"n": {"pass": [...], "step": [...]}, ...}, for each n x n grid."""
+    """Print one JSON line of per-call nanoseconds and the ring's offset
+    from a 64-byte boundary, {"n": {"pass": [...], "step": [...],
+    "offset": bytes}, ...}, for each n x n grid."""
     os.sched_setaffinity(0, {cpu})
     import numpy as np
     from moduliflow import flow
@@ -72,6 +78,7 @@ def worker(cpu: int, calls: int, *sizes: int) -> int:
             np.minimum.reduce(candidate[1], axis=None).item()
 
         times = out[n] = {kernel: [] for kernel in KERNELS}
+        times["offset"] = ws.ring[0].ctypes.data % 64
         for _ in range(calls):
             start = time.perf_counter_ns()
             flow._edge_pass(*args[1])
@@ -85,9 +92,11 @@ def worker(cpu: int, calls: int, *sizes: int) -> int:
 
 
 def measure(sources: dict, cpu: int) -> dict:
-    """{(side, n, kernel): nanoseconds of every call}; RuntimeError with
-    the worker's stderr when one fails."""
+    """{(side, n, kernel): nanoseconds of every call, (side, n): the set of
+    the ring's offsets from a 64-byte boundary}; RuntimeError with the
+    worker's stderr when one fails."""
     samples = {(side, n, kernel): [] for side in sources for n in SIZES for kernel in KERNELS}
+    samples.update({(side, n): set() for side in sources for n in SIZES})
     order = list(sources)
     command = [sys.executable, __file__, "--worker", str(cpu), str(CALLS), *map(str, SIZES)]
     for r in range(ROUNDS):
@@ -97,14 +106,16 @@ def measure(sources: dict, cpu: int) -> dict:
             if done.returncode != 0:
                 raise RuntimeError(f"the worker for {side} failed:\n{done.stderr}")
             for n, times in json.loads(done.stdout).items():
+                samples[side, int(n)].add(times.pop("offset"))
                 for kernel, ns in times.items():
                     samples[side, int(n), kernel] += ns
     return samples
 
 
 def report(samples: dict, sides: list[str]) -> None:
-    print(f"µs per call, min and median of {ROUNDS * CALLS} calls; ns per node of the median")
-    print(f"{'size':>6} {'side':>12} {'pass min':>9} {'pass p50':>9} {'ns/node':>8}"
+    print(f"µs per call, min and median of {ROUNDS * CALLS} calls; ns per node of the median;"
+          " the ring's offset from a 64-byte boundary, bytes")
+    print(f"{'size':>6} {'side':>12} {'offset':>7} {'pass min':>9} {'pass p50':>9} {'ns/node':>8}"
           f" {'step min':>9} {'step p50':>9} {'ns/node':>8}")
     for n in SIZES:
         for side in sides:
@@ -114,7 +125,8 @@ def report(samples: dict, sides: list[str]) -> None:
                 median = statistics.median(ns)
                 cells += [f"{min(ns) / 1e3:9.1f}", f"{median / 1e3:9.1f}",
                           f"{median / (n * n):8.2f}"]
-            print(f"{f'{n}²':>6} {side:>12} " + " ".join(cells))
+            offsets = ",".join(map(str, sorted(samples[side, n])))
+            print(f"{f'{n}²':>6} {side:>12} {offsets:>7} " + " ".join(cells))
 
 
 def main(argv=None) -> int:
