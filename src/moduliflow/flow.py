@@ -139,86 +139,111 @@ def _divide_by(h: float) -> tuple:
 
 class _EdgeWorkspace:
     """Every array _edge_pass touches for one grid shape, the ring run_flow
-    steps in among them, and the ufunc calls on them, bound once.
+    steps in among them, and the pass on each slot of the ring bound once,
+    as one table of ufunc calls, so that a pass builds no views.
 
-    The caller that makes many passes on one grid owns one workspace and
-    hands it to every pass, so that a pass builds no views.  The arrays
-    are views of one buffer, which starts at the first 64-byte boundary of
-    an allocation 8 floats longer: np.empty aligns to 16 bytes, and off a
-    64-byte boundary a pass at 64^2 takes about 20% longer.  Scratch,
-    which holds no result between passes, is 13 fields of the grid shape:
-    v2 = v^2, sigma, edge_sq, rho (a field per axis), and diff and work,
-    each a (2 axes, 2 fields, n1, n2) stack whose axis parts are laid out
-    as the state's fields are, u's part first.  diff holds the forward
-    differences, then the fluxes, then tau's squares.  work holds the
-    differences' squares, written field by field through squares, so that
-    work[0] holds each axis's du^2, then sq = du^2 + dv^2, and work[1] its
-    dv^2, then the edge sums of sq, whose sum S is taken into work[1, 0]
-    and S / v into edge_sq; then work holds the fluxes' backward
-    differences, and div, work[0], their sum, then tau unscaled.  rho
-    holds twice the edge weights, then the energy's terms, scaled as
-    below; sums is rho and the field after it, diff[0, 0], which takes
-    the dissipation's terms, so that one reduction sums all three.  The
-    ring is 8 fields in two slots, for the current state and a candidate:
-    slot k is the (2, n1, n2) field buffer ring[k], with the calls that
-    set diff to its forward differences bound in forward_calls[k], and
-    the tau buffer taus[k].
+    The arrays are the 21 fields of one buffer, which starts at the first
+    64-byte boundary of an allocation 8 floats longer (np.empty aligns to
+    16 bytes).  Scratch is 13 fields: v2 = v^2, sigma = 1/v^2, edge_sq,
+    rho (one per axis), and diff and work, each a (2 axes, 2 fields, n1, n2)
+    stack.  diff[a, f] holds field f's forward differences along axis a,
+    then its fluxes; diff[0] then tau's squares.  work[a, f] holds the
+    squares of diff[a, f]; then work[a, 0] sq = du^2 + dv^2 along a and
+    work[a, 1] its edge sums, whose sum S goes into work[0, 1] and S / v
+    into edge_sq; then work[a] the fluxes' backward differences, and
+    work[0], div, their sum, then tau unscaled.  rho holds twice the edge
+    weights, then the energy's terms.  sums is rho and diff[0, 0], which
+    ends with the dissipation's terms, for one reduction.  The ring is two
+    slots, each a (2, n1, n2) field buffer ring[k] and a tau buffer taus[k].
 
-    The pass's powers of two are scalars: scale_diff and scale_back divide
-    diff's differences and work's by h, and are empty when h1 == h2 is a
-    power of two; tau_scale, k = 1/(2 h^2) then and 1/2 otherwise, scales
-    tau once, and e_scale = w k / 2 the energy's sum.
+    calls[k], the pass on slot k, is a list of (op, a, b, out) calls for
+    run_calls, laid out for numpy 2.4, which runs a call at about half the
+    speed when it broadcasts or reads a strided view, or when it writes
+    from one float past a 64-byte boundary.  Every call but periodic_calls'
+    seam calls, each on a row or column per field, writes a C-contiguous
+    out from C-contiguous operands of its shape or 0-d constants, from its
+    first field's first float: on a 64-byte boundary when n1 * n2 is a
+    multiple of 8.  So a backward (k - 1) flat call writes from node 0,
+    not node 1 as periodic_calls' does: its b view starts a row (axis 0)
+    or a float (axis 1) before a, at the end of a field that the pass has
+    written by then, and the seam call then rewrites node 0.
+
+    x / h is one call in place on diff and one on work when h1 == h2, one
+    per axis part of each when h1 != h2, and none when h1 == h2 is a power
+    of two: tau's scale k is 1/(2 h^2) then, else 1/2.  e_scale = w k / 2
+    scales the energy's sum.
     """
 
     def __init__(self, shape: tuple[int, int]):
         grid = DomainGrid(*shape)
         # The pass's constants as 0-d arrays, which a ufunc call takes
         # faster than Python floats.
-        self.one, self.zero = map(np.array, (1.0, 0.0))
+        one, zero = map(np.array, (1.0, 0.0))
         raw = np.empty(21 * grid.n1 * grid.n2 + 8)
         start = (-raw.ctypes.data % 64) // 8
-        buffer = raw[start:start + raw.size - 8].reshape(21, *shape)
-        self.v2, self.sigma, self.edge_sq = buffer[:3]
-        self.rho, self.sums = buffer[3:5], buffer[3:6]
-        self.diff, self.work = buffer[5:13].reshape(2, 2, 2, *shape)
+        flat = raw[start:start + raw.size - 8]
+        self.buffer = buffer = flat.reshape(21, *shape)
+        v2, sigma, edge_sq = buffer[:3]
+        rho, self.sums = buffer[3:5], buffer[3:6]
+        diff, work = buffer[5:13].reshape(2, 2, 2, *shape)
         self.ring = tuple(buffer[13:17].reshape(2, 2, *shape))
         self.taus = tuple(buffer[17:21].reshape(2, 2, *shape))
-        self.squares = self.work.transpose(1, 0, 2, 3)
-        self.sq, self.edge = self.work
-        self.rho_by_axis = self.rho[:, None]
-        self.edge_parts = tuple(self.edge)
-        self.div, self.div_v, self.tau_sq = self.work[0], self.work[0, 1], self.diff[0]
-        self.tau_sq_parts = tuple(self.tau_sq)
-        self.rho_calls = self._bind(np.add, (self.sigma, self.sigma), self.rho, b_shift=1)
-        self.back_calls = self._bind(np.subtract, self.diff, self.work, b_shift=-1)
-        self.edge_calls = self._bind(np.add, self.sq, self.edge, b_shift=-1)
-        # x / h in place on each axis part of diff and of work: in one call
-        # for both axes when h1 == h2, in none when h is also a power of two.
+
+        def forward(op, a, out, **shift) -> list:
+            # out[axis] = op of a's nodes k and k + 1 along each axis.
+            return [call for axis in (0, 1)
+                    for call in periodic_calls(op, a, a, out[axis], axis, **shift)]
+
+        def backward(op, a, out, axis) -> list:
+            # out = op(a[k], a[k - 1]) along axis, the flat call from node 0.
+            b = (a.ctypes.data - flat.ctypes.data) // 8 - (grid.n2 if axis == 0 else 1)
+            seam = periodic_calls(op, a, a, out, axis, b_shift=-1)[1:]
+            return [(op, a.ravel(), flat[b:b + a.size], out.ravel()), *seam]
+
         h = grid.h1
         folded = grid.h2 == h and math.frexp(h)[0] == 0.5
         parts = ([] if folded else [(slice(None), h)] if grid.h2 == h
                  else [(0, h), (1, grid.h2)])
-        self.scale_diff, self.scale_back = (
+        scale_diff, scale_back = (
             [(op, stack[axis], np.array(c), stack[axis]) for axis, h_axis in parts
              for op, c in [_divide_by(h_axis)]]
-            for stack in (self.diff, self.work))
+            for stack in (diff, work))
         k = 0.5 / (h * h) if folded else 0.5
-        self.tau_scale, self.e_scale, self.w = np.array(k), 0.5 * grid.w * k, grid.w
-        self.forward_calls = [self._bind(np.subtract, (f, f), self.diff, a_shift=1)
-                              for f in self.ring]
-
-    @staticmethod
-    def _bind(op, a, out, **shift) -> list:
-        """The calls periodic_calls binds on a[axis] and out[axis] along each
-        axis."""
-        return [call for axis in (0, 1)
-                for call in periodic_calls(op, a[axis], a[axis], out[axis], axis, **shift)]
+        self.e_scale, self.w = 0.5 * grid.w * k, grid.w
+        sq, edge, div = work[:, 0], work[:, 1], work[0]
+        self.calls = tuple([
+            (np.multiply, fields[1], fields[1], v2),
+            (np.divide, one, v2, sigma),
+            *forward(np.subtract, fields, diff, a_shift=1),
+            *scale_diff,
+            *forward(np.add, sigma, rho, b_shift=1),
+            (np.multiply, diff, diff, work),
+            *[(np.add, sq[a], edge[a], sq[a]) for a in (0, 1)],  # du^2 + dv^2
+            *[(np.multiply, diff[a, f], rho[a], diff[a, f])  # the fluxes
+              for a in (0, 1) for f in (0, 1)],
+            *[(np.multiply, sq[a], rho[a], rho[a]) for a in (0, 1)],  # the energy's terms
+            *backward(np.add, sq[0], edge[0], 0), *backward(np.add, sq[1], edge[1], 1),
+            (np.add, edge[0], edge[1], edge[0]),  # S
+            (np.divide, edge[0], fields[1], edge_sq),  # S / v, before work is reused
+            *backward(np.subtract, diff[0], work[0], 0),
+            *backward(np.subtract, diff[1], work[1], 1),
+            *scale_back,
+            (np.add, div, work[1], div),
+            (np.add, div, zero, div),
+            *[(np.multiply, div[f], v2, div[f]) for f in (0, 1)],
+            (np.add, div[1], edge_sq, div[1]),
+            (np.multiply, div, np.array(k), tau),
+            (np.multiply, tau, tau, diff[0]),
+            (np.add, diff[0, 0], diff[0, 1], diff[0, 0]),
+            (np.multiply, diff[0, 0], sigma, diff[0, 0]),  # the dissipation's terms
+        ] for fields, tau in zip(self.ring, self.taus))
 
 
 def _edge_pass(ws: _EdgeWorkspace, slot: int) -> tuple[float, float]:
     """Energy E and dissipation rate D of the fields in ws.ring[slot], the
     (2, n1, n2) stack of u and v, with their tension field tau written
-    into ws.taus[slot].
+    into ws.taus[slot]: the calls ws binds for the slot, then one
+    reduction.
 
     For each axis the metric weight sigma = 1/v^2 is averaged onto the
     staggered edge where the forward difference lives, and E sums the
@@ -236,55 +261,27 @@ def _edge_pass(ws: _EdgeWorkspace, slot: int) -> tuple[float, float]:
     With v > 0 at every node, E is finite only if every value of the
     fields is: a value that is not makes the squared differences on its
     edges inf or nan, and E sums them with weights 1/v^2 >= 0; run_flow
-    relies on it.  Each elementwise step runs once on the stacks of both
-    axes, and where it can in place, into an array it reads (a call with
-    a third array costs about twice as much).  Each value is formed by the
-    same floating-point operations in the same order as when every
-    neighbour is first copied into a shifted array (u[k+1] - u[k],
-    sigma[k] + sigma[k+1], flux[k] - flux[k-1], du*du + dv*dv,
-    sq[k] + sq[k-1], ...), but for factors that are powers of two:
-    the edge weight is sigma[k] + sigma[k+1] without its 1/2, the S term is
-    S / v, and when h1 == h2 is a power of two the differences and the
-    divergence are not divided by h; tau is multiplied by ws's k once, at
-    the end, and the energy's sum by w k / 2.  x / h is x * (1/h) only
-    where _divide_by finds them equal, x*x is np.square(x), the axes'
-    divergences, whose terms can be -0.0, are summed and then added to
-    +0.0, as the formulas' zeroed sum is, and one reduction over the three
-    fields of sums adds each field's terms as a sum of that field alone
-    does.  A product by a power of two is exact and commutes with rounding
-    while both values are normal floats, so E, tau and D are the
-    formulas' bit for bit wherever no value either forms is subnormal or
-    overflows.  Beyond that they can differ: with u ~ 2^-450 against
+    relies on it.  Each value is formed by the same floating-point
+    operations in the same order as when every neighbour is first copied
+    into a shifted array (u[k+1] - u[k], sigma[k] + sigma[k+1],
+    flux[k] - flux[k-1], du*du + dv*dv, sq[k] + sq[k-1], ...), but for
+    factors that are powers of two: the edge weight is sigma[k] +
+    sigma[k+1] without its 1/2, the S term is S / v, and when h1 == h2 is
+    a power of two the differences and the divergence are not divided by
+    h; tau is multiplied by ws's k once, at the end, and the energy's sum
+    by w k / 2.  x / h is x * (1/h) only where _divide_by finds them
+    equal, the axes' divergences, whose terms can be -0.0, are summed and
+    then added to +0.0, as the formulas' zeroed sum is, and one reduction
+    over the three fields of sums adds each field's terms as a sum of that
+    field alone does.  A product by a power of two is exact and commutes
+    with rounding while both values are normal floats, so E, tau and D are
+    the formulas' bit for bit wherever no value either forms is subnormal
+    or overflows.  Beyond that they can differ: with u ~ 2^-450 against
     v ~ 2^300 the fluxes are subnormal and round tau_u otherwise, and with
     u ~ 2^501 at 64^2 the formulas' energy sum overflows to inf where E
     stays finite.
     """
-    v, tau = ws.ring[slot][1], ws.taus[slot]
-    v2, sigma, edge_sq, rho, diff, div = ws.v2, ws.sigma, ws.edge_sq, ws.rho, ws.diff, ws.div
-    np.square(v, out=v2)
-    np.divide(ws.one, v2, out=sigma)
-    run_calls(ws.forward_calls[slot])
-    run_calls(ws.scale_diff)
-    run_calls(ws.rho_calls)
-    np.square(diff, out=ws.squares)
-    np.add(ws.sq, ws.edge, out=ws.sq)  # du^2 + dv^2, per axis
-    np.multiply(diff, ws.rho_by_axis, out=diff)  # the fluxes
-    np.multiply(ws.sq, rho, out=rho)  # the energy's terms
-    run_calls(ws.edge_calls)
-    edge_0, edge_1 = ws.edge_parts
-    np.add(edge_0, edge_1, out=edge_0)  # S
-    np.divide(edge_0, v, out=edge_sq)  # S / v, before the back pass reuses work
-    run_calls(ws.back_calls)
-    run_calls(ws.scale_back)
-    np.add(div, ws.work[1], out=div)
-    np.add(div, ws.zero, out=div)
-    np.multiply(div, v2, out=div)
-    np.add(ws.div_v, edge_sq, out=ws.div_v)
-    np.multiply(div, ws.tau_scale, out=tau)
-    tau_sq_u, tau_sq_v = ws.tau_sq_parts
-    np.square(tau, out=ws.tau_sq)
-    np.add(tau_sq_u, tau_sq_v, out=tau_sq_u)
-    tau_sq_u *= sigma  # the dissipation's terms, the last field of sums
+    run_calls(ws.calls[slot])
     along_0, along_1, dissipation = np.add.reduce(ws.sums, axis=(1, 2)).tolist()
     return ws.e_scale * (along_0 + along_1), ws.w * dissipation
 

@@ -14,8 +14,9 @@ Both stencils, and the flow's edge pass, combine periodic neighbours with
 the ufunc calls periodic_calls binds: views that shift by slicing the flat
 buffers instead of copying, over fields of one grid shape or stacks of them
 (leading batch axes, such as a map state's (2, n1, n2) fields).
-run_calls runs them; the edge pass binds the calls on its scratch buffers
-once and runs them on every pass.
+run_calls runs them.  The edge pass binds its whole pass once, as one
+table of such calls on its workspace, whose backward flat calls start one
+node earlier (flow._EdgeWorkspace), and runs it on every pass.
 """
 
 from __future__ import annotations

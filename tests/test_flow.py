@@ -351,10 +351,14 @@ class TestEdgePass:
     ])
     def test_powers_of_two_are_folded_into_one_scale(self, shape, scale_calls, k):
         # x / h is a call per axis part of diff and of work, none when
-        # h1 == h2 is a power of two, whose 1/h^2 joins tau's 1/2.
+        # h1 == h2 is a power of two, whose 1/h^2 joins tau's 1/2: each
+        # slot's table is 38 calls and the scale calls, and its one call
+        # into tau multiplies by k.
         ws = _EdgeWorkspace(shape)
-        assert len(ws.scale_diff) == len(ws.scale_back) == scale_calls
-        assert ws.tau_scale == k and ws.e_scale == 0.5 * ws.w * k
+        for calls, tau in zip(ws.calls, ws.taus):
+            assert len(calls) == 38 + 2 * scale_calls
+            assert [b.item() for _, _, b, out in calls if out is tau] == [k]
+        assert ws.e_scale == 0.5 * ws.w * k
 
     @pytest.mark.parametrize("n", [4, 5, 12, 48, 64, 1024])
     def test_divide_by_is_the_division_bit_for_bit(self, rng, n):
@@ -366,7 +370,7 @@ class TestEdgePass:
             assert op(x, c).tobytes() == (x / h).tobytes()
 
     def test_square_is_the_product_bit_for_bit(self, rng):
-        # The pass squares with np.square where the formulas multiply.
+        # A square may be taken either way: np.square(x) is x * x.
         x = _special_values(rng)
         with np.errstate(over="ignore", under="ignore"):
             assert np.square(x).tobytes() == (x * x).tobytes()
@@ -408,13 +412,73 @@ class TestEdgePass:
         for floats in (0, 1, 3, 5, 7):
             held.append(np.empty(floats))
             ws = _EdgeWorkspace(shape)
-            fields = [ws.v2, ws.sigma, ws.edge_sq, *ws.rho]
-            for stack in (*ws.diff, *ws.work, *ws.ring, *ws.taus):
-                fields += list(stack)
+            fields = list(ws.buffer)
             assert len(fields) == 21
             if shape[0] * shape[1] % 8:
                 fields = fields[:1]
             assert [f.ctypes.data % 64 for f in fields] == [0] * len(fields)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (32, 32), (64, 64), (12, 20)])
+    def test_every_call_writes_a_whole_aligned_field_from_its_shape(self, shape):
+        # numpy 2.4 runs a call that broadcasts or reads a strided view, or
+        # writes from one float past a 64-byte boundary, at about half the
+        # speed.  So each call of the table writes a C-contiguous out from
+        # C-contiguous operands of out's shape or 0-d constants, from a
+        # 64-byte boundary where n1 * n2 is a multiple of 8 and every field
+        # starts on one; the exceptions are the 8 seam calls, each on one row
+        # or column of one or two fields.
+        n1, n2 = shape
+        ws = _EdgeWorkspace(shape)
+        for calls in ws.calls:
+            whole = [call for call in calls if call[3].size > 2 * max(shape)]
+            assert len(calls) - len(whole) == 8  # the seam calls
+            for op, a, b, out in whole:
+                assert out.flags.c_contiguous
+                for x in (a, b):
+                    assert x.ndim == 0 or (x.shape == out.shape and x.flags.c_contiguous)
+                if n1 * n2 % 8 == 0:
+                    assert out.ctypes.data % 64 == 0
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (12, 20), (32, 32)])
+    def test_every_call_reads_only_what_the_pass_has_written(self, shape):
+        # Following the table call by call, each float a call reads is in
+        # the slot's fields or was written by an earlier call of the table:
+        # so the row or float before its field that a backward call reads.
+        ws = _EdgeWorkspace(shape)
+        index = np.arange(ws.buffer.size)
+
+        def floats(x):
+            # The buffer indices of x's elements.
+            offset = (x.ctypes.data - ws.buffer.ctypes.data) // 8
+            assert 0 <= offset < index.size
+            return np.lib.stride_tricks.as_strided(index[offset:], x.shape, x.strides)
+
+        for calls, fields in zip(ws.calls, ws.ring):
+            written = np.zeros(index.size, bool)
+            written[floats(fields)] = True
+            for op, a, b, out in calls:
+                for x in (a, b):
+                    assert x.ndim == 0 or written[floats(x)].all()
+                written[floats(out)] = True
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (12, 20), (32, 32)])
+    def test_no_value_left_in_the_buffer_reaches_a_pass(self, rng, shape):
+        # A backward call's flat view reads a row or a float before its
+        # field, which the same pass has written.  With every other float of
+        # the buffer nan, +inf or -inf before a pass on a finite state in
+        # either slot, the pass raises no floating-point error and gives the
+        # bytes of a pass on a new workspace.
+        state = _random_state(rng, shape)
+        fresh_e, fresh, fresh_d = _state_pass(state)
+        for slot in (0, 1):
+            for stale in (math.nan, math.inf, -math.inf):
+                ws = _EdgeWorkspace(shape)
+                ws.buffer.fill(stale)
+                ws.ring[slot][...] = state.fields
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    e, d = _edge_pass(ws, slot)
+                assert (e.hex(), d.hex()) == (fresh_e.hex(), fresh_d.hex())
+                assert ws.taus[slot].tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("shape, signed_zeros", [
         ((5, 7), False), ((12, 20), False), ((48, 32), False), ((4, 4), True), ((8, 6), True),
@@ -978,6 +1042,38 @@ class TestRunFlow:
             errors.append((float(np.abs(np.log(fields[1]) - exact_s).max()),
                            abs(traj.energy[-1] - exact_e) / exact_e))
         assert errors[0][0] < 3e-4 and errors[0][1] < 1.2e-2
+        for coarse, fine in zip(errors, errors[1:]):
+            for c, f in zip(coarse, fine):
+                assert 3.5 < c / f < 4.5
+
+    def test_a_semicircle_geodesic_is_solved_at_second_order(self, tmp_path):
+        # The isometry gamma = (1/sqrt 2)[[1, -1], [1, 1]], z -> (z - 1)/(z + 1),
+        # maps the vertical solution i exp(s) onto the unit semicircle,
+        # u = tanh s and v = sech s, and keeps E(t).  Both fields move, so
+        # the u fluxes and the cross terms of tau enter.  Started from a file,
+        # the state's max-norm error and E's relative error fall about 4x per
+        # halving of h at a fixed cfl_safety.
+        b, m, t_final = 0.3, 1, 0.02
+        errors = []
+        for n in (16, 32, 64):
+            grid = DomainGrid(n, n)
+
+            def semicircle(t):
+                s = (b * math.exp(-4 * math.pi**2 * m**2 * t)
+                     * np.cos(TWO_PI * m * grid.x2) * np.ones(grid.shape))
+                return np.stack((np.tanh(s), 1.0 / np.cosh(s)))
+
+            path = tmp_path / f"semicircle{n}.npy"
+            np.save(path, semicircle(0.0))
+            initial = build_initial_state(grid, {"kind": "file", "path": str(path)})
+            states = []
+            traj = run_flow(initial, FlowParams(t_final=t_final),
+                            lambda s: states.append((s.t, s.fields.copy())))
+            assert [t for t, _ in states] == [0.0, t_final]
+            exact_e = math.pi**2 * m**2 * b**2 * math.exp(-8 * math.pi**2 * m**2 * t_final)
+            errors.append((float(np.abs(states[-1][1] - semicircle(t_final)).max()),
+                           abs(traj.energy[-1] - exact_e) / exact_e))
+        assert errors[0][0] < 4e-4 and errors[0][1] < 8.5e-3
         for coarse, fine in zip(errors, errors[1:]):
             for c, f in zip(coarse, fine):
                 assert 3.5 < c / f < 4.5
