@@ -214,13 +214,22 @@ def _read_text(path) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
+def _parse_int(text: str):
+    # An integer too large for a float reads as inf, so that it fails its
+    # check as inf instead of being written out digit by digit.
+    value = float(text)
+    return int(text) if math.isfinite(value) else value
+
+
 def _parse_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from exc
 
 
 def parse_config(text: str) -> FlowConfig:
@@ -537,13 +546,6 @@ def _audit_rows(path: Path, rows: np.ndarray):
                          f"pushforward of state {state}")
 
 
-def _parse_int(text: str):
-    # An integer too large for a float reads as inf, so that it fails its
-    # check as inf instead of being written out digit by digit.
-    value = float(text)
-    return int(text) if math.isfinite(value) else value
-
-
 def _audit_summary(path: Path, config: FlowConfig, steps: np.ndarray, columns: list,
                    rows: np.ndarray):
     """The summary.json at path must be _summary_text of the steps and the
@@ -553,7 +555,7 @@ def _audit_summary(path: Path, config: FlowConfig, steps: np.ndarray, columns: l
     equals it.  Else ValueError names the file and the first field."""
     try:
         stored = json.loads(path.read_text(encoding="utf-8"), parse_int=_parse_int)
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(stored, dict) or stored.get("schema") != SUMMARY_SCHEMA:
         raise ValueError(f"{path}: not a {SUMMARY_SCHEMA} object")
@@ -675,7 +677,9 @@ def main(argv=None) -> int:
             config = (parse_config(_read_text(args.config))
                       if args.config else FlowConfig())
             if args.seed is not None:
-                config = config_from_dict({**config.to_dict(), "seed": args.seed})
+                # As a config's integer: one too large for a float is inf.
+                seed = _parse_int(str(args.seed))
+                config = config_from_dict({**config.to_dict(), "seed": seed})
             if args.out is None and config.output_dir is None:
                 print("run: no output directory (--out or config output_dir)",
                       file=sys.stderr)

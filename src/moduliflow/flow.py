@@ -192,12 +192,12 @@ class _EdgeWorkspace:
         def forward(op, a, out, **shift) -> list:
             # out[axis] = op of a's nodes k and k + 1 along each axis.
             return [call for axis in (0, 1)
-                    for call in periodic_calls(op, a, a, out[axis], axis, **shift)]
+                    for call in periodic_calls(op, a, out[axis], axis, **shift)]
 
         def backward(op, a, out, axis) -> list:
             # out = op(a[k], a[k - 1]) along axis, the flat call from node 0.
             b = (a.ctypes.data - flat.ctypes.data) // 8 - (grid.n2 if axis == 0 else 1)
-            seam = periodic_calls(op, a, a, out, axis, b_shift=-1)[1:]
+            seam = periodic_calls(op, a, out, axis, b_shift=-1)[1:]
             return [(op, a.ravel(), flat[b:b + a.size], out.ravel()), *seam]
 
         h = grid.h1
@@ -313,8 +313,9 @@ def dissipation_rate(state: MapState) -> float:
     return _state_pass(state)[2]
 
 
-def cfl_dt_max(state: MapState, safety: float = 0.5) -> float:
-    """Stability cap for explicit stepping.
+def _cap(grid: DomainGrid, v_min: float, safety: float) -> float:
+    """Stability cap for explicit stepping of fields on grid whose v has the
+    minimum v_min, times safety, in (0, 1].
 
     The heat-kernel part of the flow has unit diffusivity, so dt must stay
     under min(h)^2 / 4 regardless of the metric; near the real axis the
@@ -322,13 +323,6 @@ def cfl_dt_max(state: MapState, safety: float = 0.5) -> float:
     that is below 1 (and only then -- letting small-v states loosen the flat
     bound would destabilise the linear part).
     """
-    if not 0.0 < safety <= 1.0:
-        raise ValueError(f"safety factor must be in (0, 1], got {safety}")
-    return _cap(state.grid, state.v_min, safety)
-
-
-def _cap(grid: DomainGrid, v_min: float, safety: float) -> float:
-    """cfl_dt_max of fields on grid whose v has the minimum v_min."""
     h = min(grid.h1, grid.h2)
     return safety * h * h * min(1.0, v_min * v_min) / 4.0
 
@@ -344,15 +338,16 @@ def _euler(fields: np.ndarray, dt: float, tau: np.ndarray, out: np.ndarray) -> n
 def step(state: MapState, dt: float, tangent: TangentField | None = None) -> MapState:
     """One forward-Euler step, by the update run_flow makes (_euler), with
     the checks a caller needs: dt must be positive and within the stability
-    cap, and TargetEscapeError, naming a node, is raised when the step
-    lands at or below the v floor or produces non-finite values.
+    cap, _cap with safety 1 (run_flow's is cfl_safety times it), and
+    TargetEscapeError, naming a node, is raised when the step lands at or
+    below the v floor or produces non-finite values.
 
     The new fields are formed as one new (2, n1, n2) array.  The checks
     cover everything MapState checks, so the new state is built without
     checking its fields a second time."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    cap = cfl_dt_max(state, safety=1.0)
+    cap = _cap(state.grid, state.v_min, 1.0)
     if dt > cap * (1.0 + 1e-12):
         raise ValueError(f"dt = {dt} exceeds the stability cap {cap}")
     if tangent is None:

@@ -16,24 +16,24 @@ import numpy as np
 _P = 5
 
 
-def _profile(s):
+def _core(s):
+    """s as a float array, and 1 - s^2 inside |s| < 1, 0 outside."""
     s = np.asarray(s, dtype=float)
-    inside = np.abs(s) < 1.0
-    core = np.where(inside, 1.0 - s * s, 0.0)
+    return s, np.where(np.abs(s) < 1.0, 1.0 - s * s, 0.0)
+
+
+def _profile(s):
+    s, core = _core(s)
     return core**_P
 
 
 def _profile_d1(s):
-    s = np.asarray(s, dtype=float)
-    inside = np.abs(s) < 1.0
-    core = np.where(inside, 1.0 - s * s, 0.0)
+    s, core = _core(s)
     return -2.0 * _P * s * core ** (_P - 1)
 
 
 def _profile_d2(s):
-    s = np.asarray(s, dtype=float)
-    inside = np.abs(s) < 1.0
-    core = np.where(inside, 1.0 - s * s, 0.0)
+    s, core = _core(s)
     return (-2.0 * _P) * core ** (_P - 2) * (core - 2.0 * (_P - 1) * s * s)
 
 

@@ -42,8 +42,8 @@ from moduliflow.flow import (
     MapState,
     TangentField,
     TargetEscapeError,
+    _cap,
     _state_pass,
-    cfl_dt_max,
     run_flow,
     state_numbers,
     step,
@@ -302,7 +302,7 @@ def reference_steps(initial: MapState, params, reject=()) -> dict:
     rows, totals = [(state.t, e_cur, d_cur, 0.0)], [0.0]
     interval, t_final = params.snapshot_interval, state.t + params.t_final
     snap_k = math.floor(state.t / interval) + 1
-    dt = cfl_dt_max(state, params.cfl_safety)
+    dt = _cap(state.grid, state.v_min, params.cfl_safety)
     cumulative, streak, candidates, rejected, accepted = 0.0, 0, 0, 0, 0
     termination = "t_final"
     while state.t < t_final - 1e-14 * max(1.0, t_final):
@@ -314,7 +314,7 @@ def reference_steps(initial: MapState, params, reject=()) -> dict:
             dt_used, d_new = t_here - state.t, d_cur
             state = MapState(state.grid, state.u, state.v, t_here)
         else:
-            cap = cfl_dt_max(state, params.cfl_safety)
+            cap = _cap(state.grid, state.v_min, params.cfl_safety)
             dt_used = min(dt, cap, t_final - state.t, snap_k * interval - state.t)
             if dt_used < params.dt_floor:
                 termination = "aborted"

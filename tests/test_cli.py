@@ -177,6 +177,20 @@ CONFIG_ERRORS = [
 ]
 
 
+# An integer too large for a float reads as inf, and JSON nested past the
+# decoder's recursion limit is invalid JSON; each config below fails by the
+# start of its line.
+HUGE = 10**400
+DEEP = "[" * 100_000 + "]" * 100_000
+HUGE_OR_DEEP = {
+    "huge_t_final": ({"t_final": HUGE}, "t_final: must be finite"),
+    "huge_seed": ({"seed": HUGE}, "seed: expected an integer, got inf"),
+    "huge_v0": ({"initial": {"kind": "constant", "v0": HUGE}},
+                "initial: v contains non-finite values"),
+    "deep": (DEEP, "invalid JSON: maximum recursion depth exceeded"),
+}
+
+
 class TestConfigParsing:
     def test_empty_object_gives_defaults(self):
         cfg = parse_config("{}")
@@ -296,6 +310,26 @@ class TestRunExperiment:
         want = build_initial_state(DomainGrid(16, 16), cfg.initial, np.random.default_rng(5))
         assert np.load(tmp_path / "a" / "snapshots" / "states.npy")[0].tobytes() == (
             want.fields.tobytes())
+
+    def test_scaling_the_start_by_two_keeps_every_bit_of_the_files(self, tmp_path):
+        # flow's test_scaling_the_map_by_two_keeps_every_bit through run's
+        # files: z -> 2z is an isometry and doubling is exact, so the steps
+        # are the same bits and each state is exactly twice the original.
+        state = build_initial_state(DomainGrid(16, 16), {"kind": "random", "v0": 1.8},
+                                    np.random.default_rng(0))
+        runs = []
+        for scale in (1.0, 2.0):
+            start, run = tmp_path / f"start{scale:g}.npy", tmp_path / f"run{scale:g}"
+            np.save(start, scale * state.fields)
+            initial = {"kind": "file", "path": str(start)}
+            runs.append((run, run_experiment(_fast_config(initial=initial, t_final=0.2), run)))
+        (run, result), (run2, result2) = runs
+        assert (run2 / "steps.npy").read_bytes() == (run / "steps.npy").read_bytes()
+        states, states2 = (np.load(r / "snapshots" / "states.npy") for r in (run, run2))
+        assert len(states) == 5 and (2.0 * states).tobytes() == states2.tobytes()
+        for name in ("termination", "accepted_steps", "rejected_steps"):
+            assert result2.summary[name] == result.summary[name]
+        assert analyze_run(run)["pass"] and analyze_run(run2)["pass"]
 
     def test_a_run_that_draws_nothing_leaves_numpy_random_unloaded(self, tmp_path):
         config = tmp_path / "config.json"
@@ -1747,6 +1781,48 @@ class TestMain:
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith(f"analyze: cannot audit {run}: {where}: 'utf-8' codec can't decode")
         assert not (run / "analysis.json").exists()
+
+    @pytest.mark.parametrize("raw, line", HUGE_OR_DEEP.values(), ids=HUGE_OR_DEEP)
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_a_huge_integer_or_deep_nesting_exits_2(self, tmp_path, capsys, command, raw,
+                                                    line):
+        path = tmp_path / "config.json"
+        if command == "run":
+            path.write_text(raw if raw is DEEP else json.dumps(raw))
+            prefix = "config error: "
+        elif raw is DEEP:
+            path.write_text('{"variants": [%s]}' % DEEP)
+            prefix = "sweep config error: "
+        else:
+            path.write_text(json.dumps({"variants": [dict(raw, name="a")]}))
+            prefix = "sweep config error: variants[0] (a): "
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(prefix + line)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("name, case", [
+        *[("config.json", case) for case in HUGE_OR_DEEP], ("summary.json", "deep")])
+    def test_a_run_file_with_a_huge_integer_or_deep_nesting_exits_2(self, tmp_path, capsys,
+                                                                    name, case):
+        raw, line = HUGE_OR_DEEP[case]
+        run = tmp_path / "run"
+        run_experiment(_fast_config(), run)
+        stored = json.loads((run / name).read_text())
+        (run / name).write_text(raw if raw is DEEP else json.dumps({**stored, **raw}))
+        assert main(["analyze", "--run", str(run)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"analyze: cannot audit {run}: {run / name}: {line}")
+        assert not (run / "analysis.json").exists()
+
+    def test_a_seed_override_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        # run --seed reads the seed as a config file's integer, so that
+        # analyze can read the config that run would write.
+        assert main(["run", "--seed", str(HUGE), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr() == ("", "config error: seed: expected an integer, got inf\n")
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"),

@@ -17,7 +17,6 @@ from moduliflow.flow import (
     TangentField,
     TargetEscapeError,
     V_FLOOR,
-    cfl_dt_max,
     chain_rule_residual,
     dissipation_rate,
     energy,
@@ -28,6 +27,7 @@ from moduliflow.flow import (
     tension_field,
     write_snapshot,
     _EdgeWorkspace,
+    _cap,
     _divide_by,
     _edge_pass,
     _state_pass,
@@ -149,10 +149,10 @@ class TestMapState:
         grid = DomainGrid(16, 16)
         u, v = np.zeros(grid.shape), np.full(grid.shape, 1.0)
         s = MapState(grid, u, v)
-        cap = cfl_dt_max(s)
+        cap = _cap(s.grid, s.v_min, 0.5)
         v[3, 5], u[0, 0] = 1e-3, np.nan
         assert np.all(s.u == 0.0) and np.all(s.v == 1.0)
-        assert s.v_min == 1.0 and cfl_dt_max(s) == cap == 0.5 * grid.h1**2 / 4.0
+        assert s.v_min == 1.0 and _cap(s.grid, s.v_min, 0.5) == cap == 0.5 * grid.h1**2 / 4.0
 
     @pytest.mark.parametrize("source", ["constructor", "step", "read_snapshot",
                                         "frozen_step", "copy"])
@@ -162,11 +162,11 @@ class TestMapState:
         s = MapState(grid, np.asfortranarray(0.3 * rng.standard_normal(grid.shape)),
                      np.asfortranarray(np.exp(0.3 * rng.standard_normal(grid.shape))))
         if source == "step":
-            s = step(s, cfl_dt_max(s, 0.5))
+            s = step(s, _cap(s.grid, s.v_min, 0.5))
         elif source == "read_snapshot":  # a file start, the last state of a stack
             with write_snapshot(tmp_path / "states.npy", grid) as record:
                 record(s)
-                record(step(s, cfl_dt_max(s, 0.5)))
+                record(step(s, _cap(s.grid, s.v_min, 0.5)))
             s = build_initial_state(grid, {"kind": "file", "path": str(tmp_path / "states.npy")})
         elif source == "frozen_step":
             # The last state handed on by a run that stalls between its two
@@ -584,7 +584,7 @@ class TestEnergy:
 class TestStep:
     def test_constant_map_unchanged(self, grid64):
         s = _constant_state(grid64)
-        dt = cfl_dt_max(s)
+        dt = _cap(s.grid, s.v_min, 0.5)
         s2 = step(s, dt)
         assert np.array_equal(s2.u, s.u) and np.array_equal(s2.v, s.v)
         assert s2.t == dt
@@ -594,7 +594,7 @@ class TestStep:
         u = 0.1 * rng.standard_normal(grid.shape)
         v = np.exp(0.2 * rng.standard_normal(grid.shape))
         s = MapState(grid, u, v)
-        dt = cfl_dt_max(s, 0.5)
+        dt = _cap(s.grid, s.v_min, 0.5)
         tau = tension_field(s)
         s2 = step(s, dt)
         assert np.array_equal(s2.u, s.u + dt * tau.tau_u)
@@ -605,11 +605,11 @@ class TestStep:
         with pytest.raises(ValueError):
             step(s, 0.0)
         with pytest.raises(ValueError):
-            step(s, 10.0 * cfl_dt_max(s, 1.0))
+            step(s, 10.0 * _cap(s.grid, s.v_min, 1.0))
 
     def test_rejects_target_escape(self, grid64):
         s = _constant_state(grid64, v0=1.0)
-        dt = cfl_dt_max(s, 0.5)
+        dt = _cap(s.grid, s.v_min, 0.5)
         sink = TangentField(np.array((np.zeros(grid64.shape),
                                       np.full(grid64.shape, -2.0 / dt))))
         with pytest.raises(TargetEscapeError):
@@ -636,7 +636,7 @@ class TestStep:
         # stacked: tau as the pass returns it; else a Fortran-ordered copy.
         # Either way the new fields are one C-ordered stack.
         s = _random_state(rng, (12, 20))
-        dt = cfl_dt_max(s, 0.5)
+        dt = _cap(s.grid, s.v_min, 0.5)
         tau = tension_field(s)
         if not stacked:
             tau = TangentField(np.asfortranarray(tau.tau))
@@ -650,27 +650,21 @@ class TestStep:
 
     def test_new_state_records_its_v_min(self, rng):
         s = _random_state(rng, (16, 16))
-        s2 = step(s, cfl_dt_max(s, 0.5))
+        s2 = step(s, _cap(s.grid, s.v_min, 0.5))
         assert s2.v_min == float(s2.v.min())
-        assert cfl_dt_max(s2, 0.5) == cfl_dt_max(MapState(s2.grid, s2.u, s2.v), 0.5)
+        assert s2.v_min == MapState(s2.grid, s2.u, s2.v).v_min
 
 
 class TestCfl:
     def test_small_v_sharpens_the_cap(self):
         grid = DomainGrid(10, 10)
-        base = cfl_dt_max(_constant_state(grid, v0=1.0), 1.0)
+        base = _cap(grid, 1.0, 1.0)
         assert base == grid.h1**2 / 4.0
-        assert cfl_dt_max(_constant_state(grid, v0=0.5), 1.0) == 0.25 * base
+        assert _cap(grid, 0.5, 1.0) == 0.25 * base
 
     def test_large_v_does_not_loosen_it(self):
         grid = DomainGrid(10, 10)
-        assert cfl_dt_max(_constant_state(grid, v0=5.0), 1.0) == grid.h1**2 / 4.0
-
-    def test_safety_validation(self, grid64):
-        with pytest.raises(ValueError):
-            cfl_dt_max(_constant_state(grid64), 0.0)
-        with pytest.raises(ValueError):
-            cfl_dt_max(_constant_state(grid64), 1.5)
+        assert _cap(grid, 5.0, 1.0) == grid.h1**2 / 4.0
 
 
 class TestDissipation:
@@ -683,7 +677,7 @@ class TestDissipation:
         d = dissipation_rate(state)
         mismatches = []
         for frac in (0.2, 0.1):
-            dt = frac * cfl_dt_max(state, 1.0)
+            dt = frac * _cap(state.grid, state.v_min, 1.0)
             drop = (energy(state) - energy(step(state, dt))) / dt
             mismatches.append(abs(drop - d))
         # Explicit Euler: the defect in dE/dt = -D is O(dt).
@@ -709,13 +703,13 @@ class TestRichardson:
             return max(float(np.abs(full.u - half.u).max()),
                        float(np.abs(full.v - half.v).max()))
 
-        dt = 0.5 * cfl_dt_max(state, 1.0)
+        dt = 0.5 * _cap(state.grid, state.v_min, 1.0)
         assert 3.5 <= gap(dt) / gap(0.5 * dt) <= 4.5
 
     def test_two_half_steps_beat_one_full_step(self):
         grid = DomainGrid(32, 32)
         state = build_initial_state(grid, {"kind": "sinusoidal"})
-        dt = 0.5 * cfl_dt_max(state, 1.0)
+        dt = 0.5 * _cap(state.grid, state.v_min, 1.0)
         ref = state
         for _ in range(16):
             ref = step(ref, dt / 16.0)

@@ -71,26 +71,25 @@ class TestPeriodicShifts:
         (np.subtract, 1, 0),   # the flow's forward differences
         (np.add, 0, 1),        # its edge weights
         (np.subtract, 0, -1),  # its backward divergence
-        (np.add, 0, -1),       # its edge sums, and the Laplacian
+        (np.add, 0, -1),       # its edge sums
         (np.subtract, 1, -1),  # the central gradient
     ])
     def test_bound_calls_on_stacks_match_roll(self, rng, shape, axis, op, a_shift, b_shift):
-        # Calls bound once see later writes to their operands, and fix up
+        # Calls bound once see later writes to their operand, and fix up
         # the seam of every entry of a leading batch axis.
-        a, b, out = (np.empty((2, *shape)) for _ in range(3))
-        calls = periodic_calls(op, a, b, out, axis, a_shift, b_shift)
+        a, out = (np.empty((2, *shape)) for _ in range(2))
+        calls = periodic_calls(op, a, out, axis, a_shift, b_shift)
         for _ in range(2):
             a[...] = rng.standard_normal(a.shape)
-            b[...] = rng.standard_normal(b.shape)
             run_calls(calls)
             grid_axis = axis + 1
-            want = op(np.roll(a, -a_shift, grid_axis), np.roll(b, -b_shift, grid_axis))
+            want = op(np.roll(a, -a_shift, grid_axis), np.roll(a, -b_shift, grid_axis))
             assert np.array_equal(out, want)
 
     def test_output_must_be_c_contiguous(self):
         a = np.zeros((4, 4))
         with pytest.raises(ValueError):
-            periodic_calls(np.add, a, a, np.zeros((4, 4), order="F"), 0, a_shift=1)
+            periodic_calls(np.add, a, np.zeros((4, 4), order="F"), 0, a_shift=1)
 
 
 class TestGradient:

@@ -266,8 +266,6 @@ NEVER_ENTERED = {
     "flow.MapState.copy": "library call: no command keeps a state; the README's library "
                           "example and tests/oracles.py's Recorded copy each state that "
                           "run_flow hands on",
-    "flow.cfl_dt_max": "library call: step checks dt against it, and tests/oracles.py's "
-                       "reference_steps takes its cap from it; run_flow calls flow._cap",
     "flow.step": "perfbench target; tests/oracles.py's reference_steps steps with it: "
                  "run_flow forms each candidate by step's update, flow._euler, and "
                  "checks it itself",

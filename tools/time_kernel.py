@@ -12,10 +12,11 @@ environment, pinned to one CPU, the same one for both.  At each size, 32²,
 config's initial state, stepped once from one slot of the workspace's
 ring into the other: one `flow._edge_pass` on the stepped slot, which
 writes tau into that slot's tau buffer, then one step as run_flow makes
-it, `flow._euler` with the stability cap's dt into the first slot and the
-minimum over its v, each timed on its own.  The working tree's pass takes
-the workspace and the slot; a revision whose pass takes the fields stack,
-the workspace and a tau buffer is given the slot's fields and tau buffer.
+it, `flow._euler` with the stability cap's dt (`flow._cap`, at the
+default safety 0.5) into the first slot and the minimum over its v, each
+timed on its own.  A revision is timed only if its pass takes the
+workspace and the slot, as it does wherever the pass reads the fields
+from the workspace's ring.
 A fresh process per round spreads the rounds over processes and over
 time: on a 2-CPU VM, blocks of 200 passes at 128² still moved by up to
 30% over a second, within one process as between processes, while three
@@ -32,7 +33,6 @@ cannot be extracted.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import statistics
@@ -59,19 +59,15 @@ def worker(cpu: int, calls: int, *sizes: int) -> int:
     from moduliflow.initial import build_initial_state
     from moduliflow.mesh import DomainGrid
 
-    # The arguments of the revision's pass on slot k: the workspace and k,
-    # or else the slot's fields, the workspace and the slot's tau buffer.
-    by_slot = "slot" in inspect.signature(flow._edge_pass).parameters
     out = {}
     for n in sizes:
         state = build_initial_state(DomainGrid(n, n), {"kind": "sinusoidal"})
         ws = flow._EdgeWorkspace(state.grid.shape)
-        args = [(ws, k) if by_slot else (ws.ring[k], ws, ws.taus[k]) for k in (0, 1)]
         np.copyto(ws.ring[0], state.fields)
-        flow._edge_pass(*args[0])
-        flow._euler(ws.ring[0], flow.cfl_dt_max(state), ws.taus[0], ws.ring[1])
-        flow._edge_pass(*args[1])
-        dt = flow.cfl_dt_max(flow.MapState(state.grid, *ws.ring[1]))
+        flow._edge_pass(ws, 0)
+        flow._euler(ws.ring[0], flow._cap(state.grid, state.v_min, 0.5), ws.taus[0], ws.ring[1])
+        flow._edge_pass(ws, 1)
+        dt = flow._cap(state.grid, float(ws.ring[1][1].min()), 0.5)
 
         def step(fields=ws.ring[1], dt=dt, tau=ws.taus[1], candidate=ws.ring[0]):
             flow._euler(fields, dt, tau, candidate)
@@ -81,7 +77,7 @@ def worker(cpu: int, calls: int, *sizes: int) -> int:
         times["offset"] = ws.ring[0].ctypes.data % 64
         for _ in range(calls):
             start = time.perf_counter_ns()
-            flow._edge_pass(*args[1])
+            flow._edge_pass(ws, 1)
             middle = time.perf_counter_ns()
             step()
             end = time.perf_counter_ns()
