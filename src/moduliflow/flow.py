@@ -12,17 +12,19 @@ yields the energy, the tension field tau and the dissipation rate D together;
 energy(), tension_field() and dissipation_rate() each return one of the
 three, and run_flow() makes one pass per candidate state.  The pass's
 workspace owns every array it touches: the pass reads the fields in one
-slot of the workspace's ring and writes tau into that slot's tau buffer.
-step() and run_flow share one forward-Euler update; step adds the checks
-a caller needs, and run_flow checks its candidates itself.  run_flow
-steps in the ring's two slots, so it allocates no array of the grid's
-size per step, and it hands each new distinct state to a callback,
-write_snapshot's for a run, which writes its bytes out before the ring
-moves on.  tau is the exact negative gradient of the discrete energy in
-the hyperbolic L^2 inner product <a, b> = integral of
-(a_u b_u + a_v b_v)/v^2, and D = ||tau||^2, so forward-Euler stepping
-dissipates the discrete energy structurally (up to O(dt) per step), and
-the energy identity E(0) - E(T) = integral of D holds at first order.
+slot of the workspace's ring and writes tau / k into that slot's tau
+buffer, k the power of two that the pass takes out of tau.  step() and
+run_flow share one forward-Euler update; step adds the checks a caller
+needs, and run_flow, which steps by dt * k on tau / k, checks its
+candidates itself.  run_flow steps in the ring's two slots, so it
+allocates no array of the grid's size per step, and it hands each new
+distinct state to a callback, write_snapshot's for a run, which writes
+its bytes out before the ring moves on.  tau is the exact negative
+gradient of the discrete energy in the hyperbolic L^2 inner product
+<a, b> = integral of (a_u b_u + a_v b_v)/v^2, and D = ||tau||^2, so
+forward-Euler stepping dissipates the discrete energy structurally (up to
+O(dt) per step), and the energy identity E(0) - E(T) = integral of D
+holds at first order.
 
 The continuum limit of the two components is
 
@@ -151,10 +153,12 @@ class _EdgeWorkspace:
     squares of diff[a, f]; then work[a, 0] sq = du^2 + dv^2 along a and
     work[a, 1] its edge sums, whose sum S goes into work[0, 1] and S / v
     into edge_sq; then work[a] the fluxes' backward differences, and
-    work[0], div, their sum, then tau unscaled.  rho holds twice the edge
-    weights, then the energy's terms.  sums is rho and diff[0, 0], which
-    ends with the dissipation's terms, for one reduction.  The ring is two
-    slots, each a (2, n1, n2) field buffer ring[k] and a tau buffer taus[k].
+    work[0], div, their sum.  rho holds twice the edge weights, then the
+    energy's terms.  flat_sums, the (3, n1 * n2) view of rho and diff[0, 0],
+    which ends with the dissipation's terms, is for one reduction.  The ring
+    is two slots, each a (2, n1, n2) field buffer ring[k], whose v has the
+    flat view flat_v[k], and a tau buffer taus[k], which the pass leaves
+    holding tau / k.
 
     calls[k], the pass on slot k, is a list of (op, a, b, out) calls for
     run_calls, laid out for numpy 2.4, which runs a call at about half the
@@ -171,7 +175,7 @@ class _EdgeWorkspace:
     x / h is one call in place on diff and one on work when h1 == h2, one
     per axis part of each when h1 != h2, and none when h1 == h2 is a power
     of two: tau's scale k is 1/(2 h^2) then, else 1/2.  e_scale = w k / 2
-    scales the energy's sum.
+    scales the energy's sum and d_scale = w k^2 the dissipation's.
     """
 
     def __init__(self, shape: tuple[int, int]):
@@ -184,9 +188,10 @@ class _EdgeWorkspace:
         flat = raw[start:start + raw.size - 8]
         self.buffer = buffer = flat.reshape(21, *shape)
         v2, sigma, edge_sq = buffer[:3]
-        rho, self.sums = buffer[3:5], buffer[3:6]
+        rho, self.flat_sums = buffer[3:5], buffer[3:6].reshape(3, -1)
         diff, work = buffer[5:13].reshape(2, 2, 2, *shape)
         self.ring = tuple(buffer[13:17].reshape(2, 2, *shape))
+        self.flat_v = tuple(fields[1].ravel() for fields in self.ring)
         self.taus = tuple(buffer[17:21].reshape(2, 2, *shape))
 
         def forward(op, a, out, **shift) -> list:
@@ -208,8 +213,8 @@ class _EdgeWorkspace:
             [(op, stack[axis], np.array(c), stack[axis]) for axis, h_axis in parts
              for op, c in [_divide_by(h_axis)]]
             for stack in (diff, work))
-        k = 0.5 / (h * h) if folded else 0.5
-        self.e_scale, self.w = 0.5 * grid.w * k, grid.w
+        self.k = k = 0.5 / (h * h) if folded else 0.5
+        self.e_scale, self.d_scale = 0.5 * grid.w * k, grid.w * k * k
         sq, edge, div = work[:, 0], work[:, 1], work[0]
         self.calls = tuple([
             (np.multiply, fields[1], fields[1], v2),
@@ -229,10 +234,9 @@ class _EdgeWorkspace:
             *backward(np.subtract, diff[1], work[1], 1),
             *scale_back,
             (np.add, div, work[1], div),
-            (np.add, div, zero, div),
-            *[(np.multiply, div[f], v2, div[f]) for f in (0, 1)],
-            (np.add, div[1], edge_sq, div[1]),
-            (np.multiply, div, np.array(k), tau),
+            (np.add, div[0], zero, div[0]),
+            *[(np.multiply, div[f], v2, tau[f]) for f in (0, 1)],  # tau / k
+            (np.add, tau[1], edge_sq, tau[1]),
             (np.multiply, tau, tau, diff[0]),
             (np.add, diff[0, 0], diff[0, 1], diff[0, 0]),
             (np.multiply, diff[0, 0], sigma, diff[0, 0]),  # the dissipation's terms
@@ -241,8 +245,8 @@ class _EdgeWorkspace:
 
 def _edge_pass(ws: _EdgeWorkspace, slot: int) -> tuple[float, float]:
     """Energy E and dissipation rate D of the fields in ws.ring[slot], the
-    (2, n1, n2) stack of u and v, with their tension field tau written
-    into ws.taus[slot]: the calls ws binds for the slot, then one
+    (2, n1, n2) stack of u and v, with their tension field tau / ws.k
+    written into ws.taus[slot]: the calls ws binds for the slot, then one
     reduction.
 
     For each axis the metric weight sigma = 1/v^2 is averaged onto the
@@ -268,31 +272,32 @@ def _edge_pass(ws: _EdgeWorkspace, slot: int) -> tuple[float, float]:
     factors that are powers of two: the edge weight is sigma[k] +
     sigma[k+1] without its 1/2, the S term is S / v, and when h1 == h2 is
     a power of two the differences and the divergence are not divided by
-    h; tau is multiplied by ws's k once, at the end, and the energy's sum
-    by w k / 2.  x / h is x * (1/h) only where _divide_by finds them
-    equal, the axes' divergences, whose terms can be -0.0, are summed and
-    then added to +0.0, as the formulas' zeroed sum is, and one reduction
-    over the three fields of sums adds each field's terms as a sum of that
-    field alone does.  A product by a power of two is exact and commutes
-    with rounding while both values are normal floats, so E, tau and D are
-    the formulas' bit for bit wherever no value either forms is subnormal
-    or overflows.  Beyond that they can differ: with u ~ 2^-450 against
-    v ~ 2^300 the fluxes are subnormal and round tau_u otherwise, and with
-    u ~ 2^501 at 64^2 the formulas' energy sum overflows to inf where E
-    stays finite.
+    h; tau is left divided by ws's k, the energy's sum is multiplied by
+    w k / 2 and the dissipation's, of (tau / k)^2 / v^2, by w k^2.  x / h
+    is x * (1/h) only where _divide_by finds them equal, the axes'
+    divergences, whose terms can be -0.0, are summed, and tau_u's sum is
+    then added to +0.0, as the formulas' zeroed sum is; tau_v's takes +0.0
+    from adding S / v >= +0.0.  One reduction over the three fields of
+    flat_sums adds each field's terms as a sum of that field alone does.
+    A product by a power of two is exact and commutes with rounding while
+    both values are normal floats, so E, tau and D are the formulas' bit
+    for bit wherever no value either forms is subnormal or overflows.
+    Beyond that they can differ: with u ~ 2^-450 against v ~ 2^300 the
+    fluxes are subnormal and round tau_u otherwise, and with u ~ 2^501 at
+    64^2 the formulas' energy sum overflows to inf where E stays finite.
     """
     run_calls(ws.calls[slot])
-    along_0, along_1, dissipation = np.add.reduce(ws.sums, axis=(1, 2)).tolist()
-    return ws.e_scale * (along_0 + along_1), ws.w * dissipation
+    along_0, along_1, dissipation = np.add.reduce(ws.flat_sums, axis=1).tolist()
+    return ws.e_scale * (along_0 + along_1), ws.d_scale * dissipation
 
 
 def _state_pass(state: MapState) -> tuple[float, np.ndarray, float]:
     """E, tau and D of state, by a pass on its fields copied into slot 0 of
-    a new workspace; tau is that workspace's buffer."""
+    a new workspace; tau is that workspace's buffer, multiplied by k."""
     ws = _EdgeWorkspace(state.grid.shape)
     np.copyto(ws.ring[0], state.fields)
     e, d = _edge_pass(ws, 0)
-    return e, ws.taus[0], d
+    return e, np.multiply(ws.taus[0], ws.k, out=ws.taus[0]), d
 
 
 def tension_field(state: MapState) -> TangentField:
@@ -454,27 +459,30 @@ def run_flow(initial: MapState, params: FlowParams,
     _EdgeWorkspace and allocates no array of the grid's size per step:
     the initial fields are copied into one slot, so the initial state's own
     are never written, and each candidate is formed by step's forward-Euler
-    update (_euler) in the other slot, where its pass writes its tau, so a
-    rejected candidate leaves the current slot intact.  A MapState is built
-    only for a state handed to record after the initial one; its fields
-    are a buffer of the ring, which a later step overwrites, so record must
-    copy or write out what it keeps.
+    update (_euler) in the other slot, where its pass writes its tau / k,
+    so a rejected candidate leaves the current slot intact.  The update is
+    _euler(fields, dt * k, tau / k), which is fields + dt * tau bit for
+    bit: dt * k is exact, and both products round one real number.  A
+    MapState is built only for a state handed to record after the initial
+    one; its fields are a buffer of the ring, which a later step
+    overwrites, so record must copy or write out what it keeps.
 
     A candidate is rejected exactly when step would refuse it or its E
     rises by more than ENERGY_STEP_TOL.  Before its pass only the minimum
-    of its v is checked; a value that is not finite makes E inf or nan
-    (_edge_pass), so the candidate is searched for one only when E is not
-    finite.  A finite candidate whose E is nan (v^2 overflows) is
-    accepted, as the energy rule rejects no nan.  The arithmetic runs
-    under one np.errstate that ignores overflow and invalid values, so no
-    RuntimeWarning leaves the run.  The stepping record is one packed
+    of its v is checked, over the flat view ws.flat_v; a value that is
+    not finite makes E inf or nan (_edge_pass), so the candidate is
+    searched for one only when E is not finite.  A finite candidate whose
+    E is nan (v^2 overflows) is accepted, as the energy rule rejects no
+    nan.  The arithmetic runs under one np.errstate that ignores overflow
+    and invalid values, so no RuntimeWarning leaves the run.  The stepping record is one packed
     32-byte row a step, and the trajectory's steps are a view of it.
     """
     _check_interval(initial.t, params.t_final, params.snapshot_interval)
     _check_above_floor(initial)
     grid, t, v_min = initial.grid, initial.t, initial.v_min
     ws = _EdgeWorkspace(grid.shape)
-    now = 0  # the ring slot of the current fields and their tau
+    k = ws.k
+    now = 0  # the ring slot of the current fields and their tau / k
     np.copyto(ws.ring[now], initial.fields)
     safety, interval = params.cfl_safety, params.snapshot_interval
     rows, row = bytearray(), _ROW.pack
@@ -524,8 +532,8 @@ def run_flow(initial: MapState, params: FlowParams,
                         f"dt = {dt_used} fell below the floor {params.dt_floor} at t = {t}",
                         trajectory())
                 spare = 1 - now
-                candidate = _euler(ws.ring[now], dt_used, ws.taus[now], ws.ring[spare])
-                v_min_new = np.minimum.reduce(candidate[1], axis=None).item()
+                candidate = _euler(ws.ring[now], dt_used * k, ws.taus[now], ws.ring[spare])
+                v_min_new = np.minimum.reduce(ws.flat_v[spare]).item()
                 accepted = v_min_new > V_FLOOR
                 if accepted:
                     e_new, d_new = _edge_pass(ws, spare)

@@ -38,15 +38,15 @@ class DomainGrid:
         if self.n1 < 4 or self.n2 < 4:
             raise ValueError(f"grid must be at least 4 x 4, got {self.n1} x {self.n2}")
 
-    @property
+    @cached_property
     def h1(self) -> float:
         return 1.0 / self.n1
 
-    @property
+    @cached_property
     def h2(self) -> float:
         return 1.0 / self.n2
 
-    @property
+    @cached_property
     def w(self) -> float:
         """Quadrature weight of one node, h1 * h2."""
         return self.h1 * self.h2

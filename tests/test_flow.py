@@ -254,6 +254,15 @@ def _signed_zero_state(shape):
     return MapState(DomainGrid(*shape), u, np.full(shape, 1.7))
 
 
+def _fresh_pass(state):
+    """E, the tau buffer, which holds tau / k, and D of a pass on state's
+    fields in slot 0 of a new workspace."""
+    ws = _EdgeWorkspace(state.grid.shape)
+    np.copyto(ws.ring[0], state.fields)
+    e, d = _edge_pass(ws, 0)
+    return e, ws.taus[0], d
+
+
 def _arrays(x):
     """The arrays in x, an array or a list, tuple or dict of them, nested."""
     if isinstance(x, np.ndarray):
@@ -352,13 +361,19 @@ class TestEdgePass:
     def test_powers_of_two_are_folded_into_one_scale(self, shape, scale_calls, k):
         # x / h is a call per axis part of diff and of work, none when
         # h1 == h2 is a power of two, whose 1/h^2 joins tau's 1/2: each
-        # slot's table is 38 calls and the scale calls, and its one call
-        # into tau multiplies by k.
+        # slot's table is 37 calls and the scale calls.  No call multiplies
+        # by k: the tau buffer is written by the two products v^2 * div and
+        # the sum with S / v, so it holds tau / k, and k goes into the
+        # energy's and the dissipation's scales and run_flow's dt.
         ws = _EdgeWorkspace(shape)
+        w = DomainGrid(*shape).w
         for calls, tau in zip(ws.calls, ws.taus):
-            assert len(calls) == 38 + 2 * scale_calls
-            assert [b.item() for _, _, b, out in calls if out is tau] == [k]
-        assert ws.e_scale == 0.5 * ws.w * k
+            assert len(calls) == 37 + 2 * scale_calls
+            into_tau = [(op, a.ndim, b.ndim) for op, a, b, out in calls
+                        if np.shares_memory(out, tau)]
+            assert into_tau == [(np.multiply, 2, 2)] * 2 + [(np.add, 2, 2)]
+            assert k not in [x.item() for _, a, b, _ in calls for x in (a, b) if x.ndim == 0]
+        assert (ws.k, ws.e_scale, ws.d_scale) == (k, 0.5 * w * k, w * k * k)
 
     @pytest.mark.parametrize("n", [4, 5, 12, 48, 64, 1024])
     def test_divide_by_is_the_division_bit_for_bit(self, rng, n):
@@ -469,7 +484,7 @@ class TestEdgePass:
         # either slot, the pass raises no floating-point error and gives the
         # bytes of a pass on a new workspace.
         state = _random_state(rng, shape)
-        fresh_e, fresh, fresh_d = _state_pass(state)
+        fresh_e, fresh, fresh_d = _fresh_pass(state)
         for slot in (0, 1):
             for stale in (math.nan, math.inf, -math.inf):
                 ws = _EdgeWorkspace(shape)
@@ -484,11 +499,11 @@ class TestEdgePass:
         ((5, 7), False), ((12, 20), False), ((48, 32), False), ((4, 4), True), ((8, 6), True),
     ])
     def test_a_pass_in_the_ring_is_the_fresh_pass(self, rng, shape, signed_zeros):
-        # On fields in either slot of the ring, with tau written into that
-        # slot's tau buffer, the pass gives the bytes of a pass on a new
+        # On fields in either slot of the ring, with tau / k written into
+        # that slot's tau buffer, the pass gives the bytes of a pass on a new
         # workspace, pass after pass on one workspace.
         state = _signed_zero_state(shape) if signed_zeros else _random_state(rng, shape)
-        fresh_e, fresh, fresh_d = _state_pass(state)
+        fresh_e, fresh, fresh_d = _fresh_pass(state)
         ws = _EdgeWorkspace(shape)
         for slot in (0, 1, 0):
             ws.ring[slot][...] = state.fields
@@ -520,7 +535,7 @@ class TestEdgePass:
     def test_passes_share_no_arrays(self, rng):
         # tension_field's tau is an array of its own, two fields and no
         # more, which survives later passes, on a state of the same grid or
-        # of another, and a pass in one slot leaves the other slot's tau.
+        # of another, and a pass in one slot leaves the other slot's tau / k.
         first, second = _random_state(rng, (16, 16)), _random_state(rng, (16, 16))
         tau = tension_field(first)
         other = tension_field(_random_state(rng, (8, 12)))
@@ -537,7 +552,8 @@ class TestEdgePass:
         _edge_pass(ws, 0)
         kept = ws.taus[0].copy()
         _edge_pass(ws, 1)
-        assert ws.taus[0].tobytes() == kept.tobytes() == tau.tau.tobytes()
+        assert ws.taus[0].tobytes() == kept.tobytes()
+        assert (ws.k * kept).tobytes() == tau.tau.tobytes()
 
     @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (12, 20)])
     @pytest.mark.parametrize("field, value", [
@@ -891,6 +907,40 @@ class TestRunFlow:
         assert max(reject, default=0) < len(passes) - 1
         assert traj.steps.tobytes() == reference["rows"].tobytes()
         assert traj.rejected_steps == reference["rejected"] >= len(reject)
+
+    @pytest.mark.parametrize("start, k", [
+        ((16, 16), 2.0**7), ((12, 12), 0.5), ((12, 10), 0.5), ("signed_zeros", 8.0)])
+    def test_each_scale_steps_by_dt_k_on_tau_over_k(self, monkeypatch, start, k):
+        # The pass leaves tau / k in the slot's tau buffer and run_flow steps
+        # by dt * k, which is exact, so its rows are the reference loop's,
+        # which steps by dt on tension_field's tau: at 16^2 k is 1/(2 h^2) and
+        # no difference is divided by h; at 12^2 k is 1/2 and they are; at
+        # 12 x 10 h1 != h2; and on the signed zeros only tau_u takes +0.0
+        # from a sum, tau_v from its S / v.  In each slot k times the buffer
+        # is tension_field's tau on the slot's fields, byte for byte.
+        if start == "signed_zeros":
+            state = _signed_zero_state((4, 4))
+        else:
+            state = build_initial_state(
+                DomainGrid(*start), {"kind": "random", "amp_u": 0.6, "amp_v": 0.6},
+                np.random.default_rng(5))
+        params = FlowParams(t_final=0.02, snapshot_interval=0.01)
+        edge_pass, passes = flow_module._edge_pass, []
+
+        def kept(ws, slot):
+            e, d = edge_pass(ws, slot)
+            if len(passes) < 6:
+                passes.append((slot, ws.k, ws.ring[slot].copy(), ws.taus[slot].copy()))
+            return e, d
+
+        monkeypatch.setattr(flow_module, "_edge_pass", kept)
+        traj = run_flow(state, params)
+        monkeypatch.undo()
+        assert traj.steps.tobytes() == reference_steps(state, params)["rows"].tobytes()
+        assert {slot for slot, *_ in passes} == ({0} if start == "signed_zeros" else {0, 1})
+        for slot, ws_k, fields, buffer in passes:
+            tau = tension_field(MapState(state.grid, *fields)).tau
+            assert ws_k == k and (k * buffer).tobytes() == tau.tobytes()
 
     @staticmethod
     def _edit_candidate(monkeypatch, at, edit):

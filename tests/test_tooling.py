@@ -166,7 +166,8 @@ def test_compare_outputs_runs_a_case_and_reads_its_peak_rss(tmp_path):
 def test_time_kernel_times_the_tree_and_refuses_an_unknown_revision():
     # One 8x8 grid, 3 calls and 2 rounds instead of the tool's sizes, 100
     # calls and 21 rounds: each round starts a worker process.  n1 * n2 is
-    # a multiple of 8, so the ring starts on a 64-byte boundary too.
+    # a multiple of 8, so the ring starts on a 64-byte boundary too, and
+    # h = 1/8 is a power of two, so the pass's table is 37 calls.
     tools = str(ROOT / "tools")
     code = (f"import sys; sys.path.insert(0, {tools!r}); import time_kernel as tk; "
             "tk.ROUNDS, tk.SIZES, tk.CALLS = 2, (8,), 3; sys.exit(tk.main())")
@@ -174,9 +175,10 @@ def test_time_kernel_times_the_tree_and_refuses_an_unknown_revision():
                           timeout=120)
     assert done.returncode == 0, done.stderr
     title, header, row = done.stdout.splitlines()
-    assert "of 6 calls" in title and header.split()[:3] == ["size", "side", "offset"]
-    size, side, offset, *numbers = row.split()
-    assert (size, side, offset, len(numbers)) == ("8²", "tree", "0", 6)
+    assert "of 6 calls" in title
+    assert header.split()[:4] == ["size", "side", "offset", "calls"]
+    size, side, offset, calls, *numbers = row.split()
+    assert (size, side, offset, calls, len(numbers)) == ("8²", "tree", "0", "37", 6)
     assert all(float(x) > 0 for x in numbers)
     refused = subprocess.run([sys.executable, str(ROOT / "tools" / "time_kernel.py"),
                               "no-such-revision"], capture_output=True, text=True, timeout=60)

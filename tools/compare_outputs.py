@@ -6,12 +6,15 @@ of another revision.
 REV (any git revision, such as HEAD~) is extracted with `git archive` into a
 temporary directory, so the repository itself is left as it is.  From that
 copy and from the working tree's src/, each case below is run with the
-benchmark's single-thread environment: the default config, and the snap400
-workload of perfbench/run.py at seeds 0 to 3.  The two run directories of a
-case are compared with `diff -r`, then `analyze` audits each; each side's
-`run` and `analyze` peak RSS are printed beside them.  Exit code 0
-when every case is identical and every audit prints PASS, 1 otherwise, 2
-when REV cannot be extracted.
+benchmark's single-thread environment: the default config, the snap400
+workload of perfbench/run.py at seeds 0 to 3, and two short random runs on
+grids whose h is not a power of two, 48² and 24×20, where the edge pass
+divides by h and scales tau by 1/2 (the others are on 64² and 32², where
+h is a power of two).  The two run directories of a case are compared
+with `diff -r`, then `analyze` audits each; each side's `run` and
+`analyze` peak RSS are printed beside them.  Exit code 0 when every case
+is identical and every audit prints PASS, 1 otherwise, 2 when REV cannot
+be extracted.
 """
 
 from __future__ import annotations
@@ -48,8 +51,11 @@ def extract_src(rev: str, dest: Path) -> Path:
 def cases() -> list[tuple[str, dict | None, int | None]]:
     """(name, config or None for the defaults, seed or None) of each run."""
     snap = WORKLOADS["snap400"]
+    random = {"kind": "random", "amp_u": 0.6, "amp_v": 0.6}
     return [("default", None, None)] + [
-        (f"snap400-seed{s}", snap.config, s) for s in range(4)]
+        (f"snap400-seed{s}", snap.config, s) for s in range(4)] + [
+        (f"random{n1}x{n2}", {"grid": {"n1": n1, "n2": n2}, "initial": random,
+                              "t_final": 0.05}, 0) for n1, n2 in ((48, 48), (24, 20))]
 
 
 # Runs argv, then writes its ru_maxrss in KiB, read with os.wait4 as

@@ -11,12 +11,15 @@ environment, pinned to one CPU, the same one for both.  At each size, 32²,
 64², 128² and 256², the worker makes 100 pairs of calls on the default
 config's initial state, stepped once from one slot of the workspace's
 ring into the other: one `flow._edge_pass` on the stepped slot, which
-writes tau into that slot's tau buffer, then one step as run_flow makes
-it, `flow._euler` with the stability cap's dt (`flow._cap`, at the
-default safety 0.5) into the first slot and the minimum over its v, each
-timed on its own.  A revision is timed only if its pass takes the
-workspace and the slot, as it does wherever the pass reads the fields
-from the workspace's ring.
+writes tau / k into that slot's tau buffer, then one step as run_flow
+makes it, `flow._euler` with the stability cap's dt (`flow._cap`, at the
+default safety 0.5) times k on that buffer into the first slot and the
+minimum over the flat view of its v, each timed on its own.  k is the
+power of two the pass takes out of tau, the workspace's `k`; a revision
+whose workspace has no `k` writes tau itself, and is stepped with k = 1.
+A revision is timed only if its workspace binds the pass on each slot
+as a table of calls, `calls`, and its pass takes the workspace and the
+slot.
 A fresh process per round spreads the rounds over processes and over
 time: on a 2-CPU VM, blocks of 200 passes at 128² still moved by up to
 30% over a second, within one process as between processes, while three
@@ -24,8 +27,9 @@ runs of the tool gave pass medians within 2% of each other at 128² and
 256².  The workspace's offset from a 64-byte boundary moves the pass by
 about 20% at 64², so it is printed with each time.  Printed per size and
 side: the ring's offset from a 64-byte boundary in bytes, one per
-distinct value over the rounds; µs per call of each kernel, min and
-median over every call of every round; and ns per node of the medians.
+distinct value over the rounds; the number of calls in the pass's table;
+µs per call of each kernel, min and median over every call of every
+round; and ns per node of the medians.
 Exit code 0 when every worker answered, 1 when one failed, 2 when REV
 cannot be extracted.
 """
@@ -50,9 +54,10 @@ ROUNDS, SIZES, CALLS = 21, (32, 64, 128, 256), 100
 
 
 def worker(cpu: int, calls: int, *sizes: int) -> int:
-    """Print one JSON line of per-call nanoseconds and the ring's offset
-    from a 64-byte boundary, {"n": {"pass": [...], "step": [...],
-    "offset": bytes}, ...}, for each n x n grid."""
+    """Print one JSON line of per-call nanoseconds, the ring's offset from
+    a 64-byte boundary and the pass table's length, {"n": {"pass": [...],
+    "step": [...], "offset": bytes, "calls": count}, ...}, for each n x n
+    grid."""
     os.sched_setaffinity(0, {cpu})
     import numpy as np
     from moduliflow import flow
@@ -63,18 +68,21 @@ def worker(cpu: int, calls: int, *sizes: int) -> int:
     for n in sizes:
         state = build_initial_state(DomainGrid(n, n), {"kind": "sinusoidal"})
         ws = flow._EdgeWorkspace(state.grid.shape)
+        k = getattr(ws, "k", 1.0)
         np.copyto(ws.ring[0], state.fields)
         flow._edge_pass(ws, 0)
-        flow._euler(ws.ring[0], flow._cap(state.grid, state.v_min, 0.5), ws.taus[0], ws.ring[1])
+        flow._euler(ws.ring[0], flow._cap(state.grid, state.v_min, 0.5) * k, ws.taus[0],
+                    ws.ring[1])
         flow._edge_pass(ws, 1)
-        dt = flow._cap(state.grid, float(ws.ring[1][1].min()), 0.5)
+        dt = flow._cap(state.grid, float(ws.ring[1][1].min()), 0.5) * k
 
-        def step(fields=ws.ring[1], dt=dt, tau=ws.taus[1], candidate=ws.ring[0]):
+        def step(fields=ws.ring[1], dt=dt, tau=ws.taus[1], candidate=ws.ring[0],
+                 v=ws.ring[0][1].ravel()):
             flow._euler(fields, dt, tau, candidate)
-            np.minimum.reduce(candidate[1], axis=None).item()
+            np.minimum.reduce(v).item()
 
         times = out[n] = {kernel: [] for kernel in KERNELS}
-        times["offset"] = ws.ring[0].ctypes.data % 64
+        times["offset"], times["calls"] = ws.ring[0].ctypes.data % 64, len(ws.calls[1])
         for _ in range(calls):
             start = time.perf_counter_ns()
             flow._edge_pass(ws, 1)
@@ -89,10 +97,12 @@ def worker(cpu: int, calls: int, *sizes: int) -> int:
 
 def measure(sources: dict, cpu: int) -> dict:
     """{(side, n, kernel): nanoseconds of every call, (side, n): the set of
-    the ring's offsets from a 64-byte boundary}; RuntimeError with the
-    worker's stderr when one fails."""
+    the ring's offsets from a 64-byte boundary, (side, n, "calls"): the
+    set of the pass table's lengths}; RuntimeError with the worker's
+    stderr when one fails."""
     samples = {(side, n, kernel): [] for side in sources for n in SIZES for kernel in KERNELS}
-    samples.update({(side, n): set() for side in sources for n in SIZES})
+    samples.update({key: set() for side in sources for n in SIZES
+                    for key in ((side, n), (side, n, "calls"))})
     order = list(sources)
     command = [sys.executable, __file__, "--worker", str(cpu), str(CALLS), *map(str, SIZES)]
     for r in range(ROUNDS):
@@ -103,6 +113,7 @@ def measure(sources: dict, cpu: int) -> dict:
                 raise RuntimeError(f"the worker for {side} failed:\n{done.stderr}")
             for n, times in json.loads(done.stdout).items():
                 samples[side, int(n)].add(times.pop("offset"))
+                samples[side, int(n), "calls"].add(times.pop("calls"))
                 for kernel, ns in times.items():
                     samples[side, int(n), kernel] += ns
     return samples
@@ -110,9 +121,9 @@ def measure(sources: dict, cpu: int) -> dict:
 
 def report(samples: dict, sides: list[str]) -> None:
     print(f"µs per call, min and median of {ROUNDS * CALLS} calls; ns per node of the median;"
-          " the ring's offset from a 64-byte boundary, bytes")
-    print(f"{'size':>6} {'side':>12} {'offset':>7} {'pass min':>9} {'pass p50':>9} {'ns/node':>8}"
-          f" {'step min':>9} {'step p50':>9} {'ns/node':>8}")
+          " the ring's offset from a 64-byte boundary, bytes; the pass table's calls")
+    print(f"{'size':>6} {'side':>12} {'offset':>7} {'calls':>5} {'pass min':>9} {'pass p50':>9}"
+          f" {'ns/node':>8} {'step min':>9} {'step p50':>9} {'ns/node':>8}")
     for n in SIZES:
         for side in sides:
             cells = []
@@ -121,8 +132,9 @@ def report(samples: dict, sides: list[str]) -> None:
                 median = statistics.median(ns)
                 cells += [f"{min(ns) / 1e3:9.1f}", f"{median / 1e3:9.1f}",
                           f"{median / (n * n):8.2f}"]
-            offsets = ",".join(map(str, sorted(samples[side, n])))
-            print(f"{f'{n}²':>6} {side:>12} {offsets:>7} " + " ".join(cells))
+            offsets, calls = (",".join(map(str, sorted(samples[key])))
+                              for key in ((side, n), (side, n, "calls")))
+            print(f"{f'{n}²':>6} {side:>12} {offsets:>7} {calls:>5} " + " ".join(cells))
 
 
 def main(argv=None) -> int:
