@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DomainGrid, periodic_calls, run_calls
+from .mesh import DomainGrid
 
 # Hard positivity floor for the second coordinate; states at or below the
 # floor are treated as having escaped the target.
@@ -160,17 +160,17 @@ class _EdgeWorkspace:
     flat view flat_v[k], and a tau buffer taus[k], which the pass leaves
     holding tau / k.
 
-    calls[k], the pass on slot k, is a list of (op, a, b, out) calls for
-    run_calls, laid out for numpy 2.4, which runs a call at about half the
-    speed when it broadcasts or reads a strided view, or when it writes
-    from one float past a 64-byte boundary.  Every call but periodic_calls'
-    seam calls, each on a row or column per field, writes a C-contiguous
-    out from C-contiguous operands of its shape or 0-d constants, from its
-    first field's first float: on a 64-byte boundary when n1 * n2 is a
-    multiple of 8.  So a backward (k - 1) flat call writes from node 0,
-    not node 1 as periodic_calls' does: its b view starts a row (axis 0)
-    or a float (axis 1) before a, at the end of a field that the pass has
-    written by then, and the seam call then rewrites node 0.
+    calls[k], the pass on slot k, is a list of (op, a, b, out) calls that
+    _edge_pass runs in order, laid out for numpy 2.4, which runs a call at
+    about half the speed when it broadcasts or reads a strided view, or
+    when it writes from one float past a 64-byte boundary.  Every call but
+    the seam calls of _neighbour_calls, each on a row or column per field,
+    writes a C-contiguous out from C-contiguous operands of its shape or
+    0-d constants, from its first field's first float: on a 64-byte
+    boundary when n1 * n2 is a multiple of 8.  So a backward (k - 1) flat
+    call writes from node 0: its b view starts a row (axis 0) or a float
+    (axis 1) before a, at the end of a field that the pass has written by
+    then, and the seam call then rewrites node 0.
 
     x / h is one call in place on diff and one on work when h1 == h2, one
     per axis part of each when h1 != h2, and none when h1 == h2 is a power
@@ -197,13 +197,11 @@ class _EdgeWorkspace:
         def forward(op, a, out, **shift) -> list:
             # out[axis] = op of a's nodes k and k + 1 along each axis.
             return [call for axis in (0, 1)
-                    for call in periodic_calls(op, a, out[axis], axis, **shift)]
+                    for call in _neighbour_calls(flat, op, a, out[axis], axis, **shift)]
 
         def backward(op, a, out, axis) -> list:
-            # out = op(a[k], a[k - 1]) along axis, the flat call from node 0.
-            b = (a.ctypes.data - flat.ctypes.data) // 8 - (grid.n2 if axis == 0 else 1)
-            seam = periodic_calls(op, a, out, axis, b_shift=-1)[1:]
-            return [(op, a.ravel(), flat[b:b + a.size], out.ravel()), *seam]
+            # out = op(a[k], a[k - 1]) along axis.
+            return _neighbour_calls(flat, op, a, out, axis, b_shift=-1)
 
         h = grid.h1
         folded = grid.h2 == h and math.frexp(h)[0] == 0.5
@@ -241,6 +239,37 @@ class _EdgeWorkspace:
             (np.add, diff[0, 0], diff[0, 1], diff[0, 0]),
             (np.multiply, diff[0, 0], sigma, diff[0, 0]),  # the dissipation's terms
         ] for fields, tau in zip(self.ring, self.taus))
+
+
+def _neighbour_calls(flat, op, a, out, axis, a_shift=0, b_shift=0) -> list:
+    """The ufunc calls (op, x, y, out), bound to views, that together set
+    out[..., k] = op(a[..., k + a_shift], a[..., k + b_shift]) at every node
+    k, the index along grid axis axis (0 or 1 of the last two axes) taken
+    periodically; one shift is 1 or -1, the other 0.  Any leading axes are
+    batch axes.
+
+    a and out are C-contiguous arrays of one shape that do not overlap, and
+    a is a view of flat, a 1-D buffer.  A shift by one node is an offset
+    of one row (axis 0) or one float (axis 1) in flat, so the first call
+    writes out from node 0 on views of flat: a -1 shift reads the row or
+    float before a there.  A second call, on the seam row or column of
+    every batch entry at once, then writes the nodes whose neighbour is
+    across the periodic seam, where the first read a neighbouring row,
+    batch entry or field, or left the last row or float of out unwritten.
+    The calls view a in place, so calls bound once see every later write
+    to it.
+    """
+    n = out.shape[axis - 2]
+    stride = out.shape[-1] if axis == 0 else 1
+    start = (a.ctypes.data - flat.ctypes.data) // 8
+    ahead = a_shift + b_shift > 0  # the last row or column crosses the seam
+    size = out.size - ahead * stride
+    k = n - 1 if ahead else 0  # the seam row or column
+    ka, kb = (k + a_shift) % n, (k + b_shift) % n
+    seam = ((a[..., ka, :], a[..., kb, :], out[..., k, :]) if axis == 0
+            else (a[..., ka], a[..., kb], out[..., k]))
+    return [(op, *(flat[start + s * stride:start + s * stride + size]
+                   for s in (a_shift, b_shift)), out.ravel()[:size]), (op, *seam)]
 
 
 def _edge_pass(ws: _EdgeWorkspace, slot: int) -> tuple[float, float]:
@@ -286,7 +315,8 @@ def _edge_pass(ws: _EdgeWorkspace, slot: int) -> tuple[float, float]:
     fluxes are subnormal and round tau_u otherwise, and with u ~ 2^501 at
     64^2 the formulas' energy sum overflows to inf where E stays finite.
     """
-    run_calls(ws.calls[slot])
+    for op, a, b, out in ws.calls[slot]:
+        op(a, b, out)
     along_0, along_1, dissipation = np.add.reduce(ws.flat_sums, axis=1).tolist()
     return ws.e_scale * (along_0 + along_1), ws.d_scale * dissipation
 

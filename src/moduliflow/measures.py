@@ -222,18 +222,18 @@ def state_reports(fields: np.ndarray, grid: DomainGrid, masses: np.ndarray,
                   jacobian_threshold: float) -> list:
     """EntropyReport's entropy, rho_max, tail_mass and degenerate_fraction,
     one tuple per state of fields, a (C, 2, n1, n2) stack on grid, whose
-    state_masses on nu's binning are masses.  Each state's sums and maximum
-    reduce its own row, so a tuple has the same bits whatever the stack."""
+    state_masses on nu's binning are masses.  The density rho = mu / nu and
+    its maxima are formed for the stack at once; each state's sums reduce
+    its own row, so a tuple has the same bits whatever the stack."""
     if not density_threshold > 1.0:
         raise ValueError(f"density threshold must exceed 1, got {density_threshold}")
     jac = jacobian_det(fields, grid)
     degenerate = np.mean(np.abs(jac) < jacobian_threshold, axis=(1, 2))
-    reports = []
-    for mu, fraction in zip(masses, degenerate.tolist()):
-        rho = mu / nu.masses
-        reports.append((entropy_from_masses(mu, nu.masses), float(rho.max()),
-                        float(mu[rho > density_threshold].sum()), fraction))
-    return reports
+    rho = masses / nu.masses
+    return [(entropy_from_masses(mu, nu.masses), rho_max,
+             float(mu[rho_mu > density_threshold].sum()), fraction)
+            for mu, rho_mu, rho_max, fraction
+            in zip(masses, rho, rho.max(axis=1).tolist(), degenerate.tolist())]
 
 
 def entropy_report(

@@ -30,6 +30,7 @@ from moduliflow.flow import (
     _cap,
     _divide_by,
     _edge_pass,
+    _neighbour_calls,
     _state_pass,
 )
 from moduliflow.initial import build_initial_state
@@ -569,6 +570,33 @@ class TestEdgePass:
             with np.errstate(over="ignore", invalid="ignore"):
                 e = _edge_pass(ws, 0)[0]
             assert not math.isfinite(e)
+
+
+class TestNeighbourCalls:
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (9, 4), (16, 16)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("op, a_shift, b_shift", [
+        (np.subtract, 1, 0),   # the pass's forward differences
+        (np.add, 0, 1),        # its edge weights
+        (np.subtract, 0, -1),  # its backward divergence
+        (np.add, 0, -1),       # its edge sums
+    ])
+    def test_bound_calls_on_stacks_match_roll(self, rng, shape, axis, op, a_shift, b_shift):
+        # Calls bound once see later writes to their operand, and fix up
+        # the seam of every entry of a leading batch axis.  a and out are
+        # stacks in one buffer, after a field of nan, which the flat call
+        # of a -1 shift reads from node 0 and its seam call overwrites.
+        buffer = np.full((3, 2, *shape), np.nan)
+        a, out = buffer[1], buffer[2]
+        calls = _neighbour_calls(buffer.ravel(), op, a, out, axis, a_shift, b_shift)
+        for _ in range(2):
+            a[...] = rng.standard_normal(a.shape)
+            out.fill(np.nan)
+            for call_op, x, y, call_out in calls:
+                call_op(x, y, call_out)
+            grid_axis = axis + 1
+            want = op(np.roll(a, -a_shift, grid_axis), np.roll(a, -b_shift, grid_axis))
+            assert np.array_equal(out, want)
 
 
 class TestEnergy:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moduliflow.mesh import DomainGrid, periodic_calls, run_calls
+from moduliflow.mesh import DomainGrid
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,32 +65,6 @@ class TestPeriodicShifts:
                + (ahead[1] - 2.0 * f + behind[1]) / g.h2**2)
         assert np.array_equal(g.laplacian(f), lap)
 
-    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (9, 4), (16, 16)])
-    @pytest.mark.parametrize("axis", [0, 1])
-    @pytest.mark.parametrize("op, a_shift, b_shift", [
-        (np.subtract, 1, 0),   # the flow's forward differences
-        (np.add, 0, 1),        # its edge weights
-        (np.subtract, 0, -1),  # its backward divergence
-        (np.add, 0, -1),       # its edge sums
-        (np.subtract, 1, -1),  # the central gradient
-    ])
-    def test_bound_calls_on_stacks_match_roll(self, rng, shape, axis, op, a_shift, b_shift):
-        # Calls bound once see later writes to their operand, and fix up
-        # the seam of every entry of a leading batch axis.
-        a, out = (np.empty((2, *shape)) for _ in range(2))
-        calls = periodic_calls(op, a, out, axis, a_shift, b_shift)
-        for _ in range(2):
-            a[...] = rng.standard_normal(a.shape)
-            run_calls(calls)
-            grid_axis = axis + 1
-            want = op(np.roll(a, -a_shift, grid_axis), np.roll(a, -b_shift, grid_axis))
-            assert np.array_equal(out, want)
-
-    def test_output_must_be_c_contiguous(self):
-        a = np.zeros((4, 4))
-        with pytest.raises(ValueError):
-            periodic_calls(np.add, a, np.zeros((4, 4), order="F"), 0, a_shift=1)
-
 
 class TestGradient:
     def test_constant_field(self):
@@ -108,6 +82,20 @@ class TestGradient:
             errs.append(float(np.abs(g1 - exact).max()))
         assert errs[0] <= 0.02
         assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (9, 4), (16, 16)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_stack_is_the_roll_formula_and_each_fields_gradient(self, rng, shape, axis):
+        # flow.jacobian_det passes a chunk of states as a C-ordered
+        # (C, 2, n1, n2) stack.
+        g = DomainGrid(*shape)
+        f = rng.standard_normal((3, 2, *shape))
+        got = g.gradient(f)[axis]
+        grid_axis, h = axis - 2, (g.h1, g.h2)[axis]
+        want = (np.roll(f, -1, grid_axis) - np.roll(f, 1, grid_axis)) / (2.0 * h)
+        assert got.shape == f.shape and got.tobytes() == want.tobytes()
+        for index in np.ndindex(f.shape[:2]):
+            assert got[index].tobytes() == g.gradient(f[index])[axis].tobytes()
 
     def test_linearity(self, rng):
         g = DomainGrid(12, 12)

@@ -167,19 +167,24 @@ def test_time_kernel_times_the_tree_and_refuses_an_unknown_revision():
     # One 8x8 grid, 3 calls and 2 rounds instead of the tool's sizes, 100
     # calls and 21 rounds: each round starts a worker process.  n1 * n2 is
     # a multiple of 8, so the ring starts on a 64-byte boundary too, and
-    # h = 1/8 is a power of two, so the pass's table is 37 calls.
-    tools = str(ROOT / "tools")
-    code = (f"import sys; sys.path.insert(0, {tools!r}); import time_kernel as tk; "
-            "tk.ROUNDS, tk.SIZES, tk.CALLS = 2, (8,), 3; sys.exit(tk.main())")
+    # h = 1/8 is a power of two, so the pass's table is 37 calls.  After
+    # the timings the process prints the layout digest of the tree's table
+    # on an 8x8 workspace of its own.
+    tools, src = str(ROOT / "tools"), str(ROOT / "src")
+    code = (f"import sys; sys.path[:0] = [{tools!r}, {src!r}]; import time_kernel as tk; "
+            "tk.ROUNDS, tk.SIZES, tk.CALLS = 2, (8,), 3; status = tk.main(); "
+            "from moduliflow import flow; print(tk.layout(flow._EdgeWorkspace((8, 8)))); "
+            "sys.exit(status)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    title, header, row = done.stdout.splitlines()
+    title, header, row, layout = done.stdout.splitlines()
     assert "of 6 calls" in title
-    assert header.split()[:4] == ["size", "side", "offset", "calls"]
-    size, side, offset, calls, *numbers = row.split()
+    assert header.split()[:5] == ["size", "side", "offset", "calls", "table"]
+    size, side, offset, calls, digest, *numbers = row.split()
     assert (size, side, offset, calls, len(numbers)) == ("8²", "tree", "0", "37", 6)
     assert all(float(x) > 0 for x in numbers)
+    assert digest == layout and re.fullmatch("[0-9a-f]{8}", digest)
     refused = subprocess.run([sys.executable, str(ROOT / "tools" / "time_kernel.py"),
                               "no-such-revision"], capture_output=True, text=True, timeout=60)
     assert refused.returncode == 2 and "no-such-revision" in refused.stderr

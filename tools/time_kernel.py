@@ -27,9 +27,10 @@ runs of the tool gave pass medians within 2% of each other at 128² and
 256².  The workspace's offset from a 64-byte boundary moves the pass by
 about 20% at 64², so it is printed with each time.  Printed per size and
 side: the ring's offset from a 64-byte boundary in bytes, one per
-distinct value over the rounds; the number of calls in the pass's table;
-µs per call of each kernel, min and median over every call of every
-round; and ns per node of the medians.
+distinct value over the rounds; the number of calls in the pass's table
+and a digest of its layout (see `layout`), so that two revisions can be
+seen to bind the same table; µs per call of each kernel, min and median
+over every call of every round; and ns per node of the medians.
 Exit code 0 when every worker answered, 1 when one failed, 2 when REV
 cannot be extracted.
 """
@@ -37,6 +38,7 @@ cannot be extracted.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -53,11 +55,29 @@ KERNELS = ("pass", "step")
 ROUNDS, SIZES, CALLS = 21, (32, 64, 128, 256), 100
 
 
+def layout(ws) -> str:
+    """The first 8 hex digits of a SHA-256 of the layout of ws's pass on
+    slot 1: for each call in order its ufunc's name and, for each operand,
+    its offset from ws.buffer in floats, its shape and its strides, or a
+    0-d constant's value; "-" when the workspace has no buffer."""
+    buffer = getattr(ws, "buffer", None)
+    if buffer is None:
+        return "-"
+
+    def operand(x):
+        if x.ndim == 0:
+            return x.item()
+        return (x.ctypes.data - buffer.ctypes.data) // 8, x.shape, x.strides
+
+    text = repr([(op.__name__, *map(operand, call)) for op, *call in ws.calls[1]])
+    return hashlib.sha256(text.encode()).hexdigest()[:8]
+
+
 def worker(cpu: int, calls: int, *sizes: int) -> int:
     """Print one JSON line of per-call nanoseconds, the ring's offset from
-    a 64-byte boundary and the pass table's length, {"n": {"pass": [...],
-    "step": [...], "offset": bytes, "calls": count}, ...}, for each n x n
-    grid."""
+    a 64-byte boundary, the pass table's length and its layout, {"n":
+    {"pass": [...], "step": [...], "offset": bytes, "calls": count,
+    "table": digest}, ...}, for each n x n grid."""
     os.sched_setaffinity(0, {cpu})
     import numpy as np
     from moduliflow import flow
@@ -83,6 +103,7 @@ def worker(cpu: int, calls: int, *sizes: int) -> int:
 
         times = out[n] = {kernel: [] for kernel in KERNELS}
         times["offset"], times["calls"] = ws.ring[0].ctypes.data % 64, len(ws.calls[1])
+        times["table"] = layout(ws)
         for _ in range(calls):
             start = time.perf_counter_ns()
             flow._edge_pass(ws, 1)
@@ -97,12 +118,12 @@ def worker(cpu: int, calls: int, *sizes: int) -> int:
 
 def measure(sources: dict, cpu: int) -> dict:
     """{(side, n, kernel): nanoseconds of every call, (side, n): the set of
-    the ring's offsets from a 64-byte boundary, (side, n, "calls"): the
-    set of the pass table's lengths}; RuntimeError with the worker's
-    stderr when one fails."""
+    the ring's offsets from a 64-byte boundary, (side, n, "calls") and
+    (side, n, "table"): the sets of the pass table's lengths and layout
+    digests}; RuntimeError with the worker's stderr when one fails."""
     samples = {(side, n, kernel): [] for side in sources for n in SIZES for kernel in KERNELS}
     samples.update({key: set() for side in sources for n in SIZES
-                    for key in ((side, n), (side, n, "calls"))})
+                    for key in ((side, n), (side, n, "calls"), (side, n, "table"))})
     order = list(sources)
     command = [sys.executable, __file__, "--worker", str(cpu), str(CALLS), *map(str, SIZES)]
     for r in range(ROUNDS):
@@ -114,6 +135,7 @@ def measure(sources: dict, cpu: int) -> dict:
             for n, times in json.loads(done.stdout).items():
                 samples[side, int(n)].add(times.pop("offset"))
                 samples[side, int(n), "calls"].add(times.pop("calls"))
+                samples[side, int(n), "table"].add(times.pop("table"))
                 for kernel, ns in times.items():
                     samples[side, int(n), kernel] += ns
     return samples
@@ -121,8 +143,10 @@ def measure(sources: dict, cpu: int) -> dict:
 
 def report(samples: dict, sides: list[str]) -> None:
     print(f"µs per call, min and median of {ROUNDS * CALLS} calls; ns per node of the median;"
-          " the ring's offset from a 64-byte boundary, bytes; the pass table's calls")
-    print(f"{'size':>6} {'side':>12} {'offset':>7} {'calls':>5} {'pass min':>9} {'pass p50':>9}"
+          " the ring's offset from a 64-byte boundary, bytes; the pass table's calls and"
+          " layout digest")
+    print(f"{'size':>6} {'side':>12} {'offset':>7} {'calls':>5} {'table':>8}"
+          f" {'pass min':>9} {'pass p50':>9}"
           f" {'ns/node':>8} {'step min':>9} {'step p50':>9} {'ns/node':>8}")
     for n in SIZES:
         for side in sides:
@@ -132,9 +156,11 @@ def report(samples: dict, sides: list[str]) -> None:
                 median = statistics.median(ns)
                 cells += [f"{min(ns) / 1e3:9.1f}", f"{median / 1e3:9.1f}",
                           f"{median / (n * n):8.2f}"]
-            offsets, calls = (",".join(map(str, sorted(samples[key])))
-                              for key in ((side, n), (side, n, "calls")))
-            print(f"{f'{n}²':>6} {side:>12} {offsets:>7} {calls:>5} " + " ".join(cells))
+            offsets, calls, tables = (
+                ",".join(map(str, sorted(samples[key])))
+                for key in ((side, n), (side, n, "calls"), (side, n, "table")))
+            print(f"{f'{n}²':>6} {side:>12} {offsets:>7} {calls:>5} {tables:>8} "
+                  + " ".join(cells))
 
 
 def main(argv=None) -> int:
